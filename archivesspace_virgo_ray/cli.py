@@ -5,8 +5,8 @@ On a real cluster these commands are the job payloads::
     ray job submit -- python -m archivesspace_virgo_ray.cli build \
         --corpus s3://bucket/corpus --index s3://bucket/idx --shards 256
 
-Locally they own the Ray session (the ONLY places besides bench.py and the
-test fixture that call ray.init)."""
+Locally they own the Ray session (the ONLY places besides the test fixture
+that call ray.init)."""
 
 from __future__ import annotations
 
@@ -213,108 +213,6 @@ def cmd_vacuum(args) -> int:
     return 0
 
 
-def cmd_clean(args) -> int:
-    """Corpus curation: exact dedup → near-dup dedup → quality floor; writes
-    the kept ids as partitioned parquet (resumable output contract)."""
-    ray = _init_ray(args.num_cpus)
-    import ray.data
-
-    from .pipelines.curation import corpus_clean
-
-    ds = ray.data.read_parquet(args.corpus, columns=[args.id_col, args.text_col])
-    if args.text_col != "text" or args.id_col != "doc_id":
-        colmap = {args.id_col: "doc_id", args.text_col: "text"}
-        ds = ds.map_batches(
-            lambda df: df.rename(columns=colmap), batch_format="pandas"
-        )
-    kept = corpus_clean(ds, min_tokens=args.min_tokens,
-                        near_threshold=args.near_threshold).materialize()
-    n = kept.count()  # free on the materialized result
-    kept.write_parquet(args.out)
-    print(json.dumps({"kept": int(n), "out": args.out}))
-    _shutdown_ray()
-    return 0
-
-
-def cmd_sample(args) -> int:
-    """Deterministic hash sample (and optional split column) to parquet."""
-    ray = _init_ray(args.num_cpus)
-    import ray.data
-
-    from .pipelines.curation import hash_sample, split_assign
-
-    ds = ray.data.read_parquet(args.corpus)
-    if args.p < 1.0:
-        ds = hash_sample(ds, args.p, id_col=args.id_col, salt=args.salt)
-    if args.with_split:
-        ds = split_assign(ds, id_col=args.id_col)
-    if args.p < 1.0 or args.with_split:
-        # one execution serves both count and write; a bare read needs no
-        # materialization (count is parquet metadata, write streams)
-        ds = ds.materialize()
-    n = ds.count()
-    ds.write_parquet(args.out)
-    print(json.dumps({"rows": int(n), "out": args.out}))
-    _shutdown_ray()
-    return 0
-
-
-def cmd_decontaminate(args) -> int:
-    """Benchmark decontamination report: (doc_id, eval_id, n_shared) parquet
-    for every training doc sharing a W-token shingle with an eval doc."""
-    ray = _init_ray(args.num_cpus)
-    import ray.data
-
-    from .pipelines.curation import decontaminate
-
-    eval_ds = ray.data.read_parquet(
-        args.eval, columns=[args.id_col, args.text_col]
-    ).to_pandas()
-    eval_texts = dict(zip(eval_ds[args.id_col], eval_ds[args.text_col]))
-    ds = ray.data.read_parquet(args.corpus, columns=[args.id_col, args.text_col])
-    out = decontaminate(
-        ds, eval_texts, shingle_w=args.shingle_w,
-        id_col=args.id_col, text_col=args.text_col,
-    ).materialize()
-    n = out.count()
-    out.write_parquet(args.out)
-    print(json.dumps({"contaminated_rows": int(n), "out": args.out}))
-    _shutdown_ray()
-    return 0
-
-
-def cmd_dedup(args) -> int:
-    """Near-dup report: (doc_id, rep_id) clusters to parquet."""
-    ray = _init_ray(args.num_cpus)
-    import ray.data
-
-    from .pipelines.dedup import minhash_dedup
-
-    ds = ray.data.read_parquet(args.corpus, columns=[args.id_col, args.text_col])
-    if args.text_col != "text" or args.id_col != "doc_id":
-        colmap = {args.id_col: "doc_id", args.text_col: "text"}
-        ds = ds.map_batches(
-            lambda df: df.rename(columns=colmap), batch_format="pandas"
-        )
-    out = minhash_dedup(ds, threshold=args.threshold)
-    if hasattr(out, "write_parquet"):
-        out = out.materialize()  # count + write off one execution
-        n = out.count()
-        out.write_parquet(args.out)
-    else:
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-        import os
-
-        n = len(out)
-        os.makedirs(args.out, exist_ok=True)
-        pq.write_table(pa.Table.from_pandas(out, preserve_index=False),
-                       f"{args.out}/part-0.parquet")
-    print(json.dumps({"clustered_docs": int(n), "out": args.out}))
-    _shutdown_ray()
-    return 0
-
-
 def cmd_delete(args) -> int:
     """deleteByQuery: tombstone every doc matching the boolean query."""
     ray = _init_ray(args.num_cpus)
@@ -343,50 +241,6 @@ def cmd_restore(args) -> int:
 
     r = restore_index(args.snapshot, args.out)
     print(json.dumps({**r, "out": args.out}))
-    return 0
-
-
-def cmd_shuffle(args) -> int:
-    """Seeded deterministic global shuffle: adds shuffle_pos and writes
-    partitioned parquet ordered for training export."""
-    ray = _init_ray(args.num_cpus)
-    import ray.data
-
-    from .pipelines.curation import deterministic_shuffle
-
-    ds = ray.data.read_parquet(args.corpus)
-    out = deterministic_shuffle(ds, id_col=args.id_col,
-                                seed=args.seed).materialize()
-    n = out.count()
-    out.write_parquet(args.out)
-    print(json.dumps({"rows": int(n), "seed": args.seed, "out": args.out}))
-    _shutdown_ray()
-    return 0
-
-
-def cmd_bpe(args) -> int:
-    """Train a BPE merge table over the corpus (one distributed word-count
-    pass + vocab-bounded merges); writes merges parquet."""
-    ray = _init_ray(args.num_cpus)
-    import ray.data
-
-    from .pipelines.bpe import learn_bpe, word_counts
-
-    ds = ray.data.read_parquet(args.corpus, columns=[args.text_col])
-    if args.text_col != "text":
-        colmap = {args.text_col: "text"}
-        ds = ds.map_batches(
-            lambda df: df.rename(columns=colmap), batch_format="pandas"
-        )
-    wc = word_counts(ds)
-    merges = learn_bpe(wc, n_merges=args.merges, min_freq=args.min_freq)
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    pq.write_table(pa.Table.from_pandas(merges, preserve_index=False), args.out)
-    print(json.dumps({"word_types": int(len(wc)), "merges": int(len(merges)),
-                      "out": args.out}))
-    _shutdown_ray()
     return 0
 
 
@@ -534,7 +388,7 @@ def main(argv=None) -> int:
 
     w = sub.add_parser(
         "watch",
-        help="continuous ingestion: mtime-watermark scan -> replace-by-id "
+        help="continuous ingestion: new-or-changed file scan -> replace-by-id "
              "delta per round; --interval 0 runs once")
     w.add_argument("--corpus", required=True)
     w.add_argument("--index", required=True)
@@ -548,42 +402,6 @@ def main(argv=None) -> int:
     w.add_argument("--batch-size", type=int, default=2000)
     w.add_argument("--analyzer", default="plain")
     w.set_defaults(fn=cmd_watch)
-
-    cl = sub.add_parser("clean", help="corpus clean: dedup + quality floor")
-    cl.add_argument("--corpus", required=True)
-    cl.add_argument("--out", required=True)
-    cl.add_argument("--id-col", default="doc_id")
-    cl.add_argument("--text-col", default="text")
-    cl.add_argument("--min-tokens", type=int, default=10)
-    cl.add_argument("--near-threshold", type=float, default=0.7)
-    cl.set_defaults(fn=cmd_clean)
-
-    sm = sub.add_parser("sample", help="deterministic hash sample / split")
-    sm.add_argument("--corpus", required=True)
-    sm.add_argument("--out", required=True)
-    sm.add_argument("--id-col", default="doc_id")
-    sm.add_argument("-p", type=float, default=1.0)
-    sm.add_argument("--salt", default="s1")
-    sm.add_argument("--with-split", action="store_true")
-    sm.set_defaults(fn=cmd_sample)
-
-    dd = sub.add_parser("dedup", help="near-dup cluster report")
-    dd.add_argument("--corpus", required=True)
-    dd.add_argument("--out", required=True)
-    dd.add_argument("--id-col", default="doc_id")
-    dd.add_argument("--text-col", default="text")
-    dd.add_argument("--threshold", type=float, default=0.7)
-    dd.set_defaults(fn=cmd_dedup)
-
-    dc = sub.add_parser("decontaminate",
-                        help="n-gram overlap report vs an eval/benchmark set")
-    dc.add_argument("--corpus", required=True)
-    dc.add_argument("--eval", required=True)
-    dc.add_argument("--out", required=True)
-    dc.add_argument("--id-col", default="doc_id")
-    dc.add_argument("--text-col", default="text")
-    dc.add_argument("--shingle-w", type=int, default=8)
-    dc.set_defaults(fn=cmd_decontaminate)
 
     dq = sub.add_parser("delete", help="deleteByQuery: tombstone matching docs")
     dq.add_argument("--index", required=True)
@@ -600,14 +418,6 @@ def main(argv=None) -> int:
     rs.add_argument("--snapshot", required=True)
     rs.add_argument("--out", required=True)
     rs.set_defaults(fn=cmd_restore)
-
-    sh = sub.add_parser("shuffle",
-                        help="seeded deterministic global shuffle to parquet")
-    sh.add_argument("--corpus", required=True)
-    sh.add_argument("--out", required=True)
-    sh.add_argument("--id-col", default="doc_id")
-    sh.add_argument("--seed", default="ep0")
-    sh.set_defaults(fn=cmd_shuffle)
 
     qs = sub.add_parser(
         "qsearch",
@@ -641,14 +451,6 @@ def main(argv=None) -> int:
     rh.add_argument("--shards", type=int, required=True)
     rh.add_argument("--buckets", type=int, required=True)
     rh.set_defaults(fn=cmd_reshard)
-
-    bp = sub.add_parser("bpe", help="train a BPE merge table over the corpus")
-    bp.add_argument("--corpus", required=True)
-    bp.add_argument("--out", required=True)
-    bp.add_argument("--text-col", default="text")
-    bp.add_argument("--merges", type=int, default=1000)
-    bp.add_argument("--min-freq", type=int, default=2)
-    bp.set_defaults(fn=cmd_bpe)
 
     args = p.parse_args(argv)
     return args.fn(args)

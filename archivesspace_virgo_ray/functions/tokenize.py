@@ -258,7 +258,7 @@ def ident_pretokenize(text: str) -> str:
 
 def ident_pretokenize_arrow(col):
     """Arrow-native identifier-split rewrite (C++ RE2 kernels, zero Python
-    per row) — the form analysis stages should use inside map_batches."""
+    per row) — the form analysis operators should use inside map_batches."""
     import pyarrow.compute as pc
 
     t = pc.replace_substring_regex(

@@ -259,7 +259,7 @@ def _build_segments_staged(
     writers stream to shared storage, reduce-side segment writers read only
     their partition. Staging is rebuilt per run (completed segments were
     already dropped at the tokenize stage, so it only ever holds the
-    missing groups); a crash mid-staging just re-stages on retry."""
+    missing groups); a crash mid-staging just redoes the staging on retry."""
     import shutil as _shutil
 
     import ray

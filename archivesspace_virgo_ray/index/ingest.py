@@ -7,14 +7,19 @@ modified since the last run and re-posting them to Solr
 Here the same contract runs against a parquet drop directory:
 
     ingest_once(corpus_dir, index_dir, cfg)
-        1. scan for .parquet files with mtime_ns STRICTLY above the
-           persisted watermark (``_global/ingest.json``)
+        1. scan for .parquet files whose ``(path, mtime_ns, size)`` key
+           is not in the persisted seen-set (``_global/ingest.json``) —
+           a file copied with its mtime preserved (``cp -p``,
+           ``rsync -a``) is new even when older than everything seen
         2. add them as ONE delta generation with replace-by-id semantics
            (content keys are stable, so a re-dropped/changed file
            replaces its docs exactly like Solr re-posting)
-        3. advance the watermark only AFTER the generation committed — a
-           crash between add and state write re-adds with replace, which
-           is idempotent by construction
+        3. persist the new seen-set only AFTER the generation committed —
+           a crash between add and state write re-adds with replace,
+           which is idempotent by construction
+
+    A state file from before the seen-set holds only ``watermark_ns``;
+    it loads as "every file at or below the watermark was seen".
 
     CLI: ``watch --corpus DIR --index DIR [--interval S] [--maintain]``
         loops ingest_once on an interval (0 = run once); --maintain runs
@@ -52,33 +57,39 @@ def _load_state(index_dir: str) -> dict:
         return {"watermark_ns": -1}
 
 
-def _save_state(index_dir: str, state: dict) -> None:
+def _save_state(index_dir: str, keys: list, high: int) -> None:
     p = _state_path(index_dir)
     os.makedirs(os.path.dirname(p), exist_ok=True)
     tmp = p + ".tmp"
     with open(tmp, "w") as f:
-        json.dump(state, f)
+        json.dump({"watermark_ns": high, "seen": keys}, f)
     os.replace(tmp, p)
 
 
-def _scan(corpus_dir: str, watermark_ns: int) -> tuple[list[str], int]:
-    """(.parquet files newer than the watermark, max mtime_ns seen).
-    mtimes are captured BEFORE reading: a file modified mid-read keeps an
-    mtime above the new watermark and is re-ingested (replace) next round."""
-    new, high = [], watermark_ns
+def _scan(corpus_dir: str, state: dict) -> tuple[list[str], list, int]:
+    """(new .parquet files, every file's ``[relpath, mtime_ns, size]`` key,
+    max mtime_ns seen). Keys are captured BEFORE reading: a file modified
+    mid-read no longer matches its recorded key and is re-ingested
+    (replace) next round."""
+    wm = int(state.get("watermark_ns", -1))
+    seen = state.get("seen")
+    seen = None if seen is None else {tuple(k) for k in seen}
+    new, keys, high = [], [], wm
     for root, _dirs, files in os.walk(corpus_dir):
         for f in sorted(files):
             if not f.endswith(".parquet"):
                 continue
             p = os.path.join(root, f)
             try:
-                mt = os.stat(p).st_mtime_ns
+                st = os.stat(p)
             except OSError:
                 continue
-            if mt > watermark_ns:
+            key = (os.path.relpath(p, corpus_dir), st.st_mtime_ns, st.st_size)
+            keys.append(list(key))
+            high = max(high, st.st_mtime_ns)
+            if (st.st_mtime_ns > wm) if seen is None else (key not in seen):
                 new.append(p)
-                high = max(high, mt)
-    return sorted(new), high
+    return sorted(new), sorted(keys), high
 
 
 @locked_on("index_dir")
@@ -96,13 +107,13 @@ def ingest_once(
     from .update import add_documents, maintain
 
     state = _load_state(index_dir)
-    files, high = _scan(corpus_dir, int(state.get("watermark_ns", -1)))
+    files, keys, high = _scan(corpus_dir, state)
     out = {"bootstrapped": False, "n_files": len(files), "added": 0,
            "replaced": 0, "watermark_ns": int(state.get("watermark_ns", -1))}
     if not os.path.exists(os.path.join(index_dir, GLOBAL, "stats.json")):
         # first run: the whole directory IS the backlog
         stats = build_index(corpus_dir, index_dir, cfg, resume=True)
-        _save_state(index_dir, {"watermark_ns": high})
+        _save_state(index_dir, keys, high)
         out.update(bootstrapped=True, added=int(stats["n_docs"]),
                    watermark_ns=high)
         return out
@@ -119,7 +130,7 @@ def ingest_once(
     # as one batch commit too. Multiple files ride a single Dataset.
     src = files[0] if len(files) == 1 else ray.data.read_parquet(files)
     new_stats = add_documents(src, index_dir, cfg, on_conflict="replace")
-    _save_state(index_dir, {"watermark_ns": high})
+    _save_state(index_dir, keys, high)
     n_new = int(new_stats["n_docs"]) - before
     # replaced = incoming rows that did not grow the live count
     marker_replaced = _last_gen_replaced(index_dir)

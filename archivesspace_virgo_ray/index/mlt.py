@@ -1,7 +1,7 @@
 """More-like-this (Solr MLT handler): given source documents, select their
 most "interesting" terms and rank the corpus by BM25 similarity to them.
 
-Semantics (mirrored exactly by the DuckDB oracle):
+Semantics (pinned by tests/test_mlt.py):
 
 1. interesting terms of a source doc = its distinct tokens scored by
    ``round(tf_in_doc * idf, 6)`` with the engine's BM25 idf

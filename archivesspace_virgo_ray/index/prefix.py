@@ -3,7 +3,7 @@ rewrite, re-expressed over the termstats vocabulary (the reference's Virgo
 UI issues these against Solr's ``*_tsearch`` fields; Solr rewrites them to
 an OR of the highest-frequency matching terms, capped at maxExpansions).
 
-Two stages, both bounded:
+Two phases, both bounded:
 
 1. **expansion** — ONE distributed column-pruned scan of the sealed
    termstats parquet (``term, df`` only) for ALL prefixes of the batch,

@@ -333,6 +333,12 @@ def parse_boolean(q: str) -> BoolNode:
                             leaf=(m.group(1), int(m.group(2) or 0)))
         if t in ("AND", "OR", "NOT"):
             raise ValueError(f"boolean query {q!r}: dangling {t}")
+        if t[0] in "+-" or any(c in t for c in ":*?"):
+            # signed, fielded and wildcard clauses are query-string grammar
+            # with no exact tree meaning; tokenizing would drop the operator
+            raise ValueError(
+                f"boolean query {q!r}: unsupported token {t!r} in a tree "
+                "(use NOT, or the flat query-string form)")
         terms = tokenize_text(t)
         if not terms:
             raise ValueError(f"boolean query {q!r}: empty term {t!r}")

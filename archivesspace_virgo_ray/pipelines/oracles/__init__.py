@@ -1,1 +1,2 @@
-"""Domain-split oracle modules; import via pipelines.queries."""
+"""Engine operators paired with DuckDB reference SQL, one module per domain;
+tests import the module they check directly."""

@@ -1,46 +1,22 @@
-"""Vector / embedding / ANN / clustering oracles (split from queries.py; see that module for the facade)."""
+"""Vector / embedding / ANN / clustering oracles."""
 
 from __future__ import annotations
-import hashlib
+
 import os
 import numpy as np
 import pandas as pd
-import pyarrow as pa
-import pyarrow.compute as pc
 import ray.data
-from ...functions.tokenize import TOKEN_RE, batch_term_doc_tf
-from ..dedup import exact_dedup, minhash_dedup, simhash_near_dups
+
 from ..similarity import knn_brute_force, knn_ivf
-from ..textstats import LANG_PROFILES, lang_id_batch
-
-from .common import *  # noqa: F401,F403
-from .common import (_RANK_MARGIN, _bm25_sql, _build_docs_index, _docs, _index_dir_for, _matched_docs_ds, _ranked_topk)  # noqa: F401
-
-
-def embedding_quantize_int8(sf_dir: str) -> pd.DataFrame:
-    from ..similarity import quantize_embeddings
-
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"]
-    )
-    out = quantize_embeddings(ds).to_pandas()
-    return out.sort_values(["vec_id", "dim"], ignore_index=True)
-
-
-SQL_QUANTIZE = """
-WITH e AS (
-  SELECT vec_id, CAST(embedding AS DOUBLE[]) AS v FROM embeddings),
-s AS (
-  SELECT vec_id, v, list_max(list_transform(v, x -> abs(x))) AS sc FROM e)
-SELECT CAST(vec_id AS BIGINT) AS vec_id,
-       CAST(g.i AS BIGINT) AS dim,
-       CAST(floor(127.0 * v[g.i + 1]
-                  / (CASE WHEN sc = 0 THEN 1.0 ELSE sc END) + 0.5) AS BIGINT)
-         AS q,
-       round(sc, 6) AS scale
-FROM s CROSS JOIN LATERAL (SELECT unnest(range(len(v))) AS i) g
-ORDER BY vec_id, dim
-"""
+from .common import (
+    BM25_K,
+    BM25_QUERIES,
+    _RANK_MARGIN,
+    _bm25_sql,
+    _build_docs_index,
+    _index_dir_for,
+    _ranked_topk,
+)
 
 
 def _query_vec(sf_dir: str, vec_id: int = 0) -> np.ndarray:
@@ -64,137 +40,12 @@ def knn_cosine_top10(sf_dir: str):
     return out[["rank", "vec_id", "cos"]]
 
 
-SQL_KNN_COSINE = """
-WITH q AS (SELECT CAST(embedding AS DOUBLE[]) AS qe FROM embeddings WHERE vec_id = 0),
-sims AS (
-  SELECT vec_id,
-         round(list_cosine_similarity(CAST(embedding AS DOUBLE[]), (SELECT qe FROM q)), 6) AS cos
-  FROM embeddings WHERE vec_id <> 0)
-SELECT CAST(row_number() OVER (ORDER BY cos DESC, vec_id) AS BIGINT) AS rank, vec_id, cos
-FROM sims
-ORDER BY cos DESC, vec_id
-LIMIT 10
-"""
-
-
-def embedding_label_centroids(sf_dir: str) -> pd.DataFrame:
-    """Per-label mean embedding (long form: label, dim, mean)."""
-    from ..similarity import label_centroids
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                               columns=["label", "embedding"])
-    return label_centroids(ds)
-
-
-SQL_LABEL_CENTROIDS = """
-SELECT CAST(label AS BIGINT) AS label,
-       CAST(dim AS BIGINT) AS dim,
-       round(avg(v), 6) AS mean
-FROM (SELECT label,
-             unnest(CAST(embedding AS DOUBLE[])) AS v,
-             generate_subscripts(embedding, 1) AS dim
-      FROM embeddings)
-GROUP BY label, dim
-ORDER BY label, dim
-"""
-
-
-def knn_label_confusion_matrix(sf_dir: str) -> pd.DataFrame:
-    """Leave-one-out 1-NN label confusion counts over the embedding table."""
-    from ..similarity import knn_label_confusion
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    return knn_label_confusion(ds)
-
-
-SQL_KNN_LABEL_CONFUSION = """
-WITH e AS (
-  SELECT vec_id, label, CAST(embedding AS DOUBLE[]) AS v FROM embeddings),
-pairs AS (
-  SELECT a.vec_id AS aid, a.label AS alabel, b.vec_id AS bid,
-         b.label AS blabel,
-         round(list_cosine_similarity(a.v, b.v), 6) AS cos
-  FROM e a JOIN e b ON b.vec_id <> a.vec_id),
-nn AS (
-  SELECT aid, alabel, blabel,
-         row_number() OVER (PARTITION BY aid
-                            ORDER BY cos DESC, bid) AS rn
-  FROM pairs)
-SELECT CAST(alabel AS BIGINT) AS label, CAST(blabel AS BIGINT) AS nn_label,
-       CAST(count(*) AS BIGINT) AS n
-FROM nn WHERE rn = 1
-GROUP BY alabel, blabel
-ORDER BY label, nn_label
-"""
-
-
 # --------------------------- filtered vector search -------------------------
 #
 # Metadata-predicate kNN (the filtered-ANN surface every vector store
 # exposes): per query, top-10 cosine among ONLY vectors sharing the query
 # vector's label. Pre-filter inside the per-batch partial — top-k can't
 # starve on selective predicates, merge stays k x batches.
-
-KNN_FILTER_QIDS = [0, 1, 2]
-
-
-def knn_filtered_top10(sf_dir: str) -> pd.DataFrame:
-    import pyarrow.dataset as pads
-
-    from ..similarity import knn_filtered
-
-    src = os.path.join(sf_dir, "embeddings.parquet")
-    t = pads.dataset(src).to_table(
-        filter=pads.field("vec_id").isin(KNN_FILTER_QIDS),
-        columns=["vec_id", "embedding", "label"],
-    )
-    by_id = {
-        int(v): (np.asarray(e, dtype=np.float64), int(lab))
-        for v, e, lab in zip(
-            t["vec_id"].to_pylist(), t["embedding"].to_pylist(),
-            t["label"].to_pylist(),
-        )
-    }
-    qm = np.stack([by_id[q][0] for q in KNN_FILTER_QIDS])
-    labs = [by_id[q][1] for q in KNN_FILTER_QIDS]
-    ds = ray.data.read_parquet(src, columns=["vec_id", "embedding", "label"])
-    out = knn_filtered(ds, qm, labs, k=BM25_K + _RANK_MARGIN,
-                       exclude_ids=KNN_FILTER_QIDS)
-    out = out.copy()
-    out["query_id"] = pd.Series(KNN_FILTER_QIDS, dtype=np.int64).to_numpy()[
-        out["query_idx"].to_numpy(np.int64)
-    ]
-    out["cos"] = out["cos"].round(6)
-    out = out.sort_values(["query_id", "cos", "vec_id"],
-                          ascending=[True, False, True],
-                          kind="mergesort", ignore_index=True)
-    out["rank"] = (out.groupby("query_id").cumcount() + 1).astype(np.int64)
-    out = out[out["rank"] <= BM25_K].reset_index(drop=True)
-    return out[["query_id", "rank", "vec_id", "cos"]]
-
-
-def _knn_filtered_sql() -> str:
-    qids = ", ".join(str(q) for q in KNN_FILTER_QIDS)
-    excl = ", ".join(str(q) for q in KNN_FILTER_QIDS)
-    return f"""
-WITH qv AS (
-  SELECT vec_id AS query_id, label AS qlab,
-         CAST(embedding AS DOUBLE[]) AS qe
-  FROM embeddings WHERE vec_id IN ({qids})),
-sims AS (
-  SELECT qv.query_id, e.vec_id,
-         round(list_cosine_similarity(CAST(e.embedding AS DOUBLE[]), qv.qe), 6) AS cos
-  FROM embeddings e
-  JOIN qv ON e.label = qv.qlab
-  WHERE e.vec_id NOT IN ({excl}))
-SELECT CAST(query_id AS BIGINT) AS query_id,
-       CAST(row_number() OVER (PARTITION BY query_id
-                               ORDER BY cos DESC, vec_id) AS BIGINT) AS rank,
-       vec_id, cos
-FROM sims
-QUALIFY rank <= {BM25_K}
-ORDER BY query_id, rank
-"""
 
 
 # --------------------------- MMR diversified retrieval ----------------------
@@ -343,112 +194,6 @@ def hybrid_rrf_topk(sf_dir: str) -> pd.DataFrame:
     return m[["query_id", "rank", "doc_id", "rrf"]]
 
 
-HYBRID_ALPHA = 0.5  # lexical weight in the min-max linear fusion
-
-
-def hybrid_minmax_topk(sf_dir: str) -> pd.DataFrame:
-    """BM25 ⊕ dense fused by min-max score normalization + linear blend
-    (the other standard hybrid besides RRF): each side's top-DEPTH scores
-    normalize to [0,1] per query ((s-min)/(max-min); degenerate all-equal
-    lists -> 1.0), fused = round(a*lex + (1-a)*dense, 6), missing side 0."""
-    idx = _build_docs_index(sf_dir)
-    lex = _ranked_topk(idx, BM25_QUERIES, k=HYBRID_DEPTH)[
-        ["query_id", "doc_id", "score"]
-    ]
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    qids = [q for q, _ in BM25_QUERIES]
-    qm = np.stack([_query_vec(sf_dir, q) for q in qids])
-    den = knn_brute_force(ds, qm, k=HYBRID_DEPTH + _RANK_MARGIN).copy()
-    den["query_id"] = pd.Series(qids, dtype=np.int64).to_numpy()[
-        den["query_idx"].to_numpy(np.int64)
-    ]
-    den["cos"] = den["cos"].round(6)
-    den = den.sort_values(["query_id", "cos", "vec_id"],
-                          ascending=[True, False, True],
-                          kind="mergesort", ignore_index=True)
-    den["rank"] = (den.groupby("query_id").cumcount() + 1).astype(np.int64)
-    den = den[den["rank"] <= HYBRID_DEPTH].rename(columns={"vec_id": "doc_id"})[
-        ["query_id", "doc_id", "cos"]
-    ]
-
-    def norm(df: pd.DataFrame, col: str) -> pd.Series:
-        g = df.groupby("query_id")[col]
-        lo, hi = g.transform("min"), g.transform("max")
-        rng = hi - lo
-        return pd.Series(
-            np.where(rng > 0, (df[col] - lo) / rng, 1.0), index=df.index
-        )
-
-    lex = lex.assign(nlex=norm(lex, "score"))[["query_id", "doc_id", "nlex"]]
-    den = den.assign(ndense=norm(den, "cos"))[["query_id", "doc_id", "ndense"]]
-    m = lex.merge(den, on=["query_id", "doc_id"], how="outer")
-    fused = (HYBRID_ALPHA * m["nlex"].fillna(0.0).to_numpy(np.float64)
-             + (1.0 - HYBRID_ALPHA) * m["ndense"].fillna(0.0).to_numpy(np.float64))
-    m["fused"] = np.round(fused, 6)
-    m = m.sort_values(["query_id", "fused", "doc_id"],
-                      ascending=[True, False, True],
-                      kind="mergesort", ignore_index=True)
-    m["rank"] = (m.groupby("query_id").cumcount() + 1).astype(np.int64)
-    m = m[m["rank"] <= BM25_K].reset_index(drop=True)
-    m["doc_id"] = m["doc_id"].astype(np.int64)
-    return m[["query_id", "rank", "doc_id", "fused"]]
-
-
-def _hybrid_minmax_sql() -> str:
-    qids = ", ".join(str(q) for q, _ in BM25_QUERIES)
-    a = HYBRID_ALPHA
-    return f"""
-WITH lex0 AS (
-  SELECT query_id, doc_id, score FROM ({_bm25_sql(k=HYBRID_DEPTH)})),
-lex AS (
-  SELECT query_id, doc_id,
-         CASE WHEN max(score) OVER (PARTITION BY query_id)
-                   > min(score) OVER (PARTITION BY query_id)
-              THEN (score - min(score) OVER (PARTITION BY query_id))
-                   / (max(score) OVER (PARTITION BY query_id)
-                      - min(score) OVER (PARTITION BY query_id))
-              ELSE 1.0 END AS nlex
-  FROM lex0),
-qv AS (
-  SELECT vec_id AS query_id, CAST(embedding AS DOUBLE[]) AS qe
-  FROM embeddings WHERE vec_id IN ({qids})),
-sims AS (
-  SELECT qv.query_id, e.vec_id AS doc_id,
-         round(list_cosine_similarity(CAST(e.embedding AS DOUBLE[]), qv.qe), 6) AS cos
-  FROM embeddings e CROSS JOIN qv),
-den0 AS (
-  SELECT query_id, doc_id, cos,
-         row_number() OVER (PARTITION BY query_id
-                            ORDER BY cos DESC, doc_id) AS rank
-  FROM sims
-  QUALIFY rank <= {HYBRID_DEPTH}),
-den AS (
-  SELECT query_id, doc_id,
-         CASE WHEN max(cos) OVER (PARTITION BY query_id)
-                   > min(cos) OVER (PARTITION BY query_id)
-              THEN (cos - min(cos) OVER (PARTITION BY query_id))
-                   / (max(cos) OVER (PARTITION BY query_id)
-                      - min(cos) OVER (PARTITION BY query_id))
-              ELSE 1.0 END AS ndense
-  FROM den0),
-fusedt AS (
-  SELECT COALESCE(l.query_id, d.query_id) AS query_id,
-         COALESCE(l.doc_id, d.doc_id) AS doc_id,
-         round({a} * COALESCE(l.nlex, 0.0)
-               + (1.0 - {a}) * COALESCE(d.ndense, 0.0), 6) AS fused
-  FROM lex l FULL JOIN den d
-    ON l.query_id = d.query_id AND l.doc_id = d.doc_id)
-SELECT CAST(query_id AS BIGINT) AS query_id,
-       CAST(row_number() OVER (PARTITION BY query_id
-                               ORDER BY fused DESC, doc_id) AS BIGINT) AS rank,
-       doc_id, fused
-FROM fusedt
-QUALIFY rank <= {BM25_K}
-ORDER BY query_id, rank
-"""
-
-
 def _hybrid_sql() -> str:
     qids = ", ".join(str(q) for q, _ in BM25_QUERIES)
     return f"""
@@ -496,155 +241,6 @@ QUALIFY rank <= {BM25_K}
 RERANK_DEPTH = 20
 
 
-def bm25_rerank_dense(sf_dir: str) -> pd.DataFrame:
-    import pyarrow.dataset as pads
-
-    idx = _build_docs_index(sf_dir)
-    lex = _ranked_topk(idx, BM25_QUERIES, k=RERANK_DEPTH)[
-        ["query_id", "doc_id"]
-    ]
-    qids = [q for q, _ in BM25_QUERIES]
-    qm = _normalize_rows(np.stack([_query_vec(sf_dir, q) for q in qids]))
-    cand_ids = np.unique(lex["doc_id"].to_numpy(np.int64))
-    # pushdown: only candidate embeddings leave storage
-    t = pads.dataset(os.path.join(sf_dir, "embeddings.parquet")).to_table(
-        filter=pads.field("vec_id").isin(cand_ids.tolist()),
-        columns=["vec_id", "embedding"],
-    )
-    mat = _normalize_rows(
-        np.stack(t["embedding"].to_numpy(zero_copy_only=False)).astype(np.float64)
-    )
-    vid = t["vec_id"].to_numpy().astype(np.int64)
-    sims = mat @ qm.T  # (n_cand, n_queries)
-    col = {int(q): i for i, q in enumerate(qids)}
-    row = {int(v): i for i, v in enumerate(vid)}
-    # a candidate without an embedding reranks LAST (cos NULL/NaN — the SQL
-    # side LEFT JOINs and sorts NULLS LAST), doc_id ties stay deterministic
-    cos = np.array(
-        [
-            sims[row[int(d)], col[int(q)]] if int(d) in row else np.nan
-            for q, d in zip(lex["query_id"], lex["doc_id"])
-        ],
-        dtype=np.float64,
-    )
-    out = lex.copy()
-    out["cos"] = np.round(cos, 6)
-    out = out.sort_values(["query_id", "cos", "doc_id"],
-                          ascending=[True, False, True],
-                          kind="mergesort", na_position="last",
-                          ignore_index=True)
-    out["rank"] = (out.groupby("query_id").cumcount() + 1).astype(np.int64)
-    out = out[out["rank"] <= BM25_K].reset_index(drop=True)
-    return out[["query_id", "rank", "doc_id", "cos"]]
-
-
-def _normalize_rows(mat: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(mat, axis=1)
-    norm[norm == 0] = 1.0
-    return mat / norm[:, None]
-
-
-def _rerank_sql() -> str:
-    qids = ", ".join(str(q) for q, _ in BM25_QUERIES)
-    return f"""
-WITH cand AS (
-  SELECT query_id, doc_id FROM ({_bm25_sql(k=RERANK_DEPTH)})),
-qv AS (
-  SELECT vec_id AS query_id, CAST(embedding AS DOUBLE[]) AS qe
-  FROM embeddings WHERE vec_id IN ({qids})),
-scored AS (
-  SELECT c.query_id, c.doc_id,
-         round(list_cosine_similarity(
-           CAST(e.embedding AS DOUBLE[]), qv.qe), 6) AS cos
-  FROM cand c
-  JOIN qv ON qv.query_id = c.query_id
-  LEFT JOIN embeddings e ON e.vec_id = c.doc_id)
-SELECT CAST(query_id AS BIGINT) AS query_id,
-       CAST(row_number() OVER (PARTITION BY query_id
-                               ORDER BY cos DESC NULLS LAST, doc_id)
-            AS BIGINT) AS rank,
-       doc_id, cos
-FROM scored
-QUALIFY rank <= {BM25_K}
-"""
-
-
-def embedding_near_dup_pairs(sf_dir: str):
-    """Embedding-cosine near-dup via hyperplane-LSH buckets + exact verify."""
-    from ..dedup import embedding_near_dups
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    # random embeddings top out near cos 0.51 — 0.4 keeps the pipeline's
-    # verify stage non-trivially exercised on the driver table
-    out = embedding_near_dups(ds, threshold=0.4, n_planes=4)
-    pdf = out.to_pandas() if hasattr(out, "to_pandas") else out
-    if "cos" not in pdf.columns:  # zero pairs → empty typed frame
-        pdf = pd.DataFrame({"vec_a": pd.Series(dtype=np.int64),
-                            "vec_b": pd.Series(dtype=np.int64),
-                            "cos": pd.Series(dtype=np.float64)})
-    pdf["cos"] = pdf["cos"].round(6)
-    return pdf.sort_values(["vec_a", "vec_b"], ignore_index=True)
-
-
-def _embedding_lsh_sql(threshold: float = 0.4, n_planes: int = 4,
-                       seed: int = 11, dim: int = 64,
-                       final: str = "pairs") -> str:
-    """SQL reproduction of dedup.embedding_near_dups: the seeded hyperplane
-    matrix is inlined as constants (repr(float64) round-trips exactly), the
-    bucket is the sign pattern, the verify thresholds the 6-dp-rounded
-    cosine — matching the engine's rounded compare bit-for-bit.
-    ``final="keep"`` appends the recursive-CTE component closure and the
-    left join back onto all vec_ids — the ``dedup.semantic_dedup``
-    (vec_id, rep_id, keep) oracle."""
-    planes = np.random.default_rng(seed).standard_normal((dim, n_planes))
-    terms = []
-    for j in range(n_planes):
-        vec = "[" + ", ".join(repr(float(x)) for x in planes[:, j]) + "]"
-        terms.append(
-            f"(CASE WHEN list_dot_product(emb, {vec}) > 0 THEN {1 << j} ELSE 0 END)"
-        )
-    bucket = " + ".join(terms)
-    body = f"""e AS (SELECT vec_id, CAST(embedding AS DOUBLE[]) AS emb FROM embeddings),
-b AS (SELECT vec_id, emb, {bucket} AS bucket FROM e),
-good AS (
-  SELECT x.vec_id AS vec_a, y.vec_id AS vec_b,
-         round(list_cosine_similarity(x.emb, y.emb), 6) AS cos
-  FROM b x JOIN b y ON x.bucket = y.bucket AND x.vec_id < y.vec_id
-  WHERE round(list_cosine_similarity(x.emb, y.emb), 6) >= {threshold})"""
-    if final == "pairs":
-        return "WITH " + body + "\nSELECT vec_a, vec_b, cos FROM good"
-    return "WITH RECURSIVE " + body + """,
-sym AS (SELECT vec_a AS a, vec_b AS b FROM good
-        UNION SELECT vec_b, vec_a FROM good),
-reach(a, b) AS (
-  SELECT a, b FROM sym
-  UNION
-  SELECT r.a, s.b FROM reach r JOIN sym s ON r.b = s.a WHERE s.b <> r.a),
-comp AS (SELECT a AS vec_id, least(a, min(b)) AS rep_id FROM reach GROUP BY a)
-SELECT v.vec_id,
-       coalesce(c.rep_id, v.vec_id) AS rep_id,
-       coalesce(c.rep_id, v.vec_id) = v.vec_id AS keep
-FROM embeddings v LEFT JOIN comp c ON c.vec_id = v.vec_id
-ORDER BY v.vec_id"""
-
-
-def semantic_dedup_keep(sf_dir: str):
-    """SemDeDup-shaped semantic dedup: hyperplane-bucketed cosine pairs →
-    connected components → keep the min-vec_id representative per component.
-    One (vec_id, rep_id, keep) row per input vector. Threshold 0.4 for the
-    same reason as embedding_near_dups: random bench embeddings top out
-    near cos 0.51, so 0.4 keeps components non-degenerate."""
-    from ..dedup import semantic_dedup
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    out = semantic_dedup(ds, threshold=0.4, n_planes=4)
-    pdf = out.to_pandas() if hasattr(out, "to_pandas") else out
-    pdf["vec_id"] = pdf["vec_id"].astype(np.int64)
-    pdf["rep_id"] = pdf["rep_id"].astype(np.int64)
-    pdf["keep"] = pdf["keep"].astype(bool)
-    return pdf.sort_values("vec_id", ignore_index=True)
-
-
 def knn_ivf_top10(sf_dir: str):
     src = os.path.join(sf_dir, "embeddings.parquet")
     ds = ray.data.read_parquet(src)
@@ -676,25 +272,6 @@ def knn_pq_top10(sf_dir: str):
     out = knn_pq(ds, np.asarray([q0], dtype=np.float64), k=10)
     out["cos"] = out["cos"].round(6)
     return out[["rank", "vec_id", "cos"]]
-
-
-def embedding_near_dups_exact_pairs(sf_dir: str):
-    """Exact all-pairs cosine near-dup over the embeddings table — the
-    oracle-checkable baseline for the LSH near-dup entry."""
-    from ..dedup import embedding_near_dups_exact
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    return embedding_near_dups_exact(ds, threshold=0.4)
-
-
-SQL_EMBEDDING_NEAR_DUPS_EXACT = """
-SELECT a.vec_id AS vec_a, b.vec_id AS vec_b,
-       round(list_cosine_similarity(CAST(a.embedding AS DOUBLE[]),
-                                    CAST(b.embedding AS DOUBLE[])), 6) AS cos
-FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id
-WHERE round(list_cosine_similarity(CAST(a.embedding AS DOUBLE[]),
-                                   CAST(b.embedding AS DOUBLE[])), 6) >= 0.4
-"""
 
 
 def embedding_alignment_stats(sf_dir: str) -> pd.DataFrame:
@@ -736,21 +313,6 @@ def embedding_alignment_stats(sf_dir: str) -> pd.DataFrame:
         "mean_intra_cos": np.round(mean_cos, 6),
     })
     return out.sort_values("label", ignore_index=True)
-
-
-SQL_ALIGNMENT = """
-WITH e AS (
-  SELECT vec_id, CAST(label AS BIGINT) AS label,
-         CAST(embedding AS DOUBLE[]) AS v
-  FROM embeddings),
-pairs AS (
-  SELECT a.label, list_cosine_similarity(a.v, b.v) AS cos
-  FROM e a JOIN e b ON a.label = b.label AND a.vec_id < b.vec_id),
-cnt AS (SELECT label, CAST(count(*) AS BIGINT) AS n FROM e GROUP BY label)
-SELECT cnt.label, cnt.n, round(avg(p.cos), 6) AS mean_intra_cos
-FROM cnt JOIN pairs p USING (label)
-GROUP BY cnt.label, cnt.n ORDER BY cnt.label
-"""
 
 
 def _second_moment_partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -799,20 +361,6 @@ def embedding_covariance(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_EMBEDDING_COVARIANCE = """
-WITH u AS (
-  SELECT vec_id,
-         CAST(generate_subscripts(embedding, 1) - 1 AS BIGINT) AS i,
-         unnest(CAST(embedding AS DOUBLE[])) AS v
-  FROM embeddings)
-SELECT a.i AS i, b.i AS j,
-       round(avg(a.v * b.v) - avg(a.v) * avg(b.v), 6) AS cov
-FROM u a JOIN u b ON a.vec_id = b.vec_id AND a.i <= b.i
-GROUP BY a.i, b.i
-ORDER BY i, j
-"""
-
-
 PCA_ITERS = 4
 
 
@@ -833,45 +381,6 @@ def pca_top_component(sf_dir: str) -> pd.DataFrame:
         "dim": np.concatenate([np.arange(d), [-1]]).astype(np.int64),
         "loading": np.round(np.concatenate([v, [eig]]), 6),
     })
-
-
-def _pca_sql() -> str:
-    # the same 4 normalized power iterations, unrolled over the covariance
-    # CTE; dim=-1 carries the Rayleigh-quotient eigenvalue
-    it = """
-w{k} AS (
-  SELECT c.i, sum(c.cov * v{p}.v) AS w
-  FROM cov c JOIN v{p} ON v{p}.i = c.j GROUP BY c.i),
-v{k} AS (
-  SELECT i, w / (SELECT sqrt(sum(w * w)) FROM w{k}) AS v FROM w{k}),"""
-    iters = "".join(it.format(k=k, p=k - 1) for k in range(1, PCA_ITERS + 1))
-    last = f"v{PCA_ITERS}"
-    return f"""
-WITH u AS (
-  SELECT vec_id,
-         CAST(generate_subscripts(embedding, 1) - 1 AS BIGINT) AS i,
-         unnest(CAST(embedding AS DOUBLE[])) AS v
-  FROM embeddings),
-cov AS (
-  SELECT a.i AS i, b.i AS j,
-         avg(a.v * b.v) - avg(a.v) * avg(b.v) AS cov
-  FROM u a JOIN u b ON a.vec_id = b.vec_id
-  GROUP BY a.i, b.i),
-dims AS (SELECT DISTINCT i FROM u),
-v0 AS (
-  SELECT i, 1.0 / sqrt((SELECT CAST(count(*) AS DOUBLE) FROM dims)) AS v
-  FROM dims),{iters}
-wq AS (
-  SELECT c.i, sum(c.cov * {last}.v) AS w
-  FROM cov c JOIN {last} ON {last}.i = c.j GROUP BY c.i),
-eig AS (
-  SELECT CAST(-1 AS BIGINT) AS dim, round(sum(a.v * wq.w), 6) AS loading
-  FROM {last} a JOIN wq ON wq.i = a.i)
-SELECT dim, loading FROM (
-  SELECT i AS dim, round(v, 6) AS loading FROM {last}
-  UNION ALL SELECT dim, loading FROM eig)
-ORDER BY dim
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -964,43 +473,6 @@ def kmeans_clusters(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("vec_id", ignore_index=True)
 
 
-def _kmeans_sql() -> str:
-    it = """
-d{k} AS (
-  SELECT u.vec_id, c.cid, sum((u.v - c.v) * (u.v - c.v)) AS dist
-  FROM u JOIN c{p} c ON c.i = u.i GROUP BY u.vec_id, c.cid),
-a{k} AS (
-  SELECT vec_id, cid FROM (
-    SELECT vec_id, cid,
-           row_number() OVER (PARTITION BY vec_id ORDER BY dist, cid) AS rn
-    FROM d{k}) WHERE rn = 1),
-c{k} AS (
-  SELECT a.cid, u.i, avg(u.v) AS v
-  FROM a{k} a JOIN u ON u.vec_id = a.vec_id GROUP BY a.cid, u.i),"""
-    iters = "".join(it.format(k=k, p=k - 1) for k in range(1, KMEANS_ITERS + 1))
-    last = f"c{KMEANS_ITERS}"
-    return f"""
-WITH u AS (
-  SELECT vec_id,
-         CAST(generate_subscripts(embedding, 1) - 1 AS BIGINT) AS i,
-         unnest(CAST(embedding AS DOUBLE[])) AS v
-  FROM embeddings),
-init AS (
-  SELECT vec_id, CAST(row_number() OVER (ORDER BY vec_id) - 1 AS BIGINT) AS cid
-  FROM (SELECT DISTINCT vec_id FROM u ORDER BY vec_id LIMIT {KMEANS_K})),
-c0 AS (
-  SELECT init.cid, u.i, u.v FROM u JOIN init ON init.vec_id = u.vec_id),{iters}
-dfin AS (
-  SELECT u.vec_id, c.cid, sum((u.v - c.v) * (u.v - c.v)) AS dist
-  FROM u JOIN {last} c ON c.i = u.i GROUP BY u.vec_id, c.cid)
-SELECT vec_id, cid AS cluster FROM (
-  SELECT vec_id, cid,
-         row_number() OVER (PARTITION BY vec_id ORDER BY dist, cid) AS rn
-  FROM dfin) WHERE rn = 1
-ORDER BY vec_id
-"""
-
-
 # ---------------------------------------------------------------------------
 # Embedding label-outlier mining (mislabeled-example detection): the 3
 # vectors per label FARTHEST from their label centroid. Two streaming
@@ -1066,28 +538,6 @@ def embedding_label_outliers(sf_dir: str) -> pd.DataFrame:
     return top[["label", "rank", "vec_id", "dist2"]]
 
 
-def _label_outliers_sql() -> str:
-    return f"""
-WITH e AS (
-  SELECT vec_id, CAST(label AS BIGINT) AS label,
-         unnest(CAST(embedding AS DOUBLE[])) AS v,
-         generate_subscripts(embedding, 1) AS dim
-  FROM embeddings),
-c AS (SELECT label, dim, avg(v) AS m FROM e GROUP BY 1, 2),
-d AS (SELECT e.vec_id, e.label,
-             round(sum((e.v - c.m) * (e.v - c.m)), 6) AS dist2
-      FROM e JOIN c ON c.label = e.label AND c.dim = e.dim
-      GROUP BY e.vec_id, e.label),
-r AS (SELECT label, vec_id, dist2,
-             row_number() OVER (PARTITION BY label
-                                ORDER BY dist2 DESC, vec_id) AS rank
-      FROM d)
-SELECT label, CAST(rank AS BIGINT) AS rank, vec_id, dist2
-FROM r WHERE rank <= {OUTLIER_TOPN}
-ORDER BY label, rank
-"""
-
-
 def label_centroid_similarity(sf_dir: str) -> pd.DataFrame:
     from ...state.aggregates import tree_aggregate
 
@@ -1122,25 +572,6 @@ def label_centroid_similarity(sf_dir: str) -> pd.DataFrame:
             cos = float(C[i] @ C[j_] / (nrm[i] * nrm[j_]))
             rows.append((int(labels[i]), int(labels[j_]), round(cos, 6)))
     return pd.DataFrame(rows, columns=["label_a", "label_b", "cos"])
-
-
-SQL_LABEL_CENTROID_SIM = """
-WITH e AS (
-  SELECT CAST(label AS BIGINT) AS label,
-         unnest(CAST(embedding AS DOUBLE[])) AS v,
-         generate_subscripts(embedding, 1) AS dim
-  FROM embeddings),
-c AS (SELECT label, dim, avg(v) AS m FROM e GROUP BY 1, 2),
-n AS (SELECT label, sqrt(sum(m * m)) AS nrm FROM c GROUP BY label),
-p AS (SELECT a.label AS label_a, b.label AS label_b, sum(a.m * b.m) AS dot
-      FROM c a JOIN c b ON a.dim = b.dim AND a.label < b.label
-      GROUP BY 1, 2)
-SELECT p.label_a, p.label_b,
-       round(p.dot / (na.nrm * nb.nrm), 6) AS cos
-FROM p JOIN n na ON na.label = p.label_a
-       JOIN n nb ON nb.label = p.label_b
-ORDER BY p.label_a, p.label_b
-"""
 
 
 def label_silhouette(sf_dir: str) -> pd.DataFrame:
@@ -1199,30 +630,6 @@ def label_silhouette(sf_dir: str) -> pd.DataFrame:
                                / agg2["n"].to_numpy(np.float64), 6),
     })
     return out.sort_values("label", ignore_index=True)
-
-
-SQL_LABEL_SILHOUETTE = """
-WITH e AS (
-  SELECT vec_id, CAST(label AS BIGINT) AS label,
-         unnest(CAST(embedding AS DOUBLE[])) AS v,
-         generate_subscripts(embedding, 1) AS dim
-  FROM embeddings),
-c AS (SELECT label, dim, avg(v) AS m FROM e GROUP BY 1, 2),
-dists AS (
-  SELECT e.vec_id, e.label AS vlabel, c.label AS clabel,
-         sqrt(sum((e.v - c.m) * (e.v - c.m))) AS dist
-  FROM e JOIN c ON c.dim = e.dim
-  GROUP BY e.vec_id, e.label, c.label),
-ab AS (
-  SELECT vec_id, vlabel,
-         max(CASE WHEN clabel = vlabel THEN dist END) AS a,
-         min(CASE WHEN clabel <> vlabel THEN dist END) AS b
-  FROM dists GROUP BY 1, 2)
-SELECT vlabel AS label, CAST(count(*) AS BIGINT) AS n,
-       round(avg((b - a) / greatest(a, b)), 6) AS silhouette
-FROM ab GROUP BY vlabel ORDER BY vlabel
-"""
-
 
 
 # ---------------------------------------------------------------------------
@@ -1437,21 +844,6 @@ def _det_topk_frame(out: "pd.DataFrame") -> "pd.DataFrame":
     return out[["rank", "vec_id", "cos"]]
 
 
-def knn_ivf_det_top10(sf_dir: str):
-    """Hash-checked IVF kNN: deterministic coarse quantizer (md5-threshold
-    sample, farthest-point seeding, 4 Lloyd rounds), 3-replica assignment,
-    3-cell probe, exact-cosine rerank — rank-identical to `_ivf_det_sql`'s
-    unrolled CTE chain. The production knn_ivf_top10 (k-means++ / RNG,
-    better recall) stays as the rows-only, recall-gated sibling."""
-    from ..similarity import knn_ivf_det
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
-    q0 = _query_vec(sf_dir, 0)
-    out = knn_ivf_det(ds, np.asarray([q0], dtype=np.float64), k=10,
-                      exclude_ids=[0])
-    return _det_topk_frame(out)
-
-
 def knn_pq_det_top10(sf_dir: str):
     """Hash-checked PQ kNN: deterministic per-subspace codebooks (8
     subspaces x 8 codes, farthest-point seeding, 3 Lloyd rounds), ADC
@@ -1464,68 +856,3 @@ def knn_pq_det_top10(sf_dir: str):
     out = knn_pq_det(ds, np.asarray([q0], dtype=np.float64), k=10,
                      exclude_ids=[0])
     return _det_topk_frame(out)
-
-__all__ = [
-    'HYBRID_ALPHA',
-    'HYBRID_DEPTH',
-    'KMEANS_ITERS',
-    'KMEANS_K',
-    'KNN_FILTER_QIDS',
-    'MMR_CANDIDATES',
-    'MMR_K',
-    'MMR_LAMBDA',
-    'OUTLIER_TOPN',
-    'PCA_ITERS',
-    'RERANK_DEPTH',
-    'RRF_K',
-    'SQL_ALIGNMENT',
-    'SQL_EMBEDDING_COVARIANCE',
-    'SQL_EMBEDDING_NEAR_DUPS_EXACT',
-    'SQL_KNN_COSINE',
-    'SQL_KNN_LABEL_CONFUSION',
-    'SQL_LABEL_CENTROIDS',
-    'SQL_LABEL_CENTROID_SIM',
-    'SQL_LABEL_SILHOUETTE',
-    'SQL_QUANTIZE',
-    '_covariance_from_moments',
-    '_dense_ranked',
-    '_embedding_lsh_sql',
-    '_hybrid_minmax_sql',
-    '_hybrid_sql',
-    '_kmeans_assign',
-    '_kmeans_init',
-    '_kmeans_sql',
-    '_ivf_det_sql',
-    '_knn_filtered_sql',
-    '_knn_mmr_sql',
-    '_label_outliers_sql',
-    '_normalize_rows',
-    '_pca_sql',
-    '_pq_det_sql',
-    '_query_vec',
-    '_rerank_sql',
-    '_second_moment_partial',
-    'bm25_rerank_dense',
-    'embedding_alignment_stats',
-    'embedding_covariance',
-    'embedding_label_centroids',
-    'embedding_label_outliers',
-    'embedding_near_dup_pairs',
-    'embedding_near_dups_exact_pairs',
-    'embedding_quantize_int8',
-    'hybrid_minmax_topk',
-    'hybrid_rrf_topk',
-    'kmeans_clusters',
-    'knn_cosine_top10',
-    'knn_filtered_top10',
-    'knn_ivf_det_top10',
-    'knn_ivf_top10',
-    'knn_label_confusion_matrix',
-    'knn_mmr_top10',
-    'knn_pq_det_top10',
-    'knn_pq_top10',
-    'label_centroid_similarity',
-    'label_silhouette',
-    'pca_top_component',
-    'semantic_dedup_keep',
-]

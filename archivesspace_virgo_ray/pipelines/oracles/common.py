@@ -1,23 +1,18 @@
-"""Shared helpers, constants and multi-domain oracles (split from queries.py; see that module for the facade)."""
+"""Shared helpers, constants and multi-domain oracles."""
 
 from __future__ import annotations
+
 import hashlib
 import os
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 import ray.data
-from ...functions.tokenize import TOKEN_RE, batch_term_doc_tf
-from ..dedup import exact_dedup, minhash_dedup, simhash_near_dups
-from ..similarity import knn_brute_force, knn_ivf
-from ..textstats import LANG_PROFILES, lang_id_batch
+
+from ...functions.tokenize import TOKEN_RE
 
 
 TOK_SQL = "string_split_regex(lower(text), '[^a-z0-9_]+')"
-
-
-NOW_YEAR = 2026  # pinned "now" (M10 determinism)
 
 
 def _docs(sf_dir: str):
@@ -146,49 +141,3 @@ SESSION_BUCKETS = 64
 # + tree_aggregate (one partial row per (batch, lang)). Boundary: a match
 # set too large to broadcast (≫10⁸ ids) flips to joins.hash_join semi-join —
 # same partial/merge shape after it.
-
-STATS_QUERY = "join hash"
-
-
-def _matched_docs_ds(sf_dir: str, columns: list):
-    import ray as _ray
-
-    from ...index.query import matching_doc_ids
-
-    idx = _build_docs_index(sf_dir)
-    ids = np.sort(matching_doc_ids(idx, STATS_QUERY, mode="or"))
-    ids_ref = _ray.put(ids)
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=columns
-    )
-
-    def keep(df: pd.DataFrame) -> pd.DataFrame:
-        m = np.isin(df["doc_id"].to_numpy(np.int64), _ray.get(ids_ref))
-        return df[m].reset_index(drop=True)
-
-    return ds.map_batches(keep, batch_format="pandas")
-
-
-# Zipf fit: OLS slope of ln(tf) on ln(rank) over the top-100 terms — the
-# one-number corpus-health statistic (natural corpora sit near −1; synthetic
-# or template-heavy corpora flatten). Reuses the term_tf tree pass; the
-# regression runs on the 100-row table with the exact regr_slope definition.
-ZIPF_TOP = 100
-
-
-__all__ = [
-    'BM25_K',
-    'BM25_QUERIES',
-    'NOW_YEAR',
-    'SESSION_BUCKETS',
-    'STATS_QUERY',
-    'TOK_SQL',
-    'ZIPF_TOP',
-    '_RANK_MARGIN',
-    '_bm25_sql',
-    '_build_docs_index',
-    '_docs',
-    '_index_dir_for',
-    '_matched_docs_ds',
-    '_ranked_topk',
-]

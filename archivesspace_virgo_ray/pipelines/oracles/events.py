@@ -1,20 +1,13 @@
-"""Event-stream oracles (sessions, funnels, retention, trends) (split from queries.py; see that module for the facade)."""
+"""Event-stream oracles (sessions, funnels, retention, trends)."""
 
 from __future__ import annotations
-import hashlib
+
 import os
 import numpy as np
 import pandas as pd
-import pyarrow as pa
-import pyarrow.compute as pc
 import ray.data
-from ...functions.tokenize import TOKEN_RE, batch_term_doc_tf
-from ..dedup import exact_dedup, minhash_dedup, simhash_near_dups
-from ..similarity import knn_brute_force, knn_ivf
-from ..textstats import LANG_PROFILES, lang_id_batch
 
-from .common import *  # noqa: F401,F403
-from .common import (_RANK_MARGIN, _bm25_sql, _build_docs_index, _docs, _index_dir_for, _matched_docs_ds, _ranked_topk)  # noqa: F401
+from .common import SESSION_BUCKETS
 
 
 # event funnel analysis (strict-order conversion): per user, the first
@@ -73,33 +66,6 @@ def event_funnel(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("stage", ignore_index=True)
 
 
-def _funnel_sql() -> str:
-    s1, s2, s3 = FUNNEL_STAGES
-    return f"""
-WITH t1 AS (
-  SELECT user_id, min(ts) AS t FROM events
-  WHERE event_type = '{s1}' GROUP BY user_id),
-t2 AS (
-  SELECT e.user_id, min(e.ts) AS t FROM events e
-  JOIN t1 ON e.user_id = t1.user_id AND e.ts > t1.t
-  WHERE e.event_type = '{s2}' GROUP BY e.user_id),
-t3 AS (
-  SELECT e.user_id, min(e.ts) AS t FROM events e
-  JOIN t2 ON e.user_id = t2.user_id AND e.ts > t2.t
-  WHERE e.event_type = '{s3}' GROUP BY e.user_id)
-SELECT stage, event_type, n_users FROM (
-  SELECT CAST(1 AS BIGINT) AS stage, '{s1}' AS event_type,
-         CAST((SELECT count(*) FROM t1) AS BIGINT) AS n_users
-  UNION ALL
-  SELECT CAST(2 AS BIGINT), '{s2}',
-         CAST((SELECT count(*) FROM t2) AS BIGINT)
-  UNION ALL
-  SELECT CAST(3 AS BIGINT), '{s3}',
-         CAST((SELECT count(*) FROM t3) AS BIGINT))
-ORDER BY stage
-"""
-
-
 def retention_cohorts(sf_dir: str) -> pd.DataFrame:
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "events.parquet"), columns=["user_id", "ts"]
@@ -146,137 +112,6 @@ def retention_cohorts(sf_dir: str) -> pd.DataFrame:
     return out.sort_values(["cohort_day", "day_offset"], ignore_index=True)
 
 
-SQL_RETENTION = """
-WITH f AS (
-  SELECT user_id, min(date_trunc('day', ts)) AS cohort FROM events
-  GROUP BY user_id),
-a AS (
-  SELECT DISTINCT e.user_id, f.cohort,
-         date_diff('day', f.cohort, date_trunc('day', e.ts)) AS day_offset
-  FROM events e JOIN f USING (user_id))
-SELECT strftime(cohort, '%Y-%m-%d') AS cohort_day,
-       CAST(day_offset AS BIGINT) AS day_offset,
-       CAST(count(*) AS BIGINT) AS n_users
-FROM a GROUP BY cohort, day_offset
-ORDER BY cohort_day, day_offset
-"""
-
-
-# Solr {!join from=user_id to=doc_id}: cross-table semi-join query — rank
-# only documents whose id appears on the join side (purchase events). The
-# join side is distilled DISTRIBUTED (column-pruned + predicate-pushed
-# events read, distinct), and being orders of magnitude smaller than the
-# corpus it broadcasts as a whitelist predicate evaluated shard-locally —
-# a broadcast semi-join, never a corpus shuffle.
-JOIN_EVENT_TYPE = "purchase"
-
-
-def bm25_join_topk(sf_dir: str):
-    import pyarrow.dataset as pads
-
-    idx = _build_docs_index(sf_dir)
-    ids = sorted(
-        ray.data.read_parquet(
-            os.path.join(sf_dir, "events.parquet"),
-            columns=["user_id"],
-            filter=(pads.field("event_type") == JOIN_EVENT_TYPE),
-        ).unique("user_id")
-    )
-    return _ranked_topk(idx, where=pads.field("doc_id").isin(ids))
-
-
-def _bm25_join_sql() -> str:
-    return _bm25_sql().replace(
-        "FROM scores)",
-        "FROM scores WHERE doc_id IN (SELECT DISTINCT user_id FROM events "
-        f"WHERE event_type = '{JOIN_EVENT_TYPE}'))",
-    )
-
-
-def events_hourly(sf_dir: str):
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["user_id", "ts", "value"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        # unit-independent epoch seconds (ts may be us- or ns-resolution)
-        hour = df["ts"].dt.floor("h").astype("datetime64[s]").astype("int64")
-        g = df.assign(hour_epoch=hour).groupby(["user_id", "hour_epoch"], as_index=False).agg(
-            n_events=("value", "size"), sum_value=("value", "sum")
-        )
-        return g
-
-    from ...state.aggregates import tree_aggregate
-
-    agg = tree_aggregate(
-        ds, ["user_id", "hour_epoch"], partial,
-        {"n_events": "sum", "sum_value": "sum"},
-    )
-    pdf = agg.to_pandas()
-    pdf["sum_value"] = pdf["sum_value"].round(6)
-    return pdf
-
-
-SQL_EVENTS_HOURLY = """
-SELECT user_id,
-       CAST(epoch(date_trunc('hour', ts)) AS BIGINT) AS hour_epoch,
-       CAST(count(*) AS BIGINT) AS n_events,
-       round(sum(value), 6) AS sum_value
-FROM events GROUP BY 1, 2
-"""
-
-
-_COMPOSITE_PAGE = 10
-
-
-def events_composite_page2(sf_dir: str) -> pd.DataFrame:
-    """ES composite aggregation with after-key paging: buckets keyed
-    (event_type, day) stream in ascending key order, size 10; page 2 is
-    the 10 buckets strictly AFTER page 1's last key — the after_key round
-    trip a client actually performs. The bucket table is one keyed tree
-    aggregation (facet-sized); paging is key-comparison, never offset
-    re-scan."""
-    from ...state.aggregates import tree_aggregate
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["event_type", "ts"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        day = df["ts"].dt.floor("D").astype("datetime64[s]").astype("int64")
-        g = df.assign(day_epoch=day).groupby(
-            ["event_type", "day_epoch"], as_index=False
-        ).size().rename(columns={"size": "n_events"})
-        return g
-
-    pdf = tree_aggregate(
-        ds, ["event_type", "day_epoch"], partial, {"n_events": "sum"}
-    ).to_pandas().sort_values(["event_type", "day_epoch"], ignore_index=True)
-    pdf["n_events"] = pdf["n_events"].astype(np.int64)
-    P = _COMPOSITE_PAGE
-    after_type, after_day = pdf.iloc[P - 1][["event_type", "day_epoch"]]
-    later = pdf[
-        (pdf["event_type"] > after_type)
-        | ((pdf["event_type"] == after_type) & (pdf["day_epoch"] > after_day))
-    ]
-    return later.head(P).reset_index(drop=True)[
-        ["event_type", "day_epoch", "n_events"]
-    ]
-
-
-SQL_EVENTS_COMPOSITE_PAGE2 = f"""
-WITH buckets AS (
-  SELECT event_type,
-         CAST(epoch(date_trunc('day', ts)) AS BIGINT) AS day_epoch,
-         CAST(count(*) AS BIGINT) AS n_events
-  FROM events GROUP BY 1, 2),
-ordered AS (
-  SELECT *, row_number() OVER (ORDER BY event_type, day_epoch) AS rn
-  FROM buckets)
-SELECT event_type, day_epoch, n_events FROM ordered
-WHERE rn > {_COMPOSITE_PAGE} AND rn <= {2 * _COMPOSITE_PAGE}
-ORDER BY event_type, day_epoch
-"""
-
-
 def dirty_refs(sf_dir: str):
     """A1/O5-style union + distinct over two discovery paths."""
     ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
@@ -297,387 +132,7 @@ def dirty_refs(sf_dir: str):
     )
 
 
-SQL_DIRTY_REFS = """
-SELECT DISTINCT user_id AS ref FROM events WHERE event_type IN ('click', 'error')
-"""
-
-
 SESSION_GAP_MIN = 30
-
-
-def user_sessions(sf_dir: str):
-    """Streaming-shaped sessionization: 30-min-gap sessions per user.
-
-    Shuffles by a HASH BUCKET of the user id (one Python call per bucket,
-    not per user — Ray's map_groups pays a call per group, the repo's
-    measured worst cost) and computes every user's session count inside the
-    bucket with one vectorized sort + diff pass."""
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["user_id", "ts"])
-
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__b__"] = (
-            pd.util.hash_array(df["user_id"].to_numpy(), categorize=False)
-            % np.uint64(SESSION_BUCKETS)
-        ).astype(np.int64)
-        return df
-
-    gap = pd.Timedelta(minutes=SESSION_GAP_MIN)
-
-    def sessions_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts"], kind="mergesort")
-        # a session starts at a user's first event or after a >30 min gap;
-        # the user-boundary OR makes the cross-user diff irrelevant
-        new_sess = g["user_id"].ne(g["user_id"].shift()) | (g["ts"].diff() > gap)
-        out = (
-            g.assign(__ns__=new_sess)
-            .groupby("user_id", as_index=False)
-            .agg(n_events=("__ns__", "size"), n_sessions=("__ns__", "sum"))
-        )
-        return out.astype({"n_events": np.int64, "n_sessions": np.int64})
-
-    return (
-        ds.map_batches(bucketize, batch_format="pandas")
-        .groupby("__b__")
-        .map_groups(sessions_bucket, batch_format="pandas")
-    )
-
-
-def event_transitions(sf_dir: str) -> pd.DataFrame:
-    """Per-user event-type transition (Markov) counts — the behavioral
-    matrix behind next-event prediction and funnel design: for every pair
-    of CONSECUTIVE events of one user (ordered by ts, event_id tie-break),
-    count (prev_type → next_type). Same bounded hash-bucket shuffle as
-    ``user_sessions`` (never a per-user group), one vectorized sort + shift
-    pass per bucket; each bucket emits at most |types|² rows."""
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["user_id", "ts", "event_id",
-                                        "event_type"])
-
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__b__"] = (
-            pd.util.hash_array(df["user_id"].to_numpy(), categorize=False)
-            % np.uint64(SESSION_BUCKETS)
-        ).astype(np.int64)
-        return df
-
-    def trans_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
-        same = g["user_id"].eq(g["user_id"].shift())
-        out = pd.DataFrame({
-            "prev_type": g["event_type"].shift()[same],
-            "next_type": g["event_type"][same],
-        })
-        c = out.groupby(["prev_type", "next_type"], as_index=False).size()
-        return c.rename(columns={"size": "n"}).astype({"n": np.int64})
-
-    parts = (
-        ds.map_batches(bucketize, batch_format="pandas")
-        .groupby("__b__")
-        .map_groups(trans_bucket, batch_format="pandas")
-        .to_pandas()
-    )
-    out = parts.groupby(["prev_type", "next_type"], as_index=False)["n"].sum()
-    out["n"] = out["n"].astype(np.int64)
-    return out.sort_values(["prev_type", "next_type"], ignore_index=True)
-
-
-SQL_EVENT_TRANSITIONS = """
-WITH ordered AS (
-  SELECT user_id, event_type,
-         lag(event_type) OVER (PARTITION BY user_id
-                               ORDER BY ts, event_id) AS prev_type
-  FROM events)
-SELECT prev_type, event_type AS next_type, CAST(count(*) AS BIGINT) AS n
-FROM ordered WHERE prev_type IS NOT NULL
-GROUP BY prev_type, next_type
-ORDER BY prev_type, next_type
-"""
-
-
-SQL_USER_SESSIONS = f"""
-WITH marked AS (
-  SELECT user_id,
-         CASE WHEN ts - lag(ts) OVER (PARTITION BY user_id ORDER BY ts)
-                   > INTERVAL {SESSION_GAP_MIN} MINUTE
-              OR lag(ts) OVER (PARTITION BY user_id ORDER BY ts) IS NULL
-              THEN 1 ELSE 0 END AS new_session
-  FROM events)
-SELECT user_id, CAST(count(*) AS BIGINT) AS n_events,
-       CAST(sum(new_session) AS BIGINT) AS n_sessions
-FROM marked GROUP BY user_id
-"""
-
-
-ROLLING_WINDOW_S = 3 * 3600
-
-
-def events_rolling_3h(sf_dir: str):
-    """Sliding-window aggregate (streaming window surface): per user, each
-    hourly bucket with its TRAILING 3-hour event count and value sum.
-
-    Two stages: the hourly pre-aggregate (tree merge — one row per
-    (user, hour) leaves each batch), then a hash-bucket shuffle by user and
-    a per-bucket vectorized pass: cumulative sums + searchsorted give every
-    row's trailing-window total without a per-row Python loop."""
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["user_id", "ts", "value"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        hour = df["ts"].dt.floor("h").astype("datetime64[s]").astype("int64")
-        return df.assign(hour_epoch=hour).groupby(
-            ["user_id", "hour_epoch"], as_index=False
-        ).agg(n_events=("value", "size"), sv=("value", "sum"))
-
-    from ...state.aggregates import tree_aggregate
-
-    hourly = tree_aggregate(ds, ["user_id", "hour_epoch"], partial,
-                            {"n_events": "sum", "sv": "sum"})
-
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__b__"] = (
-            pd.util.hash_array(df["user_id"].to_numpy(), categorize=False)
-            % np.uint64(SESSION_BUCKETS)
-        ).astype(np.int64)
-        return df
-
-    def roll(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "hour_epoch"], kind="mergesort",
-                          ignore_index=True)
-        h = g["hour_epoch"].to_numpy(np.int64)
-        c = g["n_events"].to_numpy(np.int64)
-        v = g["sv"].to_numpy(np.float64)
-        uid = g["user_id"].to_numpy()
-        starts = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])
-        ends = np.r_[starts[1:], len(g)]
-        n3 = np.empty(len(g), np.int64)
-        v3 = np.empty(len(g), np.float64)
-        for s_, e_ in zip(starts, ends):
-            hh = h[s_:e_]
-            cc = np.cumsum(c[s_:e_])
-            vv = np.cumsum(v[s_:e_])
-            lo = np.searchsorted(hh, hh - ROLLING_WINDOW_S, side="left")
-            n3[s_:e_] = cc - np.where(lo > 0, cc[lo - 1], 0)
-            v3[s_:e_] = vv - np.where(lo > 0, vv[lo - 1], 0.0)
-        return pd.DataFrame(
-            {"user_id": uid, "hour_epoch": h, "n_events": c,
-             "n_events_3h": n3, "sum_value_3h": np.round(v3, 6)}
-        )
-
-    return (
-        hourly.map_batches(bucketize, batch_format="pandas")
-        .groupby("__b__")
-        .map_groups(roll, batch_format="pandas")
-    )
-
-
-SQL_EVENTS_ROLLING_3H = f"""
-WITH hourly AS (
-  SELECT user_id, CAST(epoch(date_trunc('hour', ts)) AS BIGINT) AS hour_epoch,
-         CAST(count(*) AS BIGINT) AS n_events, sum(value) AS sv
-  FROM events GROUP BY 1, 2)
-SELECT user_id, hour_epoch, n_events,
-       CAST(sum(n_events) OVER w AS BIGINT) AS n_events_3h,
-       round(sum(sv) OVER w, 6) AS sum_value_3h
-FROM hourly
-WINDOW w AS (PARTITION BY user_id ORDER BY hour_epoch
-             RANGE BETWEEN {ROLLING_WINDOW_S} PRECEDING AND CURRENT ROW)
-"""
-
-
-QUANTILE_QS = [0.1, 0.5, 0.9, 0.99]
-
-
-def value_quantiles(sf_dir: str):
-    """Exact distributed quantiles of events.value — two streaming passes
-    (histogram bracket + pruned collect), no global sort; matches
-    quantile_cont / numpy linear interpolation exactly."""
-    from ..quantiles import exact_quantiles
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["value"])
-    out = exact_quantiles(ds, "value", QUANTILE_QS)
-    out["value"] = out["value"].round(6)
-    return out
-
-
-SQL_VALUE_QUANTILES = f"""
-WITH qv AS (SELECT quantile_cont(value, {QUANTILE_QS}) AS vs FROM events)
-SELECT unnest({QUANTILE_QS}) AS q, round(unnest(vs), 6) AS value FROM qv
-"""
-
-
-def grouped_value_quantiles(sf_dir: str):
-    """Per-event-type exact quantiles of events.value (Solr stats.facet /
-    JSON-facet percentile sub-aggregation): the same histogram-bracket +
-    pruned-collect passes, keyed by group — one histogram pass covers
-    every group."""
-    from ..quantiles import grouped_quantiles
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["event_type", "value"])
-    out = grouped_quantiles(ds, "event_type", "value", QUANTILE_QS)
-    out["value"] = out["value"].round(6)
-    return out
-
-
-SQL_GROUPED_QUANTILES = f"""
-WITH qv AS (
-  SELECT event_type, quantile_cont(value, {QUANTILE_QS}) AS vs
-  FROM events GROUP BY event_type)
-SELECT event_type, unnest({QUANTILE_QS}) AS q, round(unnest(vs), 6) AS value
-FROM qv ORDER BY event_type, q
-"""
-
-
-HLL_P = 12
-
-
-def distinct_events_hll(sf_dir: str):
-    """Approximate COUNT(DISTINCT event_id) via a tree-merged HyperLogLog
-    sketch (p=12 → ~1.6% standard error). md5-based hashing makes the WHOLE
-    sketch — registers, rho, estimator — reproducible in SQL, so even the
-    approximate answer is hash-checked exactly."""
-    from ..sketches import hll_distinct
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["event_id"])
-    return hll_distinct(ds, "event_id", p=HLL_P)
-
-
-def _hll_sql(p: int = HLL_P) -> str:
-    from ..sketches import _alpha
-
-    m = 1 << p
-    alpha = _alpha(m)  # shared with the engine — incl. small-m bias constants
-    return f"""
-WITH h AS (
-  SELECT CAST(('0x' || substr(md5(CAST(event_id AS VARCHAR)), 1, 16)) AS UBIGINT) AS hv
-  FROM events),
-rr AS (
-  SELECT CAST(hv >> {64 - p} AS BIGINT) AS register,
-         hv & CAST({(1 << (64 - p)) - 1} AS UBIGINT) AS low
-  FROM h),
-rho AS (
-  SELECT register,
-         max(CASE WHEN low = 0 THEN {64 - p + 1}
-                  ELSE {64 - p} - length(bin(low)) + 1 END) AS rho
-  FROM rr GROUP BY register),
-agg AS (
-  SELECT coalesce(sum(power(2.0, -rho)), 0) AS s_present,
-         count(*) AS n_present FROM rho),
-est AS (
-  SELECT {m} - n_present AS zeros,
-         CAST({alpha} AS DOUBLE) * {m} * {m}
-           / (s_present + ({m} - n_present) * 1.0) AS raw
-  FROM agg)
-SELECT CAST({m} AS BIGINT) AS n_registers,
-       round(CASE WHEN raw <= 2.5 * {m} AND zeros > 0
-                  THEN {m} * ln(CAST({m} AS DOUBLE) / zeros)
-                  ELSE raw END, 6) AS estimate
-FROM est
-"""
-
-
-def distinct_users_by_type_hll(sf_dir: str):
-    """Per-event-type approximate COUNT(DISTINCT user_id): one HLL sketch
-    per group, all register maxima tree-merged in ONE keyed pass; the md5
-    contract hash makes every per-group estimate SQL-reproducible exactly."""
-    from ..sketches import hll_distinct_grouped
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["event_type", "user_id"])
-    return hll_distinct_grouped(ds, "user_id", "event_type", p=HLL_P)
-
-
-def _hll_grouped_sql(p: int = HLL_P) -> str:
-    from ..sketches import _alpha
-
-    m = 1 << p
-    alpha = _alpha(m)
-    return f"""
-WITH h AS (
-  SELECT DISTINCT event_type,
-         CAST(('0x' || substr(md5(CAST(user_id AS VARCHAR)), 1, 16)) AS UBIGINT) AS hv
-  FROM events),
-rr AS (
-  SELECT event_type,
-         CAST(hv >> {64 - p} AS BIGINT) AS register,
-         hv & CAST({(1 << (64 - p)) - 1} AS UBIGINT) AS low
-  FROM h),
-rho AS (
-  SELECT event_type, register,
-         max(CASE WHEN low = 0 THEN {64 - p + 1}
-                  ELSE {64 - p} - length(bin(low)) + 1 END) AS rho
-  FROM rr GROUP BY event_type, register),
-agg AS (
-  SELECT event_type,
-         coalesce(sum(power(2.0, -rho)), 0) AS s_present,
-         count(*) AS n_present
-  FROM rho GROUP BY event_type),
-est AS (
-  SELECT event_type, {m} - n_present AS zeros,
-         CAST({alpha} AS DOUBLE) * {m} * {m}
-           / (s_present + ({m} - n_present) * 1.0) AS raw
-  FROM agg)
-SELECT event_type,
-       round(CASE WHEN raw <= 2.5 * {m} AND zeros > 0
-                  THEN {m} * ln(CAST({m} AS DOUBLE) / zeros)
-                  ELSE raw END, 6) AS estimate
-FROM est ORDER BY event_type
-"""
-
-
-def asof_view_before_purchase(sf_dir: str):
-    """As-of join: for each purchase event, the same user's most recent
-    prior (or simultaneous) view event value; ties on ts break by highest
-    event_id (deterministic)."""
-    from ..joins import asof_join_per_key
-
-    ev = os.path.join(sf_dir, "events.parquet")
-    purchases = ray.data.read_parquet(
-        ev, columns=["user_id", "ts", "event_id", "value", "event_type"]
-    ).map_batches(
-        lambda df: df[df["event_type"] == "purchase"].drop(columns=["event_type"]).reset_index(drop=True),
-        batch_format="pandas",
-    )
-    views = ray.data.read_parquet(
-        ev, columns=["user_id", "ts", "event_id", "value", "event_type"]
-    ).map_batches(
-        lambda df: df[df["event_type"] == "view"]
-        .drop(columns=["event_type"])
-        .reset_index(drop=True),
-        batch_format="pandas",
-    )
-    out = asof_join_per_key(
-        purchases, views, key="user_id", ts="ts",
-        value_cols=["value", "event_id"], tie_cols=["event_id"],
-    ).to_pandas()
-    res = pd.DataFrame(
-        {
-            "user_id": out["user_id"].astype(np.int64),
-            "event_id": out["event_id"].astype(np.int64),
-            "purchase_value": out["value"].round(6),
-            "last_view_value": out["value_asof"].round(6),
-        }
-    )
-    return res.sort_values("event_id", ignore_index=True)
-
-
-SQL_ASOF_VIEW_BEFORE_PURCHASE = """
-WITH p AS (SELECT user_id, ts, event_id, value FROM events WHERE event_type = 'purchase'),
-v AS (SELECT user_id, ts, event_id, value FROM events WHERE event_type = 'view')
-SELECT p.user_id, p.event_id,
-       round(p.value, 6) AS purchase_value,
-       round((SELECT v.value FROM v
-              WHERE v.user_id = p.user_id AND v.ts <= p.ts
-              ORDER BY v.ts DESC, v.event_id DESC LIMIT 1), 6) AS last_view_value
-FROM p
-ORDER BY p.event_id
-"""
 
 
 def events_hourly_ma3(sf_dir: str) -> pd.DataFrame:
@@ -706,69 +161,6 @@ def events_hourly_ma3(sf_dir: str) -> pd.DataFrame:
         "ma3": ma3.to_numpy(),
         "deriv": deriv.to_numpy(),
     })
-
-
-SQL_HOURLY_MA3 = """
-WITH hourly AS (
-  SELECT CAST(epoch(date_trunc('hour', ts)) AS BIGINT) AS hour_epoch,
-         count(*) AS n
-  FROM events GROUP BY 1),
-grid AS (
-  SELECT unnest(range((SELECT min(hour_epoch) FROM hourly),
-                      (SELECT max(hour_epoch) FROM hourly) + 3600,
-                      3600)) AS hour_epoch),
-filled AS (
-  SELECT g.hour_epoch, coalesce(h.n, 0) AS n
-  FROM grid g LEFT JOIN hourly h USING (hour_epoch)),
-win AS (
-  SELECT hour_epoch, n,
-         avg(CAST(n AS DOUBLE)) OVER (ORDER BY hour_epoch
-             ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) AS ma3,
-         n - lag(n) OVER (ORDER BY hour_epoch) AS deriv
-  FROM filled)
-SELECT hour_epoch, CAST(n AS BIGINT) AS n_events, round(ma3, 6) AS ma3,
-       CAST(coalesce(deriv, 0) AS BIGINT) AS deriv
-FROM win ORDER BY hour_epoch
-"""
-
-
-# ES percentile_ranks: for fixed thresholds, the percentage of events.value
-# at or below each — the inverse of the quantiles surface. One vectorized
-# partial (4 counters per batch) + tree merge; CDF contract (fraction <= v),
-# documented against ES's interpolating estimator.
-PCT_RANK_VALUES = (10.0, 50.0, 100.0, 250.0)
-
-
-def value_percentile_ranks(sf_dir: str) -> pd.DataFrame:
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                               columns=["value"])
-    thr = np.asarray(PCT_RANK_VALUES, np.float64)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        v = df["value"].to_numpy(np.float64)
-        return pd.DataFrame({
-            "threshold": thr,
-            "c": (v[None, :] <= thr[:, None]).sum(axis=1).astype(np.int64),
-            "n": np.full(len(thr), len(v), np.int64),
-        })
-
-    from ...state.aggregates import tree_aggregate
-
-    agg = tree_aggregate(ds, ["threshold"], partial,
-                         {"c": "sum", "n": "sum"}).to_pandas()
-    agg["pct_rank"] = (100.0 * agg["c"] / agg["n"]).round(6)
-    out = agg.sort_values("threshold", ignore_index=True)
-    return out[["threshold", "pct_rank"]]
-
-
-SQL_PCT_RANKS = f"""
-WITH t(v) AS (SELECT unnest([{", ".join(str(v) for v in PCT_RANK_VALUES)}]))
-SELECT t.v AS threshold,
-       round(100.0 * sum(CASE WHEN e.value <= t.v THEN 1 ELSE 0 END)
-             / count(*), 6) AS pct_rank
-FROM t CROSS JOIN events e
-GROUP BY t.v ORDER BY threshold
-"""
 
 
 # Broadcast anti-join: viewers who NEVER made a big purchase (value ≥
@@ -821,15 +213,6 @@ def viewers_never_purchased(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_VIEWERS_NEVER_PURCHASED = f"""
-SELECT DISTINCT user_id FROM events WHERE event_type = 'view'
-  AND user_id NOT IN (SELECT user_id FROM events
-                      WHERE event_type = 'purchase'
-                        AND value >= {BIG_PURCHASE_MIN})
-ORDER BY user_id
-"""
-
-
 def time_to_first_purchase(sf_dir: str) -> pd.DataFrame:
     import pyarrow.dataset as pads
 
@@ -864,20 +247,6 @@ def time_to_first_purchase(sf_dir: str) -> pd.DataFrame:
                     / 1_000_000.0).round(6),
     })
     return out.sort_values("user_id", ignore_index=True)
-
-
-SQL_TIME_TO_FIRST_PURCHASE = """
-WITH m AS (
-  SELECT user_id,
-         min(ts) FILTER (WHERE event_type = 'view') AS fv,
-         min(ts) FILTER (WHERE event_type = 'purchase') AS fp
-  FROM events WHERE event_type IN ('view', 'purchase')
-  GROUP BY user_id)
-SELECT user_id, round(CAST(epoch_us(fp) - epoch_us(fv) AS DOUBLE)
-                      / 1000000.0, 6) AS delta_s
-FROM m WHERE fv IS NOT NULL AND fp IS NOT NULL
-ORDER BY user_id
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -921,22 +290,6 @@ def winsorized_value_stats(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_WINSORIZED_VALUE_STATS = f"""
-WITH q AS (SELECT quantile_cont(value, [{WINSOR_QS[0]}, {WINSOR_QS[1]}]) AS v
-           FROM events),
-b AS (SELECT round(v[1], 6) AS lo, round(v[2], 6) AS hi FROM q)
-SELECT b.lo, b.hi,
-       round(avg(CASE WHEN value < b.lo THEN b.lo
-                      WHEN value > b.hi THEN b.hi ELSE value END), 6)
-         AS winsorized_mean,
-       CAST(sum(CASE WHEN value < b.lo THEN 1 ELSE 0 END) AS BIGINT)
-         AS n_clipped_low,
-       CAST(sum(CASE WHEN value > b.hi THEN 1 ELSE 0 END) AS BIGINT)
-         AS n_clipped_high
-FROM events, b GROUP BY b.lo, b.hi
-"""
-
-
 def props_k_stats_by_type(sf_dir: str) -> pd.DataFrame:
     from ...state.aggregates import tree_aggregate
 
@@ -965,18 +318,6 @@ def props_k_stats_by_type(sf_dir: str) -> pd.DataFrame:
         "max_k": agg["max_k"].astype(np.int64),
     })
     return out.sort_values("event_type", ignore_index=True)
-
-
-SQL_PROPS_K_STATS = """
-WITH e AS (SELECT event_type,
-                  CAST(json_extract(props, '$.k') AS BIGINT) AS k
-           FROM events)
-SELECT event_type, CAST(count(k) AS BIGINT) AS n,
-       round(CAST(sum(k) AS DOUBLE) / count(k), 6) AS avg_k,
-       CAST(min(k) AS BIGINT) AS min_k, CAST(max(k) AS BIGINT) AS max_k
-FROM e WHERE k IS NOT NULL
-GROUP BY event_type ORDER BY event_type
-"""
 
 
 def value_mad_by_type(sf_dir: str) -> pd.DataFrame:
@@ -1009,17 +350,6 @@ def value_mad_by_type(sf_dir: str) -> pd.DataFrame:
     return out
 
 
-SQL_VALUE_MAD = """
-WITH m AS (SELECT event_type, quantile_cont(value, 0.5) AS med
-           FROM events GROUP BY 1)
-SELECT e.event_type,
-       round(any_value(m.med), 6) AS median,
-       round(quantile_cont(abs(e.value - m.med), 0.5), 6) AS mad
-FROM events e JOIN m USING (event_type)
-GROUP BY e.event_type ORDER BY e.event_type
-"""
-
-
 def ab_conversion_ztest(sf_dir: str) -> pd.DataFrame:
     from ...state.aggregates import tree_aggregate
 
@@ -1047,28 +377,6 @@ def ab_conversion_ztest(sf_dir: str) -> pd.DataFrame:
         "rate_a": [round(pa_, 6)], "rate_b": [round(pb_, 6)],
         "z": [round(float(z), 6)],
     })
-
-
-SQL_AB_ZTEST = """
-WITH u AS (
-  SELECT user_id,
-         max(CASE WHEN event_type = 'purchase' THEN 1 ELSE 0 END) AS conv
-  FROM events GROUP BY 1),
-g AS (
-  SELECT sum(CASE WHEN user_id % 2 = 0 THEN 1 ELSE 0 END) AS na,
-         sum(CASE WHEN user_id % 2 = 1 THEN 1 ELSE 0 END) AS nb,
-         sum(CASE WHEN user_id % 2 = 0 THEN conv ELSE 0 END) AS ca,
-         sum(CASE WHEN user_id % 2 = 1 THEN conv ELSE 0 END) AS cb
-  FROM u)
-SELECT CAST(na AS BIGINT) AS n_a, CAST(nb AS BIGINT) AS n_b,
-       round(CAST(ca AS DOUBLE) / na, 6) AS rate_a,
-       round(CAST(cb AS DOUBLE) / nb, 6) AS rate_b,
-       round((CAST(ca AS DOUBLE) / na - CAST(cb AS DOUBLE) / nb)
-             / sqrt((CAST(ca + cb AS DOUBLE) / (na + nb))
-                    * (1 - CAST(ca + cb AS DOUBLE) / (na + nb))
-                    * (1.0 / na + 1.0 / nb)), 6) AS z
-FROM g
-"""
 
 
 def event_session_ids(sf_dir: str):
@@ -1108,19 +416,6 @@ def event_session_ids(sf_dir: str):
         .groupby("__b__")
         .map_groups(assign, batch_format="pandas")
     )
-
-
-SQL_EVENT_SESSION_IDS = f"""
-SELECT event_id, user_id,
-       CAST(1 + sum(CASE WHEN gap_s > {SESSION_GAP_MIN * 60} THEN 1 ELSE 0 END)
-                OVER (PARTITION BY user_id ORDER BY ts, event_id
-                      ROWS UNBOUNDED PRECEDING) AS BIGINT) AS session_id
-FROM (SELECT event_id, user_id, ts,
-             date_diff('second',
-                       lag(ts) OVER (PARTITION BY user_id
-                                     ORDER BY ts, event_id), ts) AS gap_s
-      FROM events)
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -1185,32 +480,6 @@ def session_conversion_rate(sf_dir: str) -> pd.DataFrame:
     })
 
 
-def _session_conversion_sql() -> str:
-    return f"""
-WITH lagged AS (
-  SELECT event_id, user_id, ts, event_type,
-         date_diff('second',
-                   lag(ts) OVER (PARTITION BY user_id
-                                 ORDER BY ts, event_id), ts) AS gap_s
-  FROM events),
-s AS (
-  SELECT user_id, event_type,
-         1 + sum(CASE WHEN gap_s > {SESSION_GAP_MIN * 60} THEN 1 ELSE 0 END)
-                OVER (PARTITION BY user_id ORDER BY ts, event_id
-                      ROWS UNBOUNDED PRECEDING) AS session_id
-  FROM lagged),
-per AS (
-  SELECT user_id, session_id,
-         max(CASE WHEN event_type = '{CONVERSION_EVENT}'
-                  THEN 1 ELSE 0 END) AS conv
-  FROM s GROUP BY 1, 2)
-SELECT CAST(count(*) AS BIGINT) AS n_sessions,
-       CAST(sum(conv) AS BIGINT) AS n_converting,
-       round(sum(conv) / CAST(count(*) AS DOUBLE), 6) AS conversion_rate
-FROM per
-"""
-
-
 # ---------------------------------------------------------------------------
 # Per-type linear trend (drift detection over a metric stream): least-squares
 # slope/intercept of value vs time from ONE pass of exact sufficient
@@ -1257,24 +526,6 @@ def value_trend_by_type(sf_dir: str) -> pd.DataFrame:
         "intercept": np.round((sy - slope * sx) / n, 6),
     })
     return out.sort_values("event_type", ignore_index=True)
-
-
-SQL_VALUE_TREND = f"""
-WITH s AS (
-  SELECT event_type, CAST(count(*) AS BIGINT) AS n,
-         sum(x) AS sx, sum(value) AS sy,
-         sum(x * x) AS sxx, sum(x * value) AS sxy
-  FROM (SELECT event_type, value,
-               date_diff('microsecond', TIMESTAMP '{TREND_EPOCH}', ts)
-                 / 86400000000.0 AS x
-        FROM events)
-  GROUP BY 1)
-SELECT event_type, n,
-       round((n * sxy - sx * sy) / (n * sxx - sx * sx), 6) AS slope,
-       round((sy - (n * sxy - sx * sy) / (n * sxx - sx * sx) * sx) / n, 6)
-           AS intercept
-FROM s ORDER BY event_type
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -1345,55 +596,6 @@ def event_dedup_rate(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("event_type", ignore_index=True)
 
 
-SQL_EVENT_DEDUP_RATE = f"""
-WITH lagged AS (
-  SELECT event_type,
-         date_diff('microsecond',
-                   lag(ts) OVER (PARTITION BY user_id, event_type
-                                 ORDER BY ts, event_id), ts) AS d
-  FROM events)
-SELECT event_type, CAST(count(*) AS BIGINT) AS n_events,
-       CAST(sum(CASE WHEN d IS NOT NULL
-                      AND d <= {EVENT_DEDUP_WINDOW_US}
-                     THEN 1 ELSE 0 END) AS BIGINT) AS n_dropped,
-       round(sum(CASE WHEN d IS NOT NULL
-                       AND d <= {EVENT_DEDUP_WINDOW_US}
-                      THEN 1 ELSE 0 END) / CAST(count(*) AS DOUBLE), 6)
-           AS drop_rate
-FROM lagged GROUP BY 1 ORDER BY 1
-"""
-
-
-def events_dow_hour_heatmap(sf_dir: str) -> pd.DataFrame:
-    from ...state.aggregates import tree_aggregate
-
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["ts"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame({
-            "dow": df["ts"].dt.strftime("%a"),
-            "hour": df["ts"].dt.hour.astype(np.int64),
-            "n_events": np.int64(1),
-        })
-        return out.groupby(["dow", "hour"], as_index=False).agg(
-            n_events=("n_events", "sum"))
-
-    agg = tree_aggregate(ds, ["dow", "hour"], partial,
-                         {"n_events": "sum"}).to_pandas()
-    agg["n_events"] = agg["n_events"].astype(np.int64)
-    agg["hour"] = agg["hour"].astype(np.int64)
-    return agg.sort_values(["dow", "hour"], ignore_index=True)
-
-
-SQL_DOW_HOUR_HEATMAP = """
-SELECT strftime(ts, '%a') AS dow,
-       CAST(hour(ts) AS BIGINT) AS hour,
-       CAST(count(*) AS BIGINT) AS n_events
-FROM events GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-
 # ---------------------------------------------------------------------------
 # Hourly anomaly detection (ops-dashboard shape): per event type, z-score of
 # each hour's event count against that type's own hourly mean/stddev
@@ -1439,22 +641,6 @@ def events_anomaly_zscore(sf_dir: str) -> pd.DataFrame:
     })
     out = out[np.abs(out["z"]) > ANOMALY_Z]
     return out.sort_values(["event_type", "hour"], ignore_index=True)
-
-
-SQL_EVENTS_ANOMALY = f"""
-WITH hc AS (
-  SELECT event_type, date_trunc('hour', ts) AS hour,
-         CAST(count(*) AS BIGINT) AS n
-  FROM events GROUP BY 1, 2),
-m AS (
-  SELECT event_type, avg(n) AS mu,
-         sqrt(avg(n * n) - avg(n) * avg(n)) AS sd
-  FROM hc GROUP BY 1)
-SELECT hc.event_type, hour, n, round((n - mu) / sd, 6) AS z
-FROM hc JOIN m ON hc.event_type = m.event_type
-WHERE abs((n - mu) / sd) > {ANOMALY_Z}
-ORDER BY hc.event_type, hour
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -1523,18 +709,6 @@ def rolling_7d_active_users(sf_dir: str) -> pd.DataFrame:
     return agg.sort_values("day", ignore_index=True)
 
 
-SQL_ROLLING_DAU = f"""
-WITH du AS (SELECT DISTINCT date_trunc('day', ts) AS d, user_id FROM events),
-days AS (SELECT DISTINCT d FROM du)
-SELECT days.d AS day,
-       CAST(count(DISTINCT du.user_id) AS BIGINT) AS active_users_7d
-FROM days JOIN du
-  ON du.d BETWEEN days.d - INTERVAL {ROLLING_DAU_WINDOW_DAYS - 1} DAY
-              AND days.d
-GROUP BY 1 ORDER BY 1
-"""
-
-
 # ---------------------------------------------------------------------------
 # Churn-label training table (ML dataset construction from an event log):
 # per-user feature vector (event counts per type before the cutoff) plus the
@@ -1576,97 +750,3 @@ def churn_training_table(sf_dir: str) -> pd.DataFrame:
         out[f"n_{t}"] = a[f"n_{t}"].astype(np.int64)
     out["churned"] = (1 - a["post"]).astype(np.int64)
     return out.sort_values("user_id", ignore_index=True)
-
-
-SQL_CHURN_TABLE = f"""
-SELECT user_id,
-       {", ".join(
-           f"CAST(sum(CASE WHEN event_type = '{t}' AND ts < TIMESTAMP "
-           f"'{CHURN_CUTOFF}' THEN 1 ELSE 0 END) AS BIGINT) AS n_{t}"
-           for t in CHURN_TYPES)},
-       CAST(CASE WHEN max(CASE WHEN ts >= TIMESTAMP '{CHURN_CUTOFF}'
-                               THEN 1 ELSE 0 END) = 1
-                 THEN 0 ELSE 1 END AS BIGINT) AS churned
-FROM events GROUP BY user_id ORDER BY user_id
-"""
-
-
-__all__ = [
-    'ANOMALY_Z',
-    'BIG_PURCHASE_MIN',
-    'CHURN_CUTOFF',
-    'CHURN_TYPES',
-    'CONVERSION_EVENT',
-    'EVENT_DEDUP_WINDOW_US',
-    'FUNNEL_STAGES',
-    'HLL_P',
-    'JOIN_EVENT_TYPE',
-    'PCT_RANK_VALUES',
-    'QUANTILE_QS',
-    'ROLLING_DAU_WINDOW_DAYS',
-    'ROLLING_WINDOW_S',
-    'SESSION_GAP_MIN',
-    'SQL_AB_ZTEST',
-    'SQL_ASOF_VIEW_BEFORE_PURCHASE',
-    'SQL_CHURN_TABLE',
-    'SQL_DIRTY_REFS',
-    'SQL_DOW_HOUR_HEATMAP',
-    'SQL_EVENTS_ANOMALY',
-    'SQL_EVENTS_COMPOSITE_PAGE2',
-    'SQL_EVENTS_HOURLY',
-    'SQL_EVENTS_ROLLING_3H',
-    'SQL_EVENT_DEDUP_RATE',
-    'SQL_EVENT_SESSION_IDS',
-    'SQL_EVENT_TRANSITIONS',
-    'SQL_GROUPED_QUANTILES',
-    'SQL_HOURLY_MA3',
-    'SQL_PCT_RANKS',
-    'SQL_PROPS_K_STATS',
-    'SQL_RETENTION',
-    'SQL_ROLLING_DAU',
-    'SQL_TIME_TO_FIRST_PURCHASE',
-    'SQL_USER_SESSIONS',
-    'SQL_VALUE_MAD',
-    'SQL_VALUE_QUANTILES',
-    'SQL_VALUE_TREND',
-    'SQL_VIEWERS_NEVER_PURCHASED',
-    'SQL_WINSORIZED_VALUE_STATS',
-    'TREND_EPOCH',
-    'WINSOR_QS',
-    '_COMPOSITE_PAGE',
-    '_bm25_join_sql',
-    '_funnel_sql',
-    '_hll_grouped_sql',
-    '_hll_sql',
-    '_session_conversion_sql',
-    'ab_conversion_ztest',
-    'asof_view_before_purchase',
-    'bm25_join_topk',
-    'churn_training_table',
-    'dirty_refs',
-    'distinct_events_hll',
-    'distinct_users_by_type_hll',
-    'event_dedup_rate',
-    'event_funnel',
-    'event_session_ids',
-    'event_transitions',
-    'events_anomaly_zscore',
-    'events_composite_page2',
-    'events_dow_hour_heatmap',
-    'events_hourly',
-    'events_hourly_ma3',
-    'events_rolling_3h',
-    'grouped_value_quantiles',
-    'props_k_stats_by_type',
-    'retention_cohorts',
-    'rolling_7d_active_users',
-    'session_conversion_rate',
-    'time_to_first_purchase',
-    'user_sessions',
-    'value_mad_by_type',
-    'value_percentile_ranks',
-    'value_quantiles',
-    'value_trend_by_type',
-    'viewers_never_purchased',
-    'winsorized_value_stats',
-]

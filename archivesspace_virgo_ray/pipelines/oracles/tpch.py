@@ -1,482 +1,14 @@
-"""TPC-H-shaped relational oracles (lineitem/orders/... tables) (split from queries.py; see that module for the facade)."""
+"""TPC-H-shaped relational oracles (lineitem/orders/... tables)."""
 
 from __future__ import annotations
-import hashlib
+
 import os
 import numpy as np
 import pandas as pd
-import pyarrow as pa
-import pyarrow.compute as pc
 import ray.data
-from ...functions.tokenize import TOKEN_RE, batch_term_doc_tf
-from ..dedup import exact_dedup, minhash_dedup, simhash_near_dups
-from ..similarity import knn_brute_force, knn_ivf
-from ..textstats import LANG_PROFILES, lang_id_batch
 
-from .common import *  # noqa: F401,F403
-from .common import (_RANK_MARGIN, _bm25_sql, _build_docs_index, _docs, _index_dir_for, _matched_docs_ds, _ranked_topk)  # noqa: F401
-
-
-# table profiling (data-quality report): per-column rows/nulls/min/max +
-# md5-HLL distinct estimate, ONE tree-merged pass over lineitem.
-PROFILE_INT_COLS = ["l_orderkey", "l_partkey", "l_suppkey"]
-
-
-PROFILE_STR_COLS = ["l_returnflag", "l_linestatus"]
-
-
-PROFILE_P = 12
-
-
-def profile_lineitem(sf_dir: str) -> pd.DataFrame:
-    from ..profile import profile_columns
-
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=PROFILE_INT_COLS + PROFILE_STR_COLS,
-    )
-    return profile_columns(ds, PROFILE_INT_COLS, PROFILE_STR_COLS, p=PROFILE_P)
-
-
-def _hll_scalar_sql(table: str, col: str, p: int) -> str:
-    """Scalar subquery computing the md5-HLL distinct estimate of
-    ``table.col`` — the same register/rho/bias contract as _hll_sql."""
-    from ..sketches import _alpha
-
-    m = 1 << p
-    alpha = _alpha(m)
-    return f"""(
-WITH h AS (
-  SELECT CAST(('0x' || substr(md5(CAST({col} AS VARCHAR)), 1, 16)) AS UBIGINT) AS hv
-  FROM {table} WHERE {col} IS NOT NULL),
-rr AS (
-  SELECT CAST(hv >> {64 - p} AS BIGINT) AS register,
-         hv & CAST({(1 << (64 - p)) - 1} AS UBIGINT) AS low
-  FROM h),
-rho AS (
-  SELECT register,
-         max(CASE WHEN low = 0 THEN {64 - p + 1}
-                  ELSE {64 - p} - length(bin(low)) + 1 END) AS rho
-  FROM rr GROUP BY register),
-agg AS (
-  SELECT coalesce(sum(power(2.0, -rho)), 0) AS s_present,
-         count(*) AS n_present FROM rho),
-est AS (
-  SELECT {m} - n_present AS zeros,
-         CAST({alpha} AS DOUBLE) * {m} * {m}
-           / (s_present + ({m} - n_present) * 1.0) AS raw
-  FROM agg)
-SELECT round(CASE WHEN raw <= 2.5 * {m} AND zeros > 0
-                  THEN {m} * ln(CAST({m} AS DOUBLE) / zeros)
-                  ELSE raw END, 6)
-FROM est)"""
-
-
-def _profile_sql() -> str:
-    arms = []
-    for c in PROFILE_INT_COLS + PROFILE_STR_COLS:
-        is_int = c in PROFILE_INT_COLS
-        mn = f"CAST(min({c}) AS VARCHAR)" if is_int else f"min({c})"
-        mx = f"CAST(max({c}) AS VARCHAR)" if is_int else f"max({c})"
-        arms.append(f"""
-  SELECT '{c}' AS "column",
-         CAST(count(*) AS BIGINT) AS n_rows,
-         CAST(count(*) - count({c}) AS BIGINT) AS n_nulls,
-         {mn} AS min_v, {mx} AS max_v,
-         {_hll_scalar_sql("lineitem", c, PROFILE_P)} AS distinct_hll
-  FROM lineitem""")
-    union = "\n  UNION ALL".join(arms)
-    return f'SELECT * FROM ({union}) ORDER BY "column"'
-
-
-def q1_pricing(sf_dir: str):
-    import pyarrow.compute as pc
-
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice",
-                 "l_discount", "l_shipdate"],
-    )
-
-    cutoff = pd.Timestamp("1997-01-01")
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df["l_shipdate"] < cutoff]
-        df = df.assign(disc_price=df["l_extendedprice"] * (1 - df["l_discount"]))
-        return df.groupby(["l_returnflag", "l_linestatus"], as_index=False).agg(
-            sum_qty=("l_quantity", "sum"),
-            sum_base_price=("l_extendedprice", "sum"),
-            sum_disc_price=("disc_price", "sum"),
-            count_order=("l_quantity", "size"),
-        )
-
-    from ...state.aggregates import tree_aggregate
-
-    agg = tree_aggregate(
-        ds, ["l_returnflag", "l_linestatus"], partial,
-        {"sum_qty": "sum", "sum_base_price": "sum", "sum_disc_price": "sum",
-         "count_order": "sum"},
-    )
-    pdf = agg.to_pandas()
-    for c in ("sum_qty", "sum_base_price", "sum_disc_price"):
-        pdf[c] = pdf[c].round(4)
-    return pdf
-
-
-SQL_Q1_PRICING = """
-SELECT l_returnflag, l_linestatus,
-       round(sum(l_quantity), 4) AS sum_qty,
-       round(sum(l_extendedprice), 4) AS sum_base_price,
-       round(sum(l_extendedprice * (1 - l_discount)), 4) AS sum_disc_price,
-       CAST(count(*) AS BIGINT) AS count_order
-FROM lineitem
-WHERE l_shipdate < TIMESTAMP '1997-01-01'
-GROUP BY l_returnflag, l_linestatus
-"""
-
-
-def top10_customers_revenue(sf_dir: str):
-    """Broadcast join: customer (small side) shipped once via ray.put."""
-    import ray
-
-    import pyarrow.parquet as pq
-
-    cust = pq.read_table(
-        os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey", "c_name"]
-    ).to_pandas()
-    cust_ref = ray.put(dict(zip(cust["c_custkey"], cust["c_name"])))
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"), columns=["o_custkey", "o_totalprice"]
-    )
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby("o_custkey", as_index=False).agg(
-            revenue=("o_totalprice", "sum"), n_orders=("o_totalprice", "size")
-        )
-
-    from ...state.aggregates import tree_aggregate
-
-    agg = tree_aggregate(
-        orders, ["o_custkey"], partial, {"revenue": "sum", "n_orders": "sum"}
-    )
-    pdf = agg.to_pandas()
-    names = ray.get(cust_ref)
-    pdf["c_name"] = pdf["o_custkey"].map(names)
-    pdf["revenue"] = pdf["revenue"].round(4)
-    pdf = pdf.sort_values(["revenue", "o_custkey"], ascending=[False, True],
-                          kind="mergesort").head(10).reset_index(drop=True)
-    return pdf.rename(columns={"o_custkey": "c_custkey"})[
-        ["c_custkey", "c_name", "revenue", "n_orders"]
-    ]
-
-
-SQL_TOP10_CUSTOMERS = """
-SELECT c_custkey, c_name,
-       round(sum(o_totalprice), 4) AS revenue,
-       CAST(count(*) AS BIGINT) AS n_orders
-FROM orders JOIN customer ON o_custkey = c_custkey
-GROUP BY c_custkey, c_name
-ORDER BY revenue DESC, c_custkey
-LIMIT 10
-"""
-
-
-def date_age_buckets(sf_dir: str):
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                               columns=["o_orderkey", "o_orderdate"])
-
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        # .dt.year is int32; SQL side is BIGINT — match dtypes exactly
-        year = df["o_orderdate"].dt.year.astype(np.int64)
-        age = (NOW_YEAR - year).astype(np.int64)
-        bucket = np.where(age > 50, "More than 50 years ago", "Last 50 years")
-        return pd.DataFrame(
-            {"o_orderkey": df["o_orderkey"], "order_year": year, "age_bucket": bucket}
-        )
-
-    return ds.map_batches(fn, batch_format="pandas")
-
-
-SQL_DATE_AGE_BUCKETS = f"""
-SELECT o_orderkey,
-       CAST(year(o_orderdate) AS BIGINT) AS order_year,
-       CASE WHEN {NOW_YEAR} - year(o_orderdate) > 50
-            THEN 'More than 50 years ago' ELSE 'Last 50 years' END AS age_bucket
-FROM orders
-"""
-
-
-def revenue_by_nation(sf_dir: str):
-    """Two-hop broadcast join: orders → customer → nation (J1-style chain)."""
-    import ray
-
-    import pyarrow.parquet as pq
-
-    cust = pq.read_table(
-        os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey", "c_nationkey"]
-    ).to_pandas()
-    nation = pq.read_table(
-        os.path.join(sf_dir, "nation.parquet"), columns=["n_nationkey", "n_name"]
-    ).to_pandas()
-    cust_nation = dict(zip(cust["c_custkey"], cust["c_nationkey"]))
-    nation_name = dict(zip(nation["n_nationkey"], nation["n_name"]))
-    ref = ray.put((cust_nation, nation_name))
-
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"), columns=["o_custkey", "o_totalprice"]
-    )
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        cn, nn = ray.get(ref)
-        df = df.assign(
-            n_name=df["o_custkey"].map(lambda c: nn[cn[c]])
-        )
-        return df.groupby("n_name", as_index=False).agg(
-            revenue=("o_totalprice", "sum"), n_orders=("o_totalprice", "size")
-        )
-
-    from ...state.aggregates import tree_aggregate
-
-    out = tree_aggregate(orders, ["n_name"], partial,
-                         {"revenue": "sum", "n_orders": "sum"}).to_pandas()
-    out["revenue"] = out["revenue"].round(4)
-    return out
-
-
-SQL_REVENUE_BY_NATION = """
-SELECT n_name, round(sum(o_totalprice), 4) AS revenue,
-       CAST(count(*) AS BIGINT) AS n_orders
-FROM orders JOIN customer ON o_custkey = c_custkey
-            JOIN nation ON c_nationkey = n_nationkey
-GROUP BY n_name
-"""
-
-
-def q3_revenue_join(sf_dir: str):
-    """Big×big bucketed hash join (no broadcast side): lineitem ⋈ orders on
-    orderkey, revenue per 1996 order, top 10."""
-    from ..joins import hash_join
-
-    lineitem = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_extendedprice", "l_discount"],
-    ).map_batches(
-        lambda df: df.rename(columns={"l_orderkey": "o_orderkey"}),
-        batch_format="pandas",
-    )
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_orderdate"],
-    ).map_batches(
-        lambda df: df[
-            (df["o_orderdate"] >= pd.Timestamp("1996-01-01"))
-            & (df["o_orderdate"] < pd.Timestamp("1997-01-01"))
-        ][["o_orderkey"]].reset_index(drop=True),
-        batch_format="pandas",
-    )
-    joined = hash_join(lineitem, orders, on="o_orderkey", n_buckets=16)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.assign(rev=df["l_extendedprice"] * (1 - df["l_discount"]))
-        return df.groupby("o_orderkey", as_index=False).agg(
-            revenue=("rev", "sum"), n_items=("rev", "size")
-        )
-
-    from ...state.aggregates import tree_aggregate
-
-    agg = tree_aggregate(joined, ["o_orderkey"], partial,
-                         {"revenue": "sum", "n_items": "sum"}).to_pandas()
-    agg["revenue"] = agg["revenue"].round(4)
-    agg = agg.sort_values(["revenue", "o_orderkey"], ascending=[False, True],
-                          kind="mergesort").head(10).reset_index(drop=True)
-    return agg
-
-
-SQL_Q3_REVENUE_JOIN = """
-SELECT o_orderkey,
-       round(sum(l_extendedprice * (1 - l_discount)), 4) AS revenue,
-       CAST(count(*) AS BIGINT) AS n_items
-FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-WHERE o_orderdate >= TIMESTAMP '1996-01-01'
-  AND o_orderdate <  TIMESTAMP '1997-01-01'
-GROUP BY o_orderkey
-ORDER BY revenue DESC, o_orderkey
-LIMIT 10
-"""
-
-
-def customer_running_revenue(sf_dir: str):
-    """Partitioned window function — SQL ``sum(cents) OVER (PARTITION BY
-    custkey ORDER BY orderdate, orderkey)`` — as a distributed segmented
-    scan (one sort shuffle + two streaming passes; driver state is the
-    per-(block, partition) summary, ≈ n_parts + n_blocks rows). Money is
-    summed in exact int64 cents on both sides."""
-    from ...state.scan import grouped_prefix_sum
-
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_custkey", "o_orderkey", "o_orderdate", "o_totalprice"],
-    )
-
-    def cents(t: pa.Table) -> pa.Table:
-        c = pc.cast(pc.round(pc.multiply(t["o_totalprice"], 100.0)),
-                    pa.int64())
-        return t.append_column("cents", c)
-
-    out = grouped_prefix_sum(
-        ds.map_batches(cents, batch_format="pyarrow"),
-        "o_custkey", ["o_orderdate", "o_orderkey"], "cents",
-        out_col="run_cents",
-    )
-    return out.select_columns(["o_custkey", "o_orderkey", "run_cents"])
-
-
-SQL_RUNNING_REVENUE = """
-SELECT o_custkey, o_orderkey,
-       CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT)) OVER (
-         PARTITION BY o_custkey ORDER BY o_orderdate, o_orderkey
-       ) AS BIGINT) AS run_cents
-FROM orders
-"""
-
-
-def q_shipped_within_90d(sf_dir: str):
-    """Range-predicate join: lineitem ⋈ orders on orderkey with
-    l_shipdate ∈ [o_orderdate, o_orderdate + 90 days) — the equi-key carries
-    the shuffle (bucketed hash join), the range predicate filters inside the
-    joined batches, and a tree aggregate counts qualifying items per order
-    month. The partitioning assumption is the join key's, not the range's."""
-    from ...state.aggregates import tree_aggregate
-    from ..joins import hash_join
-
-    lineitem = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_shipdate"],
-    ).map_batches(
-        lambda df: df.rename(columns={"l_orderkey": "o_orderkey"}),
-        batch_format="pandas",
-    )
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_orderdate"],
-    )
-    joined = hash_join(lineitem, orders, on="o_orderkey", n_buckets=16)
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        inwin = (df["l_shipdate"] >= df["o_orderdate"]) & (
-            df["l_shipdate"] < df["o_orderdate"] + pd.Timedelta(days=90)
-        )
-        d = df[inwin]
-        month = d["o_orderdate"].dt.year * 100 + d["o_orderdate"].dt.month
-        return (
-            d.assign(order_month=month.astype(np.int64))
-            .groupby("order_month", as_index=False)
-            .agg(n_shipped_90d=("o_orderkey", "size"))
-        )
-
-    out = tree_aggregate(joined, ["order_month"], partial,
-                         {"n_shipped_90d": "sum"}).to_pandas()
-    return out.astype({"order_month": np.int64, "n_shipped_90d": np.int64})
-
-
-SQL_SHIPPED_WITHIN_90D = """
-SELECT CAST(year(o_orderdate) * 100 + month(o_orderdate) AS BIGINT) AS order_month,
-       CAST(count(*) AS BIGINT) AS n_shipped_90d
-FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-WHERE l_shipdate >= o_orderdate
-  AND l_shipdate < o_orderdate + INTERVAL 90 DAY
-GROUP BY 1
-"""
-
-
-def natural_sort_parts(sf_dir: str):
-    """O1: natural-order sort via key encoding. ORACLE: the same key
-    encoding is expressible in DuckDB (regexp token split + zero-pad), so
-    the top-50 natural ordering is fully SQL-checkable."""
-    from ...functions.text import natural_sort_key
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "part.parquet"),
-                               columns=["p_partkey", "p_name"])
-
-    def key(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["nat_key"] = natural_sort_key(df["p_name"].to_numpy())
-        return df
-
-    out = (
-        ds.map_batches(key, batch_format="pandas")
-        .sort(["nat_key", "p_name", "p_partkey"])  # total order: exact LIMIT cut
-        .limit(50)
-    )
-    return out.select_columns(["p_partkey", "p_name"])
-
-
-# mirrors functions.text._nat_key_one: digit runs with a leading zero encode
-# as '01'+digits+'!'; value runs as '02'+zero-padded-length+digits; other
-# non-space chars uppercase; whitespace dropped
-SQL_NATURAL_SORT_PARTS = r"""
-WITH keyed AS (
-  SELECT p_partkey, p_name,
-         array_to_string(list_transform(regexp_extract_all(p_name, '[0-9]+|\S'),
-           x -> CASE WHEN regexp_matches(x, '^[0-9]')
-                     THEN CASE WHEN substr(x, 1, 1) = '0' THEN '01' || x || '!'
-                          ELSE '02' || lpad(CAST(length(x) AS VARCHAR), 12, '0') || x END
-                     ELSE upper(x) END), '') AS nat_key
-  FROM part)
-SELECT p_partkey, p_name FROM keyed
-ORDER BY nat_key, p_name, p_partkey
-LIMIT 50
-"""
-
-
-# decontamination: docs 0..4 stand in for the benchmark/eval set
-_DECON_W = 4
-
-
-_DECON_EVAL_MAX = 5  # eval set = doc_id < 5
-
-
-def decontamination_report(sf_dir: str):
-    """n-gram-overlap decontamination: training docs sharing any
-    ``_DECON_W``-token shingle with an eval doc, with shared-shingle
-    counts. ORACLE: distinct-shingle self-join in SQL."""
-    import pyarrow.dataset as pads
-
-    from ..curation import decontaminate
-
-    t = pads.dataset(os.path.join(sf_dir, "documents.parquet")).to_table(
-        filter=pads.field("doc_id") < _DECON_EVAL_MAX,
-        columns=["doc_id", "text"],
-    )
-    eval_texts = dict(zip(
-        t["doc_id"].to_pylist(), t["text"].to_pylist()
-    ))
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-        filter=pads.field("doc_id") >= _DECON_EVAL_MAX,
-    )
-    out = decontaminate(ds, eval_texts, shingle_w=_DECON_W).to_pandas()
-    return out.sort_values(["doc_id", "eval_id"], ignore_index=True)
-
-
-def _decontamination_sql() -> str:
-    parts = " || ' ' || ".join(f"t[i+{j}]" for j in range(_DECON_W))
-    return f"""
-WITH toks AS (
-  SELECT doc_id, list_filter({TOK_SQL}, x -> x <> '') AS t FROM documents),
-sh AS (
-  SELECT DISTINCT doc_id,
-         unnest(list_transform(range(1, len(t) - {_DECON_W} + 2),
-                               i -> {parts})) AS s
-  FROM toks WHERE len(t) >= {_DECON_W}),
-ev AS (SELECT doc_id AS eval_id, s FROM sh WHERE doc_id < {_DECON_EVAL_MAX}),
-tr AS (SELECT doc_id, s FROM sh WHERE doc_id >= {_DECON_EVAL_MAX})
-SELECT tr.doc_id, ev.eval_id, CAST(count(*) AS BIGINT) AS n_shared
-FROM tr JOIN ev USING (s)
-GROUP BY tr.doc_id, ev.eval_id
-ORDER BY tr.doc_id, ev.eval_id
-"""
+from ...functions.tokenize import batch_term_doc_tf
+from .common import SESSION_BUCKETS, _docs
 
 
 def cheapest_lineitem_per_order(sf_dir: str) -> pd.DataFrame:
@@ -507,17 +39,6 @@ def cheapest_lineitem_per_order(sf_dir: str) -> pd.DataFrame:
     )
     out["l_linenumber"] = out["l_linenumber"].astype(np.int64)
     return out.sort_values("l_orderkey", ignore_index=True)
-
-
-SQL_CHEAPEST_LINEITEM = """
-SELECT l_orderkey, CAST(l_linenumber AS BIGINT) AS l_linenumber,
-       l_extendedprice
-FROM (SELECT l_orderkey, l_linenumber, l_extendedprice,
-             row_number() OVER (PARTITION BY l_orderkey
-                                ORDER BY l_extendedprice, l_linenumber) AS rn
-      FROM lineitem)
-WHERE rn = 1 ORDER BY l_orderkey
-"""
 
 
 def orders_per_customer_histogram(sf_dir: str) -> pd.DataFrame:
@@ -558,17 +79,6 @@ def orders_per_customer_histogram(sf_dir: str) -> pd.DataFrame:
     out["n_orders"] = out["n_orders"].astype(np.int64)
     out["n_customers"] = out["n_customers"].astype(np.int64)
     return out.sort_values("n_orders", ignore_index=True)
-
-
-SQL_ORDERS_PER_CUSTOMER = """
-WITH c_orders AS (
-  SELECT c.c_custkey, count(o.o_orderkey) AS n_orders
-  FROM customer c LEFT JOIN orders o ON o.o_custkey = c.c_custkey
-  GROUP BY c.c_custkey)
-SELECT CAST(n_orders AS BIGINT) AS n_orders,
-       CAST(count(*) AS BIGINT) AS n_customers
-FROM c_orders GROUP BY n_orders ORDER BY n_orders
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -645,22 +155,6 @@ def q18_large_orders(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("o_orderkey", ignore_index=True)
 
 
-SQL_Q18_LARGE_ORDERS = f"""
-WITH big AS (
-  SELECT l_orderkey, SUM(l_quantity) AS qty
-  FROM lineitem GROUP BY l_orderkey
-  HAVING SUM(l_quantity) > {Q18_MIN_QTY})
-SELECT c.c_name, c.c_custkey, o.o_orderkey,
-       strftime(o.o_orderdate, '%Y-%m-%d') AS o_orderdate,
-       round(o.o_totalprice, 4) AS o_totalprice,
-       CAST(round(b.qty) AS BIGINT) AS sum_qty
-FROM big b
-JOIN orders o ON o.o_orderkey = b.l_orderkey
-JOIN customer c ON c.c_custkey = o.o_custkey
-ORDER BY o.o_orderkey
-"""
-
-
 def part_supplier_variety(sf_dir: str) -> pd.DataFrame:
     import pyarrow.parquet as pq_
 
@@ -708,16 +202,6 @@ def part_supplier_variety(sf_dir: str) -> pd.DataFrame:
         ascending=[False, True, True], ignore_index=True)
 
 
-SQL_PART_SUPPLIER_VARIETY = """
-SELECT p_brand, CAST(p_size AS BIGINT) AS p_size,
-       CAST(COUNT(DISTINCT l_suppkey) AS BIGINT) AS supplier_cnt
-FROM lineitem JOIN part ON p_partkey = l_partkey
-WHERE l_suppkey NOT IN (SELECT s_suppkey FROM supplier WHERE s_acctbal < 0)
-GROUP BY p_brand, p_size
-ORDER BY supplier_cnt DESC, p_brand, p_size
-"""
-
-
 def rollup_revenue(sf_dir: str) -> pd.DataFrame:
     import pyarrow.parquet as pq_
 
@@ -757,19 +241,6 @@ def rollup_revenue(sf_dir: str) -> pd.DataFrame:
     out["order_year"] = out["order_year"].astype(np.int64)
     out["revenue_cents"] = out["revenue_cents"].astype(np.int64)
     return out.sort_values(["n_name", "order_year"], ignore_index=True)
-
-
-SQL_ROLLUP_REVENUE = """
-SELECT COALESCE(n_name, '*ALL*') AS n_name,
-       CAST(COALESCE(yr, -1) AS BIGINT) AS order_year,
-       CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS BIGINT)
-         AS revenue_cents
-FROM (SELECT n_name, year(o_orderdate) AS yr, o_totalprice
-      FROM orders JOIN customer ON o_custkey = c_custkey
-                  JOIN nation ON c_nationkey = n_nationkey)
-GROUP BY ROLLUP(n_name, yr)
-ORDER BY n_name, order_year
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -847,23 +318,6 @@ def q10_returned_items(sf_dir: str) -> pd.DataFrame:
                            ignore_index=True)
 
 
-SQL_Q10_RETURNED_ITEMS = f"""
-SELECT c.c_custkey, c.c_name, n.n_name,
-       round(sum(l.l_extendedprice * (1 - l.l_discount)), 4) AS revenue,
-       CAST(count(*) AS BIGINT) AS n_items
-FROM lineitem l
-JOIN orders o ON l.l_orderkey = o.o_orderkey
-JOIN customer c ON o.o_custkey = c.c_custkey
-JOIN nation n ON c.c_nationkey = n.n_nationkey
-WHERE l.l_returnflag = 'R'
-  AND o.o_orderdate >= TIMESTAMP '{Q10_WINDOW[0]}'
-  AND o.o_orderdate <  TIMESTAMP '{Q10_WINDOW[1]}'
-GROUP BY 1, 2, 3
-ORDER BY revenue DESC, c.c_custkey
-LIMIT 20
-"""
-
-
 # ---------------------------------------------------------------------------
 # TPC-H Q14-style promotion effect: per ship-month, the revenue share of
 # PROMO-type parts. part is the broadcast dimension (partkey→is_promo bit
@@ -918,20 +372,6 @@ def q14_promo_revenue(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("ship_month", ignore_index=True)
 
 
-SQL_Q14_PROMO_REVENUE = f"""
-SELECT strftime(l_shipdate, '%Y-%m') AS ship_month,
-       round(100.0 * sum(CASE WHEN p_type = 'PROMO'
-                         THEN l_extendedprice * (1 - l_discount)
-                         ELSE 0 END)
-             / sum(l_extendedprice * (1 - l_discount)), 6) AS promo_share_pct,
-       round(sum(l_extendedprice * (1 - l_discount)), 2) AS total_revenue
-FROM lineitem JOIN part ON l_partkey = p_partkey
-WHERE l_shipdate >= TIMESTAMP '{Q14_YEAR}-01-01'
-  AND l_shipdate <  TIMESTAMP '{Q14_YEAR + 1}-01-01'
-GROUP BY 1 ORDER BY 1
-"""
-
-
 # ---------------------------------------------------------------------------
 # TPC-H Q19-style bracketed revenue: three OR'd predicate groups, each a
 # conjunction over a part attribute (broadcast dim) and a lineitem range.
@@ -983,21 +423,6 @@ def q19_bracket_revenue(sf_dir: str) -> pd.DataFrame:
     agg["n_items"] = agg["n_items"].astype(np.int64)
     agg = agg[agg["n_items"] > 0]
     return agg.sort_values("bracket", ignore_index=True)
-
-
-def _q19_sql() -> str:
-    arms = []
-    for name, typ, max_size, qlo, qhi in Q19_BRACKETS:
-        arms.append(
-            f"SELECT '{name}' AS bracket,"
-            f" round(sum(l_extendedprice * (1 - l_discount)), 4) AS revenue,"
-            f" CAST(count(*) AS BIGINT) AS n_items"
-            f" FROM lineitem JOIN part ON l_partkey = p_partkey"
-            f" WHERE p_type = '{typ}' AND p_size <= {max_size}"
-            f" AND l_quantity BETWEEN {qlo} AND {qhi}"
-            f" HAVING count(*) > 0"
-        )
-    return " UNION ALL ".join(arms) + " ORDER BY bracket"
 
 
 # ---------------------------------------------------------------------------
@@ -1068,22 +493,6 @@ def q22_idle_balance(sf_dir: str) -> pd.DataFrame:
     return agg.sort_values("c_mktsegment", ignore_index=True)
 
 
-SQL_Q22_IDLE_BALANCE = f"""
-WITH pos AS (
-  SELECT sum(CAST(round(c_acctbal * 100) AS BIGINT)) AS cents_sum,
-         count(*) AS n FROM customer WHERE round(c_acctbal * 100) > 0)
-SELECT c_mktsegment, CAST(count(*) AS BIGINT) AS numcust,
-       CAST(sum(CAST(round(c_acctbal * 100) AS BIGINT)) AS BIGINT)
-         AS totacctbal_cents
-FROM customer
-WHERE CAST(round(c_acctbal * 100) AS BIGINT) * (SELECT n FROM pos)
-        > (SELECT cents_sum FROM pos)
-  AND c_custkey NOT IN (SELECT o_custkey FROM orders
-                        WHERE o_orderdate >= TIMESTAMP '{Q22_ACTIVE_SINCE}')
-GROUP BY c_mktsegment ORDER BY c_mktsegment
-"""
-
-
 def customer_order_gaps(sf_dir: str) -> pd.DataFrame:
     orders = ray.data.read_parquet(
         os.path.join(sf_dir, "orders.parquet"),
@@ -1134,23 +543,6 @@ def customer_order_gaps(sf_dir: str) -> pd.DataFrame:
     for c in ("c_custkey", "n_orders", "max_gap_days"):
         out[c] = out[c].astype(np.int64)
     return out.sort_values("c_custkey", ignore_index=True)
-
-
-SQL_CUSTOMER_ORDER_GAPS = """
-WITH g AS (
-  SELECT o_custkey,
-         date_diff('day',
-                   lag(o_orderdate) OVER (PARTITION BY o_custkey
-                                          ORDER BY o_orderdate, o_orderkey),
-                   o_orderdate) AS gap
-  FROM orders)
-SELECT o_custkey AS c_custkey,
-       CAST(count(*) AS BIGINT) AS n_orders,
-       round(avg(gap), 6) AS avg_gap_days,
-       CAST(max(gap) AS BIGINT) AS max_gap_days
-FROM g GROUP BY o_custkey HAVING count(gap) >= 1
-ORDER BY c_custkey
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -1233,25 +625,6 @@ def q5_local_supplier_volume(sf_dir: str) -> pd.DataFrame:
                            kind="mergesort", ignore_index=True)
 
 
-SQL_Q5_LOCAL_SUPPLIER = f"""
-SELECT n_name,
-       round(sum(l_extendedprice * (1 - l_discount)), 4) AS revenue,
-       CAST(count(*) AS BIGINT) AS n_items
-FROM lineitem
-JOIN orders ON l_orderkey = o_orderkey
-JOIN customer ON o_custkey = c_custkey
-JOIN supplier ON l_suppkey = s_suppkey
-JOIN nation ON s_nationkey = n_nationkey
-JOIN region ON n_regionkey = r_regionkey
-WHERE c_nationkey = s_nationkey
-  AND r_name = '{Q5_REGION}'
-  AND o_orderdate >= TIMESTAMP '{Q5_YEAR}-01-01'
-  AND o_orderdate <  TIMESTAMP '{Q5_YEAR + 1}-01-01'
-GROUP BY n_name
-ORDER BY revenue DESC, n_name
-"""
-
-
 # ---------------------------------------------------------------------------
 # TPC-H Q4-style order-priority count: orders in one quarter having EXISTS a
 # late-shipping lineitem (l_shipdate > o_orderdate). The EXISTS semi-join:
@@ -1321,17 +694,6 @@ def q4_order_priority(sf_dir: str) -> pd.DataFrame:
     return agg.sort_values("o_orderpriority", ignore_index=True)
 
 
-SQL_Q4_ORDER_PRIORITY = f"""
-SELECT o_orderpriority, CAST(count(*) AS BIGINT) AS order_count
-FROM orders
-WHERE o_orderdate >= TIMESTAMP '{Q4_WINDOW[0]}'
-  AND o_orderdate <  TIMESTAMP '{Q4_WINDOW[1]}'
-  AND EXISTS (SELECT 1 FROM lineitem
-              WHERE l_orderkey = o_orderkey AND l_shipdate > o_orderdate)
-GROUP BY o_orderpriority ORDER BY o_orderpriority
-"""
-
-
 # ---------------------------------------------------------------------------
 # Co-purchase pair mining (market-basket self-join): top 20 part pairs by
 # the number of orders containing both. The self-join happens INSIDE each
@@ -1386,18 +748,6 @@ def copurchase_top_pairs(sf_dir: str) -> pd.DataFrame:
     return agg
 
 
-SQL_COPURCHASE_TOP_PAIRS = f"""
-WITH u AS (SELECT DISTINCT l_orderkey, l_partkey FROM lineitem)
-SELECT a.l_partkey AS part_a, b.l_partkey AS part_b,
-       CAST(count(*) AS BIGINT) AS n_orders
-FROM u a JOIN u b
-  ON a.l_orderkey = b.l_orderkey AND a.l_partkey < b.l_partkey
-GROUP BY 1, 2
-ORDER BY n_orders DESC, part_a, part_b
-LIMIT {COPURCHASE_TOPN}
-"""
-
-
 # ---------------------------------------------------------------------------
 # Chi-square independence test (order priority × order-value bucket): the
 # contingency table is one facet-sized tree pass; the statistic is driver
@@ -1441,32 +791,6 @@ def priority_value_chi2(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame({"chi2": [round(chi2, 6)],
                          "dof": [np.int64(dof)],
                          "n": [np.int64(total)]})
-
-
-def _chi2_sql() -> str:
-    e0, e1 = CHI2_VALUE_EDGES
-    return f"""
-WITH cells AS (
-  SELECT o_orderpriority,
-         CASE WHEN o_totalprice < {e0} THEN 'low'
-              WHEN o_totalprice < {e1} THEN 'mid' ELSE 'high' END AS bucket,
-         CAST(count(*) AS DOUBLE) AS n
-  FROM orders GROUP BY 1, 2),
-rows_ AS (SELECT o_orderpriority, sum(n) AS rn FROM cells GROUP BY 1),
-cols_ AS (SELECT bucket, sum(n) AS cn FROM cells GROUP BY 1),
-tot AS (SELECT sum(n) AS t FROM cells),
-full_ AS (
-  SELECT r.o_orderpriority, c.bucket, COALESCE(cells.n, 0) AS n,
-         r.rn * c.cn / (SELECT t FROM tot) AS e
-  FROM rows_ r CROSS JOIN cols_ c
-  LEFT JOIN cells ON cells.o_orderpriority = r.o_orderpriority
-                 AND cells.bucket = c.bucket)
-SELECT round(sum((n - e) * (n - e) / e), 6) AS chi2,
-       CAST((SELECT count(*) - 1 FROM rows_)
-            * (SELECT count(*) - 1 FROM cols_) AS BIGINT) AS dof,
-       CAST((SELECT t FROM tot) AS BIGINT) AS n
-FROM full_
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -1521,32 +845,6 @@ def token_budget_allocation(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("source", ignore_index=True)
 
 
-SQL_TOKEN_BUDGET = f"""
-WITH cap AS (
-  SELECT source, CAST(count(*) AS BIGINT) AS tokens
-  FROM (SELECT doc_id, source, unnest({TOK_SQL}) AS term FROM documents)
-  WHERE term <> '' GROUP BY source),
-ordered AS (
-  SELECT source, tokens,
-         row_number() OVER (ORDER BY tokens, source) AS rn,
-         sum(tokens) OVER (ORDER BY tokens, source
-                           ROWS UNBOUNDED PRECEDING) AS csum,
-         count(*) OVER () AS n,
-         {BUDGET_FRACTION} * sum(tokens) OVER () AS budget
-  FROM cap),
-lam AS (
-  SELECT (budget - (csum - tokens)) / (n - rn + 1) AS level
-  FROM ordered
-  WHERE tokens >= (budget - (csum - tokens)) / (n - rn + 1)
-  ORDER BY rn LIMIT 1)
-SELECT source, tokens AS capacity,
-       round(least(CAST(tokens AS DOUBLE),
-                   COALESCE((SELECT level FROM lam),
-                            CAST(tokens AS DOUBLE))), 6) AS allocated
-FROM ordered ORDER BY source
-"""
-
-
 # ---------------------------------------------------------------------------
 # TPC-H Q15: top supplier(s) by quarterly revenue — the argmax-over-an-
 # aggregate shape where EVERY tie at the max is kept. Per-supplier revenue
@@ -1591,21 +889,6 @@ def q15_top_supplier(sf_dir: str) -> pd.DataFrame:
     out["s_suppkey"] = out["s_suppkey"].astype(np.int64)
     return out[["s_suppkey", "s_name", "total_revenue"]].sort_values(
         "s_suppkey", ignore_index=True)
-
-
-SQL_Q15_TOP_SUPPLIER = f"""
-WITH rev AS (
-  SELECT l_suppkey AS s_suppkey,
-         round(sum(l_extendedprice * (1 - l_discount)), 4) AS total_revenue
-  FROM lineitem
-  WHERE l_shipdate >= TIMESTAMP '{Q15_QUARTER[0]}'
-    AND l_shipdate <  TIMESTAMP '{Q15_QUARTER[1]}'
-  GROUP BY 1)
-SELECT r.s_suppkey, s.s_name, r.total_revenue
-FROM rev r JOIN supplier s USING (s_suppkey)
-WHERE r.total_revenue = (SELECT max(total_revenue) FROM rev)
-ORDER BY r.s_suppkey
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -1666,15 +949,6 @@ def q17_small_quantity_revenue(sf_dir: str) -> pd.DataFrame:
         "avg_yearly": [round(float(tot["rev"].iloc[0]) / 7.0, 4)]})
 
 
-SQL_Q17_SMALL_QUANTITY = f"""
-SELECT round(sum(l_extendedprice) / 7.0, 4) AS avg_yearly
-FROM lineitem JOIN part ON p_partkey = l_partkey
-WHERE p_brand = '{Q17_BRAND}'
-  AND l_quantity < (SELECT 0.2 * avg(l_quantity) FROM lineitem l2
-                    WHERE l2.l_partkey = lineitem.l_partkey)
-"""
-
-
 def q6_forecast_revenue(sf_dir: str) -> pd.DataFrame:
     import pyarrow.dataset as pads
 
@@ -1704,17 +978,6 @@ def q6_forecast_revenue(sf_dir: str) -> pd.DataFrame:
     return pd.DataFrame({
         "revenue": [round(float(agg["revenue"].iloc[0]), 4)],
         "n_items": [np.int64(agg["n_items"].iloc[0])]})
-
-
-SQL_Q6_FORECAST = """
-SELECT round(sum(l_extendedprice * l_discount), 4) AS revenue,
-       CAST(count(*) AS BIGINT) AS n_items
-FROM lineitem
-WHERE l_shipdate >= TIMESTAMP '1996-01-01'
-  AND l_shipdate <  TIMESTAMP '1997-01-01'
-  AND l_discount BETWEEN 0.05 AND 0.07
-  AND l_quantity < 24
-"""
 
 
 def customer_revenue_gini(sf_dir: str) -> pd.DataFrame:
@@ -1748,30 +1011,6 @@ def customer_revenue_gini(sf_dir: str) -> pd.DataFrame:
     })
 
 
-SQL_CUSTOMER_REVENUE_GINI = """
-WITH rev AS (
-  SELECT o_custkey,
-         sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS cents
-  FROM orders GROUP BY 1),
-params AS (
-  SELECT count(*) AS n, sum(cents) AS tot,
-         ceil(count(*) / 100.0) AS k
-  FROM rev),
-ranked AS (
-  SELECT cents,
-         row_number() OVER (ORDER BY cents, o_custkey) AS i,
-         row_number() OVER (ORDER BY cents DESC, o_custkey) AS ri
-  FROM rev)
-SELECT CAST(p.n AS BIGINT) AS n_customers,
-       CAST(p.tot AS BIGINT) AS total_cents,
-       round(2.0 * sum(CAST(i AS DOUBLE) * cents) / (p.n * p.tot)
-             - (p.n + 1.0) / p.n, 6) AS gini,
-       round(sum(CASE WHEN ri <= p.k THEN CAST(cents AS DOUBLE) ELSE 0 END)
-             / p.tot, 6) AS top1pct_share
-FROM ranked, params p GROUP BY p.n, p.tot, p.k
-"""
-
-
 def benford_totalprice(sf_dir: str) -> pd.DataFrame:
     from ...state.aggregates import tree_aggregate
 
@@ -1796,20 +1035,6 @@ def benford_totalprice(sf_dir: str) -> pd.DataFrame:
             np.log10(1.0 + 1.0 / agg["digit"].to_numpy(np.float64)), 6),
     })
     return out.sort_values("digit", ignore_index=True)
-
-
-SQL_BENFORD = """
-WITH d AS (
-  SELECT CAST(substr(CAST(CAST(floor(o_totalprice) AS BIGINT) AS VARCHAR),
-                     1, 1) AS BIGINT) AS digit
-  FROM orders),
-c AS (SELECT digit, CAST(count(*) AS BIGINT) AS n FROM d
-      WHERE digit > 0 GROUP BY digit)
-SELECT digit, n,
-       round(CAST(n AS DOUBLE) / (SELECT sum(n) FROM c), 6) AS share,
-       round(log10(1.0 + 1.0 / digit), 6) AS benford_p
-FROM c ORDER BY digit
-"""
 
 
 def supplier_balance_pctrank(sf_dir: str) -> pd.DataFrame:
@@ -1851,15 +1076,6 @@ def supplier_balance_pctrank(sf_dir: str) -> pd.DataFrame:
     out = out.merge(nation, left_on="s_nationkey", right_on="n_nationkey")
     return out[["s_suppkey", "n_name", "pct_rank"]].sort_values(
         "s_suppkey", ignore_index=True)
-
-
-SQL_SUPPLIER_PCTRANK = """
-SELECT s_suppkey, n_name,
-       round(percent_rank() OVER (PARTITION BY s_nationkey
-                                  ORDER BY s_acctbal), 6) AS pct_rank
-FROM supplier JOIN nation ON n_nationkey = s_nationkey
-ORDER BY s_suppkey
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -1944,24 +1160,6 @@ def q7_volume_shipping(sf_dir: str) -> pd.DataFrame:
     agg["l_year"] = agg["l_year"].astype(np.int64)
     return agg.sort_values(["supp_nation", "cust_nation", "l_year"],
                            kind="mergesort", ignore_index=True)
-
-
-SQL_Q7_VOLUME_SHIPPING = f"""
-SELECT sn.n_name AS supp_nation, cn.n_name AS cust_nation,
-       CAST(year(l_shipdate) AS BIGINT) AS l_year,
-       round(sum(l_extendedprice * (1 - l_discount)), 4) AS revenue
-FROM lineitem
-JOIN orders ON l_orderkey = o_orderkey
-JOIN supplier ON l_suppkey = s_suppkey
-JOIN customer ON o_custkey = c_custkey
-JOIN nation sn ON s_nationkey = sn.n_nationkey
-JOIN nation cn ON c_nationkey = cn.n_nationkey
-WHERE ((sn.n_name = '{Q7_NATIONS[0]}' AND cn.n_name = '{Q7_NATIONS[1]}')
-    OR (sn.n_name = '{Q7_NATIONS[1]}' AND cn.n_name = '{Q7_NATIONS[0]}'))
-  AND l_shipdate >= TIMESTAMP '{Q7_SHIP_WINDOW[0]}'
-  AND l_shipdate <  TIMESTAMP '{Q7_SHIP_WINDOW[1]}'
-GROUP BY 1, 2, 3 ORDER BY 1, 2, 3
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -2063,29 +1261,6 @@ def q8_market_share(sf_dir: str) -> pd.DataFrame:
     return out.sort_values("o_year", ignore_index=True)
 
 
-SQL_Q8_MARKET_SHARE = f"""
-WITH vol AS (
-  SELECT year(o_orderdate) AS o_year,
-         l_extendedprice * (1 - l_discount) AS volume,
-         sn.n_name AS supp_nation
-  FROM lineitem
-  JOIN part ON l_partkey = p_partkey
-  JOIN orders ON l_orderkey = o_orderkey
-  JOIN customer ON o_custkey = c_custkey
-  JOIN nation cn ON c_nationkey = cn.n_nationkey
-  JOIN region ON cn.n_regionkey = r_regionkey
-  JOIN supplier ON l_suppkey = s_suppkey
-  JOIN nation sn ON s_nationkey = sn.n_nationkey
-  WHERE r_name = '{Q8_REGION}' AND p_type = '{Q8_TYPE}'
-    AND o_orderdate >= TIMESTAMP '{Q8_ORDER_WINDOW[0]}'
-    AND o_orderdate <  TIMESTAMP '{Q8_ORDER_WINDOW[1]}')
-SELECT CAST(o_year AS BIGINT) AS o_year,
-       round(sum(CASE WHEN supp_nation = '{Q8_NATION}' THEN volume
-                      ELSE 0 END) / sum(volume), 6) AS mkt_share
-FROM vol GROUP BY 1 ORDER BY 1
-"""
-
-
 # ---------------------------------------------------------------------------
 # TPC-H Q9-style product-type profit by (supplier nation, order year). The
 # test tables carry no partsupp, so supply cost is proxied as
@@ -2159,21 +1334,6 @@ def q9_profit_by_nation_year(sf_dir: str) -> pd.DataFrame:
     return agg.sort_values(["n_name", "o_year"],
                            ascending=[True, False],
                            kind="mergesort", ignore_index=True)
-
-
-SQL_Q9_PROFIT = f"""
-SELECT n_name, CAST(year(o_orderdate) AS BIGINT) AS o_year,
-       round(sum(l_extendedprice * (1 - l_discount)
-                 - {Q9_COST_FACTOR} * p_retailprice * l_quantity), 4)
-           AS profit
-FROM lineitem
-JOIN part ON l_partkey = p_partkey
-JOIN orders ON l_orderkey = o_orderkey
-JOIN supplier ON l_suppkey = s_suppkey
-JOIN nation ON s_nationkey = n_nationkey
-WHERE p_name LIKE '%{Q9_NAME_SUBSTR}%'
-GROUP BY 1, 2 ORDER BY n_name, o_year DESC
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -2260,28 +1420,6 @@ def q2_min_cost_supplier(sf_dir: str) -> pd.DataFrame:
         kind="mergesort", ignore_index=True).head(100)
 
 
-SQL_Q2_MIN_COST_SUPPLIER = f"""
-WITH u AS (
-  SELECT l_partkey AS p_partkey, l_suppkey AS s_suppkey,
-         l_extendedprice / l_quantity AS unit
-  FROM lineitem JOIN part ON l_partkey = p_partkey
-  WHERE p_size = {Q2_SIZE}),
-w AS (
-  SELECT DISTINCT p_partkey, s_suppkey, unit
-  FROM (SELECT p_partkey, s_suppkey, unit,
-               min(unit) OVER (PARTITION BY p_partkey) AS mn FROM u)
-  WHERE unit = mn)
-SELECT round(s_acctbal, 2) AS s_acctbal, s_name, n_name,
-       w.p_partkey AS p_partkey, w.s_suppkey AS s_suppkey,
-       round(unit, 6) AS min_price
-FROM w
-JOIN supplier ON w.s_suppkey = supplier.s_suppkey
-JOIN nation ON s_nationkey = n_nationkey
-ORDER BY s_acctbal DESC, n_name, s_name, w.p_partkey, w.s_suppkey
-LIMIT 100
-"""
-
-
 # ---------------------------------------------------------------------------
 # TPC-H Q11-style important parts: per-part supply value from one nation's
 # suppliers, filtered by a GLOBAL scalar threshold. The threshold is a
@@ -2349,21 +1487,6 @@ def q11_important_parts(sf_dir: str) -> pd.DataFrame:
                            kind="mergesort", ignore_index=True).head(100)
     out["p_partkey"] = out["p_partkey"].astype(np.int64)
     return out[["p_partkey", "value"]]
-
-
-SQL_Q11_IMPORTANT_PARTS = f"""
-WITH pv AS (
-  SELECT l_partkey AS p_partkey,
-         round(sum(l_extendedprice * l_quantity), 4) AS value
-  FROM lineitem
-  JOIN supplier ON l_suppkey = s_suppkey
-  JOIN nation ON s_nationkey = n_nationkey
-  WHERE n_name = '{Q11_NATION}'
-  GROUP BY 1)
-SELECT p_partkey, value FROM pv
-WHERE value > (SELECT max(value) FROM pv) * {Q11_FRACTION}
-ORDER BY value DESC, p_partkey LIMIT 100
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -2452,28 +1575,6 @@ def q21_waiting_suppliers(sf_dir: str) -> pd.DataFrame:
                            kind="mergesort", ignore_index=True).head(20)
 
 
-SQL_Q21_WAITING_SUPPLIERS = f"""
-WITH li AS (
-  SELECT l_orderkey, l_suppkey, l_shipdate, o_orderdate
-  FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-  WHERE o_orderstatus = 'F'),
-per AS (
-  SELECT l_orderkey,
-         count(DISTINCT l_suppkey) AS nsupp,
-         count(DISTINCT CASE WHEN l_shipdate
-                  > o_orderdate + INTERVAL {Q21_LATE_DAYS} DAY
-                  THEN l_suppkey END) AS nlate,
-         min(CASE WHEN l_shipdate
-                  > o_orderdate + INTERVAL {Q21_LATE_DAYS} DAY
-                  THEN l_suppkey END) AS lsupp
-  FROM li GROUP BY 1)
-SELECT s_name, CAST(count(*) AS BIGINT) AS numwait
-FROM per JOIN supplier ON lsupp = s_suppkey
-WHERE nsupp >= 2 AND nlate = 1
-GROUP BY s_name ORDER BY numwait DESC, s_name LIMIT 20
-"""
-
-
 def orders_monthly_growth(sf_dir: str) -> pd.DataFrame:
     from ...state.aggregates import tree_aggregate
 
@@ -2502,19 +1603,6 @@ def orders_monthly_growth(sf_dir: str) -> pd.DataFrame:
     })
     # the first month has no predecessor — dropped on both sides
     return out[prev.notna().to_numpy()].reset_index(drop=True)
-
-
-SQL_MONTHLY_GROWTH = """
-WITH m AS (
-  SELECT date_trunc('month', o_orderdate) AS month,
-         round(sum(o_totalprice), 4) AS revenue
-  FROM orders GROUP BY 1),
-g AS (
-  SELECT month, revenue, lag(revenue) OVER (ORDER BY month) AS prev
-  FROM m)
-SELECT month, revenue, round((revenue - prev) / prev, 6) AS mom_growth
-FROM g WHERE prev IS NOT NULL ORDER BY month
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -2599,25 +1687,6 @@ def q20_dominant_suppliers(sf_dir: str) -> pd.DataFrame:
     return out.reset_index(drop=True)
 
 
-SQL_Q20_DOMINANT_SUPPLIERS = f"""
-WITH f AS (
-  SELECT l_partkey AS p_partkey, l_suppkey AS s_suppkey,
-         CAST(l_quantity AS BIGINT) AS qty
-  FROM lineitem JOIN part ON l_partkey = p_partkey
-  WHERE p_name LIKE '%{Q20_NAME_SUBSTR}%'
-    AND l_shipdate >= TIMESTAMP '{Q20_WINDOW[0]}'
-    AND l_shipdate <  TIMESTAMP '{Q20_WINDOW[1]}'),
-ps AS (SELECT p_partkey, s_suppkey, sum(qty) AS sup_qty
-       FROM f GROUP BY 1, 2),
-pt AS (SELECT p_partkey, sum(qty) AS part_qty FROM f GROUP BY 1)
-SELECT DISTINCT s_name
-FROM ps JOIN pt ON ps.p_partkey = pt.p_partkey
-JOIN supplier ON ps.s_suppkey = supplier.s_suppkey
-WHERE 2 * sup_qty > part_qty
-ORDER BY s_name
-"""
-
-
 # ---------------------------------------------------------------------------
 # TPC-H Q12-style shipping-delay audit: each order's WORST lineitem delay
 # (max ship lag in days), bucketed late/ontime, counted by high/low order
@@ -2687,138 +1756,3 @@ def q12_priority_by_delay(sf_dir: str) -> pd.DataFrame:
     agg["order_count"] = agg["order_count"].astype(np.int64)
     return agg.sort_values(["delay_bucket", "priority_class"],
                            kind="mergesort", ignore_index=True)
-
-
-SQL_Q12_PRIORITY_BY_DELAY = f"""
-WITH per AS (
-  SELECT o_orderkey,
-         max(date_diff('day', o_orderdate, l_shipdate)) AS delay,
-         min(o_orderpriority) AS pr
-  FROM lineitem JOIN orders ON l_orderkey = o_orderkey
-  GROUP BY 1)
-SELECT CASE WHEN delay > {Q12_LATE_DAYS} THEN 'late' ELSE 'ontime' END
-           AS delay_bucket,
-       CASE WHEN pr IN ('{Q12_HIGH[0]}', '{Q12_HIGH[1]}') THEN 'high'
-            ELSE 'low' END AS priority_class,
-       CAST(count(*) AS BIGINT) AS order_count
-FROM per GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-
-__all__ = [
-    'BUDGET_FRACTION',
-    'CHI2_VALUE_EDGES',
-    'COPURCHASE_TOPN',
-    'PROFILE_INT_COLS',
-    'PROFILE_P',
-    'PROFILE_STR_COLS',
-    'Q10_WINDOW',
-    'Q11_FRACTION',
-    'Q11_NATION',
-    'Q12_HIGH',
-    'Q12_LATE_DAYS',
-    'Q14_YEAR',
-    'Q15_QUARTER',
-    'Q17_BRAND',
-    'Q18_MIN_QTY',
-    'Q19_BRACKETS',
-    'Q20_NAME_SUBSTR',
-    'Q20_WINDOW',
-    'Q21_LATE_DAYS',
-    'Q22_ACTIVE_SINCE',
-    'Q2_SIZE',
-    'Q4_WINDOW',
-    'Q5_REGION',
-    'Q5_YEAR',
-    'Q7_NATIONS',
-    'Q7_SHIP_WINDOW',
-    'Q8_NATION',
-    'Q8_ORDER_WINDOW',
-    'Q8_REGION',
-    'Q8_TYPE',
-    'Q9_COST_FACTOR',
-    'Q9_NAME_SUBSTR',
-    'SQL_BENFORD',
-    'SQL_CHEAPEST_LINEITEM',
-    'SQL_COPURCHASE_TOP_PAIRS',
-    'SQL_CUSTOMER_ORDER_GAPS',
-    'SQL_CUSTOMER_REVENUE_GINI',
-    'SQL_DATE_AGE_BUCKETS',
-    'SQL_MONTHLY_GROWTH',
-    'SQL_NATURAL_SORT_PARTS',
-    'SQL_ORDERS_PER_CUSTOMER',
-    'SQL_PART_SUPPLIER_VARIETY',
-    'SQL_Q10_RETURNED_ITEMS',
-    'SQL_Q11_IMPORTANT_PARTS',
-    'SQL_Q12_PRIORITY_BY_DELAY',
-    'SQL_Q14_PROMO_REVENUE',
-    'SQL_Q15_TOP_SUPPLIER',
-    'SQL_Q17_SMALL_QUANTITY',
-    'SQL_Q18_LARGE_ORDERS',
-    'SQL_Q1_PRICING',
-    'SQL_Q20_DOMINANT_SUPPLIERS',
-    'SQL_Q21_WAITING_SUPPLIERS',
-    'SQL_Q22_IDLE_BALANCE',
-    'SQL_Q2_MIN_COST_SUPPLIER',
-    'SQL_Q3_REVENUE_JOIN',
-    'SQL_Q4_ORDER_PRIORITY',
-    'SQL_Q5_LOCAL_SUPPLIER',
-    'SQL_Q6_FORECAST',
-    'SQL_Q7_VOLUME_SHIPPING',
-    'SQL_Q8_MARKET_SHARE',
-    'SQL_Q9_PROFIT',
-    'SQL_REVENUE_BY_NATION',
-    'SQL_ROLLUP_REVENUE',
-    'SQL_RUNNING_REVENUE',
-    'SQL_SHIPPED_WITHIN_90D',
-    'SQL_SUPPLIER_PCTRANK',
-    'SQL_TOKEN_BUDGET',
-    'SQL_TOP10_CUSTOMERS',
-    '_DECON_EVAL_MAX',
-    '_DECON_W',
-    '_chi2_sql',
-    '_decontamination_sql',
-    '_hll_scalar_sql',
-    '_profile_sql',
-    '_q19_sql',
-    'benford_totalprice',
-    'cheapest_lineitem_per_order',
-    'copurchase_top_pairs',
-    'customer_order_gaps',
-    'customer_revenue_gini',
-    'customer_running_revenue',
-    'date_age_buckets',
-    'decontamination_report',
-    'natural_sort_parts',
-    'orders_monthly_growth',
-    'orders_per_customer_histogram',
-    'part_supplier_variety',
-    'priority_value_chi2',
-    'profile_lineitem',
-    'q10_returned_items',
-    'q11_important_parts',
-    'q12_priority_by_delay',
-    'q14_promo_revenue',
-    'q15_top_supplier',
-    'q17_small_quantity_revenue',
-    'q18_large_orders',
-    'q19_bracket_revenue',
-    'q1_pricing',
-    'q20_dominant_suppliers',
-    'q21_waiting_suppliers',
-    'q22_idle_balance',
-    'q2_min_cost_supplier',
-    'q3_revenue_join',
-    'q4_order_priority',
-    'q5_local_supplier_volume',
-    'q6_forecast_revenue',
-    'q7_volume_shipping',
-    'q8_market_share',
-    'q9_profit_by_nation_year',
-    'q_shipped_within_90d',
-    'revenue_by_nation',
-    'rollup_revenue',
-    'supplier_balance_pctrank',
-    'token_budget_allocation',
-    'top10_customers_revenue',
-]

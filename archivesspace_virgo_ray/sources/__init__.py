@@ -1,4 +1,5 @@
-"""Source helpers.
+"""Source helpers: ``aspace_dump`` loads an ArchivesSpace REST dump into the
+long doc table, ``xmlio`` parses Solr-add XML back into that table.
 
 The reference's sources (REST list/point-lookup, Solr paged scan, directory
 mtime scan — SURVEY.md §2.1) map onto Ray Data reads and joins rather than

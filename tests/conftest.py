@@ -1,4 +1,4 @@
-"""Session-wide Ray fixture — one ray.init per pytest session (driver contract)."""
+"""Session-wide Ray fixture — one ray.init per pytest session."""
 
 from __future__ import annotations
 

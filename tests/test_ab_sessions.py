@@ -5,7 +5,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from archivesspace_virgo_ray.pipelines.queries import (
+from archivesspace_virgo_ray.pipelines.oracles.events import (
     SESSION_GAP_MIN,
     ab_conversion_ztest,
     event_session_ids,
@@ -58,39 +58,8 @@ def test_session_ids_gap_semantics(ray_session, tmp_path):
     assert out.loc[5, "session_id"] == 1
 
 
-def test_skipgram_window_counts(ray_session, tmp_path):
-    from archivesspace_virgo_ray.pipelines.queries import (
-        SKIPGRAM_MIN_N,
-        skipgram_pmi_top20,
-    )
-
-    d = tmp_path / "sf"
-    # "x y" adjacent 6 times -> n(x,y) >= MIN_N; pair canonicalized (x, y)
-    # lexicographically regardless of order of appearance ("y x" too)
-    texts = ["x y x y x y", "y x y x y x", "z z z z z z z"]
-    _write(d, "documents", pa.table({
-        "doc_id": pa.array([0, 1, 2], pa.int64()),
-        "text": pa.array(texts, pa.string()),
-        "lang": pa.array(["en"] * 3, pa.string()),
-        "source": pa.array(["s"] * 3, pa.string()),
-        "n_chars": pa.array([len(t) for t in texts], pa.int64()),
-    }))
-    out = skipgram_pmi_top20(str(d))
-    xy = out[(out["a"] == "x") & (out["b"] == "y")]
-    assert len(xy) == 1
-    # 6 tokens per doc, window 4: offsets 1..4 -> 5+4+3+2 = 14 pairs/doc,
-    # all (x, y) mixed; two docs -> 28 total... minus same-token pairs:
-    # alternating x y means offset-2 and offset-4 pairs are (x,x)/(y,y).
-    # offsets 1 and 3: 5 + 3 = 8 cross pairs per doc -> 16 (x,y) total.
-    assert int(xy["n"].iloc[0]) == 16
-    assert SKIPGRAM_MIN_N <= 16
-    # (z,z) self-pairs allowed and counted within window
-    zz = out[(out["a"] == "z") & (out["b"] == "z")]
-    assert len(zz) == 1 and int(zz["n"].iloc[0]) == 6 + 5 + 4 + 3
-
-
 def test_supplier_pctrank_ties_and_singleton(ray_session, tmp_path):
-    from archivesspace_virgo_ray.pipelines.queries import (
+    from archivesspace_virgo_ray.pipelines.oracles.tpch import (
         supplier_balance_pctrank,
     )
 
@@ -114,31 +83,10 @@ def test_supplier_pctrank_ties_and_singleton(ray_session, tmp_path):
     assert out.loc[5, "pct_rank"] == 0.0
 
 
-def test_burstiness_poisson_vs_bursty(ray_session, tmp_path):
-    from archivesspace_virgo_ray.pipelines.queries import term_burstiness_top20
-
-    d = tmp_path / "sf"
-    # 'u' appears once in each of 4 docs (uniform; vmr = (1/4*1 - 1/16)... )
-    # 'b' appears 4 times in one doc only (bursty)
-    texts = ["u b b b b", "u", "u", "u"]
-    _write(d, "documents", pa.table({
-        "doc_id": pa.array([0, 1, 2, 3], pa.int64()),
-        "text": pa.array(texts, pa.string()),
-        "lang": pa.array(["en"] * 4, pa.string()),
-        "source": pa.array(["s"] * 4, pa.string()),
-        "n_chars": pa.array([len(t) for t in texts], pa.int64()),
-    }))
-    out = term_burstiness_top20(str(d)).set_index("term")
-    # u: mean 1, var 0 -> vmr 0; b: mean 1, E[x^2]=4 -> var 3 -> vmr 3
-    assert out.loc["u", "vmr"] == 0.0
-    assert out.loc["b", "vmr"] == 3.0
-    assert out.loc["b", "df"] == 1 and out.loc["b", "total_tf"] == 4
-
-
 def test_silhouette_separated_blobs(ray_session, tmp_path):
     import numpy as np
 
-    from archivesspace_virgo_ray.pipelines.queries import label_silhouette
+    from archivesspace_virgo_ray.pipelines.oracles.ann import label_silhouette
 
     d = tmp_path / "sf"
     rng = np.random.default_rng(9)

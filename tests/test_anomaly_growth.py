@@ -6,8 +6,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from archivesspace_virgo_ray.pipelines.queries import (
+from archivesspace_virgo_ray.pipelines.oracles.events import (
     events_anomaly_zscore,
+)
+from archivesspace_virgo_ray.pipelines.oracles.tpch import (
     orders_monthly_growth,
 )
 

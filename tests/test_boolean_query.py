@@ -178,3 +178,26 @@ def test_marker_detection():
     assert has_boolean_operators("(x y)")
     assert not has_boolean_operators("band operator android")
     assert not has_boolean_operators('+must -not "a phrase"~1 pref*')
+
+
+@pytest.mark.parametrize("q, token", [
+    ("apple AND -banana", "-banana"),
+    ("+apple OR banana", "+apple"),
+    ("title:banana AND apple", "title:banana"),
+    ("(pre* OR apple)", "pre*"),
+    ("apple AND ba?ana", "ba?ana"),
+])
+def test_unsupported_atoms_rejected(q, token):
+    """Signed, fielded and wildcard atoms have no exact meaning inside a
+    tree; they must raise naming the token, not parse as plain terms."""
+    with pytest.raises(ValueError) as exc:
+        parse_boolean(q)
+    assert repr(token) in str(exc.value)
+
+
+def test_inner_hyphen_stays_or_of_terms():
+    tree = parse_boolean("foo-bar AND baz")
+    assert tree.op == "and"
+    inner, last = tree.children
+    assert inner.op == "or" and [c.leaf for c in inner.children] == ["foo", "bar"]
+    assert last.op == "term" and last.leaf == "baz"

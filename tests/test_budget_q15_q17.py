@@ -5,7 +5,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from archivesspace_virgo_ray.pipelines.queries import (
+from archivesspace_virgo_ray.pipelines.oracles.tpch import (
     Q15_QUARTER,
     Q17_BRAND,
     q6_forecast_revenue,
@@ -92,7 +92,9 @@ def test_q6_filter_band(ray_session, tmp_path):
 
 
 def test_gini_uniform_and_concentrated(ray_session, tmp_path):
-    from archivesspace_virgo_ray.pipelines.queries import customer_revenue_gini
+    from archivesspace_virgo_ray.pipelines.oracles.tpch import (
+        customer_revenue_gini,
+    )
 
     d = tmp_path / "sf"
     # perfectly equal: gini == 0
@@ -120,7 +122,9 @@ def test_gini_uniform_and_concentrated(ray_session, tmp_path):
 def test_benford_digits(ray_session, tmp_path):
     import numpy as np
 
-    from archivesspace_virgo_ray.pipelines.queries import benford_totalprice
+    from archivesspace_virgo_ray.pipelines.oracles.tpch import (
+        benford_totalprice,
+    )
 
     d = tmp_path / "sf"
     _write(d, "orders", pa.table({

@@ -1,32 +1,14 @@
-"""Round-4 continuation: ordered string_agg, grouped MAD, Pareto frontier."""
+"""Round-4 continuation: grouped MAD."""
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from archivesspace_virgo_ray.pipelines.queries import (
-    _frontier_final,
-    doc_pareto_frontier,
-    source_lang_concat,
-    value_mad_by_type,
-)
+from archivesspace_virgo_ray.pipelines.oracles.events import value_mad_by_type
 
 
 def _write(d, name, table):
     d.mkdir(parents=True, exist_ok=True)
     pq.write_table(table, str(d / f"{name}.parquet"))
-
-
-def test_source_lang_concat_sorted_distinct(ray_session, tmp_path):
-    d = tmp_path / "sf"
-    _write(d, "documents", pa.table({
-        "source": pa.array(["a", "a", "a", "b"], pa.string()),
-        "lang": pa.array(["fr", "en", "fr", "de"], pa.string()),
-    }))
-    out = source_lang_concat(str(d)).set_index("source")
-    assert out.loc["a", "langs"] == "en,fr"
-    assert out.loc["a", "n_langs"] == 2
-    assert out.loc["b", "langs"] == "de"
 
 
 def test_mad_planted(ray_session, tmp_path):
@@ -45,71 +27,3 @@ def test_mad_planted(ray_session, tmp_path):
     assert out.loc["B", "mad"] == 0.0
 
 
-def test_frontier_semantics():
-    import pandas as pd
-
-    df = pd.DataFrame({
-        "doc_id": [1, 2, 3, 4, 5],
-        "ttr":     [0.9, 0.9, 0.5, 0.5, 0.3],
-        "n_chars": [10, 8, 20, 20, 15],
-    })
-    # 1 dominates 2 (same ttr, more chars); 3 and 4 tie exactly (both kept);
-    # 5 dominated by 3/4 on both axes
-    out = _frontier_final(df)
-    assert sorted(out["doc_id"].tolist()) == [1, 3, 4]
-
-
-def test_pareto_entry_planted(ray_session, tmp_path):
-    d = tmp_path / "sf"
-    texts = [
-        "a b c",            # ttr 1.0, short     -> frontier
-        "a a a a a a a a",  # ttr 0.125, longer  -> frontier iff longest
-        "x y z w q r s t",  # ttr 1.0, longer    -> dominates doc 0
-    ]
-    _write(d, "documents", pa.table({
-        "doc_id": pa.array([0, 1, 2], pa.int64()),
-        "text": pa.array(texts, pa.string()),
-        "lang": pa.array(["en"] * 3, pa.string()),
-        "source": pa.array(["s"] * 3, pa.string()),
-        "n_chars": pa.array([len(t) for t in texts], pa.int64()),
-    }))
-    out = doc_pareto_frontier(str(d))
-    # doc 2 has ttr 1.0 AND max chars among ttr-1.0; doc 1 has lower ttr but
-    # its n_chars (23? no—16) is LESS than doc 2's (15)? lengths: doc1=15,
-    # doc2=15 -> doc1 tied on chars, lower ttr -> dominated.
-    assert 2 in out["doc_id"].tolist()
-    assert 0 not in out["doc_id"].tolist()
-
-
-def test_zscore_by_lang_planted(ray_session, tmp_path):
-    from archivesspace_virgo_ray.pipelines.queries import zscore_nchars_by_lang
-
-    d = tmp_path / "sf"
-    _write(d, "documents", pa.table({
-        "doc_id": pa.array([0, 1, 2, 3], pa.int64()),
-        "lang": pa.array(["en", "en", "en", "fr"], pa.string()),
-        "n_chars": pa.array([10, 20, 30, 7], pa.int64()),
-    }))
-    out = zscore_nchars_by_lang(str(d)).to_pandas().set_index("doc_id")
-    sd = np.sqrt(((np.array([10, 20, 30]) - 20.0) ** 2).mean())
-    assert out.loc[0, "z_chars"] == round(-10.0 / sd, 6)
-    assert out.loc[1, "z_chars"] == 0.0
-    # single-doc group: sd == 0 -> z defined as 0
-    assert out.loc[3, "z_chars"] == 0.0
-
-
-def test_audio_features_roundtrip_matches_raw(ray_session):
-    from archivesspace_virgo_ray.pipelines.multimodal import (
-        AudioFeatureStage,
-        _audio_summary,
-        audio_sample_stream,
-    )
-    from archivesspace_virgo_ray.pipelines.queries import audio_features
-
-    out = audio_features("unused").set_index("item_id")
-    proj = np.random.default_rng(4321).standard_normal(
-        (32, AudioFeatureStage.FEATURE_DIM))
-    rate, samples = next(audio_sample_stream(1, 6))
-    expect = np.round(_audio_summary(rate, samples) @ proj, 6)
-    got = out.loc[0].to_numpy()
-    assert np.array_equal(got, expect)

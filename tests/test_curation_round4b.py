@@ -1,13 +1,10 @@
-"""Round-4 continuation: canonical-doc-per-cluster selection, embedding
-label-outlier mining, per-doc lexical diversity (TTR)."""
+"""Round-4 continuation: embedding label-outlier mining."""
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from archivesspace_virgo_ray.pipelines.queries import (
-    cluster_canonical_docs,
-    doc_ttr_stats,
+from archivesspace_virgo_ray.pipelines.oracles.ann import (
     embedding_label_outliers,
 )
 
@@ -15,44 +12,6 @@ from archivesspace_virgo_ray.pipelines.queries import (
 def _write(d, name, table):
     d.mkdir(parents=True, exist_ok=True)
     pq.write_table(table, str(d / f"{name}.parquet"))
-
-
-def test_cluster_canonical_picks_longest(ray_session, tmp_path):
-    d = tmp_path / "sf"
-    # docs 0/1/2 near-identical (one cluster); doc 3 unique. doc 1 longest.
-    base = "alpha beta gamma delta epsilon zeta eta theta iota kappa"
-    texts = [base, base + " lambda", base + " mu", "totally different words here"]
-    _write(d, "documents", pa.table({
-        "doc_id": pa.array([0, 1, 2, 3], pa.int64()),
-        "text": pa.array(texts, pa.string()),
-        "lang": pa.array(["en"] * 4, pa.string()),
-        "source": pa.array(["s"] * 4, pa.string()),
-        "n_chars": pa.array([len(t) for t in texts], pa.int64()),
-    }))
-    out = cluster_canonical_docs(str(d))
-    assert len(out) == 1
-    r = out.iloc[0]
-    assert r["rep_id"] == 0  # min doc id of the component
-    assert r["cluster_size"] == 3
-    # doc 1 and doc 2 tie on nothing: doc 1 has the longer suffix
-    assert r["canonical_doc_id"] == 1
-    assert r["canonical_n_chars"] == len(texts[1])
-
-
-def test_cluster_canonical_empty_corpus(ray_session, tmp_path):
-    d = tmp_path / "sf"
-    texts = ["one two three", "four five six"]
-    _write(d, "documents", pa.table({
-        "doc_id": pa.array([0, 1], pa.int64()),
-        "text": pa.array(texts, pa.string()),
-        "lang": pa.array(["en"] * 2, pa.string()),
-        "source": pa.array(["s"] * 2, pa.string()),
-        "n_chars": pa.array([len(t) for t in texts], pa.int64()),
-    }))
-    out = cluster_canonical_docs(str(d))
-    assert len(out) == 0
-    assert list(out.columns) == ["rep_id", "canonical_doc_id",
-                                 "cluster_size", "canonical_n_chars"]
 
 
 def test_label_outliers_planted(ray_session, tmp_path):
@@ -77,20 +36,3 @@ def test_label_outliers_planted(ray_session, tmp_path):
     assert out["dist2"].is_monotonic_decreasing
 
 
-def test_doc_ttr_planted(ray_session, tmp_path):
-    d = tmp_path / "sf"
-    _write(d, "documents", pa.table({
-        "doc_id": pa.array([0, 1], pa.int64()),
-        # doc 0: 5 tokens, 3 distinct (a×3, b, c), hapax b,c
-        # doc 1: all distinct
-        "text": pa.array(["a a b a c", "x y z"], pa.string()),
-        "lang": pa.array(["en", "en"], pa.string()),
-        "source": pa.array(["s", "s"], pa.string()),
-        "n_chars": pa.array([9, 5], pa.int64()),
-    }))
-    out = doc_ttr_stats(str(d)).to_pandas().set_index("doc_id")
-    assert out.loc[0, "n_tokens"] == 5
-    assert out.loc[0, "distinct_terms"] == 3
-    assert out.loc[0, "hapax_terms"] == 2
-    assert out.loc[0, "ttr"] == round(3 / 5, 6)
-    assert out.loc[1, "ttr"] == 1.0

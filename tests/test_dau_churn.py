@@ -5,7 +5,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from archivesspace_virgo_ray.pipelines.queries import (
+from archivesspace_virgo_ray.pipelines.oracles.events import (
     CHURN_CUTOFF,
     churn_training_table,
     rolling_7d_active_users,

@@ -662,7 +662,7 @@ def test_mmr_entry_matches_sql_oracle(ray_session):
     10-step DuckDB greedy bit-for-bit at sf0.001."""
     import duckdb
 
-    from archivesspace_virgo_ray.pipelines.queries import (
+    from archivesspace_virgo_ray.pipelines.oracles.ann import (
         _knn_mmr_sql,
         knn_mmr_top10,
     )
@@ -1091,3 +1091,44 @@ def test_corpus_clean_auto_materialize_switch(ray_session, docs_df):
         curation.CORPUS_CLEAN_MATERIALIZE_MAX_ROWS = old
     forced = forced.to_pandas() if hasattr(forced, "to_pandas") else forced
     assert sorted(base["doc_id"]) == sorted(forced["doc_id"])
+
+
+def test_tfidf_keywords_partition_invariant_and_exact(ray_session):
+    """tfidf_keywords matches a direct pandas computation and is invariant
+    to input partitioning; empty docs emit no rows."""
+    import ray.data
+
+    from archivesspace_virgo_ray.functions.tokenize import TOKEN_RE
+    from archivesspace_virgo_ray.pipelines.textstats import tfidf_keywords
+
+    docs = pd.DataFrame({
+        "doc_id": pd.Series([1, 2, 3, 4], dtype=np.int64),
+        "text": [
+            "apple apple banana cherry",
+            "banana banana banana apple",
+            "cherry dates",
+            "",
+        ],
+    })
+    toks = {d: TOKEN_RE.findall(t.lower()) for d, t in zip(docs.doc_id, docs.text)}
+    vocab_set = sorted({t for ts in toks.values() for t in ts})
+    dfs = np.array([sum(t in set(ts) for ts in toks.values()) for t in vocab_set],
+                   dtype=np.int64)
+    vocab = np.asarray(vocab_set, dtype=object)
+    n = len(docs)
+
+    a = tfidf_keywords(ray.data.from_pandas(docs).repartition(1),
+                       vocab, dfs, n, k=2).to_pandas()
+    b = tfidf_keywords(ray.data.from_pandas(docs).repartition(3),
+                       vocab, dfs, n, k=2).to_pandas()
+    key = ["doc_id", "rank"]
+    pd.testing.assert_frame_equal(a.sort_values(key, ignore_index=True),
+                                  b.sort_values(key, ignore_index=True))
+    a = a.sort_values(key, ignore_index=True)
+    assert 4 not in set(a["doc_id"])  # empty doc: no keywords
+    # doc 1: apple tf=2 df=2, banana tf=1 df=2, cherry tf=1 df=2 ->
+    # top1 apple (tf 2), top2 banana (tie with cherry, term asc)
+    d1 = a[a.doc_id == 1]
+    assert d1["term"].tolist() == ["apple", "banana"]
+    want_top = round(2 * np.log((n + 1) / (2 + 1)), 6)
+    assert d1["tfidf"].iloc[0] == pytest.approx(want_top, abs=1e-9)

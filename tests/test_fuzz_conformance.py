@@ -11,6 +11,8 @@ from archivesspace_virgo_ray.index.build import BuildConfig, build_index
 from archivesspace_virgo_ray.index.query import LocalSearcher
 from archivesspace_virgo_ray.index.update import add_documents
 from archivesspace_virgo_ray.oracle import OracleIndex
+from archivesspace_virgo_ray.pipelines.dedup import _perm_params
+from archivesspace_virgo_ray.pipelines.oracles.common import TOK_SQL
 
 VOCAB = ["aa", "bb", "cc", "dd", "ee", "the", "x1", "y2", "z3", "needle_q"]
 
@@ -245,6 +247,155 @@ def test_fuzz_filtered_conjunctive_vs_oracle(seed, tmp_path, ray_session):
         assert got == want, (seed, q, "conj")
 
 
+# DuckDB references for pipelines/dedup.py near-dup operators and
+# pipelines/curation.corpus_clean.
+def _minhash_sql(
+    threshold: float, bands: int, n_perm: int = 128, k_shingle: int = 3,
+    seed: int = 7, final: str = "pairs", source: str = "documents",
+) -> str:
+    """SQL reproduction of dedup.minhash_pairs / minhash_dedup.
+
+    Rebuilds, bit-for-bit against the engine: md5-derived shingle hashes
+    (``dedup._shingle_hashes``), the seeded (a,b) permutation constants
+    (inlined below), numpy's uint64-WRAPPING (a*h + b) %% Mersenne
+    arithmetic, the per-band FNV-1a-style mix over perm order
+    (``minhash_lsh_candidates.bandify``), banded candidate generation, and
+    the exact shingle-Jaccard verify. The engine's MAX_BUCKET=256 skew cap
+    is not modeled — bench-scale buckets are orders of magnitude smaller.
+    ``final="components"`` adds a recursive-CTE transitive closure for the
+    minhash_dedup (doc_id, rep_id) output.
+    """
+    a_c, b_c = _perm_params(n_perm, seed)
+    perm_rows = ", ".join(
+        f"({i}, {int(a_c[i])}, {int(b_c[i])})" for i in range(n_perm)
+    )
+    rpb = n_perm // bands
+    u64 = "18446744073709551616"
+    mers = "2305843009213693951"
+    fnv_off = "14695981039346656037"
+    fnv_prime = "1099511628211"
+    body = f"""
+toks AS (
+  SELECT doc_id, list_filter({TOK_SQL}, x -> x <> '') AS t FROM {source}),
+shing AS (
+  SELECT doc_id, unnest(shingles) AS shingle FROM (
+    SELECT doc_id,
+           CASE WHEN len(t) >= {k_shingle}
+                THEN list_distinct(list_transform(range(1, len(t) - {k_shingle - 2}),
+                     i -> t[i] || ' ' || t[i+1] || ' ' || t[i+2]))
+                WHEN len(t) > 0 THEN [array_to_string(t, ' ')]
+                ELSE [] END AS shingles
+    FROM toks)),
+hashed AS (
+  SELECT doc_id, CAST(('0x' || substr(md5(shingle), 1, 16)) AS UBIGINT) AS h
+  FROM shing
+  UNION ALL
+  SELECT doc_id, CAST(0 AS UBIGINT) FROM toks WHERE len(t) = 0),
+perm(pid, pa, pb) AS (VALUES {perm_rows}),
+sig AS (
+  SELECT doc_id, pid,
+         min(CAST(((CAST(pa AS HUGEINT) * CAST(h AS HUGEINT)) % {u64}
+                   + CAST(pb AS HUGEINT)) % {u64} % {mers} AS UBIGINT)) AS s
+  FROM hashed CROSS JOIN perm GROUP BY doc_id, pid),
+band AS (
+  SELECT doc_id, pid // {rpb} AS band_id, list(s ORDER BY pid) AS sigs
+  FROM sig GROUP BY doc_id, pid // {rpb}),
+bh AS (
+  SELECT doc_id, band_id,
+         list_reduce(list_prepend(CAST({fnv_off} AS UBIGINT), sigs),
+           (acc, v) -> CAST(CAST((CAST(xor(acc, v) AS HUGEINT) * {fnv_prime})
+                            % {u64} AS HUGEINT) AS UBIGINT)) AS h
+  FROM band),
+cand AS (
+  SELECT DISTINCT x.doc_id AS doc_a, y.doc_id AS doc_b
+  FROM bh x JOIN bh y
+    ON x.band_id = y.band_id AND x.h = y.h AND x.doc_id < y.doc_id),
+sizes AS (
+  SELECT t.doc_id, CAST(count(p.shingle) AS BIGINT) AS n
+  FROM toks t LEFT JOIN shing p ON p.doc_id = t.doc_id GROUP BY t.doc_id),
+inter AS (
+  SELECT c.doc_a, c.doc_b, CAST(count(*) AS BIGINT) AS i
+  FROM cand c
+  JOIN shing p1 ON p1.doc_id = c.doc_a
+  JOIN shing p2 ON p2.doc_id = c.doc_b AND p2.shingle = p1.shingle
+  GROUP BY c.doc_a, c.doc_b),
+jac AS (
+  SELECT c.doc_a, c.doc_b,
+         CASE WHEN sa.n = 0 AND sb.n = 0 THEN 1.0
+              ELSE CAST(coalesce(i.i, 0) AS DOUBLE)
+                   / (sa.n + sb.n - coalesce(i.i, 0)) END AS sim
+  FROM cand c
+  LEFT JOIN inter i ON i.doc_a = c.doc_a AND i.doc_b = c.doc_b
+  JOIN sizes sa ON sa.doc_id = c.doc_a
+  JOIN sizes sb ON sb.doc_id = c.doc_b),
+good AS (SELECT doc_a, doc_b, sim FROM jac WHERE sim >= {threshold})"""
+    if final == "cte":
+        return body
+    if final == "pairs":
+        return (
+            "WITH " + body
+            + "\nSELECT doc_a, doc_b, round(sim, 6) AS sim FROM good"
+        )
+    return (
+        "WITH RECURSIVE " + body + f""",
+sym AS (SELECT doc_a AS a, doc_b AS b FROM good
+        UNION SELECT doc_b, doc_a FROM good),
+reach(a, b) AS (
+  SELECT a, b FROM sym
+  UNION
+  SELECT r.a, s.b FROM reach r JOIN sym s ON r.b = s.a WHERE s.b <> r.a)
+SELECT a AS doc_id, least(a, min(b)) AS rep_id FROM reach GROUP BY a"""
+    )
+
+
+def _corpus_clean_sql(min_tokens: int = 10) -> str:
+    mh = _minhash_sql(threshold=0.7, bands=32, final="cte", source="docs2")
+    return f"""
+WITH RECURSIVE keep0 AS (
+  SELECT min(doc_id) AS doc_id FROM documents GROUP BY md5(text)),
+docs2 AS (
+  SELECT d.doc_id, d.text FROM documents d JOIN keep0 k ON k.doc_id = d.doc_id),
+{mh},
+sym AS (SELECT doc_a AS a, doc_b AS b FROM good
+        UNION SELECT doc_b, doc_a FROM good),
+reach(a, b) AS (
+  SELECT a, b FROM sym
+  UNION
+  SELECT r.a, s.b FROM reach r JOIN sym s ON r.b = s.a WHERE s.b <> r.a),
+comp AS (SELECT a AS doc_id, least(a, min(b)) AS rep_id FROM reach GROUP BY a),
+dropped AS (SELECT doc_id FROM comp WHERE doc_id <> rep_id)
+SELECT d.doc_id FROM docs2 d
+WHERE d.doc_id NOT IN (SELECT doc_id FROM dropped)
+  AND len(list_filter(string_split_regex(lower(d.text), '[^a-z0-9_]+'),
+          x -> x <> '')) >= {min_tokens}
+"""
+
+
+SQL_SIMHASH_PAIRS = f"""
+WITH toks AS (
+  SELECT doc_id, unnest(list_filter({TOK_SQL}, x -> x <> '')) AS term FROM documents),
+tf AS (SELECT doc_id, term, CAST(count(*) AS BIGINT) AS c FROM toks GROUP BY 1, 2),
+hashed AS (SELECT doc_id, CAST(('0x' || substr(md5(term), 1, 16)) AS UBIGINT) AS h, c FROM tf),
+bits AS (
+  SELECT doc_id, b.bit,
+         sum(CASE WHEN (h >> CAST(b.bit AS UBIGINT)) & 1 = 1 THEN c ELSE -c END) AS acc
+  FROM hashed CROSS JOIN (SELECT unnest(range(64)) AS bit) b
+  GROUP BY 1, 2),
+sh0 AS (
+  SELECT doc_id,
+         CAST(CAST(sum(CASE WHEN acc > 0 THEN CAST(power(2, bit) AS HUGEINT) ELSE 0 END) AS HUGEINT) AS UBIGINT) AS simhash
+  FROM bits GROUP BY doc_id),
+sh AS (
+  SELECT d.doc_id, CAST(coalesce(s.simhash, 0) AS UBIGINT) AS simhash
+  FROM documents d LEFT JOIN sh0 s USING (doc_id)),
+pairs AS (
+  SELECT a.doc_id AS doc_a, b.doc_id AS doc_b,
+         CAST(bit_count(xor(a.simhash, b.simhash)) AS BIGINT) AS hamming
+  FROM sh a JOIN sh b ON a.doc_id < b.doc_id)
+SELECT doc_a, doc_b, hamming FROM pairs WHERE hamming <= 3
+"""
+
+
 @pytest.mark.parametrize("seed", [5, 17])
 def test_fuzz_near_dup_oracles(seed, tmp_path, ray_session):
     """Engine minhash pairs / clusters / simhash pairs vs their DuckDB SQL
@@ -257,10 +408,6 @@ def test_fuzz_near_dup_oracles(seed, tmp_path, ray_session):
         minhash_dedup,
         minhash_pairs,
         simhash_near_dups,
-    )
-    from archivesspace_virgo_ray.pipelines.queries import (
-        SQL_SIMHASH_PAIRS,
-        _minhash_sql,
     )
 
     rng = np.random.default_rng(seed)
@@ -338,7 +485,6 @@ def test_fuzz_curation_and_snippet_oracles(seed, tmp_path, ray_session):
 
     from archivesspace_virgo_ray.index.snippets import make_snippet
     from archivesspace_virgo_ray.pipelines.curation import corpus_clean
-    from archivesspace_virgo_ray.pipelines.queries import _corpus_clean_sql
 
     rng = np.random.default_rng(seed)
     words = ["Alpha", "beta", "GAMMA_2", "delta", "x9", "The", "mix-3"]

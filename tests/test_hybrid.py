@@ -12,13 +12,13 @@ SF_DIR = "/root/testdata/sf0.001"
 
 @pytest.fixture(scope="module")
 def hybrid_result(ray_session):
-    from archivesspace_virgo_ray.pipelines.queries import hybrid_rrf_topk
+    from archivesspace_virgo_ray.pipelines.oracles.ann import hybrid_rrf_topk
 
     return hybrid_rrf_topk(SF_DIR)
 
 
 def _oracle() -> pd.DataFrame:
-    from archivesspace_virgo_ray.pipelines.queries import _hybrid_sql
+    from archivesspace_virgo_ray.pipelines.oracles.ann import _hybrid_sql
 
     con = duckdb.connect()
     for t in ("documents", "embeddings"):
@@ -37,12 +37,14 @@ def test_hybrid_matches_oracle(hybrid_result):
 def test_hybrid_fuses_both_sides(hybrid_result):
     """Every result doc must come from a side list; docs present in BOTH
     top-HYBRID_DEPTH lists must outrank same-side-only docs of equal rank."""
-    from archivesspace_virgo_ray.pipelines.queries import (
-        BM25_QUERIES,
+    from archivesspace_virgo_ray.pipelines.oracles.ann import (
         HYBRID_DEPTH,
         RRF_K,
-        _build_docs_index,
         _dense_ranked,
+    )
+    from archivesspace_virgo_ray.pipelines.oracles.common import (
+        BM25_QUERIES,
+        _build_docs_index,
         _ranked_topk,
     )
 

@@ -1,56 +1,15 @@
-"""Round-4 continuation: incremental delta dedup vs a base corpus, and
-market-basket co-purchase pair mining."""
+"""Round-4 continuation: market-basket co-purchase pair mining and JSON
+props extraction."""
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from archivesspace_virgo_ray.pipelines.queries import (
-    copurchase_top_pairs,
-    incremental_dedup_new_docs,
-)
+from archivesspace_virgo_ray.pipelines.oracles.tpch import copurchase_top_pairs
 
 
 def _write(d, name, table):
     d.mkdir(parents=True, exist_ok=True)
     pq.write_table(table, str(d / f"{name}.parquet"))
-
-
-def test_incremental_dedup_statuses(ray_session, tmp_path):
-    d = tmp_path / "sf"
-    # 10 docs -> base = first 8 by id, delta = ids 8, 9 (plus planted ids).
-    # Use explicit ids 0..9: cutoff = ids[7] = 7.
-    texts = [f"base doc {i}" for i in range(8)]
-    # delta: doc 8 duplicates base doc 3; doc 9 is new
-    texts += ["base doc 3", "genuinely new text"]
-    _write(d, "documents", pa.table({
-        "doc_id": pa.array(list(range(10)), pa.int64()),
-        "text": pa.array(texts, pa.string()),
-        "lang": pa.array(["en"] * 10, pa.string()),
-        "source": pa.array(["s"] * 10, pa.string()),
-        "n_chars": pa.array([len(t) for t in texts], pa.int64()),
-    }))
-    out = incremental_dedup_new_docs(str(d)).set_index("doc_id")
-    assert list(out.index) == [8, 9]
-    assert out.loc[8, "status"] == "dup_of_base"
-    assert out.loc[9, "status"] == "new"
-
-
-def test_incremental_dedup_within_delta(ray_session, tmp_path):
-    d = tmp_path / "sf"
-    # 15 docs: base = first 12, delta = 12, 13, 14; docs 13 and 14 are
-    # copies of each other (not in base) -> 13 'new', 14 'dup_in_delta'
-    texts = [f"base {i}" for i in range(12)] + ["fresh A", "twin", "twin"]
-    _write(d, "documents", pa.table({
-        "doc_id": pa.array(list(range(15)), pa.int64()),
-        "text": pa.array(texts, pa.string()),
-        "lang": pa.array(["en"] * 15, pa.string()),
-        "source": pa.array(["s"] * 15, pa.string()),
-        "n_chars": pa.array([len(t) for t in texts], pa.int64()),
-    }))
-    out = incremental_dedup_new_docs(str(d)).set_index("doc_id")
-    assert out.loc[12, "status"] == "new"
-    assert out.loc[13, "status"] == "new"
-    assert out.loc[14, "status"] == "dup_in_delta"
 
 
 def test_copurchase_pairs_counted_once_per_order(ray_session, tmp_path):
@@ -71,7 +30,9 @@ def test_copurchase_pairs_counted_once_per_order(ray_session, tmp_path):
 def test_props_k_stats_json_extraction(ray_session, tmp_path):
     import pandas as pd
 
-    from archivesspace_virgo_ray.pipelines.queries import props_k_stats_by_type
+    from archivesspace_virgo_ray.pipelines.oracles.events import (
+        props_k_stats_by_type,
+    )
 
     d = tmp_path / "sf"
     _write(d, "events", pa.table({

@@ -2,8 +2,9 @@
 mtime-window incremental reindex, IndexRecords.java:124-132 analog).
 
 Contract: first run bootstraps the index over the whole drop directory;
-each later round ingests exactly the files whose mtime moved past the
-persisted watermark as ONE replace-by-id generation; re-running after a
+each later round ingests exactly the files whose (path, mtime, size) key
+is not in the persisted seen-set as ONE replace-by-id generation; a
+watermark-only state file counts older files as seen; re-running after a
 crash (state file lost) is idempotent; a changed file's docs are
 replaced, not duplicated.
 """
@@ -101,3 +102,32 @@ def test_maintain_after_ingest(drop, ray_session):
     _bump_mtime(os.path.join(d, "b1.parquet"))
     r = ingest_once(d, idx, BuildConfig(**CFG), maintain_after=True)
     assert r["added"] == 40 and "maintain" in r
+
+
+def test_preserved_mtime_below_watermark_is_ingested(drop, ray_session):
+    """A file copied with its mtime kept (cp -p, rsync -a) can land below
+    the watermark; it is still new, and unchanged files stay skipped."""
+    d, idx, full = drop
+    r0 = ingest_once(d, idx, BuildConfig(**CFG))
+    old = os.path.join(d, "old.parquet")
+    pq.write_table(full.slice(200, 40), old)
+    below = r0["watermark_ns"] - 10**9
+    os.utime(old, ns=(below, below))
+    r1 = ingest_once(d, idx, BuildConfig(**CFG))
+    assert r1["n_files"] == 1 and r1["added"] == 40 and r1["replaced"] == 0
+    assert read_stats(idx)["n_docs"] == 240
+    assert ingest_once(d, idx, BuildConfig(**CFG))["n_files"] == 0
+
+
+def test_legacy_watermark_state_counts_older_files_as_seen(drop, ray_session):
+    d, idx, full = drop
+    r0 = ingest_once(d, idx, BuildConfig(**CFG))
+    state_path = os.path.join(idx, "_global", "ingest.json")
+    with open(state_path, "w") as f:
+        json.dump({"watermark_ns": r0["watermark_ns"]}, f)
+    assert ingest_once(d, idx, BuildConfig(**CFG))["n_files"] == 0
+    pq.write_table(full.slice(200, 40), os.path.join(d, "b1.parquet"))
+    _bump_mtime(os.path.join(d, "b1.parquet"))
+    r = ingest_once(d, idx, BuildConfig(**CFG))
+    assert r["n_files"] == 1 and r["added"] == 40
+    assert ingest_once(d, idx, BuildConfig(**CFG))["n_files"] == 0

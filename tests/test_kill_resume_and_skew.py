@@ -214,7 +214,7 @@ def _run_staged_build(corpus, idx, kill_on_staging=False, timeout=240):
 def test_sigkill_mid_staging_then_resume_byte_identical(kill_corpus,
                                                         tmp_path_factory):
     """Crash INSIDE the staged shuffle's staging write: resume must discard
-    the partial staging tree (it re-stages from scratch) and produce an
+    the partial staging tree (it redoes the staging from scratch) and produce an
     index byte-identical to an uninterrupted staged build."""
     base = tmp_path_factory.mktemp("killstage")
     idx_clean = str(base / "clean")

@@ -1,13 +1,10 @@
-"""Round-4 continuation: KWIC concordance windows and label-centroid
-cosine similarity matrix."""
+"""Round-4 continuation: label-centroid cosine similarity matrix."""
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from archivesspace_virgo_ray.pipelines.queries import (
-    KWIC_TERM,
-    kwic_concordance,
+from archivesspace_virgo_ray.pipelines.oracles.ann import (
     label_centroid_similarity,
 )
 
@@ -15,33 +12,6 @@ from archivesspace_virgo_ray.pipelines.queries import (
 def _write(d, name, table):
     d.mkdir(parents=True, exist_ok=True)
     pq.write_table(table, str(d / f"{name}.parquet"))
-
-
-def test_kwic_windows_and_boundaries(ray_session, tmp_path):
-    d = tmp_path / "sf"
-    texts = [
-        f"{KWIC_TERM} at start",             # left clamp
-        f"one two {KWIC_TERM} three four",   # full window
-        f"ends with {KWIC_TERM}",            # right clamp
-        "no match here",
-        f"{KWIC_TERM} and {KWIC_TERM}",      # two hits in one doc
-    ]
-    _write(d, "documents", pa.table({
-        "doc_id": pa.array([0, 1, 2, 3, 4], pa.int64()),
-        "text": pa.array(texts, pa.string()),
-        "lang": pa.array(["en"] * 5, pa.string()),
-        "source": pa.array(["s"] * 5, pa.string()),
-        "n_chars": pa.array([len(t) for t in texts], pa.int64()),
-    }))
-    out = kwic_concordance(str(d))
-    got = list(zip(out["doc_id"], out["pos"], out["context"]))
-    assert got == [
-        (0, 1, f"{KWIC_TERM} at start"),
-        (1, 3, f"one two {KWIC_TERM} three four"),
-        (2, 3, f"ends with {KWIC_TERM}"),
-        (4, 1, f"{KWIC_TERM} and {KWIC_TERM}"),
-        (4, 3, f"{KWIC_TERM} and {KWIC_TERM}"),
-    ]
 
 
 def test_label_centroid_similarity_geometry(ray_session, tmp_path):

@@ -102,35 +102,3 @@ def test_mlt_unknown_source_empty(mlt_idx):
     out = more_like_this(idx, docs_path, q)
     assert out.num_rows == 0
     assert out.column_names == ["query_id", "rank", "doc_id", "score"]
-
-
-def test_prf_expansion_changes_ranking_and_matches_oracle(ray_session):
-    """PRF must (a) match its SQL oracle bit-for-bit and (b) actually
-    expand: the expanded result set covers docs the base query misses."""
-    import duckdb
-    import pandas as pd
-
-    from archivesspace_virgo_ray.pipelines.queries import (
-        _prf_sql,
-        bm25_prf_topk,
-        bm25_topk_docs,
-    )
-
-    sf = "/root/testdata/sf0.001"
-    got = bm25_prf_topk(sf).reset_index(drop=True)
-    con = duckdb.connect()
-    con.execute(
-        f"CREATE VIEW documents AS SELECT * FROM '{sf}/documents.parquet'"
-    )
-    want = con.execute(_prf_sql()).df()
-    con.close()
-    key = ["query_id", "rank"]
-    pd.testing.assert_frame_equal(
-        got.sort_values(key, ignore_index=True),
-        want.sort_values(key, ignore_index=True),
-        check_dtype=False,
-    )
-    base = bm25_topk_docs(sf)
-    assert set(map(tuple, got[["query_id", "doc_id"]].to_numpy())) != set(
-        map(tuple, base[["query_id", "doc_id"]].to_numpy())
-    )

@@ -1,158 +1,11 @@
-"""Round-4 continuation operators: PageRank over the derived link graph,
-rare-bigram df, per-source unigram KL, Solr expand, term vectors."""
-
-import os
+"""Round-4 continuation operators: hourly event moving average, embedding
+alignment, cheapest-lineitem argmin, orders histogram, first-purchase
+anti-join, keyed-fallback doc novelty."""
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
-
-from archivesspace_virgo_ray.pipelines.queries import (
-    EXPAND_ROWS,
-    PAGERANK_A,
-    PAGERANK_B,
-    PAGERANK_C,
-    PAGERANK_D,
-    PAGERANK_ITERS,
-    PAGERANK_OUT,
-    RARE_MAX_DF,
-    bm25_collapse_topk,
-    bm25_expand_topk,
-    pagerank_top100,
-    rare_terms,
-    source_unigram_kl,
-    term_vectors_top3,
-)
-
-
-def _write_docs(tmp_path, rows):
-    d = tmp_path / "sf"
-    d.mkdir(parents=True)
-    pq.write_table(
-        pa.table({
-            "doc_id": pa.array([r[0] for r in rows], pa.int64()),
-            "text": pa.array([r[1] for r in rows], pa.string()),
-            "lang": pa.array(["en"] * len(rows), pa.string()),
-            "source": pa.array([r[2] for r in rows], pa.string()),
-            "n_chars": pa.array([len(r[1]) for r in rows], pa.int64()),
-        }),
-        str(d / "documents.parquet"),
-    )
-    return str(d)
-
-
-def _numpy_pagerank(n: int) -> np.ndarray:
-    r = np.full(n, 1.0 / n)
-    v = np.arange(n, dtype=np.int64)
-    dsts = [(v * PAGERANK_A + i * PAGERANK_B + PAGERANK_C) % n
-            for i in range(PAGERANK_OUT)]
-    for _ in range(PAGERANK_ITERS):
-        nxt = np.full(n, (1.0 - PAGERANK_D) / n)
-        for dst in dsts:
-            np.add.at(nxt, dst, PAGERANK_D * r / PAGERANK_OUT)
-        r = nxt
-    return r
-
-
-def test_pagerank_matches_numpy_power_iteration(ray_session, tmp_path):
-    n = 73  # < top-100 cut, so the entry returns every node
-    sf = _write_docs(tmp_path, [(i, f"doc {i}", "s") for i in range(n)])
-    out = pagerank_top100(sf)
-    assert len(out) == n
-    ref = _numpy_pagerank(n)
-    got = out.set_index("doc_id")["pr"]
-    assert np.allclose(got.loc[np.arange(n)].to_numpy(),
-                       np.round(ref, 8), atol=1e-8)
-    # rank mass is conserved (no dangling nodes by construction)
-    assert abs(float(got.sum()) - 1.0) < 1e-6
-    # sorted by (pr desc, doc_id asc)
-    key = list(zip(-out["pr"], out["doc_id"]))
-    assert key == sorted(key)
-
-
-def test_rare_terms_bigram_df(ray_session, tmp_path):
-    sf = _write_docs(tmp_path, [
-        (0, "alpha beta gamma", "s"),
-        (1, "alpha beta delta", "s"),
-        (2, "alpha beta gamma. gamma delta", "s"),
-    ])
-    out = rare_terms(sf).set_index("bigram")["df"]
-    # "alpha beta" df=3, "beta gamma" df=2, "gamma delta" df=1 (doc 2 only)
-    assert out.loc["gamma delta"] == 1
-    assert out.loc["beta gamma"] == 2
-    assert out.loc["alpha beta"] == 3
-    assert (out <= RARE_MAX_DF).all()
-
-
-def test_source_unigram_kl(ray_session, tmp_path):
-    # source "same" mirrors the corpus mix; "skew" is concentrated
-    sf = _write_docs(tmp_path, [
-        (0, "a b", "u"),
-        (1, "a b", "v"),
-    ])
-    out = source_unigram_kl(sf).set_index("source")
-    assert (out["kl"] == 0.0).all()  # identical distributions -> KL 0
-    assert (out["n_tokens"] == 2).all()
-
-    sf2 = _write_docs(tmp_path / "two", [
-        (0, "a a a a", "u"),
-        (1, "a b c d", "v"),
-    ])
-    out2 = source_unigram_kl(sf2).set_index("source")
-    assert out2.loc["u", "kl"] > 0 and out2.loc["v", "kl"] > 0
-    # direct check for u: p(a)=1, q(a)=5/8 -> KL = ln(8/5)
-    assert abs(out2.loc["u", "kl"] - np.log(8 / 5)) < 1e-6
-
-
-def test_expand_members_are_consistent_with_collapse(ray_session, sf_dir):
-    exp = bm25_expand_topk(sf_dir)
-    col = bm25_collapse_topk(sf_dir)
-    assert len(exp) > 0
-    assert exp["exp_rank"].between(1, EXPAND_ROWS).all()
-    heads = col.set_index(["query_id", "source"])
-    for (qid, src), g in exp.groupby(["query_id", "source"]):
-        assert (qid, src) in heads.index  # expands only paged groups
-        head = heads.loc[(qid, src)]
-        assert int(head["doc_id"]) not in set(g["doc_id"])  # head excluded
-        assert (g["score"] <= float(head["score"])).all()
-        assert (g["rank"] == int(head["rank"])).all()
-        # members are ordered within the group
-        assert list(g.sort_values("exp_rank")["score"])[::-1] == sorted(g["score"])
-
-
-def test_term_vectors_match_direct_tokenize(ray_session, sf_dir):
-    from archivesspace_virgo_ray.functions.tokenize import tokenize_text
-
-    tv = term_vectors_top3(sf_dir)
-    ids = sorted(tv["doc_id"].unique())
-    assert 1 <= len(ids) <= 3
-    docs = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
-                         columns=["doc_id", "text"]).to_pandas()
-    docs = docs[docs["doc_id"].isin(ids)].set_index("doc_id")
-    for did in ids:
-        toks = tokenize_text(docs.loc[did, "text"])
-        want = pd.Series(toks).value_counts().sort_index()
-        got = tv[tv["doc_id"] == did].set_index("term")["tf"].sort_index()
-        assert list(got.index) == list(want.index)
-        assert (got.to_numpy() == want.to_numpy()).all()
-
-
-def test_doc_novelty_planted(ray_session, tmp_path):
-    shared = "one two three four five"
-    sf = _write_docs(tmp_path / "nov", [
-        (0, shared + " alpha beta gamma delta", "s"),
-        (1, shared + " epsilon zeta eta theta", "s"),
-        (2, "totally fresh words nobody else uses here at all", "s"),
-    ])
-    from archivesspace_virgo_ray.pipelines.queries import doc_novelty_stats
-
-    out = doc_novelty_stats(sf).set_index("doc_id")
-    assert out.loc[2, "n_dup"] == 0 and out.loc[2, "novel_frac"] == 1.0
-    # docs 0/1 share exactly the one 5-shingle "one two three four five"
-    assert out.loc[0, "n_dup"] == 1 and out.loc[1, "n_dup"] == 1
-    assert out.loc[0, "n_shingles"] == 5  # 9 tokens -> 5 shingles
-    assert abs(out.loc[0, "novel_frac"] - 0.8) < 1e-9
 
 
 def test_events_hourly_ma3_zero_fill(ray_session, tmp_path):
@@ -171,7 +24,9 @@ def test_events_hourly_ma3_zero_fill(ray_session, tmp_path):
                   "props": pa.array(["{}"] * 3)}),
         str(d / "events.parquet"),
     )
-    from archivesspace_virgo_ray.pipelines.queries import events_hourly_ma3
+    from archivesspace_virgo_ray.pipelines.oracles.events import (
+        events_hourly_ma3,
+    )
 
     out = events_hourly_ma3(str(d))
     assert list(out["n_events"]) == [2, 0, 1]  # hour 1 zero-filled
@@ -192,7 +47,7 @@ def test_alignment_matches_bruteforce(ray_session, tmp_path):
                   "label": pa.array(labels, pa.int32())}),
         str(dd / "embeddings.parquet"),
     )
-    from archivesspace_virgo_ray.pipelines.queries import (
+    from archivesspace_virgo_ray.pipelines.oracles.ann import (
         embedding_alignment_stats,
     )
 
@@ -210,7 +65,7 @@ def test_alignment_matches_bruteforce(ray_session, tmp_path):
 def test_cheapest_lineitem_argmin(ray_session, sf_dir):
     import duckdb
 
-    from archivesspace_virgo_ray.pipelines.queries import (
+    from archivesspace_virgo_ray.pipelines.oracles.tpch import (
         cheapest_lineitem_per_order,
     )
 
@@ -245,7 +100,7 @@ def test_orders_histogram_includes_zero_bucket(ray_session, tmp_path):
                                 pa.timestamp("us")),
         "o_orderpriority": pa.array(["1"] * 3),
     }), str(d / "orders.parquet"))
-    from archivesspace_virgo_ray.pipelines.queries import (
+    from archivesspace_virgo_ray.pipelines.oracles.tpch import (
         orders_per_customer_histogram,
     )
 
@@ -253,93 +108,6 @@ def test_orders_histogram_includes_zero_bucket(ray_session, tmp_path):
     assert out.loc[0, "n_customers"] == 2  # custkeys 3,4
     assert out.loc[1, "n_customers"] == 1  # custkey 2
     assert out.loc[2, "n_customers"] == 1  # custkey 1
-
-
-def test_minhash_cluster_sizes_scale_path_matches(ray_session, sf_dir,
-                                                  monkeypatch):
-    from archivesspace_virgo_ray.pipelines import components
-    from archivesspace_virgo_ray.pipelines.queries import minhash_cluster_sizes
-
-    small = minhash_cluster_sizes(sf_dir)
-    assert len(small) > 0 and (small["cluster_size"] >= 2).all()
-    # force the distributed-components (Dataset) branch: driver_max_edges
-    # is a def-time default, so wrap the function rather than patch the
-    # module constant
-    orig = components.connected_components
-    monkeypatch.setattr(
-        components, "connected_components",
-        lambda edges: orig(edges, driver_max_edges=0),
-    )
-    big = minhash_cluster_sizes(sf_dir)
-    pd.testing.assert_frame_equal(small, big)
-
-
-def test_char_entropy_known_values(ray_session, tmp_path):
-    sf = _write_docs(tmp_path / "ent", [
-        (0, "aaaa", "s"),            # entropy 0
-        (1, "abab", "s"),            # entropy ln 2
-    ])
-    from archivesspace_virgo_ray.pipelines.queries import char_entropy_stats
-
-    out = char_entropy_stats(sf).set_index("doc_id")
-    assert out.loc[0, "char_entropy"] == 0.0
-    assert abs(out.loc[1, "char_entropy"] - np.log(2)) < 1e-6
-    assert out.loc[1, "n_chars_exact"] == 4
-
-
-def test_collated_search_corrects_misspellings(ray_session, tmp_path):
-    sf = _write_docs(tmp_path / "col", [
-        (0, "hash join hash join hash", "s"),
-        (1, "merge sort merge sort", "s"),
-        (2, "hash table scan", "s"),
-        (3, "filler words only here", "s"),
-    ])
-    from archivesspace_virgo_ray.pipelines.queries import (
-        _build_docs_index,
-        _ranked_topk,
-        bm25_collated_topk,
-    )
-
-    out = bm25_collated_topk(sf)
-    idx = _build_docs_index(sf)
-    # qid 0 "hashs join" must behave exactly like the corrected "hash join"
-    want = _ranked_topk(idx, queries=[(0, "hash join")])
-    got0 = out[out["query_id"] == 0].reset_index(drop=True)
-    pd.testing.assert_frame_equal(got0, want)
-    assert set(got0["doc_id"]) == {0, 2}  # only docs with hash/join
-    # qid 3 "qzqzqzqz merge": hopeless word passes through with zero df,
-    # scoring falls back to "merge" alone
-    want3 = _ranked_topk(idx, queries=[(3, "merge qzqzqzqz")])
-    got3 = out[out["query_id"] == 3].reset_index(drop=True)
-    pd.testing.assert_frame_equal(got3, want3)
-    assert list(got3["doc_id"]) == [1]
-
-
-def test_rag_context_budget_and_order(ray_session, sf_dir):
-    from archivesspace_virgo_ray.functions.tokenize import tokenize_text
-    from archivesspace_virgo_ray.pipelines.queries import (
-        CTX_TOKENS,
-        RAG_K,
-        _build_docs_index,
-        _ranked_topk,
-        rag_context_topk,
-    )
-
-    out = rag_context_topk(sf_dir)
-    assert len(out) == 3
-    assert (out["n_tokens"] <= CTX_TOKENS).all()
-    assert (out["n_docs"] <= RAG_K).all()
-    # the context starts with the rank-1 doc's tokens
-    top = _ranked_topk(_build_docs_index(sf_dir), k=RAG_K)
-    docs = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
-                         columns=["doc_id", "text"]).to_pandas()
-    docs = docs.set_index("doc_id")["text"]
-    for _, row in out.iterrows():
-        best = top[(top["query_id"] == row["query_id"]) & (top["rank"] == 1)]
-        toks1 = tokenize_text(docs.loc[int(best["doc_id"].iloc[0])])
-        ctx = row["context"].split(" ")
-        head = toks1[: min(len(toks1), CTX_TOKENS)]
-        assert ctx[: len(head)] == head
 
 
 def test_doc_novelty_keyed_fallback_matches(ray_session, tmp_path):
@@ -362,34 +130,6 @@ def test_doc_novelty_keyed_fallback_matches(ray_session, tmp_path):
     pd.testing.assert_frame_equal(out, forced)
 
 
-def test_lang_confusion_diagonal(ray_session, tmp_path):
-    # docs written in each profile's own stopwords must predict that lang
-    from archivesspace_virgo_ray.pipelines.queries import lang_confusion_matrix
-    from archivesspace_virgo_ray.pipelines.textstats import LANG_PROFILES
-
-    rows, i = [], 0
-    for lang in ("en", "fr", "de"):
-        for _ in range(3):
-            rows.append((i, " ".join(LANG_PROFILES[lang][:8]), "s"))
-            i += 1
-    d = tmp_path / "conf"
-    d.mkdir(parents=True)
-    pq.write_table(
-        pa.table({
-            "doc_id": pa.array([r[0] for r in rows], pa.int64()),
-            "text": pa.array([r[1] for r in rows], pa.string()),
-            "lang": pa.array(["en"] * 3 + ["fr"] * 3 + ["de"] * 3),
-            "source": pa.array(["s"] * 9),
-            "n_chars": pa.array([len(r[1]) for r in rows], pa.int64()),
-        }),
-        str(d / "documents.parquet"),
-    )
-    out = lang_confusion_matrix(str(d))
-    diag = out[out["lang"] == out["pred_lang"]]
-    assert diag["n"].sum() >= 6  # overlapping stopwords may blur 1-2 cells
-    assert out["n"].sum() == 9
-
-
 def test_time_to_first_purchase_and_antijoin(ray_session, tmp_path):
     d = tmp_path / "ttf"
     d.mkdir(parents=True)
@@ -409,7 +149,7 @@ def test_time_to_first_purchase_and_antijoin(ray_session, tmp_path):
         "value": pa.array([0.0, 300.0, 0.0, 10.0, 400.0]),
         "props": pa.array(["{}"] * 5),
     }), str(d / "events.parquet"))
-    from archivesspace_virgo_ray.pipelines.queries import (
+    from archivesspace_virgo_ray.pipelines.oracles.events import (
         time_to_first_purchase,
         viewers_never_purchased,
     )
@@ -422,51 +162,3 @@ def test_time_to_first_purchase_and_antijoin(ray_session, tmp_path):
     assert list(anti["user_id"]) == [2]  # u2's only purchase is small
 
 
-def test_zipf_slope_power_law(ray_session, tmp_path):
-    # corpus where term k appears ~C/k times -> slope near -1
-    rows = []
-    words = []
-    for k in range(1, 40):
-        words += [f"w{k:02d}"] * max(1, 200 // k)
-    text = " ".join(words)
-    rows.append((0, text, "s"))
-    sf = _write_docs(tmp_path / "zipf", rows)
-    from archivesspace_virgo_ray.pipelines.queries import zipf_slope
-
-    out = zipf_slope(sf)
-    assert out.loc[0, "n_terms"] == 39
-    assert -1.2 < out.loc[0, "zipf_slope"] < -0.8
-
-
-def test_pmi_finds_planted_collocation(ray_session, tmp_path):
-    # "zz qq" always adjacent (high PMI); "aa"/"bb" frequent but independent
-    rows = []
-    for i in range(10):
-        filler = " ".join(["aa", "bb"] * 6)
-        rows.append((i, f"zz qq {filler}", "s"))
-    sf = _write_docs(tmp_path / "pmi", rows)
-    from archivesspace_virgo_ray.pipelines.queries import pmi_top_bigrams
-
-    out = pmi_top_bigrams(sf)
-    assert out.iloc[0]["bigram"] == "zz qq"
-    # independent pair scores lower than the planted collocation
-    ab = out[out["bigram"] == "aa bb"]
-    assert len(ab) == 0 or ab.iloc[0]["pmi"] < out.iloc[0]["pmi"]
-
-
-def test_dup_rate_by_source_planted(ray_session, tmp_path):
-    sf = _write_docs(tmp_path / "dup", [
-        (0, "same text here", "farm"),
-        (1, "same text here", "farm"),
-        (2, "same text here", "farm"),
-        (3, "other words", "farm"),
-        (4, "unique one", "clean"),
-        (5, "unique two", "clean"),
-    ])
-    from archivesspace_virgo_ray.pipelines.queries import dup_rate_by_source
-
-    out = dup_rate_by_source(sf).set_index("source")
-    assert out.loc["farm", "n_docs"] == 4
-    assert out.loc["farm", "n_dupes"] == 2
-    assert out.loc["farm", "dup_rate"] == 0.5
-    assert out.loc["clean", "n_dupes"] == 0

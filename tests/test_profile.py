@@ -62,7 +62,7 @@ def test_event_funnel_strict_order(ray_session, tmp_path):
     import pyarrow.parquet as pq
     import ray.data
 
-    from archivesspace_virgo_ray.pipelines.queries import event_funnel
+    from archivesspace_virgo_ray.pipelines.oracles.events import event_funnel
 
     def ts(s):
         return pd.Timestamp("2026-01-01") + pd.Timedelta(seconds=s)
@@ -99,7 +99,9 @@ def test_retention_cohorts_semantics(ray_session, tmp_path):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from archivesspace_virgo_ray.pipelines.queries import retention_cohorts
+    from archivesspace_virgo_ray.pipelines.oracles.events import (
+        retention_cohorts,
+    )
 
     def ts(d, h=0):
         return pd.Timestamp("2026-02-01") + pd.Timedelta(days=d, hours=h)

@@ -1,17 +1,18 @@
 """Round-4 additions: Q18 large orders, Q16-style supplier variety,
-distributed covariance / PCA from sufficient statistics, trigram diversity."""
+distributed covariance / PCA from sufficient statistics."""
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from archivesspace_virgo_ray.pipelines.queries import (
-    Q18_MIN_QTY,
+from archivesspace_virgo_ray.pipelines.oracles.ann import (
     embedding_covariance,
-    ngram_diversity_by_source,
-    part_supplier_variety,
     pca_top_component,
+)
+from archivesspace_virgo_ray.pipelines.oracles.tpch import (
+    Q18_MIN_QTY,
+    part_supplier_variety,
     q18_large_orders,
 )
 
@@ -110,25 +111,8 @@ def test_pca_finds_dominant_axis(ray_session, tmp_path):
     assert abs(eig - v) / v < 0.05
 
 
-def test_trigram_diversity_planted(ray_session, tmp_path):
-    d = tmp_path / "sf"
-    _write(d, "documents", pa.table({
-        "doc_id": pa.array([0, 1], pa.int64()),
-        # doc 0: "a b c a b c a b c" -> 7 trigrams, 3 distinct
-        # doc 1: all-distinct tokens -> 3 trigrams, 3 distinct
-        "text": pa.array(["a b c a b c a b c", "p q r s t"], pa.string()),
-        "lang": pa.array(["en", "en"], pa.string()),
-        "source": pa.array(["rep", "uniq"], pa.string()),
-        "n_chars": pa.array([17, 9], pa.int64()),
-    }))
-    out = ngram_diversity_by_source(str(d)).set_index("source")
-    assert out.loc["rep", "n_trigrams"] == 7
-    assert out.loc["rep", "n_distinct"] == 3
-    assert out.loc["uniq", "diversity"] == 1.0
-
-
 def test_kmeans_matches_direct_lloyd(ray_session, tmp_path):
-    from archivesspace_virgo_ray.pipelines.queries import (
+    from archivesspace_virgo_ray.pipelines.oracles.ann import (
         KMEANS_ITERS,
         KMEANS_K,
         kmeans_clusters,
@@ -161,7 +145,7 @@ def test_kmeans_matches_direct_lloyd(ray_session, tmp_path):
 
 
 def test_rollup_revenue_levels(ray_session, tmp_path):
-    from archivesspace_virgo_ray.pipelines.queries import rollup_revenue
+    from archivesspace_virgo_ray.pipelines.oracles.tpch import rollup_revenue
 
     d = tmp_path / "sf"
     _write(d, "customer", pa.table({

@@ -4,7 +4,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from archivesspace_virgo_ray.pipelines.queries import (
+from archivesspace_virgo_ray.pipelines.oracles.tpch import (
     Q20_NAME_SUBSTR,
     Q20_WINDOW,
     q20_dominant_suppliers,

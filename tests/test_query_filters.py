@@ -370,28 +370,3 @@ def test_query_result_cache_hits_and_invalidation(tmp_path, ray_session):
     assert pool2 is pool and pool2.cache_hits == 0
     c = pool2.topk(q)
     assert 9 in set(c["doc_id"].to_pylist())
-
-
-def test_facet_interval_overlap_and_zero_fill(ray_session):
-    """facet.interval semantics: one doc counts in EVERY interval containing
-    it (overlapping intervals), bounds honor open/closed, and intervals with
-    no matched docs still report 0."""
-    import numpy as np
-    import pandas as pd
-
-    from archivesspace_virgo_ray.pipelines import queries as q
-
-    pdf = pd.DataFrame({"n_chars": np.array([100, 150, 300, 450, 451], np.int64)})
-    counts = {}
-    for name, lo, hi, loi, hii in q._FACET_INTERVALS:
-        v = pdf["n_chars"].to_numpy()
-        m = np.ones(len(v), bool)
-        if lo is not None:
-            m &= (v >= lo) if loi else (v > lo)
-        if hi is not None:
-            m &= (v <= hi) if hii else (v < hi)
-        counts[name] = int(m.sum())
-    # [*,300): 100,150 ; [150,450]: 150,300,450 ; (400,*]: 450,451
-    assert counts == {"upto299": 2, "mid150to450": 3, "over400": 2}
-    # 150 and 450 each hit two intervals -> total membership > n rows
-    assert sum(counts.values()) == 7 > len(pdf)

@@ -1,63 +1,14 @@
-"""Round-4 continuation: Efraimidis-Spirakis weighted sampling, stratified
-exact-n sampling, chi-square independence test."""
+"""Round-4 continuation: chi-square independence test."""
 
-import hashlib
-
-import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from archivesspace_virgo_ray.pipelines.queries import (
-    STRAT_N,
-    es_weighted_sample,
-    priority_value_chi2,
-    stratified_sample_per_source,
-)
+from archivesspace_virgo_ray.pipelines.oracles.tpch import priority_value_chi2
 
 
 def _write(d, name, table):
     d.mkdir(parents=True, exist_ok=True)
     pq.write_table(table, str(d / f"{name}.parquet"))
-
-
-def test_es_sample_matches_direct_formula(ray_session, tmp_path):
-    d = tmp_path / "sf"
-    n = 40
-    rng = np.random.default_rng(2)
-    chars = rng.integers(20, 400, n).astype(np.int64)
-    _write(d, "documents", pa.table({
-        "doc_id": pa.array(range(n), pa.int64()),
-        "n_chars": pa.array(chars, pa.int64()),
-    }))
-    out = es_weighted_sample(str(d))
-    # direct single-process reference
-    h = np.asarray([int(hashlib.md5(str(i).encode()).hexdigest()[:16], 16)
-                    for i in range(n)], dtype=np.uint64)
-    key = np.round(np.log(h.astype(np.float64) / 2.0 ** 64) / chars, 9)
-    order = np.lexsort((np.arange(n), -key))[:10]
-    assert out["doc_id"].tolist() == [int(i) for i in order]
-    assert out["rank"].tolist() == list(range(1, 11))
-    # heavier docs should be overrepresented: compare mean weight of the
-    # sample vs the corpus (a soft sanity property of A-ES)
-    assert chars[order].mean() > chars.mean() * 0.9
-
-
-def test_stratified_sample_exact_n(ray_session, tmp_path):
-    d = tmp_path / "sf"
-    texts = [f"doc number {i}" for i in range(20)]
-    src = ["a"] * 10 + ["b"] * 8 + ["c"] * 2
-    _write(d, "documents", pa.table({
-        "doc_id": pa.array(range(20), pa.int64()),
-        "text": pa.array(texts, pa.string()),
-        "source": pa.array(src, pa.string()),
-    }))
-    out = stratified_sample_per_source(str(d))
-    sizes = out.groupby("source").size().to_dict()
-    assert sizes == {"a": STRAT_N, "b": STRAT_N, "c": 2}  # c has only 2 docs
-    # ranks are 1..n per stratum, ordered by the md5 hex string
-    for s, g in out.groupby("source"):
-        assert g["rank"].tolist() == list(range(1, len(g) + 1))
-        assert g["h"].is_monotonic_increasing
 
 
 def test_chi2_independent_is_zero(ray_session, tmp_path):

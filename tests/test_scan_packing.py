@@ -1,4 +1,4 @@
-"""Distributed prefix scan + sequence packing."""
+"""Distributed prefix scan, ordered row numbers, deterministic shuffle."""
 
 import numpy as np
 import pandas as pd
@@ -41,35 +41,6 @@ def test_prefix_sum_skewed_and_tiny_blocks(ray_session):
         .to_pandas().sort_values("k", ignore_index=True)
     )
     assert got["prefix"].tolist() == [0, 10, 10]
-
-
-def test_pack_sequences_layout(ray_session):
-    from archivesspace_virgo_ray.pipelines.packing import pack_sequences
-
-    df = pd.DataFrame({
-        "doc_id": np.arange(6, dtype=np.int64),
-        "text": [
-            "a b c",          # 3 toks: [0,3)  seq 0
-            "",               # dropped
-            "d e",            # [3,5)          seq 0
-            " ".join(["w"] * 7),  # [5,12): spans seq 0 (5..7) and seq 1+2
-            "x",              # [12,13)        seq 1
-            "y z",            # [13,15)        seq 1
-        ],
-    })
-    out = (
-        pack_sequences(ray.data.from_pandas(df).repartition(3), seq_len=8)
-        .to_pandas().sort_values("doc_id", ignore_index=True)
-    )
-    assert out["doc_id"].tolist() == [0, 2, 3, 4, 5]
-    assert out["tok_start"].tolist() == [0, 3, 5, 12, 13]
-    assert out["seq_first"].tolist() == [0, 0, 0, 1, 1]
-    assert out["seq_last"].tolist() == [0, 0, 1, 1, 1]
-    # token stream is gapless: starts are the exclusive cumsum of counts
-    n = out["n_tokens"].to_numpy()
-    assert out["tok_start"].tolist() == np.concatenate(
-        [[0], np.cumsum(n)[:-1]]
-    ).tolist()
 
 
 def test_ordered_row_number_matches_argsort(ray_session):

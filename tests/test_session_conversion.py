@@ -4,7 +4,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from archivesspace_virgo_ray.pipelines.queries import (
+from archivesspace_virgo_ray.pipelines.oracles.events import (
     SESSION_GAP_MIN,
     session_conversion_rate,
 )

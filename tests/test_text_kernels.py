@@ -18,6 +18,7 @@ from archivesspace_virgo_ray.functions.text import (
     ref_to_short_id,
     short_id_to_ref,
 )
+from archivesspace_virgo_ray.pipelines.oracles.common import TOK_SQL
 
 # ---- oracle: straight port of the comparator for testing ONLY -------------
 
@@ -258,13 +259,55 @@ def test_bigram_partial_counts():
     assert out == {"a b": 2, "b a": 2}
 
 
+# DuckDB references for the textstats kernels below (Gopher repetition
+# counts, C4 line heuristics): the SQL restates each rule independently.
+SQL_REPETITION_STATS = f"""
+WITH base AS (
+  SELECT doc_id, text, list_filter({TOK_SQL}, x -> x <> '') AS toksl
+  FROM documents),
+lstat AS (
+  SELECT doc_id,
+         len(list_filter(list_transform(string_split(text, chr(10)),
+                                        x -> trim(x)), x -> x <> '')) AS n_lines,
+         len(list_distinct(list_filter(list_transform(string_split(text, chr(10)),
+                                                      x -> trim(x)), x -> x <> ''))) AS n_distinct
+  FROM base),
+tokpos AS (
+  SELECT doc_id, unnest(toksl) AS term, generate_subscripts(toksl, 1) AS pos
+  FROM base),
+tokstat AS (
+  SELECT doc_id, max(c) AS top_token_n, sum(c) AS n_tokens
+  FROM (SELECT doc_id, term, count(*) AS c FROM tokpos GROUP BY doc_id, term)
+  GROUP BY doc_id),
+bg AS (
+  SELECT doc_id,
+         term || ' ' || lead(term) OVER (PARTITION BY doc_id ORDER BY pos) AS pair
+  FROM tokpos
+  QUALIFY lead(term) OVER (PARTITION BY doc_id ORDER BY pos) IS NOT NULL),
+bgstat AS (
+  SELECT doc_id, max(c) AS top_bigram_n, sum(c) AS n_bigrams
+  FROM (SELECT doc_id, pair, count(*) AS c FROM bg GROUP BY doc_id, pair)
+  GROUP BY doc_id)
+SELECT b.doc_id,
+       CAST(l.n_lines AS BIGINT) AS n_lines,
+       CAST(l.n_lines - l.n_distinct AS BIGINT) AS n_dup_lines,
+       CAST(coalesce(t.n_tokens, 0) AS BIGINT) AS n_tokens,
+       CAST(coalesce(t.top_token_n, 0) AS BIGINT) AS top_token_n,
+       CAST(coalesce(g.n_bigrams, 0) AS BIGINT) AS n_bigrams,
+       CAST(coalesce(g.top_bigram_n, 0) AS BIGINT) AS top_bigram_n
+FROM base b
+JOIN lstat l ON l.doc_id = b.doc_id
+LEFT JOIN tokstat t ON t.doc_id = b.doc_id
+LEFT JOIN bgstat g ON g.doc_id = b.doc_id
+"""
+
+
 def test_repetition_batch_adversarial_vs_sql():
     """Engine kernel == DuckDB oracle on newlines, duplicate lines, tabs
     (trim is SPACE-only), bigram ties, empty and single-token docs."""
     import duckdb
     import pandas as pd
 
-    from archivesspace_virgo_ray.pipelines.queries import SQL_REPETITION_STATS
     from archivesspace_virgo_ray.pipelines.textstats import repetition_batch
 
     df = pd.DataFrame({
@@ -295,51 +338,27 @@ def test_repetition_batch_adversarial_vs_sql():
     assert r6["n_lines"] == 3 and r6["n_dup_lines"] == 2
 
 
-def test_chunk_docs_adversarial_vs_sql(ray_session, tmp_path):
-    """Chunking contract vs DuckDB on boundary cases: empty doc, doc
-    shorter than a chunk, exact chunk boundary, one-past boundary, and
-    overlap continuity."""
-    import duckdb
-    import pandas as pd
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from archivesspace_virgo_ray.pipelines.queries import (
-        CHUNK_TOKENS,
-        SQL_CHUNK_DOCS,
-        _CHUNK_STRIDE,
-        chunk_docs,
-    )
-
-    w = lambda n: " ".join(f"w{i}" for i in range(n))
-    df = pd.DataFrame({
-        "doc_id": [1, 2, 3, 4, 5],
-        "text": [
-            "",                          # no chunks
-            w(5),                        # single short chunk
-            w(CHUNK_TOKENS),             # exactly one full chunk... plus the
-                                         # stride-start tail the contract emits
-            w(CHUNK_TOKENS + 1),         # boundary + 1
-            w(3 * CHUNK_TOKENS),         # several overlapping chunks
-        ],
-    })
-    src = str(tmp_path / "documents.parquet")
-    pq.write_table(pa.Table.from_pandas(df, preserve_index=False), src)
-    got = chunk_docs(str(tmp_path)).to_pandas().sort_values(
-        ["doc_id", "chunk_id"], ignore_index=True
-    )
-    con = duckdb.connect()
-    con.register("documents", df)
-    want = con.execute(SQL_CHUNK_DOCS).df().sort_values(
-        ["doc_id", "chunk_id"], ignore_index=True
-    )
-    pd.testing.assert_frame_equal(got, want, check_dtype=False)
-    assert len(got[got["doc_id"] == 1]) == 0
-    assert got[got["doc_id"] == 2]["n_chunk_tokens"].tolist() == [5]
-    # overlap continuity: chunk k starts at k*stride
-    g5 = got[got["doc_id"] == 5]
-    first_words = [t.split()[0] for t in g5["chunk_text"]]
-    assert first_words == [f"w{k * _CHUNK_STRIDE}" for k in range(len(g5))]
+SQL_C4_FILTERS = """
+WITH linel AS (
+  SELECT doc_id, text,
+         list_filter(list_transform(string_split(text, chr(10)),
+                                    x -> trim(x)), x -> x <> '') AS ls
+  FROM documents)
+SELECT doc_id,
+       CAST(len(ls) AS BIGINT) AS n_lines,
+       CAST(len(list_filter(ls,
+           x -> substring(x, length(x), 1) IN ('.', '!', '?', '"')))
+           AS BIGINT) AS n_terminal_lines,
+       CAST(len(list_filter(ls,
+           x -> len(list_filter(string_split_regex(x, '\\s+'),
+                                w -> w <> '')) < 3))
+           AS BIGINT) AS n_short_lines,
+       contains(text, '{') AS has_brace,
+       contains(lower(text), 'lorem ipsum') AS has_lorem,
+       (NOT contains(text, '{') AND NOT contains(lower(text), 'lorem ipsum')
+        AND len(ls) > 0) AS c4_keep
+FROM linel
+"""
 
 
 def test_c4_signals_adversarial_vs_sql():
@@ -348,7 +367,6 @@ def test_c4_signals_adversarial_vs_sql():
     import duckdb
     import pandas as pd
 
-    from archivesspace_virgo_ray.pipelines.queries import SQL_C4_FILTERS
     from archivesspace_virgo_ray.pipelines.textstats import c4_signals_batch
 
     df = pd.DataFrame({

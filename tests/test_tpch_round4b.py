@@ -6,7 +6,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from archivesspace_virgo_ray.pipelines.queries import (
+from archivesspace_virgo_ray.pipelines.oracles.tpch import (
     Q22_ACTIVE_SINCE,
     customer_order_gaps,
     q10_returned_items,

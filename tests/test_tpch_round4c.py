@@ -1,19 +1,20 @@
 """Round-4 continuation: Q5 six-table join, Q4 EXISTS semi-join,
-winsorized value stats, weighted prefix suggester."""
+winsorized value stats."""
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from archivesspace_virgo_ray.pipelines.queries import (
+from archivesspace_virgo_ray.pipelines.oracles.events import (
+    winsorized_value_stats,
+)
+from archivesspace_virgo_ray.pipelines.oracles.tpch import (
     Q4_WINDOW,
     Q5_REGION,
     Q5_YEAR,
     q4_order_priority,
     q5_local_supplier_volume,
-    suggest_topk,
-    winsorized_value_stats,
 )
 
 
@@ -104,23 +105,3 @@ def test_winsorized_planted(ray_session, tmp_path):
     assert r["winsorized_mean"] == round(float(np.clip(arr, lo, hi).mean()), 6)
 
 
-def test_suggest_topk_weighted_order(ray_session, tmp_path):
-    d = tmp_path / "sf"
-    # 's' terms: sort x3, scan x1 -> sort ranks first despite lexicographic
-    texts = ["sort sort scan big", "sort cat cat", "cup bat"]
-    _write(d, "documents", pa.table({
-        "doc_id": pa.array([0, 1, 2], pa.int64()),
-        "text": pa.array(texts, pa.string()),
-        "lang": pa.array(["en"] * 3, pa.string()),
-        "source": pa.array(["s"] * 3, pa.string()),
-        "n_chars": pa.array([len(t) for t in texts], pa.int64()),
-    }))
-    out = suggest_topk(str(d))
-    s = out[out["prefix"] == "s"]
-    assert s["term"].tolist() == ["sort", "scan"]
-    assert s["tf"].tolist() == [3, 1]
-    assert s["rank"].tolist() == [1, 2]
-    c = out[out["prefix"] == "c"]
-    assert c["term"].tolist() == ["cat", "cup"]
-    b = out[out["prefix"] == "b"]
-    assert set(b["term"]) == {"big", "bat"}

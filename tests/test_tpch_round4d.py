@@ -7,7 +7,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from archivesspace_virgo_ray.pipelines.queries import (
+from archivesspace_virgo_ray.pipelines.oracles.tpch import (
     Q2_SIZE,
     Q7_NATIONS,
     Q7_SHIP_WINDOW,

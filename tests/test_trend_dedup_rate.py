@@ -5,7 +5,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from archivesspace_virgo_ray.pipelines.queries import (
+from archivesspace_virgo_ray.pipelines.oracles.events import (
     EVENT_DEDUP_WINDOW_US,
     TREND_EPOCH,
     event_dedup_rate,

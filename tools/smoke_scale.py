@@ -1,11 +1,10 @@
 """Reproducible scale smokes: corpus gen (Ray-parallel) + index build +
-reshard + optional query-entry timing at configurable doc counts.
+reshard + index maintenance timing at configurable doc counts.
 
 Usage:
     python tools/smoke_scale.py build   [n_docs] [object_store_gb]
     python tools/smoke_scale.py reshard [n_docs]
-    python tools/smoke_scale.py dedup   [n_docs] [hash_kind md5|fast]
-    python tools/smoke_scale.py ann     [n_vecs]
+    python tools/smoke_scale.py maintain [n_docs]
 
 These are the scripts behind the numbers in SCALE.md / BASELINE.md — run
 them to reproduce (expect ±40% VM drift per CLAUDE.md; best-of-N yourself).
@@ -92,107 +91,6 @@ def smoke_reshard(n_docs: int) -> None:
     ray.shutdown()
 
 
-def smoke_dedup(n_docs: int, hash_kind: str) -> None:
-    """minhash_pairs at scale: corpus + ~10% injected near-dups. The injected
-    dup keeps ~97% of the original shingles (one token appended per ~30-token
-    tail trim), so it lands above the 0.7 Jaccard verify threshold."""
-    import pyarrow as pa
-
-    from archivesspace_virgo_ray.pipelines.dedup import minhash_pairs
-
-    _init()
-    corpus = _corpus(n_docs)
-    ds = ray.data.read_parquet(corpus, columns=["repo", "path", "content"])
-
-    def inject(t: pa.Table) -> pa.Table:
-        import hashlib as _h
-
-        import numpy as np
-
-        txt = t["content"].to_pylist()
-        keys = [f"{r}:{p}" for r, p in zip(t["repo"].to_pylist(),
-                                           t["path"].to_pylist())]
-        ids = [int.from_bytes(_h.md5(k.encode()).digest()[:8], "big") >> 1
-               for k in keys]
-        out_ids, out_txt = list(ids), list(txt)
-        for i in range(0, len(txt), 10):  # ~10% near-dups
-            out_ids.append(ids[i] ^ 0x5A5A)
-            out_txt.append(txt[i] + " injected_dup_marker")
-        return pa.table({"doc_id": pa.array(np.asarray(out_ids, np.int64)),
-                         "text": pa.array(out_txt, pa.string())})
-
-    docs = ds.map_batches(inject, batch_format="pyarrow").materialize()
-    n = docs.count()
-    t0 = time.time()
-    pairs = minhash_pairs(docs, threshold=0.7, hash_kind=hash_kind)
-    import pandas as pd
-
-    n_pairs = len(pairs) if isinstance(pairs, pd.DataFrame) else pairs.count()
-    dt = time.time() - t0
-    print(f"n_docs={n} hash_kind={hash_kind} pairs={n_pairs} "
-          f"minhash_pairs={dt:.1f}s docs_per_sec={n / dt:.0f}", flush=True)
-    ray.shutdown()
-
-
-def smoke_ann(n_vecs: int, dim: int = 64) -> None:
-    """Deterministic IVF/PQ twins at scale: N seeded random embeddings
-    (sharded Ray gen), one query. Training touches only the md5-threshold
-    sample (~4096 rows to the driver); assignment/encode/ADC stream. Recall
-    is vs exact brute force over the same table."""
-    import numpy as np
-    import pyarrow as pa
-
-    from archivesspace_virgo_ray.pipelines.similarity import (
-        knn_brute_force, knn_ivf_det, knn_pq_det)
-
-    _init()
-    d = f"/tmp/avr_smoke_emb_{n_vecs}"
-    if not os.path.exists(d + "/_DONE"):
-        shutil.rmtree(d, ignore_errors=True)
-        os.makedirs(d)
-        n_shards = max(1, n_vecs // 50_000)
-        per = n_vecs // n_shards
-
-        @ray.remote
-        def gen(s: int) -> None:
-            import pyarrow.parquet as pq
-            rng = np.random.default_rng(1000 + s)
-            n = per if s < n_shards - 1 else n_vecs - per * (n_shards - 1)
-            mat = rng.standard_normal((n, dim))
-            ids = np.arange(s * per, s * per + n, dtype=np.int64)
-            pq.write_table(pa.table({
-                "vec_id": pa.array(ids),
-                "embedding": pa.FixedSizeListArray.from_arrays(
-                    pa.array(mat.reshape(-1)), dim),
-            }), f"{d}/part-{s:04d}.parquet")
-
-        t0 = time.time()
-        ray.get([gen.remote(s) for s in range(n_shards)])
-        open(d + "/_DONE", "w").close()
-        print(f"gen {time.time() - t0:.1f}s", flush=True)
-    ds = ray.data.read_parquet(d)
-    q = ds.take(1)[0]["embedding"]
-    q = np.asarray([q], dtype=np.float64)
-    exact = set(knn_brute_force(ds, q, k=10, exclude_ids=[0])["vec_id"])
-    # PQ's recall knob at scale is the ADC shortlist (gate-scale default 50
-    # suits 500 vectors; ~1% of the corpus is the usual serving setting) and
-    # code count; IVF needs no knob — probe 3/8 cells covers the neighbors.
-    shortlist = max(50, n_vecs // 100)
-    runs = (("ivf_det", lambda: knn_ivf_det(ds, q, k=10, exclude_ids=[0])),
-            ("pq_det", lambda: knn_pq_det(ds, q, k=10, exclude_ids=[0],
-                                          n_codes=16,
-                                          shortlist=shortlist)))
-    for name, fn in runs:
-        t0 = time.time()
-        out = fn()
-        dt = time.time() - t0
-        rec = len(exact & set(out["vec_id"])) / 10
-        print(f"n_vecs={n_vecs} {name}={dt:.1f}s "
-              f"vecs_per_sec={n_vecs / dt:.0f} recall@10={rec:.2f}",
-              flush=True)
-    ray.shutdown()
-
-
 def smoke_maintain(n_docs: int) -> None:
     """Index lifecycle at scale: base build + 4 delta adds + deletes +
     replaces, then the two compaction strategies side by side — a tiered
@@ -275,10 +173,6 @@ if __name__ == "__main__":
         smoke_build(n, float(sys.argv[3]) if len(sys.argv) > 3 else 0.0)
     elif mode == "reshard":
         smoke_reshard(n)
-    elif mode == "dedup":
-        smoke_dedup(n, sys.argv[3] if len(sys.argv) > 3 else "md5")
-    elif mode == "ann":
-        smoke_ann(n)
     elif mode == "maintain":
         smoke_maintain(n)
     else:
