@@ -1177,102 +1177,79 @@ class LocalSearcher:
         return [(int(docs[i]), float(scores[i])) for i in order]
 
 
-class Bm25SearchActor:
-    """Actor-pool query server (T5): segments + global stats loaded ONCE per
-    actor in ``__init__``, then batches of queries score against warm state
-    via ``map_batches(Bm25SearchActor, fn_constructor_args=(index_dir,))``.
-
-    ``shards``: optional shard subset — on a real cluster each actor pins
-    the shards co-located on its node (placement group per node) and the
-    scatter path (``QueryPool``) fans queries out instead."""
-
-    def __init__(self, index_dir: str, shards: list[int] | None = None):
-        self.searcher = LocalSearcher(index_dir, shards)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out_q, out_r, out_d, out_s = [], [], [], []
-        nots = (
-            batch["not_text"].to_pylist()
-            if "not_text" in batch.column_names
-            else [None] * batch.num_rows
-        )
-        for qid, text, k, nt in zip(
-            batch["query_id"].to_pylist(),
-            batch["text"].to_pylist(),
-            batch["k"].to_pylist(),
-            nots,
+def _plan_batch(store: TermStatsStore, queries: pa.Table):
+    """Driver-side planning shared by every BM25 scatter path (exact,
+    deadline-bounded and dataset-serve): per-query term plans plus the
+    optional NOT / cursor / min-match side channels."""
+    qids = queries["query_id"].to_pylist()
+    texts = queries["text"].to_pylist()
+    ks = queries["k"].to_pylist()
+    plans_by_qid = {
+        int(qid): (int(k), store.plan_query(text))
+        for qid, text, k in zip(qids, texts, ks)
+    }
+    n_terms_by_qid = {
+        int(qid): len(set(tokenize_text(store.qtext(text))))
+        for qid, text in zip(qids, texts)
+    }
+    neg_plans_by_qid: dict[int, list] = {}
+    if "not_text" in queries.column_names:
+        for qid, nt in zip(qids, queries["not_text"].to_pylist()):
+            neg = store.plan_query(nt) if nt else []
+            if neg:
+                neg_plans_by_qid[int(qid)] = neg
+    min_match_by_qid: dict[int, int] = {}
+    if "min_match" in queries.column_names:
+        # Solr edismax mm: rank only docs matching >= min_match distinct
+        # query terms (null/0/1 → no restriction)
+        for qid, mm in zip(qids, queries["min_match"].to_pylist()):
+            if mm is not None and int(mm) > 1:
+                min_match_by_qid[int(qid)] = int(mm)
+    cursor_by_qid: dict[int, tuple[float, int, int]] = {}
+    if "cursor_score" in queries.column_names:
+        for qid, cs, cd in zip(
+            qids,
+            queries["cursor_score"].to_pylist(),
+            queries["cursor_doc"].to_pylist(),
         ):
-            for rank, (doc_id, score) in enumerate(
-                self.searcher.search(text, int(k), not_text=nt), 1
-            ):
-                out_q.append(int(qid))
-                out_r.append(rank)
-                out_d.append(doc_id)
-                out_s.append(score)
-        return pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "rank": pa.array(out_r, pa.int64()),
-                "doc_id": pa.array(out_d, pa.int64()),
-                "score": pa.array(out_s, pa.float64()),
-            }
+            if cs is not None:
+                cursor_by_qid[int(qid)] = (float(cs), int(cd), 6)
+    live = {q: v for q, v in plans_by_qid.items() if v[1]}
+    return live, {"n_terms": n_terms_by_qid, "neg": neg_plans_by_qid,
+                  "cursor": cursor_by_qid, "min_match": min_match_by_qid}
+
+
+def _submit_scores(actors: list, live: dict, extras: dict, where=None,
+                   require_all: bool = False) -> list:
+    """One ``ShardWorker.score`` call per actor with every side channel of
+    ``_plan_batch`` — returns the futures without waiting."""
+    return [
+        a.score.remote(
+            live, where, require_all, extras["n_terms"],
+            extras["neg"] or None, extras["cursor"] or None,
+            extras["min_match"] or None,
         )
+        for a in actors
+    ]
 
 
 class Bm25ServeStage:
-    """Dataset-serve stage that REUSES the warm shard-pinned ``QueryPool``
-    workers instead of loading every shard's segments per map_batches actor
-    (which made the old path 4-5x slower than ``QueryPool.serve``).
+    """Dataset-serve stage over the warm shard-pinned ``QueryPool`` workers:
+    plans each batch with ``_plan_batch`` against ``store`` and scatters it
+    to ``workers`` exactly as ``QueryPool.topk`` does."""
 
-    Per-actor ``__init__`` needs only the query-PLANNING state. When the
-    caller passes ``snapshot_ref`` (``bm25_serve`` does — the warm pool's
-    already-loaded term stats, ``ray.put`` once), the actor reconstructs the
-    store from the object store instead of re-reading every termstats
-    parquet bucket per actor (which made stage-actor startup dominate the
-    serve pipeline at real vocab sizes)."""
-
-    def __init__(self, index_dir: str, workers: list, snapshot_ref=None):
-        if snapshot_ref is not None:
-            import ray
-
-            stats, buckets, ts_dir = ray.get(snapshot_ref)
-            store = TermStatsStore.__new__(TermStatsStore)
-            store.index_dir = index_dir
-            store.stats = stats
-            store._buckets = dict(buckets)
-            store._ts_dir = ts_dir
-            self.store = store
-        else:
-            self.store = TermStatsStore(index_dir)
+    def __init__(self, store: TermStatsStore, workers: list):
+        self.store = store
         self.workers = workers
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         import ray
 
-        qids = batch["query_id"].to_pylist()
-        texts = batch["text"].to_pylist()
-        ks = batch["k"].to_pylist()
-        plans_by_qid = {
-            int(qid): (int(k), self.store.plan_query(text))
-            for qid, text, k in zip(qids, texts, ks)
-        }
-        neg_plans_by_qid: dict[int, list] = {}
-        if "not_text" in batch.column_names:
-            for qid, nt in zip(qids, batch["not_text"].to_pylist()):
-                neg = self.store.plan_query(nt) if nt else []
-                if neg:
-                    neg_plans_by_qid[int(qid)] = neg
-        live = {q: v for q, v in plans_by_qid.items() if v[1]}
+        live, extras = _plan_batch(self.store, batch)
         if not live or not self.workers:
             return QueryPool._EMPTY_TOPK
-        parts = ray.get(
-            [
-                w.score.remote(live, None, False, None,
-                               neg_plans_by_qid or None, None)
-                for w in self.workers
-            ]
-        )
-        return _merge_topk_parts(live, parts)
+        return _merge_topk_parts(
+            live, ray.get(_submit_scores(self.workers, live, extras)))
 
 
 # process-level cache for broadcast planning snapshots: a Ray worker process
@@ -1309,7 +1286,9 @@ def bm25_serve(index_dir: str, queries_ds, concurrency: int = 2, batch_size: int
     per worker PROCESS (``_SERVE_SNAP_CACHE``), so a serve batch pays one
     plan + one scatter and zero per-pipeline setup. ``concurrency`` caps
     in-flight batch tasks (each is a scatter across every shard worker —
-    more in-flight than worker parallelism just queues)."""
+    more in-flight than worker parallelism just queues). The query table
+    takes the same optional columns as ``bm25_topk`` (``not_text``,
+    ``min_match``, ``cursor_score``/``cursor_doc``)."""
     import ray
 
     pool = get_pool(index_dir)
@@ -1320,10 +1299,8 @@ def bm25_serve(index_dir: str, queries_ds, concurrency: int = 2, batch_size: int
     workers = list(pool.actors)
 
     def serve_batch(batch: pa.Table) -> pa.Table:
-        stage = Bm25ServeStage.__new__(Bm25ServeStage)
-        stage.store = _serve_snapshot_store(index_dir, snap_ref)
-        stage.workers = workers
-        return stage(batch)
+        return Bm25ServeStage(_serve_snapshot_store(index_dir, snap_ref),
+                              workers)(batch)
 
     return queries_ds.map_batches(
         serve_batch,
@@ -1339,27 +1316,40 @@ def bm25_serve(index_dir: str, queries_ds, concurrency: int = 2, batch_size: int
 # ---------------------------------------------------------------------------
 
 def _merge_topk_parts(live: dict, parts: list) -> pa.Table:
-    """Merge per-shard score tables into per-query (rank, doc_id, score)
-    top-k — ties break (score desc, doc_id asc), k from ``live[qid][0]``.
-    Shared by ``QueryPool.topk_collect`` and ``Bm25ServeStage``."""
-    merged = pa.concat_tables(parts).to_pandas()
-    if len(merged) == 0:
+    """Merge per-shard (query_id, doc_id, score) partials into per-query
+    (query_id, rank, doc_id, score) top-k, k from ``live[qid][0]``; rows
+    whose query_id is not in ``live`` are dropped. One vectorised kernel:
+    concatenate the columns, one ``np.lexsort`` over (query_id asc, score
+    desc, doc_id asc), ranks from the query-group starts, keep
+    ``rank <= k``. A doc lives in exactly one shard, so (score, doc_id) is
+    a total order within a query and scores pass through untouched.
+
+    The merge behind every scatter path: ``QueryPool.topk_collect`` (and so
+    ``topk``, phrase, prefix, fuzzy, MLT and multifield search),
+    ``QueryPool.topk_lmd``, ``QueryPool.topk_time_allowed`` (``live``
+    narrowed to the queries every worker finished), ``Bm25ServeStage``
+    (``bm25_serve``) and ``FederatedSearcher.topk``/``topk_lmd``."""
+    parts = [p for p in parts if p.num_rows]
+    if not parts or not live:
         return QueryPool._EMPTY_TOPK
-    frames = []
-    for qid in sorted(live):
-        k = live[qid][0]
-        g = merged[merged["query_id"] == qid]
-        if len(g) == 0:
-            continue
-        g = g.sort_values(
-            ["score", "doc_id"], ascending=[False, True], kind="mergesort"
-        ).head(k).reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        frames.append(g[["query_id", "rank", "doc_id", "score"]])
-    if not frames:
+    q = np.concatenate([p["query_id"].to_numpy() for p in parts])
+    d = np.concatenate([p["doc_id"].to_numpy() for p in parts])
+    s = np.concatenate([p["score"].to_numpy() for p in parts])
+    live_q = np.array(sorted(live), np.int64)
+    live_k = np.array([live[x][0] for x in live_q.tolist()], np.int64)
+    keep = np.isin(q, live_q)
+    q, d, s = q[keep], d[keep], s[keep]
+    n = len(q)
+    if n == 0:
         return QueryPool._EMPTY_TOPK
-    out = pd.concat(frames, ignore_index=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    order = np.lexsort((d, -s, q))
+    q, d, s = q[order], d[order], s[order]
+    starts = np.flatnonzero(np.r_[True, q[1:] != q[:-1]])
+    rank = np.arange(1, n + 1, dtype=np.int64) - np.repeat(
+        starts, np.diff(np.r_[starts, n]))
+    keep = rank <= live_k[np.searchsorted(live_q, q)]
+    return pa.table({"query_id": q[keep], "rank": rank[keep],
+                     "doc_id": d[keep], "score": s[keep]})
 
 
 DEFAULT_POOL_ACTORS = 4
@@ -1481,59 +1471,11 @@ class QueryPool:
         carry a per-query search-after mark (Solr cursorMark): only docs
         strictly after (round(score, 6) desc, doc_id asc) = (cursor_score,
         cursor_doc) are ranked. Null cursor_score → no cursor for that row."""
-        live, extras = self._plan_batch(queries)
+        live, extras = _plan_batch(self.store, queries)
         if not live or not self.actors:
             return (live, [])
-        futures = [
-            a.score.remote(
-                live, where, require_all, extras["n_terms"],
-                extras["neg"] or None, extras["cursor"] or None,
-                extras["min_match"] or None,
-            )
-            for a in self.actors
-        ]
-        return (live, futures)
-
-    def _plan_batch(self, queries: pa.Table):
-        """Driver-side planning shared by the exact and deadline-bounded
-        scatter paths: per-query term plans plus the optional NOT / cursor /
-        min-match side channels."""
-        qids = queries["query_id"].to_pylist()
-        texts = queries["text"].to_pylist()
-        ks = queries["k"].to_pylist()
-        plans_by_qid = {
-            int(qid): (int(k), self.store.plan_query(text))
-            for qid, text, k in zip(qids, texts, ks)
-        }
-        n_terms_by_qid = {
-            int(qid): len(set(tokenize_text(self.store.qtext(text))))
-            for qid, text in zip(qids, texts)
-        }
-        neg_plans_by_qid: dict[int, list] = {}
-        if "not_text" in queries.column_names:
-            for qid, nt in zip(qids, queries["not_text"].to_pylist()):
-                neg = self.store.plan_query(nt) if nt else []
-                if neg:
-                    neg_plans_by_qid[int(qid)] = neg
-        min_match_by_qid: dict[int, int] = {}
-        if "min_match" in queries.column_names:
-            # Solr edismax mm: rank only docs matching >= min_match distinct
-            # query terms (null/0/1 → no restriction)
-            for qid, mm in zip(qids, queries["min_match"].to_pylist()):
-                if mm is not None and int(mm) > 1:
-                    min_match_by_qid[int(qid)] = int(mm)
-        cursor_by_qid: dict[int, tuple[float, int, int]] = {}
-        if "cursor_score" in queries.column_names:
-            for qid, cs, cd in zip(
-                qids,
-                queries["cursor_score"].to_pylist(),
-                queries["cursor_doc"].to_pylist(),
-            ):
-                if cs is not None:
-                    cursor_by_qid[int(qid)] = (float(cs), int(cd), 6)
-        live = {q: v for q, v in plans_by_qid.items() if v[1]}
-        return live, {"n_terms": n_terms_by_qid, "neg": neg_plans_by_qid,
-                      "cursor": cursor_by_qid, "min_match": min_match_by_qid}
+        return (live, _submit_scores(self.actors, live, extras, where,
+                                     require_all))
 
     def topk_time_allowed(
         self, queries: pa.Table, time_allowed_s: float, where=None,
@@ -1547,12 +1489,11 @@ class QueryPool:
         ranks. ``time_allowed_s <= 0`` degenerates to all-partial."""
         import time as _time
 
-        live, extras = self._plan_batch(queries)
+        live, extras = _plan_batch(self.store, queries)
         if not live or not self.actors:
             return self._EMPTY_TOPK, sorted(int(q) for q in live)
 
         def run():
-            import pyarrow.compute as pc_
             import ray
 
             deadline = _time.time() + max(0.0, float(time_allowed_s))
@@ -1568,18 +1509,9 @@ class QueryPool:
             done: set[int] = set(live)
             for _t, d in results:
                 done &= set(d)
-            parts = []
-            for t, _d in results:
-                if t.num_rows:
-                    mask = pc_.is_in(t["query_id"],
-                                     value_set=pa.array(sorted(done),
-                                                        pa.int64()))
-                    parts.append(t.filter(mask))
-            if parts and done:
-                merged = _merge_topk_parts(
-                    {q: v for q, v in live.items() if q in done}, parts)
-            else:
-                merged = self._EMPTY_TOPK
+            merged = _merge_topk_parts(
+                {q: v for q, v in live.items() if q in done},
+                [t for t, _d in results])
             partial = sorted(int(q) for q in live if q not in done)
             return merged, partial
 
@@ -1662,22 +1594,6 @@ class QueryPool:
                 for a in self.actors
             ]
             return _merge_topk_parts(live, ray.get(futures))
-
-        return self._retrying(run)
-
-    def serve(self, queries: pa.Table, chunk_size: int = 32) -> pa.Table:
-        """High-throughput serving: split the query table into chunks and
-        submit ALL of them before collecting any — actors pipeline their
-        queues, driver merges stay off the critical path."""
-
-        def run():
-            chunks = [
-                queries.slice(i, chunk_size)
-                for i in range(0, queries.num_rows, chunk_size)
-            ]
-            handles = [self.topk_submit(c) for c in chunks]
-            parts = [self.topk_collect(h) for h in handles]
-            return pa.concat_tables(parts) if parts else self._EMPTY_TOPK
 
         return self._retrying(run)
 

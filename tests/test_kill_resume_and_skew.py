@@ -139,6 +139,44 @@ def test_actor_pool_query_serving(kill_corpus, tmp_path_factory, ray_session):
         assert sub["score"].tolist() == [s for _, s in expect], text
 
 
+def test_serve_honours_min_match_and_cursor(kill_corpus, tmp_path_factory, ray_session):
+    """``bm25_serve`` takes the same side-channel columns as ``bm25_topk``:
+    ``min_match`` and a ``cursor_score``/``cursor_doc`` search-after mark
+    must restrict its answers exactly as they restrict ``bm25_topk``'s."""
+    import ray.data
+
+    from archivesspace_virgo_ray.index.query import bm25_serve, bm25_topk
+
+    idx = str(tmp_path_factory.mktemp("serve_mm") / "idx")
+    build_index(kill_corpus, idx, BuildConfig(n_shards=2, n_buckets=4), resume=False)
+
+    texts = ["sort_7 filter_7 map_7 reduce_7", "hash_33 license", "the license"]
+    plain = pa.table({"query_id": pa.array([0, 1, 2], pa.int64()),
+                      "text": pa.array(texts, pa.string()),
+                      "k": pa.array([50, 50, 50], pa.int32())})
+    first = bm25_topk(idx, plain).to_pandas()
+    mark = first[(first["query_id"] == 2) & (first["rank"] == 5)].iloc[0]
+    queries = plain.append_column(
+        "min_match", pa.array([3, 2, None], pa.int32())
+    ).append_column(
+        "cursor_score", pa.array([None, None, round(float(mark["score"]), 6)],
+                                 pa.float64())
+    ).append_column(
+        "cursor_doc", pa.array([None, None, int(mark["doc_id"])], pa.int64()))
+
+    expect = bm25_topk(idx, queries).to_pandas()
+    for qid in (0, 1, 2):  # each side channel changes bm25_topk's answer
+        assert (expect[expect["query_id"] == qid]["doc_id"].tolist()
+                != first[first["query_id"] == qid]["doc_id"].tolist()), qid
+
+    got = bm25_serve(idx, ray.data.from_arrow(queries), concurrency=1).to_pandas()
+    got = got.sort_values(["query_id", "rank"], ignore_index=True)
+    assert got["query_id"].tolist() == expect["query_id"].tolist()
+    assert got["rank"].tolist() == expect["rank"].tolist()
+    assert got["doc_id"].tolist() == expect["doc_id"].tolist()
+    assert got["score"].tolist() == expect["score"].tolist()
+
+
 NCPU_BUILD_SCRIPT = """
 import sys, ray
 sys.path.insert(0, {repo!r})

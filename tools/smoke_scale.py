@@ -21,7 +21,7 @@ import ray  # noqa: E402
 
 def _init(store_gb: float = 0.0):
     kw = {"object_store_memory": int(store_gb * 2**30)} if store_gb else {}
-    ray.init(address="local", num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", 32)),
+    ray.init(address="local", num_cpus=os.cpu_count(),
              include_dashboard=False, logging_level="ERROR", **kw)
     from ray.data import DataContext
 
