@@ -8,7 +8,9 @@ the cheap answer to "is this index dir safe to serve / snapshot / reshard?".
 Everything here reads metadata and file sizes only — no posting decode, so
 a multi-TB index audits in seconds. (Posting-level byte checks already have
 stronger guarantees: deterministic segments + atomic publish mean a visible
-segment is either complete or absent.)
+segment is either complete or absent. A crash inside a republish — old dir
+renamed aside, new dir not yet in — is the one way a segment goes absent;
+it is reported as ``seg_stranded`` and ``repair_index`` restores it.)
 
 Findings carry STRUCTURED codes (``issue_codes`` parallel to ``issues``) so
 ``repair_index`` matches repairs to exactly the findings they fix — never by
@@ -52,6 +54,7 @@ DOCS_ROWS = "docs_rows"
 TOMBSTONES_UNREADABLE = "tombstones_unreadable"
 FOLDED_LEFTOVER = "folded_leftover"
 VACUUM_LEFTOVER = "vacuum_leftover"
+SEG_STRANDED = "seg_stranded"
 
 
 def fsck_index(index_dir: str) -> dict:
@@ -62,7 +65,7 @@ def fsck_index(index_dir: str) -> dict:
 
     from .. import PIPELINE_VERSION
     from .build import termstats_dir
-    from .update import committed_gens, folded_gens
+    from .update import committed_gens, folded_gens, stranded_segments
 
     findings: list[tuple[str, str]] = []
 
@@ -97,14 +100,23 @@ def fsck_index(index_dir: str) -> dict:
     total_tokens = 0
     positions_flags = set()
     folded = folded_gens(index_dir)
+    stranded = stranded_segments(index_dir)
+    stranded_roots = {scratch for scratch, _seg in stranded}
+    for scratch, seg in stranded:
+        # a publish crashed between renaming the old dir aside and renaming
+        # the new one in: the scratch root holds the segment's only copy
+        add(SEG_STRANDED, f"{seg} missing: its only copy is in {scratch} "
+            "(crashed segment publish — repair restores it)")
     for name in sorted(os.listdir(seg_root)) if os.path.isdir(seg_root) else []:
         d = os.path.join(seg_root, name)
         if name.startswith("."):
-            # .tmp-* = crashed base writer staging; .gen-* / .tier-* =
-            # crashed delta/tiered writer scratch — all unreferenced; safe
-            # to remove once the writer is certainly dead (repair uses an
-            # mtime threshold)
-            add(STRAY_TMP, f"stray tmp segment dir: {name}")
+            # .tmp-* = crashed write_segment staging; .pub-* = crashed
+            # publish scratch (update._publish_segment) — unreferenced
+            # unless it strands a segment (reported above); safe to remove
+            # once the writer is certainly dead (repair uses an mtime
+            # threshold)
+            if name not in stranded_roots:
+                add(STRAY_TMP, f"stray tmp segment dir: {name}")
             continue
         if not os.path.isdir(d):
             continue
@@ -254,7 +266,10 @@ def repair_index(index_dir: str,
                  scratch_min_age_sec: float = SCRATCH_MIN_AGE_SEC) -> dict:
     """Heal the SAFE-to-heal findings and re-audit:
 
-    - stray ``.tmp-*`` / ``.gen-*`` segment dirs older than
+    - a segment stranded in a crashed publish's scratch root → restored
+      and that scratch root removed, at any age (``update.
+      _heal_crashed_publish``; repair never deletes a segment's only copy)
+    - stray ``.tmp-*`` / ``.pub-*`` segment dirs older than
       ``scratch_min_age_sec`` → removed (a crashed writer's staging — never
       referenced by anything; younger dirs are skipped because they may
       belong to a LIVE writer)
@@ -275,9 +290,11 @@ def repair_index(index_dir: str,
     import shutil
 
     from .build import _seal_termstats
-    from .update import repair_stats
+    from .update import _heal_crashed_publish, repair_stats
 
     actions: list[str] = []
+    actions += [f"restored stranded segment {n}"
+                for n in _heal_crashed_publish(index_dir)]
     now = time.time()
     seg_root = os.path.join(index_dir, "segments")
     if os.path.isdir(seg_root):

@@ -1,9 +1,11 @@
-"""Node-affinity / placement hints for the engine's long-lived actors.
+"""Node-affinity / placement hints for the engine's pool actors and
+segment-rewrite tasks.
 
 On a real multi-node cluster the shard-pinned ``ShardWorker`` actors should
 land on the node that holds their shards' segment files (segment reads are
 the pool's cold-start cost, and NVMe-local beats cross-node every time),
-and ``MergerActor`` tasks should co-locate with the generations they merge.
+and the segment-rewrite tasks of ``merge_segments`` / ``tiered_merge``
+should co-locate with the generations they rewrite.
 The sandbox is single-node, so the DEFAULT is no hint at all — behavior is
 byte-identical to the unhinted engine — and a deployment opts in with::
 
@@ -46,8 +48,9 @@ def set_pool_placement(fn: Optional[Callable[[str, list], dict]]) -> None:
 
 
 def set_merge_placement(fn: Optional[Callable[[str], dict]]) -> None:
-    """``fn(index_dir) -> ray_remote_args dict`` for the ``MergerActor``
-    map_batches pool. ``None`` resets to the default."""
+    """``fn(index_dir) -> Ray task options`` for the segment-rewrite tasks
+    of ``merge_segments`` and ``tiered_merge`` (consulted once per call).
+    ``None`` resets to the default."""
     global _merge_fn
     _merge_fn = fn
 
@@ -63,7 +66,7 @@ def pool_actor_options(index_dir: str, shard_ids) -> dict:
 
 
 def merge_remote_args(index_dir: str) -> dict:
-    """ray_remote_args for the MergerActor stage. Default num_cpus=1."""
+    """Task options for the segment-rewrite tasks. Default num_cpus=1."""
     opts = {"num_cpus": 1}
     if _merge_fn is not None:
         opts.update(_merge_fn(index_dir) or {})

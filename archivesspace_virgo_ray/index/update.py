@@ -1,5 +1,5 @@
-"""Incremental index maintenance: generational segments, merger actors,
-delete tombstones.
+"""Incremental index maintenance: generational segments, segment-rewrite
+tasks, delete tombstones.
 
 The reference maintains its Solr index incrementally — an mtime-window dirty
 set (IndexRecords.java:124-132) re-posts changed docs, and Solr handles
@@ -11,11 +11,13 @@ segment merging internally. Here both halves are explicit:
   Because doc ids are content-derived and shard = doc_id % n_shards, a doc's
   postings land in the same shard forever — queries stay doc-sharded
   scatter/merge, reading base + deltas per (shard, bucket).
-- ``merge_segments``: an actor-pool stage (``map_batches(MergerActor)``)
-  that k-way-merges all generations of a (shard, bucket) into a single base
-  segment. Merging is deterministic (terms ascending, postings
-  doc_id-ascending), so a merged index is **byte-identical** to a full
-  rebuild over the union corpus — the conformance test asserts exactly that.
+- ``merge_segments``: one plain Ray task per (shard, bucket)
+  (:func:`rewrite_segment`) merges all its generations into a single base
+  segment; ``tiered_merge`` runs the same task to fold delta generations
+  into one combined delta. Merging is deterministic (terms ascending,
+  postings doc_id-ascending), so a merged index is **byte-identical** to a
+  full rebuild over the union corpus — the conformance test asserts
+  exactly that.
 - ``delete_documents``: generation-thresholded tombstones (Lucene-style):
   masked at query time, df/avgdl unchanged until a merge expunges the
   postings — same visibility semantics as Solr deletes before an optimize.
@@ -236,12 +238,10 @@ def add_documents(
     delta_tbl: pa.Table | None = None
     docs = None
     if isinstance(source, str):
-        src_files = _parquet_files(source)
-        n_src_rows = sum(
-            pq.ParquetFile(f).metadata.num_rows for f in src_files)
-        if n_src_rows <= _SMALL_DELTA_ROWS:
+        if _parquet_rows(source) <= _SMALL_DELTA_ROWS:
             delta_tbl = pa.concat_tables(
-                [pq.read_table(f, columns=read_cols) for f in src_files])
+                [pq.read_table(f, columns=read_cols)
+                 for f in _parquet_files(source)])
         else:
             docs = ray.data.read_parquet(source, columns=read_cols)
     else:
@@ -475,6 +475,11 @@ def _parquet_files(path: str) -> list[str]:
     )
 
 
+def _parquet_rows(path: str) -> int:
+    """Row count of every .parquet file under ``path``, from the footers."""
+    return sum(pq.ParquetFile(f).metadata.num_rows for f in _parquet_files(path))
+
+
 @ray.remote(num_cpus=0.5)
 def _overlap_scan(path: str, cols: list[str], inc: np.ndarray) -> pd.DataFrame:
     """One forward-table fragment vs the broadcast (sorted) incoming id
@@ -497,50 +502,93 @@ def _write_delta_group(index_dir, shard, bucket, gen, group) -> dict:
 
 def write_segment_gen(index_dir, shard, bucket, gen, group) -> dict:
     """Delta-segment writer: same format, gen-suffixed directory."""
+    from .. import PIPELINE_VERSION
+
+    return _publish_segment(
+        index_dir, shard, bucket, f"{segment_name(shard, bucket)}_g{gen:04d}",
+        group, lineage={"generation": gen, "pipeline_version": PIPELINE_VERSION})
+
+
+def _publish_segment(index_dir, shard, bucket, name, group, lineage=None,
+                     extras=None) -> dict:
+    """Write ``group`` as segment dir ``name``: build it in a dot-prefixed
+    scratch root (reusing write_segment), stamp ``extras`` into its
+    manifest, then rename it into place. A dir already holding ``name`` is
+    renamed aside into the scratch root first and deleted only after the
+    new dir is in, so a crash between the two renames strands the old copy
+    where :func:`_heal_crashed_publish` finds and restores it."""
     import shutil
     import uuid
 
-    from .. import PIPELINE_VERSION
-
-    name = f"{segment_name(shard, bucket)}_g{gen:04d}"
-    final_dir = os.path.join(index_dir, SEGMENTS, name)
-    # reuse write_segment by writing into a scratch root then moving
-    scratch = os.path.join(index_dir, SEGMENTS, f".gen-{uuid.uuid4().hex[:8]}")
-    m = write_segment(scratch, shard, bucket, group,
-                      lineage={"generation": gen, "pipeline_version": PIPELINE_VERSION})
+    scratch = os.path.join(index_dir, SEGMENTS, f".pub-{uuid.uuid4().hex[:8]}")
+    m = write_segment(scratch, shard, bucket, group, lineage=lineage)
     src = os.path.join(scratch, SEGMENTS, segment_name(shard, bucket))
+    if extras:
+        m.update(extras)
+        with open(os.path.join(src, "manifest.json"), "w") as f:
+            json.dump(m, f)
+    final_dir = os.path.join(index_dir, SEGMENTS, name)
     if os.path.isdir(final_dir):
-        shutil.rmtree(final_dir)
+        os.replace(final_dir, os.path.join(scratch, name))
     os.replace(src, final_dir)
     shutil.rmtree(scratch, ignore_errors=True)
     return m
 
 
+def stranded_segments(index_dir: str) -> list[tuple[str, str]]:
+    """(scratch dir, segment name) for every segment dir whose only copy is
+    the aside copy of a crashed :func:`_publish_segment`."""
+    root = os.path.join(index_dir, SEGMENTS)
+    out = []
+    for scratch in sorted(os.listdir(root)) if os.path.isdir(root) else []:
+        d = os.path.join(root, scratch)
+        if not (scratch.startswith(".") and os.path.isdir(d)):
+            continue
+        out.extend(
+            (scratch, name) for name in sorted(os.listdir(d))
+            if _GEN_RE.match(name)
+            and not os.path.exists(os.path.join(root, name)))
+    return out
+
+
+def _heal_crashed_publish(index_dir: str) -> list[str]:
+    """Restore every stranded segment dir and drop its scratch root.
+    Putting the old copy back is always correct: a full merge deletes its
+    source deltas only after the publish, and a fold's or add's output is
+    invisible until its marker commits. Call under the index lock (no
+    publish is then in flight). Returns the restored names (shared by
+    merge_segments, tiered_merge/maintain and fsck --repair)."""
+    import shutil
+
+    root = os.path.join(index_dir, SEGMENTS)
+    restored = []
+    for scratch, name in stranded_segments(index_dir):
+        os.replace(os.path.join(root, scratch, name), os.path.join(root, name))
+        shutil.rmtree(os.path.join(root, scratch), ignore_errors=True)
+        restored.append(name)
+    return restored
+
+
 def _read_expunged_triples(
     index_dir: str,
-    names: list[str],
-    mask_for_gen,
+    readers: dict,
+    tomb_ids: np.ndarray,
+    tomb_thr: np.ndarray,
     merge_pos: bool,
-    readers: dict | None = None,
 ) -> pd.DataFrame:
-    """Decode every (term, doc) posting in ``names``, dropping postings
-    masked at each source segment's own mask generation — the shared read
-    half of both the full (base) merge and the tiered (partial) merge.
-    ``mask_for_gen(gen)`` returns the sorted doc-id mask for postings read
-    at generation ``gen``. Returns the (term, doc_id, tf, dl[, pos]) frame
-    write_segment consumes (typed empty when nothing survives)."""
+    """Decode every (term, doc) posting of the segments in ``readers``
+    (name -> SegmentReader), dropping postings masked at each source
+    segment's own mask generation. Returns the (term, doc_id, tf, dl[, pos])
+    frame write_segment consumes (typed empty when nothing survives)."""
     from .postings import (
         decode_positions,
         decode_posting_list,
         position_bytes_array,
     )
 
-    if readers is None:
-        readers = {n: open_segment(index_dir, n) for n in names}
     frames = []
-    for name in names:
-        rdr = readers[name]
-        mask = mask_for_gen(segment_mask_gen(index_dir, name))
+    for name, rdr in readers.items():
+        mask = tomb_ids[tomb_thr > segment_mask_gen(index_dir, name)]
         for term in rdr.terms["term"].to_pylist():
             e = rdr.term_entry(term)
             docs, tfs, dls = decode_posting_list(e["payload"], e["block_table"])
@@ -572,111 +620,93 @@ def _read_expunged_triples(
     return pd.concat(frames, ignore_index=True)
 
 
-class MergerActor:
-    """Actor-pool segment merger (T5/north_rule): holds codec + tombstone
-    state, merges all generations of a (shard, bucket) into one base segment
-    per call. Postings masked at their generation (deletes and replaced-away
-    versions) are DROPPED during the merge, so the merged base is
-    byte-identical to a rebuild over the union corpus's latest versions."""
+def rewrite_segment(index_dir, shard, bucket, names, tombs, fold=None) -> dict:
+    """Rewrite one (shard, bucket) pair: the work unit of both compactions.
+    Reads the driver-chosen source dirs ``names``, drops the postings
+    masked at each source's own generation (deletes and replaced-away
+    versions), and publishes the survivors as one segment. Deterministic
+    (write_segment sorts by (term, doc_id)), so a full merge is
+    byte-identical to a rebuild over the live corpus and a retried task
+    writes the same bytes. ``tombs`` = (tomb_ids, tomb_thr, n_shards).
 
-    def __init__(self, index_dir: str):
-        from .segments import read_stats as _read_stats
+    - **full merge** (``fold`` None): replaces the base segment, stamping
+      ``merged_through_gen`` (highest source generation; readers skip the
+      deltas at or below it), then deletes the source deltas. A crash
+      before that delete leaves deltas that readers already skip.
+    - **tiered fold** (``fold`` = (out_gen, mask_gen)): writes
+      ``_g{out_gen}``, invisible until the driver commits that marker,
+      stamping ``mask_gen`` (highest folded generation) and lineage so
+      query-time thresholds keep masking correctly (segment_mask_gen).
+      Writes no dir when every posting was masked: the committed fold
+      hides the sources and nothing needs to replace them.
 
-        self.index_dir = index_dir
-        self.tomb_ids, self.tomb_thr = load_tombstone_thresholds(index_dir)
-        self.n_shards = _read_stats(index_dir)["n_shards"]
+    Both stamp ``expunged_sig``, the signature of the masks applied here,
+    so segment_needs_expunge fires again only when the pair's relevant
+    mask set changes. Returns {shard, bucket, n_tokens, n_postings,
+    n_dropped}."""
+    import shutil
 
-    def _mask_for_gen(self, gen: int) -> np.ndarray:
-        return self.tomb_ids[self.tomb_thr > gen]
+    from .. import PIPELINE_VERSION
 
-    def _needs_expunge(self, shard: int, names: list[str]) -> bool:
-        return any(
-            segment_needs_expunge(
-                self.index_dir, shard, n, self.tomb_ids, self.tomb_thr,
-                self.n_shards,
-            )
-            for n in names
-        )
+    tomb_ids, tomb_thr, n_shards = tombs
+    readers = {n: open_segment(index_dir, n) for n in names}
+    # positions carry through iff every source stores them (always true
+    # when built/added consistently)
+    merge_pos = all(r.has_positions for r in readers.values())
+    triples = _read_expunged_triples(index_dir, readers, tomb_ids, tomb_thr,
+                                     merge_pos)
+    n_src = sum(int(r.terms["df"].to_numpy().sum()) for r in readers.values())
+    out = {"shard": shard, "bucket": bucket, "n_tokens": 0, "n_postings": 0,
+           "n_dropped": n_src - len(triples)}
+    if fold is None:
+        stamp_gen = max(segment_gen(index_dir, n) for n in names)
+        name, lineage = segment_name(shard, bucket), None
+        extras = {"merged_through_gen": stamp_gen}
+    else:
+        out_gen, stamp_gen = fold
+        if not len(triples):
+            return out
+        name = f"{segment_name(shard, bucket)}_g{out_gen:04d}"
+        lineage = {"generation": out_gen, "pipeline_version": PIPELINE_VERSION}
+        extras = {"mask_gen": stamp_gen}
+    extras["expunged_sig"] = mask_signature(tomb_ids, tomb_thr, shard,
+                                            n_shards, stamp_gen)
+    m = _publish_segment(index_dir, shard, bucket, name, triples, lineage,
+                         extras)
+    if fold is None:
+        for n in names:
+            if "_g" in n:
+                shutil.rmtree(os.path.join(index_dir, SEGMENTS, n),
+                              ignore_errors=True)
+    out.update(n_tokens=int(m["n_tokens"]), n_postings=int(m["n_postings"]))
+    return out
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import shutil
-        import uuid
 
-        out_shard, out_bucket, out_merged = [], [], []
-        gens_map = list_segment_generations(self.index_dir)
-        folded = folded_gens(self.index_dir)
-        for shard, bucket in zip(
-            batch["shard"].to_pylist(), batch["bucket"].to_pylist()
-        ):
-            # merge only the VISIBLE set: base + committed, unmerged gens.
-            # A SINGLE-generation pair is still rewritten when it may hold
-            # masked postings — a delete's expunge must not depend on a
-            # delta happening to exist in that bucket.
-            names = live_gens(self.index_dir, gens_map.get((shard, bucket), []),
-                              folded=folded)
-            if len(names) <= 1 and not (
-                names and self._needs_expunge(shard, names)
-            ):
-                out_shard.append(shard)
-                out_bucket.append(bucket)
-                out_merged.append(False)
-                continue
-            max_gen = max(segment_gen(self.index_dir, n) for n in names)
-            # positions carry through a merge iff every source generation
-            # stores them (always true when built/added consistently)
-            readers = {n: open_segment(self.index_dir, n) for n in names}
-            merge_pos = all(r.has_positions for r in readers.values())
-            allt = _read_expunged_triples(
-                self.index_dir, names, self._mask_for_gen, merge_pos,
-                readers=readers,
-            )
-            # deterministic rebuild in a scratch root (write_segment sorts
-            # (term, doc_id)); crash-safe publish order: (1) stamp the merged
-            # manifest with merged_through_gen, (2) atomically replace the
-            # base, (3) delete deltas. A crash between 2 and 3 leaves deltas
-            # on disk but readers skip gens <= merged_through_gen.
-            scratch = os.path.join(
-                self.index_dir, SEGMENTS, f".merge-{uuid.uuid4().hex[:8]}"
-            )
-            write_segment(scratch, shard, bucket, allt)
-            seg_src = os.path.join(scratch, SEGMENTS, segment_name(shard, bucket))
-            mpath = os.path.join(seg_src, "manifest.json")
-            with open(mpath) as f:
-                manifest = json.load(f)
-            manifest["merged_through_gen"] = max_gen
-            # every mask known NOW was applied — record the applied set's
-            # signature so later merges skip this segment until the
-            # relevant mask set actually CHANGES (an expunge must not
-            # re-run as a byte-identical no-op forever, and a new delete
-            # sharing the same threshold value must still trigger one)
-            manifest["expunged_sig"] = mask_signature(
-                self.tomb_ids, self.tomb_thr, shard, self.n_shards, max_gen
-            )
-            with open(mpath, "w") as f:
-                json.dump(manifest, f)
-            base_dir = os.path.join(
-                self.index_dir, SEGMENTS, segment_name(shard, bucket)
-            )
-            if os.path.isdir(base_dir):
-                shutil.rmtree(base_dir)
-            os.replace(seg_src, base_dir)
-            shutil.rmtree(scratch, ignore_errors=True)
-            for name in names:
-                if "_g" in name:
-                    shutil.rmtree(
-                        os.path.join(self.index_dir, SEGMENTS, name),
-                        ignore_errors=True,
-                    )
-            out_shard.append(shard)
-            out_bucket.append(bucket)
-            out_merged.append(True)
-        return pa.table(
-            {
-                "shard": pa.array(out_shard, pa.int32()),
-                "bucket": pa.array(out_bucket, pa.int32()),
-                "merged": pa.array(out_merged, pa.bool_()),
-            }
-        )
+@ray.remote
+def _rewrite_segment_task(*args) -> dict:
+    """Task wrapper: one (shard, bucket) rewrite per task."""
+    return rewrite_segment(*args)
+
+
+def _rewrite_pairs(index_dir, work, tombs, concurrency, fold=None) -> list[dict]:
+    """Run :func:`rewrite_segment` over ``work`` [(shard, bucket, names)]
+    as plain Ray tasks, at most ``concurrency`` at once, with the options
+    of the merge placement hook. Results come back in ``work`` order."""
+    from .placement import merge_remote_args
+
+    task = _rewrite_segment_task.options(**merge_remote_args(index_dir))
+    tombs_ref = ray.put(tombs)
+    refs, running = [], []
+    for shard, bucket, names in work:
+        if len(running) >= max(1, concurrency):
+            _done, running = ray.wait(running, num_returns=1)
+        refs.append(task.remote(index_dir, shard, bucket, names, tombs_ref, fold))
+        running.append(refs[-1])
+    return ray.get(refs)
+
+
+def _load_tombs(index_dir: str) -> tuple[np.ndarray, np.ndarray, int]:
+    return (*load_tombstone_thresholds(index_dir), read_stats(index_dir)["n_shards"])
 
 
 def open_segment(index_dir: str, name: str):
@@ -689,43 +719,27 @@ def open_segment(index_dir: str, name: str):
 @locked_on("index_dir")
 def merge_segments(index_dir: str, concurrency: int = 4) -> pd.DataFrame:
     """Merge every multi-generation (shard, bucket) back to a single base
-    segment via the MergerActor pool, and EXPUNGE masked postings — also
-    from single-generation pairs in shards holding deleted docs, so a full
+    segment, one :func:`rewrite_segment` task per pair (at most
+    ``concurrency`` at once), and EXPUNGE masked postings — also from
+    single-generation pairs in shards holding deleted docs, so a full
     merge always leaves stats exact. Returns the merge report."""
-    from .segments import read_stats as _read_stats
-
-    gens = list_segment_generations(index_dir)
-    tomb_ids, tomb_thr = load_tombstone_thresholds(index_dir)
-    n_shards = _read_stats(index_dir)["n_shards"]
+    _heal_crashed_publish(index_dir)
+    tombs = _load_tombs(index_dir)
     folded = folded_gens(index_dir)
-
-    def needs_work(s: int, names: list[str]) -> bool:
+    work = []
+    for (s, b), names in sorted(list_segment_generations(index_dir).items()):
+        # merge only the VISIBLE set: base + committed, unmerged gens. A
+        # single-generation pair is still rewritten when it may hold masked
+        # postings — a delete's expunge must not depend on a delta
+        # happening to exist in that bucket.
         live = live_gens(index_dir, names, folded=folded)
-        if len(live) > 1:
-            return True
-        return any(
-            segment_needs_expunge(index_dir, s, n, tomb_ids, tomb_thr, n_shards)
-            for n in live
-        )
-
-    work = [
-        {"shard": s, "bucket": b}
-        for (s, b), names in sorted(gens.items())
-        if needs_work(s, names)
-    ]
+        if len(live) > 1 or any(
+            segment_needs_expunge(index_dir, s, n, *tombs) for n in live
+        ):
+            work.append((s, b, live))
     if not work:
         return pd.DataFrame(columns=["shard", "bucket", "merged"])
-    from .placement import merge_remote_args
-
-    ds = ray.data.from_items(work)
-    out = ds.map_batches(
-        MergerActor,
-        batch_format="pyarrow",
-        batch_size=1,
-        concurrency=min(concurrency, len(work)),
-        fn_constructor_args=(index_dir,),
-        **merge_remote_args(index_dir),
-    ).to_pandas()
+    _rewrite_pairs(index_dir, work, tombs, concurrency)
     # a merge drops masked postings (deletes / replaced-away versions), so
     # corpus totals and per-term stats change: recompute stats from disk
     # truth and reseal the term dictionary. After a full merge, stats are
@@ -735,118 +749,9 @@ def merge_segments(index_dir: str, concurrency: int = 4) -> pd.DataFrame:
 
     repair_stats(index_dir)
     _seal_termstats(index_dir)
-    return out
-
-
-class TieredMergerActor:
-    """Actor-pool PARTIAL merger: folds one fixed set of delta generations
-    of a (shard, bucket) into a single combined delta segment, leaving the
-    base untouched — the Lucene TieredMergePolicy work unit. Postings are
-    expunged with each SOURCE generation's own mask (exactly like the base
-    merge), and the combined manifest records ``mask_gen`` = max(source
-    gens) so query-time thresholds keep masking correctly (see
-    segment_mask_gen). Output dirs stay INVISIBLE until the driver commits
-    the fold's generation marker — a crash leaves uncommitted dirs that
-    the next cleanup removes, sources intact."""
-
-    def __init__(self, index_dir: str, fold_gens: list[int], out_gen: int):
-        from .segments import read_stats as _read_stats
-
-        self.index_dir = index_dir
-        self.fold_gens = sorted(int(g) for g in fold_gens)
-        self.out_gen = int(out_gen)
-        self.mask_gen = max(self.fold_gens)
-        self.tomb_ids, self.tomb_thr = load_tombstone_thresholds(index_dir)
-        self.n_shards = _read_stats(index_dir)["n_shards"]
-
-    def _mask_for_gen(self, gen: int) -> np.ndarray:
-        return self.tomb_ids[self.tomb_thr > gen]
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import shutil
-        import uuid
-
-        from .. import PIPELINE_VERSION
-
-        fold_set = set(self.fold_gens)
-        out_rows = {"shard": [], "bucket": [], "n_tokens": [],
-                    "n_postings": [], "n_dropped": []}
-        gens_map = list_segment_generations(self.index_dir)
-        for shard, bucket in zip(
-            batch["shard"].to_pylist(), batch["bucket"].to_pylist()
-        ):
-            names = [
-                n for n in gens_map.get((shard, bucket), [])
-                if (m := re.search(r"_g(\d+)$", n)) and int(m.group(1)) in fold_set
-            ]
-            if not names:
-                continue
-            src_postings = 0
-            for n in names:
-                with open(os.path.join(self.index_dir, SEGMENTS, n,
-                                       "manifest.json")) as f:
-                    src_postings += int(json.load(f).get("n_postings", 0))
-            readers = {n: open_segment(self.index_dir, n) for n in names}
-            merge_pos = all(r.has_positions for r in readers.values())
-            allt = _read_expunged_triples(
-                self.index_dir, names, self._mask_for_gen, merge_pos,
-                readers=readers,
-            )
-            dropped = src_postings - int(len(allt))
-            if not len(allt):
-                # every posting was masked: committing the fold marker makes
-                # the sources invisible and nothing replaces them — correct,
-                # the postings were dead. No combined dir for this pair.
-                out_rows["shard"].append(shard)
-                out_rows["bucket"].append(bucket)
-                out_rows["n_tokens"].append(0)
-                out_rows["n_postings"].append(0)
-                out_rows["n_dropped"].append(dropped)
-                continue
-            out_name = f"{segment_name(shard, bucket)}_g{self.out_gen:04d}"
-            final_dir = os.path.join(self.index_dir, SEGMENTS, out_name)
-            scratch = os.path.join(
-                self.index_dir, SEGMENTS, f".tier-{uuid.uuid4().hex[:8]}"
-            )
-            m = write_segment(
-                scratch, shard, bucket, allt,
-                lineage={"generation": self.out_gen,
-                         "pipeline_version": PIPELINE_VERSION},
-            )
-            seg_src = os.path.join(
-                scratch, SEGMENTS, segment_name(shard, bucket)
-            )
-            mpath = os.path.join(seg_src, "manifest.json")
-            with open(mpath) as f:
-                manifest = json.load(f)
-            manifest["mask_gen"] = self.mask_gen
-            # the masks known NOW were applied physically; record their
-            # signature at mask_gen so segment_needs_expunge only fires
-            # again when the relevant mask set actually changes
-            manifest["expunged_sig"] = mask_signature(
-                self.tomb_ids, self.tomb_thr, shard, self.n_shards,
-                self.mask_gen,
-            )
-            with open(mpath, "w") as f:
-                json.dump(manifest, f)
-            if os.path.isdir(final_dir):  # crashed previous attempt, retry
-                shutil.rmtree(final_dir)
-            os.replace(seg_src, final_dir)
-            shutil.rmtree(scratch, ignore_errors=True)
-            out_rows["shard"].append(shard)
-            out_rows["bucket"].append(bucket)
-            out_rows["n_tokens"].append(int(m["n_tokens"]))
-            out_rows["n_postings"].append(int(m["n_postings"]))
-            out_rows["n_dropped"].append(dropped)
-        return pa.table(
-            {
-                "shard": pa.array(out_rows["shard"], pa.int32()),
-                "bucket": pa.array(out_rows["bucket"], pa.int32()),
-                "n_tokens": pa.array(out_rows["n_tokens"], pa.int64()),
-                "n_postings": pa.array(out_rows["n_postings"], pa.int64()),
-                "n_dropped": pa.array(out_rows["n_dropped"], pa.int64()),
-            }
-        )
+    return pd.DataFrame({"shard": [s for s, _b, _n in work],
+                         "bucket": [b for _s, b, _n in work],
+                         "merged": True})
 
 
 def _restamp_sealed_gens(index_dir: str, expected: list[int]) -> bool:
@@ -934,9 +839,11 @@ def tiered_merge(
     Commit protocol per round (single maintenance writer assumed, like all
     index mutators here):
 
-    1. clean uncommitted/folded leftovers (a crashed prior attempt),
-    2. write every (shard, bucket) combined delta at a fresh generation M
-       — invisible until committed,
+    1. heal a crashed publish and clean uncommitted/folded leftovers (a
+       crashed prior attempt),
+    2. write every (shard, bucket) combined delta at a fresh generation M,
+       one :func:`rewrite_segment` task per pair (at most ``concurrency``
+       at once) — invisible until committed,
     3. commit marker M with ``folds=[...]`` — the atomic visibility flip:
        readers now see the combined and skip the folded sources,
     4. delete the folded source dirs (lazy; step 1 / fsck also reap them),
@@ -944,60 +851,53 @@ def tiered_merge(
        shrink when masked postings were expunged).
 
     Returns {"rounds": [...]} with per-round folds/new_gen/pairs."""
+    import shutil
+
     from .build import _seal_termstats
 
     report: dict = {"rounds": []}
+    _heal_crashed_publish(index_dir)
     if _cleanup_uncommitted_gens(index_dir):
         _seal_termstats(index_dir)
         repair_stats(index_dir)
     seal_basis = sorted(committed_gens(index_dir))
+    tombs = _load_tombs(index_dir)  # folds add no tombstones
+    root = os.path.join(index_dir, SEGMENTS)
     total_dropped = 0
     for _ in range(max_rounds):
         fold = select_fold(_live_delta_gen_sizes(index_dir), merge_factor)
         if not fold:
             break
         out_gen = _next_gen(index_dir)
-        pairs = sorted(
-            (s, b)
-            for (s, b), names in list_segment_generations(index_dir).items()
-            if any(
-                (m := re.search(r"_g(\d+)$", n)) and int(m.group(1)) in set(fold)
-                for n in names
-            )
-        )
-        from .placement import merge_remote_args
+        fold_set = set(fold)
 
-        work = [{"shard": s, "bucket": b} for s, b in pairs]
-        ds = ray.data.from_items(work)
-        out = ds.map_batches(
-            TieredMergerActor,
-            batch_format="pyarrow",
-            batch_size=1,
-            concurrency=min(concurrency, max(1, len(work))),
-            fn_constructor_args=(index_dir, fold, out_gen),
-            **merge_remote_args(index_dir),
-        ).to_pandas()
+        def folded_here(name: str) -> bool:
+            m = _GEN_RE.match(name)
+            return bool(m and m.group(3) and int(m.group(3)) in fold_set)
+
+        work = []
+        for (s, b), names in sorted(list_segment_generations(index_dir).items()):
+            src = [n for n in names if folded_here(n)]
+            if src:
+                work.append((s, b, src))
+        out = _rewrite_pairs(index_dir, work, tombs, concurrency,
+                             fold=(out_gen, max(fold)))
         _commit_gen(
             index_dir, out_gen,
-            {"n_docs": 0, "n_tokens": int(out["n_tokens"].sum()) if len(out) else 0,
+            {"n_docs": 0, "n_tokens": sum(r["n_tokens"] for r in out),
              "replaces": [], "n_replaced": 0, "n_shadowed": 0,
              "folds": [int(g) for g in fold], "tiered": True},
         )
         # sources are now invisible; reap them (crash here is harmless —
         # cleanup and fsck --repair both remove folded leftovers)
-        import shutil
-
-        fold_set = set(fold)
-        root = os.path.join(index_dir, SEGMENTS)
         for name in os.listdir(root):
-            m = _GEN_RE.match(name)
-            if m and m.group(3) and int(m.group(3)) in fold_set:
+            if folded_here(name):
                 shutil.rmtree(os.path.join(root, name), ignore_errors=True)
-        round_dropped = int(out["n_dropped"].sum()) if len(out) else 0
+        round_dropped = sum(r["n_dropped"] for r in out)
         total_dropped += round_dropped
         report["rounds"].append(
             {"folds": [int(g) for g in fold], "new_gen": int(out_gen),
-             "pairs": int((out["n_postings"] > 0).sum()) if len(out) else 0,
+             "pairs": sum(r["n_postings"] > 0 for r in out),
              "n_dropped": round_dropped}
         )
     if report["rounds"]:
@@ -1052,21 +952,10 @@ def _count_dead_docs(index_dir: str) -> int:
     ids_ref = ray.put(ids)
     docs_dir = os.path.join(index_dir, "_docs")
     cols = ["doc_id"] + (["gen"] if "gen" in _docs_columns(docs_dir) else [])
-
-    def hit(t: pa.Table) -> pa.Table:
-        d = np.asarray(t["doc_id"].to_numpy(), dtype=np.int64)
-        tomb = ray.get(ids_ref)
-        pos = np.searchsorted(tomb, d)
-        ok = pos < len(tomb)
-        keep = np.zeros(len(d), dtype=bool)
-        keep[ok] = tomb[pos[ok]] == d[ok]
-        return t.filter(pa.array(keep))
-
-    rows = (
-        ray.data.read_parquet(docs_dir, columns=cols)
-        .map_batches(hit, batch_format="pyarrow")
-        .to_pandas()
-    )
+    parts = ray.get([_overlap_scan.remote(f, cols, ids_ref)
+                     for f in _parquet_files(docs_dir)])
+    rows = (pd.concat(parts, ignore_index=True) if parts
+            else pd.DataFrame(columns=cols))
     if not len(rows):
         return 0
     if "gen" in rows.columns:
@@ -1171,11 +1060,11 @@ def vacuum_docs(index_dir: str) -> dict:
         masked[ok] = sub
         return t.filter(pa.array(~masked))
 
-    n_before = ray.data.read_parquet(docs_dir).count()  # bare read: metadata
+    n_before = _parquet_rows(docs_dir)
     (ray.data.read_parquet(docs_dir)
         .map_batches(keep_live, batch_format="pyarrow")
         .write_parquet(tmp_dir))
-    n_after = ray.data.read_parquet(tmp_dir).count()
+    n_after = _parquet_rows(tmp_dir)
     os.replace(docs_dir, old_dir)
     os.replace(tmp_dir, docs_dir)
     shutil.rmtree(old_dir, ignore_errors=True)
@@ -1421,8 +1310,8 @@ def segment_needs_expunge(
 ) -> bool:
     """True iff this segment may still hold masked postings: the CURRENT
     relevant mask set differs from the one already expunged into it.
-    Shared by the merge work-list and the MergerActor's skip check — the
-    two must never disagree."""
+    Shared by the merge work-list and vacuum_docs' precondition — the two
+    must never disagree."""
     sig = mask_signature(tomb_ids, tomb_thr, shard, n_shards,
                          segment_mask_gen(index_dir, name))
     if not sig:

@@ -74,21 +74,30 @@ def test_merge_placement_hook(ray_session, tmp_path):
     import pandas as pd
     import ray.data
 
-    from archivesspace_virgo_ray.index.update import add_documents, merge_segments
+    from archivesspace_virgo_ray.index.update import (
+        add_documents,
+        merge_segments,
+        tiered_merge,
+    )
 
     idx = str(tmp_path / "idx")
     build_index(CORPUS, idx, _cfg())
-    delta = pd.DataFrame({
-        "doc_id": [990001], "text": ["brand new delta doc"],
-        "lang": ["en"], "source": ["s"], "n_chars": [19],
-    })
-    add_documents(ray.data.from_pandas(delta), idx, _cfg())
+    for i in range(2):
+        delta = pd.DataFrame({
+            "doc_id": [990001 + i], "text": ["brand new delta doc"],
+            "lang": ["en"], "source": ["s"], "n_chars": [19],
+        })
+        add_documents(ray.data.from_pandas(delta), idx, _cfg())
     seen = []
     placement.set_merge_placement(
         lambda d: (seen.append(d) or {"num_cpus": 1}))
     try:
-        rep = merge_segments(idx, concurrency=2)
+        # the tiered fold's rewrite tasks take the same options
+        rep = tiered_merge(idx, merge_factor=2, concurrency=2)
+        assert len(rep["rounds"]) == 1
         assert seen == [idx]
+        rep = merge_segments(idx, concurrency=2)
+        assert seen == [idx, idx]
         assert (rep["merged"]).any()
     finally:
         placement.set_merge_placement(None)

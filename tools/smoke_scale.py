@@ -12,11 +12,14 @@ them to reproduce (expect ±40% VM drift per CLAUDE.md; best-of-N yourself).
 import os
 import shutil
 import sys
+import tempfile
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import ray  # noqa: E402
+
+_TMP = tempfile.gettempdir()  # corpora and indexes; set TMPDIR to move them
 
 
 def _init(store_gb: float = 0.0):
@@ -31,7 +34,7 @@ def _init(store_gb: float = 0.0):
 def _corpus(n_docs: int) -> str:
     from archivesspace_virgo_ray.corpus import write_corpus_sharded
 
-    d = f"/tmp/avr_smoke_corpus_{n_docs}"
+    d = f"{_TMP}/avr_smoke_corpus_{n_docs}"
     if not os.path.exists(d + "/_DONE"):
         shutil.rmtree(d, ignore_errors=True)
         t0 = time.time()
@@ -46,7 +49,7 @@ def smoke_build(n_docs: int, store_gb: float) -> None:
 
     _init(store_gb)
     corpus = _corpus(n_docs)
-    idx = f"/tmp/avr_smoke_idx_{n_docs}"
+    idx = f"{_TMP}/avr_smoke_idx_{n_docs}"
     shutil.rmtree(idx, ignore_errors=True)
     t0 = time.time()
     stats = build_index(corpus, idx, BuildConfig(batch_size=2000),
@@ -69,7 +72,7 @@ def smoke_reshard(n_docs: int) -> None:
 
     _init()
     corpus = _corpus(n_docs)
-    a, b, c = (f"/tmp/avr_smoke_rs_{n_docs}_{x}" for x in "abc")
+    a, b, c = (f"{_TMP}/avr_smoke_rs_{n_docs}_{x}" for x in "abc")
     for d in (a, b, c):
         shutil.rmtree(d, ignore_errors=True)
     t0 = time.time()
@@ -113,7 +116,7 @@ def smoke_maintain(n_docs: int) -> None:
 
     _init()
     corpus = _corpus(n_docs)
-    idx = f"/tmp/avr_smoke_mt_{n_docs}"
+    idx = f"{_TMP}/avr_smoke_mt_{n_docs}"
     shutil.rmtree(idx, ignore_errors=True)
     cfg = BuildConfig(batch_size=2000)
     t0 = time.time()
@@ -130,7 +133,7 @@ def smoke_maintain(n_docs: int) -> None:
         t = t.set_column(
             t.column_names.index("repo"), "repo",
             pa.array([f"delta{i}/{r}" for r in t["repo"].to_pylist()]))
-        p = f"/tmp/avr_smoke_mt_delta{i}.parquet"
+        p = f"{_TMP}/avr_smoke_mt_delta{i}.parquet"
         pq.write_table(t, p)
         deltas.append(p)
         add_documents(p, idx, cfg)
@@ -164,6 +167,8 @@ def smoke_maintain(n_docs: int) -> None:
           f"n_docs_final={read_stats(idx)['n_docs']} fsck_ok={ok}", flush=True)
     shutil.rmtree(idx, ignore_errors=True)
     ray.shutdown()
+    if not ok or not rep["merged_pairs"]:
+        raise SystemExit("maintain smoke failed: fsck not ok or no pair merged")
 
 
 if __name__ == "__main__":
