@@ -52,6 +52,7 @@ from ..functions.tokenize import (
 from .segments import (
     DOCS,
     GLOBAL,
+    _parquet_rows,
     list_complete_segments,
     read_stats,
     write_segment,
@@ -502,7 +503,7 @@ def build_index(
     if pass1_error:
         raise pass1_error[0]
 
-    n_docs = int(ray.data.read_parquet(docs_dir, columns=["doc_id"]).count())
+    n_docs = _parquet_rows(docs_dir)
     # total token count = sum of per-segment token counters (manifest K7
     # analog) — no second tokenization pass needed
     total_len = sum(m["n_tokens"] for m in _all_manifests(index_dir))

@@ -15,9 +15,20 @@ ASpaceObject.java:253). Layout per term:
   up in tf and down in dl, hence a true upper bound for every posting in the
   block.
 
+Layout per segment (``postings.bin``): the terms' payloads back to back in
+term order, so the whole file is the three streams of the segment — doc
+deltas (each term's first delta is its absolute doc id), tfs, dls —
+interleaved block by block as doc|tf|dl. ``encode_segment`` writes a
+segment in one pass: one varbyte encode per stream, per-block byte counts
+and bounds from ``reduceat`` over the global block starts, and one gather
+that interleaves the streams. ``decode_segment`` is its inverse (one
+scatter back to stream order, one varbyte decode per stream).
+``decode_posting_list`` decodes the selected blocks of one term — the
+query-time access pattern.
+
 Both codec directions are vectorized numpy (no per-value Python loop): encode
 loops only over byte-position (<=10 iterations), decode reconstructs values
-with a segmented shift-accumulate.
+with a segmented bitwise-or reduce.
 """
 
 from __future__ import annotations
@@ -62,31 +73,50 @@ def varbyte_encode(values: np.ndarray, nbytes: np.ndarray | None = None) -> byte
     return out.tobytes()
 
 
-def varbyte_decode(buf: bytes, n_values: int | None = None) -> np.ndarray:
-    """Decode a varbyte buffer back to a uint64 array (vectorized)."""
+def varbyte_decode(buf, n_values: int | None = None) -> np.ndarray:
+    """Decode a varbyte buffer (bytes-like or uint8 array) back to a uint64
+    array (vectorized). Raises ValueError on a truncated stream (last byte
+    still has the continuation bit) or a value count other than
+    ``n_values``."""
     b = np.frombuffer(buf, dtype=np.uint8)
     if b.size == 0:
         return np.empty(0, dtype=np.uint64)
-    is_last = (b & 0x80) == 0
-    # group id per byte: 0-based index of the value this byte belongs to
-    group_id = np.zeros(b.shape, dtype=np.int64)
-    np.cumsum(is_last[:-1], out=group_id[1:])
-    n = int(group_id[-1]) + 1
+    if b[-1] & 0x80:
+        raise ValueError("truncated varbyte stream: last value has no final byte")
+    ends = np.flatnonzero(b < 0x80)
+    n = len(ends)
     if n_values is not None and n != n_values:
         raise ValueError(f"decoded {n} values, expected {n_values}")
-    # position of each byte within its value
-    first_of_group = np.ones(b.shape, dtype=bool)
-    first_of_group[1:] = is_last[:-1]
-    starts = np.flatnonzero(first_of_group)
-    pos = np.arange(b.size, dtype=np.int64) - np.repeat(
-        starts, np.diff(np.concatenate([starts, [b.size]]))
-    )
-    contrib = (b & np.uint8(0x7F)).astype(np.uint64) << (
-        np.uint64(7) * pos.astype(np.uint64)
-    )
-    values = np.zeros(n, dtype=np.uint64)
-    np.add.at(values, group_id, contrib)
-    return values
+    starts = np.zeros(n, dtype=np.int64)
+    starts[1:] = ends[:-1] + 1
+    # shift of each byte = 7 * its position within its value: a cumsum of
+    # +7 steps that drops back to 0 at every value start (uint64 wraps, so
+    # the negative step is exact)
+    shift = np.full(b.size, 7, dtype=np.uint64)
+    shift[0] = 0
+    shift[starts[1:]] = np.uint64(7) * (starts[:-1] - ends[:-1]).astype(np.uint64)
+    np.cumsum(shift, out=shift)
+    contrib = (b & np.uint8(0x7F)).astype(np.uint64)
+    contrib <<= shift
+    # the 7-bit groups of a value never overlap, so OR-reducing is exact
+    return np.bitwise_or.reduceat(contrib, starts)
+
+
+def _starts(lengths: np.ndarray) -> np.ndarray:
+    """Exclusive cumsum: start offset of each run of the given lengths."""
+    out = np.zeros(len(lengths), dtype=np.int64)
+    np.cumsum(lengths[:-1], out=out[1:])
+    return out
+
+
+def _rebase(deltas: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Undo delta coding run by run: the first delta of each run is
+    absolute. One cumsum; modular arithmetic keeps it exact for uint64."""
+    csum = np.cumsum(deltas)
+    starts = _starts(lengths)
+    entering = np.zeros(len(lengths), dtype=csum.dtype)
+    entering[1:] = csum[starts[1:] - 1]
+    return csum - np.repeat(entering, lengths)
 
 
 def encode_position_deltas(tfs: np.ndarray, flat_positions: np.ndarray) -> tuple[bytes, np.ndarray]:
@@ -156,76 +186,125 @@ def decode_positions(
     mv = memoryview(pos_payload)
     bufs = [mv[int(offs[bi]) : int(offs[bi]) + int(pos_bytes[bi])] for bi in sel]
     deltas = varbyte_decode(b"".join(bufs), total).astype(np.int64)
-    csum = np.cumsum(deltas)
-    starts = np.concatenate([[0], np.cumsum(tfs)[:-1]])
-    entering = np.where(starts > 0, csum[starts - 1], 0)
-    correction = np.repeat(-entering, tfs)
-    return csum + correction
+    return _rebase(deltas, tfs)
+
+
+BLOCK_COLUMNS = ("last_doc", "n", "max_tf", "min_dl", "doc_bytes", "tf_bytes", "dl_bytes")
+
+
+def _interleave_index(doc_bytes, tf_bytes, dl_bytes) -> np.ndarray:
+    """Gather index from stream order (every doc byte, then every tf byte,
+    then every dl byte) to payload order (doc|tf|dl per block)."""
+    n_doc, n_tf = int(doc_bytes.sum()), int(tf_bytes.sum())
+    sizes = np.stack([doc_bytes, tf_bytes, dl_bytes], axis=1).ravel()
+    src = np.stack([
+        _starts(doc_bytes),
+        n_doc + _starts(tf_bytes),
+        n_doc + n_tf + _starts(dl_bytes),
+    ], axis=1).ravel()
+    return np.repeat(src - _starts(sizes), sizes) + np.arange(int(sizes.sum()))
+
+
+def encode_segment(doc_ids, tfs, dls, starts, ends):
+    """Encode every term of a segment in one pass.
+
+    ``doc_ids``/``tfs``/``dls``: the segment's postings, (term, doc_id)
+    ascending; term t owns ``[starts[t], ends[t])`` (df >= 1, no gaps).
+
+    Returns (payload, terms, blocks): ``terms`` holds per-term
+    ``n_blocks`` (int32), ``block_start``, ``payload_off``, ``payload_len``
+    (int64); ``blocks`` holds the ``BLOCK_COLUMNS`` arrays in term order
+    (``n`` int32, the rest int64; all int64 for an empty segment, the
+    on-disk format of an empty segment's block table).
+    """
+    doc_ids = np.asarray(doc_ids, dtype=np.int64)
+    tfs = np.asarray(tfs, dtype=np.int64)
+    dls = np.asarray(dls, dtype=np.int64)
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
+    if len(doc_ids) == 0:
+        e = np.empty(0, dtype=np.int64)
+        terms = {"n_blocks": np.empty(0, dtype=np.int32), "block_start": e,
+                 "payload_off": e, "payload_len": e}
+        return b"", terms, {k: e for k in BLOCK_COLUMNS}
+    n_blocks = (ends - starts + BLOCK_SIZE - 1) // BLOCK_SIZE
+    block_start = _starts(n_blocks)
+    # global first posting of every block: its term's start plus
+    # BLOCK_SIZE per earlier block of the same term
+    within = np.arange(int(n_blocks.sum())) - np.repeat(block_start, n_blocks)
+    bstart = np.repeat(starts, n_blocks) + within * BLOCK_SIZE
+    bend = np.minimum(bstart + BLOCK_SIZE, np.repeat(ends, n_blocks))
+
+    # one delta stream for the whole segment: a block's first delta is the
+    # previous block's last doc of the same term, i.e. the plain
+    # consecutive delta, and each term's first delta is its absolute doc id
+    ids_u = doc_ids.astype(np.uint64)
+    deltas = np.empty_like(ids_u)
+    deltas[1:] = ids_u[1:] - ids_u[:-1]
+    deltas[starts] = ids_u[starts]
+    streams = (deltas, tfs.astype(np.uint64), dls.astype(np.uint64))
+    nbytes = [_varbyte_nbytes(v) for v in streams]
+    encoded = b"".join(varbyte_encode(v, nb) for v, nb in zip(streams, nbytes))
+    doc_bytes, tf_bytes, dl_bytes = (np.add.reduceat(nb, bstart) for nb in nbytes)
+    gather = _interleave_index(doc_bytes, tf_bytes, dl_bytes)
+    payload = np.frombuffer(encoded, dtype=np.uint8)[gather].tobytes()
+
+    payload_len = np.add.reduceat(doc_bytes + tf_bytes + dl_bytes, block_start)
+    terms = {
+        "n_blocks": n_blocks.astype(np.int32),
+        "block_start": block_start,
+        "payload_off": _starts(payload_len),
+        "payload_len": payload_len,
+    }
+    blocks = {
+        "last_doc": doc_ids[bend - 1],
+        "n": (bend - bstart).astype(np.int32),
+        "max_tf": np.maximum.reduceat(tfs, bstart),
+        "min_dl": np.minimum.reduceat(dls, bstart),
+        "doc_bytes": doc_bytes,
+        "tf_bytes": tf_bytes,
+        "dl_bytes": dl_bytes,
+    }
+    return payload, terms, blocks
+
+
+def decode_segment(reader):
+    """Decode every posting of a segment (a ``SegmentReader``) in one pass:
+    one scatter of ``postings.bin`` back to stream order, one varbyte decode
+    per stream, and a term-segmented cumsum that rebases the doc deltas.
+
+    Returns (doc_ids, tfs, dls, df, positions): flat int64 arrays in
+    (term, doc_id) order, per-term df (term order of ``reader.terms``), and
+    the flat in-doc token positions (posting i owns the next ``tfs[i]``
+    values) when the segment stores them, else None.
+    """
+    blocks = reader.blocks
+    df = reader.terms["df"].to_numpy().astype(np.int64)
+    total = int(df.sum())
+    db, tb = blocks["doc_bytes"], blocks["tf_bytes"]
+    streams = np.empty(len(reader.payload), dtype=np.uint8)
+    streams[_interleave_index(db, tb, blocks["dl_bytes"])] = reader.payload
+    n_doc, n_tf = int(db.sum()), int(tb.sum())
+    deltas = varbyte_decode(streams[:n_doc], total)
+    tfs = varbyte_decode(streams[n_doc : n_doc + n_tf], total).astype(np.int64)
+    dls = varbyte_decode(streams[n_doc + n_tf :], total).astype(np.int64)
+    doc_ids = _rebase(deltas, df).astype(np.int64)
+    positions = None
+    if reader.has_positions:
+        pos = varbyte_decode(reader.pos_payload, int(tfs.sum())).astype(np.int64)
+        positions = _rebase(pos, tfs)
+    return doc_ids, tfs, dls, df, positions
 
 
 def encode_posting_list(
     doc_ids: np.ndarray, tfs: np.ndarray, dls: np.ndarray
 ) -> tuple[bytes, dict[str, np.ndarray]]:
-    """Encode one term's postings (doc_id-ascending) into block payloads.
-
-    Returns (payload_bytes, block_table) where block_table has per-block
-    arrays: last_doc, n, max_tf, min_dl, doc_bytes, tf_bytes, dl_bytes.
-    """
+    """Encode one term's postings (doc_id-ascending): a one-term
+    ``encode_segment``. Returns (payload_bytes, block_table)."""
     n = len(doc_ids)
     assert n > 0
-    doc_ids = np.asarray(doc_ids, dtype=np.int64)
-    tfs = np.asarray(tfs, dtype=np.int64)
-    dls = np.asarray(dls, dtype=np.int64)
-    n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    bounds = np.arange(0, n_blocks) * BLOCK_SIZE  # block start indices
-    ends = np.minimum(bounds + BLOCK_SIZE, n)
-
-    # a block's first delta is taken from the previous block's LAST doc —
-    # which equals the plain consecutive delta, so one uniform delta stream
-    # serves every block. The whole stream is varbyte-encoded in ONE
-    # vectorized call per stream; per-block byte lengths come from reduceat
-    # over per-value byte counts (per-block numpy calls are overhead-bound).
-    deltas = np.empty(n, dtype=np.uint64)
-    deltas[0] = np.uint64(doc_ids[0])
-    deltas[1:] = (doc_ids[1:] - doc_ids[:-1]).astype(np.uint64)
-
-    tfs_u = tfs.astype(np.uint64)
-    dls_u = dls.astype(np.uint64)
-    nb_doc = _varbyte_nbytes(deltas)
-    nb_tf = _varbyte_nbytes(tfs_u)
-    nb_dl = _varbyte_nbytes(dls_u)
-    enc_doc = varbyte_encode(deltas, nb_doc)
-    enc_tf = varbyte_encode(tfs_u, nb_tf)
-    enc_dl = varbyte_encode(dls_u, nb_dl)
-
-    doc_bytes = np.add.reduceat(nb_doc, bounds)
-    tf_bytes = np.add.reduceat(nb_tf, bounds)
-    dl_bytes = np.add.reduceat(nb_dl, bounds)
-    last_doc = doc_ids[ends - 1]
-    bn = (ends - bounds).astype(np.int32)
-    max_tf = np.maximum.reduceat(tfs, bounds)
-    min_dl = np.minimum.reduceat(dls, bounds)
-
-    # interleave per-block sections: docs | tfs | dls per block
-    off_doc = np.concatenate([[0], np.cumsum(doc_bytes)]).astype(np.int64)
-    off_tf = np.concatenate([[0], np.cumsum(tf_bytes)]).astype(np.int64)
-    off_dl = np.concatenate([[0], np.cumsum(dl_bytes)]).astype(np.int64)
-    parts = []
-    for bi in range(n_blocks):
-        parts.append(enc_doc[off_doc[bi] : off_doc[bi + 1]])
-        parts.append(enc_tf[off_tf[bi] : off_tf[bi + 1]])
-        parts.append(enc_dl[off_dl[bi] : off_dl[bi + 1]])
-    payload = b"".join(parts)
-    table = {
-        "last_doc": last_doc,
-        "n": bn,
-        "max_tf": max_tf,
-        "min_dl": min_dl,
-        "doc_bytes": doc_bytes,
-        "tf_bytes": tf_bytes,
-        "dl_bytes": dl_bytes,
-    }
-    return bytes(payload), table
+    payload, _terms, blocks = encode_segment(doc_ids, tfs, dls, [0], [n])
+    return payload, blocks
 
 
 def decode_posting_list(

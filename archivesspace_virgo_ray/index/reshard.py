@@ -36,10 +36,11 @@ import ray.data
 
 from ..functions.tokenize import stable_hash_strings
 from .build import BuildConfig, _all_manifests, _seal_termstats, make_segment_writer
-from .postings import decode_posting_list, decode_positions, position_bytes_array
+from .postings import decode_segment, position_bytes_array
 from .segments import (
     DOCS,
     SegmentReader,
+    _parquet_rows,
     list_complete_segments,
     read_stats,
     write_stats,
@@ -58,54 +59,22 @@ def segment_to_triples(
 ) -> pa.Table:
     """Decode one source segment into triples keyed by the TARGET layout.
 
-    Per-term decode (the repo's one-varbyte-call-per-term pattern,
-    postings.py:231); term/bucket hashes are computed once per unique term
-    and repeated by df — never per posting.
+    One whole-segment decode (postings.decode_segment); term/bucket hashes
+    are computed once per unique term and repeated by df — never per
+    posting.
     """
     r = SegmentReader(src_dir, shard, bucket)
+    doc_ids, tfs, dls, dfs, pos = decode_segment(r)
     terms = np.asarray(r.terms["term"].to_pylist(), dtype=object)
-    n_terms = len(terms)
-    doc_parts, tf_parts, dl_parts, pos_parts = [], [], [], []
-    dfs = np.zeros(n_terms, dtype=np.int64)
-    for i, term in enumerate(terms):
-        e = r.term_entry(term)
-        doc_ids, tfs, dls = decode_posting_list(e["payload"], e["block_table"])
-        dfs[i] = len(doc_ids)
-        doc_parts.append(doc_ids)
-        tf_parts.append(tfs)
-        dl_parts.append(dls)
-        if positions:
-            flat = decode_positions(
-                e["pos_payload"], e["block_table"]["pos_bytes"], tfs
-            )
-            pos_parts.append(position_bytes_array(tfs, flat))
-    if n_terms == 0:
-        return pa.table({
-            "term": pa.array([], pa.string()),
-            "doc_id": pa.array([], pa.int64()),
-            "tf": pa.array([], pa.int32()),
-            "dl": pa.array([], pa.int32()),
-            **({"pos": pa.array([], pa.binary())} if positions else {}),
-            "gkey": pa.array([], pa.int32()),
-        })
-    doc_ids = np.concatenate(doc_parts)
-    tfs = np.concatenate(tf_parts)
-    dls = np.concatenate(dl_parts)
-    term_col = np.repeat(terms, dfs)
     bucket_u = (stable_hash_strings(terms) % np.uint64(n_buckets)).astype(np.int64)
-    new_bucket = np.repeat(bucket_u, dfs)
     new_shard = doc_ids % n_shards
-    gkey = (new_shard * n_buckets + new_bucket).astype(np.int32)
+    gkey = (new_shard * n_buckets + np.repeat(bucket_u, dfs)).astype(np.int32)
     return pa.table({
-        "term": pa.array(term_col, pa.string()),
+        "term": pa.array(np.repeat(terms, dfs), pa.string()),
         "doc_id": pa.array(doc_ids),
         "tf": pa.array(tfs.astype(np.int32)),
         "dl": pa.array(dls.astype(np.int32)),
-        **(
-            {"pos": pa.concat_arrays(pos_parts)
-             if len(pos_parts) > 1 else pos_parts[0]}
-            if positions else {}
-        ),
+        **({"pos": position_bytes_array(tfs, pos)} if positions else {}),
         "gkey": pa.array(gkey),
     })
 
@@ -187,8 +156,7 @@ def reshard_index(
 
     # ---- seal (same fields build_index writes) ------------------------------
     _seal_termstats(dst_dir)
-    n_docs = int(ray.data.read_parquet(
-        os.path.join(dst_dir, DOCS), columns=["doc_id"]).count())
+    n_docs = _parquet_rows(os.path.join(dst_dir, DOCS))
     total_len = sum(m["n_tokens"] for m in _all_manifests(dst_dir))
     out = {
         "n_docs": n_docs,

@@ -43,7 +43,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from .. import PIPELINE_VERSION
-from .postings import encode_posting_list
+from .postings import encode_segment
 
 SEGMENTS = "segments"
 GLOBAL = "_global"
@@ -143,68 +143,36 @@ def write_segment(
     ends = np.concatenate([starts[1:], [len(codes)]])
     uniq_terms = np.asarray(uniq_terms, dtype=object)
 
+    payload, term_cols, block_cols = encode_segment(doc_ids, tfs, dls, starts, ends)
     term_rows = {
         "term": uniq_terms,
         "df": (ends - starts).astype(np.int64),
         "cf": np.add.reduceat(tfs, starts).astype(np.int64) if len(tfs) else np.empty(0, np.int64),
         "max_tf": np.maximum.reduceat(tfs, starts).astype(np.int64) if len(tfs) else np.empty(0, np.int64),
         "min_dl": np.minimum.reduceat(dls, starts).astype(np.int64) if len(dls) else np.empty(0, np.int64),
-    }
-    n_blocks_l, block_start_l, payload_off_l, payload_len_l = [], [], [], []
-    block_cols: dict[str, list] = {
-        k: [] for k in ("last_doc", "n", "max_tf", "min_dl", "doc_bytes", "tf_bytes", "dl_bytes")
+        **term_cols,
     }
     if has_pos:
-        block_cols["pos_bytes"] = []
-        pos_off_l, pos_len_l = [], []
-        pos_payload = bytearray()
-    payload = bytearray()
-    block_cursor = 0
-    for s, e in zip(starts, ends):
-        body, btab = encode_posting_list(doc_ids[s:e], tfs[s:e], dls[s:e])
-        n_blocks_l.append(len(btab["n"]))
-        block_start_l.append(block_cursor)
-        payload_off_l.append(len(payload))
-        payload_len_l.append(len(body))
-        block_cursor += len(btab["n"])
-        payload += body
-        if has_pos:
-            from .postings import BLOCK_SIZE
-
-            bounds = np.arange(0, e - s, BLOCK_SIZE)
-            block_cols["pos_bytes"].append(
-                np.add.reduceat(pos_lens[s:e], bounds).astype(np.int64)
-            )
-            pos_off_l.append(len(pos_payload))
-            term_pos = b"".join(pos_sorted[s:e].tolist())
-            pos_len_l.append(len(term_pos))
-            pos_payload += term_pos
-        for k in block_cols:
-            if k != "pos_bytes":
-                block_cols[k].append(btab[k])
+        # one join of the per-posting position bytes; per-block and
+        # per-term byte counts from reduceat over the same boundaries
+        pos_payload = b"".join(pos_sorted.tolist())
+        empty = np.empty(0, np.int64)
+        n = block_cols["n"]
+        block_cols["pos_bytes"] = (
+            np.add.reduceat(pos_lens, np.cumsum(n) - n) if len(pos_lens) else empty)
+        pos_len = np.add.reduceat(pos_lens, starts) if len(pos_lens) else empty
+        term_rows["pos_off"] = np.cumsum(pos_len) - pos_len
+        term_rows["pos_len"] = pos_len
 
     n_terms = len(uniq_terms)
     terms_tbl = pa.table(
         {
             **{k: pa.array(v) for k, v in term_rows.items()},
-            "n_blocks": pa.array(n_blocks_l, pa.int32()),
-            "block_start": pa.array(block_start_l, pa.int64()),
-            "payload_off": pa.array(payload_off_l, pa.int64()),
-            "payload_len": pa.array(payload_len_l, pa.int64()),
-            **(
-                {
-                    "pos_off": pa.array(pos_off_l, pa.int64()),
-                    "pos_len": pa.array(pos_len_l, pa.int64()),
-                }
-                if has_pos else {}
-            ),
             "shard": pa.array([shard] * n_terms, pa.int32()),
             "bucket": pa.array([bucket] * n_terms, pa.int32()),
         }
     )
-    blocks_tbl = pa.table(
-        {k: pa.array(np.concatenate(v) if v else np.empty(0, np.int64)) for k, v in block_cols.items()}
-    )
+    blocks_tbl = pa.table({k: pa.array(v) for k, v in block_cols.items()})
 
     final_dir = segment_dir(index_dir, shard, bucket)
     tmp_dir = os.path.join(
@@ -215,10 +183,10 @@ def write_segment(
         pq.write_table(terms_tbl, os.path.join(tmp_dir, "terms.parquet"))
         pq.write_table(blocks_tbl, os.path.join(tmp_dir, "blocks.parquet"))
         with open(os.path.join(tmp_dir, "postings.bin"), "wb") as f:
-            f.write(bytes(payload))
+            f.write(payload)
         if has_pos:
             with open(os.path.join(tmp_dir, "positions.bin"), "wb") as f:
-                f.write(bytes(pos_payload))
+                f.write(pos_payload)
         manifest = {
             "shard": shard,
             "bucket": bucket,
@@ -309,6 +277,22 @@ class SegmentReader:
                 self.pos_payload[e["pos_off"] : e["pos_off"] + e["pos_len"]]
             )
         return e
+
+
+def _parquet_files(path: str) -> list[str]:
+    """All .parquet files under a file-or-directory path, sorted."""
+    if os.path.isfile(path):
+        return [path]
+    return sorted(
+        os.path.join(r, f)
+        for r, _d, fs in os.walk(path)
+        for f in fs if f.endswith(".parquet")
+    )
+
+
+def _parquet_rows(path: str) -> int:
+    """Row count of every .parquet file under ``path``, from the footers."""
+    return sum(pq.ParquetFile(f).metadata.num_rows for f in _parquet_files(path))
 
 
 def write_stats(index_dir: str, stats: dict) -> None:

@@ -44,7 +44,7 @@ import ray.data
 from .build import BuildConfig, _all_manifests, make_doc_stats_fn, make_triples_fn
 from .locking import locked_on
 from .segments import GLOBAL, SEGMENTS, segment_name, write_segment
-from .segments import read_stats, write_stats
+from .segments import _parquet_files, _parquet_rows, read_stats, write_stats
 
 _GEN_RE = re.compile(r"^s(\d+)_b(\d+)(?:_g(\d+))?$")
 
@@ -464,22 +464,6 @@ def repair_stats(index_dir: str) -> dict:
     return stats
 
 
-def _parquet_files(path: str) -> list[str]:
-    """All .parquet files under a file-or-directory path, sorted."""
-    if os.path.isfile(path):
-        return [path]
-    return sorted(
-        os.path.join(r, f)
-        for r, _d, fs in os.walk(path)
-        for f in fs if f.endswith(".parquet")
-    )
-
-
-def _parquet_rows(path: str) -> int:
-    """Row count of every .parquet file under ``path``, from the footers."""
-    return sum(pq.ParquetFile(f).metadata.num_rows for f in _parquet_files(path))
-
-
 @ray.remote(num_cpus=0.5)
 def _overlap_scan(path: str, cols: list[str], inc: np.ndarray) -> pd.DataFrame:
     """One forward-table fragment vs the broadcast (sorted) incoming id
@@ -579,44 +563,22 @@ def _read_expunged_triples(
     """Decode every (term, doc) posting of the segments in ``readers``
     (name -> SegmentReader), dropping postings masked at each source
     segment's own mask generation. Returns the (term, doc_id, tf, dl[, pos])
-    frame write_segment consumes (typed empty when nothing survives)."""
-    from .postings import (
-        decode_positions,
-        decode_posting_list,
-        position_bytes_array,
-    )
+    frame write_segment consumes. One whole-segment decode, one mask test
+    and one frame per source segment."""
+    from .postings import decode_segment, position_bytes_array
 
     frames = []
     for name, rdr in readers.items():
+        docs, tfs, dls, df, pos = decode_segment(rdr)
+        terms = np.repeat(np.asarray(rdr.terms["term"].to_pylist(), dtype=object), df)
         mask = tomb_ids[tomb_thr > segment_mask_gen(index_dir, name)]
-        for term in rdr.terms["term"].to_pylist():
-            e = rdr.term_entry(term)
-            docs, tfs, dls = decode_posting_list(e["payload"], e["block_table"])
-            pos_flat = (
-                decode_positions(
-                    e["pos_payload"], e["block_table"]["pos_bytes"], tfs
-                )
-                if merge_pos else None
-            )
-            if len(mask):
-                keep = ~np.isin(docs, mask, assume_unique=True)
-                if pos_flat is not None:
-                    pos_flat = pos_flat[np.repeat(keep, tfs)]
-                docs, tfs, dls = docs[keep], tfs[keep], dls[keep]
-            if len(docs) == 0:
-                continue
-            cols = {"term": term, "doc_id": docs, "tf": tfs, "dl": dls}
-            if pos_flat is not None:
-                cols["pos"] = position_bytes_array(tfs, pos_flat).to_pylist()
-            frames.append(pd.DataFrame(cols))
-    if not frames:
-        frames.append(pd.DataFrame(
-            {"term": pd.Series(dtype=object),
-             "doc_id": pd.Series(dtype=np.int64),
-             "tf": pd.Series(dtype=np.int64),
-             "dl": pd.Series(dtype=np.int64),
-             **({"pos": pd.Series(dtype=object)} if merge_pos else {})}
-        ))
+        keep = ~np.isin(docs, mask)
+        cols = {"term": terms[keep], "doc_id": docs[keep], "tf": tfs[keep],
+                "dl": dls[keep]}
+        if merge_pos:
+            cols["pos"] = position_bytes_array(
+                cols["tf"], pos[np.repeat(keep, tfs)]).to_pylist()
+        frames.append(pd.DataFrame(cols))
     return pd.concat(frames, ignore_index=True)
 
 
