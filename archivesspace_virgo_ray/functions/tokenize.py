@@ -228,12 +228,6 @@ STEM_SQL_CASE = (
 )
 
 
-def stem_text(text: str) -> str:
-    """Stemmed token stream of a document, space-joined (the derived
-    stemmed-field content)."""
-    return " ".join(stem_token(t) for t in tokenize_text(text))
-
-
 # --- identifier (WordDelimiter-style) analysis filter ----------------------
 # Source-code fields index compound identifiers: camelCase and snake_case
 # names should match queries for their parts ("agg" finds "keyAgg",

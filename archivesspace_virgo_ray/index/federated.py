@@ -3,35 +3,50 @@
 Solr's distributed search scores each shard with its own local IDF unless
 distributed IDF (the ExactStatsCache) is enabled — the classic source of
 cross-shard rank skew. This module implements the exact-stats model on Ray:
-the driver merges per-term (df, max_tf, min_dl) across every member index
-(df sums — member doc sets must be disjoint — max_tf max, min_dl min) and
-corpus stats (n_docs/total_len sum; avgdl recomputed from the sums), plans
-every query ONCE with those global values, and scatters to each member's
-warm ``QueryPool`` actors with the global avgdl override
-(``ShardWorker.score(avgdl_override=...)``).
+the driver merges per-term (df, max_tf, min_dl, cf) across every member
+index (df and cf sum — member doc sets must be disjoint — max_tf max,
+min_dl min) and corpus stats (n_docs/total_len sum; avgdl recomputed from
+the sums), plans every query batch ONCE with those global values through
+the pool's planner (``query._plan_batch``), and scatters the plan to each
+member's warm ``QueryPool`` actors; the plan carries the global avgdl.
 
 Because a document lives in exactly one member index, per-doc contributions
 accumulate in the same canonical term order (desc global upper bound, tie
 asc term) with the same idf/avgdl floats as one combined index would use —
 federated results are BIT-IDENTICAL to building a single index over the
-union corpus (pinned by test). Member layouts may differ: each member's
-plans carry ITS OWN term→bucket mapping; global idf/ub ride along.
+union corpus (pinned by test). Member layouts may differ: each member gets
+the plan with ITS OWN term→bucket mapping; global idf/ub ride along.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import replace
+
 import pyarrow as pa
 
-from ..functions.tokenize import stable_hash_strings, tokenize_text
-from ..oracle import bm25_idf, term_upper_bound
+from ..functions.tokenize import apply_analyzer, tokenize_text
 from .query import (
+    BatchPlan,
     TermPlan,
     TermStatsStore,
     _merge_topk_parts,
-    get_pool,
+    _plan_batch,
+    _plan_terms,
     get_pool_and_sig,
 )
+
+
+def _rebucket(plans: list[TermPlan], store: TermStatsStore) -> list[TermPlan]:
+    """``plans`` with each term's bucket in ``store``'s index."""
+    buckets = store._bucket_of([p.term for p in plans])
+    return [replace(p, bucket=b) for p, b in zip(plans, buckets)]
+
+
+def _member_plan(plan: BatchPlan, store: TermStatsStore) -> BatchPlan:
+    return replace(plan, queries={
+        q: qp._replace(terms=_rebucket(qp.terms, store),
+                       neg=_rebucket(qp.neg, store))
+        for q, qp in plan.queries.items()})
 
 
 class FederatedSearcher:
@@ -70,144 +85,67 @@ class FederatedSearcher:
         else:
             self.pools = pools
 
-    def _merged_stats(self, text: str):
-        """(per-member term→bucket maps, term → merged [df, max_tf, min_dl,
-        cf]) for the query's terms — the ExactStatsCache exchange, O(query
-        terms × members)."""
-        from ..functions.tokenize import apply_analyzer
+    @property
+    def _avgdl(self) -> float:
+        return self.avgdl
 
-        terms = sorted(set(tokenize_text(apply_analyzer(self.analyzer, text))))
-        per_member_bucket: list[dict[str, int]] = []
-        merged: dict[str, list[int]] = {}
-        if not terms:
-            return per_member_bucket, merged
+    def _analyze(self, text: str) -> list[str]:
+        """The query's distinct terms, sorted, under the members' analyzer."""
+        return sorted(set(tokenize_text(apply_analyzer(self.analyzer, text))))
+
+    def _plan(self, terms: list[str], mu: float | None = None
+              ) -> list[TermPlan]:
+        """Global plans from merged stats — the ExactStatsCache exchange,
+        O(query terms × members). Buckets are the first member's;
+        ``_member_plan`` maps them to each member's layout."""
+        merged: dict[str, tuple[int, int, int, int]] = {}
         for st in self.stores:
-            n_buckets = st.stats["n_buckets"]
-            buckets = (stable_hash_strings(np.asarray(terms, dtype=object))
-                       % np.uint64(n_buckets)).astype(int)
-            bmap = dict(zip(terms, (int(b) for b in buckets)))
-            per_member_bucket.append(bmap)
-            for term in terms:
-                s = st._load_bucket(bmap[term]).get(term)
+            for term, s in zip(terms, st._term_stats(terms, st._bucket_of(terms))):
                 if s is None:
                     continue
-                df, max_tf, min_dl, cf = s
                 m = merged.get(term)
-                if m is None:
-                    merged[term] = [df, max_tf, min_dl, cf]
-                else:
-                    m[0] += df
-                    m[1] = max(m[1], max_tf)
-                    m[2] = min(m[2], min_dl)
-                    m[3] += cf
-        return per_member_bucket, merged
+                merged[term] = s if m is None else (
+                    m[0] + s[0], max(m[1], s[1]), min(m[2], s[2]), m[3] + s[3])
+        return _plan_terms(terms, self.stores[0]._bucket_of(terms),
+                           [merged.get(t) for t in terms], self.n_docs,
+                           self.avgdl, self.total_len, mu)
 
     def plan_query(self, text: str) -> list[list[TermPlan]]:
         """One global plan per member index: merged-stat idf/ub, member-local
         bucket ids, canonical (desc ub, asc term) order shared by all."""
-        per_member_bucket, merged = self._merged_stats(text)
-        if not per_member_bucket:
-            return [[] for _ in self.stores]
-        order = []
-        for term, (df, max_tf, min_dl, _cf) in merged.items():
-            idf = bm25_idf(df, self.n_docs)
-            ub = term_upper_bound(idf, max_tf, min_dl, self.avgdl)
-            order.append((term, idf, ub))
-        order.sort(key=lambda t: (-t[2], t[0]))
-        return [
-            [TermPlan(term, bmap[term], idf, ub) for term, idf, ub in order]
-            for bmap in per_member_bucket
-        ]
+        plans = self._plan(self._analyze(text))
+        return [_rebucket(plans, st) for st in self.stores]
 
-    def plan_query_lmd(self, text: str, mu: float) -> list[list[TermPlan]]:
-        """LM-Dirichlet federated plans: global rate = total_len_g/(µ·cf_g),
-        ub from merged (max_tf, min_dl) — mirrors
-        TermStatsStore.plan_query_lmd with merged stats."""
-        per_member_bucket, merged = self._merged_stats(text)
-        if not per_member_bucket:
-            return [[] for _ in self.stores]
-        order = []
-        for term, (_df, max_tf, min_dl, cf) in merged.items():
-            rate = self.total_len / (mu * cf)
-            ub = max(
-                0.0,
-                float(np.log(1.0 + max_tf * rate)
-                      + np.log(mu / (min_dl + mu))),
-            )
-            order.append((term, rate, ub))
-        order.sort(key=lambda t: (-t[2], t[0]))
-        return [
-            [TermPlan(term, bmap[term], rate, ub) for term, rate, ub in order]
-            for bmap in per_member_bucket
-        ]
+    def _topk(self, queries: pa.Table, where=None,
+              mu: float | None = None) -> pa.Table:
+        """Plan once with global stats, scatter each member its rebucketed
+        plan, merge every actor's per-shard k-heaps."""
+        self._ensure_fresh()
+        import ray
+
+        plan = _plan_batch(self, queries, mu)
+        futures = [a.score.remote(_member_plan(plan, st), where)
+                   for st, pool in zip(self.stores, self.pools)
+                   for a in pool.actors] if plan.queries else []
+        return _merge_topk_parts(plan.queries,
+                                 [t for t, _done in ray.get(futures)])
 
     def topk(self, queries: pa.Table, where=None) -> pa.Table:
         """(query_id, text, k) → (query_id, rank, doc_id, score), the global
         top-k across every member; scores identical to a single combined
-        index. ``where``: optional pyarrow filter over the members' ``_docs``
+        index. Takes the same optional columns as ``bm25_topk``
+        (``not_text``, ``min_match``, ``cursor_score``/``cursor_doc``).
+        ``where``: optional pyarrow filter over the members' ``_docs``
         meta columns, evaluated shard-locally (Solr fq semantics — restricts
         the result set, never the stats). Scatter fan-out = Σ members' actor
         counts; each actor returns only its per-shard k-heaps."""
-        self._ensure_fresh()
-        import ray
-
-        qids = queries["query_id"].to_pylist()
-        texts = queries["text"].to_pylist()
-        ks = queries["k"].to_pylist()
-        member_live: list[dict] = [{} for _ in self.pools]
-        any_live: dict = {}
-        for qid, text, k in zip(qids, texts, ks):
-            plans_by_member = self.plan_query(text)
-            if not any(plans_by_member):
-                continue
-            any_live[int(qid)] = (int(k), plans_by_member[0])
-            for i, plans in enumerate(plans_by_member):
-                member_live[i][int(qid)] = (int(k), plans)
-        futures = []
-        for pool, live in zip(self.pools, member_live):
-            if not live:
-                continue
-            for a in pool.actors:
-                futures.append(a.score.remote(
-                    live, where, False, None, None, None, None, self.avgdl))
-        if not futures:
-            from .query import QueryPool
-
-            return QueryPool._EMPTY_TOPK
-        return _merge_topk_parts(any_live, ray.get(futures))
+        return self._topk(queries, where)
 
     def topk_lmd(self, queries: pa.Table, mu: float = 2000.0) -> pa.Table:
-        """Federated LM-Dirichlet: global cf/total_len, member-local buckets,
-        sim=("lmd", µ) threaded to the scorers — bit-identical to
-        ``QueryPool.topk_lmd`` on one combined index."""
-        self._ensure_fresh()
-        import ray
-
-        qids = queries["query_id"].to_pylist()
-        texts = queries["text"].to_pylist()
-        ks = queries["k"].to_pylist()
-        member_live: list[dict] = [{} for _ in self.pools]
-        any_live: dict = {}
-        for qid, text, k in zip(qids, texts, ks):
-            plans_by_member = self.plan_query_lmd(text, mu)
-            if not any(plans_by_member):
-                continue
-            any_live[int(qid)] = (int(k), plans_by_member[0])
-            for i, plans in enumerate(plans_by_member):
-                member_live[i][int(qid)] = (int(k), plans)
-        futures = []
-        for pool, live in zip(self.pools, member_live):
-            if not live:
-                continue
-            for a in pool.actors:
-                futures.append(a.score.remote(
-                    live, None, False, None, None, None, None, None,
-                    ("lmd", float(mu))))
-        if not futures:
-            from .query import QueryPool
-
-            return QueryPool._EMPTY_TOPK
-        return _merge_topk_parts(any_live, ray.get(futures))
+        """Federated LM-Dirichlet: global cf/total_len, member-local
+        buckets — bit-identical to ``QueryPool.topk_lmd`` on one combined
+        index."""
+        return self._topk(queries, mu=float(mu))
 
     def facet_counts(self, facet_col: str, text: str | None = None,
                      mode: str = "and"):

@@ -117,80 +117,13 @@ def browse_terms(
     return out
 
 
-def browse_terms_infix(
-    index_dir: str, needles: list[str], limit: int = 50
-) -> pd.DataFrame:
-    """Infix vocabulary suggest (Lucene AnalyzingInfixSuggester analogue):
-    (needle, term, df) — top-``limit`` vocabulary terms CONTAINING each
-    needle, by (df desc, term asc). Unlike the prefix browse no range
-    pushdown exists, so this is one full (but column-pruned — term+df only)
-    termstats scan for ALL needles together; per-block vectorized
-    ``str.contains`` + local top-N, k x blocks rows merged on the driver.
-    Cost stays proportional to vocabulary bytes, never corpus bytes."""
-    import ray.data
-
-    from .build import termstats_dir
-
-    empty = pd.DataFrame({
-        "needle": pd.Series([], dtype=object),
-        "term": pd.Series([], dtype=object),
-        "df": pd.Series([], dtype=np.int64),
-    })
-    norm = {s: _normalize_prefix(s) for s in needles}
-    live = sorted({n for n in norm.values() if n})
-    if not live:
-        return empty
-
-    def topn(df: pd.DataFrame) -> pd.DataFrame:
-        frames = []
-        for s in live:
-            m = df[df["term"].str.contains(s, regex=False)].copy()
-            if len(m) == 0:
-                continue
-            m = m.sort_values(["df", "term"], ascending=[False, True]).head(limit)
-            m["needle"] = s
-            frames.append(m)
-        return (
-            pd.concat(frames, ignore_index=True)
-            if frames
-            else pd.DataFrame({
-                "term": pd.Series([], dtype=object),
-                "df": pd.Series([], dtype=np.int64),
-                "needle": pd.Series([], dtype=object),
-            })
-        )
-
-    matched = (
-        ray.data.read_parquet(termstats_dir(index_dir), columns=["term", "df"])
-        .map_batches(topn, batch_format="pandas")
-        .to_pandas()
-    )
-    if len(matched) == 0 or "term" not in matched.columns:
-        return empty
-    by_norm: dict[str, pd.DataFrame] = {
-        str(s): g.sort_values(["df", "term"], ascending=[False, True]).head(limit)
-        for s, g in matched.groupby("needle")
-    }
-    frames = []
-    for raw, n in norm.items():
-        if n and n in by_norm:
-            g = by_norm[n].copy()
-            g["needle"] = raw
-            frames.append(g[["needle", "term", "df"]])
-    if not frames:
-        return empty
-    out = pd.concat(frames, ignore_index=True)
-    out["df"] = out["df"].astype(np.int64)
-    return out
-
-
 def browse_terms_regex(
     index_dir: str, patterns: list[str], limit: int = 50
 ) -> pd.DataFrame:
     """Regexp query expansion (Lucene/Solr ``field:/re/`` RegexpQuery):
     (pattern, term, df) — the top-``limit`` vocabulary terms FULLY matching
-    each anchored pattern, by (df desc, term asc). Like the infix suggest
-    there is no range pushdown for general patterns, so this is ONE
+    each anchored pattern, by (df desc, term asc). There is no range
+    pushdown for general patterns, so this is ONE
     column-pruned (term+df) full termstats scan for all patterns together;
     per-block vectorized ``str.fullmatch`` + local top-N, k x blocks rows
     merged on the driver — work proportional to vocabulary bytes, never

@@ -26,7 +26,9 @@ candidate.
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -129,58 +131,137 @@ class TermStatsStore:
             self._buckets[bucket] = d
         return self._buckets[bucket]
 
+    @property
+    def _avgdl(self) -> float:
+        return self.stats["avgdl"]
+
+    def _analyze(self, text: str) -> list[str]:
+        """The query's distinct terms, sorted, under the index's analyzer."""
+        return sorted(set(tokenize_text(self.qtext(text))))
+
+    def _bucket_of(self, terms: list[str]) -> list[int]:
+        """Each term's termstats/segment bucket in this index."""
+        n_buckets = np.uint64(self.stats["n_buckets"])
+        return (stable_hash_strings(terms) % n_buckets).astype(int).tolist()
+
+    def _term_stats(self, terms: list[str], buckets: list[int]) -> list:
+        """Per term (df, max_tf, min_dl, cf), or None if absent."""
+        return [self._load_bucket(b).get(t) for t, b in zip(terms, buckets)]
+
+    def _plan(self, terms: list[str], mu: float | None = None
+              ) -> list[TermPlan]:
+        """Canonical-order plans of analysed ``terms`` (see ``_plan_terms``)."""
+        self._ensure_current()  # BEFORE stats are read below
+        buckets = self._bucket_of(terms)
+        st = self.stats
+        return _plan_terms(terms, buckets, self._term_stats(terms, buckets),
+                           st["n_docs"], st["avgdl"], st["total_len"], mu)
+
     def plan_query(self, text: str) -> list[TermPlan]:
         """Tokenize + canonical-order term plans (missing terms dropped)."""
-        self._ensure_current()  # BEFORE stats are read into locals below
-        n_buckets = self.stats["n_buckets"]
-        n_docs = self.stats["n_docs"]
-        avgdl = self.stats["avgdl"]
-        terms = sorted(set(tokenize_text(self.qtext(text))))
-        if not terms:
-            return []
-        buckets = (stable_hash_strings(terms) % np.uint64(n_buckets)).astype(int)
-        plans = []
-        for term, bucket in zip(terms, buckets):
-            st = self._load_bucket(int(bucket)).get(term)
-            if st is None:
-                continue
-            df, max_tf, min_dl, _cf = st
+        return self._plan(self._analyze(text))
+
+
+def _contrib(idf, tfs, dls, avgdl: float, mu: float | None = None):
+    """Per-posting contribution of one term, float64: BM25 (``mu`` None) or
+    Lucene LMDirichletSimilarity, where ``idf`` carries the LM rate
+    ``total_len / (mu * cf)`` and the score is clamped at 0. The same
+    expression on a block's or a term's (max_tf, min_dl) is its upper
+    bound, since both rise in tf and fall in dl."""
+    tfs = np.asarray(tfs, dtype=np.float64)
+    dls = np.asarray(dls, dtype=np.float64)
+    if mu is not None:
+        return np.maximum(0.0, np.log(1.0 + tfs * idf) + np.log(mu / (dls + mu)))
+    # expression shape MUST mirror oracle.OracleIndex.score_query exactly
+    return idf * tfs * (K1 + 1.0) / (tfs + K1 * (1.0 - B + B * dls / avgdl))
+
+
+def _plan_terms(terms: list[str], buckets: list[int], stats: list,
+                n_docs: int, avgdl: float, total_len: int,
+                mu: float | None = None) -> list[TermPlan]:
+    """The one term planner: per-term ``stats`` (df, max_tf, min_dl, cf) or
+    None (absent, dropped) → TermPlans in canonical order (desc upper
+    bound, tie asc term). BM25 plans carry idf and the oracle's
+    ``term_upper_bound``; LM-Dirichlet(``mu``) plans carry the rate in the
+    ``idf`` slot and ``_contrib`` on (max_tf, min_dl) as the bound. The
+    index's own stats, or the merged global ones of a federated search."""
+    plans = []
+    for term, bucket, st in zip(terms, buckets, stats):
+        if st is None:
+            continue
+        df, max_tf, min_dl, cf = st
+        if mu is None:
             idf = bm25_idf(df, n_docs)
             ub = term_upper_bound(idf, max_tf, min_dl, avgdl)
-            plans.append(TermPlan(term, int(bucket), idf, ub))
-        plans.sort(key=lambda p: (-p.ub, p.term))
-        return plans
+        else:
+            idf = total_len / (mu * cf)
+            ub = float(_contrib(idf, max_tf, min_dl, avgdl, mu))
+        plans.append(TermPlan(term, int(bucket), idf, ub))
+    plans.sort(key=lambda p: (-p.ub, p.term))
+    return plans
 
-    def plan_query_lmd(self, text: str, mu: float) -> list[TermPlan]:
-        """LM-Dirichlet term plans (Lucene LMDirichletSimilarity): the
-        TermPlan's ``idf`` slot carries the per-term rate
-        ``total_len / (mu * cf)`` (what tf multiplies inside log) and ``ub``
-        the per-posting maximum ``max(0, ln(1 + max_tf*rate) +
-        ln(mu/(min_dl+mu)))`` — a true upper bound because the contribution
-        rises in tf and falls in dl, and is clamped at 0 exactly like the
-        per-posting score."""
-        self._ensure_current()
-        n_buckets = self.stats["n_buckets"]
-        total_len = self.stats["total_len"]
-        terms = sorted(set(tokenize_text(self.qtext(text))))
-        if not terms:
-            return []
-        buckets = (stable_hash_strings(terms) % np.uint64(n_buckets)).astype(int)
-        plans = []
-        for term, bucket in zip(terms, buckets):
-            st = self._load_bucket(int(bucket)).get(term)
-            if st is None:
-                continue
-            _df, max_tf, min_dl, cf = st
-            rate = total_len / (mu * cf)
-            ub = max(
-                0.0,
-                float(np.log(1.0 + max_tf * rate)
-                      + np.log(mu / (min_dl + mu))),
-            )
-            plans.append(TermPlan(term, int(bucket), rate, ub))
-        plans.sort(key=lambda p: (-p.ub, p.term))
-        return plans
+
+class QueryPlan(NamedTuple):
+    """One planned query of a ``BatchPlan``: ``terms`` in canonical order,
+    ``n_terms`` distinct analysed query terms (``require_all`` needs every
+    one), ``neg`` the NOT clause's term plans (Solr ``a -b``),
+    ``min_match`` > 1 the edismax mm, ``cursor`` a ``(score, doc_id, dp)``
+    search-after mark. Field 0 is k, the shape ``_merge_topk_parts``
+    reads."""
+
+    k: int
+    terms: list[TermPlan]
+    n_terms: int
+    neg: list[TermPlan] = ()
+    min_match: int = 0
+    cursor: tuple[float, int, int] | None = None
+
+
+@dataclass
+class BatchPlan:
+    """What ``ShardWorker.score`` executes: the planned queries (those with
+    at least one known term) and the similarity they were planned for —
+    BM25 at ``avgdl`` (the index's own, or the global one of a federated
+    search) when ``mu`` is None, else LM-Dirichlet(``mu``)."""
+
+    queries: dict[int, QueryPlan]
+    avgdl: float | None = None
+    mu: float | None = None
+
+
+def _plan_batch(planner, queries: pa.Table, mu: float | None = None,
+                cursors: bool = True) -> BatchPlan:
+    """The only reader of a query table's columns: ``query_id``, ``text``,
+    ``k`` and the optional ``not_text`` (NOT clause), ``min_match``
+    (edismax mm; null/0/1 → none) and ``cursor_score``/``cursor_doc``
+    (Solr cursorMark; null score → none). ``planner`` is a
+    ``TermStatsStore`` or a ``FederatedSearcher``: ``_analyze``, ``_plan``
+    and ``_avgdl``. ``cursors=False`` rejects cursor columns
+    (grouped and boosted orders are not the cursor's order)."""
+    cols = set(queries.column_names)
+    if not cursors and cols & {"cursor_score", "cursor_doc"}:
+        raise ValueError(
+            "grouped and boosted top-k take no cursor: their order is not "
+            "the cursor's (round(score, 6), doc_id) order")
+    none = [None] * queries.num_rows
+
+    def col(name: str) -> list:
+        return queries[name].to_pylist() if name in cols else none
+
+    planned: dict[int, QueryPlan] = {}
+    for qid, text, k, nt, mm, cs, cd in zip(
+            col("query_id"), col("text"), col("k"), col("not_text"),
+            col("min_match"), col("cursor_score"), col("cursor_doc")):
+        terms = planner._analyze(text)
+        plans = planner._plan(terms, mu)
+        if not plans:
+            continue
+        planned[int(qid)] = QueryPlan(
+            int(k), plans, len(terms),
+            planner._plan(planner._analyze(nt)) if nt else [],
+            int(mm) if mm is not None and int(mm) > 1 else 0,
+            (float(cs), int(cd), 6) if cs is not None else None)
+    return BatchPlan(planned, planner._avgdl, mu)
 
 
 def _mask_postings(docs, tfs, dls, allowed, tombstones, blocked=None):
@@ -328,18 +409,6 @@ class ShardScorer:
         m = self._gen_masks[gen]
         return m if len(m) else None
 
-    def _contrib(
-        self, idf: float, tfs: np.ndarray, dls: np.ndarray,
-        avgdl: float | None = None,
-    ) -> np.ndarray:
-        tfs = tfs.astype(np.float64)
-        dls = dls.astype(np.float64)
-        # federated scatter passes the GLOBAL avgdl (index/federated.py);
-        # None means this index's own — same expression either way
-        a = self.avgdl if avgdl is None else avgdl
-        # expression shape MUST mirror oracle.OracleIndex.score_query exactly
-        return idf * tfs * (K1 + 1.0) / (tfs + K1 * (1.0 - B + B * dls / a))
-
     def score(
         self,
         plans: list[TermPlan],
@@ -348,7 +417,7 @@ class ShardScorer:
         blocked: np.ndarray | None = None,
         cursor: tuple[float, int, int] | None = None,
         avgdl: float | None = None,
-        sim: tuple | None = None,
+        mu: float | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Exact shard-local top-k -> (doc_ids, scores), score desc / doc asc.
 
@@ -368,14 +437,13 @@ class ShardScorer:
         pruning is disabled for cursor queries (full postings accumulation,
         the oracle's cost shape); what stays k-sized is everything that
         LEAVES the shard. Deep pages therefore trade per-shard compute for
-        constant network — the Solr cursorMark/export trade."""
+        constant network — the Solr cursorMark/export trade.
+        ``avgdl``: the BM25 avgdl (None: this index's own; a federated
+        search passes the global one). ``mu``: score LM-Dirichlet(mu)
+        instead of BM25 (see ``_contrib``)."""
         acc_docs = np.empty(0, dtype=np.int64)
         acc_scores = np.empty(0, dtype=np.float64)
         avgdl_eff = self.avgdl if avgdl is None else float(avgdl)
-        # sim=None is BM25 (the bit-identical oracle contract); ("lmd", mu)
-        # is Lucene-style LM Dirichlet: per-posting
-        # max(0, ln(1 + tf*rate) + ln(mu/(dl+mu))) with rate in plan.idf
-        lmd_mu = float(sim[1]) if sim is not None and sim[0] == "lmd" else None
         n = len(plans)
         ubs = np.array([p.ub for p in plans], dtype=np.float64)
         suffix_ub = np.cumsum(ubs[::-1])[::-1] if n else np.empty(0)
@@ -406,19 +474,8 @@ class ShardScorer:
                     # the accumulator could still reach theta through it
                     # (block upper bound + remaining terms' bounds), or
                     # (b) its doc range holds a surviving accumulator entry.
-                    mtf = btab["max_tf"].astype(np.float64)
-                    mdl = btab["min_dl"].astype(np.float64)
-                    if lmd_mu is not None:
-                        block_ub = np.maximum(
-                            0.0,
-                            np.log(1.0 + mtf * p.idf)
-                            + np.log(lmd_mu / (mdl + lmd_mu)),
-                        )
-                    else:
-                        block_ub = (
-                            p.idf * mtf * (K1 + 1.0)
-                            / (mtf + K1 * (1.0 - B + B * mdl / avgdl_eff))
-                        )
+                    block_ub = _contrib(p.idf, btab["max_tf"],
+                                        btab["min_dl"], avgdl_eff, mu)
                     new_doc_possible = block_ub + suffix_next >= theta
                     last = btab["last_doc"]
                     first = np.empty_like(last)
@@ -435,14 +492,7 @@ class ShardScorer:
                 )
                 if len(docs) == 0:
                     continue
-                if lmd_mu is not None:
-                    s = np.maximum(
-                        0.0,
-                        np.log(1.0 + tfs.astype(np.float64) * p.idf)
-                        + np.log(lmd_mu / (dls.astype(np.float64) + lmd_mu)),
-                    )
-                else:
-                    s = self._contrib(p.idf, tfs, dls, avgdl_eff)
+                s = _contrib(p.idf, tfs, dls, avgdl_eff, mu)
                 all_docs = np.concatenate([acc_docs, docs])
                 all_scores = np.concatenate([acc_scores, s])
                 acc_docs, inverse = np.unique(all_docs, return_inverse=True)
@@ -909,237 +959,149 @@ class ShardWorker:
         out = pd.concat(frames, ignore_index=True)
         return out.groupby(facet_col, as_index=False, dropna=False)["n_docs"].sum()
 
-    def grouped_partials(
-        self,
-        plans_by_qid: dict[int, tuple[int, list[TermPlan]]],
-        group_col: str,
-    ) -> pd.DataFrame:
-        """Field-collapsing partials (Solr group.field): per (query, shard,
-        group value) top-``n`` scored docs, n = the per-qid k. All scoring
-        and the group join happen shard-locally against this worker's
-        column-pruned ``_docs`` slice; only (groups x n) rows per shard
-        reach the driver, which re-merges per-group heaps exactly.
+    def _scored_meta(self, plan: BatchPlan, col: str):
+        """Every match of every planned query (no top-k cut: a group or a
+        boost can promote any matching doc) as (query_id, doc_id, score)
+        arrays, plus each doc's CURRENT ``col`` value — inner join, as
+        with a SQL join on the forward table."""
+        q, d, s, _done = self._score_rows(plan, k=_ALL)
+        meta = pd.concat([self._latest_live_docs(sh, (col,))
+                          for sh in self.shards], ignore_index=True)
+        ids = meta["doc_id"].to_numpy(np.int64)
+        order = np.argsort(ids, kind="stable")
+        ids, vals = ids[order], meta[col].to_numpy()[order]
+        pos = np.searchsorted(ids, d)
+        hit = pos < len(ids)
+        hit[hit] = ids[pos[hit]] == d[hit]
+        return q[hit], d[hit], s[hit], vals[pos[hit]]
 
-        Boundary: grouping needs every matching doc scored (no top-k cut),
-        so a stop-word query scores its full match set — same cost shape as
-        facet counting over the match set."""
-        frames = []
-        for s in self.shards:
-            scorer = self.scorers[s]
-            meta = self._latest_live_docs(s, extra_cols=(group_col,))
-            for qid, (n, plans) in plans_by_qid.items():
-                if not plans:
-                    continue
-                docs, scores = scorer.score(plans, k=1 << 62)
-                if len(docs) == 0:
-                    continue
-                df = pd.DataFrame({"doc_id": docs, "score": scores})
-                df = df.merge(meta[["doc_id", group_col]], on="doc_id")
-                df = df.sort_values(["score", "doc_id"],
-                                    ascending=[False, True], kind="mergesort")
-                df = df.groupby(group_col, dropna=False, sort=False).head(n)
-                df.insert(0, "query_id", np.int64(qid))
-                frames.append(df)
-        if not frames:
-            return pd.DataFrame({
-                "query_id": pd.Series([], dtype=np.int64),
-                "doc_id": pd.Series([], dtype=np.int64),
-                "score": pd.Series([], dtype=np.float64),
-                group_col: pd.Series([], dtype=object),
-            })
-        return pd.concat(frames, ignore_index=True)
+    def grouped_partials(self, plan: BatchPlan, group_col: str) -> pd.DataFrame:
+        """Field-collapsing partials (Solr group.field): per (query, group
+        value) the top-k docs of this worker's shards, k from the plan.
+        Scoring honours the plan's NOT and mm like ``score``; only
+        (groups x k) rows per query leave the worker, re-merged exactly by
+        ``QueryPool.grouped_topk``. Grouping needs every matching doc
+        scored, so a stop-word query scores its full match set — the cost
+        shape of facet counting over the match set."""
+        q, d, s, g = self._scored_meta(plan, group_col)
+        codes, _ = pd.factorize(g, use_na_sentinel=False)
+        idx, _rank = _topk_rows((q, codes), s, d, _row_k(plan.queries, q))
+        return pd.DataFrame({"query_id": q[idx], "doc_id": d[idx],
+                             "score": s[idx], group_col: g[idx]})
 
     def boosted_partials(
         self,
-        plans_by_qid: dict[int, tuple[int, list[TermPlan]]],
+        plan: BatchPlan,
         boost_col: str,
         weights: dict,
         default_w: float,
     ) -> pd.DataFrame:
-        """Function-query boost partials (Solr ``boost=``): full-match-set
-        BM25 scoring (same boundary as grouped_partials — a multiplicative
-        boost can promote any matching doc, so no top-k cut before the
-        boost), then ``boosted = score * w(meta[boost_col])`` and a
-        per-shard top-``n`` heap on (boosted desc, doc_id asc). Only
-        n x shards rows leave the worker."""
-        frames = []
-        for s in self.shards:
-            scorer = self.scorers[s]
-            meta = self._latest_live_docs(s, extra_cols=(boost_col,))
-            for qid, (n, plans) in plans_by_qid.items():
-                if not plans:
-                    continue
-                docs, scores = scorer.score(plans, k=1 << 62)
-                if len(docs) == 0:
-                    continue
-                df = pd.DataFrame({"doc_id": docs, "score": scores})
-                df = df.merge(meta[["doc_id", boost_col]], on="doc_id")
-                if callable(weights):
-                    # numeric function query (Solr recip()/linear() style):
-                    # weights is a vectorized fn over the meta column
-                    w = np.asarray(
-                        weights(df[boost_col].to_numpy()), dtype=np.float64
-                    )
-                else:
-                    w = (
-                        df[boost_col]
-                        .map(lambda v: weights.get(v, default_w))
-                        .to_numpy(np.float64)
-                    )
-                df["boosted"] = df["score"].to_numpy(np.float64) * w
-                df = df.sort_values(["boosted", "doc_id"],
-                                    ascending=[False, True],
-                                    kind="mergesort").head(n)
-                df.insert(0, "query_id", np.int64(qid))
-                frames.append(df[["query_id", "doc_id", "score", "boosted"]])
-        if not frames:
-            return pd.DataFrame({
-                "query_id": pd.Series([], dtype=np.int64),
-                "doc_id": pd.Series([], dtype=np.int64),
-                "score": pd.Series([], dtype=np.float64),
-                "boosted": pd.Series([], dtype=np.float64),
-            })
-        return pd.concat(frames, ignore_index=True)
+        """Function-query boost partials (Solr ``boost=``): every match
+        scored (same boundary as ``grouped_partials``), then ``boosted =
+        score * w(meta[boost_col])`` and this worker's top-k on (boosted
+        desc, doc_id asc). Only k rows per query leave the worker."""
+        q, d, s, v = self._scored_meta(plan, boost_col)
+        if len(d) == 0:
+            w = np.empty(0, np.float64)
+        elif callable(weights):
+            # numeric function query (Solr recip()/linear() style):
+            # weights is a vectorized fn over the meta column
+            w = np.asarray(weights(v), dtype=np.float64)
+        else:
+            w = np.array([weights.get(x, default_w) for x in v], np.float64)
+        boosted = s * w
+        idx, _rank = _topk_rows((q,), boosted, d, _row_k(plan.queries, q))
+        return pd.DataFrame({"query_id": q[idx], "doc_id": d[idx],
+                             "score": s[idx], "boosted": boosted[idx]})
 
     def score(
         self,
-        plans_by_qid: dict[int, tuple[int, list[TermPlan]]],
+        plan: BatchPlan,
         where=None,
         require_all: bool = False,
+        deadline: float | None = None,
         n_terms_by_qid: dict[int, int] | None = None,
-        neg_plans_by_qid: dict[int, list[TermPlan]] | None = None,
-        cursor_by_qid: dict[int, tuple[float, int, int]] | None = None,
-        min_match_by_qid: dict[int, int] | None = None,
-        avgdl_override: float | None = None,
-        sim: tuple | None = None,
-    ) -> pa.Table:
-        """Score every query against this worker's shards → per-shard top-k
-        partials as one (query_id, doc_id, score) table. Filter (``where``)
-        and conjunctive (``require_all``) whitelists — and the NOT-clause
-        blacklist (``neg_plans_by_qid``: docs matching ANY negative term are
-        excluded, Solr ``a -b``) — are computed SHARD-LOCAL — nothing
-        corpus-sized leaves the worker. ``cursor_by_qid`` carries per-query
-        search-after marks (see ``ShardScorer.score``). ``avgdl_override``:
-        the GLOBAL avgdl a federated scatter plans with (distributed-IDF
-        semantics, index/federated.py); None = this index's own."""
-        return self._score_impl(
-            plans_by_qid, where, require_all, n_terms_by_qid,
-            neg_plans_by_qid, cursor_by_qid, min_match_by_qid, None,
-            avgdl_override, sim,
-        )[0]
-
-    def score_partial(
-        self,
-        plans_by_qid: dict[int, tuple[int, list[TermPlan]]],
-        deadline_epoch: float,
-        where=None,
-        require_all: bool = False,
-        n_terms_by_qid: dict[int, int] | None = None,
-        neg_plans_by_qid: dict[int, list[TermPlan]] | None = None,
-        cursor_by_qid: dict[int, tuple[float, int, int]] | None = None,
-        min_match_by_qid: dict[int, int] | None = None,
     ) -> tuple[pa.Table, list[int]]:
-        """Deadline-bounded variant (the Solr ``timeAllowed`` surface): stop
-        scoring once ``time.time()`` passes ``deadline_epoch`` and ALSO
-        return the list of query ids this worker fully scored (across all
-        of its shards). The driver treats a query as exact only if EVERY
-        worker completed it — partially-scored queries are dropped and
-        reported, never returned with silently-wrong ranks. The deadline is
-        an absolute epoch (single-node contract; a multi-node deployment
-        would ship a per-call budget and re-anchor on actor-local clocks)."""
-        return self._score_impl(
-            plans_by_qid, where, require_all, n_terms_by_qid,
-            neg_plans_by_qid, cursor_by_qid, min_match_by_qid,
-            deadline_epoch, None,
-        )
+        """Score a batch plan against this worker's shards → (per-shard
+        top-k partials as one (query_id, doc_id, score) table, the query
+        ids finished on every shard). The filter (``where``, Solr fq), the
+        conjunctive (``require_all``, q.op=AND) and mm whitelists and the
+        NOT blacklist are computed SHARD-LOCAL — nothing corpus-sized
+        leaves the worker. ``deadline`` (Solr ``timeAllowed``): an epoch
+        after which scoring stops; the caller keeps only queries EVERY
+        worker finished (single-node contract: a multi-node deployment
+        would ship a budget and re-anchor on actor-local clocks).
 
-    def _score_impl(
-        self,
-        plans_by_qid,
-        where,
-        require_all,
-        n_terms_by_qid,
-        neg_plans_by_qid,
-        cursor_by_qid,
-        min_match_by_qid,
-        deadline_epoch,
-        avgdl_override=None,
-        sim=None,
-    ) -> tuple[pa.Table, list[int]]:
-        import time as _time
+        ``plan`` may also be a bare ``{qid: (k, term plans)}`` mapping:
+        BM25, this index's avgdl, no NOT/mm/cursor, and ``n_terms_by_qid``
+        giving each query's distinct-term count (default: its plans)."""
+        if not isinstance(plan, BatchPlan):
+            nt = n_terms_by_qid or {}
+            plan = BatchPlan({q: QueryPlan(k, tp, nt.get(q, len(tp)))
+                              for q, (k, tp) in plan.items()})
+        q, d, s, done = self._score_rows(plan, where, require_all, deadline)
+        return pa.table({"query_id": q, "doc_id": d, "score": s}), done
 
-        n_done: dict[int, int] = {int(q): 0 for q in plans_by_qid}
+    def _score_rows(self, plan: BatchPlan, where=None,
+                    require_all: bool = False,
+                    deadline: float | None = None, k: int | None = None):
+        """The per-(shard, query) loop behind ``score`` and the grouped and
+        boosted partials → (query_id, doc_id, score) arrays and the query
+        ids finished on every shard. ``k`` overrides every query's k."""
+        n_done = dict.fromkeys(plan.queries, 0)
+        qids: list[int] = []
+        docs_out = [np.empty(0, np.int64)]
+        scores_out = [np.empty(0, np.float64)]
         expired = False
-        out_q: list[int] = []
-        out_d: list[np.ndarray] = []
-        out_s: list[np.ndarray] = []
         for s in self.shards:
-            if expired:
-                break
             scorer = self.scorers[s]
             w_allowed = self._filter_ids(s, where) if where is not None else None
-            for qid, (k, plans) in plans_by_qid.items():
-                if deadline_epoch is not None and _time.time() >= deadline_epoch:
+            for qid, qp in plan.queries.items():
+                if deadline is not None and time.time() >= deadline:
                     expired = True
                     break
-                if not plans:
-                    n_done[int(qid)] += 1
-                    continue
                 allowed = w_allowed
                 if require_all:
-                    nq = (n_terms_by_qid or {}).get(qid, len(plans))
-                    conj = self._match_ids(s, plans, "and", nq)
+                    conj = self._match_ids(s, qp.terms, "and", qp.n_terms)
                     allowed = (
                         conj if allowed is None
                         else np.intersect1d(allowed, conj, assume_unique=True)
                     )
-                mm = (min_match_by_qid or {}).get(qid, 0)
-                if mm > 1 and not require_all:
+                elif qp.min_match > 1:
                     # edismax minimum-should-match: whitelist docs matching
                     # >= mm distinct query terms, shard-locally; surviving
                     # scores unchanged (mm gates matching, not scoring)
-                    sub = self._match_ids(s, plans, "atleast", mm)
+                    sub = self._match_ids(s, qp.terms, "atleast", qp.min_match)
                     allowed = (
                         sub if allowed is None
                         else np.intersect1d(allowed, sub, assume_unique=True)
                     )
+                n_done[qid] += 1
                 if allowed is not None and len(allowed) == 0:
-                    n_done[int(qid)] += 1
                     continue
                 blocked = None
-                neg = (neg_plans_by_qid or {}).get(qid)
-                if neg:
-                    blocked = np.sort(self._match_ids(s, neg, "or", len(neg)))
+                if qp.neg:
+                    blocked = np.sort(
+                        self._match_ids(s, qp.neg, "or", len(qp.neg)))
                 docs, scores = scorer.score(
-                    plans, k, allowed=allowed, blocked=blocked,
-                    cursor=(cursor_by_qid or {}).get(qid),
-                    avgdl=avgdl_override, sim=sim,
-                )
-                n_done[int(qid)] += 1
-                if len(docs):
-                    out_q.extend([int(qid)] * len(docs))
-                    out_d.append(docs)
-                    out_s.append(scores)
-        n_shards = len(self.shards)
-        done = sorted(q for q, c in n_done.items() if c == n_shards)
-        table = pa.table(
-            {
-                "query_id": pa.array(out_q, pa.int64()),
-                "doc_id": pa.array(
-                    np.concatenate(out_d) if out_d else np.empty(0, np.int64)
-                ),
-                "score": pa.array(
-                    np.concatenate(out_s) if out_s else np.empty(0, np.float64)
-                ),
-            }
-        )
-        return table, done
+                    qp.terms, qp.k if k is None else k, allowed, blocked,
+                    qp.cursor, plan.avgdl, plan.mu)
+                qids.append(qid)
+                docs_out.append(docs)
+                scores_out.append(scores)
+            if expired:
+                break
+        lens = [len(x) for x in docs_out[1:]]
+        q = np.repeat(np.array(qids, np.int64), lens)
+        done = [x for x, c in n_done.items() if c == len(self.shards)]
+        return q, np.concatenate(docs_out), np.concatenate(scores_out), done
 
 
 class LocalSearcher:
-    """All shards in one process — conformance tests and per-query latency.
-    At cluster scale the same state lives in ``QueryPool``'s shard-pinned
-    actors and ``bm25_topk`` is the scatter/merge path."""
+    """All shards in one process — the in-process twin of ``QueryPool``
+    over the same plan (``_plan_batch``), score (``ShardWorker.score``)
+    and merge (``_merge_topk_parts``); conformance tests and per-query
+    latency."""
 
     def __init__(self, index_dir: str, shards: list[int] | None = None):
         self.index_dir = index_dir
@@ -1159,97 +1121,15 @@ class LocalSearcher:
         ``not_text``: NOT clause (Solr ``a -b``) — docs containing ANY of
         its terms are excluded; surviving scores unchanged. All three
         restrictions are computed shard-locally inside the worker."""
-        plans = self.store.plan_query(text)
-        if not plans:
-            return []
-        nq = len(set(tokenize_text(self.store.qtext(text))))
-        neg = self.store.plan_query(not_text) if not_text else []
-        t = self.worker.score(
-            {0: (k, plans)}, where=where, require_all=require_all,
-            n_terms_by_qid={0: nq},
-            neg_plans_by_qid={0: neg} if neg else None,
-        )
-        docs = t["doc_id"].to_numpy()
-        scores = t["score"].to_numpy()
-        if len(docs) == 0:
-            return []
-        order = np.lexsort((docs, -scores))[:k]
-        return [(int(docs[i]), float(scores[i])) for i in order]
-
-
-def _plan_batch(store: TermStatsStore, queries: pa.Table):
-    """Driver-side planning shared by every BM25 scatter path (exact,
-    deadline-bounded and dataset-serve): per-query term plans plus the
-    optional NOT / cursor / min-match side channels."""
-    qids = queries["query_id"].to_pylist()
-    texts = queries["text"].to_pylist()
-    ks = queries["k"].to_pylist()
-    plans_by_qid = {
-        int(qid): (int(k), store.plan_query(text))
-        for qid, text, k in zip(qids, texts, ks)
-    }
-    n_terms_by_qid = {
-        int(qid): len(set(tokenize_text(store.qtext(text))))
-        for qid, text in zip(qids, texts)
-    }
-    neg_plans_by_qid: dict[int, list] = {}
-    if "not_text" in queries.column_names:
-        for qid, nt in zip(qids, queries["not_text"].to_pylist()):
-            neg = store.plan_query(nt) if nt else []
-            if neg:
-                neg_plans_by_qid[int(qid)] = neg
-    min_match_by_qid: dict[int, int] = {}
-    if "min_match" in queries.column_names:
-        # Solr edismax mm: rank only docs matching >= min_match distinct
-        # query terms (null/0/1 → no restriction)
-        for qid, mm in zip(qids, queries["min_match"].to_pylist()):
-            if mm is not None and int(mm) > 1:
-                min_match_by_qid[int(qid)] = int(mm)
-    cursor_by_qid: dict[int, tuple[float, int, int]] = {}
-    if "cursor_score" in queries.column_names:
-        for qid, cs, cd in zip(
-            qids,
-            queries["cursor_score"].to_pylist(),
-            queries["cursor_doc"].to_pylist(),
-        ):
-            if cs is not None:
-                cursor_by_qid[int(qid)] = (float(cs), int(cd), 6)
-    live = {q: v for q, v in plans_by_qid.items() if v[1]}
-    return live, {"n_terms": n_terms_by_qid, "neg": neg_plans_by_qid,
-                  "cursor": cursor_by_qid, "min_match": min_match_by_qid}
-
-
-def _submit_scores(actors: list, live: dict, extras: dict, where=None,
-                   require_all: bool = False) -> list:
-    """One ``ShardWorker.score`` call per actor with every side channel of
-    ``_plan_batch`` — returns the futures without waiting."""
-    return [
-        a.score.remote(
-            live, where, require_all, extras["n_terms"],
-            extras["neg"] or None, extras["cursor"] or None,
-            extras["min_match"] or None,
-        )
-        for a in actors
-    ]
-
-
-class Bm25ServeStage:
-    """Dataset-serve stage over the warm shard-pinned ``QueryPool`` workers:
-    plans each batch with ``_plan_batch`` against ``store`` and scatters it
-    to ``workers`` exactly as ``QueryPool.topk`` does."""
-
-    def __init__(self, store: TermStatsStore, workers: list):
-        self.store = store
-        self.workers = workers
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import ray
-
-        live, extras = _plan_batch(self.store, batch)
-        if not live or not self.workers:
-            return QueryPool._EMPTY_TOPK
-        return _merge_topk_parts(
-            live, ray.get(_submit_scores(self.workers, live, extras)))
+        plan = _plan_batch(self.store, pa.table({
+            "query_id": pa.array([0], pa.int64()),
+            "text": pa.array([text], pa.string()),
+            "k": pa.array([k], pa.int64()),
+            "not_text": pa.array([not_text], pa.string()),
+        }))
+        part, _done = self.worker.score(plan, where, require_all)
+        t = _merge_topk_parts(plan.queries, [part])
+        return list(zip(t["doc_id"].to_pylist(), t["score"].to_pylist()))
 
 
 # process-level cache for broadcast planning snapshots: a Ray worker process
@@ -1299,8 +1179,11 @@ def bm25_serve(index_dir: str, queries_ds, concurrency: int = 2, batch_size: int
     workers = list(pool.actors)
 
     def serve_batch(batch: pa.Table) -> pa.Table:
-        return Bm25ServeStage(_serve_snapshot_store(index_dir, snap_ref),
-                              workers)(batch)
+        plan = _plan_batch(_serve_snapshot_store(index_dir, snap_ref), batch)
+        if not plan.queries or not workers:
+            return QueryPool._EMPTY_TOPK
+        results = ray.get([w.score.remote(plan) for w in workers])
+        return _merge_topk_parts(plan.queries, [t for t, _done in results])
 
     return queries_ds.map_batches(
         serve_batch,
@@ -1315,41 +1198,54 @@ def bm25_serve(index_dir: str, queries_ds, concurrency: int = 2, batch_size: int
 # QueryPool: shard-pinned actor pool + the distributed boolean/facet path
 # ---------------------------------------------------------------------------
 
+_ALL = 1 << 62  # a k that keeps every match
+
+
+def _topk_rows(key: tuple, order: np.ndarray, doc: np.ndarray,
+               k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one top-k merge kernel: one ``np.lexsort`` of the rows by
+    (``key`` arrays asc, ``order`` desc, ``doc`` asc), 1-based ranks from
+    the starts of each distinct key, and the rows with ``rank <= k`` (``k``
+    per row) → (row indices in that order, their ranks). A doc lives in
+    exactly one shard, so (order, doc) is a total order within a key and
+    values pass through untouched."""
+    n = len(doc)
+    idx = np.lexsort((doc, -order) + tuple(reversed(key)))
+    starts = np.zeros(n, dtype=bool)
+    starts[:1] = True
+    for col in key:
+        c = col[idx]
+        starts[1:] |= c[1:] != c[:-1]
+    starts = np.flatnonzero(starts)
+    rank = np.arange(1, n + 1, dtype=np.int64) - np.repeat(
+        starts, np.diff(np.r_[starts, n]))
+    keep = rank <= k[idx]
+    return idx[keep], rank[keep]
+
+
+def _row_k(live: dict, q: np.ndarray) -> np.ndarray:
+    """Each row's k, ``live[query_id][0]``; 0 for a query not in ``live``,
+    so its rows drop."""
+    live_q = np.array(sorted(live), np.int64)
+    if not len(live_q):
+        return np.zeros(len(q), np.int64)
+    live_k = np.array([live[x][0] for x in live_q.tolist()], np.int64)
+    pos = np.minimum(np.searchsorted(live_q, q), len(live_q) - 1)
+    return np.where(live_q[pos] == q, live_k[pos], 0)
+
+
 def _merge_topk_parts(live: dict, parts: list) -> pa.Table:
     """Merge per-shard (query_id, doc_id, score) partials into per-query
-    (query_id, rank, doc_id, score) top-k, k from ``live[qid][0]``; rows
-    whose query_id is not in ``live`` are dropped. One vectorised kernel:
-    concatenate the columns, one ``np.lexsort`` over (query_id asc, score
-    desc, doc_id asc), ranks from the query-group starts, keep
-    ``rank <= k``. A doc lives in exactly one shard, so (score, doc_id) is
-    a total order within a query and scores pass through untouched.
-
-    The merge behind every scatter path: ``QueryPool.topk_collect`` (and so
-    ``topk``, phrase, prefix, fuzzy, MLT and multifield search),
-    ``QueryPool.topk_lmd``, ``QueryPool.topk_time_allowed`` (``live``
-    narrowed to the queries every worker finished), ``Bm25ServeStage``
-    (``bm25_serve``) and ``FederatedSearcher.topk``/``topk_lmd``."""
+    (query_id, rank, doc_id, score) top-k through ``_topk_rows``, k from
+    ``live[qid][0]``; rows whose query_id is not in ``live`` are dropped."""
     parts = [p for p in parts if p.num_rows]
     if not parts or not live:
         return QueryPool._EMPTY_TOPK
-    q = np.concatenate([p["query_id"].to_numpy() for p in parts])
-    d = np.concatenate([p["doc_id"].to_numpy() for p in parts])
-    s = np.concatenate([p["score"].to_numpy() for p in parts])
-    live_q = np.array(sorted(live), np.int64)
-    live_k = np.array([live[x][0] for x in live_q.tolist()], np.int64)
-    keep = np.isin(q, live_q)
-    q, d, s = q[keep], d[keep], s[keep]
-    n = len(q)
-    if n == 0:
-        return QueryPool._EMPTY_TOPK
-    order = np.lexsort((d, -s, q))
-    q, d, s = q[order], d[order], s[order]
-    starts = np.flatnonzero(np.r_[True, q[1:] != q[:-1]])
-    rank = np.arange(1, n + 1, dtype=np.int64) - np.repeat(
-        starts, np.diff(np.r_[starts, n]))
-    keep = rank <= live_k[np.searchsorted(live_q, q)]
-    return pa.table({"query_id": q[keep], "rank": rank[keep],
-                     "doc_id": d[keep], "score": s[keep]})
+    q, d, s = (np.concatenate([p[c].to_numpy() for p in parts])
+               for c in ("query_id", "doc_id", "score"))
+    idx, rank = _topk_rows((q,), s, d, _row_k(live, q))
+    return pa.table({"query_id": q[idx], "rank": rank,
+                     "doc_id": d[idx], "score": s[idx]})
 
 
 DEFAULT_POOL_ACTORS = 4
@@ -1372,8 +1268,9 @@ class QueryPool:
     # Solr queryResultCache analog: results cache on the POOL INSTANCE, so
     # invalidation rides the existing staleness machinery for free —
     # ``get_pool`` fingerprints the index (stats/tombstones/manifest
-    # mtimes) and hands out a NEW pool after any mutation, which starts
-    # with an empty cache. Capacity-bounded LRU; exact-key hits only.
+    # mtimes) and, after any mutation, refreshes the pool in place, and
+    # ``refresh()`` clears this cache. Capacity-bounded LRU; exact-key
+    # hits only.
     RESULT_CACHE_CAP = 128
 
     def __init__(self, index_dir: str, n_actors: int | None = None):
@@ -1471,11 +1368,11 @@ class QueryPool:
         carry a per-query search-after mark (Solr cursorMark): only docs
         strictly after (round(score, 6) desc, doc_id asc) = (cursor_score,
         cursor_doc) are ranked. Null cursor_score → no cursor for that row."""
-        live, extras = _plan_batch(self.store, queries)
-        if not live or not self.actors:
-            return (live, [])
-        return (live, _submit_scores(self.actors, live, extras, where,
-                                     require_all))
+        plan = _plan_batch(self.store, queries)
+        if not plan.queries or not self.actors:
+            return (plan.queries, [])
+        return (plan.queries,
+                [a.score.remote(plan, where, require_all) for a in self.actors])
 
     def topk_time_allowed(
         self, queries: pa.Table, time_allowed_s: float, where=None,
@@ -1487,33 +1384,23 @@ class QueryPool:
         bit-identical to the exact path); the rest are listed in
         ``partial_qids`` — dropped, never returned with silently-wrong
         ranks. ``time_allowed_s <= 0`` degenerates to all-partial."""
-        import time as _time
-
-        live, extras = _plan_batch(self.store, queries)
-        if not live or not self.actors:
-            return self._EMPTY_TOPK, sorted(int(q) for q in live)
+        plan = _plan_batch(self.store, queries)
+        if not plan.queries or not self.actors:
+            return self._EMPTY_TOPK, sorted(plan.queries)
 
         def run():
             import ray
 
-            deadline = _time.time() + max(0.0, float(time_allowed_s))
-            futures = [
-                a.score_partial.remote(
-                    live, deadline, where, require_all, extras["n_terms"],
-                    extras["neg"] or None, extras["cursor"] or None,
-                    extras["min_match"] or None,
-                )
-                for a in self.actors
-            ]
-            results = ray.get(futures)
-            done: set[int] = set(live)
+            deadline = time.time() + max(0.0, float(time_allowed_s))
+            results = ray.get([a.score.remote(plan, where, require_all, deadline)
+                               for a in self.actors])
+            done: set[int] = set(plan.queries)
             for _t, d in results:
                 done &= set(d)
             merged = _merge_topk_parts(
-                {q: v for q, v in live.items() if q in done},
+                {q: v for q, v in plan.queries.items() if q in done},
                 [t for t, _d in results])
-            partial = sorted(int(q) for q in live if q not in done)
-            return merged, partial
+            return merged, sorted(q for q in plan.queries if q not in done)
 
         return self._retrying(run)
 
@@ -1523,7 +1410,7 @@ class QueryPool:
         live, futures = handle
         if not futures:
             return self._EMPTY_TOPK
-        return _merge_topk_parts(live, ray.get(futures))
+        return _merge_topk_parts(live, [t for t, _done in ray.get(futures)])
 
     @staticmethod
     def _cache_key(queries: pa.Table, where) -> str:
@@ -1552,8 +1439,9 @@ class QueryPool:
         score). Planning happens once on the driver; each actor returns only
         per-shard top-k heaps (k × n_shards rows per query), merged here.
         A dead actor triggers one pool respawn + retry. Results LRU-cache on
-        the pool (see RESULT_CACHE_CAP) — an index mutation produces a new
-        pool via ``get_pool``'s fingerprint, so stale hits can't happen."""
+        the pool (see RESULT_CACHE_CAP) — after an index mutation
+        ``get_pool``'s fingerprint refreshes the pool, and ``refresh()``
+        clears the cache, so stale hits can't happen."""
         key = (self._cache_key(queries, where), bool(require_all))
         hit = self._result_cache.get(key)
         if hit is not None:
@@ -1571,37 +1459,21 @@ class QueryPool:
 
     def topk_lmd(self, queries: pa.Table, mu: float = 2000.0) -> pa.Table:
         """LM-Dirichlet ranked retrieval (Lucene LMDirichletSimilarity):
-        same scatter/merge and block-max machinery as BM25, different
-        per-posting contribution — planned via ``plan_query_lmd`` and
-        executed with the ``sim=("lmd", mu)`` branch in the scorers."""
-        import ray
-
-        qids = queries["query_id"].to_pylist()
-        texts = queries["text"].to_pylist()
-        ks = queries["k"].to_pylist()
-        live = {}
-        for qid, text, k in zip(qids, texts, ks):
-            plans = self.store.plan_query_lmd(text, mu)
-            if plans:
-                live[int(qid)] = (int(k), plans)
-        if not live or not self.actors:
+        the BM25 plan/score/merge path and side channels, planned for
+        LM-Dirichlet(``mu``) — a different per-posting contribution and
+        bound (``_contrib``)."""
+        plan = _plan_batch(self.store, queries, mu=float(mu))
+        if not plan.queries:
             return self._EMPTY_TOPK
-
-        def run():
-            futures = [
-                a.score.remote(live, None, False, None, None, None, None,
-                               None, ("lmd", float(mu)))
-                for a in self.actors
-            ]
-            return _merge_topk_parts(live, ray.get(futures))
-
-        return self._retrying(run)
+        return self._retrying(lambda: self.topk_collect(
+            (plan.queries, [a.score.remote(plan) for a in self.actors])))
 
     # -- boolean / facet / filter -------------------------------------------
 
     def _plan_boolean(self, text: str, mode: str):
-        plans = self.store.plan_query(text)
-        nq = len(set(tokenize_text(self.store.qtext(text))))
+        terms = self.store._analyze(text)
+        plans = self.store._plan(terms)
+        nq = len(terms)
         if not plans or (mode == "and" and len(plans) < nq):
             return None, nq
         return plans, nq
@@ -1755,53 +1627,30 @@ class QueryPool:
         """Field collapsing (Solr group.field): per query and per distinct
         ``group_col`` value, the top-k docs by (score desc, doc_id asc) —
         k from each query's ``k`` column. Returns (query_id, <group_col>,
-        grp_rank, doc_id, score). Each actor ships per-(shard, group) heaps
-        only; the exact per-group merge happens here."""
+        grp_rank, doc_id, score). Each actor ships per-group heaps only;
+        the exact per-group merge happens here. Takes ``not_text`` and
+        ``min_match`` like ``topk``; a cursor column raises ValueError
+        (Solr rejects cursorMark with grouping too)."""
         import ray
 
-        qids = queries["query_id"].to_pylist()
-        texts = queries["text"].to_pylist()
-        ks = queries["k"].to_pylist()
-        plans_by_qid = {
-            int(qid): (int(k), self.store.plan_query(text))
-            for qid, text, k in zip(qids, texts, ks)
-        }
-        live = {q: v for q, v in plans_by_qid.items() if v[1]}
-        empty = pd.DataFrame({
-            "query_id": pd.Series([], dtype=np.int64),
-            group_col: pd.Series([], dtype=object),
-            "grp_rank": pd.Series([], dtype=np.int64),
-            "doc_id": pd.Series([], dtype=np.int64),
-            "score": pd.Series([], dtype=np.float64),
-        })
-        if not live or not self.actors:
-            return empty
-        parts = self._retrying(
-            lambda: ray.get(
-                [a.grouped_partials.remote(live, group_col) for a in self.actors]
-            )
-        )
-        merged = pd.concat(parts, ignore_index=True)
-        if len(merged) == 0:
-            return empty
-        frames = []
-        for qid in sorted(live):
-            n = live[qid][0]
-            g = merged[merged["query_id"] == qid]
-            if len(g) == 0:
-                continue
-            g = g.sort_values(["score", "doc_id"], ascending=[False, True],
-                              kind="mergesort")
-            g = g.groupby(group_col, dropna=False, sort=False).head(n).copy()
-            g["grp_rank"] = g.groupby(group_col, dropna=False).cumcount() + 1
-            frames.append(g[["query_id", group_col, "grp_rank", "doc_id", "score"]])
-        if not frames:
-            return empty
-        out = pd.concat(frames, ignore_index=True)
-        out["grp_rank"] = out["grp_rank"].astype(np.int64)
-        return out.sort_values(
-            ["query_id", group_col, "grp_rank"], ignore_index=True
-        )
+        plan = _plan_batch(self.store, queries, cursors=False)
+        parts = self._retrying(lambda: ray.get(
+            [a.grouped_partials.remote(plan, group_col) for a in self.actors]
+        )) if plan.queries else []
+        merged = pd.concat(parts, ignore_index=True) if parts else pd.DataFrame(
+            {"query_id": pd.Series([], dtype=np.int64),
+             "doc_id": pd.Series([], dtype=np.int64),
+             "score": pd.Series([], dtype=np.float64),
+             group_col: pd.Series([], dtype=object)})
+        q = merged["query_id"].to_numpy(np.int64)
+        codes, _ = pd.factorize(merged[group_col], sort=True,
+                                use_na_sentinel=False)
+        idx, rank = _topk_rows((q, codes), merged["score"].to_numpy(),
+                               merged["doc_id"].to_numpy(),
+                               _row_k(plan.queries, q))
+        out = merged.iloc[idx].reset_index(drop=True)
+        out["grp_rank"] = rank
+        return out[["query_id", group_col, "grp_rank", "doc_id", "score"]]
 
     def boosted_topk(
         self,
@@ -1815,46 +1664,24 @@ class QueryPool:
         ``{value: w}`` dict (with ``default_w``) or a VECTORIZED callable
         over the meta column (numeric function queries — recip()/linear());
         the callable ships to the actors once per call. Returns
-        (query_id, doc_id, score, boosted)."""
+        (query_id, doc_id, score, boosted). Takes ``not_text`` and
+        ``min_match`` like ``topk``; a cursor column raises ValueError."""
         import ray
 
-        qids = queries["query_id"].to_pylist()
-        texts = queries["text"].to_pylist()
-        ks = queries["k"].to_pylist()
-        plans_by_qid = {
-            int(qid): (int(k), self.store.plan_query(text))
-            for qid, text, k in zip(qids, texts, ks)
-        }
-        live = {q: v for q, v in plans_by_qid.items() if v[1]}
-        empty = pd.DataFrame({
-            "query_id": pd.Series([], dtype=np.int64),
-            "doc_id": pd.Series([], dtype=np.int64),
-            "score": pd.Series([], dtype=np.float64),
-            "boosted": pd.Series([], dtype=np.float64),
-        })
-        if not live or not self.actors:
-            return empty
-        parts = self._retrying(
-            lambda: ray.get([
-                a.boosted_partials.remote(live, boost_col, weights, default_w)
-                for a in self.actors
-            ])
-        )
-        merged = pd.concat(parts, ignore_index=True)
-        if len(merged) == 0:
-            return empty
-        frames = []
-        for qid in sorted(live):
-            n = live[qid][0]
-            g = merged[merged["query_id"] == qid]
-            if len(g) == 0:
-                continue
-            g = g.sort_values(["boosted", "doc_id"], ascending=[False, True],
-                              kind="mergesort").head(n)
-            frames.append(g)
-        if not frames:
-            return empty
-        return pd.concat(frames, ignore_index=True).reset_index(drop=True)
+        plan = _plan_batch(self.store, queries, cursors=False)
+        parts = self._retrying(lambda: ray.get([
+            a.boosted_partials.remote(plan, boost_col, weights, default_w)
+            for a in self.actors
+        ])) if plan.queries else []
+        merged = pd.concat(parts, ignore_index=True) if parts else pd.DataFrame(
+            {c: pd.Series([], dtype=t) for c, t in (
+                ("query_id", np.int64), ("doc_id", np.int64),
+                ("score", np.float64), ("boosted", np.float64))})
+        q = merged["query_id"].to_numpy(np.int64)
+        idx, _rank = _topk_rows((q,), merged["boosted"].to_numpy(),
+                                merged["doc_id"].to_numpy(),
+                                _row_k(plan.queries, q))
+        return merged.iloc[idx].reset_index(drop=True)
 
     def shutdown(self) -> None:
         import ray
@@ -2097,10 +1924,7 @@ def explain(index_dir: str, text: str, doc_id: int) -> dict:
             pos = np.searchsorted(docs, doc_id)
             if pos < len(docs) and docs[pos] == doc_id:
                 tf, dl = int(tfs[pos]), int(dls[pos])
-                contrib = float(
-                    p.idf * float(tf) * (K1 + 1.0)
-                    / (float(tf) + K1 * (1.0 - B + B * float(dl) / stats["avgdl"]))
-                )
+                contrib = float(_contrib(p.idf, tf, dl, stats["avgdl"]))
                 total += contrib
                 terms_out.append(
                     {"term": p.term, "tf": tf, "dl": dl, "idf": p.idf,

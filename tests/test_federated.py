@@ -101,3 +101,32 @@ def test_federated_lmd_bit_identical(split_indexes):
     want = lmd_topk(c, _qtable(), mu=2000.0).to_pandas()
     assert got["doc_id"].tolist() == want["doc_id"].tolist()
     assert got["score"].tolist() == want["score"].tolist()
+
+
+def test_federated_honours_not_min_match_and_cursor(split_indexes):
+    """``not_text``, ``min_match`` and a cursor restrict federated answers
+    exactly as they restrict ``bm25_topk`` on the combined index."""
+    a, b, c = split_indexes
+    texts = ["the data model", "dup hash join table", "a", "sort merge"]
+    plain = pa.table({
+        "query_id": pa.array(range(len(texts)), pa.int64()),
+        "text": pa.array(texts, pa.string()),
+        "k": pa.array([10] * len(texts), pa.int32()),
+    })
+    third = bm25_topk(c, plain).to_pandas().query("query_id == 2 and rank == 3")
+    cs, cd = round(float(third["score"].iloc[0]), 6), int(third["doc_id"].iloc[0])
+    q = (plain.append_column("not_text", pa.array(["data", None, None, "window"]))
+         .append_column("min_match", pa.array([None, 4, None, 2], pa.int32()))
+         .append_column("cursor_score", pa.array([None, None, cs, None]))
+         .append_column("cursor_doc", pa.array([None, None, cd, None], pa.int64())))
+    fed = FederatedSearcher([a, b])
+    got = fed.topk(q).to_pandas()
+    want = bm25_topk(c, q).to_pandas()
+    assert got["query_id"].tolist() == want["query_id"].tolist()
+    assert got["rank"].tolist() == want["rank"].tolist()
+    assert got["doc_id"].tolist() == want["doc_id"].tolist()
+    assert got["score"].tolist() == want["score"].tolist()
+    base = fed.topk(plain).to_pandas()
+    for qid in range(len(texts)):  # every side channel changes its query
+        assert (got[got["query_id"] == qid]["doc_id"].tolist()
+                != base[base["query_id"] == qid]["doc_id"].tolist()), qid

@@ -52,10 +52,20 @@ def _query_table(text, k):
     })
 
 
-def _brute(idx, text, n):
+def _scored(idx, text, not_text=None, min_match=0):
+    """Brute-force ranking: every match, minus NOT matches and docs with
+    fewer than ``min_match`` distinct query terms."""
+    terms = set(text.split())
+    n_hit = {d: len(terms & set(t.split())) for d, t, _ in DOCS}
+    return [(d, s) for d, s in LocalSearcher(idx).search(text, 100,
+                                                         not_text=not_text)
+            if n_hit[d] >= min_match]
+
+
+def _brute(idx, text, n, not_text=None, min_match=0):
     by_grp = {g for _, _, g in DOCS}
     meta = {d: g for d, _, g in DOCS}
-    scored = LocalSearcher(idx).search(text, 100)
+    scored = _scored(idx, text, not_text, min_match)
     out = {}
     for g in sorted(by_grp):
         rows = [(d, s) for d, s in scored if meta[d] == g][:n]
@@ -125,3 +135,52 @@ def test_boosted_topk_can_promote_below_topk_docs(grp_idx):
     assert plain["doc_id"].tolist() == [3]
     flipped = pool.boosted_topk(q, "grp", {"b": 0.001}, 1.0)
     assert flipped["doc_id"].tolist() != [3]
+
+
+SIDE = [("apple banana", 2, "cherry", None), ("apple banana", 3, None, 2),
+        ("apple cherry", 1, "banana", 2)]
+
+
+def _side_table():
+    return pa.table({
+        "query_id": pa.array(range(len(SIDE)), pa.int64()),
+        "text": pa.array([t for t, _, _, _ in SIDE], pa.string()),
+        "k": pa.array([k for _, k, _, _ in SIDE], pa.int32()),
+        "not_text": pa.array([n for _, _, n, _ in SIDE], pa.string()),
+        "min_match": pa.array([m for _, _, _, m in SIDE], pa.int32()),
+    })
+
+
+def test_grouped_and_boosted_honour_not_and_min_match(grp_idx):
+    pool = get_pool(grp_idx)
+    grouped = pool.grouped_topk(_side_table(), "grp")
+    w = {"a": 0.5, "c": 3.0}
+    boosted = pool.boosted_topk(_side_table(), "grp", w, 1.0)
+    meta = {d: g for d, _, g in DOCS}
+    for qid, (text, k, not_text, mm) in enumerate(SIDE):
+        want = _brute(grp_idx, text, k, not_text, mm or 0)
+        mine = grouped[grouped["query_id"] == qid]
+        assert sorted(set(mine["grp"])) == sorted(want), qid
+        for g, rows in want.items():
+            sub = mine[mine["grp"] == g]
+            assert list(sub["doc_id"]) == [d for d, _ in rows], (qid, g)
+            assert list(sub["score"]) == [s for _, s in rows], (qid, g)
+        scored = _scored(grp_idx, text, not_text, mm or 0)
+        want_b = sorted(((-s * w.get(meta[d], 1.0), d, s) for d, s in scored))[:k]
+        mine_b = boosted[boosted["query_id"] == qid]
+        assert list(mine_b["doc_id"]) == [d for _, d, _ in want_b], qid
+        assert list(mine_b["score"]) == [s for _, _, s in want_b], qid
+        assert list(mine_b["boosted"]) == [-b for b, _, _ in want_b], qid
+        plain = _brute(grp_idx, text, k)
+        assert want != plain, qid  # each case's side channel bites
+
+
+def test_grouped_and_boosted_reject_cursor(grp_idx):
+    pool = get_pool(grp_idx)
+    q = _query_table("apple", 2).append_column(
+        "cursor_score", pa.array([1.0])).append_column(
+        "cursor_doc", pa.array([3], pa.int64()))
+    with pytest.raises(ValueError, match="cursor"):
+        pool.grouped_topk(q, "grp")
+    with pytest.raises(ValueError, match="cursor"):
+        pool.boosted_topk(q, "grp", {"a": 2.0})

@@ -101,8 +101,11 @@ for it in range(iters):
             for w in t: cf_ref[w]=cf_ref.get(w,0)+1
         for q in QUERIES[:3]:
             k=int(rng.integers(1,12))
+            # random NOT clause and mm: the reference filters its full ranking
+            neg=str(rng.choice(VOCAB)); negt=set(tokenize_text(neg))
+            qterms=set(_tok(q)); m=int(rng.integers(1,len(qterms)+2))
             want_scores={}
-            for term in sorted(set(_tok(q))):
+            for term in sorted(qterms):
                 if term not in cf_ref: continue
                 rate=total_len/(mu*cf_ref[term])
                 for d,t in zip(pdf["doc_id"],toks_all):
@@ -110,12 +113,20 @@ for it in range(iters):
                     if tf:
                         c=max(0.0, float(np.log(1.0+tf*rate)+np.log(mu/(dl_ref[int(d)]+mu))))
                         want_scores[int(d)]=want_scores.get(int(d),0.0)+c
+            want_scores={d:sc for d,sc in want_scores.items()
+                         if not (negt & toks_by_doc[d]) and len(qterms & toks_by_doc[d])>=m}
             lt=_lmd(idx, pa.table({"query_id":pa.array([0],pa.int64()),
                 "text":pa.array([q],pa.string()),
+                "not_text":pa.array([neg],pa.string()),
+                "min_match":pa.array([m],pa.int32()),
                 "k":pa.array([k],pa.int32())}), mu=mu).to_pandas()
+            # per-doc value parity, and the top-k score list within float
+            # summation-order noise (the reference sums in another order)
             for d,sc in zip(lt["doc_id"],lt["score"]):
-                # per-doc value parity; rank order checked on rounded scores
-                assert abs(sc-want_scores.get(int(d),0.0))<1e-9, f"lmd:{q}:{d}"
+                assert int(d) in want_scores, f"lmd:{q}-{neg}:{m}:{d}"
+                assert abs(sc-want_scores[int(d)])<1e-9, f"lmd:{q}:{d}"
+            top=sorted(want_scores.values(), reverse=True)[:k]
+            assert len(lt)==len(top) and np.allclose(lt["score"], top, rtol=0, atol=1e-9), f"lmd:{q}-{neg}:{m}"
         # query-string parser vs a brute-force reference evaluator
         from archivesspace_virgo_ray.index.qparser import parse_query, querystring_topk
         toks_list=[_tok(t) for t in pdf["text"]]
@@ -238,13 +249,17 @@ for it in range(iters):
         build_index(src2, idx2, BuildConfig(n_shards=int(rng.integers(1,4)), n_buckets=2,
                     text_col="text", id_col="doc_id", meta_cols=("grp",)), resume=False)
         n=int(rng.integers(1,4)); gq=QUERIES[int(rng.integers(0,5))]
+        neg=str(rng.choice(VOCAB)); negt=set(tokenize_text(neg))
+        qterms=set(tokenize_text(gq)); m=int(rng.integers(1,len(qterms)+2))
         gt=get_pool(idx2).grouped_topk(pa.table({"query_id":pa.array([0],pa.int64()),
-            "text":pa.array([gq],pa.string()),"k":pa.array([n],pa.int32())}), "grp")
-        full=orc.score_query(gq, len(pdf))
+            "text":pa.array([gq],pa.string()),"not_text":pa.array([neg],pa.string()),
+            "min_match":pa.array([m],pa.int32()),"k":pa.array([n],pa.int32())}), "grp")
+        full=[(d,sc) for d,sc in orc.score_query(gq, len(pdf))
+              if not (negt & toks_by_doc[d]) and len(qterms & toks_by_doc[d])>=m]
         for g in sorted({v for v in grp.values()}):
             want=[(d,sc) for d,sc in full if grp[d]==g][:n]
             sub=gt[gt["grp"]==g]
-            assert list(zip(sub["doc_id"],sub["score"]))==want, f"grouped:{gq}:{g}"
+            assert list(zip(sub["doc_id"],sub["score"]))==want, f"grouped:{gq}-{neg}:{m}:{g}"
     except Exception as e:
         fails+=1
         print(f"FAIL iter={it} seed={seed}: {e}", flush=True)
