@@ -39,6 +39,8 @@ SEG_INCOMPLETE = "seg_incomplete"
 SEG_VERSION = "seg_version"
 SEG_FILE_MISSING = "seg_file_missing"
 SEG_PAYLOAD_SIZE = "seg_payload_size"
+SEG_DOC_TABLE_MISSING = "seg_doc_table_missing"
+SEG_DOC_TABLE_SIZE = "seg_doc_table_size"
 SEG_POSITIONS_MISSING = "seg_positions_missing"
 SEG_POSITIONS_SIZE = "seg_positions_size"
 SEG_TERMS_ROWS = "seg_terms_rows"
@@ -151,6 +153,13 @@ def fsck_index(index_dir: str) -> dict:
                 add(SEG_PAYLOAD_SIZE,
                     f"{name}: postings.bin {sz} bytes != manifest "
                     f"payload_bytes {m.get('payload_bytes')}")
+        dpath = os.path.join(d, "docs.bin")
+        if not os.path.exists(dpath):
+            add(SEG_DOC_TABLE_MISSING, f"{name}: missing docs.bin (doc table)")
+        elif os.path.getsize(dpath) != m.get("docs_bytes"):
+            add(SEG_DOC_TABLE_SIZE,
+                f"{name}: docs.bin {os.path.getsize(dpath)} bytes != "
+                f"manifest docs_bytes {m.get('docs_bytes')}")
         if m.get("positions"):
             xpath = os.path.join(d, "positions.bin")
             if not os.path.exists(xpath):

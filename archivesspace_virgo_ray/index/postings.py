@@ -1,30 +1,41 @@
-"""Posting-list codec: delta encoding + varbyte compression + block-max metadata.
+"""Posting-list codec: segment-local doc ordinals + varbyte compression +
+block-max metadata.
 
 This is the from-scratch replacement for the index format the reference
 delegates to Solr/Lucene (every ``*_text`` field it posts,
-ASpaceObject.java:253). Layout per term:
+ASpaceObject.java:253). Like Lucene, a segment numbers its docs 0…n−1 and
+keeps one length norm per doc; postings never repeat per-doc values.
 
-- postings sorted by doc_id ascending, split into blocks of ``BLOCK_SIZE``;
-- per block payload: varbyte(delta doc_ids) + varbyte(tfs) + varbyte(dls),
-  where the first delta of a block is taken from the previous block's last
-  doc_id (blocks decode independently given the block table);
-- per block metadata (the skip list): last_doc, n, max_tf, min_dl and the
-  three payload byte-lengths. ``(max_tf, min_dl)`` give an avgdl-free
-  block-max score bound at query time:
-  ``ub = idf * max_tf*(k1+1) / (max_tf + k1*(1-b+b*min_dl/avgdl))`` — monotone
-  up in tf and down in dl, hence a true upper bound for every posting in the
-  block.
+Layout per segment:
 
-Layout per segment (``postings.bin``): the terms' payloads back to back in
-term order, so the whole file is the three streams of the segment — doc
-deltas (each term's first delta is its absolute doc id), tfs, dls —
-interleaved block by block as doc|tf|dl. ``encode_segment`` writes a
-segment in one pass: one varbyte encode per stream, per-block byte counts
-and bounds from ``reduceat`` over the global block starts, and one gather
-that interleaves the streams. ``decode_segment`` is its inverse (one
-scatter back to stream order, one varbyte decode per stream).
-``decode_posting_list`` decodes the selected blocks of one term — the
-query-time access pattern.
+- ``docs.bin`` — the doc table: varbyte(doc-id deltas, the first absolute)
+  then varbyte(doc lengths), one value each per doc. Ordinal ``o`` is the
+  ``o``-th smallest doc id of the segment, so ordinal order IS doc-id order
+  and decoding maps ordinals back with two gathers
+  (``doc_map[ords]``, ``dl_map[ords]``);
+- ``postings.bin`` — the terms' payloads back to back in term order. Per
+  term, postings sorted by ordinal and cut into blocks of ``BLOCK_SIZE``;
+  the term's payload is varbyte(ordinal deltas) of every block, then
+  varbyte(tfs) of every block. Each term's first delta is its absolute
+  ordinal and a block's first delta is taken from the previous block's
+  last ordinal, which the decoder recovers from the block table as
+  ``searchsorted(doc_map, last_doc[b - 1])`` (exact: the map is sorted and
+  unique), so blocks decode independently;
+- per block metadata (the skip list, ``blocks.parquet``): last_doc (a doc
+  id, not an ordinal), n, max_tf, min_dl and the two payload byte-lengths.
+  ``(max_tf, min_dl)`` give an avgdl-free block-max score bound at query
+  time: ``ub = idf * max_tf*(k1+1) / (max_tf + k1*(1-b+b*min_dl/avgdl))`` —
+  monotone up in tf and down in dl, hence a true upper bound for every
+  posting in the block.
+
+``encode_segment`` writes a segment in one pass: one ``np.unique`` for the
+ordinals, one varbyte encode per stream, per-block byte counts and bounds
+from ``reduceat`` over the global block starts, and one scatter that lays
+the two streams out term by term. ``decode_segment`` is its inverse (one
+gather back to stream order, one varbyte decode). ``decode_posting_list``
+decodes one term — the query-time access pattern: a whole term is one
+varbyte decode of its payload, a block-masked one gathers the selected
+blocks' bytes with one index first.
 
 Both codec directions are vectorized numpy (no per-value Python loop): encode
 loops only over byte-position (<=10 iterations), decode reconstructs values
@@ -87,6 +98,8 @@ def varbyte_decode(buf, n_values: int | None = None) -> np.ndarray:
     n = len(ends)
     if n_values is not None and n != n_values:
         raise ValueError(f"decoded {n} values, expected {n_values}")
+    if n == b.size:  # every value is one byte (small deltas and tfs)
+        return b.astype(np.uint64)
     starts = np.zeros(n, dtype=np.int64)
     starts[1:] = ends[:-1] + 1
     # shift of each byte = 7 * its position within its value: a cumsum of
@@ -173,36 +186,59 @@ def decode_positions(
 
     ``pos_bytes``: per-block position-payload byte counts (block table);
     ``tfs``: the decoded tfs of the SELECTED blocks (value counts per
-    posting). One varbyte_decode call; delta rebase per posting is the same
-    segmented-cumsum trick as the doc-id rebase.
+    posting). One gather, one varbyte_decode call; delta rebase per posting
+    is the same segmented-cumsum trick as the ordinal rebase.
     """
     tfs = np.asarray(tfs, dtype=np.int64)
-    n_blocks = len(pos_bytes)
-    offs = np.concatenate([[0], np.cumsum(pos_bytes)[:-1]])
-    sel = np.arange(n_blocks) if block_mask is None else np.flatnonzero(block_mask)
     total = int(tfs.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    mv = memoryview(pos_payload)
-    bufs = [mv[int(offs[bi]) : int(offs[bi]) + int(pos_bytes[bi])] for bi in sel]
-    deltas = varbyte_decode(b"".join(bufs), total).astype(np.int64)
+    pos_bytes = np.asarray(pos_bytes, dtype=np.int64)
+    offs = _starts(pos_bytes)
+    if block_mask is not None:
+        sel = np.flatnonzero(block_mask)
+        offs, pos_bytes = offs[sel], pos_bytes[sel]
+    buf = np.frombuffer(pos_payload, dtype=np.uint8)[_ranges(offs, pos_bytes)]
+    deltas = varbyte_decode(buf, total).astype(np.int64)
     return _rebase(deltas, tfs)
 
 
-BLOCK_COLUMNS = ("last_doc", "n", "max_tf", "min_dl", "doc_bytes", "tf_bytes", "dl_bytes")
+BLOCK_COLUMNS = ("last_doc", "n", "max_tf", "min_dl", "ord_bytes", "tf_bytes")
 
 
-def _interleave_index(doc_bytes, tf_bytes, dl_bytes) -> np.ndarray:
-    """Gather index from stream order (every doc byte, then every tf byte,
-    then every dl byte) to payload order (doc|tf|dl per block)."""
-    n_doc, n_tf = int(doc_bytes.sum()), int(tf_bytes.sum())
-    sizes = np.stack([doc_bytes, tf_bytes, dl_bytes], axis=1).ravel()
-    src = np.stack([
-        _starts(doc_bytes),
-        n_doc + _starts(tf_bytes),
-        n_doc + n_tf + _starts(dl_bytes),
-    ], axis=1).ravel()
-    return np.repeat(src - _starts(sizes), sizes) + np.arange(int(sizes.sum()))
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Concatenated index ranges ``[starts[i], starts[i] + sizes[i])``."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    return np.repeat(starts - _starts(sizes), sizes) + np.arange(int(sizes.sum()))
+
+
+def _stream_index(ord_off, ord_bytes, tf_off, tf_bytes) -> np.ndarray:
+    """Payload positions of some byte runs in stream order: every ordinal
+    run (``ord_bytes`` bytes at ``ord_off``), then every tf run."""
+    return _ranges(np.concatenate([ord_off, tf_off]),
+                   np.concatenate([ord_bytes, tf_bytes]))
+
+
+def _term_stream_index(payload_off, term_ord_bytes, term_tf_bytes) -> np.ndarray:
+    """Segment stream order -> payload order: each term's payload holds its
+    ordinal bytes, then its tf bytes."""
+    return _stream_index(payload_off, term_ord_bytes,
+                         payload_off + term_ord_bytes, term_tf_bytes)
+
+
+def encode_doc_table(doc_map: np.ndarray, dl_map: np.ndarray) -> bytes:
+    """``docs.bin``: varbyte(doc-id deltas, the first absolute) then
+    varbyte(dls). Modular uint64 deltas keep any int64 id exact."""
+    ids = doc_map.astype(np.uint64)
+    deltas = ids.copy()
+    deltas[1:] -= ids[:-1]
+    return varbyte_encode(np.concatenate([deltas, dl_map.astype(np.uint64)]))
+
+
+def decode_doc_table(buf, n_docs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of ``encode_doc_table`` -> (doc_map, dl_map), int64."""
+    vals = varbyte_decode(buf, 2 * n_docs)
+    return np.cumsum(vals[:n_docs]).view(np.int64), vals[n_docs:].astype(np.int64)
 
 
 def encode_segment(doc_ids, tfs, dls, starts, ends):
@@ -210,12 +246,15 @@ def encode_segment(doc_ids, tfs, dls, starts, ends):
 
     ``doc_ids``/``tfs``/``dls``: the segment's postings, (term, doc_id)
     ascending; term t owns ``[starts[t], ends[t])`` (df >= 1, no gaps).
+    Every posting of one doc must carry the same dl (ValueError otherwise:
+    the doc table keeps one length per doc).
 
-    Returns (payload, terms, blocks): ``terms`` holds per-term
-    ``n_blocks`` (int32), ``block_start``, ``payload_off``, ``payload_len``
-    (int64); ``blocks`` holds the ``BLOCK_COLUMNS`` arrays in term order
-    (``n`` int32, the rest int64; all int64 for an empty segment, the
-    on-disk format of an empty segment's block table).
+    Returns (payload, doc_table, n_docs, terms, blocks): ``doc_table`` is
+    the ``docs.bin`` bytes; ``terms`` holds per-term ``n_blocks`` (int32),
+    ``block_start``, ``payload_off``, ``payload_len`` (int64); ``blocks``
+    holds the ``BLOCK_COLUMNS`` arrays in term order (``n`` int32, the rest
+    int64; all int64 for an empty segment, the on-disk format of an empty
+    segment's block table).
     """
     doc_ids = np.asarray(doc_ids, dtype=np.int64)
     tfs = np.asarray(tfs, dtype=np.int64)
@@ -226,7 +265,17 @@ def encode_segment(doc_ids, tfs, dls, starts, ends):
         e = np.empty(0, dtype=np.int64)
         terms = {"n_blocks": np.empty(0, dtype=np.int32), "block_start": e,
                  "payload_off": e, "payload_len": e}
-        return b"", terms, {k: e for k in BLOCK_COLUMNS}
+        return b"", b"", 0, terms, {k: e for k in BLOCK_COLUMNS}
+    doc_map, ords = np.unique(doc_ids, return_inverse=True)
+    dl_map = np.empty(len(doc_map), dtype=np.int64)
+    dl_map[ords] = dls
+    clash = np.flatnonzero(dl_map[ords] != dls)
+    if len(clash):
+        i = clash[0]
+        raise ValueError(
+            f"doc id {doc_ids[i]} carries two doc lengths in one segment "
+            f"({dls[i]} and {dl_map[ords[i]]})")
+
     n_blocks = (ends - starts + BLOCK_SIZE - 1) // BLOCK_SIZE
     block_start = _starts(n_blocks)
     # global first posting of every block: its term's start plus
@@ -235,76 +284,85 @@ def encode_segment(doc_ids, tfs, dls, starts, ends):
     bstart = np.repeat(starts, n_blocks) + within * BLOCK_SIZE
     bend = np.minimum(bstart + BLOCK_SIZE, np.repeat(ends, n_blocks))
 
-    # one delta stream for the whole segment: a block's first delta is the
-    # previous block's last doc of the same term, i.e. the plain
-    # consecutive delta, and each term's first delta is its absolute doc id
-    ids_u = doc_ids.astype(np.uint64)
-    deltas = np.empty_like(ids_u)
-    deltas[1:] = ids_u[1:] - ids_u[:-1]
-    deltas[starts] = ids_u[starts]
-    streams = (deltas, tfs.astype(np.uint64), dls.astype(np.uint64))
-    nbytes = [_varbyte_nbytes(v) for v in streams]
-    encoded = b"".join(varbyte_encode(v, nb) for v, nb in zip(streams, nbytes))
-    doc_bytes, tf_bytes, dl_bytes = (np.add.reduceat(nb, bstart) for nb in nbytes)
-    gather = _interleave_index(doc_bytes, tf_bytes, dl_bytes)
-    payload = np.frombuffer(encoded, dtype=np.uint8)[gather].tobytes()
+    # one ordinal-delta stream for the whole segment: a block's first delta
+    # is the previous block's last ordinal of the same term, i.e. the plain
+    # consecutive delta, and each term's first delta is its absolute ordinal
+    deltas = np.empty(len(ords), dtype=np.int64)
+    deltas[1:] = ords[1:] - ords[:-1]
+    deltas[starts] = ords[starts]
+    streams = (deltas, tfs)
+    nbytes = [_varbyte_nbytes(v.astype(np.uint64)) for v in streams]
+    encoded = np.frombuffer(
+        b"".join(varbyte_encode(v, nb) for v, nb in zip(streams, nbytes)),
+        dtype=np.uint8)
+    ord_bytes, tf_bytes = (np.add.reduceat(nb, bstart) for nb in nbytes)
+    term_ord, term_tf = (np.add.reduceat(nb, starts) for nb in nbytes)
+    payload_off = _starts(term_ord + term_tf)
+    payload = np.empty(len(encoded), dtype=np.uint8)
+    payload[_term_stream_index(payload_off, term_ord, term_tf)] = encoded
 
-    payload_len = np.add.reduceat(doc_bytes + tf_bytes + dl_bytes, block_start)
     terms = {
         "n_blocks": n_blocks.astype(np.int32),
         "block_start": block_start,
-        "payload_off": _starts(payload_len),
-        "payload_len": payload_len,
+        "payload_off": payload_off,
+        "payload_len": term_ord + term_tf,
     }
     blocks = {
         "last_doc": doc_ids[bend - 1],
         "n": (bend - bstart).astype(np.int32),
         "max_tf": np.maximum.reduceat(tfs, bstart),
         "min_dl": np.minimum.reduceat(dls, bstart),
-        "doc_bytes": doc_bytes,
+        "ord_bytes": ord_bytes,
         "tf_bytes": tf_bytes,
-        "dl_bytes": dl_bytes,
     }
-    return payload, terms, blocks
+    return (payload.tobytes(), encode_doc_table(doc_map, dl_map), len(doc_map),
+            terms, blocks)
 
 
 def decode_segment(reader):
     """Decode every posting of a segment (a ``SegmentReader``) in one pass:
-    one scatter of ``postings.bin`` back to stream order, one varbyte decode
-    per stream, and a term-segmented cumsum that rebases the doc deltas.
+    one gather of ``postings.bin`` back to stream order, one varbyte decode,
+    a term-segmented cumsum that rebases the ordinal deltas, and the two
+    doc-table gathers.
 
     Returns (doc_ids, tfs, dls, df, positions): flat int64 arrays in
     (term, doc_id) order, per-term df (term order of ``reader.terms``), and
     the flat in-doc token positions (posting i owns the next ``tfs[i]``
     values) when the segment stores them, else None.
     """
-    blocks = reader.blocks
     df = reader.terms["df"].to_numpy().astype(np.int64)
     total = int(df.sum())
-    db, tb = blocks["doc_bytes"], blocks["tf_bytes"]
-    streams = np.empty(len(reader.payload), dtype=np.uint8)
-    streams[_interleave_index(db, tb, blocks["dl_bytes"])] = reader.payload
-    n_doc, n_tf = int(db.sum()), int(tb.sum())
-    deltas = varbyte_decode(streams[:n_doc], total)
-    tfs = varbyte_decode(streams[n_doc : n_doc + n_tf], total).astype(np.int64)
-    dls = varbyte_decode(streams[n_doc + n_tf :], total).astype(np.int64)
-    doc_ids = _rebase(deltas, df).astype(np.int64)
+    off = reader.terms["payload_off"].to_numpy()
+    # a term's ordinal bytes: its blocks' ord_bytes, summed by cumsum
+    # difference over the term's block range
+    ord_csum = np.concatenate([[0], np.cumsum(reader.blocks["ord_bytes"])])
+    bs = reader.terms["block_start"].to_numpy()
+    term_ord = ord_csum[bs + reader.terms["n_blocks"].to_numpy()] - ord_csum[bs]
+    idx = _term_stream_index(off, term_ord,
+                             reader.terms["payload_len"].to_numpy() - term_ord)
+    vals = varbyte_decode(reader.payload[idx], 2 * total).view(np.int64)
+    ords = _rebase(vals[:total], df)
+    tfs = vals[total:]
     positions = None
     if reader.has_positions:
         pos = varbyte_decode(reader.pos_payload, int(tfs.sum())).astype(np.int64)
         positions = _rebase(pos, tfs)
-    return doc_ids, tfs, dls, df, positions
+    return reader.doc_map[ords], tfs, reader.dl_map[ords], df, positions
 
 
 def encode_posting_list(
     doc_ids: np.ndarray, tfs: np.ndarray, dls: np.ndarray
 ) -> tuple[bytes, dict[str, np.ndarray]]:
-    """Encode one term's postings (doc_id-ascending): a one-term
-    ``encode_segment``. Returns (payload_bytes, block_table)."""
+    """Encode one term's postings (doc_id-ascending, unique): a one-term
+    ``encode_segment``. Returns (payload_bytes, block_table), the table
+    carrying the doc table as ``doc_map``/``dl_map`` like
+    ``SegmentReader.term_entry``'s."""
     n = len(doc_ids)
     assert n > 0
-    payload, _terms, blocks = encode_segment(doc_ids, tfs, dls, [0], [n])
-    return payload, blocks
+    payload, _docs, _n_docs, _terms, blocks = encode_segment(doc_ids, tfs, dls, [0], [n])
+    # one term's doc ids are unique and ascending: they ARE its doc map
+    return payload, {**blocks, "doc_map": np.asarray(doc_ids, dtype=np.int64),
+                     "dl_map": np.asarray(dls, dtype=np.int64)}
 
 
 def decode_posting_list(
@@ -314,43 +372,43 @@ def decode_posting_list(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode (a subset of) a term's blocks -> (doc_ids, tfs, dls).
 
-    ``block_mask`` selects blocks (block-max / skip-driven decode); omitted
-    means all. Payload must start at the term's first block.
+    ``block_table``: the term's block rows plus its segment's ``doc_map``
+    and ``dl_map``. ``block_mask`` selects blocks (block-max / skip-driven
+    decode); omitted means all. Payload must start at the term's first
+    block.
 
-    Each of the three streams is gathered across the selected blocks and
-    decoded in ONE varbyte call (per-block numpy calls on 128-element arrays
-    are overhead-bound — measured ~10× slower); block-relative doc deltas are
-    then rebased vectorized.
+    A whole term is one varbyte decode of its payload and one cumsum. A
+    masked decode gathers the selected blocks' ordinal and tf bytes with
+    one index first and rebases each selected block from the previous
+    block's last ordinal. The doc table then maps ordinals to doc ids and
+    dls with two gathers.
     """
-    last_doc = block_table["last_doc"]
     bn = block_table["n"]
-    db, tb, lb = block_table["doc_bytes"], block_table["tf_bytes"], block_table["dl_bytes"]
-    n_blocks = len(bn)
-    block_sizes = db + tb + lb
-    offs = np.concatenate([[0], np.cumsum(block_sizes)[:-1]])
-    sel = np.arange(n_blocks) if block_mask is None else np.flatnonzero(block_mask)
+    doc_map = block_table["doc_map"]
+    buf = np.frombuffer(payload, dtype=np.uint8)
+    if block_mask is None:
+        total = int(bn.sum())
+        vals = varbyte_decode(buf, 2 * total).view(np.int64)
+        ords = np.cumsum(vals[:total])
+        return doc_map[ords], vals[total:], block_table["dl_map"][ords]
+    sel = np.flatnonzero(block_mask)
     if len(sel) == 0:
         e = np.empty(0, dtype=np.int64)
         return e, e.copy(), e.copy()
-    mv = memoryview(payload)
-    doc_bufs, tf_bufs, dl_bufs = [], [], []
-    for bi in sel:
-        o = int(offs[bi])
-        nd, nt, nl = int(db[bi]), int(tb[bi]), int(lb[bi])
-        doc_bufs.append(mv[o : o + nd])
-        tf_bufs.append(mv[o + nd : o + nd + nt])
-        dl_bufs.append(mv[o + nd + nt : o + nd + nt + nl])
+    ob, tb = block_table["ord_bytes"], block_table["tf_bytes"]
     n_sel = bn[sel].astype(np.int64)
     total = int(n_sel.sum())
-    deltas = varbyte_decode(b"".join(doc_bufs), total).astype(np.int64)
-    tfs = varbyte_decode(b"".join(tf_bufs), total).astype(np.int64)
-    dls = varbyte_decode(b"".join(dl_bufs), total).astype(np.int64)
+    idx = _stream_index(_starts(ob)[sel], ob[sel],
+                        int(ob.sum()) + _starts(tb)[sel], tb[sel])
+    vals = varbyte_decode(buf[idx], 2 * total).view(np.int64)
     # rebase: global cumsum of deltas, then per selected block subtract the
-    # cumsum entering the block and add its true base (prev block's last doc)
-    csum = np.cumsum(deltas)
-    starts = np.concatenate([[0], np.cumsum(n_sel)[:-1]])
+    # cumsum entering the block and add its true base (prev block's last
+    # ordinal; a term's first delta is absolute)
+    csum = np.cumsum(vals[:total])
+    starts = _starts(n_sel)
     entering = np.where(starts > 0, csum[starts - 1], 0)
-    bases = np.where(sel > 0, last_doc[np.maximum(sel - 1, 0)], 0)
-    correction = np.repeat(bases - entering, n_sel)
-    docs = csum + correction
-    return docs, tfs, dls
+    bases = np.where(
+        sel > 0,
+        np.searchsorted(doc_map, block_table["last_doc"][np.maximum(sel - 1, 0)]), 0)
+    ords = csum + np.repeat(bases - entering, n_sel)
+    return doc_map[ords], vals[total:], block_table["dl_map"][ords]

@@ -11,7 +11,9 @@ full-reindex, SolrHelper.java:98-100, IndexRecordsForV4.java:44-69,116-125):
                            #   payload_len, shard, bucket
         blocks.parquet     # block-max skip table, concatenated in term order
                            #   (+ pos_bytes per block when positional)
-        postings.bin       # delta+varbyte block payloads
+        docs.bin           # doc table: ordinal -> doc_id, ordinal -> dl
+                           #   (varbyte; one entry per doc of the segment)
+        postings.bin       # ordinal-delta + tf varbyte block payloads
         positions.bin      # optional per-posting token positions stream
                            #   (store_positions=True; terms carry pos_off/len)
         manifest.json      # lineage + counters + pipeline_version + status
@@ -43,7 +45,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from .. import PIPELINE_VERSION
-from .postings import encode_segment
+from .postings import decode_doc_table, encode_segment
 
 SEGMENTS = "segments"
 GLOBAL = "_global"
@@ -143,7 +145,8 @@ def write_segment(
     ends = np.concatenate([starts[1:], [len(codes)]])
     uniq_terms = np.asarray(uniq_terms, dtype=object)
 
-    payload, term_cols, block_cols = encode_segment(doc_ids, tfs, dls, starts, ends)
+    payload, doc_table, n_docs, term_cols, block_cols = encode_segment(
+        doc_ids, tfs, dls, starts, ends)
     term_rows = {
         "term": uniq_terms,
         "df": (ends - starts).astype(np.int64),
@@ -182,6 +185,8 @@ def write_segment(
     try:
         pq.write_table(terms_tbl, os.path.join(tmp_dir, "terms.parquet"))
         pq.write_table(blocks_tbl, os.path.join(tmp_dir, "blocks.parquet"))
+        with open(os.path.join(tmp_dir, "docs.bin"), "wb") as f:
+            f.write(doc_table)
         with open(os.path.join(tmp_dir, "postings.bin"), "wb") as f:
             f.write(payload)
         if has_pos:
@@ -194,6 +199,8 @@ def write_segment(
             "pipeline_version": PIPELINE_VERSION,
             "n_terms": int(n_terms),
             "n_postings": int(len(doc_ids)),
+            "n_docs": int(n_docs),
+            "docs_bytes": len(doc_table),
             "n_tokens": int(tfs.sum()) if len(tfs) else 0,
             "payload_bytes": len(payload),
             "positions": bool(has_pos),
@@ -213,10 +220,13 @@ def write_segment(
 
 
 class SegmentReader:
-    """Read-side view of one segment: term dict in memory, postings mmapped.
+    """Read-side view of one segment: term dict and doc table in memory,
+    postings mmapped.
 
     Accepts either (index_dir, shard, bucket) for a base segment or
-    (index_dir, name=...) for any segment directory (delta generations)."""
+    (index_dir, name=...) for any segment directory (delta generations).
+    Raises ValueError for a segment written under another
+    ``PIPELINE_VERSION``: its posting layout may differ."""
 
     def __init__(
         self,
@@ -230,6 +240,15 @@ class SegmentReader:
             if name is not None
             else segment_dir(index_dir, shard, bucket)
         )
+        with open(os.path.join(d, "manifest.json")) as f:
+            m = json.load(f)
+        if m.get("pipeline_version") != PIPELINE_VERSION:
+            raise ValueError(
+                f"segment {d} has pipeline_version "
+                f"{m.get('pipeline_version')!r}, this code reads "
+                f"{PIPELINE_VERSION!r}: rebuild the index")
+        with open(os.path.join(d, "docs.bin"), "rb") as f:
+            self.doc_map, self.dl_map = decode_doc_table(f.read(), m["n_docs"])
         self.terms = pq.read_table(os.path.join(d, "terms.parquet"))
         btab = pq.read_table(os.path.join(d, "blocks.parquet"))
         self.blocks = {name: btab[name].to_numpy() for name in btab.column_names}
@@ -269,6 +288,8 @@ class SegmentReader:
         e = {k: int(v[i]) for k, v in self._np.items()}
         bs, nb = e["block_start"], e["n_blocks"]
         e["block_table"] = {k: v[bs : bs + nb] for k, v in self.blocks.items()}
+        e["block_table"]["doc_map"] = self.doc_map
+        e["block_table"]["dl_map"] = self.dl_map
         e["payload"] = bytes(
             self.payload[e["payload_off"] : e["payload_off"] + e["payload_len"]]
         )

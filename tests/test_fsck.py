@@ -128,3 +128,49 @@ def test_issue_codes_parallel_and_targeted_repairs(ray_session, tmp_path):
     assert "resealed termstats" not in r2["actions"]
     assert "recomputed global stats from disk truth" not in r2["actions"]
     assert F.SEG_FILE_MISSING in r2["issue_codes"]  # reported unchanged
+
+
+def test_detects_truncated_and_missing_doc_table(ray_session, tmp_path):
+    from archivesspace_virgo_ray.index import fsck as F
+
+    idx = _build(tmp_path)
+    segs = sorted(os.listdir(os.path.join(idx, "segments")))
+    p = os.path.join(idx, "segments", segs[0], "docs.bin")
+    with open(p, "r+b") as f:
+        f.truncate(max(0, os.path.getsize(p) - 5))
+    os.remove(os.path.join(idx, "segments", segs[1], "docs.bin"))
+    r = F.fsck_index(idx)
+    assert not r["ok"]
+    assert F.SEG_DOC_TABLE_SIZE in r["issue_codes"]
+    assert F.SEG_DOC_TABLE_MISSING in r["issue_codes"]
+    assert any(f"{segs[0]}: docs.bin" in i and "docs_bytes" in i for i in r["issues"])
+    assert any(f"{segs[1]}: missing docs.bin" in i for i in r["issues"])
+
+
+def test_readers_reject_stale_segment_version(ray_session, tmp_path):
+    """A segment written under another PIPELINE_VERSION may use another
+    posting layout: readers must refuse it, naming both versions, instead
+    of decoding it with the current one."""
+    import pyarrow as pa
+    import pytest
+
+    from archivesspace_virgo_ray import PIPELINE_VERSION
+    from archivesspace_virgo_ray.index.query import LocalSearcher, bm25_topk
+
+    idx = _build(tmp_path)
+    seg = sorted(os.listdir(os.path.join(idx, "segments")))[0]
+    mp = os.path.join(idx, "segments", seg, "manifest.json")
+    m = json.load(open(mp))
+    m["pipeline_version"] = "avr-index-0"
+    json.dump(m, open(mp, "w"))
+    with pytest.raises(ValueError) as ei:
+        LocalSearcher(idx)
+    for needle in (seg, "'avr-index-0'", repr(PIPELINE_VERSION)):
+        assert needle in str(ei.value)
+    q = pa.table({"query_id": pa.array([0], pa.int64()),
+                  "text": pa.array(["the data"], pa.string()),
+                  "k": pa.array([5], pa.int32())})
+    with pytest.raises(Exception) as ei:
+        bm25_topk(idx, q)
+    for needle in (seg, "'avr-index-0'", repr(PIPELINE_VERSION)):
+        assert needle in str(ei.value)

@@ -104,7 +104,7 @@ def test_file_layout_invariance(tmp_path, ray_session):
     build_index(b_dir, idx_b, BuildConfig(n_shards=2, n_buckets=3, batch_size=512),
                 resume=False)
     for seg in sorted(os.listdir(os.path.join(idx_a, "segments"))):
-        for f in ("terms.parquet", "blocks.parquet", "postings.bin"):
+        for f in ("terms.parquet", "blocks.parquet", "docs.bin", "postings.bin"):
             x = open(os.path.join(idx_a, "segments", seg, f), "rb").read()
             y = open(os.path.join(idx_b, "segments", seg, f), "rb").read()
             assert x == y, f"{seg}/{f} differs across file layouts/batch sizes"

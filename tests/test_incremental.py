@@ -79,7 +79,7 @@ def test_merge_is_byte_identical_to_rebuild(corpora, tmp_path_factory, ray_sessi
     build_index(full_dir, idx_full, BuildConfig(**CFG), resume=False)
 
     for (s, b), names in list_segment_generations(idx_full).items():
-        for f in ("terms.parquet", "blocks.parquet", "postings.bin"):
+        for f in ("terms.parquet", "blocks.parquet", "docs.bin", "postings.bin"):
             a = open(os.path.join(idx_full, "segments", names[0], f), "rb").read()
             bb = open(os.path.join(idx_inc, "segments", names[0], f), "rb").read()
             assert a == bb, f"{names[0]}/{f} differs from full rebuild"
@@ -219,7 +219,7 @@ def test_replace_semantics_and_merge_equals_rebuild(tmp_path, ray_session):
     build_index(str(d / "latest.parquet"), idx_full, BuildConfig(**MINI_CFG),
                 resume=False)
     for (sh, b), names in list_segment_generations(idx_full).items():
-        for f in ("terms.parquet", "blocks.parquet", "postings.bin"):
+        for f in ("terms.parquet", "blocks.parquet", "docs.bin", "postings.bin"):
             a = open(os.path.join(idx_full, "segments", names[0], f), "rb").read()
             bb = open(os.path.join(idx, "segments", names[0], f), "rb").read()
             assert a == bb, f"{names[0]}/{f} differs from rebuild over latest"

@@ -149,7 +149,7 @@ def test_resume_skips_completed_and_is_byte_identical(
     assert stats["n_segments_written"] == len(segs) // 2
 
     for name in segs:
-        for f in ("terms.parquet", "blocks.parquet", "postings.bin"):
+        for f in ("terms.parquet", "blocks.parquet", "docs.bin", "postings.bin"):
             a = open(os.path.join(idx_a, "segments", name, f), "rb").read()
             b = open(os.path.join(idx_b, "segments", name, f), "rb").read()
             assert a == b, f"{name}/{f} differs after resume"

@@ -83,7 +83,7 @@ def test_sigkill_mid_build_then_resume_byte_identical(kill_corpus, tmp_path_fact
     _run_build(kill_corpus, idx_killed)  # resume in a fresh process
 
     for seg in sorted(os.listdir(os.path.join(idx_clean, "segments"))):
-        for f in ("terms.parquet", "blocks.parquet", "postings.bin"):
+        for f in ("terms.parquet", "blocks.parquet", "docs.bin", "postings.bin"):
             a = open(os.path.join(idx_clean, "segments", seg, f), "rb").read()
             b = open(os.path.join(idx_killed, "segments", seg, f), "rb").read()
             assert a == b, f"{seg}/{f} differs after kill+resume"
@@ -204,7 +204,7 @@ def test_num_cpus_invariance(kill_corpus, tmp_path_factory):
         assert "BUILD_DONE" in out.stdout, out.stderr[-500:]
         paths[ncpu] = idx
     for seg in sorted(os.listdir(os.path.join(paths[2], "segments"))):
-        for f in ("terms.parquet", "blocks.parquet", "postings.bin"):
+        for f in ("terms.parquet", "blocks.parquet", "docs.bin", "postings.bin"):
             a = open(os.path.join(paths[2], "segments", seg, f), "rb").read()
             b = open(os.path.join(paths[8], "segments", seg, f), "rb").read()
             assert a == b, f"{seg}/{f} differs between num_cpus=2 and 8"
@@ -269,7 +269,7 @@ def test_sigkill_mid_staging_then_resume_byte_identical(kill_corpus,
 
     assert not os.path.exists(os.path.join(idx_killed, "_staging"))
     for seg in sorted(os.listdir(os.path.join(idx_clean, "segments"))):
-        for f in ("terms.parquet", "blocks.parquet", "postings.bin"):
+        for f in ("terms.parquet", "blocks.parquet", "docs.bin", "postings.bin"):
             a = open(os.path.join(idx_clean, "segments", seg, f), "rb").read()
             b = open(os.path.join(idx_killed, "segments", seg, f), "rb").read()
             assert a == b, f"{seg}/{f} differs after staged kill+resume"

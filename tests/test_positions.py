@@ -75,7 +75,7 @@ def _segment_bytes(idx):
     seg_root = os.path.join(idx, "segments")
     for name in sorted(os.listdir(seg_root)):
         d = os.path.join(seg_root, name)
-        for f in ("terms.parquet", "blocks.parquet", "postings.bin", "positions.bin"):
+        for f in ("terms.parquet", "blocks.parquet", "docs.bin", "postings.bin", "positions.bin"):
             p = os.path.join(d, f)
             if os.path.exists(p):
                 with open(p, "rb") as fh:

@@ -120,32 +120,43 @@ def _ref_varbyte(v: int) -> bytes:
 
 
 def _ref_encode_segment(doc_ids, tfs, dls, starts, ends):
-    """Plain-Python encoder: loops over terms, blocks and base-128 bytes."""
+    """Plain-Python v2 encoder: ordinals by ascending doc id, each term's
+    first ordinal absolute, a term's payload = its blocks' ordinal bytes
+    then their tf bytes; loops over docs, terms, blocks and base-128 bytes.
+    Returns (payload, doc_table, n_docs, terms, blocks)."""
     doc_ids, tfs, dls = (list(map(int, a)) for a in (doc_ids, tfs, dls))
+    dl_of = dict(zip(doc_ids, dls))
+    docs = sorted(dl_of)
+    ordinal = {d: o for o, d in enumerate(docs)}
+    doc_table = b"".join(
+        _ref_varbyte(d - (docs[o - 1] if o else 0)) for o, d in enumerate(docs)
+    ) + b"".join(_ref_varbyte(dl_of[d]) for d in docs)
     payload = bytearray()
     terms = {"n_blocks": [], "block_start": [], "payload_off": [], "payload_len": []}
     blocks = {k: [] for k in BLOCK_COLUMNS}
     for s, e in zip(map(int, starts), map(int, ends)):
         terms["block_start"].append(len(blocks["n"]))
         terms["payload_off"].append(len(payload))
+        term_ords, term_tfs = bytearray(), bytearray()
         for bs in range(s, e, BLOCK_SIZE):
             be = min(bs + BLOCK_SIZE, e)
-            doc = b"".join(
-                _ref_varbyte(doc_ids[i] - doc_ids[i - 1] if i > s else doc_ids[i])
+            ords = b"".join(
+                _ref_varbyte(ordinal[doc_ids[i]] - ordinal[doc_ids[i - 1]]
+                             if i > s else ordinal[doc_ids[i]])
                 for i in range(bs, be))
             tf = b"".join(_ref_varbyte(tfs[i]) for i in range(bs, be))
-            dl = b"".join(_ref_varbyte(dls[i]) for i in range(bs, be))
-            payload += doc + tf + dl
+            term_ords += ords
+            term_tfs += tf
             blocks["last_doc"].append(doc_ids[be - 1])
             blocks["n"].append(be - bs)
             blocks["max_tf"].append(max(tfs[bs:be]))
             blocks["min_dl"].append(min(dls[bs:be]))
-            blocks["doc_bytes"].append(len(doc))
+            blocks["ord_bytes"].append(len(ords))
             blocks["tf_bytes"].append(len(tf))
-            blocks["dl_bytes"].append(len(dl))
+        payload += term_ords + term_tfs
         terms["n_blocks"].append(len(blocks["n"]) - terms["block_start"][-1])
         terms["payload_len"].append(len(payload) - terms["payload_off"][-1])
-    return bytes(payload), terms, blocks
+    return bytes(payload), doc_table, len(docs), terms, blocks
 
 
 _SEGMENT_DFS = [1, 127, 128, 129, 3 * BLOCK_SIZE + 17]
@@ -153,7 +164,8 @@ _SEGMENT_DFS = [1, 127, 128, 129, 3 * BLOCK_SIZE + 17]
 
 def _mk_segment(seed, dfs=_SEGMENT_DFS):
     """Flat (term, doc_id)-ordered postings of one term per df: doc ids up
-    to 2**63 - 1, tfs and dls needing 1-3 varbyte bytes."""
+    to 2**63 - 1 (0 and 2**63 - 1 shared by several terms), tfs and dls
+    needing 1-3 varbyte bytes, one dl per doc."""
     rng = np.random.default_rng(seed)
     dfs = rng.permutation(dfs)
     docs = []
@@ -173,7 +185,10 @@ def _mk_segment(seed, dfs=_SEGMENT_DFS):
                                  rng.integers(2**14, 2**21, n)]).astype(np.int64)
 
     ends = np.cumsum(dfs)
-    return doc_ids, vals(), vals(), ends - dfs, ends
+    tfs = vals()
+    _uniq, first, inv = np.unique(doc_ids, return_index=True, return_inverse=True)
+    dls = vals()[first][inv]
+    return doc_ids, tfs, dls, ends - dfs, ends
 
 
 _TERM_DTYPES = {"n_blocks": np.int32, "block_start": np.int64,
@@ -184,10 +199,12 @@ _BLOCK_DTYPES = {k: np.int32 if k == "n" else np.int64 for k in BLOCK_COLUMNS}
 @pytest.mark.parametrize("seed", range(5))
 def test_encode_segment_matches_reference(seed):
     doc_ids, tfs, dls, starts, ends = _mk_segment(seed)
-    payload, terms, blocks = encode_segment(doc_ids, tfs, dls, starts, ends)
-    ref_payload, ref_terms, ref_blocks = _ref_encode_segment(
+    payload, doc_table, n_docs, terms, blocks = encode_segment(
+        doc_ids, tfs, dls, starts, ends)
+    ref_payload, ref_docs, ref_n, ref_terms, ref_blocks = _ref_encode_segment(
         doc_ids, tfs, dls, starts, ends)
     assert payload == ref_payload
+    assert doc_table == ref_docs and n_docs == ref_n
     assert set(terms) == set(_TERM_DTYPES) and set(blocks) == set(BLOCK_COLUMNS)
     for k, dt in _TERM_DTYPES.items():
         assert terms[k].dtype == dt, k
@@ -199,8 +216,8 @@ def test_encode_segment_matches_reference(seed):
 
 def test_encode_segment_empty():
     e = np.empty(0, np.int64)
-    payload, terms, blocks = encode_segment(e, e, e, e, e)
-    assert payload == b""
+    payload, doc_table, n_docs, terms, blocks = encode_segment(e, e, e, e, e)
+    assert payload == doc_table == b"" and n_docs == 0
     assert {k: v.dtype for k, v in terms.items()} == _TERM_DTYPES
     assert all(v.dtype == np.int64 and len(v) == 0 for v in blocks.values())
     assert all(len(v) == 0 for v in terms.values())
@@ -209,10 +226,24 @@ def test_encode_segment_empty():
 def test_encode_posting_list_is_a_one_term_segment():
     doc_ids, tfs, dls, starts, ends = _mk_segment(7, dfs=[3 * BLOCK_SIZE + 17])
     payload, table = encode_posting_list(doc_ids, tfs, dls)
-    ref_payload, _terms, ref_blocks = _ref_encode_segment(
+    ref_payload, _docs, _n, _terms, ref_blocks = _ref_encode_segment(
         doc_ids, tfs, dls, starts, ends)
     assert payload == ref_payload
-    assert {k: v.tolist() for k, v in table.items()} == ref_blocks
+    assert {k: table[k].tolist() for k in BLOCK_COLUMNS} == ref_blocks
+    assert table["doc_map"].tolist() == doc_ids.tolist()
+    assert table["dl_map"].tolist() == dls.tolist()
+
+
+def test_encode_segment_rejects_two_dls_for_one_doc():
+    """The doc table keeps one dl per doc: a doc posted under two terms
+    with different dls must fail loudly, not keep one of them."""
+    docs = np.array([5, 9, 5, 11], np.int64)
+    tfs = np.ones(4, np.int64)
+    starts, ends = np.array([0, 2]), np.array([2, 4])
+    ok = encode_segment(docs, tfs, np.array([7, 3, 7, 4]), starts, ends)
+    assert ok[2] == 3  # docs 5, 9, 11
+    with pytest.raises(ValueError, match="doc id 5 carries two doc lengths"):
+        encode_segment(docs, tfs, np.array([7, 3, 8, 4]), starts, ends)
 
 
 def _positional_group(seed):
@@ -254,6 +285,35 @@ def test_decode_segment_roundtrip_with_positions(tmp_path):
         p0 = int(tfs[:o].sum())
         assert p.tolist() == pos[p0 : p0 + len(p)].tolist()
         o += df[i]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_decode_posting_list_random_block_masks(tmp_path, seed):
+    """A masked decode == the full decode restricted to the selected
+    blocks, for every term of a multi-term segment (ordinals of one term
+    are sparse in the segment's doc map, so block rebasing matters)."""
+    group, _flat = _positional_group(seed)
+    write_segment(str(tmp_path), 0, 0, group)
+    r = SegmentReader(str(tmp_path), 0, 0)
+    rng = np.random.default_rng(seed + 50)
+    for term in r.terms["term"].to_pylist():
+        e = r.term_entry(term)
+        bt = e["block_table"]
+        full = decode_posting_list(e["payload"], bt)
+        bounds = np.concatenate([[0], np.cumsum(bt["n"])])
+        for _ in range(6):
+            mask = rng.random(len(bt["n"])) < 0.5
+            keep = np.zeros(bounds[-1], bool)
+            for bi in np.flatnonzero(mask):
+                keep[bounds[bi] : bounds[bi + 1]] = True
+            got = decode_posting_list(e["payload"], bt, mask)
+            for g, f in zip(got, full):
+                assert g.dtype == np.int64
+                assert g.tolist() == f[keep].tolist()
+            p_full = decode_positions(e["pos_payload"], bt["pos_bytes"], full[1])
+            p_keep = np.repeat(keep, full[1])
+            p = decode_positions(e["pos_payload"], bt["pos_bytes"], got[1], mask)
+            assert p.tolist() == p_full[p_keep].tolist()
 
 
 def test_decode_segment_empty_and_plain(tmp_path):
@@ -315,14 +375,23 @@ def _golden_docs() -> pa.Table:
     return pa.table({"doc_id": pa.array(ids, pa.int64()), "text": pa.array(texts)})
 
 
-# sha256 of each segment file, recorded from the segment writer before the
-# whole-segment codec replaced its per-term loop; the file format must not
-# drift. postings.bin is the same with and without positions.
+# sha256 of each segment file. The posting-format-v2 digests of
+# postings.bin and docs.bin were recorded when segment-local ordinals
+# replaced per-posting doc ids and dls; positions.bin kept its digests
+# from before the whole-segment codec. The file format must not drift;
+# postings.bin and docs.bin are the same with and without positions.
 _GOLDEN_POSTINGS = {
-    "s0000_b0000": "811a2257301edc31c44747e284b2f6becc7285026ae4bb078a87c9324a35e082",
-    "s0000_b0001": "d950c8f7c498a85c7863817883823b3223df89d6b358f9940d8db70b1e01b662",
-    "s0001_b0000": "80a96c51e64537cb1b2a87a3857ee2a6dbb465b1294a0d2df42755d977825e79",
-    "s0001_b0001": "b11f7daee1978a7e69cc9a37ea0f406d4594097f5143b70f4728346e0f60f682",
+    "s0000_b0000": "de047ade8f1085ca5270f313e683148e5dcae8e000fb0ede579304a49457bbc3",
+    "s0000_b0001": "2c73150b003ea162fb08399d60f812eed8527974fef1a2ed850d918e6226c07f",
+    "s0001_b0000": "def26577cf478ebeba767e1a71d9503ee409b15dea3a7305b9a07c6f3f972004",
+    "s0001_b0001": "10255d4e0b8a54727d8c76b59b52ad67a80ee44f68280fe8cdc23f9a9239f244",
+}
+# shard 0's two buckets hold the same docs, so their doc tables match
+_GOLDEN_DOCS = {
+    "s0000_b0000": "38e9e432375ebcb72658c7d3f16ccd01a31b9244fb24545f0cdd84d5fc38af99",
+    "s0000_b0001": "38e9e432375ebcb72658c7d3f16ccd01a31b9244fb24545f0cdd84d5fc38af99",
+    "s0001_b0000": "61942f4c9a2f6c544418ed39d3fa28e9472576a0d8bc720bbfdc11c9b7dc63c0",
+    "s0001_b0001": "26a3f1186c7d7a13db31394ed713915c5f9f6877fcf8cbbfe87ad8547a86880a",
 }
 _GOLDEN_POSITIONS = {
     "s0000_b0000": "0540ce66981efc79eb36233c570993ac72a09aae2447a4b860f635d2effadc3b",
@@ -351,5 +420,6 @@ def test_golden_segment_bytes(ray_session, tmp_path, positions):
         n_shards=2, n_buckets=2, text_col="text", id_col="doc_id",
         meta_cols=(), store_positions=positions))
     assert _digests(idx, "postings.bin") == _GOLDEN_POSTINGS
+    assert _digests(idx, "docs.bin") == _GOLDEN_DOCS
     if positions:
         assert _digests(idx, "positions.bin") == _GOLDEN_POSITIONS

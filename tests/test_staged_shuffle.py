@@ -30,7 +30,7 @@ def _segment_bytes(idx):
     out = {}
     for name in sorted(os.listdir(os.path.join(idx, "segments"))):
         d = os.path.join(idx, "segments", name)
-        for f in ("terms.parquet", "blocks.parquet", "postings.bin", "positions.bin"):
+        for f in ("terms.parquet", "blocks.parquet", "docs.bin", "postings.bin", "positions.bin"):
             p = os.path.join(d, f)
             if os.path.exists(p):
                 with open(p, "rb") as fh:

@@ -153,7 +153,7 @@ def test_tiered_then_full_merge_is_byte_identical(slices, tmp_path_factory,
     pq.write_table(full, os.path.join(full_dir, "part-0.parquet"))
     build_index(full_dir, idx_full, BuildConfig(**CFG), resume=False)
     for (s, b), names in list_segment_generations(idx_full).items():
-        for f in ("terms.parquet", "blocks.parquet", "postings.bin"):
+        for f in ("terms.parquet", "blocks.parquet", "docs.bin", "postings.bin"):
             a = open(os.path.join(idx_full, "segments", names[0], f), "rb").read()
             bb = open(os.path.join(idx, "segments", names[0], f), "rb").read()
             assert a == bb, f"{names[0]}/{f} differs from full rebuild"
@@ -316,7 +316,7 @@ def test_tiered_merge_is_deterministic(slices, tmp_path_factory, ray_session):
     )
     assert names_a == names_b and names_a
     for n in names_a:
-        for f in ("terms.parquet", "blocks.parquet", "postings.bin"):
+        for f in ("terms.parquet", "blocks.parquet", "docs.bin", "postings.bin"):
             pa_ = open(os.path.join(a, "segments", n, f), "rb").read()
             pb_ = open(os.path.join(b, "segments", n, f), "rb").read()
             assert pa_ == pb_, f"{n}/{f} differs between identical runs"
