@@ -5,8 +5,9 @@ SolrHelper.java:82-96) with a from-scratch index build:
 
     read_parquet (pruned cols)
       → map_batches(tokenize → (term, doc_id, tf, dl) triples, zero-copy Arrow)
-      → groupby(shard, bucket)            # THE wide shuffle
-      → map_groups(write_segment)         # checkpointed, atomic, resumable
+      → write_segments: hash-partition by (shard, bucket) to parquet
+        staging (THE wide exchange), then one write_segment task per
+        group                             # checkpointed, atomic, resumable
       → seal: global term stats + corpus stats
 
 Scale notes (designed for 10^12 docs / many-node clusters, tested locally):
@@ -23,7 +24,7 @@ Scale notes (designed for 10^12 docs / many-node clusters, tested locally):
   query time (the J8 analog is eliminated).
 - **Resume**: completed (shard, bucket) segments are detected from manifests
   before the run and their triples are dropped at the tokenize stage, so a
-  restart re-shuffles only missing segments.
+  restart re-stages only missing segments.
 - **Two concurrent passes** over the corpus: pass 1 writes the forward doc
   table (doc_id, sha256, meta — the per-row invariant vs the source,
   input_hint) WITHOUT tokenizing; pass 2 builds postings, tokenizing exactly
@@ -52,6 +53,7 @@ from ..functions.tokenize import (
 from .segments import (
     DOCS,
     GLOBAL,
+    STAGING,
     _parquet_rows,
     list_complete_segments,
     read_stats,
@@ -67,7 +69,7 @@ _RAW_EXPANSION = 3.0             # parquet-bytes → in-memory text estimate
 def auto_shards_buckets(
     input_bytes: int, total_cpus: int | None = None
 ) -> tuple[int, int]:
-    """Derive (n_shards, n_buckets) so ONE map_groups segment-writer task
+    """Derive (n_shards, n_buckets) so ONE ``write_segments`` writer task
     holds at most ~``_TARGET_GROUP_BYTES`` of raw corpus text (each group is
     ~corpus/(n_shards×n_buckets)), with a CPU floor so small corpora still
     fan out (≥2 groups per core). Shards are a power of two ≥ √groups —
@@ -126,19 +128,8 @@ class BuildConfig:
     # store per-posting token positions (Lucene-style positional index):
     # phrase / ordered-proximity queries then verify inside the index instead
     # of re-reading candidate raw text. Costs ~1 varbyte per token occurrence
-    # in segment bytes + shuffle volume.
+    # in segment bytes + exchange volume.
     store_positions: bool = False
-    # wide-shuffle strategy for the triples → segment exchange:
-    # - "groupby": Ray Data sort-based groupby (default below the size gate)
-    # - "staged": hash-partitioned parquet staging on disk, then one task per
-    #   (shard, bucket). The groupby's sort is pure overhead here
-    #   (write_segment re-sorts deterministically anyway), and past the
-    #   object-store size the sort shuffle SPILLS raw Arrow at disk speed —
-    #   staging writes compressed parquet once instead (measured 2M docs /
-    #   385M postings: spill path 218.8 s vs staged path, see BASELINE.md)
-    # - "auto": staged when the input's on-disk bytes exceed
-    #   _STAGED_SHUFFLE_INPUT_BYTES, else groupby
-    shuffle: str = "auto"
     # pre-tokenize analysis rewrite applied to the text column (Solr
     # analysis-chain analog): "plain" = none; "ident" = identifier split
     # (camelCase + snake_case -> parts) for source-code fields. Recorded in
@@ -223,10 +214,10 @@ def make_triples_fn(cfg: BuildConfig, completed_gkeys: frozenset[int]):
             )
             if pos is not None:
                 pos = pos.filter(pa.array(keep))
-        # tf/dl/gkey ride the wide shuffle as int32: a doc never exceeds
+        # tf/dl/gkey ride the wide exchange as int32: a doc never exceeds
         # 2^31 tokens and gkey is bounded by shards*buckets — 12 fewer bytes
-        # per posting is ~27% of the shuffle at code-corpus posting widths
-        # (the 2M-doc smoke showed this shuffle is what spills at scale).
+        # per posting is ~27% of the exchange at code-corpus posting widths
+        # (the 2M-doc smoke showed this exchange is what spills at scale).
         # write_segment re-widens to int64 at encode time; values identical.
         return pa.table(
             {
@@ -242,84 +233,78 @@ def make_triples_fn(cfg: BuildConfig, completed_gkeys: frozenset[int]):
     return triples
 
 
-# auto-gate for the staged shuffle: inputs this large produce triple volumes
-# that exceed a single node's object store share and would spill raw Arrow
-_STAGED_SHUFFLE_INPUT_BYTES = 2 << 30
+# fractional CPU: a small add touches up to shards×buckets pairs at ~10 ms
+# of encode+fsync each; serialized one per CPU they would dominate the add
+@ray.remote(num_cpus=0.25)
+def _write_segment_task(index_dir, gkey, part, cfg: BuildConfig, gen) -> dict:
+    """Write the segment of one gkey from ``part``: its triples as a
+    ``pa.Table``, or the path of its staged parquet partition."""
+    if isinstance(part, str):
+        import pyarrow.parquet as pq
 
-
-def _build_segments_staged(
-    triples, index_dir: str, cfg: BuildConfig, on_staged=None
-) -> pd.DataFrame:
-    """Disk-staged hash shuffle: write the triples hash-partitioned by gkey
-    as compressed parquet (one streaming pass — no sort, no object-store
-    materialization), then run ONE Ray task per (shard, bucket) that reads
-    its partition and writes the segment. Output is byte-identical to the
-    groupby path (write_segment sorts deterministically either way).
-
-    On a multi-node cluster this is the classic external shuffle: map-side
-    writers stream to shared storage, reduce-side segment writers read only
-    their partition. Staging is rebuilt per run (completed segments were
-    already dropped at the tokenize stage, so it only ever holds the
-    missing groups); a crash mid-staging just redoes the staging on retry."""
-    import shutil as _shutil
-
-    import ray
-
-    staging = os.path.join(index_dir, "_staging")
-    _shutil.rmtree(staging, ignore_errors=True)
-    triples.write_parquet(staging, partition_cols=["gkey"])
-    if on_staged is not None:
-        on_staged()  # e.g. start pass 1 — see build_index's race note
-
-    os.makedirs(staging, exist_ok=True)  # empty triples write nothing
-    gkeys = sorted(
-        int(name.split("=", 1)[1])
-        for name in os.listdir(staging)
-        if name.startswith("gkey=")
-    )
-    writer = make_segment_writer(index_dir, cfg)
-
-    @ray.remote(num_cpus=1)
-    def write_one(gkey: int) -> dict:
-        import pyarrow.parquet as pq_
-
-        t = pq_.read_table(os.path.join(staging, f"gkey={gkey}"))
-        group = t.to_pandas()
-        group["gkey"] = np.int32(gkey)  # partition col lives in the dir name
-        return writer(group).to_dict("records")[0]
-
-    rows = ray.get([write_one.remote(g) for g in gkeys])
-    _shutil.rmtree(staging, ignore_errors=True)
-    if not rows:
-        return pd.DataFrame({"skipped": pd.Series([], dtype=bool)})
-    return pd.DataFrame(rows)
-
-
-def make_segment_writer(index_dir: str, cfg: BuildConfig):
-    def write_group(group: pd.DataFrame) -> pd.DataFrame:
-        gkey = int(group["gkey"].iloc[0])
-        shard, bucket = divmod(gkey, cfg.n_buckets)
+        part = pq.read_table(part)
+    group = part.to_pandas()
+    shard, bucket = divmod(gkey, cfg.n_buckets)
+    if gen is None:
         m = write_segment(
-            index_dir,
-            shard,
-            bucket,
-            group,
-            lineage={**cfg.lineage, "pipeline_version": PIPELINE_VERSION},
-        )
-        return pd.DataFrame(
-            [
-                {
-                    "shard": shard,
-                    "bucket": bucket,
-                    "n_terms": m["n_terms"],
-                    "n_postings": m["n_postings"],
-                    "n_tokens": m["n_tokens"],
-                    "skipped": bool(m.get("skipped", False)),
-                }
-            ]
-        )
+            index_dir, shard, bucket, group,
+            lineage={**cfg.lineage, "pipeline_version": PIPELINE_VERSION})
+    else:
+        from .update import write_segment_gen
 
-    return write_group
+        m = write_segment_gen(index_dir, shard, bucket, gen, group)
+    return {"shard": shard, "bucket": bucket, "n_terms": m["n_terms"],
+            "n_postings": m["n_postings"], "n_tokens": m["n_tokens"],
+            "skipped": bool(m.get("skipped", False))}
+
+
+def write_segments(
+    triples, index_dir: str, cfg: BuildConfig, gen: int | None = None,
+    on_staged=None,
+) -> pd.DataFrame:
+    """THE triples → segment exchange (build, delta add and reshard): one
+    row per written segment (``shard, bucket, n_terms, n_postings,
+    n_tokens, skipped``).
+
+    ``triples`` carry ``gkey = shard * n_buckets + bucket``. A ``pa.Table``
+    already on the driver is split by gkey in memory; a ``ray.data.Dataset``
+    is hash-partitioned to ``<index>/_staging/gkey=*`` parquet — one
+    streaming pass, no sort, no object-store materialization; past the
+    object-store size a sort shuffle would spill raw Arrow at disk speed.
+    Then ONE task per gkey writes its segment: a base segment through
+    ``write_segment`` (``gen=None``; segments already complete are skipped,
+    which is what resume relies on) or delta generation ``gen`` through
+    ``update.write_segment_gen``. ``write_segment`` sorts deterministically,
+    so the segment bytes do not depend on how the triples arrived.
+
+    ``on_staged`` is called once the staging write has returned (at once
+    for a table). Staging is removed before and after use; a crash
+    mid-staging just redoes it on retry (``fsck`` reports a leftover)."""
+    import shutil
+
+    staging = os.path.join(index_dir, STAGING)
+    shutil.rmtree(staging, ignore_errors=True)
+    try:
+        if isinstance(triples, pa.Table):
+            gkeys = triples["gkey"].to_numpy()
+            order = np.argsort(gkeys, kind="stable")
+            keys, starts = np.unique(gkeys[order], return_index=True)
+            ends = np.append(starts[1:], len(order))
+            parts = {int(k): triples.take(order[a:b])
+                     for k, a, b in zip(keys, starts, ends)}
+        else:
+            triples.write_parquet(staging, partition_cols=["gkey"])
+            names = os.listdir(staging) if os.path.isdir(staging) else []
+            parts = {int(n.split("=", 1)[1]): os.path.join(staging, n)
+                     for n in names if n.startswith("gkey=")}
+        if on_staged is not None:
+            on_staged()
+        rows = ray.get([_write_segment_task.remote(index_dir, g, parts[g], cfg, gen)
+                        for g in sorted(parts)])
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    cols = ["shard", "bucket", "n_terms", "n_postings", "n_tokens", "skipped"]
+    return pd.DataFrame(rows, columns=cols).astype({"skipped": bool})
 
 
 @locked_on("index_dir")
@@ -446,7 +431,7 @@ def build_index(
     # prior build ran to completion. When the stamp matches this config AND
     # every stamped group is still complete on disk, skip the triples pass
     # entirely. Without this a no-op resume still streamed the whole corpus
-    # through the tokenizer just to drop every group pre-shuffle (~5 s per
+    # through the tokenizer just to drop every group pre-exchange (~5 s per
     # resume check at 100k docs — paid by EVERY query entry that re-verifies
     # the shared index). Groups can be empty-by-content (no term hashes into
     # them), which is why "all shard x bucket combos complete" is the wrong
@@ -475,30 +460,14 @@ def build_index(
             batch_format="pyarrow",
             batch_size=cfg.batch_size,
         )
-        mode = cfg.shuffle
-        if mode == "auto":
-            mode = (
-                "staged"
-                if _estimate_input_bytes(source) >= _STAGED_SHUFFLE_INPUT_BYTES
-                else "groupby"
-            )
-        if mode == "staged":
-            # pass 1 starts AFTER the staging Dataset write: two concurrent
-            # driver-side write_parquet constructions race on ray's lazy
-            # fsspec-http probe (a failed import is never cached, so every
-            # overlapping pair can see a partially initialized module and
-            # die with "cannot import name HTTPFileSystem"). Pass 1 instead
-            # overlaps the reduce phase (per-gkey segment tasks), which
-            # never touches a Dataset datasink — same wall-clock shape.
-            seg_rows = _build_segments_staged(
-                triples, index_dir, cfg, on_staged=t1.start
-            )
-        else:
-            t1.start()
-            manifests = triples.groupby("gkey").map_groups(
-                make_segment_writer(index_dir, cfg), batch_format="pandas"
-            )
-            seg_rows = manifests.to_pandas()  # tiny: one row per segment
+        # pass 1 starts AFTER the staging Dataset write: two concurrent
+        # driver-side write_parquet constructions race on ray's lazy
+        # fsspec-http probe (a failed import is never cached, so every
+        # overlapping pair can see a partially initialized module and
+        # die with "cannot import name HTTPFileSystem"). Pass 1 instead
+        # overlaps the reduce phase (per-gkey segment tasks), which
+        # never touches a Dataset datasink — same wall-clock shape.
+        seg_rows = write_segments(triples, index_dir, cfg, on_staged=t1.start)
     t1.join()
     if pass1_error:
         raise pass1_error[0]
@@ -517,10 +486,9 @@ def build_index(
         "n_shards": cfg.n_shards,
         "n_buckets": cfg.n_buckets,
         # skipped = segments already complete before this run (their triples
-        # were dropped pre-shuffle, so they never reach the writer)
-        "n_segments_written": int((~seg_rows["skipped"]).sum()) if len(seg_rows) else 0,
-        "n_segments_skipped": len(completed)
-        + (int(seg_rows["skipped"].sum()) if len(seg_rows) else 0),
+        # were dropped pre-exchange, so they never reach the writer)
+        "n_segments_written": int((~seg_rows["skipped"]).sum()),
+        "n_segments_skipped": len(completed) + int(seg_rows["skipped"].sum()),
         "n_postings": sum(
             m["n_postings"] for m in _all_manifests(index_dir)
         ),
@@ -575,6 +543,27 @@ def termstats_dir(index_dir: str) -> str:
     return os.path.join(root, "termstats")
 
 
+_TERMSTATS_COLS = ("term", "df", "cf", "max_tf", "min_dl")
+
+
+def _write_termstats_bucket(rows: pd.DataFrame, bdir: str) -> None:
+    """Aggregate one term bucket's per-segment term rows into global
+    per-term stats (df/cf sums, max_tf max, min_dl min) and write them
+    term-sorted as ``bdir/part-0.parquet``. Sum/max/min compose, so rows
+    that are themselves aggregates (a prior seal) fold in exactly."""
+    import pyarrow.parquet as pq
+
+    out = (
+        rows.groupby("term", as_index=False)
+        .agg(df=("df", "sum"), cf=("cf", "sum"),
+             max_tf=("max_tf", "max"), min_dl=("min_dl", "min"))
+        .sort_values("term", ignore_index=True)
+    )
+    os.makedirs(bdir, exist_ok=True)
+    pq.write_table(pa.Table.from_pandas(out, preserve_index=False),
+                   os.path.join(bdir, "part-0.parquet"))
+
+
 def _seal_termstats(index_dir: str) -> None:
     """Aggregate per-segment term dictionaries into global per-term stats.
 
@@ -596,8 +585,7 @@ def _seal_termstats(index_dir: str) -> None:
     - large vocab (unbounded identifier space at code-corpus scale): Ray
       Data groupby shuffle.
     """
-    import json
-    import shutil
+    import uuid as _uuid
 
     from .update import (
         committed_gens,
@@ -627,37 +615,23 @@ def _seal_termstats(index_dir: str) -> None:
     # other's staging dirs. Superseded/crashed versions are reclaimed
     # age-gated (a live concurrent seal lasts seconds, never an hour) and
     # never the version the pointer currently names.
-    import glob as _glob
-    import time as _time
-    import uuid as _uuid
-
     tmp = os.path.join(root, f"termstats-{_uuid.uuid4().hex[:8]}")
 
     total_bytes = sum(os.path.getsize(f) for f in term_files)
-    cols = ["term", "bucket", "df", "cf", "max_tf", "min_dl"]
     if total_bytes < _SEAL_DRIVER_MAX_BYTES:
         import pyarrow.parquet as pq
 
         df = pd.concat(
-            [pq.read_table(f, columns=cols).to_pandas() for f in term_files],
+            [pq.read_table(f, columns=["bucket", *_TERMSTATS_COLS]).to_pandas()
+             for f in term_files],
             ignore_index=True,
         )
-        g = df.groupby(["bucket", "term"], as_index=False).agg(
-            df=("df", "sum"), cf=("cf", "sum"),
-            max_tf=("max_tf", "max"), min_dl=("min_dl", "min"),
-        )
-        for bucket, sub in g.groupby("bucket"):
-            bdir = os.path.join(tmp, f"bucket={int(bucket)}")
-            os.makedirs(bdir, exist_ok=True)
-            out = sub.drop(columns=["bucket"]).sort_values("term", ignore_index=True)
-            import pyarrow as pa_
-
-            pq.write_table(pa_.Table.from_pandas(out, preserve_index=False),
-                           os.path.join(bdir, "part-0.parquet"))
+        for bucket, sub in df.groupby("bucket"):
+            _write_termstats_bucket(sub, os.path.join(tmp, f"bucket={int(bucket)}"))
     else:
         from ray.data.aggregate import Max, Min, Sum
 
-        ds = ray.data.read_parquet(term_files, columns=cols)
+        ds = ray.data.read_parquet(term_files, columns=["bucket", *_TERMSTATS_COLS])
         g = ds.groupby(["bucket", "term"]).aggregate(
             Sum("df", alias_name="df"),
             Sum("cf", alias_name="cf"),
@@ -746,7 +720,6 @@ def _seal_termstats_incremental(index_dir: str, gen: int) -> bool:
         return False
     import pyarrow.parquet as pq
 
-    cols = ["term", "bucket", "df", "cf", "max_tf", "min_dl"]
     delta_files = sorted(
         _glob.glob(os.path.join(index_dir, "segments", f"*_g{gen:04d}",
                                 "terms.parquet")))
@@ -759,50 +732,24 @@ def _seal_termstats_incremental(index_dir: str, gen: int) -> bool:
         os.replace(tmp, os.path.join(cur, "_SEALED.json"))
         return True
     delta = pd.concat(
-        [pq.read_table(f, columns=cols).to_pandas() for f in delta_files],
+        [pq.read_table(f, columns=["bucket", *_TERMSTATS_COLS]).to_pandas()
+         for f in delta_files],
         ignore_index=True,
     )
-    root = os.path.join(index_dir, GLOBAL)
-    tmp = os.path.join(root, f"termstats-{_uuid.uuid4().hex[:8]}")
-    import pyarrow as pa_
+    tmp = os.path.join(index_dir, GLOBAL, f"termstats-{_uuid.uuid4().hex[:8]}")
     import shutil as _shutil
 
-    seen_buckets = set()
+    delta_by_bucket = {int(b): sub for b, sub in delta.groupby("bucket")}
     for bdir in sorted(_glob.glob(os.path.join(cur, "bucket=*"))):
         b = int(os.path.basename(bdir).split("=", 1)[1])
-        seen_buckets.add(b)
         out_bdir = os.path.join(tmp, f"bucket={b}")
-        sub = delta[delta["bucket"] == b]
-        if not len(sub):
+        sub = delta_by_bucket.pop(b, None)
+        if sub is None:
             _shutil.copytree(bdir, out_bdir)  # untouched bucket rides along
             continue
-        prev = pq.read_table(bdir).to_pandas()
-        prev["bucket"] = np.int64(b)
-        merged = (
-            pd.concat([prev[cols], sub[cols]], ignore_index=True)
-            .groupby(["bucket", "term"], as_index=False)
-            .agg(df=("df", "sum"), cf=("cf", "sum"),
-                 max_tf=("max_tf", "max"), min_dl=("min_dl", "min"))
-            .drop(columns=["bucket"])
-            .sort_values("term", ignore_index=True)
-        )
-        os.makedirs(out_bdir, exist_ok=True)
-        pq.write_table(pa_.Table.from_pandas(merged, preserve_index=False),
-                       os.path.join(out_bdir, "part-0.parquet"))
-    for b, sub in delta.groupby("bucket"):  # buckets new to the vocabulary
-        b = int(b)
-        if b in seen_buckets:
-            continue
-        out_bdir = os.path.join(tmp, f"bucket={b}")
-        os.makedirs(out_bdir, exist_ok=True)
-        merged = (
-            sub.groupby(["bucket", "term"], as_index=False)
-            .agg(df=("df", "sum"), cf=("cf", "sum"),
-                 max_tf=("max_tf", "max"), min_dl=("min_dl", "min"))
-            .drop(columns=["bucket"])
-            .sort_values("term", ignore_index=True)
-        )
-        pq.write_table(pa_.Table.from_pandas(merged, preserve_index=False),
-                       os.path.join(out_bdir, "part-0.parquet"))
+        prev = pq.read_table(bdir, columns=list(_TERMSTATS_COLS)).to_pandas()
+        _write_termstats_bucket(pd.concat([prev, sub], ignore_index=True), out_bdir)
+    for b, sub in delta_by_bucket.items():  # buckets new to the vocabulary
+        _write_termstats_bucket(sub, os.path.join(tmp, f"bucket={b}"))
     _publish_termstats(index_dir, tmp, committed_now)
     return True

@@ -27,7 +27,7 @@ import json
 import os
 import time
 
-from .segments import DOCS, GLOBAL, read_stats
+from .segments import DOCS, GLOBAL, STAGING, read_stats
 from .locking import locked_on
 
 # issue codes (stable API: repair_index and external tooling key on these)
@@ -223,6 +223,11 @@ def fsck_index(index_dir: str) -> dict:
                 f"{sorted(committed_gens(index_dir))} (stale seal "
                 "— readers will self-heal, but re-seal to clear)")
 
+    if os.path.isdir(os.path.join(index_dir, STAGING)):
+        # crashed triples exchange (build.write_segments): never read by
+        # anything, rebuilt from scratch by the next exchange
+        add(STRAY_TMP, f"stray tmp exchange staging dir: {STAGING}")
+
     # ---- forward doc table --------------------------------------------------
     docs_dir = os.path.join(index_dir, DOCS)
     for suffix in (".old", ".vtmp"):
@@ -278,10 +283,10 @@ def repair_index(index_dir: str,
     - a segment stranded in a crashed publish's scratch root → restored
       and that scratch root removed, at any age (``update.
       _heal_crashed_publish``; repair never deletes a segment's only copy)
-    - stray ``.tmp-*`` / ``.pub-*`` segment dirs older than
-      ``scratch_min_age_sec`` → removed (a crashed writer's staging — never
-      referenced by anything; younger dirs are skipped because they may
-      belong to a LIVE writer)
+    - stray ``.tmp-*`` / ``.pub-*`` segment dirs and a leftover exchange
+      ``_staging`` dir older than ``scratch_min_age_sec`` → removed (a
+      crashed writer's staging — never referenced by anything; younger
+      dirs are skipped because they may belong to a LIVE writer)
     - folded leftover delta dirs (crash between a tiered merge's marker
       commit and its source cleanup) → removed (invisible to readers,
       superseded by the committed combined segment — safe at any age)
@@ -306,22 +311,24 @@ def repair_index(index_dir: str,
                 for n in _heal_crashed_publish(index_dir)]
     now = time.time()
     seg_root = os.path.join(index_dir, "segments")
-    if os.path.isdir(seg_root):
-        for name in sorted(os.listdir(seg_root)):
-            if not name.startswith("."):
-                continue
-            p = os.path.join(seg_root, name)
-            try:
-                age = now - os.path.getmtime(p)
-            except OSError:
-                age = float("inf")  # vanished mid-scan: nothing left to keep
-            if age < scratch_min_age_sec:
-                actions.append(
-                    f"skipped scratch dir {name} (age {age:.0f}s < "
-                    f"{scratch_min_age_sec:.0f}s — possibly a live writer)")
-                continue
-            shutil.rmtree(p, ignore_errors=True)
-            actions.append(f"removed stray tmp dir {name}")
+    scratch = [os.path.join(seg_root, n) for n in
+               (sorted(os.listdir(seg_root)) if os.path.isdir(seg_root) else [])
+               if n.startswith(".")]
+    if os.path.isdir(os.path.join(index_dir, STAGING)):
+        scratch.append(os.path.join(index_dir, STAGING))
+    for p in scratch:
+        name = os.path.basename(p)
+        try:
+            age = now - os.path.getmtime(p)
+        except OSError:
+            age = float("inf")  # vanished mid-scan: nothing left to keep
+        if age < scratch_min_age_sec:
+            actions.append(
+                f"skipped scratch dir {name} (age {age:.0f}s < "
+                f"{scratch_min_age_sec:.0f}s — possibly a live writer)")
+            continue
+        shutil.rmtree(p, ignore_errors=True)
+        actions.append(f"removed stray tmp dir {name}")
     before = fsck_index(index_dir)
     codes = set(before["issue_codes"])
     if FOLDED_LEFTOVER in codes:

@@ -28,9 +28,10 @@ Here the same contract runs against a parquet drop directory:
 First run against a missing index bootstraps it with ``build_index`` over
 the whole directory. Scale shape: the scan is driver-side metadata only
 (file listing); everything data-sized rides add_documents' machinery
-(small deltas take its driver fast path, large ones the distributed
-shuffle), and visibility is the usual atomic marker commit — a serving
-tier's ``get_pool`` picks each round up as one in-place refresh.
+(small deltas take its driver fast path, large ones the staged exchange
+of ``build.write_segments``), and visibility is the usual atomic marker
+commit — a serving tier's ``get_pool`` picks each round up as one
+in-place refresh.
 """
 
 from __future__ import annotations

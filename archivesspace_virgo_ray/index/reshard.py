@@ -7,9 +7,9 @@ corpus, while the index itself is ~an order of magnitude smaller. Reshard
 decodes each existing segment back into its (term, doc_id, tf, dl[, pos])
 triples — one Ray task per segment — recomputes the new gkey exactly the
 way the build does (``doc_id % n_shards``, ``stable_hash(term) %
-n_buckets``, build.py:204-206), and feeds the same ``gkey`` shuffle +
-``write_segment`` path. Because ``write_segment`` is deterministic over its
-triple set (segments.py:100) and the position codec is canonical
+n_buckets``, ``build.make_triples_fn``), and feeds the build's own
+``build.write_segments`` exchange. Because ``write_segment`` is
+deterministic over its triple set and the position codec is canonical
 (re-encode(decode(bytes)) == bytes), the resharded index is BYTE-IDENTICAL
 to a fresh build at the target layout — tested, not assumed.
 
@@ -35,7 +35,7 @@ import ray
 import ray.data
 
 from ..functions.tokenize import stable_hash_strings
-from .build import BuildConfig, _all_manifests, _seal_termstats, make_segment_writer
+from .build import BuildConfig, _all_manifests, _seal_termstats, write_segments
 from .postings import decode_segment, position_bytes_array
 from .segments import (
     DOCS,
@@ -88,7 +88,7 @@ def reshard_index(
 
     ``resume=True`` continues into a partially-written ``dst_dir`` from a
     crashed run: complete target segments are skipped by ``write_segment``'s
-    manifest check (their triples still decode and shuffle — the reshard
+    manifest check (their triples still decode and stage — the reshard
     input is the index, not the corpus, so the re-decode is cheap), and the
     ``_docs`` rewrite is tmp+rename idempotent. The result is byte-identical
     to an uninterrupted run.
@@ -115,7 +115,7 @@ def reshard_index(
                          "(pass resume=True to continue a crashed reshard)")
     os.makedirs(dst_dir, exist_ok=True)
 
-    # ---- postings: one decode task per source segment -> one gkey shuffle --
+    # ---- postings: one decode task per source segment -> one gkey exchange -
     def emit(batch: pd.DataFrame):
         for s, b in zip(batch["shard"], batch["bucket"]):
             yield segment_to_triples(
@@ -129,9 +129,7 @@ def reshard_index(
         lineage={"reshard_from": src_dir,
                  "src_layout": [stats["n_shards"], stats["n_buckets"]]},
     )
-    manifests = triples.groupby("gkey").map_groups(
-        make_segment_writer(dst_dir, cfg), batch_format="pandas")
-    seg_rows = manifests.to_pandas()
+    seg_rows = write_segments(triples, dst_dir, cfg)
 
     # ---- forward doc table: only the routing column changes ----------------
     def redoc(t: pa.Table) -> pa.Table:
@@ -164,8 +162,8 @@ def reshard_index(
         "avgdl": total_len / n_docs if n_docs else 0.0,
         "n_shards": n_shards,
         "n_buckets": n_buckets,
-        "n_segments_written": int((~seg_rows["skipped"]).sum()) if len(seg_rows) else 0,
-        "n_segments_skipped": int(seg_rows["skipped"].sum()) if len(seg_rows) else 0,
+        "n_segments_written": int((~seg_rows["skipped"]).sum()),
+        "n_segments_skipped": int(seg_rows["skipped"].sum()),
         "n_postings": sum(m["n_postings"] for m in _all_manifests(dst_dir)),
         "positions": positions,
         "n_groups": len(list_complete_segments(dst_dir, positions=positions)),

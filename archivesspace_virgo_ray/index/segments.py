@@ -18,6 +18,8 @@ full-reindex, SolrHelper.java:98-100, IndexRecordsForV4.java:44-69,116-125):
                            #   (store_positions=True; terms carry pos_off/len)
         manifest.json      # lineage + counters + pipeline_version + status
       _docs/               # forward doc table: doc_id, dl, sha256, meta cols
+      _staging/gkey=N/     # transient triples exchange (build.write_segments);
+                           #   removed after use, fsck reports a leftover
       _global/
         stats.json         # N, total_len, avgdl, n_shards, n_buckets, version
         termstats/bucket=N # global per-term df/cf/max_tf/min_dl (query-time)
@@ -50,6 +52,7 @@ from .postings import decode_doc_table, encode_segment
 SEGMENTS = "segments"
 GLOBAL = "_global"
 DOCS = "_docs"
+STAGING = "_staging"  # build.write_segments' exchange (transient)
 
 
 def segment_name(shard: int, bucket: int) -> str:

@@ -27,7 +27,7 @@ import json
 import os
 import shutil
 
-from .segments import SEGMENTS, list_complete_segments
+from .segments import SEGMENTS, STAGING, list_complete_segments
 
 _MARKER = "_SNAPSHOT_COMPLETE.json"
 
@@ -108,7 +108,7 @@ def _snapshot_once(index_dir: str, snap_dir: str) -> dict:
 
     # small global state on the driver (vocab-sized, not corpus-sized)
     for name in os.listdir(index_dir):
-        if name == SEGMENTS:
+        if name in (SEGMENTS, STAGING):  # STAGING: a crashed exchange's leftover
             continue
         src = os.path.join(index_dir, name)
         dst = os.path.join(snap_dir, name)

@@ -42,15 +42,16 @@ import ray
 import ray.data
 
 from .build import BuildConfig, _all_manifests, make_doc_stats_fn, make_triples_fn
+from .build import write_segments
 from .locking import locked_on
 from .segments import GLOBAL, SEGMENTS, segment_name, write_segment
 from .segments import _parquet_files, _parquet_rows, read_stats, write_stats
 
 _GEN_RE = re.compile(r"^s(\d+)_b(\d+)(?:_g(\d+))?$")
 
-# deltas at or below this row count index on the driver (no Ray groupby —
-# its fixed cost dwarfs the work and dominates NRT ingestion latency);
-# larger deltas take the distributed shuffle
+# deltas at or below this row count tokenize on the driver (no Ray Data
+# pass — its fixed cost dwarfs the work and dominates NRT ingestion
+# latency); larger deltas stream through write_segments' staged exchange
 _SMALL_DELTA_ROWS = 50_000
 
 
@@ -312,65 +313,32 @@ def add_documents(
             replaced = [int(d) for d in live_overlap]
 
     # ---- doc table delta + delta segments ----------------------------------
-    # Small deltas take a DRIVER-SIDE path: the Ray groupby's fixed cost
-    # (~2.6 s for a 5k-doc delta on the 1M-doc profile) dwarfs the actual
-    # work, and near-real-time ingestion latency is this path's whole
-    # point. Segments are byte-identical either way (write_segment sorts
-    # deterministically). Large deltas keep the distributed shuffle.
-    if delta_tbl is not None or len(inc_ids) <= _SMALL_DELTA_ROWS:
-        tbl = (delta_tbl if delta_tbl is not None
-               else pa.Table.from_pandas(docs.to_pandas(),
-                                         preserve_index=False))
-        gen_dir = os.path.join(docs_dir, f"gen={gen:04d}")
+    # Small deltas are tokenized on the DRIVER and their triples go to
+    # write_segments as a table (split by gkey in memory): a Ray Data pass
+    # has a fixed cost that dwarfs the work, and near-real-time ingestion
+    # latency is this path's whole point. Large deltas stream through the
+    # staged exchange. Segments are byte-identical either way.
+    gen_dir = os.path.join(docs_dir, f"gen={gen:04d}")
+    if delta_tbl is None and len(inc_ids) <= _SMALL_DELTA_ROWS:
+        delta_tbl = pa.Table.from_pandas(docs.to_pandas(), preserve_index=False)
+    if delta_tbl is not None:
         os.makedirs(gen_dir, exist_ok=True)
-        pq.write_table(make_doc_stats_fn(cfg, gen=gen)(tbl),
+        pq.write_table(make_doc_stats_fn(cfg, gen=gen)(delta_tbl),
                        os.path.join(gen_dir, "part-0.parquet"))
-        tdf = make_triples_fn(cfg, frozenset())(tbl).to_pandas()
-        # tokenized on the driver (vectorized, delta-sized), but the
-        # per-(shard,bucket) segment writes fan out as plain Ray tasks —
-        # a layout can have hundreds of touched pairs and each write costs
-        # ~10 ms of encode+fsync, which serialized would dominate the add
-        futures, meta = [], []
-        for gkey, group in tdf.groupby("gkey"):
-            shard, bucket = divmod(int(gkey), cfg.n_buckets)
-            futures.append(_write_delta_group.remote(
-                index_dir, shard, bucket, gen, group))
-            meta.append((shard, bucket))
-        seg_rows = pd.DataFrame(
-            [{"shard": s, "bucket": b,
-              "n_tokens": m["n_tokens"], "n_postings": m["n_postings"]}
-             for (s, b), m in zip(meta, ray.get(futures))],
-            columns=["shard", "bucket", "n_tokens", "n_postings"])
+        triples = make_triples_fn(cfg, frozenset())(delta_tbl)
     else:
         docs.map_batches(
             make_doc_stats_fn(cfg, gen=gen), batch_format="pyarrow",
             batch_size=cfg.batch_size,
-        ).write_parquet(os.path.join(docs_dir, f"gen={gen:04d}"))
-
+        ).write_parquet(gen_dir)
         triples = docs.map_batches(
             make_triples_fn(cfg, frozenset()), batch_format="pyarrow",
             batch_size=cfg.batch_size,
         )
-
-        def write_delta(group: pd.DataFrame) -> pd.DataFrame:
-            gkey = int(group["gkey"].iloc[0])
-            shard, bucket = divmod(gkey, cfg.n_buckets)
-            # delta segments live in their own dir; write_segment's resume
-            # check keys on the dir, so a gen-suffixed "index" root trick is
-            # not needed — we write directly with a distinct name
-            m = write_segment_gen(index_dir, shard, bucket, gen, group)
-            return pd.DataFrame([{"shard": shard, "bucket": bucket,
-                                  "n_tokens": m["n_tokens"],
-                                  "n_postings": m["n_postings"]}])
-
-        seg_rows = (
-            triples.groupby("gkey")
-            .map_groups(write_delta, batch_format="pandas")
-            .to_pandas()
-        )
+    seg_rows = write_segments(triples, index_dir, cfg, gen=gen)
 
     n_new = int(len(uniq_inc))
-    gen_tokens = int(seg_rows["n_tokens"].sum()) if len(seg_rows) else 0
+    gen_tokens = int(seg_rows["n_tokens"].sum())
     # commit order: segments + docs durable → marker (the authority: readers
     # ignore unmarked gens; cleanup removes them; `replaces` masks the old
     # versions atomically) → termstats seal (covers COMMITTED gens only; a
@@ -475,13 +443,6 @@ def _overlap_scan(path: str, cols: list[str], inc: np.ndarray) -> pd.DataFrame:
     hit = np.zeros(len(ids), dtype=bool)
     hit[ok] = inc[pos[ok]] == ids[ok]
     return t.filter(pa.array(hit)).to_pandas()
-
-
-@ray.remote(num_cpus=0.25)
-def _write_delta_group(index_dir, shard, bucket, gen, group) -> dict:
-    """Task wrapper for the small-delta fast path: one (shard, bucket)
-    segment write per task — parallel without a groupby shuffle."""
-    return write_segment_gen(index_dir, shard, bucket, gen, group)
 
 
 def write_segment_gen(index_dir, shard, bucket, gen, group) -> dict:

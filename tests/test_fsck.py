@@ -47,6 +47,38 @@ def test_detects_missing_manifest_and_stray_tmp(ray_session, tmp_path):
     assert any("stray tmp" in i for i in r["issues"])
 
 
+def test_leftover_staging_is_reported_repaired_and_not_snapshotted(
+        ray_session, tmp_path):
+    """A crash inside the triples exchange (build, large add, reshard)
+    leaves ``<index>/_staging`` behind: fsck reports it as a stray tmp dir,
+    repair removes it behind the scratch age gate, and snapshots skip it."""
+    from archivesspace_virgo_ray.index import fsck as F
+    from archivesspace_virgo_ray.index.snapshot import snapshot_index
+
+    idx = _build(tmp_path)
+    staging = os.path.join(idx, "_staging")
+    os.makedirs(os.path.join(staging, "gkey=0"))
+    with open(os.path.join(staging, "gkey=0", "part.parquet"), "wb") as f:
+        f.write(b"partial")
+    r = F.fsck_index(idx)
+    assert not r["ok"]
+    assert F.STRAY_TMP in r["issue_codes"]
+    assert any("_staging" in i for i in r["issues"])
+
+    snap = str(tmp_path / "snap")
+    snapshot_index(idx, snap)
+    assert not os.path.exists(os.path.join(snap, "_staging"))
+
+    r = F.repair_index(idx)  # fresh mtime: possibly a live exchange
+    assert os.path.isdir(staging)
+    assert any("skipped scratch dir _staging" in a for a in r["actions"])
+    os.utime(staging, (0, 0))
+    r = F.repair_index(idx)
+    assert not os.path.exists(staging)
+    assert any("removed stray tmp dir _staging" in a for a in r["actions"])
+    assert r["ok"], r["issues"]
+
+
 def test_detects_stats_drift_and_missing_positions(ray_session, tmp_path):
     idx = _build(tmp_path, positions=True)
     # corrupt global stats counter

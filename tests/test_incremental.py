@@ -93,6 +93,51 @@ def test_merge_is_byte_identical_to_rebuild(corpora, tmp_path_factory, ray_sessi
         assert [x for x, _ in got] == [x for x, _ in expect], q
 
 
+def test_large_delta_add_matches_small_path(corpora, tmp_path_factory,
+                                            ray_session, monkeypatch):
+    """A delta above ``_SMALL_DELTA_ROWS`` streams through the staged
+    Dataset exchange; its segments must be byte-identical to the driver
+    path's, with the staging dir gone and identical answers."""
+    import shutil
+
+    import ray.data
+
+    from archivesspace_virgo_ray.index import update
+    from archivesspace_virgo_ray.index.reshard import segments_equal
+
+    d, full, base, delta = corpora
+    root = tmp_path_factory.mktemp("idx_bigadd")
+    small, big = str(root / "small"), str(root / "big")
+    cfg = dict(CFG, store_positions=True)
+    build_index(os.path.join(d, "base.parquet"), small, BuildConfig(**cfg),
+                resume=False)
+    shutil.copytree(small, big)
+
+    seen = []
+    real = update.write_segments
+
+    def spy(triples, *a, **kw):
+        seen.append(type(triples))
+        return real(triples, *a, **kw)
+
+    monkeypatch.setattr(update, "write_segments", spy)
+    s_small = add_documents(os.path.join(d, "delta.parquet"), small,
+                            BuildConfig(**CFG))
+    monkeypatch.setattr(update, "_SMALL_DELTA_ROWS", 0)
+    s_big = add_documents(os.path.join(d, "delta.parquet"), big,
+                          BuildConfig(**CFG))
+    assert seen == [pa.Table, ray.data.Dataset]
+
+    assert any(len(names) > 1 for names in list_segment_generations(big).values())
+    assert segments_equal(small, big)
+    assert not os.path.exists(os.path.join(big, "_staging"))
+    for key in ("n_docs", "total_len", "n_postings"):
+        assert s_small[key] == s_big[key], key
+    a, b = LocalSearcher(small), LocalSearcher(big)
+    for q in QUERIES:
+        assert a.search(q, 10) == b.search(q, 10), q
+
+
 def test_tombstones(corpora, tmp_path_factory, ray_session):
     d, full, base, delta = corpora
     idx = str(tmp_path_factory.mktemp("idx_del") / "idx")

@@ -217,7 +217,7 @@ ray.init(address="local", num_cpus=4, include_dashboard=False, logging_level="ER
 from ray.data import DataContext; DataContext.get_current().enable_progress_bars = False
 from archivesspace_virgo_ray.index.build import BuildConfig, build_index
 build_index({corpus!r}, {idx!r},
-            BuildConfig(n_shards=2, n_buckets=4, shuffle="staged"), resume=True)
+            BuildConfig(n_shards=2, n_buckets=4), resume=True)
 print("BUILD_DONE")
 ray.shutdown()
 """
@@ -251,9 +251,9 @@ def _run_staged_build(corpus, idx, kill_on_staging=False, timeout=240):
 
 def test_sigkill_mid_staging_then_resume_byte_identical(kill_corpus,
                                                         tmp_path_factory):
-    """Crash INSIDE the staged shuffle's staging write: resume must discard
-    the partial staging tree (it redoes the staging from scratch) and produce an
-    index byte-identical to an uninterrupted staged build."""
+    """Crash INSIDE the exchange's staging write: resume must discard the
+    partial staging tree (it redoes the staging from scratch) and produce an
+    index byte-identical to an uninterrupted build."""
     base = tmp_path_factory.mktemp("killstage")
     idx_clean = str(base / "clean")
     idx_killed = str(base / "killed")

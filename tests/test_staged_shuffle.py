@@ -1,5 +1,6 @@
-"""Staged (disk-partitioned) shuffle: byte-identity with the groupby path,
-resume behavior, staging cleanup."""
+"""The one triples → segment exchange (build.write_segments): a driver-side
+table split in memory and a Dataset staged to disk give byte-identical
+segments; resume rebuilds only missing segments; staging is cleaned up."""
 
 import os
 import shutil
@@ -7,8 +8,14 @@ import shutil
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+import ray.data
 
-from archivesspace_virgo_ray.index.build import BuildConfig, build_index
+from archivesspace_virgo_ray.index.build import (
+    BuildConfig,
+    build_index,
+    make_triples_fn,
+    write_segments,
+)
 
 
 def _docs(tmp_path, n=250):
@@ -45,27 +52,37 @@ def _cfg(**kw):
     return BuildConfig(**base)
 
 
-def test_staged_matches_groupby_byte_for_byte(ray_session, tmp_path):
-    docs_path = _docs(tmp_path)
+def _table_vs_dataset(tmp_path, n, **kw):
+    """Write the same triples once as a driver-side table and once as a
+    staged Dataset; returns the two index dirs."""
+    cfg = _cfg(**kw)
+    docs = pq.read_table(_docs(tmp_path, n=n))
+    triples = make_triples_fn(cfg, frozenset())(docs)
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
-    sa = build_index(docs_path, a, _cfg(shuffle="groupby"), resume=False)
-    sb = build_index(docs_path, b, _cfg(shuffle="staged"), resume=False)
-    assert sa["n_postings"] == sb["n_postings"]
+    ra = write_segments(triples, a, cfg)
+    ds = ray.data.from_arrow(docs).map_batches(
+        make_triples_fn(cfg, frozenset()), batch_format="pyarrow", batch_size=37)
+    rb = write_segments(ds, b, cfg)
+    assert sorted(zip(ra["shard"], ra["bucket"], ra["n_postings"])) == sorted(
+        zip(rb["shard"], rb["bucket"], rb["n_postings"]))
+    assert int(ra["n_postings"].sum()) == len(triples)
+    assert not ra["skipped"].any() and not rb["skipped"].any()
+    # staging directory is cleaned up after the exchange
+    assert not os.path.exists(os.path.join(b, "_staging"))
+    return a, b
+
+
+def test_table_and_dataset_exchange_byte_identical(ray_session, tmp_path):
+    a, b = _table_vs_dataset(tmp_path, 250)
     ba, bb = _segment_bytes(a), _segment_bytes(b)
+    assert len(ba) == 8 * 4
     assert ba.keys() == bb.keys()
     for k in ba:
         assert ba[k] == bb[k], k
-    # staging directory is cleaned up after a successful build
-    assert not os.path.exists(os.path.join(b, "_staging"))
 
 
-def test_staged_positional_matches_groupby(ray_session, tmp_path):
-    docs_path = _docs(tmp_path, n=120)
-    a, b = str(tmp_path / "a"), str(tmp_path / "b")
-    build_index(docs_path, a, _cfg(shuffle="groupby", store_positions=True),
-                resume=False)
-    build_index(docs_path, b, _cfg(shuffle="staged", store_positions=True),
-                resume=False)
+def test_table_and_dataset_exchange_positional(ray_session, tmp_path):
+    a, b = _table_vs_dataset(tmp_path, 120, store_positions=True)
     ba, bb = _segment_bytes(a), _segment_bytes(b)
     assert any(k.endswith("positions.bin") for k in ba)
     assert ba.keys() == bb.keys()
@@ -76,13 +93,15 @@ def test_staged_positional_matches_groupby(ray_session, tmp_path):
 def test_staged_resume_skips_complete_segments(ray_session, tmp_path):
     docs_path = _docs(tmp_path, n=150)
     idx = str(tmp_path / "idx")
-    build_index(docs_path, idx, _cfg(shuffle="staged"), resume=False)
+    build_index(docs_path, idx, _cfg(), resume=False)
+    assert not os.path.exists(os.path.join(idx, "_staging"))
     before = _segment_bytes(idx)
     # delete ONE segment + the stats stamp: resume must rebuild only it
     victim = sorted(os.listdir(os.path.join(idx, "segments")))[0]
     shutil.rmtree(os.path.join(idx, "segments", victim))
     os.remove(os.path.join(idx, "_global", "stats.json"))
-    stats = build_index(docs_path, idx, _cfg(shuffle="staged"), resume=True)
+    stats = build_index(docs_path, idx, _cfg(), resume=True)
     assert stats["n_segments_written"] == 1
     after = _segment_bytes(idx)
     assert after == before  # deterministic rebuild of the missing segment
+    assert not os.path.exists(os.path.join(idx, "_staging"))

@@ -38,13 +38,12 @@ for it in range(iters):
     try:
         pdf=rand_corpus(rng, int(rng.integers(15,80)))
         src=os.path.join(work, f"corpus_{it}.parquet"); pq.write_table(pa.Table.from_pandas(pdf,preserve_index=False), src)
-        # BM25 vs oracle — random positional flag and shuffle strategy too
+        # BM25 vs oracle — random positional flag too
         idx=os.path.join(work, f"idx_{it}")
         positions=bool(rng.integers(0,2))
         build_index(src, idx, BuildConfig(n_shards=int(rng.integers(1,4)), n_buckets=int(rng.integers(1,5)),
                     text_col="text", id_col="doc_id", meta_cols=(), batch_size=int(rng.integers(8,64)),
-                    store_positions=positions,
-                    shuffle=str(rng.choice(["groupby","staged"]))), resume=False)
+                    store_positions=positions), resume=False)
         orc=OracleIndex(pdf["doc_id"].tolist(), pdf["text"].tolist())
         s=LocalSearcher(idx)
         for q in QUERIES:
