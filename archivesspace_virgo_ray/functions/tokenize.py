@@ -22,7 +22,6 @@ from __future__ import annotations
 import re
 
 import numpy as np
-import pandas as pd
 
 TOKEN_RE = re.compile(r"[a-z0-9_]+")
 
@@ -114,6 +113,8 @@ def batch_term_doc_tf_py(
     """Reference implementation over ``tokenize_text`` (str.lower + findall)
     — the single-source-of-truth tokenizer. Kept for the property test that
     pins the Arrow kernel's token equivalence; not used in the hot path."""
+    import pandas as pd
+
     findall = TOKEN_RE.findall
     tok_lists = [findall(t.lower()) for t in texts]
     lens = np.fromiter((len(t) for t in tok_lists), dtype=np.int64, count=len(tok_lists))
@@ -188,6 +189,8 @@ def stable_hash_strings(values) -> np.ndarray:
 
     Used for term -> bucket routing; never use Python's salted ``hash()``.
     """
+    import pandas as pd
+
     arr = np.asarray(values, dtype=object)
     return pd.util.hash_array(arr, categorize=False)
 

@@ -78,7 +78,12 @@ class FederatedSearcher:
         any member changed. get_pool refreshes a cached pool IN PLACE on
         index change (Lucene reopen), so a long-lived federated searcher
         must not keep scoring with construction-time df/avgdl against
-        refreshed postings — the stats snapshot follows the pools."""
+        refreshed postings — the stats snapshot follows the pools. The
+        members' actors are settled first (``QueryPool._settle``): the
+        search calls them directly, and a settle that reloads them shows
+        here as a signature change."""
+        for pool in self.pools:
+            pool._settle()
         pools, sigs = zip(*(get_pool_and_sig(d) for d in self.index_dirs))
         if sigs != self._sigs:
             self._load_members()

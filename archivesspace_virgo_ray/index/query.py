@@ -31,14 +31,25 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..functions.tokenize import stable_hash_strings, tokenize_text
 from ..oracle import B, K1, bm25_idf, term_upper_bound
 from .postings import decode_posting_list
-from .segments import SegmentReader, list_complete_segments, read_stats
+from .segments import (
+    _committed_markers,
+    _docs_columns,
+    committed_gens,
+    folded_gens,
+    list_segment_generations,
+    live_gens,
+    load_tombstone_thresholds,
+    numpy_table,
+    open_segment,
+    read_stats,
+    segment_mask_gen,
+)
 
 
 @dataclass
@@ -76,7 +87,6 @@ class TermStatsStore:
         import json
 
         from .build import termstats_dir
-        from .update import committed_gens
 
         p = os.path.join(termstats_dir(self.index_dir), "_SEALED.json")
         want = sorted(committed_gens(self.index_dir))
@@ -340,16 +350,6 @@ class ShardScorer:
         raise last_err
 
     def _load(self, index_dir: str, shard: int, buckets: list[int] | None):
-        from .update import (
-            _committed_markers,
-            folded_gens,
-            list_segment_generations,
-            live_gens,
-            load_tombstone_thresholds,
-            open_segment,
-            segment_mask_gen,
-        )
-
         self.stats = read_stats(index_dir)
         self.avgdl = self.stats["avgdl"]
         # ONE marker snapshot drives every visibility decision (committed
@@ -522,8 +522,10 @@ class ShardWorker:
     """Query-side state for a SUBSET of doc shards, loaded ONCE (T5): segment
     readers + tombstones per shard, and — lazily, only when a facet/filter
     query needs it — that shard's column-pruned slice of the forward
-    ``_docs`` table. Used in-process by ``LocalSearcher`` and as a Ray actor
-    by ``QueryPool``; on a real cluster each actor is placed on the node
+    ``_docs`` table. Used in-process by ``LocalSearcher`` and by a new
+    ``QueryPool``'s twins, and as a Ray actor by ``QueryPool`` (building
+    one and scoring BM25 imports neither Ray Data nor pandas, so an actor
+    starts sooner); on a real cluster each actor is placed on the node
     holding its shards (the always-warm per-shard analog of the reference's
     long-lived Solr server, SolrHelper.java:39-80).
 
@@ -533,8 +535,6 @@ class ShardWorker:
     count partials, or final match-id arrays."""
 
     def __init__(self, index_dir: str, shards: list[int] | None = None):
-        from .update import list_segment_generations
-
         self.index_dir = index_dir
         self.stats = read_stats(index_dir)
         all_shards = sorted({s for s, _ in list_segment_generations(index_dir)})
@@ -573,8 +573,6 @@ class ShardWorker:
 
     def _has_gen(self) -> bool:
         if self._docs_has_gen is None:
-            from .update import _docs_columns
-
             self._docs_has_gen = "gen" in _docs_columns(
                 os.path.join(self.index_dir, "_docs")
             )
@@ -621,6 +619,7 @@ class ShardWorker:
     def _filter_ids(self, shard: int, where) -> np.ndarray:
         """Sorted doc ids of THIS shard whose CURRENT version passes a
         pyarrow expression (old generations of a replaced doc don't count)."""
+        import pandas as pd
         import pyarrow.dataset as pads
 
         key = (shard, _expression_key(where))
@@ -943,6 +942,8 @@ class ShardWorker:
         """Facet-count PARTIAL over this worker's shards: (facet value,
         n_docs) — null facet values are a real group (dropna=False), matching
         SQL GROUP BY semantics."""
+        import pandas as pd
+
         frames = []
         for s in self.shards:
             df = self._latest_live_docs(s, extra_cols=(facet_col,))
@@ -964,6 +965,8 @@ class ShardWorker:
         boost can promote any matching doc) as (query_id, doc_id, score)
         arrays, plus each doc's CURRENT ``col`` value — inner join, as
         with a SQL join on the forward table."""
+        import pandas as pd
+
         q, d, s, _done = self._score_rows(plan, k=_ALL)
         meta = pd.concat([self._latest_live_docs(sh, (col,))
                           for sh in self.shards], ignore_index=True)
@@ -983,6 +986,8 @@ class ShardWorker:
         ``QueryPool.grouped_topk``. Grouping needs every matching doc
         scored, so a stop-word query scores its full match set — the cost
         shape of facet counting over the match set."""
+        import pandas as pd
+
         q, d, s, g = self._scored_meta(plan, group_col)
         codes, _ = pd.factorize(g, use_na_sentinel=False)
         idx, _rank = _topk_rows((q, codes), s, d, _row_k(plan.queries, q))
@@ -1000,6 +1005,8 @@ class ShardWorker:
         scored (same boundary as ``grouped_partials``), then ``boosted =
         score * w(meta[boost_col])`` and this worker's top-k on (boosted
         desc, doc_id asc). Only k rows per query leave the worker."""
+        import pandas as pd
+
         q, d, s, v = self._scored_meta(plan, boost_col)
         if len(d) == 0:
             w = np.empty(0, np.float64)
@@ -1021,10 +1028,11 @@ class ShardWorker:
         require_all: bool = False,
         deadline: float | None = None,
         n_terms_by_qid: dict[int, int] | None = None,
-    ) -> tuple[pa.Table, list[int]]:
+    ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], list[int]]:
         """Score a batch plan against this worker's shards → (per-shard
-        top-k partials as one (query_id, doc_id, score) table, the query
-        ids finished on every shard). The filter (``where``, Solr fq), the
+        top-k partials as (query_id, doc_id, score) numpy arrays, the query
+        ids finished on every shard). Numpy, not Arrow: a Ray actor that
+        returns an Arrow table imports Ray Data and pandas to serialise it. The filter (``where``, Solr fq), the
         conjunctive (``require_all``, q.op=AND) and mm whitelists and the
         NOT blacklist are computed SHARD-LOCAL — nothing corpus-sized
         leaves the worker. ``deadline`` (Solr ``timeAllowed``): an epoch
@@ -1040,7 +1048,7 @@ class ShardWorker:
             plan = BatchPlan({q: QueryPlan(k, tp, nt.get(q, len(tp)))
                               for q, (k, tp) in plan.items()})
         q, d, s, done = self._score_rows(plan, where, require_all, deadline)
-        return pa.table({"query_id": q, "doc_id": d, "score": s}), done
+        return (q, d, s), done
 
     def _score_rows(self, plan: BatchPlan, where=None,
                     require_all: bool = False,
@@ -1172,6 +1180,7 @@ def bm25_serve(index_dir: str, queries_ds, concurrency: int = 2, batch_size: int
     import ray
 
     pool = get_pool(index_dir)
+    pool._settle()  # the serve tasks call the actors
     store = pool.store
     for b in range(int(store.stats["n_buckets"])):
         store._load_bucket(b)
@@ -1235,17 +1244,17 @@ def _row_k(live: dict, q: np.ndarray) -> np.ndarray:
 
 
 def _merge_topk_parts(live: dict, parts: list) -> pa.Table:
-    """Merge per-shard (query_id, doc_id, score) partials into per-query
-    (query_id, rank, doc_id, score) top-k through ``_topk_rows``, k from
-    ``live[qid][0]``; rows whose query_id is not in ``live`` are dropped."""
-    parts = [p for p in parts if p.num_rows]
+    """Merge per-shard (query_id, doc_id, score) array triples (the
+    ``ShardWorker.score`` partials) into per-query (query_id, rank, doc_id,
+    score) top-k through ``_topk_rows``, k from ``live[qid][0]``; rows
+    whose query_id is not in ``live`` are dropped."""
+    parts = [p for p in parts if len(p[0])]
     if not parts or not live:
         return QueryPool._EMPTY_TOPK
-    q, d, s = (np.concatenate([p[c].to_numpy() for p in parts])
-               for c in ("query_id", "doc_id", "score"))
+    q, d, s = (np.concatenate(c) for c in zip(*parts))
     idx, rank = _topk_rows((q,), s, d, _row_k(live, q))
-    return pa.table({"query_id": q[idx], "rank": rank,
-                     "doc_id": d[idx], "score": s[idx]})
+    return numpy_table({"query_id": q[idx], "rank": rank,
+                        "doc_id": d[idx], "score": s[idx]})
 
 
 DEFAULT_POOL_ACTORS = 4
@@ -1263,7 +1272,19 @@ class QueryPool:
     created with ``num_cpus=0`` so a long-lived pool can never starve the
     Dataset tasks sharing the session of logical CPUs (the OS still
     schedules the real cores); a cluster deployment would use ``num_cpus=1``
-    + placement groups instead."""
+    + placement groups instead.
+
+    The pool answers before its actors are up. Next to each actor it loads
+    an in-process **twin**: a ``ShardWorker`` over the same share of
+    shards, the ``LocalSearcher`` path. ``topk_submit`` sends a batch to
+    every actor whose state has loaded and scores the other shares on
+    their twins meanwhile; one ``_merge_topk_parts`` merges both. A twin
+    is dropped (handover) once its actor is ready and the index is still
+    at the signature the twins were loaded under, so the actor holds the
+    same state; after a change the twins keep serving, consistent with the
+    planning store, until ``get_pool`` refreshes the pool, and ``refresh``
+    drops every twin. The other entry points call the actors only, so they
+    hand every share over first (``_settle``)."""
 
     # Solr queryResultCache analog: results cache on the POOL INSTANCE, so
     # invalidation rides the existing staleness machinery for free —
@@ -1276,44 +1297,79 @@ class QueryPool:
     def __init__(self, index_dir: str, n_actors: int | None = None):
         from collections import OrderedDict
 
-        from .update import list_segment_generations
-
         self.index_dir = index_dir
+        # read BEFORE the store and the twins load: equal at handover, it
+        # proves the actors loaded the state the twins hold
+        self._twin_sig = _index_signature(index_dir)
         self.store = TermStatsStore(index_dir)
         self.shards = sorted({s for s, _ in list_segment_generations(index_dir)})
         self.n_actors = min(n_actors or DEFAULT_POOL_ACTORS, max(1, len(self.shards)))
         self.actors: list = []
+        self._ready: list = []  # per actor, the ref of its ``ready`` call
+        self._twins: dict[int, ShardWorker] = {}  # actor index -> twin
         self._result_cache: "OrderedDict[tuple, pa.Table]" = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
-        self._spawn()
+        try:
+            self._spawn()
+            self._twins = {i: ShardWorker(index_dir, self._share(i))
+                           for i in range(len(self.actors))}
+        except BaseException:
+            self.shutdown()
+            raise
+
+    def _share(self, i: int) -> list[int]:
+        """The shards of actor ``i`` (round-robin)."""
+        return self.shards[i :: self.n_actors]
 
     def _spawn(self) -> None:
-        """(Re)create the actor set — also the one-shot recovery path when
-        an actor dies (OOM, node loss): every shard's state reloads from the
-        durable segment store, so a respawn is always safe."""
+        """(Re)create the actor set without waiting for it — also the
+        one-shot recovery path when an actor dies (OOM, node loss): every
+        shard's state reloads from the durable segment store, so a respawn
+        is always safe."""
         import ray
 
-        self.shutdown()
+        self._kill_actors()
         if not self.shards:
             return
         from .placement import pool_actor_options
 
         Worker = ray.remote(num_cpus=0)(ShardWorker)
-        self.actors = [
-            Worker.options(
-                **pool_actor_options(self.index_dir,
-                                     self.shards[i :: self.n_actors])
-            ).remote(self.index_dir, self.shards[i :: self.n_actors])
-            for i in range(self.n_actors)
-        ]
+        for i in range(self.n_actors):
+            # appended one by one: a failing spawn leaves the started
+            # actors where ``shutdown`` finds them
+            self.actors.append(Worker.options(
+                **pool_actor_options(self.index_dir, self._share(i))
+            ).remote(self.index_dir, self._share(i)))
+            self._ready.append(self.actors[-1].ready.remote())
 
     def wait_ready(self) -> None:
         """Block until every actor finished loading its shard state."""
         import ray
 
-        if self.actors:
-            ray.get([a.ready.remote() for a in self.actors])
+        ray.get(self._ready)
+
+    def _hand_over(self) -> None:
+        """Drop the twin of every actor whose state has loaded, if the
+        index is still at the signature the twins were loaded under."""
+        import ray
+
+        if not self._twins:
+            return
+        refs = [self._ready[i] for i in self._twins]
+        done, _ = ray.wait(refs, num_returns=len(refs), timeout=0)
+        if done and _index_signature(self.index_dir) == self._twin_sig:
+            for i in [i for i in self._twins if self._ready[i] in done]:
+                del self._twins[i]
+
+    def _settle(self) -> None:
+        """Hand every share over to its actor, for the entry points that
+        call the actors only (each calls this before it plans). Actors
+        that started after a commit may hold different states, so this
+        refreshes them all, which waits for them, until the index holds
+        still across one refresh (as ``get_pool`` validates)."""
+        if self._twins:
+            _until_stable(self.index_dir, self._twin_sig, self.refresh)
 
     def refresh(self) -> None:
         """Reopen every shard actor in place against the index's current
@@ -1334,6 +1390,7 @@ class QueryPool:
         except ray.exceptions.RayActorError:
             self._spawn()
             self.wait_ready()
+        self._twins = {}
 
     def _retrying(self, fn):
         """Run fn; on an actor failure respawn the pool and retry ONCE."""
@@ -1348,10 +1405,9 @@ class QueryPool:
 
     # -- BM25 scatter/merge --------------------------------------------------
 
-    _EMPTY_TOPK = pa.table(
-        {"query_id": pa.array([], pa.int64()), "rank": pa.array([], pa.int64()),
-         "doc_id": pa.array([], pa.int64()), "score": pa.array([], pa.float64())}
-    )
+    _EMPTY_TOPK = numpy_table(
+        {"query_id": np.empty(0, np.int64), "rank": np.empty(0, np.int64),
+         "doc_id": np.empty(0, np.int64), "score": np.empty(0, np.float64)})
 
     def topk_submit(self, queries: pa.Table, where=None, require_all: bool = False):
         """Plan one query batch and dispatch it to every actor WITHOUT
@@ -1367,12 +1423,19 @@ class QueryPool:
         Optional ``cursor_score`` (float64) / ``cursor_doc`` (int64) columns
         carry a per-query search-after mark (Solr cursorMark): only docs
         strictly after (round(score, 6) desc, doc_id asc) = (cursor_score,
-        cursor_doc) are ranked. Null cursor_score → no cursor for that row."""
+        cursor_doc) are ranked. Null cursor_score → no cursor for that row.
+
+        Shares whose actor is still starting are scored by their twins,
+        after the remote calls went out (see the class docstring)."""
         plan = _plan_batch(self.store, queries)
         if not plan.queries or not self.actors:
-            return (plan.queries, [])
-        return (plan.queries,
-                [a.score.remote(plan, where, require_all) for a in self.actors])
+            return (plan.queries, [], [])
+        self._hand_over()
+        futures = [a.score.remote(plan, where, require_all)
+                   for i, a in enumerate(self.actors) if i not in self._twins]
+        local = [t.score(plan, where, require_all)[0]
+                 for t in self._twins.values()]
+        return (plan.queries, futures, local)
 
     def topk_time_allowed(
         self, queries: pa.Table, time_allowed_s: float, where=None,
@@ -1383,7 +1446,9 @@ class QueryPool:
         only if EVERY worker finished it before the deadline (those rows are
         bit-identical to the exact path); the rest are listed in
         ``partial_qids`` — dropped, never returned with silently-wrong
-        ranks. ``time_allowed_s <= 0`` degenerates to all-partial."""
+        ranks. ``time_allowed_s <= 0`` degenerates to all-partial. The
+        budget starts once the actors serve."""
+        self._settle()
         plan = _plan_batch(self.store, queries)
         if not plan.queries or not self.actors:
             return self._EMPTY_TOPK, sorted(plan.queries)
@@ -1407,10 +1472,9 @@ class QueryPool:
     def topk_collect(self, handle) -> pa.Table:
         import ray
 
-        live, futures = handle
-        if not futures:
-            return self._EMPTY_TOPK
-        return _merge_topk_parts(live, [t for t, _done in ray.get(futures)])
+        live, futures, local = handle
+        return _merge_topk_parts(
+            live, [t for t, _done in ray.get(futures)] + local)
 
     @staticmethod
     def _cache_key(queries: pa.Table, where) -> str:
@@ -1462,11 +1526,12 @@ class QueryPool:
         the BM25 plan/score/merge path and side channels, planned for
         LM-Dirichlet(``mu``) — a different per-posting contribution and
         bound (``_contrib``)."""
+        self._settle()
         plan = _plan_batch(self.store, queries, mu=float(mu))
         if not plan.queries:
             return self._EMPTY_TOPK
         return self._retrying(lambda: self.topk_collect(
-            (plan.queries, [a.score.remote(plan) for a in self.actors])))
+            (plan.queries, [a.score.remote(plan) for a in self.actors], [])))
 
     # -- boolean / facet / filter -------------------------------------------
 
@@ -1481,6 +1546,7 @@ class QueryPool:
     def matching_doc_ids(self, text: str, mode: str = "and") -> np.ndarray:
         import ray
 
+        self._settle()
         plans, nq = self._plan_boolean(text, mode)
         if plans is None or not self.actors:
             return np.empty(0, np.int64)
@@ -1512,6 +1578,7 @@ class QueryPool:
         concatenation."""
         import ray
 
+        self._settle()
         planned: dict[int, tuple] = {}
         for qid, spec in phrases.items():
             text, slop = spec[0], spec[1]
@@ -1545,6 +1612,7 @@ class QueryPool:
         shape as ``phrase_ids``."""
         import ray
 
+        self._settle()
         planned: dict[int, tuple] = {}
         for qid, (text, excl, dist) in queries.items():
             toks = tokenize_text(self.store.qtext(text))
@@ -1578,6 +1646,7 @@ class QueryPool:
     def facet_counts(
         self, facet_col: str, text: str | None = None, mode: str = "and"
     ) -> pd.DataFrame:
+        import pandas as pd
         import ray
 
         plans: list[TermPlan] | None = None
@@ -1587,6 +1656,7 @@ class QueryPool:
             # per-worker shard-slice materialization (the query-restricted
             # path below is bounded by the match set instead)
             return facet_counts_all_docs(self.index_dir, facet_col)
+        self._settle()
         if text is not None:
             plans, nq = self._plan_boolean(text, mode)
             if plans is None:  # zero-match query → empty facet table
@@ -1614,6 +1684,7 @@ class QueryPool:
     def filter_doc_ids(self, where) -> np.ndarray:
         import ray
 
+        self._settle()
         if not self.actors:
             return np.empty(0, np.int64)
         parts = self._retrying(
@@ -1631,8 +1702,10 @@ class QueryPool:
         the exact per-group merge happens here. Takes ``not_text`` and
         ``min_match`` like ``topk``; a cursor column raises ValueError
         (Solr rejects cursorMark with grouping too)."""
+        import pandas as pd
         import ray
 
+        self._settle()
         plan = _plan_batch(self.store, queries, cursors=False)
         parts = self._retrying(lambda: ray.get(
             [a.grouped_partials.remote(plan, group_col) for a in self.actors]
@@ -1666,8 +1739,10 @@ class QueryPool:
         the callable ships to the actors once per call. Returns
         (query_id, doc_id, score, boosted). Takes ``not_text`` and
         ``min_match`` like ``topk``; a cursor column raises ValueError."""
+        import pandas as pd
         import ray
 
+        self._settle()
         plan = _plan_batch(self.store, queries, cursors=False)
         parts = self._retrying(lambda: ray.get([
             a.boosted_partials.remote(plan, boost_col, weights, default_w)
@@ -1683,7 +1758,7 @@ class QueryPool:
                                 _row_k(plan.queries, q))
         return merged.iloc[idx].reset_index(drop=True)
 
-    def shutdown(self) -> None:
+    def _kill_actors(self) -> None:
         import ray
 
         for a in self.actors:
@@ -1692,6 +1767,12 @@ class QueryPool:
             except Exception:
                 pass
         self.actors = []
+        self._ready = []
+
+    def shutdown(self) -> None:
+        """Kill every actor, ready or still starting, and drop the twins."""
+        self._kill_actors()
+        self._twins = {}
 
 
 def facet_counts_all_docs(index_dir: str, facet_col: str) -> pd.DataFrame:
@@ -1702,12 +1783,11 @@ def facet_counts_all_docs(index_dir: str, facet_col: str) -> pd.DataFrame:
     exactly one live row. So: a vectorized per-batch count over the cold
     rows (tree-merged), plus a driver-side resolution of the hot rows
     (bounded by the threshold set, collected via a distributed filter)."""
+    import pandas as pd
     import ray
     import ray.data
 
     from ..state.aggregates import tree_aggregate
-    from .update import _docs_columns, load_tombstone_thresholds
-
     docs_dir = os.path.join(index_dir, "_docs")
     has_gen = "gen" in _docs_columns(docs_dir)
     cols = ["doc_id", facet_col] + (["gen"] if has_gen else [])
@@ -1792,10 +1872,32 @@ def _index_signature(index_dir: str) -> tuple:
 _POOLS: dict[str, tuple[tuple, "QueryPool"]] = {}
 
 
+def _until_stable(index_dir: str, sig: tuple, step) -> tuple:
+    """Snapshot-consistent (re)load: run ``step`` (a pool's twins or its
+    actors (re)load their state), then re-read the signature — if a writer
+    committed DURING the step, different shards may hold different
+    committed states, so go again. Returns the signature of the last step.
+    Bounded retries: with a continuously-committing writer the last attempt
+    is still per-shard consistent (each scorer snapshot is atomic), just
+    not cross-shard identical — the steady-state pool self-heals on the
+    next get_pool call anyway."""
+    for attempt in range(3):
+        step()
+        sig_after = _index_signature(index_dir)
+        if sig_after == sig or attempt == 2:
+            return sig
+        sig = sig_after
+
+
 def get_pool(index_dir: str, n_actors: int | None = None) -> QueryPool:
-    """Cached pool per index dir; rebuilt when the index changes on disk.
-    The cache is a small LRU so long test sessions over many scratch indexes
-    don't accumulate actors. ``n_actors`` only applies at creation."""
+    """Cached pool per index dir; refreshed in place when the index changes
+    on disk. The cache is a small LRU so long test sessions over many
+    scratch indexes don't accumulate actors. ``n_actors`` only applies at
+    creation.
+
+    A new pool is returned as soon as its twins have loaded, without
+    waiting for its actor processes (see ``QueryPool``). A pool whose open
+    or refresh raises is shut down, so no actor outlives the failure."""
     sig = _index_signature(index_dir)
     cached = _POOLS.get(index_dir)
     if cached is not None and cached[0] == sig:
@@ -1806,31 +1908,25 @@ def get_pool(index_dir: str, n_actors: int | None = None) -> QueryPool:
         # (unchanged segment readers reused, actors kept warm) instead of
         # paying a full teardown + respawn — Lucene reopen economics.
         pool = _POOLS.pop(index_dir)[1]
-        refresh = pool.refresh
     else:
         while len(_POOLS) >= _POOL_CACHE_MAX:
             oldest = next(iter(_POOLS))
             _POOLS.pop(oldest)[1].shutdown()
         pool = None
-        refresh = None
-    # snapshot-consistent build/refresh: every shard actor (re)loads its
-    # state, then the signature is re-read — if a writer committed DURING
-    # the (re)build, different actors may hold different committed states,
-    # so go again. Bounded retries: with a continuously-committing writer
-    # the last attempt is still per-shard consistent (each scorer snapshot
-    # is atomic), just not cross-shard identical — the steady-state pool
-    # self-heals on the next get_pool call anyway.
-    for _attempt in range(3):
-        if refresh is not None:
-            refresh()
+
+    def step():
+        nonlocal pool
+        if pool is None:
+            pool = QueryPool(index_dir, n_actors)  # shuts down on error
         else:
-            pool = QueryPool(index_dir, n_actors)
-            refresh = pool.refresh
-            pool.wait_ready()
-        sig_after = _index_signature(index_dir)
-        if sig_after == sig or _attempt == 2:
-            break
-        sig = sig_after
+            pool.refresh()
+
+    try:
+        sig = _until_stable(index_dir, sig, step)
+    except BaseException:
+        if pool is not None:
+            pool.shutdown()
+        raise
     _POOLS[index_dir] = (sig, pool)
     return pool
 
@@ -1888,15 +1984,6 @@ def explain(index_dir: str, text: str, doc_id: int) -> dict:
     for each query term present in the doc — tf, dl, df, idf, contribution —
     plus the total. Sums in canonical term order, so ``total`` is
     bit-identical to the ranked score."""
-    from .update import (
-        folded_gens,
-        list_segment_generations,
-        live_gens,
-        load_tombstone_thresholds,
-        open_segment,
-        segment_mask_gen,
-    )
-
     store = TermStatsStore(index_dir)
     plans = store.plan_query(text)
     stats = store.stats

@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import uuid
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
@@ -53,6 +53,40 @@ SEGMENTS = "segments"
 GLOBAL = "_global"
 DOCS = "_docs"
 STAGING = "_staging"  # build.write_segments' exchange (transient)
+
+
+# Arrow type name -> numpy dtype of the fixed-width columns column_numpy reads
+_NUMPY_DTYPES = {**{t: t for t in ("int8", "int16", "int32", "int64", "uint8",
+                                   "uint16", "uint32", "uint64")},
+                 "float": "float32", "double": "float64"}
+
+
+def column_numpy(col) -> np.ndarray:
+    """A null-free integer or float Arrow (chunked) array as numpy, read
+    from its data buffers. Arrow's own ``to_numpy``/``pa.array`` load
+    pyarrow's pandas shim, which imports pandas: a query worker reads and
+    answers through these two helpers so it never pays that import."""
+    chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
+    dtype = _NUMPY_DTYPES.get(str(col.type))
+    if dtype is None or any(c.null_count for c in chunks):
+        return col.to_numpy(zero_copy_only=False)
+    dtype = np.dtype(dtype)
+    parts = [np.frombuffer(c.buffers()[1], dtype, count=len(c),
+                           offset=c.offset * dtype.itemsize)
+             for c in chunks if len(c)]
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.empty(0, dtype)
+
+
+def numpy_table(cols: dict[str, np.ndarray]) -> pa.Table:
+    """Arrow table of fixed-width numeric numpy columns, zero-copy (see
+    ``column_numpy``)."""
+    return pa.Table.from_arrays(
+        [pa.Array.from_buffers(pa.from_numpy_dtype(v.dtype), len(v),
+                               [None, pa.py_buffer(np.ascontiguousarray(v))])
+         for v in cols.values()],
+        names=list(cols))
 
 
 def segment_name(shard: int, bucket: int) -> str:
@@ -106,7 +140,7 @@ def write_segment(
     index_dir: str,
     shard: int,
     bucket: int,
-    group: pd.DataFrame,
+    group: "pd.DataFrame",
     lineage: dict | None = None,
 ) -> dict:
     """Build + atomically publish one segment from its (term, doc_id, tf, dl)
@@ -121,6 +155,8 @@ def write_segment(
             m = json.load(f)
         m["skipped"] = True
         return m
+
+    import pandas as pd
 
     # (term, doc_id) sort via factorize + lexsort: ~5x faster than an
     # object-dtype mergesort on large groups, same deterministic order
@@ -252,9 +288,12 @@ class SegmentReader:
                 f"{PIPELINE_VERSION!r}: rebuild the index")
         with open(os.path.join(d, "docs.bin"), "rb") as f:
             self.doc_map, self.dl_map = decode_doc_table(f.read(), m["n_docs"])
-        self.terms = pq.read_table(os.path.join(d, "terms.parquet"))
-        btab = pq.read_table(os.path.join(d, "blocks.parquet"))
-        self.blocks = {name: btab[name].to_numpy() for name in btab.column_names}
+        # ParquetFile.read, not read_table: read_table loads pyarrow.dataset,
+        # which imports pandas (see column_numpy)
+        self.terms = pq.ParquetFile(os.path.join(d, "terms.parquet")).read()
+        btab = pq.ParquetFile(os.path.join(d, "blocks.parquet")).read()
+        self.blocks = {name: column_numpy(btab[name])
+                       for name in btab.column_names}
         ppath = os.path.join(d, "postings.bin")
         self.payload = (
             np.memmap(ppath, dtype=np.uint8, mode="r")
@@ -273,14 +312,14 @@ class SegmentReader:
             term: i for i, term in enumerate(t["term"].to_pylist())
         }
         self._np = {
-            name: t[name].to_numpy() for name in (
+            name: column_numpy(t[name]) for name in (
                 "df", "cf", "max_tf", "min_dl", "n_blocks", "block_start",
                 "payload_off", "payload_len",
             )
         }
         if self.has_positions and "pos_off" in t.column_names:
-            self._np["pos_off"] = t["pos_off"].to_numpy()
-            self._np["pos_len"] = t["pos_len"].to_numpy()
+            self._np["pos_off"] = column_numpy(t["pos_off"])
+            self._np["pos_len"] = column_numpy(t["pos_len"])
         else:
             self.has_positions = False
 
@@ -331,3 +370,194 @@ def write_stats(index_dir: str, stats: dict) -> None:
 def read_stats(index_dir: str) -> dict:
     with open(os.path.join(index_dir, GLOBAL, "stats.json")) as f:
         return json.load(f)
+
+
+# -- read side: which segment generations a reader sees ------------------
+
+_GEN_RE = re.compile(r"^s(\d+)_b(\d+)(?:_g(\d+))?$")
+_DELETE_FOREVER = 1 << 60  # legacy list-format tombstones: masked at any gen
+
+
+def list_segment_generations(index_dir: str) -> dict[tuple[int, int], list[str]]:
+    """(shard, bucket) -> [dir names, base first then gens ascending]."""
+    root = os.path.join(index_dir, SEGMENTS)
+    out: dict[tuple[int, int], list[str]] = {}
+    if not os.path.isdir(root):
+        return out
+    for name in sorted(os.listdir(root)):
+        m = _GEN_RE.match(name)
+        if not m:
+            continue
+        if not os.path.exists(os.path.join(root, name, "manifest.json")):
+            continue
+        key = (int(m.group(1)), int(m.group(2)))
+        out.setdefault(key, []).append(name)
+    return out
+
+
+def _gen_marker_dir(index_dir: str) -> str:
+    return os.path.join(index_dir, GLOBAL, "gens")
+
+
+def committed_gens(index_dir: str) -> set[int]:
+    d = _gen_marker_dir(index_dir)
+    if not os.path.isdir(d):
+        return set()
+    out = set()
+    for name in os.listdir(d):
+        m = re.match(r"^g(\d+)\.json$", name)
+        if m:
+            out.add(int(m.group(1)))
+    return out
+
+
+def _committed_markers(index_dir: str) -> dict[int, dict]:
+    d = _gen_marker_dir(index_dir)
+    out: dict[int, dict] = {}
+    if not os.path.isdir(d):
+        return out
+    for name in os.listdir(d):
+        m = re.match(r"^g(\d+)\.json$", name)
+        if not m:
+            continue
+        try:
+            with open(os.path.join(d, name)) as f:
+                out[int(m.group(1))] = json.load(f)
+        except (OSError, ValueError):
+            out[int(m.group(1))] = {}
+    return out
+
+
+def folded_gens(index_dir: str,
+                markers: dict[int, dict] | None = None) -> set[int]:
+    """Generations superseded by a committed tiered merge: every gen listed
+    in a committed marker's ``folds``. Their segment dirs are invisible
+    (live_gens skips them) and removable (cleanup deletes them); their
+    MARKERS stay forever — ``replaces`` lists still feed tombstone
+    thresholds and ``_next_gen`` monotonicity."""
+    if markers is None:
+        markers = _committed_markers(index_dir)
+    out: set[int] = set()
+    for info in markers.values():
+        out.update(int(g) for g in info.get("folds", ()))
+    return out
+
+
+def live_gens(
+    index_dir: str,
+    names: list[str],
+    folded: set[int] | None = None,
+    committed: set[int] | None = None,
+) -> list[str]:
+    """Visible segment dirs for one (shard, bucket): the base plus delta
+    generations that are (a) committed (gen marker landed), (b) not yet
+    folded into the base (``merged_through_gen`` in the base manifest) and
+    (c) not folded into a committed tiered merge. Callers iterating many
+    pairs should pass ``folded=folded_gens(index_dir)`` once — computing it
+    re-reads every commit marker. Readers racing a live writer should pass
+    BOTH ``folded`` and ``committed`` from one marker snapshot (see
+    ShardScorer._load) so visibility decisions are mutually consistent."""
+    merged_through = -1
+    base = [n for n in names if "_g" not in n]
+    if base:
+        mpath = os.path.join(index_dir, SEGMENTS, base[0], "manifest.json")
+        try:
+            with open(mpath) as f:
+                merged_through = json.load(f).get("merged_through_gen", -1)
+        except (OSError, ValueError):
+            pass
+    if committed is None:
+        committed = committed_gens(index_dir)
+    if folded is None:
+        folded = folded_gens(index_dir)
+    out = list(base)
+    for n in names:
+        m = re.search(r"_g(\d+)$", n)
+        if (
+            m
+            and int(m.group(1)) > merged_through
+            and int(m.group(1)) in committed
+            and int(m.group(1)) not in folded
+        ):
+            out.append(n)
+    return out
+
+
+def _read_tombstone_file(index_dir: str) -> dict[int, int]:
+    path = os.path.join(index_dir, GLOBAL, "tombstones.json")
+    if not os.path.exists(path):
+        return {}
+    with open(path) as f:
+        raw = json.load(f)
+    if isinstance(raw, list):  # legacy format: plain dead-forever ids
+        return {int(d): _DELETE_FOREVER for d in raw}
+    return {int(k): int(v) for k, v in raw.items()}
+
+
+def load_tombstone_thresholds(
+    index_dir: str, markers: dict[int, dict] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted doc ids, aligned masked_below_gen) merged from the explicit
+    tombstone file and the committed generations' ``replaces`` lists."""
+    thr = _read_tombstone_file(index_dir)
+    if markers is None:
+        markers = _committed_markers(index_dir)
+    for gen, info in markers.items():
+        for d in info.get("replaces", ()):
+            thr[int(d)] = max(thr.get(int(d), 0), gen)
+    if not thr:
+        e = np.empty(0, dtype=np.int64)
+        return e, e
+    ids = np.array(sorted(thr), dtype=np.int64)
+    return ids, np.array([thr[int(i)] for i in ids], dtype=np.int64)
+
+
+def segment_gen(index_dir: str, name: str) -> int:
+    """VISIBILITY generation of a segment: a delta's own marker gen (from
+    the dir name), or for a base segment the highest gen folded into it
+    (0 for a virgin base). Drives live_gens / merged_through bookkeeping —
+    use :func:`segment_mask_gen` when deciding which tombstone thresholds
+    apply to the segment's postings."""
+    m = re.search(r"_g(\d+)$", name)
+    if m:
+        return int(m.group(1))
+    mpath = os.path.join(index_dir, SEGMENTS, name, "manifest.json")
+    try:
+        with open(mpath) as f:
+            return max(0, int(json.load(f).get("merged_through_gen", 0)))
+    except (OSError, ValueError):
+        return 0
+
+
+def segment_mask_gen(index_dir: str, name: str) -> int:
+    """MASK generation of a segment: postings read from it are masked iff
+    ``tombstone_threshold > mask_gen``. Equal to the visibility gen except
+    for tiered-merge output, whose manifest records ``mask_gen`` = the
+    highest SOURCE generation folded in: the combined dir carries a fresh
+    marker gen M, but its postings were expunged with the per-source masks
+    known at merge time, so only thresholds ABOVE the sources may still
+    apply — and a delete racing the merge always lands with threshold
+    > max(source gens), so it is never skipped."""
+    mpath = os.path.join(index_dir, SEGMENTS, name, "manifest.json")
+    try:
+        with open(mpath) as f:
+            m = json.load(f)
+        if "mask_gen" in m:
+            return int(m["mask_gen"])
+    except (OSError, ValueError):
+        pass
+    return segment_gen(index_dir, name)
+
+
+def open_segment(index_dir: str, name: str):
+    """SegmentReader over an arbitrary segment dir name (base or delta)."""
+    return SegmentReader(index_dir, name=name)
+
+
+def _docs_columns(docs_dir: str) -> list[str]:
+    """Column names of the forward doc table (sniffs one fragment)."""
+    for root, _dirs, files in os.walk(docs_dir):
+        for f in sorted(files):
+            if f.endswith(".parquet"):
+                return pq.ParquetFile(os.path.join(root, f)).schema_arrow.names
+    return []

@@ -46,46 +46,29 @@ from .build import write_segments
 from .locking import locked_on
 from .segments import GLOBAL, SEGMENTS, segment_name, write_segment
 from .segments import _parquet_files, _parquet_rows, read_stats, write_stats
-
-_GEN_RE = re.compile(r"^s(\d+)_b(\d+)(?:_g(\d+))?$")
+# the read-side helpers live in segments.py (a query worker imports them
+# without this module's Ray Data and pandas imports); re-exported here
+from .segments import (  # noqa: F401
+    _DELETE_FOREVER,
+    _GEN_RE,
+    _committed_markers,
+    _docs_columns,
+    _gen_marker_dir,
+    _read_tombstone_file,
+    committed_gens,
+    folded_gens,
+    list_segment_generations,
+    live_gens,
+    load_tombstone_thresholds,
+    open_segment,
+    segment_gen,
+    segment_mask_gen,
+)
 
 # deltas at or below this row count tokenize on the driver (no Ray Data
 # pass — its fixed cost dwarfs the work and dominates NRT ingestion
 # latency); larger deltas stream through write_segments' staged exchange
 _SMALL_DELTA_ROWS = 50_000
-
-
-def list_segment_generations(index_dir: str) -> dict[tuple[int, int], list[str]]:
-    """(shard, bucket) -> [dir names, base first then gens ascending]."""
-    root = os.path.join(index_dir, SEGMENTS)
-    out: dict[tuple[int, int], list[str]] = {}
-    if not os.path.isdir(root):
-        return out
-    for name in sorted(os.listdir(root)):
-        m = _GEN_RE.match(name)
-        if not m:
-            continue
-        if not os.path.exists(os.path.join(root, name, "manifest.json")):
-            continue
-        key = (int(m.group(1)), int(m.group(2)))
-        out.setdefault(key, []).append(name)
-    return out
-
-
-def _gen_marker_dir(index_dir: str) -> str:
-    return os.path.join(index_dir, GLOBAL, "gens")
-
-
-def committed_gens(index_dir: str) -> set[int]:
-    d = _gen_marker_dir(index_dir)
-    if not os.path.isdir(d):
-        return set()
-    out = set()
-    for name in os.listdir(d):
-        m = re.match(r"^g(\d+)\.json$", name)
-        if m:
-            out.add(int(m.group(1)))
-    return out
 
 
 def _commit_gen(index_dir: str, gen: int, info: dict) -> None:
@@ -130,46 +113,6 @@ def _cleanup_uncommitted_gens(index_dir: str) -> bool:
                 shutil.rmtree(os.path.join(docs_dir, name), ignore_errors=True)
                 removed = True
     return removed
-
-
-def live_gens(
-    index_dir: str,
-    names: list[str],
-    folded: set[int] | None = None,
-    committed: set[int] | None = None,
-) -> list[str]:
-    """Visible segment dirs for one (shard, bucket): the base plus delta
-    generations that are (a) committed (gen marker landed), (b) not yet
-    folded into the base (``merged_through_gen`` in the base manifest) and
-    (c) not folded into a committed tiered merge. Callers iterating many
-    pairs should pass ``folded=folded_gens(index_dir)`` once — computing it
-    re-reads every commit marker. Readers racing a live writer should pass
-    BOTH ``folded`` and ``committed`` from one marker snapshot (see
-    ShardScorer._load) so visibility decisions are mutually consistent."""
-    merged_through = -1
-    base = [n for n in names if "_g" not in n]
-    if base:
-        mpath = os.path.join(index_dir, SEGMENTS, base[0], "manifest.json")
-        try:
-            with open(mpath) as f:
-                merged_through = json.load(f).get("merged_through_gen", -1)
-        except (OSError, ValueError):
-            pass
-    if committed is None:
-        committed = committed_gens(index_dir)
-    if folded is None:
-        folded = folded_gens(index_dir)
-    out = list(base)
-    for n in names:
-        m = re.search(r"_g(\d+)$", n)
-        if (
-            m
-            and int(m.group(1)) > merged_through
-            and int(m.group(1)) in committed
-            and int(m.group(1)) not in folded
-        ):
-            out.append(n)
-    return out
 
 
 def _next_gen(index_dir: str) -> int:
@@ -371,15 +314,6 @@ def add_documents(
     )
     write_stats(index_dir, new_stats)
     return new_stats
-
-
-def _docs_columns(docs_dir: str) -> list[str]:
-    """Column names of the forward doc table (sniffs one fragment)."""
-    for root, _dirs, files in os.walk(docs_dir):
-        for f in sorted(files):
-            if f.endswith(".parquet"):
-                return pq.ParquetFile(os.path.join(root, f)).schema_arrow.names
-    return []
 
 
 def repair_stats(index_dir: str) -> dict:
@@ -630,13 +564,6 @@ def _rewrite_pairs(index_dir, work, tombs, concurrency, fold=None) -> list[dict]
 
 def _load_tombs(index_dir: str) -> tuple[np.ndarray, np.ndarray, int]:
     return (*load_tombstone_thresholds(index_dir), read_stats(index_dir)["n_shards"])
-
-
-def open_segment(index_dir: str, name: str):
-    """SegmentReader over an arbitrary segment dir name (base or delta)."""
-    from .segments import SegmentReader
-
-    return SegmentReader(index_dir, name=name)
 
 
 @locked_on("index_dir")
@@ -1098,9 +1025,6 @@ def maintain(
 #   new generation's COMMIT MARKER (threshold = that generation), so the old
 #   version is masked atomically with the new version becoming visible.
 
-_DELETE_FOREVER = 1 << 60  # legacy list-format tombstones: masked at any gen
-
-
 @locked_on("index_dir")
 def delete_documents(index_dir: str, doc_ids) -> int:
     """Tombstone doc ids. Lucene-delete semantics: masked from results at
@@ -1133,52 +1057,6 @@ def delete_by_query(index_dir: str, text: str, mode: str = "and") -> int:
     if len(ids):
         delete_documents(index_dir, ids.tolist())
     return int(len(ids))
-
-
-def _read_tombstone_file(index_dir: str) -> dict[int, int]:
-    path = os.path.join(index_dir, GLOBAL, "tombstones.json")
-    if not os.path.exists(path):
-        return {}
-    with open(path) as f:
-        raw = json.load(f)
-    if isinstance(raw, list):  # legacy format: plain dead-forever ids
-        return {int(d): _DELETE_FOREVER for d in raw}
-    return {int(k): int(v) for k, v in raw.items()}
-
-
-def _committed_markers(index_dir: str) -> dict[int, dict]:
-    d = _gen_marker_dir(index_dir)
-    out: dict[int, dict] = {}
-    if not os.path.isdir(d):
-        return out
-    for name in os.listdir(d):
-        m = re.match(r"^g(\d+)\.json$", name)
-        if not m:
-            continue
-        try:
-            with open(os.path.join(d, name)) as f:
-                out[int(m.group(1))] = json.load(f)
-        except (OSError, ValueError):
-            out[int(m.group(1))] = {}
-    return out
-
-
-def load_tombstone_thresholds(
-    index_dir: str, markers: dict[int, dict] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted doc ids, aligned masked_below_gen) merged from the explicit
-    tombstone file and the committed generations' ``replaces`` lists."""
-    thr = _read_tombstone_file(index_dir)
-    if markers is None:
-        markers = _committed_markers(index_dir)
-    for gen, info in markers.items():
-        for d in info.get("replaces", ()):
-            thr[int(d)] = max(thr.get(int(d), 0), gen)
-    if not thr:
-        e = np.empty(0, dtype=np.int64)
-        return e, e
-    ids = np.array(sorted(thr), dtype=np.int64)
-    return ids, np.array([thr[int(i)] for i in ids], dtype=np.int64)
 
 
 def load_tombstones(index_dir: str) -> np.ndarray:
@@ -1240,58 +1118,6 @@ def segment_needs_expunge(
     if not sig:
         return False
     return sig != segment_expunged_sig(index_dir, name)
-
-
-def segment_gen(index_dir: str, name: str) -> int:
-    """VISIBILITY generation of a segment: a delta's own marker gen (from
-    the dir name), or for a base segment the highest gen folded into it
-    (0 for a virgin base). Drives live_gens / merged_through bookkeeping —
-    use :func:`segment_mask_gen` when deciding which tombstone thresholds
-    apply to the segment's postings."""
-    m = re.search(r"_g(\d+)$", name)
-    if m:
-        return int(m.group(1))
-    mpath = os.path.join(index_dir, SEGMENTS, name, "manifest.json")
-    try:
-        with open(mpath) as f:
-            return max(0, int(json.load(f).get("merged_through_gen", 0)))
-    except (OSError, ValueError):
-        return 0
-
-
-def segment_mask_gen(index_dir: str, name: str) -> int:
-    """MASK generation of a segment: postings read from it are masked iff
-    ``tombstone_threshold > mask_gen``. Equal to the visibility gen except
-    for tiered-merge output, whose manifest records ``mask_gen`` = the
-    highest SOURCE generation folded in: the combined dir carries a fresh
-    marker gen M, but its postings were expunged with the per-source masks
-    known at merge time, so only thresholds ABOVE the sources may still
-    apply — and a delete racing the merge always lands with threshold
-    > max(source gens), so it is never skipped."""
-    mpath = os.path.join(index_dir, SEGMENTS, name, "manifest.json")
-    try:
-        with open(mpath) as f:
-            m = json.load(f)
-        if "mask_gen" in m:
-            return int(m["mask_gen"])
-    except (OSError, ValueError):
-        pass
-    return segment_gen(index_dir, name)
-
-
-def folded_gens(index_dir: str,
-                markers: dict[int, dict] | None = None) -> set[int]:
-    """Generations superseded by a committed tiered merge: every gen listed
-    in a committed marker's ``folds``. Their segment dirs are invisible
-    (live_gens skips them) and removable (cleanup deletes them); their
-    MARKERS stay forever — ``replaces`` lists still feed tombstone
-    thresholds and ``_next_gen`` monotonicity."""
-    if markers is None:
-        markers = _committed_markers(index_dir)
-    out: set[int] = set()
-    for info in markers.values():
-        out.update(int(g) for g in info.get("folds", ()))
-    return out
 
 
 def update_fields(index_dir: str, updates: pd.DataFrame) -> dict:

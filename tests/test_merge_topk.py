@@ -12,16 +12,14 @@ SCHEMA = pa.schema([("query_id", pa.int64()), ("rank", pa.int64()),
                     ("doc_id", pa.int64()), ("score", pa.float64())])
 
 
-def _part(q, d, s) -> pa.Table:
-    return pa.table({"query_id": pa.array(q, pa.int64()),
-                     "doc_id": pa.array(d, pa.int64()),
-                     "score": pa.array(s, pa.float64())})
+def _part(q, d, s) -> tuple:
+    """One shard's partial, as ``ShardWorker.score`` returns it."""
+    return (np.asarray(q, np.int64), np.asarray(d, np.int64),
+            np.asarray(s, np.float64))
 
 
 def _reference(live: dict, parts: list) -> list[tuple]:
-    rows = [r for p in parts for r in zip(p["query_id"].to_pylist(),
-                                          p["doc_id"].to_pylist(),
-                                          p["score"].to_pylist())]
+    rows = [r for p in parts for r in zip(*(c.tolist() for c in p))]
     out = []
     for qid in sorted(live):
         k = live[qid][0]

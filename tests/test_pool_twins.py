@@ -1,0 +1,343 @@
+"""A new QueryPool answers before its actor processes are up: an in-process
+twin (a ``ShardWorker`` over the same share of shards) scores each share
+until its actor is ready, then hands over.
+
+Pinned here: twins and actors give bit-identical answers (equal to the
+``LocalSearcher`` path and to ``oracle.OracleIndex``); a handover never
+mixes two index states; actor death, shutdown and failed opens leave no
+live actor; and a query worker imports neither Ray Data nor pandas.
+"""
+
+import os
+import pickle
+import subprocess
+import sys
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.dataset as pads
+import pyarrow.parquet as pq
+import pytest
+
+from archivesspace_virgo_ray.corpus import generate_corpus
+from archivesspace_virgo_ray.functions.hashing import doc_id_from_key
+from archivesspace_virgo_ray.functions.tokenize import tokenize_text
+from archivesspace_virgo_ray.index import query
+from archivesspace_virgo_ray.index.build import BuildConfig, build_index
+from archivesspace_virgo_ray.index.query import (
+    LocalSearcher,
+    QueryPool,
+    _merge_topk_parts,
+    _plan_batch,
+    get_pool,
+    shutdown_pools,
+)
+from archivesspace_virgo_ray.index.update import add_documents
+from archivesspace_virgo_ray.oracle import OracleIndex
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WHERE = pads.field("lang") == "en"
+
+
+@pytest.fixture(scope="module")
+def corpus(sf_dir):
+    return pq.read_table(os.path.join(sf_dir, "documents.parquet"),
+                         columns=["doc_id", "text", "lang"])
+
+
+@pytest.fixture(scope="module")
+def idx(tmp_path_factory, ray_session, sf_dir):
+    out = str(tmp_path_factory.mktemp("twins") / "idx")
+    build_index(os.path.join(sf_dir, "documents.parquet"), out,
+                BuildConfig(n_shards=4, n_buckets=4, text_col="text",
+                            id_col="doc_id", meta_cols=("lang",)),
+                resume=False)
+    return out
+
+
+def _batch() -> pa.Table:
+    """Plain, NOT, min_match, zero-hit and cursor rows in one table."""
+    texts = ["the data model", "filter scan join", "sort merge table",
+             "a", "key order", "zzzz nothing", "row data query",
+             "window stream customer"]
+    nots = [None, "scan", None, None, "sort", None, None, "stream"]
+    mms = [None, None, 2, None, None, None, 3, None]
+    return pa.table({
+        "query_id": pa.array(np.arange(len(texts)) * 7 + 3, pa.int64()),
+        "text": pa.array(texts, pa.string()),
+        "k": pa.array([5, 10, 3, 7, 20, 4, 6, 8], pa.int32()),
+        "not_text": pa.array(nots, pa.string()),
+        "min_match": pa.array(mms, pa.int32()),
+    })
+
+
+def _with_cursor(tbl: pa.Table, local: pa.Table) -> pa.Table:
+    """``tbl`` plus cursor columns: row 0 resumes after its 2nd answer."""
+    first = local.filter(pa.compute.equal(local["query_id"],
+                                          tbl["query_id"][0]))
+    cs = [None] * tbl.num_rows
+    cd = [None] * tbl.num_rows
+    cs[0] = round(first["score"][1].as_py(), 6)
+    cd[0] = first["doc_id"][1].as_py()
+    return (tbl.append_column("cursor_score", pa.array(cs, pa.float64()))
+               .append_column("cursor_doc", pa.array(cd, pa.int64())))
+
+
+def _local(index_dir: str, tbl: pa.Table, where=None, require_all=False):
+    """The ``LocalSearcher`` path: plan, one in-process score, merge."""
+    ls = LocalSearcher(index_dir)
+    plan = _plan_batch(ls.store, tbl)
+    part, _done = ls.worker.score(plan, where, require_all)
+    return _merge_topk_parts(plan.queries, [part])
+
+
+def _oracle(corpus: pa.Table, tbl: pa.Table, where=None,
+            require_all=False) -> pa.Table:
+    """The unbounded ``OracleIndex`` ranking of each row, restricted as the
+    engine restricts it (filter, AND, NOT, mm, cursor), then cut to k."""
+    ids = corpus["doc_id"].to_pylist()
+    texts = corpus["text"].to_pylist()
+    toks = {d: set(tokenize_text(t)) for d, t in zip(ids, texts)}
+    allowed = None
+    if where is not None:
+        allowed = {d for d, lang in zip(ids, corpus["lang"].to_pylist())
+                   if lang == "en"}
+    oracle = OracleIndex(ids, texts)
+    cols = set(tbl.column_names)
+    rows = {"query_id": [], "rank": [], "doc_id": [], "score": []}
+    for i, (qid, text, k) in enumerate(zip(tbl["query_id"].to_pylist(),
+                                           tbl["text"].to_pylist(),
+                                           tbl["k"].to_pylist())):
+        terms = set(tokenize_text(text))
+        neg = set(tokenize_text(tbl["not_text"][i].as_py() or ""))
+        mm = tbl["min_match"][i].as_py() or 0
+        cs = tbl["cursor_score"][i].as_py() if "cursor_score" in cols else None
+        cd = tbl["cursor_doc"][i].as_py() if "cursor_doc" in cols else None
+        kept = []
+        for d, s in oracle.score_query(text, len(ids)):
+            if allowed is not None and d not in allowed:
+                continue
+            if require_all and not terms <= toks[d]:
+                continue
+            if neg & toks[d] or (mm > 1 and len(terms & toks[d]) < mm):
+                continue
+            if cs is not None and not (round(s, 6) < cs
+                                       or (round(s, 6) == cs and d > cd)):
+                continue
+            kept.append((d, s))
+        for r, (d, s) in enumerate(kept[:k], 1):
+            rows["query_id"].append(qid)
+            rows["rank"].append(r)
+            rows["doc_id"].append(d)
+            rows["score"].append(s)
+    return pa.table({"query_id": pa.array(rows["query_id"], pa.int64()),
+                     "rank": pa.array(rows["rank"], pa.int64()),
+                     "doc_id": pa.array(rows["doc_id"], pa.int64()),
+                     "score": pa.array(rows["score"], pa.float64())})
+
+
+def _assert_same(got: pa.Table, want: pa.Table) -> None:
+    for c in ("query_id", "rank", "doc_id"):
+        assert got[c].to_pylist() == want[c].to_pylist(), c
+    assert np.array_equal(
+        np.asarray(got["score"].to_pylist(), np.float64).view(np.int64),
+        np.asarray(want["score"].to_pylist(), np.float64).view(np.int64))
+
+
+def test_twins_and_actors_answer_alike(idx, corpus, monkeypatch):
+    """The same batches once through the twins (handover held) and once
+    through the actors: bit-identical, equal to LocalSearcher and the
+    oracle; after the handover the pool holds no twin."""
+    base = _batch()
+    tbl = _with_cursor(base, _local(idx, base))
+    cases = [(tbl, None, False), (tbl, WHERE, False),
+             (base, None, True), (base, WHERE, True)]
+    pool = QueryPool(idx, n_actors=2)
+    try:
+        monkeypatch.setattr(QueryPool, "_hand_over", lambda self: None)
+        via_twins = [pool.topk_collect(pool.topk_submit(t, w, ra))
+                     for t, w, ra in cases]
+        assert sorted(pool._twins) == [0, 1]
+        monkeypatch.undo()
+        pool.wait_ready()
+        via_actors = [pool.topk_collect(pool.topk_submit(t, w, ra))
+                      for t, w, ra in cases]
+        assert not pool._twins, "a twin outlived the handover"
+        for (t, w, ra), a, b in zip(cases, via_twins, via_actors):
+            assert a.num_rows > 0
+            assert a.equals(b)
+            _assert_same(a, _local(idx, t, w, ra))
+            _assert_same(a, _oracle(corpus, t, w, ra))
+    finally:
+        pool.shutdown()
+
+
+def test_get_pool_does_not_wait_for_actors(idx, monkeypatch):
+    shutdown_pools()
+
+    def no_wait(self):
+        raise AssertionError("get_pool waited for the actors")
+
+    monkeypatch.setattr(QueryPool, "wait_ready", no_wait)
+    pool = get_pool(idx)
+    try:
+        assert pool._twins
+        monkeypatch.undo()
+        got = pool.topk(_batch())
+        _assert_same(got, _local(idx, _batch()))
+    finally:
+        shutdown_pools()
+
+
+def test_add_during_startup_never_hands_over_to_mixed_state(tmp_path,
+                                                            ray_session):
+    """An add that commits after the twins loaded but before the actors
+    are ready: the pool keeps answering from the twins' state (the actors
+    may have loaded either state, or one each); the next get_pool
+    refreshes and its answers include the add."""
+    full = generate_corpus(260, seed=41)
+    src = tmp_path / "corp"
+    src.mkdir()
+    pq.write_table(full.slice(0, 200), str(src / "base.parquet"))
+    pq.write_table(full.slice(200, 60), str(src / "d1.parquet"))
+    index_dir = str(tmp_path / "idx")
+    cfg = BuildConfig(n_shards=2, n_buckets=4, batch_size=128)
+    build_index(str(src / "base.parquet"), index_dir, cfg, resume=False)
+    ids = doc_id_from_key(full["repo"].to_pylist(), full["path"].to_pylist(),
+                          full["commit"].to_pylist()).tolist()
+    texts = full["content"].to_pylist()
+    q = pa.table({"query_id": pa.array([0, 1], pa.int64()),
+                  "text": pa.array(["def return", "self import"]),
+                  "k": pa.array([10, 10], pa.int32())})
+
+    def expect(n):
+        oracle = OracleIndex(ids[:n], texts[:n])
+        return [d for t in ("def return", "self import")
+                for d, _s in oracle.score_query(t, 10)]
+
+    shutdown_pools()
+    try:
+        pool = get_pool(index_dir)
+        add_documents(str(src / "d1.parquet"), index_dir, cfg)
+        pool.wait_ready()
+        assert pool.topk(q)["doc_id"].to_pylist() == expect(200)
+        assert sorted(pool._twins) == [0, 1], "handed over across a commit"
+        pool2 = get_pool(index_dir)
+        assert pool2 is pool and not pool._twins
+        assert pool2.topk(q)["doc_id"].to_pylist() == expect(260)
+    finally:
+        shutdown_pools()
+
+
+def test_shutdown_while_actors_start_leaves_no_actor(idx):
+    import ray
+
+    shutdown_pools()
+    pool = get_pool(idx)
+    handles = list(pool.actors)
+    assert handles and pool._twins
+    shutdown_pools()
+    for h in handles:
+        with pytest.raises(ray.exceptions.RayActorError):
+            ray.get(h.ping.remote(), timeout=120)
+
+
+def test_failed_refresh_shuts_the_pool_down(tmp_path, ray_session, sf_dir):
+    """A get_pool whose refresh raises (unreadable stats) must not leave
+    the pool's actors running outside the cache."""
+    import json
+
+    import ray
+
+    index_dir = str(tmp_path / "idx")
+    build_index(os.path.join(sf_dir, "documents.parquet"), index_dir,
+                BuildConfig(n_shards=2, n_buckets=2, text_col="text",
+                            id_col="doc_id", meta_cols=()), resume=False)
+    pool = get_pool(index_dir)
+    pool.wait_ready()
+    handles = list(pool.actors)
+    with open(os.path.join(index_dir, "_global", "stats.json"), "w") as f:
+        f.write("{not json")
+    with pytest.raises(json.JSONDecodeError):
+        get_pool(index_dir)
+    for h in handles:
+        with pytest.raises(ray.exceptions.RayActorError):
+            ray.get(h.ping.remote(), timeout=120)
+    shutdown_pools()
+
+
+def test_failed_twin_load_shuts_the_actors_down(idx, monkeypatch):
+    import ray
+
+    shutdown_pools()
+    spawned = []
+    real_spawn = QueryPool._spawn
+
+    def spy(self):
+        real_spawn(self)
+        spawned.extend(self.actors)
+
+    def boom(*args, **kwargs):
+        raise OSError("twin load failed")
+
+    monkeypatch.setattr(QueryPool, "_spawn", spy)
+    # driver-side only: the actors import the real module
+    monkeypatch.setattr(query, "ShardScorer", boom)
+    with pytest.raises(OSError, match="twin load failed"):
+        get_pool(idx)
+    assert spawned
+    for h in spawned:
+        with pytest.raises(ray.exceptions.RayActorError):
+            ray.get(h.ping.remote(), timeout=120)
+    assert idx not in query._POOLS
+    monkeypatch.undo()
+    pool = get_pool(idx)  # the actors never saw the driver-side patch
+    try:
+        pool.wait_ready()
+        _assert_same(pool.topk(_batch()), _local(idx, _batch()))
+        assert not pool._twins
+    finally:
+        shutdown_pools()
+
+
+def test_query_worker_imports_neither_ray_data_nor_pandas(idx, tmp_path):
+    """Building a ShardWorker and scoring a BM25 plan (what a pool actor
+    does before it serves) must not import Ray Data or pandas: each costs
+    an actor hundreds of milliseconds of start-up."""
+    ls = LocalSearcher(idx)
+    plan = _plan_batch(ls.store, _batch())
+    want, _ = ls.worker.score(plan)
+    plan_path = str(tmp_path / "plan.pkl")
+    with open(plan_path, "wb") as f:
+        pickle.dump(plan, f)
+    script = (
+        "import pickle, sys\n"
+        "from archivesspace_virgo_ray.index.query import ShardWorker\n"
+        f"w = ShardWorker({idx!r})\n"
+        f"(q, d, s), done = w.score(pickle.load(open({plan_path!r}, 'rb')))\n"
+        "print(len(d), sorted(m for m in ('pandas', 'ray.data')"
+        " if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=REPO)
+    out = subprocess.run([sys.executable, "-c", script], env=env, cwd=REPO,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == [str(len(want[1])), "[]"]
+
+
+def test_column_numpy_and_numpy_table_round_trip():
+    """The buffer-level Arrow <-> numpy helpers a query worker uses instead
+    of ``to_numpy``/``pa.array``: sliced and multi-chunk columns, floats,
+    and the null/bool fallback."""
+    from archivesspace_virgo_ray.index.segments import column_numpy, numpy_table
+
+    col = pa.chunked_array([pa.array([1, 2, 3], pa.int32()).slice(1),
+                            pa.array([7], pa.int32())])
+    got = column_numpy(col)
+    assert got.dtype == np.int32 and got.tolist() == [2, 3, 7]
+    assert column_numpy(pa.array([0.5, 1.5, 2.5]).slice(1)).tolist() == [1.5, 2.5]
+    assert column_numpy(pa.chunked_array([], pa.int64())).dtype == np.int64
+    assert column_numpy(pa.array([True, False])).tolist() == [True, False]
+    assert np.isnan(column_numpy(pa.array([1, None]))[1])
+    t = numpy_table({"a": np.arange(3), "b": np.array([0.5, 1.5, 2.5])[::-1]})
+    assert t.schema == pa.schema([("a", pa.int64()), ("b", pa.float64())])
+    assert t["b"].to_pylist() == [2.5, 1.5, 0.5]

@@ -190,6 +190,30 @@ def test_query_pool_survives_actor_death(doc_index):
     after = pool.topk(q).to_pandas()  # respawn + retry path
     assert after.equals(before)
 
+    # the same while the killed actor's in-process twin still serves its
+    # share: the twin keeps answering, and once the actor's readiness
+    # resolves (as an error) the next batch goes through the respawn path.
+    # Fresh query ids keep these batches out of the result cache.
+    from archivesspace_virgo_ray.index.query import QueryPool
+
+    fresh = QueryPool(doc_index, n_actors=2)
+    try:
+        assert sorted(fresh._twins) == [0, 1]
+        killed = fresh.actors[0]
+        ray.kill(killed)
+        q1 = q.set_column(0, "query_id", pa.array([1], pa.int64()))
+        got = fresh.topk(q1).to_pandas()
+        assert got.drop(columns="query_id").equals(
+            before.drop(columns="query_id"))
+        ray.wait([fresh._ready[0]], timeout=120)
+        q2 = q.set_column(0, "query_id", pa.array([2], pa.int64()))
+        got = fresh.topk(q2).to_pandas()
+        assert got.drop(columns="query_id").equals(
+            before.drop(columns="query_id"))
+        assert fresh.actors[0] is not killed and not fresh._twins
+    finally:
+        fresh.shutdown()
+
 
 def test_pool_results_invariant_across_actor_count(doc_index):
     """W4 invariance at the pool level: shard→actor assignment is invisible
