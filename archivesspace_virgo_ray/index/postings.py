@@ -365,6 +365,16 @@ def encode_posting_list(
                      "dl_map": np.asarray(dls, dtype=np.int64)}
 
 
+def decode_term(payload, n: int, doc_map: np.ndarray, dl_map: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A whole term's ``n`` postings -> (doc_ids, tfs, dls): one varbyte
+    decode of its payload (every ordinal delta, then every tf) and one
+    cumsum, then the two doc-table gathers."""
+    vals = varbyte_decode(payload, 2 * n).view(np.int64)
+    ords = np.cumsum(vals[:n])
+    return doc_map[ords], vals[n:], dl_map[ords]
+
+
 def decode_posting_list(
     payload: bytes | memoryview,
     block_table: dict[str, np.ndarray],
@@ -387,10 +397,7 @@ def decode_posting_list(
     doc_map = block_table["doc_map"]
     buf = np.frombuffer(payload, dtype=np.uint8)
     if block_mask is None:
-        total = int(bn.sum())
-        vals = varbyte_decode(buf, 2 * total).view(np.int64)
-        ords = np.cumsum(vals[:total])
-        return doc_map[ords], vals[total:], block_table["dl_map"][ords]
+        return decode_term(buf, int(bn.sum()), doc_map, block_table["dl_map"])
     sel = np.flatnonzero(block_mask)
     if len(sel) == 0:
         e = np.empty(0, dtype=np.int64)

@@ -48,7 +48,6 @@ from .segments import (
     numpy_table,
     open_segment,
     read_stats,
-    segment_mask_gen,
 )
 
 
@@ -375,23 +374,30 @@ class ShardScorer:
                 mt = 0
             r = self._reader_cache_in.get((n, mt))
             if r is None:
-                r = open_segment(index_dir, n)
+                try:
+                    r = open_segment(index_dir, n)
+                except FileNotFoundError as e:
+                    # a publish replaced or a merge removed the dir
+                    raise _StaleIndexRead(index_dir) from e
             self.reader_cache[(n, mt)] = r
             return r
 
-        # bucket -> [(gen, reader) per live generation, base first]
+        # bucket -> [(mask gen, reader) per live generation, base first]
         self.reader_cache: dict = {}  # handed to the NEXT scorer on refresh
         self.readers: dict[int, list] = {}
+        self._runs: dict[tuple[int, str], tuple | None] = {}  # _delta_run memo
         for (s, b), names in gens.items():
             if s != shard or (buckets is not None and b not in buckets):
                 continue
-            self.readers[b] = [
-                # mask gen, not visibility gen: a tiered-merge combined
-                # segment reads its tombstone thresholds at max(source gens)
-                (segment_mask_gen(index_dir, n), _open(n))
-                for n in live_gens(index_dir, names, folded=folded,
-                                   committed=committed)
-            ]
+            # the base opens first: the deltas it already holds and its
+            # mask gen come from the manifest of the version it opened
+            # (a tiered-merge output's mask gen is max(source gens))
+            base = [_open(n) for n in names if "_g" not in n]
+            merged = base[0].manifest.get("merged_through_gen", -1) if base else -1
+            deltas = [_open(n) for n in live_gens(
+                index_dir, names, folded=folded, committed=committed,
+                merged_through=merged) if "_g" in n]
+            self.readers[b] = [(r.mask_gen, r) for r in base + deltas]
         # validation read (optimistic concurrency): if a fold committed
         # between our snapshot and the dir listing, its source dirs may
         # have been removed before we listed them while our snapshot still
@@ -408,6 +414,50 @@ class ShardScorer:
             self._gen_masks[gen] = self.tomb_ids[self.tomb_thr > gen]
         m = self._gen_masks[gen]
         return m if len(m) else None
+
+    def _delta_run(self, bucket: int, term: str) -> tuple | None:
+        """One term's postings in every live generation of ``bucket`` after
+        the first (the base, or the oldest delta) as one ``(docs, tfs,
+        dls)`` run, or None if it has none. Each generation is decoded in
+        full and masked with its own ``masked_for_gen`` tombstones, then
+        the runs are concatenated: a (term, doc) posting is live in exactly
+        one generation, so a doc occurs at most once (not in doc order).
+
+        Memoised per (bucket, term) on this scorer, lazily. A refresh
+        builds a new scorer, so a run never outlives the committed state
+        it was read from. Bound: 24 B per posting (three int64 arrays) of
+        each queried term's delta postings, so at most 24 B per posting of
+        the shard's delta generations (plans carry indexed terms only);
+        a bucket's base is never held."""
+        key = (bucket, term)
+        if key not in self._runs:
+            parts = []
+            for gen, reader in self.readers.get(bucket, ())[1:]:
+                post = reader.postings(term)
+                if post is not None:
+                    post = _mask_postings(*post, None, self.masked_for_gen(gen))
+                    if len(post[0]):
+                        parts.append(post)
+            self._runs[key] = (tuple(np.concatenate(c) for c in zip(*parts))
+                               if parts else None)
+        return self._runs[key]
+
+    def term_docs(self, bucket: int, term: str) -> np.ndarray:
+        """Sorted doc ids holding ``term`` in this shard: its postings in
+        the bucket's first generation minus that generation's tombstones,
+        plus its delta run."""
+        chunks = []
+        readers = self.readers.get(bucket, ())
+        post = readers[0][1].postings(term) if readers else None
+        if post is not None:
+            docs = post[0]
+            m = self.masked_for_gen(readers[0][0])
+            chunks.append(docs if m is None
+                          else docs[~np.isin(docs, m, assume_unique=True)])
+        run = self._delta_run(bucket, term) if len(readers) > 1 else None
+        if run is not None:
+            return np.unique(np.concatenate(chunks + [run[0]]))
+        return chunks[0] if chunks else np.empty(0, np.int64)
 
     def score(
         self,
@@ -460,13 +510,10 @@ class ShardScorer:
                 keep = acc_scores + suffix_ub[i] >= theta
                 acc_docs, acc_scores = acc_docs[keep], acc_scores[keep]
             suffix_next = suffix_ub[i] - ubs[i]
-            # a (term, doc) posting is LIVE in exactly ONE generation (older
-            # versions are gen-masked), so iterating generations preserves
-            # one-contribution-per-term-per-doc and the oracle's order
-            for gen, reader in self.readers.get(p.bucket, ()):
-                entry = reader.term_entry(p.term)
-                if entry is None:
-                    continue
+            readers = self.readers.get(p.bucket, ())
+            parts = []
+            entry = readers[0][1].term_entry(p.term) if readers else None
+            if entry is not None:
                 btab = entry["block_table"]
                 mask = None
                 if theta > -np.inf:
@@ -484,23 +531,35 @@ class ShardScorer:
                     lo = np.searchsorted(acc_docs, first, side="left")
                     hi = np.searchsorted(acc_docs, last, side="right")
                     mask = new_doc_possible | (hi > lo)
-                    if not mask.any():
-                        continue
-                docs, tfs, dls = decode_posting_list(entry["payload"], btab, mask)
-                docs, tfs, dls = _mask_postings(
-                    docs, tfs, dls, allowed, self.masked_for_gen(gen), blocked
-                )
-                if len(docs) == 0:
-                    continue
-                s = _contrib(p.idf, tfs, dls, avgdl_eff, mu)
-                all_docs = np.concatenate([acc_docs, docs])
-                all_scores = np.concatenate([acc_scores, s])
-                acc_docs, inverse = np.unique(all_docs, return_inverse=True)
-                # bincount accumulates in array order: existing acc value
-                # first, then this term's contribution — oracle's += order.
-                acc_scores = np.bincount(
-                    inverse, weights=all_scores, minlength=len(acc_docs)
-                )
+                if mask is None or mask.any():
+                    docs, tfs, dls = decode_posting_list(
+                        entry["payload"], btab, mask)
+                    parts.append(_mask_postings(
+                        docs, tfs, dls, allowed,
+                        self.masked_for_gen(readers[0][0]), blocked))
+            # every later generation: one memoised, tombstone-masked run,
+            # decoded in full (pruning only ever skips work, so reading
+            # more postings keeps the top-k exact)
+            run = self._delta_run(p.bucket, p.term) if len(readers) > 1 else None
+            if run is not None:
+                parts.append(_mask_postings(*run, allowed, None, blocked))
+            if not parts:
+                continue
+            docs, tfs, dls = (parts[0] if len(parts) == 1 else
+                              (np.concatenate(c) for c in zip(*parts)))
+            if len(docs) == 0:
+                continue
+            # a (term, doc) posting is live in exactly ONE generation, so
+            # each doc occurs once here and gets one contribution per term
+            s = _contrib(p.idf, tfs, dls, avgdl_eff, mu)
+            all_docs = np.concatenate([acc_docs, docs])
+            all_scores = np.concatenate([acc_scores, s])
+            acc_docs, inverse = np.unique(all_docs, return_inverse=True)
+            # bincount accumulates in array order: existing acc value
+            # first, then this term's contribution — oracle's += order.
+            acc_scores = np.bincount(
+                inverse, weights=all_scores, minlength=len(acc_docs)
+            )
         if len(acc_docs) == 0 or k <= 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
         if cursor is not None:
@@ -658,22 +717,7 @@ class ShardWorker:
         generations (deletes / replaced-away versions) are excluded
         per-reader, so a replaced doc matches only via its live version."""
         scorer = self.scorers[shard]
-        sets = []
-        for p in plans:
-            chunks = []
-            for gen, reader in scorer.readers.get(p.bucket, ()):
-                e = reader.term_entry(p.term)
-                if e is None:
-                    continue
-                docs, _, _ = decode_posting_list(e["payload"], e["block_table"])
-                m = scorer.masked_for_gen(gen)
-                if m is not None:
-                    docs = docs[~np.isin(docs, m, assume_unique=True)]
-                if len(docs):
-                    chunks.append(docs)
-            sets.append(
-                np.unique(np.concatenate(chunks)) if chunks else np.empty(0, np.int64)
-            )
+        sets = [scorer.term_docs(p.bucket, p.term) for p in plans]
         if mode == "and":
             if len(plans) < n_query_terms or not sets:
                 return np.empty(0, np.int64)  # an absent term empties an AND
@@ -1872,19 +1916,26 @@ def _index_signature(index_dir: str) -> tuple:
 _POOLS: dict[str, tuple[tuple, "QueryPool"]] = {}
 
 
+# refreshes a reader may spend waiting for the index to hold still: a full
+# merge publishes pair by pair, and a pool racing one needed up to 7
+# (3 let about one solo run of tests/test_concurrent_readers.py in ten
+# serve a read mixing two states across shards)
+_STABLE_ATTEMPTS = 20
+
+
 def _until_stable(index_dir: str, sig: tuple, step) -> tuple:
     """Snapshot-consistent (re)load: run ``step`` (a pool's twins or its
     actors (re)load their state), then re-read the signature — if a writer
     committed DURING the step, different shards may hold different
     committed states, so go again. Returns the signature of the last step.
-    Bounded retries: with a continuously-committing writer the last attempt
-    is still per-shard consistent (each scorer snapshot is atomic), just
-    not cross-shard identical — the steady-state pool self-heals on the
-    next get_pool call anyway."""
-    for attempt in range(3):
+    Bounded retries, so a writer that never pauses cannot stall readers:
+    the last attempt is still per-shard consistent (each scorer snapshot
+    is atomic), just not cross-shard identical — the steady-state pool
+    self-heals on the next get_pool call anyway."""
+    for attempt in range(_STABLE_ATTEMPTS):
         step()
         sig_after = _index_signature(index_dir)
-        if sig_after == sig or attempt == 2:
+        if sig_after == sig or attempt == _STABLE_ATTEMPTS - 1:
             return sig
         sig = sig_after
 
@@ -1987,27 +2038,20 @@ def explain(index_dir: str, text: str, doc_id: int) -> dict:
     store = TermStatsStore(index_dir)
     plans = store.plan_query(text)
     stats = store.stats
-    shard = int(doc_id) % stats["n_shards"]
-    gens = list_segment_generations(index_dir)
-    tomb_ids, tomb_thr = load_tombstone_thresholds(index_dir)
-    pos = np.searchsorted(tomb_ids, int(doc_id))
-    doc_thr = (
-        int(tomb_thr[pos])
-        if pos < len(tomb_ids) and tomb_ids[pos] == int(doc_id)
-        else -1
-    )
+    doc_id = int(doc_id)
+    # the scorer's one-snapshot view: live generations, each masked with
+    # its own tombstones (a replaced or deleted version never counts)
+    scorer = ShardScorer(index_dir, doc_id % stats["n_shards"],
+                         buckets=sorted({p.bucket for p in plans}))
     terms_out = []
     total = 0.0
-    folded = folded_gens(index_dir)
     for p in plans:
-        names = gens.get((shard, p.bucket), [])
-        for name in live_gens(index_dir, names, folded=folded):
-            if segment_mask_gen(index_dir, name) < doc_thr:
-                continue  # this generation of the doc is masked (replaced/deleted)
-            e = open_segment(index_dir, name).term_entry(p.term)
-            if e is None:
+        for gen, reader in scorer.readers.get(p.bucket, ()):
+            post = reader.postings(p.term)
+            if post is None:
                 continue
-            docs, tfs, dls = decode_posting_list(e["payload"], e["block_table"])
+            docs, tfs, dls = _mask_postings(*post, None,
+                                            scorer.masked_for_gen(gen))
             pos = np.searchsorted(docs, doc_id)
             if pos < len(docs) and docs[pos] == doc_id:
                 tf, dl = int(tfs[pos]), int(dls[pos])

@@ -36,6 +36,7 @@ bounded by shard_size × bucket_share.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -47,7 +48,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from .. import PIPELINE_VERSION
-from .postings import decode_doc_table, encode_segment
+from .postings import decode_doc_table, decode_term, encode_segment
 
 SEGMENTS = "segments"
 GLOBAL = "_global"
@@ -265,7 +266,14 @@ class SegmentReader:
     Accepts either (index_dir, shard, bucket) for a base segment or
     (index_dir, name=...) for any segment directory (delta generations).
     Raises ValueError for a segment written under another
-    ``PIPELINE_VERSION``: its posting layout may differ."""
+    ``PIPELINE_VERSION``: its posting layout may differ.
+
+    Every file is opened through ONE directory fd, so a publish that
+    renames a new version of the dir into place between two opens cannot
+    hand the reader files of two versions: the reader holds the version
+    its fd named, or raises FileNotFoundError if that version was deleted
+    meanwhile. ``manifest`` is the manifest of the version read, and
+    ``mask_gen`` its mask generation (see ``segment_mask_gen``)."""
 
     def __init__(
         self,
@@ -274,39 +282,46 @@ class SegmentReader:
         bucket: int | None = None,
         name: str | None = None,
     ):
-        d = (
-            os.path.join(index_dir, SEGMENTS, name)
-            if name is not None
-            else segment_dir(index_dir, shard, bucket)
-        )
-        with open(os.path.join(d, "manifest.json")) as f:
+        self.name = name if name is not None else segment_name(shard, bucket)
+        d = os.path.join(index_dir, SEGMENTS, self.name)
+        dir_fd = os.open(d, os.O_RDONLY | os.O_DIRECTORY)
+        try:
+            self._open_files(d, functools.partial(os.open, dir_fd=dir_fd))
+        finally:
+            os.close(dir_fd)
+
+    def _open_files(self, d: str, opener) -> None:
+        def read(fname: str):
+            return open(fname, "rb", opener=opener)
+
+        with read("manifest.json") as f:
             m = json.load(f)
         if m.get("pipeline_version") != PIPELINE_VERSION:
             raise ValueError(
                 f"segment {d} has pipeline_version "
                 f"{m.get('pipeline_version')!r}, this code reads "
                 f"{PIPELINE_VERSION!r}: rebuild the index")
-        with open(os.path.join(d, "docs.bin"), "rb") as f:
+        self.manifest = m
+        self.mask_gen = _mask_gen_of(self.name, m)
+        with read("docs.bin") as f:
             self.doc_map, self.dl_map = decode_doc_table(f.read(), m["n_docs"])
         # ParquetFile.read, not read_table: read_table loads pyarrow.dataset,
         # which imports pandas (see column_numpy)
-        self.terms = pq.ParquetFile(os.path.join(d, "terms.parquet")).read()
-        btab = pq.ParquetFile(os.path.join(d, "blocks.parquet")).read()
+        with read("terms.parquet") as f:
+            self.terms = pq.ParquetFile(f).read()
+        with read("blocks.parquet") as f:
+            btab = pq.ParquetFile(f).read()
         self.blocks = {name: column_numpy(btab[name])
                        for name in btab.column_names}
-        ppath = os.path.join(d, "postings.bin")
-        self.payload = (
-            np.memmap(ppath, dtype=np.uint8, mode="r")
-            if os.path.getsize(ppath)
-            else np.empty(0, np.uint8)
-        )
-        xpath = os.path.join(d, "positions.bin")
-        self.has_positions = os.path.exists(xpath)
-        self.pos_payload = (
-            np.memmap(xpath, dtype=np.uint8, mode="r")
-            if self.has_positions and os.path.getsize(xpath)
-            else np.empty(0, np.uint8)
-        )
+        with read("postings.bin") as f:
+            self.payload = _mmap_or_empty(f)
+        try:
+            with read("positions.bin") as f:
+                self.pos_payload = _mmap_or_empty(f)
+            self.has_positions = True
+        except FileNotFoundError:
+            self.has_positions = False
+            self.pos_payload = np.empty(0, np.uint8)
         t = self.terms
         self._lookup = {
             term: i for i, term in enumerate(t["term"].to_pylist())
@@ -322,6 +337,18 @@ class SegmentReader:
             self._np["pos_len"] = column_numpy(t["pos_len"])
         else:
             self.has_positions = False
+
+    def postings(self, term: str) -> tuple | None:
+        """One term's whole posting list as (doc_ids, tfs, dls), or None
+        if the segment lacks the term: ``decode_term`` on its payload
+        slice, without building a ``term_entry``."""
+        i = self._lookup.get(term)
+        if i is None:
+            return None
+        off = int(self._np["payload_off"][i])
+        return decode_term(
+            self.payload[off : off + int(self._np["payload_len"][i])],
+            int(self._np["df"][i]), self.doc_map, self.dl_map)
 
     def term_entry(self, term: str) -> dict | None:
         i = self._lookup.get(term)
@@ -342,6 +369,13 @@ class SegmentReader:
         return e
 
 
+def _mmap_or_empty(f) -> np.ndarray:
+    """The open file ``f`` mmapped read-only as uint8 (empty if it is)."""
+    if os.fstat(f.fileno()).st_size:
+        return np.memmap(f, dtype=np.uint8, mode="r")
+    return np.empty(0, np.uint8)
+
+
 def _parquet_files(path: str) -> list[str]:
     """All .parquet files under a file-or-directory path, sorted."""
     if os.path.isfile(path):
@@ -359,11 +393,21 @@ def _parquet_rows(path: str) -> int:
 
 
 def write_stats(index_dir: str, stats: dict) -> None:
+    """Replace ``_global/stats.json`` with ``stats``, unless it already
+    holds exactly them: renaming a fresh file over an existing one makes
+    ext4 flush it (tens of ms), and ``repair_stats`` and ``maintain``
+    rewrite unchanged stats on every commit."""
+    stats = {**stats, "pipeline_version": PIPELINE_VERSION}
+    try:
+        if read_stats(index_dir) == stats:
+            return
+    except (OSError, ValueError):
+        pass
     gdir = os.path.join(index_dir, GLOBAL)
     os.makedirs(gdir, exist_ok=True)
     tmp = os.path.join(gdir, f".stats-{uuid.uuid4().hex[:8]}.json")
     with open(tmp, "w") as f:
-        json.dump({**stats, "pipeline_version": PIPELINE_VERSION}, f)
+        json.dump(stats, f)
     os.replace(tmp, os.path.join(gdir, "stats.json"))
 
 
@@ -448,6 +492,7 @@ def live_gens(
     names: list[str],
     folded: set[int] | None = None,
     committed: set[int] | None = None,
+    merged_through: int | None = None,
 ) -> list[str]:
     """Visible segment dirs for one (shard, bucket): the base plus delta
     generations that are (a) committed (gen marker landed), (b) not yet
@@ -456,16 +501,19 @@ def live_gens(
     pairs should pass ``folded=folded_gens(index_dir)`` once — computing it
     re-reads every commit marker. Readers racing a live writer should pass
     BOTH ``folded`` and ``committed`` from one marker snapshot (see
-    ShardScorer._load) so visibility decisions are mutually consistent."""
-    merged_through = -1
+    ShardScorer._load) so visibility decisions are mutually consistent,
+    and ``merged_through`` from the base manifest they opened, so the
+    deltas they read match the base version they hold."""
     base = [n for n in names if "_g" not in n]
-    if base:
-        mpath = os.path.join(index_dir, SEGMENTS, base[0], "manifest.json")
-        try:
-            with open(mpath) as f:
-                merged_through = json.load(f).get("merged_through_gen", -1)
-        except (OSError, ValueError):
-            pass
+    if merged_through is None:
+        merged_through = -1
+        if base:
+            mpath = os.path.join(index_dir, SEGMENTS, base[0], "manifest.json")
+            try:
+                with open(mpath) as f:
+                    merged_through = json.load(f).get("merged_through_gen", -1)
+            except (OSError, ValueError):
+                pass
     if committed is None:
         committed = committed_gens(index_dir)
     if folded is None:
@@ -537,16 +585,27 @@ def segment_mask_gen(index_dir: str, name: str) -> int:
     marker gen M, but its postings were expunged with the per-source masks
     known at merge time, so only thresholds ABOVE the sources may still
     apply — and a delete racing the merge always lands with threshold
-    > max(source gens), so it is never skipped."""
+    > max(source gens), so it is never skipped. A reader takes it from
+    the manifest it opened (``SegmentReader.mask_gen``)."""
     mpath = os.path.join(index_dir, SEGMENTS, name, "manifest.json")
     try:
         with open(mpath) as f:
             m = json.load(f)
-        if "mask_gen" in m:
-            return int(m["mask_gen"])
     except (OSError, ValueError):
-        pass
-    return segment_gen(index_dir, name)
+        m = {}
+    return _mask_gen_of(name, m)
+
+
+def _mask_gen_of(name: str, manifest: dict) -> int:
+    """``segment_mask_gen`` of dir ``name`` from its ``manifest``: its
+    ``mask_gen``, else a delta's own gen, else a base's highest folded-in
+    gen (``segment_gen``)."""
+    if "mask_gen" in manifest:
+        return int(manifest["mask_gen"])
+    m = re.search(r"_g(\d+)$", name)
+    if m:
+        return int(m.group(1))
+    return max(0, int(manifest.get("merged_through_gen", 0)))
 
 
 def open_segment(index_dir: str, name: str):

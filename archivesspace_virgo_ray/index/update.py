@@ -449,7 +449,6 @@ def _heal_crashed_publish(index_dir: str) -> list[str]:
 
 
 def _read_expunged_triples(
-    index_dir: str,
     readers: dict,
     tomb_ids: np.ndarray,
     tomb_thr: np.ndarray,
@@ -463,10 +462,10 @@ def _read_expunged_triples(
     from .postings import decode_segment, position_bytes_array
 
     frames = []
-    for name, rdr in readers.items():
+    for rdr in readers.values():
         docs, tfs, dls, df, pos = decode_segment(rdr)
         terms = np.repeat(np.asarray(rdr.terms["term"].to_pylist(), dtype=object), df)
-        mask = tomb_ids[tomb_thr > segment_mask_gen(index_dir, name)]
+        mask = tomb_ids[tomb_thr > rdr.mask_gen]
         keep = ~np.isin(docs, mask)
         cols = {"term": terms[keep], "doc_id": docs[keep], "tf": tfs[keep],
                 "dl": dls[keep]}
@@ -510,7 +509,7 @@ def rewrite_segment(index_dir, shard, bucket, names, tombs, fold=None) -> dict:
     # positions carry through iff every source stores them (always true
     # when built/added consistently)
     merge_pos = all(r.has_positions for r in readers.values())
-    triples = _read_expunged_triples(index_dir, readers, tomb_ids, tomb_thr,
+    triples = _read_expunged_triples(readers, tomb_ids, tomb_thr,
                                      merge_pos)
     n_src = sum(int(r.terms["df"].to_numpy().sum()) for r in readers.values())
     out = {"shard": shard, "bucket": bucket, "n_tokens": 0, "n_postings": 0,

@@ -183,3 +183,60 @@ def test_pool_matches_observe_one_state_across_shards(tmp_path, corpus,
         f"{len(bad)}/{len(observed)} pool reads mixed states across shards")
     assert observed[-1] == tuple(matching_doc_ids(twin, SENTINEL,
                                                   mode="or").tolist())
+
+
+def _live_postings(sc: ShardScorer) -> dict:
+    """(bucket, term) -> sorted (doc, tf, dl) of every live posting a
+    scorer holds, tombstones applied per generation."""
+    out: dict = {}
+    for b, readers in sc.readers.items():
+        for gen, reader in readers:
+            mask = sc.masked_for_gen(gen)
+            for term in reader.terms["term"].to_pylist():
+                e = reader.term_entry(term)
+                docs, tfs, dls = decode_posting_list(e["payload"],
+                                                     e["block_table"])
+                keep = slice(None) if mask is None else ~np.isin(docs, mask)
+                out.setdefault((b, term), []).extend(zip(
+                    docs[keep].tolist(), tfs[keep].tolist(), dls[keep].tolist()))
+    return {key: sorted(v) for key, v in out.items() if v}
+
+
+def test_reader_held_between_opens_sees_one_segment_version(
+        tmp_path, corpus, ray_session, monkeypatch):
+    """Deterministic: a reader that has read a segment's doc table is held
+    while a merge republishes that very dir (rename aside, rename in,
+    delete the old copy). It must end up with ONE version of the segment
+    (it retries from a fresh snapshot), never the old doc table with the
+    new term dict and postings."""
+    from archivesspace_virgo_ray.index import segments, update
+
+    src, _victims = corpus
+    idx = str(tmp_path / "idx")
+    build_index(os.path.join(src, "base.parquet"), idx, BuildConfig(**CFG),
+                resume=False)
+    before = ShardScorer(idx, 0, buckets=[0])
+    ids = sorted({int(d) for r in before.readers[0]
+                  for d in r[1].doc_map.tolist()})
+    # deletes in this pair make the merge rewrite its doc table
+    delete_documents(idx, ids[::5])
+    want = _live_postings(ShardScorer(idx, 0, buckets=[0]))
+    name = segments.segment_name(0, 0)
+    real = segments.decode_doc_table
+    fired = []
+
+    def hold_and_publish(buf, n_docs):
+        out = real(buf, n_docs)
+        if not fired:
+            fired.append(True)
+            update.rewrite_segment(idx, 0, 0, [name], update._load_tombs(idx))
+        return out
+
+    monkeypatch.setattr(segments, "decode_doc_table", hold_and_publish)
+    held = ShardScorer(idx, 0, buckets=[0])
+    monkeypatch.undo()
+    assert fired
+    after = ShardScorer(idx, 0, buckets=[0])
+    assert len(after.readers[0][0][1].doc_map) < len(ids)  # expunged
+    assert _live_postings(after) == want
+    assert _live_postings(held) == want

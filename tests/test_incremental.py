@@ -631,3 +631,38 @@ def test_realtime_get_sees_updates_deletes_and_readds(tmp_path, ray_session):
     out = realtime_get(idx, [1, 2, 3], columns=["lang"])
     assert out["doc_id"].tolist() == [1, 2]
     assert out["lang"].tolist() == ["xx", "es"]  # readd's latest version wins
+
+
+def test_add_rewrites_stats_only_when_they_change(tmp_path, ray_session,
+                                                  monkeypatch):
+    """After a clean commit an add's ``repair_stats`` has nothing to heal,
+    so ``_global/stats.json`` keeps its inode and mtime until the add's
+    own stats write (replacing a file costs an ext4 flush)."""
+    from archivesspace_virgo_ray.index import update
+
+    d = tmp_path
+    rows = [(i, f"alpha w{i} common", "en") for i in range(1, 7)]
+    for name, part in (("base", rows[:4]), ("a1", rows[4:5]), ("a2", rows[5:])):
+        pq.write_table(_mini_corpus(part), str(d / f"{name}.parquet"))
+    idx = str(d / "idx")
+    build_index(str(d / "base.parquet"), idx, BuildConfig(**MINI_CFG), resume=False)
+    add_documents(str(d / "a1.parquet"), idx, BuildConfig(**MINI_CFG))
+    sp = os.path.join(idx, "_global", "stats.json")
+
+    def stamp():
+        st = os.stat(sp)
+        return st.st_ino, st.st_mtime_ns
+
+    clean = stamp()
+    at_commit = []
+    real_commit = update._commit_gen
+
+    def spy(*args, **kwargs):
+        at_commit.append(stamp())
+        return real_commit(*args, **kwargs)
+
+    monkeypatch.setattr(update, "_commit_gen", spy)
+    stats = add_documents(str(d / "a2.parquet"), idx, BuildConfig(**MINI_CFG))
+    assert at_commit == [clean]
+    assert stamp() != clean
+    assert stats["n_docs"] == update.read_stats(idx)["n_docs"] == 6

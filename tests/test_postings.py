@@ -346,7 +346,7 @@ def test_expunged_triples_rewrite_equals_filtered_write(tmp_path, n_tombs):
     tomb_ids = np.sort(ids if n_tombs is None else rng.choice(ids, n_tombs, replace=False))
     tomb_thr = np.ones(len(tomb_ids), np.int64)  # above the base's mask gen 0
     readers = {"s0000_b0000": SegmentReader(src, 0, 0)}
-    triples = _read_expunged_triples(src, readers, tomb_ids, tomb_thr, True)
+    triples = _read_expunged_triples(readers, tomb_ids, tomb_thr, True)
     survivors = group[~group["doc_id"].isin(tomb_ids)]
     assert len(triples) == len(survivors) < len(group)
     write_segment(a, 0, 0, triples)
