@@ -10,6 +10,12 @@ SolrHelper.java:82-96) with a from-scratch index build:
         group                             # checkpointed, atomic, resumable
       → seal: global term stats + corpus stats
 
+A parquet path of at most ``_SMALL_SOURCE_ROWS`` rows (the one size rule
+of build and delta add, ``read_small_source``) skips Ray Data: the driver
+reads it as one table, writes the doc table, tokenizes it and writes each
+segment in-process — the same segment bytes, without the fixed cost of
+two Ray Data executions and cold segment tasks.
+
 Scale notes (designed for 10^12 docs / many-node clusters, tested locally):
 
 - **Skew / salting**: doc-sharding IS the head-term salt — a head term's
@@ -25,11 +31,13 @@ Scale notes (designed for 10^12 docs / many-node clusters, tested locally):
 - **Resume**: completed (shard, bucket) segments are detected from manifests
   before the run and their triples are dropped at the tokenize stage, so a
   restart re-stages only missing segments.
-- **Two concurrent passes** over the corpus: pass 1 writes the forward doc
-  table (doc_id, sha256, meta — the per-row invariant vs the source,
-  input_hint) WITHOUT tokenizing; pass 2 builds postings, tokenizing exactly
-  once (doc lengths ride in the triples; corpus totals come from segment
-  manifest counters). Both stream; nothing materializes the corpus.
+- **Two passes** over the corpus: pass 1 writes the forward doc table
+  (doc_id, sha256, meta — the per-row invariant vs the source, input_hint)
+  WITHOUT tokenizing; pass 2 builds postings, tokenizing exactly once (doc
+  lengths ride in the triples; corpus totals come from segment manifest
+  counters). Above the size rule both stream concurrently and nothing
+  materializes the corpus; at or below it they run one after the other
+  over the driver's table.
 """
 
 from __future__ import annotations
@@ -54,6 +62,8 @@ from .segments import (
     DOCS,
     GLOBAL,
     STAGING,
+    _docs_columns,
+    _parquet_files,
     _parquet_rows,
     list_complete_segments,
     read_stats,
@@ -64,6 +74,33 @@ from .segments import (
 
 _TARGET_GROUP_BYTES = 256 << 20  # max raw text a segment-writer task holds
 _RAW_EXPANSION = 3.0             # parquet-bytes → in-memory text estimate
+
+# The one size rule of build_index and add_documents: a source of at most
+# this many rows is indexed on the driver. A Ray Data execution and a cold
+# segment task each have a fixed cost that dwarfs the work on such a source
+# (and near-real-time ingestion latency is the delta path's whole point);
+# larger sources stream through write_segments' staged exchange.
+_SMALL_SOURCE_ROWS = 50_000
+
+
+def is_small(n_rows: int) -> bool:
+    """True if ``n_rows`` rows are few enough to index on the driver."""
+    return n_rows <= _SMALL_SOURCE_ROWS
+
+
+def read_small_source(source, columns: list[str]) -> pa.Table | None:
+    """``source`` as one driver-side table when it is a parquet path whose
+    footers count a small number of rows (``is_small``); None for a larger
+    path, an empty one, or a ``ray.data.Dataset``."""
+    import pyarrow.parquet as pq
+
+    if not isinstance(source, str):
+        return None
+    files = _parquet_files(source)
+    if not files or not is_small(
+            sum(pq.ParquetFile(f).metadata.num_rows for f in files)):
+        return None
+    return pa.concat_tables([pq.read_table(f, columns=columns) for f in files])
 
 
 def auto_shards_buckets(
@@ -233,16 +270,8 @@ def make_triples_fn(cfg: BuildConfig, completed_gkeys: frozenset[int]):
     return triples
 
 
-# fractional CPU: a small add touches up to shards×buckets pairs at ~10 ms
-# of encode+fsync each; serialized one per CPU they would dominate the add
-@ray.remote(num_cpus=0.25)
-def _write_segment_task(index_dir, gkey, part, cfg: BuildConfig, gen) -> dict:
-    """Write the segment of one gkey from ``part``: its triples as a
-    ``pa.Table``, or the path of its staged parquet partition."""
-    if isinstance(part, str):
-        import pyarrow.parquet as pq
-
-        part = pq.read_table(part)
+def _write_group(index_dir, gkey, part: pa.Table, cfg: BuildConfig, gen) -> dict:
+    """Write the segment of one gkey from its triples ``part``."""
     group = part.to_pandas()
     shard, bucket = divmod(gkey, cfg.n_buckets)
     if gen is None:
@@ -258,6 +287,18 @@ def _write_segment_task(index_dir, gkey, part, cfg: BuildConfig, gen) -> dict:
             "skipped": bool(m.get("skipped", False))}
 
 
+# a whole CPU: only staged partitions reach this task (a driver-side table
+# is written in-process), and one may hold up to _TARGET_GROUP_BYTES of
+# text — fractional tasks would pack several into one CPU's memory, and
+# they start cold (one worker process each)
+@ray.remote(num_cpus=1)
+def _write_segment_task(index_dir, gkey, path: str, cfg: BuildConfig, gen) -> dict:
+    """Write the segment of one gkey from its staged parquet partition."""
+    import pyarrow.parquet as pq
+
+    return _write_group(index_dir, gkey, pq.read_table(path), cfg, gen)
+
+
 def write_segments(
     triples, index_dir: str, cfg: BuildConfig, gen: int | None = None,
     on_staged=None,
@@ -267,15 +308,18 @@ def write_segments(
     n_tokens, skipped``).
 
     ``triples`` carry ``gkey = shard * n_buckets + bucket``. A ``pa.Table``
-    already on the driver is split by gkey in memory; a ``ray.data.Dataset``
-    is hash-partitioned to ``<index>/_staging/gkey=*`` parquet — one
-    streaming pass, no sort, no object-store materialization; past the
-    object-store size a sort shuffle would spill raw Arrow at disk speed.
-    Then ONE task per gkey writes its segment: a base segment through
-    ``write_segment`` (``gen=None``; segments already complete are skipped,
-    which is what resume relies on) or delta generation ``gen`` through
-    ``update.write_segment_gen``. ``write_segment`` sorts deterministically,
-    so the segment bytes do not depend on how the triples arrived.
+    already on the driver (a source within the size rule) is split by gkey
+    in memory and each gkey's segment is written in-process, one after
+    another. A ``ray.data.Dataset`` is hash-partitioned to
+    ``<index>/_staging/gkey=*`` parquet — one streaming pass, no sort, no
+    object-store materialization; past the object-store size a sort
+    shuffle would spill raw Arrow at disk speed — and then ONE
+    ``_write_segment_task`` per gkey writes its segment. Either way a base
+    segment goes through ``write_segment`` (``gen=None``; segments already
+    complete are skipped, which is what resume relies on) and delta
+    generation ``gen`` through ``update.write_segment_gen``.
+    ``write_segment`` sorts deterministically, so the segment bytes do not
+    depend on how the triples arrived.
 
     ``on_staged`` is called once the staging write has returned (at once
     for a table). Staging is removed before and after use; a crash
@@ -286,21 +330,23 @@ def write_segments(
     shutil.rmtree(staging, ignore_errors=True)
     try:
         if isinstance(triples, pa.Table):
+            if on_staged is not None:
+                on_staged()
             gkeys = triples["gkey"].to_numpy()
             order = np.argsort(gkeys, kind="stable")
             keys, starts = np.unique(gkeys[order], return_index=True)
             ends = np.append(starts[1:], len(order))
-            parts = {int(k): triples.take(order[a:b])
-                     for k, a, b in zip(keys, starts, ends)}
+            rows = [_write_group(index_dir, int(k), triples.take(order[a:b]), cfg, gen)
+                    for k, a, b in zip(keys, starts, ends)]
         else:
             triples.write_parquet(staging, partition_cols=["gkey"])
             names = os.listdir(staging) if os.path.isdir(staging) else []
             parts = {int(n.split("=", 1)[1]): os.path.join(staging, n)
                      for n in names if n.startswith("gkey=")}
-        if on_staged is not None:
-            on_staged()
-        rows = ray.get([_write_segment_task.remote(index_dir, g, parts[g], cfg, gen)
-                        for g in sorted(parts)])
+            if on_staged is not None:
+                on_staged()
+            rows = ray.get([_write_segment_task.remote(index_dir, g, parts[g], cfg, gen)
+                            for g in sorted(parts)])
     finally:
         shutil.rmtree(staging, ignore_errors=True)
     cols = ["shard", "bucket", "n_terms", "n_postings", "n_tokens", "skipped"]
@@ -376,49 +422,30 @@ def build_index(
             + [cfg.text_col]
         )
     )
-    if isinstance(source, str):
-        docs = ray.data.read_parquet(source, columns=read_cols)
-        lineage_input = source
-    else:
-        docs = source
-        lineage_input = "<dataset>"
-    cfg.lineage.setdefault("input", lineage_input)
+    cfg.lineage.setdefault(
+        "input", source if isinstance(source, str) else "<dataset>")
 
-    # ---- pass 1 (doc table) + pass 2 (segments) run CONCURRENTLY -----------
-    # Two independent Dataset pipelines share the cluster; the streaming
-    # executor interleaves them, so wall time ≈ max, not sum. Pass 1 writes
-    # to a tmp dir + rename so a crash mid-write is never mistaken for a
-    # completed pass on resume (the reference's commit-after-publish
-    # ordering, IndexRecordsForV4.java:116-125).
     import shutil
     import threading
 
     docs_dir = os.path.join(index_dir, DOCS)
-    pass1_error: list[BaseException] = []
+    if resume and os.path.isdir(docs_dir):
+        cols = _docs_columns(docs_dir)
+        if not ("gen" in cols and all(c in cols for c in cfg.meta_cols)):
+            shutil.rmtree(docs_dir)  # pre-gen-column or narrower-meta table
+    docs_done = resume and os.path.isdir(docs_dir)
 
-    def run_pass1():
-        try:
-            if resume and os.path.isdir(docs_dir):
-                from .update import _docs_columns
-
-                cols = _docs_columns(docs_dir)
-                if "gen" in cols and all(c in cols for c in cfg.meta_cols):
-                    return  # complete doc table covering this config's schema
-                # pre-gen-column or narrower-meta table: rebuild
-                shutil.rmtree(docs_dir)
-            tmp = docs_dir + ".tmp"
-            if os.path.isdir(tmp):
-                shutil.rmtree(tmp)
-            docs.map_batches(
-                make_doc_stats_fn(cfg), batch_format="pyarrow", batch_size=cfg.batch_size
-            ).write_parquet(tmp)
-            if os.path.isdir(docs_dir):
-                shutil.rmtree(docs_dir)
-            os.replace(tmp, docs_dir)
-        except BaseException as e:  # surfaced after join
-            pass1_error.append(e)
-
-    t1 = threading.Thread(target=run_pass1, daemon=True)
+    def publish_docs(write) -> None:
+        # pass 1 writes to a tmp dir + rename so a crash mid-write is never
+        # mistaken for a completed pass on resume (the reference's
+        # commit-after-publish ordering, IndexRecordsForV4.java:116-125)
+        tmp = docs_dir + ".tmp"
+        if os.path.isdir(tmp):
+            shutil.rmtree(tmp)
+        write(tmp)
+        if os.path.isdir(docs_dir):
+            shutil.rmtree(docs_dir)
+        os.replace(tmp, docs_dir)
 
     completed = (
         list_complete_segments(index_dir, positions=cfg.store_positions)
@@ -451,26 +478,63 @@ def build_index(
             )
         except (OSError, ValueError, KeyError):
             prior_complete = False
-    if prior_complete:
-        t1.start()
-        seg_rows = pd.DataFrame({"skipped": pd.Series([], dtype=bool)})
+    no_segments = pd.DataFrame({"skipped": pd.Series([], dtype=bool)})
+    if prior_complete and docs_done:
+        seg_rows = no_segments
+    elif (table := read_small_source(source, read_cols)) is not None:
+        # ---- small source: both passes on the driver, one after the other
+        import pyarrow.parquet as pq
+
+        if not docs_done:
+            def write_doc_table(tmp):
+                os.makedirs(tmp)
+                pq.write_table(make_doc_stats_fn(cfg)(table),
+                               os.path.join(tmp, "part-0.parquet"))
+
+            publish_docs(write_doc_table)
+        seg_rows = no_segments if prior_complete else write_segments(
+            make_triples_fn(cfg, completed_gkeys)(table), index_dir, cfg)
     else:
-        triples = docs.map_batches(
-            make_triples_fn(cfg, completed_gkeys),
-            batch_format="pyarrow",
-            batch_size=cfg.batch_size,
-        )
-        # pass 1 starts AFTER the staging Dataset write: two concurrent
-        # driver-side write_parquet constructions race on ray's lazy
-        # fsspec-http probe (a failed import is never cached, so every
-        # overlapping pair can see a partially initialized module and
-        # die with "cannot import name HTTPFileSystem"). Pass 1 instead
-        # overlaps the reduce phase (per-gkey segment tasks), which
-        # never touches a Dataset datasink — same wall-clock shape.
-        seg_rows = write_segments(triples, index_dir, cfg, on_staged=t1.start)
-    t1.join()
-    if pass1_error:
-        raise pass1_error[0]
+        # ---- pass 1 (doc table) + pass 2 (segments) run CONCURRENTLY ------
+        # Two independent Dataset pipelines share the cluster; the streaming
+        # executor interleaves them, so wall time ≈ max, not sum.
+        docs = (ray.data.read_parquet(source, columns=read_cols)
+                if isinstance(source, str) else source)
+
+        def write_doc_table(tmp):
+            docs.map_batches(make_doc_stats_fn(cfg), batch_format="pyarrow",
+                             batch_size=cfg.batch_size).write_parquet(tmp)
+
+        if prior_complete:  # the doc table alone is missing
+            publish_docs(write_doc_table)
+            seg_rows = no_segments
+        else:
+            pass1_error: list[BaseException] = []
+
+            def run_pass1():
+                try:
+                    if not docs_done:
+                        publish_docs(write_doc_table)
+                except BaseException as e:  # surfaced after join
+                    pass1_error.append(e)
+
+            t1 = threading.Thread(target=run_pass1, daemon=True)
+            triples = docs.map_batches(
+                make_triples_fn(cfg, completed_gkeys),
+                batch_format="pyarrow",
+                batch_size=cfg.batch_size,
+            )
+            # pass 1 starts AFTER the staging Dataset write: two concurrent
+            # driver-side write_parquet constructions race on ray's lazy
+            # fsspec-http probe (a failed import is never cached, so every
+            # overlapping pair can see a partially initialized module and
+            # die with "cannot import name HTTPFileSystem"). Pass 1 instead
+            # overlaps the reduce phase (per-gkey segment tasks), which
+            # never touches a Dataset datasink — same wall-clock shape.
+            seg_rows = write_segments(triples, index_dir, cfg, on_staged=t1.start)
+            t1.join()
+            if pass1_error:
+                raise pass1_error[0]
 
     n_docs = _parquet_rows(docs_dir)
     # total token count = sum of per-segment token counters (manifest K7

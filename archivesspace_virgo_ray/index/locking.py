@@ -46,6 +46,10 @@ import time
 from .segments import GLOBAL
 
 LOCK_NAME = "write.lock"
+# the diagnostics payload is space-padded to at least this many bytes and
+# overwritten in place: the file keeps one size across acquisitions, and
+# no truncate (on ext4, a 30-60 ms flush of the file's last write) is needed
+_LOCK_PAYLOAD_BYTES = 128
 
 
 class IndexLockedError(RuntimeError):
@@ -187,13 +191,15 @@ def write_lock(index_dir: str, timeout_s: float = 60.0):
             except BaseException:
                 os.close(fd)
                 raise
-            # diagnostics only — never read for correctness
+            # diagnostics only — never read for correctness. Padding to the
+            # file's current size too covers any longer earlier payload, so
+            # json.load (which skips trailing spaces) always parses it.
             payload = json.dumps(
                 {"pid": os.getpid(), "host": socket.gethostname(),
                  "acquired_at": time.time()}
             ).encode()
-            os.ftruncate(fd, 0)
-            os.pwrite(fd, payload, 0)
+            width = max(_LOCK_PAYLOAD_BYTES, os.fstat(fd).st_size)
+            os.pwrite(fd, payload.ljust(width), 0)
             st["fd"] = fd
         st["depth"] += 1
         try:

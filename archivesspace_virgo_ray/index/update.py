@@ -42,7 +42,7 @@ import ray
 import ray.data
 
 from .build import BuildConfig, _all_manifests, make_doc_stats_fn, make_triples_fn
-from .build import write_segments
+from .build import is_small, read_small_source, write_segments
 from .locking import locked_on
 from .segments import GLOBAL, SEGMENTS, segment_name, write_segment
 from .segments import _parquet_files, _parquet_rows, read_stats, write_stats
@@ -64,12 +64,6 @@ from .segments import (  # noqa: F401
     segment_gen,
     segment_mask_gen,
 )
-
-# deltas at or below this row count tokenize on the driver (no Ray Data
-# pass — its fixed cost dwarfs the work and dominates NRT ingestion
-# latency); larger deltas stream through write_segments' staged exchange
-_SMALL_DELTA_ROWS = 50_000
-
 
 def _commit_gen(index_dir: str, gen: int, info: dict) -> None:
     d = _gen_marker_dir(index_dir)
@@ -176,20 +170,14 @@ def add_documents(
             + [cfg.text_col]
         )
     )
-    # Small deltas from a parquet path load driver-side ONCE (delta_tbl) —
+    # A small delta from a parquet path loads driver-side ONCE (delta_tbl) —
     # skipping two whole Ray Data executions (the id scan and the later
     # doc/triples pass) whose fixed cost dominates a small add's latency.
-    delta_tbl: pa.Table | None = None
+    delta_tbl = read_small_source(source, read_cols)
     docs = None
-    if isinstance(source, str):
-        if _parquet_rows(source) <= _SMALL_DELTA_ROWS:
-            delta_tbl = pa.concat_tables(
-                [pq.read_table(f, columns=read_cols)
-                 for f in _parquet_files(source)])
-        else:
-            docs = ray.data.read_parquet(source, columns=read_cols)
-    else:
-        docs = source
+    if delta_tbl is None:
+        docs = (ray.data.read_parquet(source, columns=read_cols)
+                if isinstance(source, str) else source)
 
     # ---- conflict detection -------------------------------------------------
     # Incoming ids are delta-sized (collected); the corpus-sized side is
@@ -256,13 +244,12 @@ def add_documents(
             replaced = [int(d) for d in live_overlap]
 
     # ---- doc table delta + delta segments ----------------------------------
-    # Small deltas are tokenized on the DRIVER and their triples go to
-    # write_segments as a table (split by gkey in memory): a Ray Data pass
-    # has a fixed cost that dwarfs the work, and near-real-time ingestion
-    # latency is this path's whole point. Large deltas stream through the
-    # staged exchange. Segments are byte-identical either way.
+    # Small deltas (build.is_small) are tokenized on the DRIVER and their
+    # triples go to write_segments as a table, written in-process; large
+    # deltas stream through the staged exchange. Segments are
+    # byte-identical either way.
     gen_dir = os.path.join(docs_dir, f"gen={gen:04d}")
-    if delta_tbl is None and len(inc_ids) <= _SMALL_DELTA_ROWS:
+    if delta_tbl is None and is_small(len(inc_ids)):
         delta_tbl = pa.Table.from_pandas(docs.to_pandas(), preserve_index=False)
     if delta_tbl is not None:
         os.makedirs(gen_dir, exist_ok=True)

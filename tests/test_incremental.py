@@ -95,14 +95,14 @@ def test_merge_is_byte_identical_to_rebuild(corpora, tmp_path_factory, ray_sessi
 
 def test_large_delta_add_matches_small_path(corpora, tmp_path_factory,
                                             ray_session, monkeypatch):
-    """A delta above ``_SMALL_DELTA_ROWS`` streams through the staged
+    """A delta above ``build._SMALL_SOURCE_ROWS`` streams through the staged
     Dataset exchange; its segments must be byte-identical to the driver
     path's, with the staging dir gone and identical answers."""
     import shutil
 
     import ray.data
 
-    from archivesspace_virgo_ray.index import update
+    from archivesspace_virgo_ray.index import build, update
     from archivesspace_virgo_ray.index.reshard import segments_equal
 
     d, full, base, delta = corpora
@@ -123,7 +123,7 @@ def test_large_delta_add_matches_small_path(corpora, tmp_path_factory,
     monkeypatch.setattr(update, "write_segments", spy)
     s_small = add_documents(os.path.join(d, "delta.parquet"), small,
                             BuildConfig(**CFG))
-    monkeypatch.setattr(update, "_SMALL_DELTA_ROWS", 0)
+    monkeypatch.setattr(build, "_SMALL_SOURCE_ROWS", 0)
     s_big = add_documents(os.path.join(d, "delta.parquet"), big,
                           BuildConfig(**CFG))
     assert seen == [pa.Table, ray.data.Dataset]
@@ -638,7 +638,7 @@ def test_add_rewrites_stats_only_when_they_change(tmp_path, ray_session,
     """After a clean commit an add's ``repair_stats`` has nothing to heal,
     so ``_global/stats.json`` keeps its inode and mtime until the add's
     own stats write (replacing a file costs an ext4 flush)."""
-    from archivesspace_virgo_ray.index import update
+    from archivesspace_virgo_ray.index import build, update
 
     d = tmp_path
     rows = [(i, f"alpha w{i} common", "en") for i in range(1, 7)]

@@ -210,13 +210,14 @@ def test_num_cpus_invariance(kill_corpus, tmp_path_factory):
             assert a == b, f"{seg}/{f} differs between num_cpus=2 and 8"
 
 
+# a Dataset source: a path this small would build on the driver, unstaged
 STAGED_BUILD_SCRIPT = """
-import sys, ray
+import sys, ray, ray.data
 sys.path.insert(0, {repo!r})
 ray.init(address="local", num_cpus=4, include_dashboard=False, logging_level="ERROR")
 from ray.data import DataContext; DataContext.get_current().enable_progress_bars = False
 from archivesspace_virgo_ray.index.build import BuildConfig, build_index
-build_index({corpus!r}, {idx!r},
+build_index(ray.data.read_parquet({corpus!r}), {idx!r},
             BuildConfig(n_shards=2, n_buckets=4), resume=True)
 print("BUILD_DONE")
 ray.shutdown()

@@ -9,7 +9,9 @@ Contract under test:
 - the lock is reentrant within a thread (delete_by_query calls
   delete_documents; callers may pre-hold write_lock);
 - a full rebuild (resume=False) wipes the index but PRESERVES the held
-  write.lock file.
+  write.lock file;
+- acquiring rewrites the diagnostics payload in place: the lock file keeps
+  one size and is never truncated, and ``lock_owner`` still parses it.
 """
 
 import os
@@ -27,6 +29,7 @@ from archivesspace_virgo_ray.index.build import BuildConfig, build_index
 from archivesspace_virgo_ray.index.fsck import fsck_index
 from archivesspace_virgo_ray.index.locking import (
     IndexLockedError,
+    lock_owner,
     lock_path,
     write_lock,
 )
@@ -146,3 +149,32 @@ def test_rebuild_preserves_held_lock(corpora, tmp_path_factory, ray_session):
                 resume=False)
     assert os.stat(lock_path(idx)).st_ino == ino_before
     assert read_stats(idx)["n_docs"] == 240
+
+
+def test_lock_payload_fixed_size_without_truncate(tmp_path, monkeypatch):
+    import json
+    import socket
+
+    def no_truncate(*_a):
+        raise AssertionError("write_lock must not truncate the lock file")
+
+    monkeypatch.setattr(os, "ftruncate", no_truncate)
+    idx = str(tmp_path / "idx")
+    sizes = []
+    for _ in range(4):
+        with write_lock(idx):
+            sizes.append(os.path.getsize(lock_path(idx)))
+    assert len(set(sizes)) == 1
+    owner = lock_owner(idx)
+    assert owner["pid"] == os.getpid()
+    assert owner["host"] == socket.gethostname()
+    assert isinstance(owner["acquired_at"], float)
+
+    # a longer payload left by an earlier holder is fully overwritten
+    with open(lock_path(idx), "w") as f:
+        json.dump({"pid": 1, "host": "h" * 300, "acquired_at": 0.0}, f)
+    long_size = os.path.getsize(lock_path(idx))
+    with write_lock(idx):
+        pass
+    assert os.path.getsize(lock_path(idx)) == long_size
+    assert lock_owner(idx)["pid"] == os.getpid()

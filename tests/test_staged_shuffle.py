@@ -1,6 +1,8 @@
 """The one triples → segment exchange (build.write_segments): a driver-side
 table split in memory and a Dataset staged to disk give byte-identical
-segments; resume rebuilds only missing segments; staging is cleaned up."""
+segments; resume rebuilds only missing segments; staging is cleaned up.
+build_index over a small parquet path (the driver path) and over the same
+rows as a Dataset (the staged path) give the same index."""
 
 import os
 import shutil
@@ -8,8 +10,10 @@ import shutil
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+import pytest
 import ray.data
 
+from archivesspace_virgo_ray.index import build
 from archivesspace_virgo_ray.index.build import (
     BuildConfig,
     build_index,
@@ -27,6 +31,7 @@ def _docs(tmp_path, n=250):
             [" ".join(rng.choice(vocab, rng.integers(25, 70))) for _ in range(n)],
             pa.string(),
         ),
+        "lang": pa.array([["en", "de", "fr"][i % 3] for i in range(n)]),
     })
     p = str(tmp_path / "docs.parquet")
     pq.write_table(tbl, p)
@@ -90,7 +95,23 @@ def test_table_and_dataset_exchange_positional(ray_session, tmp_path):
         assert ba[k] == bb[k], k
 
 
-def test_staged_resume_skips_complete_segments(ray_session, tmp_path):
+def _spy_exchange(monkeypatch) -> list:
+    """Record the type of every ``triples`` build_index hands the exchange."""
+    seen, real = [], build.write_segments
+
+    def spy(triples, *a, **kw):
+        seen.append(type(triples))
+        return real(triples, *a, **kw)
+
+    monkeypatch.setattr(build, "write_segments", spy)
+    return seen
+
+
+def test_staged_resume_skips_complete_segments(ray_session, tmp_path,
+                                               monkeypatch):
+    """Resume of a small path source rebuilds the one missing segment on
+    the driver, byte-identically."""
+    seen = _spy_exchange(monkeypatch)
     docs_path = _docs(tmp_path, n=150)
     idx = str(tmp_path / "idx")
     build_index(docs_path, idx, _cfg(), resume=False)
@@ -105,3 +126,47 @@ def test_staged_resume_skips_complete_segments(ray_session, tmp_path):
     after = _segment_bytes(idx)
     assert after == before  # deterministic rebuild of the missing segment
     assert not os.path.exists(os.path.join(idx, "_staging"))
+    assert seen == [pa.Table, pa.Table]
+
+
+def _docs_rows(idx):
+    return pq.read_table(os.path.join(idx, "_docs")).sort_by("doc_id")
+
+
+@pytest.mark.parametrize("positions", [False, True])
+def test_path_and_dataset_builds_equal(ray_session, tmp_path, monkeypatch,
+                                       positions):
+    """A small path builds on the driver, the same rows as a Dataset build
+    through the staged exchange: same segment bytes, doc table rows and
+    stats, and neither leaves staging behind."""
+    seen = _spy_exchange(monkeypatch)
+    docs_path = _docs(tmp_path, n=200)
+    cfg = dict(meta_cols=("lang",), store_positions=positions, batch_size=64)
+    a, b = str(tmp_path / "path"), str(tmp_path / "ds")
+    sa = build_index(docs_path, a, _cfg(**cfg), resume=False)
+    sb = build_index(ray.data.read_parquet(docs_path), b, _cfg(**cfg),
+                     resume=False)
+    assert seen == [pa.Table, ray.data.Dataset]
+    ba, bb = _segment_bytes(a), _segment_bytes(b)
+    assert ba and ba.keys() == bb.keys()
+    for k in ba:
+        assert ba[k] == bb[k], k
+    assert positions == any(k.endswith("positions.bin") for k in ba)
+    assert _docs_rows(a).equals(_docs_rows(b))
+    assert os.listdir(os.path.join(a, "_docs")) == ["part-0.parquet"]
+    assert sa == sb
+    for idx in (a, b):
+        assert not os.path.exists(os.path.join(idx, "_staging"))
+
+
+def test_table_exchange_submits_no_task(ray_session, tmp_path, monkeypatch):
+    class NoTasks:
+        def remote(self, *_a, **_kw):
+            raise AssertionError("a table exchange must not submit tasks")
+
+    monkeypatch.setattr(build, "_write_segment_task", NoTasks())
+    cfg = _cfg()
+    docs = pq.read_table(_docs(tmp_path, n=60))
+    rows = write_segments(make_triples_fn(cfg, frozenset())(docs),
+                          str(tmp_path / "idx"), cfg)
+    assert len(rows) == 8 and not rows["skipped"].any()

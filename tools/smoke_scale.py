@@ -18,6 +18,7 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import ray  # noqa: E402
+import ray.data  # noqa: E402
 
 _TMP = tempfile.gettempdir()  # corpora and indexes; set TMPDIR to move them
 
@@ -45,20 +46,34 @@ def _corpus(n_docs: int) -> str:
 
 
 def smoke_build(n_docs: int, store_gb: float) -> None:
+    """Build one corpus twice: as a Dataset (the staged exchange) and as a
+    path (read and indexed on the driver when within build_index's size
+    rule, else the same staged exchange). Each line ends with the driver's
+    peak RSS so far; the Dataset build runs first, so the path line's peak
+    covers the driver-side read."""
+    import resource
+
     from archivesspace_virgo_ray.index.build import BuildConfig, build_index
 
     _init(store_gb)
     corpus = _corpus(n_docs)
     idx = f"{_TMP}/avr_smoke_idx_{n_docs}"
-    shutil.rmtree(idx, ignore_errors=True)
-    t0 = time.time()
-    stats = build_index(corpus, idx, BuildConfig(batch_size=2000),
-                        resume=False)
-    dt = time.time() - t0
-    print(f"n_docs={n_docs} store_gb={store_gb or 'default'} "
-          f"build={dt:.1f}s docs_per_sec={stats['n_docs'] / dt:.0f} "
-          f"postings={stats['n_postings']} layout="
-          f"{stats['n_shards']}x{stats['n_buckets']}", flush=True)
+    cfg = BuildConfig()  # the columns build_index reads from a path
+    cols = list(dict.fromkeys([*cfg.key_cols, *cfg.meta_cols, cfg.text_col]))
+    for name, source in (
+            ("dataset", lambda: ray.data.read_parquet(corpus, columns=cols)),
+            ("path", lambda: corpus)):
+        shutil.rmtree(idx, ignore_errors=True)
+        t0 = time.time()
+        stats = build_index(source(), idx, BuildConfig(batch_size=2000),
+                            resume=False)
+        dt = time.time() - t0
+        rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"n_docs={n_docs} input={name} store_gb={store_gb or 'default'} "
+              f"build={dt:.2f}s docs_per_sec={stats['n_docs'] / dt:.0f} "
+              f"postings={stats['n_postings']} layout="
+              f"{stats['n_shards']}x{stats['n_buckets']} "
+              f"driver_peak_rss_mb={rss_mb:.0f}", flush=True)
     shutil.rmtree(idx, ignore_errors=True)
     ray.shutdown()
 
