@@ -270,6 +270,21 @@ def make_triples_fn(cfg: BuildConfig, completed_gkeys: frozenset[int]):
     return triples
 
 
+def table_triples(table: pa.Table, cfg: BuildConfig,
+                  completed_gkeys: frozenset[int] = frozenset()) -> pa.Table:
+    """``make_triples_fn`` over a driver-side table in ``cfg.batch_size``
+    row slices, as the Dataset path feeds it: the tokenizer's transient
+    memory is bounded by a slice, not by the source. Doc ids derive from
+    keys and ``write_segment`` sorts, so the segments do not depend on the
+    slicing."""
+    fn = make_triples_fn(cfg, completed_gkeys)
+    # one chunk: ``write_segments`` gathers each gkey's rows with ``take``,
+    # which is far slower across chunks
+    return pa.concat_tables([fn(table.slice(i, cfg.batch_size))
+                             for i in range(0, max(table.num_rows, 1),
+                                            cfg.batch_size)]).combine_chunks()
+
+
 def _write_group(index_dir, gkey, part: pa.Table, cfg: BuildConfig, gen) -> dict:
     """Write the segment of one gkey from its triples ``part``."""
     group = part.to_pandas()
@@ -493,7 +508,7 @@ def build_index(
 
             publish_docs(write_doc_table)
         seg_rows = no_segments if prior_complete else write_segments(
-            make_triples_fn(cfg, completed_gkeys)(table), index_dir, cfg)
+            table_triples(table, cfg, completed_gkeys), index_dir, cfg)
     else:
         # ---- pass 1 (doc table) + pass 2 (segments) run CONCURRENTLY ------
         # Two independent Dataset pipelines share the cluster; the streaming

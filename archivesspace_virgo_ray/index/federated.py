@@ -29,6 +29,7 @@ from .query import (
     BatchPlan,
     TermPlan,
     TermStatsStore,
+    _canonical,
     _merge_topk_parts,
     _plan_batch,
     _plan_terms,
@@ -43,9 +44,17 @@ def _rebucket(plans: list[TermPlan], store: TermStatsStore) -> list[TermPlan]:
 
 
 def _member_plan(plan: BatchPlan, store: TermStatsStore) -> BatchPlan:
+    """``plan`` with member-local buckets, routed in one ``_bucket_of``
+    call for the batch's terms."""
+    terms = sorted({p.term for qp in plan.queries.values()
+                    for p in (*qp.terms, *qp.neg)})
+    bucket = dict(zip(terms, store._bucket_of(terms)))
+
+    def move(plans: list[TermPlan]) -> list[TermPlan]:
+        return [replace(p, bucket=bucket[p.term]) for p in plans]
+
     return replace(plan, queries={
-        q: qp._replace(terms=_rebucket(qp.terms, store),
-                       neg=_rebucket(qp.neg, store))
+        q: qp._replace(terms=move(qp.terms), neg=move(qp.neg))
         for q, qp in plan.queries.items()})
 
 
@@ -100,18 +109,28 @@ class FederatedSearcher:
 
     def _plan(self, terms: list[str], mu: float | None = None
               ) -> list[TermPlan]:
-        """Global plans from merged stats — the ExactStatsCache exchange,
-        O(query terms × members). Buckets are the first member's;
-        ``_member_plan`` maps them to each member's layout."""
+        """Canonical-order global plans of analysed ``terms``."""
+        return _canonical(self._term_plans(terms, mu).values())
+
+    def _term_plans(self, terms: list[str], mu: float | None = None
+                    ) -> dict[str, TermPlan]:
+        """term → global plan from merged stats — the ExactStatsCache
+        exchange, O(terms × members), one hash call per member. Buckets
+        are the first member's; ``_member_plan`` maps them to each
+        member's layout."""
         merged: dict[str, tuple[int, int, int, int]] = {}
+        first_buckets = None
         for st in self.stores:
-            for term, s in zip(terms, st._term_stats(terms, st._bucket_of(terms))):
+            buckets = st._bucket_of(terms)
+            if first_buckets is None:
+                first_buckets = buckets
+            for term, s in zip(terms, st._term_stats(terms, buckets)):
                 if s is None:
                     continue
                 m = merged.get(term)
                 merged[term] = s if m is None else (
                     m[0] + s[0], max(m[1], s[1]), min(m[2], s[2]), m[3] + s[3])
-        return _plan_terms(terms, self.stores[0]._bucket_of(terms),
+        return _plan_terms(terms, first_buckets,
                            [merged.get(t) for t in terms], self.n_docs,
                            self.avgdl, self.total_len, mu)
 

@@ -32,14 +32,16 @@ Layout per segment:
 ordinals, one varbyte encode per stream, per-block byte counts and bounds
 from ``reduceat`` over the global block starts, and one scatter that lays
 the two streams out term by term. ``decode_segment`` is its inverse (one
-gather back to stream order, one varbyte decode). ``decode_posting_list``
-decodes one term — the query-time access pattern: a whole term is one
-varbyte decode of its payload, a block-masked one gathers the selected
-blocks' bytes with one index first.
+gather back to stream order, one varbyte decode), for a whole segment or for
+a subset of its terms (the query batch pass reads all of a batch's terms
+in one segment this way). ``decode_posting_list`` decodes selected blocks
+of one term (phrase candidates): it gathers the selected blocks' bytes
+with one index first.
 
 Both codec directions are vectorized numpy (no per-value Python loop): encode
-loops only over byte-position (<=10 iterations), decode reconstructs values
-with a segmented bitwise-or reduce.
+loops only over byte-position (<=10 iterations); decode takes each value's
+last byte and folds in the earlier bytes of the multi-byte values, one
+byte position per pass.
 """
 
 from __future__ import annotations
@@ -100,19 +102,21 @@ def varbyte_decode(buf, n_values: int | None = None) -> np.ndarray:
         raise ValueError(f"decoded {n} values, expected {n_values}")
     if n == b.size:  # every value is one byte (small deltas and tfs)
         return b.astype(np.uint64)
-    starts = np.zeros(n, dtype=np.int64)
-    starts[1:] = ends[:-1] + 1
-    # shift of each byte = 7 * its position within its value: a cumsum of
-    # +7 steps that drops back to 0 at every value start (uint64 wraps, so
-    # the negative step is exact)
-    shift = np.full(b.size, 7, dtype=np.uint64)
-    shift[0] = 0
-    shift[starts[1:]] = np.uint64(7) * (starts[:-1] - ends[:-1]).astype(np.uint64)
-    np.cumsum(shift, out=shift)
-    contrib = (b & np.uint8(0x7F)).astype(np.uint64)
-    contrib <<= shift
-    # the 7-bit groups of a value never overlap, so OR-reducing is exact
-    return np.bitwise_or.reduceat(contrib, starts)
+    # a value's last byte holds its top 7 bits; fold the earlier bytes of
+    # the multi-byte values in, one byte position per pass (at most 10),
+    # so the work is per byte of the long values, not per byte
+    out = b[ends].astype(np.uint64)
+    lens = np.empty_like(ends)
+    lens[0] = ends[0] + 1
+    np.subtract(ends[1:], ends[:-1], out=lens[1:])
+    idx = np.flatnonzero(lens > 1)
+    j = 1
+    while len(idx):
+        low = (b[ends[idx] - j] & np.uint8(0x7F)).astype(np.uint64)
+        out[idx] = (out[idx] << np.uint64(7)) | low
+        j += 1
+        idx = idx[lens[idx] > j]
+    return out
 
 
 def _starts(lengths: np.ndarray) -> np.ndarray:
@@ -126,6 +130,8 @@ def _rebase(deltas: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Undo delta coding run by run: the first delta of each run is
     absolute. One cumsum; modular arithmetic keeps it exact for uint64."""
     csum = np.cumsum(deltas)
+    if len(lengths) == 1:  # one run: the cumsum is already absolute
+        return csum
     starts = _starts(lengths)
     entering = np.zeros(len(lengths), dtype=csum.dtype)
     entering[1:] = csum[starts[1:] - 1]
@@ -319,7 +325,8 @@ def encode_segment(doc_ids, tfs, dls, starts, ends):
             terms, blocks)
 
 
-def decode_segment(reader):
+def decode_segment(reader, rows: np.ndarray | None = None,
+                   ordinals: bool = False):
     """Decode every posting of a segment (a ``SegmentReader``) in one pass:
     one gather of ``postings.bin`` back to stream order, one varbyte decode,
     a term-segmented cumsum that rebases the ordinal deltas, and the two
@@ -329,25 +336,31 @@ def decode_segment(reader):
     (term, doc_id) order, per-term df (term order of ``reader.terms``), and
     the flat in-doc token positions (posting i owns the next ``tfs[i]``
     values) when the segment stores them, else None.
+
+    ``rows``: decode only these term rows of ``reader.terms``, in the given
+    order (the query path: a batch's terms in one pass); ``df`` is then
+    theirs and positions are not decoded (None). ``ordinals``: return the
+    segment ordinals in place of the doc ids (``reader.doc_map[ords]``).
     """
-    df = reader.terms["df"].to_numpy().astype(np.int64)
+    cols = reader.term_cols
+    df, off, ord_len, plen = (
+        cols[c] if rows is None else cols[c][rows]
+        for c in ("df", "payload_off", "ord_len", "payload_len"))
+    df = df.astype(np.int64)
     total = int(df.sum())
-    off = reader.terms["payload_off"].to_numpy()
-    # a term's ordinal bytes: its blocks' ord_bytes, summed by cumsum
-    # difference over the term's block range
-    ord_csum = np.concatenate([[0], np.cumsum(reader.blocks["ord_bytes"])])
-    bs = reader.terms["block_start"].to_numpy()
-    term_ord = ord_csum[bs + reader.terms["n_blocks"].to_numpy()] - ord_csum[bs]
-    idx = _term_stream_index(off, term_ord,
-                             reader.terms["payload_len"].to_numpy() - term_ord)
-    vals = varbyte_decode(reader.payload[idx], 2 * total).view(np.int64)
+    if len(df) == 1:  # one term's payload is already in stream order
+        buf = reader.payload[int(off[0]):int(off[0] + plen[0])]
+    else:
+        buf = reader.payload[_term_stream_index(off, ord_len, plen - ord_len)]
+    vals = varbyte_decode(buf, 2 * total).view(np.int64)
     ords = _rebase(vals[:total], df)
     tfs = vals[total:]
     positions = None
-    if reader.has_positions:
+    if rows is None and reader.has_positions:
         pos = varbyte_decode(reader.pos_payload, int(tfs.sum())).astype(np.int64)
         positions = _rebase(pos, tfs)
-    return reader.doc_map[ords], tfs, reader.dl_map[ords], df, positions
+    ids = ords if ordinals else reader.doc_map[ords]
+    return ids, tfs, reader.dl_map[ords], df, positions
 
 
 def encode_posting_list(

@@ -1,26 +1,37 @@
 """BM25 top-k query engine over the segment store.
 
 Replaces the reference's Solr query path (SolrHelper.getRecordsForQuery,
-SolrHelper.java:39-80): parse query → global df/stats lookup → scatter across
-doc-shard index partitions → per-shard MaxScore with block-max/range skipping
-→ merge per-shard heaps → final (score desc, doc_id asc) top-k.
+SolrHelper.java:39-80): plan a query batch once (global df/stats lookup) →
+scatter the plan across doc-shard index partitions → one term-major pass per
+shard over the whole batch → merge per-shard heaps → final (score desc,
+doc_id asc) top-k.
 
-Exactness + float determinism contract (must be bit-identical to
-``oracle.OracleIndex.score_query``):
+The term-major pass (``ShardScorer.score_batch``; term-at-a-time with an
+accumulator array, Turtle & Flood 1995), per shard and batch, in chunks of
+queries whose postings and accumulator cells stay within ``_ACC_CELLS``
+(``_chunks``; one chunk for a small shard's whole batch):
 
-- terms are processed in the canonical order (descending global upper bound,
-  tie ascending term), and every surviving candidate accumulates its per-term
-  contributions in exactly that order → per-doc float sums are bit-identical
-  to the oracle's;
-- pruning is conservative: a doc is only dropped when its best possible score
-  is strictly below the current kth best, so top-k membership and scores are
-  exact, not approximate.
+1. decode: the chunk's distinct (bucket, term) pairs, NOT terms included,
+   with one gathered ``postings.decode_segment`` call per live segment
+   (``ShardScorer.read``);
+2. map and mask: segment ordinals map to a shard-dense doc index (the
+   sorted union of the shard's doc maps) and tombstoned postings drop
+   through a per-segment live bitmap, both built once per scorer;
+3. accumulate: contributions laid out query-major, canonical term order
+   within a query, summed by one ``np.bincount`` into a (queries × docs)
+   array, its columns the shard's docs or, for a large or sparse chunk,
+   only the docs the chunk touches; a second one counts each cell's
+   matched terms when ``require_all`` or mm needs it;
+4. select: per query the matches at or above a ``np.partition`` threshold
+   (its kth best), then one stable sort; dense order is doc-id order, so
+   ties break by doc id ascending.
 
-MaxScore recap: once the remaining terms' summed upper bounds fall below the
-current threshold θ, no unseen doc can enter the top-k, so remaining
-(non-essential) terms only update existing candidates — and the block-max
-skip table lets us decode only the blocks whose doc-id range intersects a
-candidate.
+Why it is exact (bit-identical to ``oracle.OracleIndex.score_query``):
+nothing is pruned, every matching doc gets every contribution, and
+``bincount`` adds in array order starting from 0.0, so a doc's sum is built
+in the oracle's ``+=`` order (canonical: descending global upper bound, tie
+ascending term) from the same float expression (``_contrib``). Filters,
+NOT, ``require_all``/mm and cursors only remove cells; none changes a sum.
 """
 
 from __future__ import annotations
@@ -36,7 +47,7 @@ import pyarrow.parquet as pq
 
 from ..functions.tokenize import stable_hash_strings, tokenize_text
 from ..oracle import B, K1, bm25_idf, term_upper_bound
-from .postings import decode_posting_list
+from .postings import _ranges, _starts, decode_posting_list, decode_segment
 from .segments import (
     _committed_markers,
     _docs_columns,
@@ -49,6 +60,10 @@ from .segments import (
     open_segment,
     read_stats,
 )
+
+
+# terms whose bucket a planning store remembers (``_bucket_of``)
+_BUCKET_MEMO = 1 << 16
 
 
 @dataclass
@@ -72,6 +87,7 @@ class TermStatsStore:
         self._ensure_sealed()
         self.stats = read_stats(index_dir)
         self._buckets: dict[int, dict[str, tuple[int, int, int]]] = {}
+        self._term_bucket: dict[str, int] = {}  # see _bucket_of
 
     def qtext(self, text: str) -> str:
         """Apply the index's recorded analyzer to QUERY text (Solr applies
@@ -114,6 +130,7 @@ class TermStatsStore:
         if not os.path.isdir(self._ts_dir):
             self._ensure_sealed()
             self._buckets = {}
+            self._term_bucket = {}  # n_buckets may differ
             self.stats = read_stats(self.index_dir)
 
     def _load_bucket(
@@ -149,22 +166,37 @@ class TermStatsStore:
         return sorted(set(tokenize_text(self.qtext(text))))
 
     def _bucket_of(self, terms: list[str]) -> list[int]:
-        """Each term's termstats/segment bucket in this index."""
-        n_buckets = np.uint64(self.stats["n_buckets"])
-        return (stable_hash_strings(terms) % n_buckets).astype(int).tolist()
+        """Each term's termstats/segment bucket in this index: one hash
+        call for the terms this store has not routed yet (memoised, at
+        most ``_BUCKET_MEMO`` terms)."""
+        memo = self._term_bucket
+        new = [t for t in dict.fromkeys(terms) if t not in memo]
+        if new:
+            if len(memo) + len(new) > _BUCKET_MEMO:
+                memo.clear()
+            n_buckets = np.uint64(self.stats["n_buckets"])
+            memo.update(zip(new, (stable_hash_strings(new) % n_buckets)
+                            .astype(int).tolist()))
+        return [memo[t] for t in terms]
 
     def _term_stats(self, terms: list[str], buckets: list[int]) -> list:
         """Per term (df, max_tf, min_dl, cf), or None if absent."""
         return [self._load_bucket(b).get(t) for t, b in zip(terms, buckets)]
 
-    def _plan(self, terms: list[str], mu: float | None = None
-              ) -> list[TermPlan]:
-        """Canonical-order plans of analysed ``terms`` (see ``_plan_terms``)."""
+    def _term_plans(self, terms: list[str], mu: float | None = None
+                    ) -> dict[str, TermPlan]:
+        """term → TermPlan of every indexed one of ``terms`` (one hash
+        call for all of them; see ``_plan_terms``)."""
         self._ensure_current()  # BEFORE stats are read below
         buckets = self._bucket_of(terms)
         st = self.stats
         return _plan_terms(terms, buckets, self._term_stats(terms, buckets),
                            st["n_docs"], st["avgdl"], st["total_len"], mu)
+
+    def _plan(self, terms: list[str], mu: float | None = None
+              ) -> list[TermPlan]:
+        """Canonical-order plans of analysed ``terms``."""
+        return _canonical(self._term_plans(terms, mu).values())
 
     def plan_query(self, text: str) -> list[TermPlan]:
         """Tokenize + canonical-order term plans (missing terms dropped)."""
@@ -187,14 +219,14 @@ def _contrib(idf, tfs, dls, avgdl: float, mu: float | None = None):
 
 def _plan_terms(terms: list[str], buckets: list[int], stats: list,
                 n_docs: int, avgdl: float, total_len: int,
-                mu: float | None = None) -> list[TermPlan]:
+                mu: float | None = None) -> dict[str, TermPlan]:
     """The one term planner: per-term ``stats`` (df, max_tf, min_dl, cf) or
-    None (absent, dropped) → TermPlans in canonical order (desc upper
-    bound, tie asc term). BM25 plans carry idf and the oracle's
-    ``term_upper_bound``; LM-Dirichlet(``mu``) plans carry the rate in the
-    ``idf`` slot and ``_contrib`` on (max_tf, min_dl) as the bound. The
-    index's own stats, or the merged global ones of a federated search."""
-    plans = []
+    None (absent, dropped) → term → TermPlan. BM25 plans carry idf and the
+    oracle's ``term_upper_bound``; LM-Dirichlet(``mu``) plans carry the
+    rate in the ``idf`` slot and ``_contrib`` on (max_tf, min_dl) as the
+    bound, the key of the canonical order (``_canonical``). The index's own
+    stats, or the merged global ones of a federated search."""
+    plans = {}
     for term, bucket, st in zip(terms, buckets, stats):
         if st is None:
             continue
@@ -205,9 +237,13 @@ def _plan_terms(terms: list[str], buckets: list[int], stats: list,
         else:
             idf = total_len / (mu * cf)
             ub = float(_contrib(idf, max_tf, min_dl, avgdl, mu))
-        plans.append(TermPlan(term, int(bucket), idf, ub))
-    plans.sort(key=lambda p: (-p.ub, p.term))
+        plans[term] = TermPlan(term, int(bucket), idf, ub)
     return plans
+
+
+def _canonical(plans) -> list[TermPlan]:
+    """``plans`` in canonical order: desc upper bound, tie asc term."""
+    return sorted(plans, key=lambda p: (-p.ub, p.term))
 
 
 class QueryPlan(NamedTuple):
@@ -244,8 +280,10 @@ def _plan_batch(planner, queries: pa.Table, mu: float | None = None,
     ``k`` and the optional ``not_text`` (NOT clause), ``min_match``
     (edismax mm; null/0/1 → none) and ``cursor_score``/``cursor_doc``
     (Solr cursorMark; null score → none). ``planner`` is a
-    ``TermStatsStore`` or a ``FederatedSearcher``: ``_analyze``, ``_plan``
-    and ``_avgdl``. ``cursors=False`` rejects cursor columns
+    ``TermStatsStore`` or a ``FederatedSearcher``: ``_analyze``,
+    ``_term_plans`` and ``_avgdl``; the batch's vocabulary is planned in
+    one ``_term_plans`` call (NOT terms, planned as BM25, in a second one
+    under LM-Dirichlet). ``cursors=False`` rejects cursor columns
     (grouped and boosted orders are not the cursor's order)."""
     cols = set(queries.column_names)
     if not cursors and cols & {"cursor_score", "cursor_doc"}:
@@ -257,42 +295,28 @@ def _plan_batch(planner, queries: pa.Table, mu: float | None = None,
     def col(name: str) -> list:
         return queries[name].to_pylist() if name in cols else none
 
+    terms = [planner._analyze(text) for text in col("text")]
+    negs = [planner._analyze(nt) if nt else [] for nt in col("not_text")]
+    vocab = set().union(*terms)
+    neg_vocab = set().union(*negs)
+    if mu is None:
+        pos = neg = planner._term_plans(sorted(vocab | neg_vocab))
+    else:
+        pos = planner._term_plans(sorted(vocab), mu)
+        neg = planner._term_plans(sorted(neg_vocab)) if neg_vocab else {}
     planned: dict[int, QueryPlan] = {}
-    for qid, text, k, nt, mm, cs, cd in zip(
-            col("query_id"), col("text"), col("k"), col("not_text"),
-            col("min_match"), col("cursor_score"), col("cursor_doc")):
-        terms = planner._analyze(text)
-        plans = planner._plan(terms, mu)
+    for qid, k, ts, ns, mm, cs, cd in zip(
+            col("query_id"), col("k"), terms, negs, col("min_match"),
+            col("cursor_score"), col("cursor_doc")):
+        plans = _canonical(pos[t] for t in ts if t in pos)
         if not plans:
             continue
         planned[int(qid)] = QueryPlan(
-            int(k), plans, len(terms),
-            planner._plan(planner._analyze(nt)) if nt else [],
+            int(k), plans, len(ts),
+            _canonical(neg[t] for t in ns if t in neg) if ns else [],
             int(mm) if mm is not None and int(mm) > 1 else 0,
             (float(cs), int(cd), 6) if cs is not None else None)
     return BatchPlan(planned, planner._avgdl, mu)
-
-
-def _mask_postings(docs, tfs, dls, allowed, tombstones, blocked=None):
-    """Apply whitelist (facet filter), tombstone exclusion, and NOT-clause
-    blacklist to decoded postings; all three arrays are sorted for
-    searchsorted membership tests."""
-    keep = None
-    if allowed is not None:
-        pos = np.searchsorted(allowed, docs)
-        pos_ok = pos < len(allowed)
-        keep = np.zeros(len(docs), dtype=bool)
-        keep[pos_ok] = allowed[pos[pos_ok]] == docs[pos_ok]
-    for excl in (tombstones, blocked):
-        if excl is not None and len(excl):
-            pos = np.searchsorted(excl, docs)
-            pos_ok = pos < len(excl)
-            dead = np.zeros(len(docs), dtype=bool)
-            dead[pos_ok] = excl[pos[pos_ok]] == docs[pos_ok]
-            keep = ~dead if keep is None else (keep & ~dead)
-    if keep is None:
-        return docs, tfs, dls
-    return docs[keep], tfs[keep], dls[keep]
 
 
 def _expression_key(where) -> bytes:
@@ -313,6 +337,26 @@ def _expression_key(where) -> bytes:
 class _StaleIndexRead(Exception):
     """A maintenance commit landed between a reader's marker snapshot and
     its directory listing — re-read from a fresh snapshot."""
+
+
+# Accumulator cells (queries × docs) and postings a chunk of a batch pass
+# holds at most, unless it is one query with more (``_chunks``). Transient
+# bytes per cell: the float64 sums (8), the int64 hit counts (8, freed once
+# the bool match mask (1) is built), a float64 copy of the rows that need a
+# top-k threshold (8) and bool temporaries (1-2): at most about 19 B. Per
+# posting: about 100 B while ``decode_segment`` runs, then about 56 B (doc
+# column, tf, dl and contribution of the read, cell and gather index), 24 B
+# more while a compacted doc space is sorted out. So ≈30 MB at 2**18
+# (2**18 scored batches faster than 2**17 or 2**19 at 1k, 20k and 60k docs).
+_ACC_CELLS = 1 << 18
+# a chunk of more than _COMPACT_MIN cells compacts its doc space when the
+# shard's docs outnumber its postings _SPARSE times: zeroing and scanning a
+# cell costs 1-2 ns, sorting a posting out about 40 ns and ``np.unique``
+# about 25 µs whatever its size
+_SPARSE = 16
+_COMPACT_MIN = 1 << 14
+# matches a chunk sorts without a top-k threshold first
+_SORT_MAX = 4096
 
 
 class ShardScorer:
@@ -385,7 +429,8 @@ class ShardScorer:
         # bucket -> [(mask gen, reader) per live generation, base first]
         self.reader_cache: dict = {}  # handed to the NEXT scorer on refresh
         self.readers: dict[int, list] = {}
-        self._runs: dict[tuple[int, str], tuple | None] = {}  # _delta_run memo
+        self._segs: dict[int, list] | None = None  # see _dense
+        self.doc_ids = np.empty(0, np.int64)
         for (s, b), names in gens.items():
             if s != shard or (buckets is not None and b not in buckets):
                 continue
@@ -415,166 +460,278 @@ class ShardScorer:
         m = self._gen_masks[gen]
         return m if len(m) else None
 
-    def _delta_run(self, bucket: int, term: str) -> tuple | None:
-        """One term's postings in every live generation of ``bucket`` after
-        the first (the base, or the oldest delta) as one ``(docs, tfs,
-        dls)`` run, or None if it has none. Each generation is decoded in
-        full and masked with its own ``masked_for_gen`` tombstones, then
-        the runs are concatenated: a (term, doc) posting is live in exactly
-        one generation, so a doc occurs at most once (not in doc order).
+    def _dense(self) -> dict[int, list]:
+        """bucket → per live generation (reader, ordinal → dense index, live
+        bitmap over ordinals or None), built once per scorer on its first
+        read. The dense index numbers ``self.doc_ids``, the sorted union of
+        every live segment's doc map in this shard, so dense order is doc-id
+        order; the live bitmap is False where a doc is tombstoned for the
+        segment's mask generation (``masked_for_gen``). Held: 8 B per doc
+        of each live segment, plus 1 B where tombstones apply."""
+        if self._segs is None:
+            maps = [r.doc_map for rs in self.readers.values() for _g, r in rs]
+            ids = (np.unique(np.concatenate(maps)) if maps
+                   else np.empty(0, np.int64))
+            segs: dict[int, list] = {}
+            for b, rs in self.readers.items():
+                segs[b] = []
+                for gen, r in rs:
+                    m = self.masked_for_gen(gen)
+                    live = None if m is None else ~np.isin(r.doc_map, m)
+                    if live is not None and live.all():
+                        live = None
+                    segs[b].append((r, np.searchsorted(ids, r.doc_map), live))
+            self.doc_ids, self._segs = ids, segs
+        return self._segs
 
-        Memoised per (bucket, term) on this scorer, lazily. A refresh
-        builds a new scorer, so a run never outlives the committed state
-        it was read from. Bound: 24 B per posting (three int64 arrays) of
-        each queried term's delta postings, so at most 24 B per posting of
-        the shard's delta generations (plans carry indexed terms only);
-        a bucket's base is never held."""
-        key = (bucket, term)
-        if key not in self._runs:
-            parts = []
-            for gen, reader in self.readers.get(bucket, ())[1:]:
-                post = reader.postings(term)
-                if post is not None:
-                    post = _mask_postings(*post, None, self.masked_for_gen(gen))
-                    if len(post[0]):
-                        parts.append(post)
-            self._runs[key] = (tuple(np.concatenate(c) for c in zip(*parts))
-                               if parts else None)
-        return self._runs[key]
+    def read(self, pairs: list[tuple[int, str]]):
+        """The live postings of each ``(bucket, term)`` of ``pairs`` →
+        (dense, tfs, dls, piece_pair, piece_len): flat arrays, ``dense``
+        indexing ``self.doc_ids``, made of pieces in decode order, piece j
+        holding ``piece_len[j]`` postings of pair ``piece_pair[j]``, one
+        piece per live segment holding the pair's term. One
+        ``decode_segment`` call per live segment decodes every pair's term
+        it holds; tombstoned postings drop through the segment's live
+        bitmap. A (term, doc) posting is live in exactly one generation, so
+        a pair's pieces hold each doc at most once."""
+        parts, piece_pair = [], []
+        for reader, to_dense, live, pi, rows in self._segment_rows(pairs):
+            ords, tfs, dls, df, _ = decode_segment(reader, rows, ordinals=True)
+            if live is not None:
+                keep = live[ords]
+                df = np.add.reduceat(keep, _starts(df), dtype=np.int64)
+                ords, tfs, dls = ords[keep], tfs[keep], dls[keep]
+            parts.append((to_dense[ords], tfs, dls, df))
+            piece_pair.extend(pi)
+        e = np.empty(0, np.int64)
+        dense, tfs, dls, piece_len = (np.concatenate(c) for c in zip(
+            (e, e, e, e), *parts))
+        return dense, tfs, dls, np.array(piece_pair, np.int64), piece_len
+
+    def n_postings(self, pairs: list[tuple[int, str]]) -> np.ndarray:
+        """Postings of each ``(bucket, term)`` of ``pairs`` in every live
+        generation of its bucket, tombstoned ones included: what ``read``
+        returns at most."""
+        out = np.zeros(len(pairs), np.int64)
+        for reader, _d, _l, pi, rows in self._segment_rows(pairs):
+            out[list(pi)] += reader.term_cols["df"][rows]
+        return out
+
+    def _segment_rows(self, pairs: list[tuple[int, str]]):
+        """Per live segment holding a term of ``pairs``: (reader, ordinal →
+        dense index, live bitmap or None, indices into ``pairs``, the terms'
+        rows in the segment)."""
+        segs = self._dense()
+        by_bucket: dict[int, list] = {}
+        for i, (b, t) in enumerate(pairs):
+            by_bucket.setdefault(b, []).append((i, t))
+        for b, its in by_bucket.items():
+            for reader, to_dense, live in segs.get(b, ()):
+                found = [(i, r) for i, t in its
+                         if (r := reader.term_row(t)) is not None]
+                if found:
+                    pi, rows = zip(*found)
+                    yield reader, to_dense, live, pi, np.array(rows, np.int64)
 
     def term_docs(self, bucket: int, term: str) -> np.ndarray:
-        """Sorted doc ids holding ``term`` in this shard: its postings in
-        the bucket's first generation minus that generation's tombstones,
-        plus its delta run."""
-        chunks = []
-        readers = self.readers.get(bucket, ())
-        post = readers[0][1].postings(term) if readers else None
-        if post is not None:
-            docs = post[0]
-            m = self.masked_for_gen(readers[0][0])
-            chunks.append(docs if m is None
-                          else docs[~np.isin(docs, m, assume_unique=True)])
-        run = self._delta_run(bucket, term) if len(readers) > 1 else None
-        if run is not None:
-            return np.unique(np.concatenate(chunks + [run[0]]))
-        return chunks[0] if chunks else np.empty(0, np.int64)
+        """Sorted doc ids holding ``term`` in this shard: its live postings
+        in every generation of ``bucket`` (``read``)."""
+        dense = self.read([(bucket, term)])[0]
+        return self.doc_ids[np.sort(dense)]
 
-    def score(
-        self,
-        plans: list[TermPlan],
-        k: int,
-        allowed: np.ndarray | None = None,
-        blocked: np.ndarray | None = None,
-        cursor: tuple[float, int, int] | None = None,
-        avgdl: float | None = None,
-        mu: float | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact shard-local top-k -> (doc_ids, scores), score desc / doc asc.
+    def score_batch(self, plan: BatchPlan, allowed: np.ndarray | None = None,
+                    require_all: bool = False, deadline: float | None = None,
+                    k: int | None = None):
+        """The term-major pass (module docstring) of every query of
+        ``plan`` against this shard → ((query_id, doc_id, score) arrays of
+        each query's exact shard top-k, score desc / doc asc, queries in
+        plan order), the ids of the queries scored). ``k`` overrides every
+        query's k (``_ALL`` keeps every match).
 
         ``allowed``: optional SORTED int64 doc-id whitelist (the facet/range
         filter of the reference's Solr queries, IndexRecords.java:124-132,
-        :174). Like Solr filter queries, filtering restricts the result set
-        but does NOT change df/avgdl — scores of surviving docs are identical
-        to the unfiltered query's.
-        ``blocked``: optional SORTED int64 doc-id blacklist (the NOT clause
-        of a boolean query, Solr ``a -b``); applied exactly like tombstones,
-        so a blocked doc never enters the accumulator.
-        ``cursor``: optional ``(score, doc_id, dp)`` search-after mark (Solr
-        cursorMark): only docs STRICTLY after the mark in the
-        (round(score, dp) desc, doc_id asc) total order are returned — the
-        top-k among them. The cursor predicate is on the FINAL accumulated
-        score, which a term-at-a-time pass only knows at the end, so WAND
-        pruning is disabled for cursor queries (full postings accumulation,
-        the oracle's cost shape); what stays k-sized is everything that
-        LEAVES the shard. Deep pages therefore trade per-shard compute for
-        constant network — the Solr cursorMark/export trade.
-        ``avgdl``: the BM25 avgdl (None: this index's own; a federated
-        search passes the global one). ``mu``: score LM-Dirichlet(mu)
-        instead of BM25 (see ``_contrib``)."""
-        acc_docs = np.empty(0, dtype=np.int64)
-        acc_scores = np.empty(0, dtype=np.float64)
-        avgdl_eff = self.avgdl if avgdl is None else float(avgdl)
-        n = len(plans)
-        ubs = np.array([p.ub for p in plans], dtype=np.float64)
-        suffix_ub = np.cumsum(ubs[::-1])[::-1] if n else np.empty(0)
-        for i, p in enumerate(plans):
-            theta = -np.inf
-            if cursor is None and k > 0 and len(acc_docs) >= k:
-                theta = np.partition(acc_scores, len(acc_scores) - k)[
-                    len(acc_scores) - k
-                ]
-                # prune accumulator entries that can never reach theta:
-                # score + everything left (incl. this term) < theta. A pruned
-                # doc may reappear with a partial score, but its maximum total
-                # is below theta, so it can never displace a top-k doc.
-                keep = acc_scores + suffix_ub[i] >= theta
-                acc_docs, acc_scores = acc_docs[keep], acc_scores[keep]
-            suffix_next = suffix_ub[i] - ubs[i]
-            readers = self.readers.get(p.bucket, ())
-            parts = []
-            entry = readers[0][1].term_entry(p.term) if readers else None
-            if entry is not None:
-                btab = entry["block_table"]
-                mask = None
-                if theta > -np.inf:
-                    # block-max WAND: decode a block only if (a) a doc NEW to
-                    # the accumulator could still reach theta through it
-                    # (block upper bound + remaining terms' bounds), or
-                    # (b) its doc range holds a surviving accumulator entry.
-                    block_ub = _contrib(p.idf, btab["max_tf"],
-                                        btab["min_dl"], avgdl_eff, mu)
-                    new_doc_possible = block_ub + suffix_next >= theta
-                    last = btab["last_doc"]
-                    first = np.empty_like(last)
-                    first[0] = 0
-                    first[1:] = last[:-1] + 1
-                    lo = np.searchsorted(acc_docs, first, side="left")
-                    hi = np.searchsorted(acc_docs, last, side="right")
-                    mask = new_doc_possible | (hi > lo)
-                if mask is None or mask.any():
-                    docs, tfs, dls = decode_posting_list(
-                        entry["payload"], btab, mask)
-                    parts.append(_mask_postings(
-                        docs, tfs, dls, allowed,
-                        self.masked_for_gen(readers[0][0]), blocked))
-            # every later generation: one memoised, tombstone-masked run,
-            # decoded in full (pruning only ever skips work, so reading
-            # more postings keeps the top-k exact)
-            run = self._delta_run(p.bucket, p.term) if len(readers) > 1 else None
-            if run is not None:
-                parts.append(_mask_postings(*run, allowed, None, blocked))
-            if not parts:
-                continue
-            docs, tfs, dls = (parts[0] if len(parts) == 1 else
-                              (np.concatenate(c) for c in zip(*parts)))
-            if len(docs) == 0:
-                continue
-            # a (term, doc) posting is live in exactly ONE generation, so
-            # each doc occurs once here and gets one contribution per term
-            s = _contrib(p.idf, tfs, dls, avgdl_eff, mu)
-            all_docs = np.concatenate([acc_docs, docs])
-            all_scores = np.concatenate([acc_scores, s])
-            acc_docs, inverse = np.unique(all_docs, return_inverse=True)
-            # bincount accumulates in array order: existing acc value
-            # first, then this term's contribution — oracle's += order.
-            acc_scores = np.bincount(
-                inverse, weights=all_scores, minlength=len(acc_docs)
-            )
-        if len(acc_docs) == 0 or k <= 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        if cursor is not None:
-            cs, cd, dp = cursor
-            r = np.round(acc_scores, dp)
-            keep = (r < cs) | ((r == cs) & (acc_docs > cd))
-            acc_docs, acc_scores, r = acc_docs[keep], acc_scores[keep], r[keep]
-            if len(acc_docs) == 0:
-                return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-            # select in the SAME rounded total order the cursor lives in, so
-            # the page boundary can never straddle an unrounded tie
-            order = np.lexsort((acc_docs, -r))[:k]
-            return acc_docs[order], acc_scores[order]
-        order = np.lexsort((acc_docs, -acc_scores))[:k]
-        return acc_docs[order], acc_scores[order]
+        :174). Like Solr filter queries, it restricts the result set but
+        does NOT change df/avgdl — surviving scores are the unfiltered
+        query's.
+        ``require_all`` keeps docs holding all ``n_terms`` query terms
+        (q.op=AND), a query's ``min_match`` docs holding at least that many
+        (edismax mm), and its NOT terms block every doc holding one (Solr
+        ``a -b``). A ``cursor`` (Solr cursorMark) keeps only docs STRICTLY
+        after the mark in the (round(score, dp) desc, doc_id asc) order and
+        selects in that order; returned scores stay unrounded. The plan's
+        ``avgdl`` (None: this index's own; a federated search passes the
+        global one) and ``mu`` (LM-Dirichlet, see ``_contrib``) pick the
+        contribution. ``deadline`` (epoch seconds) is checked before each
+        chunk (``_chunks``), not within one; the queries of chunks not run
+        are not among the ids returned."""
+        items = list(plan.queries.items())
+        self._dense()
+        ids = self.doc_ids
+        n = len(ids)
+        e = np.empty(0, np.int64)
+        parts, done = [(e, e, np.empty(0, np.float64))], []
+        ok_docs = None
+        if allowed is not None and n:
+            pos = np.minimum(np.searchsorted(ids, allowed), n - 1)
+            ok_docs = np.zeros(n, dtype=bool)
+            ok_docs[pos[ids[pos] == allowed]] = True
+        if not items or n == 0 or (ok_docs is not None and not ok_docs.any()):
+            return parts[0], [q for q, _ in items]
+        avgdl = self.avgdl if plan.avgdl is None else plan.avgdl
+        pairs = list(dict.fromkeys((t.bucket, t.term) for _q, qp in items
+                                   for t in (*qp.terms, *qp.neg)))
+        sizes = dict(zip(pairs, self.n_postings(pairs).tolist()))
+        for chunk in _chunks(items, sizes, n):
+            if deadline is not None and time.time() >= deadline:
+                break
+            parts.append(_score_chunk(
+                self, chunk, ok_docs, avgdl, plan.mu, require_all, k))
+            done.extend(q for q, _ in chunk)
+        return tuple(np.concatenate(c) for c in zip(*parts)), done
+
+
+def _chunks(items, sizes: dict, n: int):
+    """``items`` (plan order) cut into the chunks ``_score_chunk`` runs:
+    each as long as its postings (``sizes[(bucket, term)]`` of each
+    query's positive and NOT terms) and (queries) × min(n, postings) stay
+    within ``_ACC_CELLS``. A chunk whose doc space ``_score_chunk``
+    compacts has at most as many columns as postings, so no chunk holds
+    more than ``_ACC_CELLS`` cells or postings unless it is one query
+    with more."""
+    chunk, size = [], 0
+    for item in items:
+        p = sum(sizes[(t.bucket, t.term)]
+                for t in (*item[1].terms, *item[1].neg))
+        if chunk and max(size + p, (len(chunk) + 1) * min(n, size + p)
+                         ) > _ACC_CELLS:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(item)
+        size += p
+    if chunk:
+        yield chunk
+
+
+def _score_chunk(scorer: ShardScorer, chunk, ok_docs, avgdl: float,
+                 mu: float | None, require_all: bool, k: int | None):
+    """The batch pass (``ShardScorer.score_batch``) of one chunk of
+    queries: its distinct (bucket, term, idf) slots and NOT terms read in
+    one ``scorer.read``, then accumulated and selected. The accumulator's
+    columns are the shard's docs ``scorer.doc_ids``, or only the docs the
+    chunk's postings touch (sorted, so still doc-id order) when the
+    shard's would pass ``_ACC_CELLS``, or ``_COMPACT_MIN`` and ``_SPARSE``
+    times the postings."""
+    slots: dict[tuple, int] = {}  # (bucket, term, idf) -> slot
+    negs: dict[tuple, int] = {}  # (bucket, term) -> slot
+    rs, ns = [], []  # per query term: (query row, slot)
+    need, kk = [], []  # per query: hits a cell needs to match; its k
+    cursors = {}
+    for i, (_q, qp) in enumerate(chunk):
+        for p in qp.terms:
+            rs.append((i, slots.setdefault((p.bucket, p.term, p.idf),
+                                           len(slots))))
+        for p in qp.neg:
+            ns.append((i, negs.setdefault((p.bucket, p.term), len(negs))))
+        need.append(qp.n_terms if require_all else max(qp.min_match, 1))
+        kk.append(max(0, qp.k if k is None else k))
+        if qp.cursor is not None:
+            cursors[i] = qp.cursor
+    dense, tfs, dls, piece_pair, piece_len = scorer.read(
+        [key[:2] for key in slots] + list(negs))
+    if not len(dense):  # no term of these queries in this shard
+        return dense, dense, np.empty(0, np.float64)
+    # one contribution per decoded posting (NOT ones unused), the idf of
+    # its piece's pair
+    idf = np.array([key[2] for key in slots] + [0.0] * len(negs))
+    contrib = _contrib(np.repeat(idf[piece_pair], piece_len), tfs, dls,
+                       avgdl, mu)
+    del tfs, dls
+    # query-major, canonical term order within a query, a term's pieces
+    # together: bincount adds in array order from 0.0, so every sum is
+    # the oracle's; the NOT terms' pieces follow
+    pieces: list[list[int]] = [[] for _ in range(len(slots) + len(negs))]
+    for j, pair in enumerate(piece_pair.tolist()):
+        pieces[pair].append(j)
+    sel = [(i, j) for i, slot in rs for j in pieces[slot]]
+    n_sel = len(sel)
+    sel += [(i, j) for i, slot in ns for j in pieces[len(slots) + slot]]
+    # pieces already in layout order (one query whose terms decoded in
+    # canonical order) are used in place
+    in_place = [j for _i, j in sel] == list(range(len(piece_len)))
+    row, sel = np.array(sel, np.int64).reshape(-1, 2).T
+    lens = piece_len[sel]
+    g = slice(None) if in_place else _ranges(_starts(piece_len)[sel], lens)
+    row = np.repeat(row, lens)
+    n_pos = int(lens[:n_sel].sum())
+    w = contrib[g][:n_pos]
+    col = dense[g]
+    ids = scorer.doc_ids
+    c = len(chunk)
+    n = len(ids)
+    if c * n > _ACC_CELLS or c * n > max(_COMPACT_MIN, _SPARSE * len(col)):
+        touched, col = np.unique(col, return_inverse=True)
+        ids = ids[touched]
+        ok_docs = None if ok_docs is None else ok_docs[touched]
+        n = len(ids)
+    cells = row * n + col
+    cell, neg_cell = cells[:n_pos], cells[n_pos:]
+    acc = np.bincount(cell, weights=w, minlength=c * n
+                      ).astype(np.float64, copy=False)  # int if empty
+    if max(need) == 1:
+        ok = np.zeros(c * n, dtype=bool)
+        ok[cell] = True
+    else:
+        # a doc holds one live posting per term: hits = matched terms
+        ok = (np.bincount(cell, minlength=c * n).reshape(c, n)
+              >= np.array(need)[:, None]).ravel()
+    del cells, cell, w
+    scores, ok2 = acc.reshape(c, n), ok.reshape(c, n)  # views
+    if ok_docs is not None:
+        ok2 &= ok_docs
+    ok[neg_cell] = False
+    for i, (cs, cd, dp) in cursors.items():
+        r = np.round(scores[i], dp)
+        ok2[i] &= (r < cs) | ((r == cs) & (ids > cd))
+    kk = np.array(kk, np.int64)
+    cells = np.flatnonzero(ok)
+    if len(cells) > _SORT_MAX:
+        # a row with more than k matches keeps those at or above its kth
+        # best key (a cursor row's is rounded): one partition of those
+        # rows, unmatched cells at -inf (few matches: the sort is cheaper)
+        cut = np.flatnonzero((np.count_nonzero(ok2, axis=1) > kk) & (kk > 0))
+        if len(cut):
+            acc[~ok] = -np.inf
+            sub = scores[cut]
+            for j, i in enumerate(cut.tolist()):
+                if i in cursors:
+                    sub[j] = np.round(sub[j], cursors[i][2])
+            kth = n - kk[cut]
+            sub.partition(np.unique(kth), axis=1)
+            thr = np.full(c, -np.inf)
+            thr[cut] = sub[np.arange(len(cut)), kth]
+            del sub
+            for i, (_cs, _cd, dp) in cursors.items():
+                ok2[i] &= np.round(scores[i], dp) >= thr[i]
+                thr[i] = -np.inf
+            ok2 &= scores >= thr[:, None]  # -inf keeps a row's matches
+            cells = np.flatnonzero(ok)
+    del ok, ok2
+    qrow, docs = np.divmod(cells, n)
+    s = acc[cells]
+    key = s  # the selection order: a cursor row's is rounded
+    if cursors:
+        key = s.copy()
+        for i, (_cs, _cd, dp) in cursors.items():
+            m = qrow == i
+            key[m] = np.round(s[m], dp)
+    # stable: equal keys keep dense (= doc id) order; then each row's
+    # first k
+    order = np.lexsort((-key, qrow))
+    ranked = qrow[order]
+    keep = order[np.arange(len(ranked)) - np.searchsorted(ranked, ranked)
+                 < kk[ranked]]
+    qids = np.array([q for q, _ in chunk], np.int64)[qrow[keep]]
+    return qids, ids[docs[keep]], s[keep]
 
 
 class ShardWorker:
@@ -1011,7 +1168,7 @@ class ShardWorker:
         with a SQL join on the forward table."""
         import pandas as pd
 
-        q, d, s, _done = self._score_rows(plan, k=_ALL)
+        (q, d, s), _done = self._score_rows(plan, k=_ALL)
         meta = pd.concat([self._latest_live_docs(sh, (col,))
                           for sh in self.shards], ignore_index=True)
         ids = meta["doc_id"].to_numpy(np.int64)
@@ -1080,7 +1237,8 @@ class ShardWorker:
         conjunctive (``require_all``, q.op=AND) and mm whitelists and the
         NOT blacklist are computed SHARD-LOCAL — nothing corpus-sized
         leaves the worker. ``deadline`` (Solr ``timeAllowed``): an epoch
-        after which scoring stops; the caller keeps only queries EVERY
+        after which scoring stops, checked before each shard and chunk
+        (``ShardScorer.score_batch``); the caller keeps only queries EVERY
         worker finished (single-node contract: a multi-node deployment
         would ship a budget and re-anchor on actor-local clocks).
 
@@ -1091,62 +1249,29 @@ class ShardWorker:
             nt = n_terms_by_qid or {}
             plan = BatchPlan({q: QueryPlan(k, tp, nt.get(q, len(tp)))
                               for q, (k, tp) in plan.items()})
-        q, d, s, done = self._score_rows(plan, where, require_all, deadline)
-        return (q, d, s), done
+        return self._score_rows(plan, where, require_all, deadline)
 
     def _score_rows(self, plan: BatchPlan, where=None,
                     require_all: bool = False,
                     deadline: float | None = None, k: int | None = None):
-        """The per-(shard, query) loop behind ``score`` and the grouped and
-        boosted partials → (query_id, doc_id, score) arrays and the query
-        ids finished on every shard. ``k`` overrides every query's k."""
+        """One ``ShardScorer.score_batch`` pass per shard, behind ``score``
+        and the grouped and boosted partials → ((query_id, doc_id, score)
+        arrays, the query ids finished on every shard). ``k`` overrides
+        every query's k; ``deadline`` is checked before each shard too."""
         n_done = dict.fromkeys(plan.queries, 0)
-        qids: list[int] = []
-        docs_out = [np.empty(0, np.int64)]
-        scores_out = [np.empty(0, np.float64)]
-        expired = False
+        parts = [(np.empty(0, np.int64), np.empty(0, np.int64),
+                  np.empty(0, np.float64))]
         for s in self.shards:
-            scorer = self.scorers[s]
-            w_allowed = self._filter_ids(s, where) if where is not None else None
-            for qid, qp in plan.queries.items():
-                if deadline is not None and time.time() >= deadline:
-                    expired = True
-                    break
-                allowed = w_allowed
-                if require_all:
-                    conj = self._match_ids(s, qp.terms, "and", qp.n_terms)
-                    allowed = (
-                        conj if allowed is None
-                        else np.intersect1d(allowed, conj, assume_unique=True)
-                    )
-                elif qp.min_match > 1:
-                    # edismax minimum-should-match: whitelist docs matching
-                    # >= mm distinct query terms, shard-locally; surviving
-                    # scores unchanged (mm gates matching, not scoring)
-                    sub = self._match_ids(s, qp.terms, "atleast", qp.min_match)
-                    allowed = (
-                        sub if allowed is None
-                        else np.intersect1d(allowed, sub, assume_unique=True)
-                    )
-                n_done[qid] += 1
-                if allowed is not None and len(allowed) == 0:
-                    continue
-                blocked = None
-                if qp.neg:
-                    blocked = np.sort(
-                        self._match_ids(s, qp.neg, "or", len(qp.neg)))
-                docs, scores = scorer.score(
-                    qp.terms, qp.k if k is None else k, allowed, blocked,
-                    qp.cursor, plan.avgdl, plan.mu)
-                qids.append(qid)
-                docs_out.append(docs)
-                scores_out.append(scores)
-            if expired:
+            if deadline is not None and time.time() >= deadline:
                 break
-        lens = [len(x) for x in docs_out[1:]]
-        q = np.repeat(np.array(qids, np.int64), lens)
-        done = [x for x, c in n_done.items() if c == len(self.shards)]
-        return q, np.concatenate(docs_out), np.concatenate(scores_out), done
+            allowed = self._filter_ids(s, where) if where is not None else None
+            part, done = self.scorers[s].score_batch(
+                plan, allowed, require_all, deadline, k)
+            parts.append(part)
+            for x in done:
+                n_done[x] += 1
+        return (tuple(np.concatenate(c) for c in zip(*parts)),
+                [x for x, c in n_done.items() if c == len(self.shards)])
 
 
 class LocalSearcher:
@@ -1201,6 +1326,7 @@ def _serve_snapshot_store(index_dir: str, snap_ref) -> TermStatsStore:
         store.index_dir = index_dir
         store.stats = stats
         store._buckets = dict(buckets)
+        store._term_bucket = {}
         store._ts_dir = ts_dir
         if len(_SERVE_SNAP_CACHE) > 8:
             _SERVE_SNAP_CACHE.clear()
@@ -1491,7 +1617,10 @@ class QueryPool:
         bit-identical to the exact path); the rest are listed in
         ``partial_qids`` — dropped, never returned with silently-wrong
         ranks. ``time_allowed_s <= 0`` degenerates to all-partial. The
-        budget starts once the actors serve."""
+        budget starts once the actors serve. A worker checks it before each
+        shard and each accumulator chunk of the batch pass, not within one:
+        a batch that fits one chunk (``_chunks``; a whole 160-row batch over
+        a small shard) finishes or drops on that shard as a whole."""
         self._settle()
         plan = _plan_batch(self.store, queries)
         if not plan.queries or not self.actors:
@@ -2039,29 +2168,23 @@ def explain(index_dir: str, text: str, doc_id: int) -> dict:
     plans = store.plan_query(text)
     stats = store.stats
     doc_id = int(doc_id)
-    # the scorer's one-snapshot view: live generations, each masked with
-    # its own tombstones (a replaced or deleted version never counts)
+    # the scorer's one-snapshot view: the live postings of every
+    # generation (a replaced or deleted version never counts)
     scorer = ShardScorer(index_dir, doc_id % stats["n_shards"],
                          buckets=sorted({p.bucket for p in plans}))
     terms_out = []
     total = 0.0
     for p in plans:
-        for gen, reader in scorer.readers.get(p.bucket, ()):
-            post = reader.postings(p.term)
-            if post is None:
-                continue
-            docs, tfs, dls = _mask_postings(*post, None,
-                                            scorer.masked_for_gen(gen))
-            pos = np.searchsorted(docs, doc_id)
-            if pos < len(docs) and docs[pos] == doc_id:
-                tf, dl = int(tfs[pos]), int(dls[pos])
-                contrib = float(_contrib(p.idf, tf, dl, stats["avgdl"]))
-                total += contrib
-                terms_out.append(
-                    {"term": p.term, "tf": tf, "dl": dl, "idf": p.idf,
-                     "upper_bound": p.ub, "contribution": contrib}
-                )
-                break
+        dense, tfs, dls, _pair, _len = scorer.read([(p.bucket, p.term)])
+        hit = np.flatnonzero(scorer.doc_ids[dense] == doc_id)
+        if len(hit):
+            tf, dl = int(tfs[hit[0]]), int(dls[hit[0]])
+            contrib = float(_contrib(p.idf, tf, dl, stats["avgdl"]))
+            total += contrib
+            terms_out.append(
+                {"term": p.term, "tf": tf, "dl": dl, "idf": p.idf,
+                 "upper_bound": p.ub, "contribution": contrib}
+            )
     return {
         "doc_id": int(doc_id),
         "query": text,

@@ -48,7 +48,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from .. import PIPELINE_VERSION
-from .postings import decode_doc_table, decode_term, encode_segment
+from .postings import decode_doc_table, encode_segment
 
 SEGMENTS = "segments"
 GLOBAL = "_global"
@@ -326,35 +326,34 @@ class SegmentReader:
         self._lookup = {
             term: i for i, term in enumerate(t["term"].to_pylist())
         }
-        self._np = {
+        # per-term numpy columns (row order of ``terms``), plus ``ord_len``:
+        # the byte length of a term's ordinal deltas, the head of its payload
+        self.term_cols = {
             name: column_numpy(t[name]) for name in (
                 "df", "cf", "max_tf", "min_dl", "n_blocks", "block_start",
                 "payload_off", "payload_len",
             )
         }
+        ord_csum = np.zeros(len(self.blocks["ord_bytes"]) + 1, np.int64)
+        np.cumsum(self.blocks["ord_bytes"], out=ord_csum[1:])
+        bs = self.term_cols["block_start"]
+        self.term_cols["ord_len"] = (
+            ord_csum[bs + self.term_cols["n_blocks"]] - ord_csum[bs])
         if self.has_positions and "pos_off" in t.column_names:
-            self._np["pos_off"] = column_numpy(t["pos_off"])
-            self._np["pos_len"] = column_numpy(t["pos_len"])
+            self.term_cols["pos_off"] = column_numpy(t["pos_off"])
+            self.term_cols["pos_len"] = column_numpy(t["pos_len"])
         else:
             self.has_positions = False
 
-    def postings(self, term: str) -> tuple | None:
-        """One term's whole posting list as (doc_ids, tfs, dls), or None
-        if the segment lacks the term: ``decode_term`` on its payload
-        slice, without building a ``term_entry``."""
-        i = self._lookup.get(term)
-        if i is None:
-            return None
-        off = int(self._np["payload_off"][i])
-        return decode_term(
-            self.payload[off : off + int(self._np["payload_len"][i])],
-            int(self._np["df"][i]), self.doc_map, self.dl_map)
+    def term_row(self, term: str) -> int | None:
+        """``term``'s row in ``terms`` (and ``term_cols``), or None."""
+        return self._lookup.get(term)
 
     def term_entry(self, term: str) -> dict | None:
         i = self._lookup.get(term)
         if i is None:
             return None
-        e = {k: int(v[i]) for k, v in self._np.items()}
+        e = {k: int(v[i]) for k, v in self.term_cols.items()}
         bs, nb = e["block_start"], e["n_blocks"]
         e["block_table"] = {k: v[bs : bs + nb] for k, v in self.blocks.items()}
         e["block_table"]["doc_map"] = self.doc_map
@@ -370,9 +369,11 @@ class SegmentReader:
 
 
 def _mmap_or_empty(f) -> np.ndarray:
-    """The open file ``f`` mmapped read-only as uint8 (empty if it is)."""
+    """The open file ``f`` mmapped read-only as uint8 (empty if it is): a
+    plain ndarray view of the map, since ``np.memmap`` indexing runs
+    Python-level hooks on every gather."""
     if os.fstat(f.fileno()).st_size:
-        return np.memmap(f, dtype=np.uint8, mode="r")
+        return np.memmap(f, dtype=np.uint8, mode="r").view(np.ndarray)
     return np.empty(0, np.uint8)
 
 

@@ -42,7 +42,7 @@ import ray
 import ray.data
 
 from .build import BuildConfig, _all_manifests, make_doc_stats_fn, make_triples_fn
-from .build import is_small, read_small_source, write_segments
+from .build import is_small, read_small_source, table_triples, write_segments
 from .locking import locked_on
 from .segments import GLOBAL, SEGMENTS, segment_name, write_segment
 from .segments import _parquet_files, _parquet_rows, read_stats, write_stats
@@ -255,7 +255,7 @@ def add_documents(
         os.makedirs(gen_dir, exist_ok=True)
         pq.write_table(make_doc_stats_fn(cfg, gen=gen)(delta_tbl),
                        os.path.join(gen_dir, "part-0.parquet"))
-        triples = make_triples_fn(cfg, frozenset())(delta_tbl)
+        triples = table_triples(delta_tbl, cfg)
     else:
         docs.map_batches(
             make_doc_stats_fn(cfg, gen=gen), batch_format="pyarrow",

@@ -1,6 +1,6 @@
-"""A bucket's delta generations are read as one memoised, tombstone-masked
-posting run per term (``ShardScorer._delta_run``) next to the base's
-block-max WAND read.
+"""Every live generation of a bucket is read by the batch pass
+(``ShardScorer.read``: one decode per live segment, tombstoned postings
+dropped through each segment's live bitmap).
 
 Pinned here, over 1 to 5 live generations (replace adds plus deletes):
 the in-process path (``LocalSearcher``'s plan, score, merge), the pool and
@@ -11,9 +11,11 @@ index plans with df and avgdl that still count replaced and deleted
 versions (exact only after a full merge), so the reference scores the
 live postings with the index's own plans; where the stats are exact (the
 base, a pure add, after ``maintain``) the plans must equal
-``OracleIndex.score_query``'s ranking too. A memoised run never outlives
-the scorer it was read by, and a doc replaced twice is live in its newest
-delta only.
+``OracleIndex.score_query``'s ranking too. At three generations the pass
+is also checked with one query per accumulator chunk, and the grouped and
+boosted partials against the reference. A warm worker never serves a
+deleted doc after its refresh, and a doc replaced twice is live in its
+newest delta only.
 """
 
 import os
@@ -25,6 +27,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from archivesspace_virgo_ray.functions.tokenize import tokenize_text
+from archivesspace_virgo_ray.index import query
 from archivesspace_virgo_ray.index.build import BuildConfig, build_index
 from archivesspace_virgo_ray.index.query import (
     LocalSearcher,
@@ -127,11 +130,12 @@ def _contrib(idf: float, tf: int, dl: int, avgdl: float, mu):
     return max(0.0, np.log(1.0 + tf * idf) + np.log(mu / (dl + mu)))
 
 
-def _reference(idx: str, live: dict, tbl: pa.Table, mu=None, where=False,
-               require_all=False) -> pa.Table:
-    """Each row ranked over the live corpus' postings (``OracleIndex``)
-    with the index's own plans (term order, idf, avgdl), restricted as the
-    engine restricts it (filter, AND, NOT, mm, cursor), then cut to k."""
+def _ranked(idx: str, live: dict, tbl: pa.Table, mu=None, where=False,
+            require_all=False) -> list:
+    """Per row (query_id, k, [(doc_id, score)]): its ranking over the live
+    corpus' postings (``OracleIndex``) with the index's own plans (term
+    order, idf, avgdl), restricted as the engine restricts it (filter,
+    AND, NOT, mm, cursor)."""
     store = TermStatsStore(idx)
     ids = sorted(live)
     oracle = OracleIndex(ids, [live[d][0] for d in ids])
@@ -142,7 +146,7 @@ def _reference(idx: str, live: dict, tbl: pa.Table, mu=None, where=False,
             return tbl[name].to_pylist()
         return [None] * tbl.num_rows
 
-    out = {"query_id": [], "rank": [], "doc_id": [], "score": []}
+    out = []
     for qid, text, k, nt, mm, cs, cd in zip(
             col("query_id"), col("text"), col("k"), col("not_text"),
             col("min_match"), col("cursor_score"), col("cursor_doc")):
@@ -167,6 +171,15 @@ def _reference(idx: str, live: dict, tbl: pa.Table, mu=None, where=False,
                                        or (round(s, 6) == cs and d > cd)):
                 continue
             kept.append((d, float(s)))
+        out.append((qid, k, kept))
+    return out
+
+
+def _reference(idx: str, live: dict, tbl: pa.Table, mu=None, where=False,
+               require_all=False) -> pa.Table:
+    """``_ranked`` cut to each row's k, as a top-k table."""
+    out = {"query_id": [], "rank": [], "doc_id": [], "score": []}
+    for qid, k, kept in _ranked(idx, live, tbl, mu, where, require_all):
         for r, (d, s) in enumerate(kept[:k], 1):
             out["query_id"].append(qid)
             out["rank"].append(r)
@@ -239,6 +252,51 @@ def _check(idx: str, live: dict, step: int, exact_stats: bool) -> None:
             assert got == oracle.score_query(text, k), text
 
 
+def _check_batch_pass(idx: str, live: dict, step: int) -> None:
+    """The batch pass over the shard's docs and with one query per
+    accumulator chunk (each over the docs it touches) and the top-k
+    threshold on every chunk, and the grouped and boosted partials (every
+    match scored), against the reference."""
+    tbl = _queries([t for t, _ in live.values()], step)
+    for knobs in ({"_COMPACT_MIN": 1 << 40},
+                  {"_ACC_CELLS": 1, "_SORT_MAX": 0}):
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in knobs.items():
+                mp.setattr(query, name, value)
+            for mu in (None, MU):
+                want = _reference(idx, live, tbl, mu)
+                _assert_same(_local(idx, tbl, mu), want, f"{knobs} mu={mu}")
+                paged = _with_cursor(tbl, want)
+                _assert_same(_local(idx, paged, mu),
+                             _reference(idx, live, paged, mu),
+                             f"{knobs} page 2 mu={mu}")
+            for kw in ({"where": True}, {"require_all": True}):
+                engine_kw = {"where": WHERE} if "where" in kw else kw
+                _assert_same(_local(idx, tbl, **engine_kw),
+                             _reference(idx, live, tbl, **kw), f"{knobs} {kw}")
+    ls = LocalSearcher(idx)
+    plan = _plan_batch(ls.store, tbl, cursors=False)
+    ranked = _ranked(idx, live, tbl)
+    grouped = ls.worker.grouped_partials(plan, "lang")
+    want = set()
+    for qid, k, kept in ranked:
+        per_group: dict = {}
+        for d, s in kept:
+            per_group.setdefault(live[d][1], []).append((d, s))
+        want |= {(qid, g, d, s) for g, rows in per_group.items()
+                 for d, s in rows[:k]}
+    assert set(zip(grouped["query_id"], grouped["lang"], grouped["doc_id"],
+                   grouped["score"])) == want
+    boosted = ls.worker.boosted_partials(plan, "lang", {"en": 3.0}, 0.5)
+    want = []
+    for qid, k, kept in sorted(ranked):
+        rows = sorted(((s * (3.0 if live[d][1] == "en" else 0.5), d, s)
+                       for d, s in kept), key=lambda r: (-r[0], r[1]))
+        want += [(qid, d, s, b) for b, d, s in rows[:k]]
+    assert list(zip(boosted["query_id"], boosted["doc_id"], boosted["score"],
+                    boosted["boosted"])) == want
+
+
 def _live_generations(idx: str) -> int:
     ls = LocalSearcher(idx)
     return max(len(v) for sc in ls.worker.scorers.values()
@@ -268,6 +326,8 @@ def test_delta_generations_agree_with_oracle(tmp_path, ray_session, rows):
                     del live[d]
             assert _live_generations(idx) == step + 1
             _check(idx, live, step, exact_stats=step == 1)
+            if step == 2:  # three generations, replaces and deletes live
+                _check_batch_pass(idx, live, step)
         maintain(idx, concurrency=2, dead_ratio=0.0)
         assert _live_generations(idx) == 1
         _check(idx, live, 5, exact_stats=True)
@@ -282,8 +342,9 @@ def _one_query(text: str, k: int = 10) -> pa.Table:
 
 
 def test_delete_drops_a_memoised_run(tmp_path, ray_session, rows):
-    """A run memoised before a delete must not answer after it: the
-    refresh builds new scorers, so the deleted delta doc is gone."""
+    """A warm worker that read a delta doc before its delete must not
+    serve it after: the refresh builds new scorers (and their live
+    bitmaps), so the deleted delta doc is gone."""
     ids, texts, langs = rows
     src = str(tmp_path / "base.parquet")
     pq.write_table(_table(ids[:50], texts[:50], langs[:50]), src)
@@ -302,9 +363,6 @@ def test_delete_drops_a_memoised_run(tmp_path, ray_session, rows):
         part, _ = ls.worker.score(_plan_batch(ls.store, q))
         assert sorted(part[1].tolist()) == sorted(ids[60:62])
         assert sorted(bm25_topk(idx, q)["doc_id"].to_pylist()) == sorted(ids[60:62])
-        memo = [r for sc in ls.worker.scorers.values()
-                for (_b, term), r in sc._runs.items() if term == "qqmemo"]
-        assert any(r is not None and ids[60] in r[0].tolist() for r in memo)
         delete_documents(idx, [ids[60]])
         ls.worker.refresh()
         part, _ = ls.worker.score(_plan_batch(ls.store, q))

@@ -38,6 +38,8 @@ from archivesspace_virgo_ray.oracle import OracleIndex
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WHERE = pads.field("lang") == "en"
+MU = 2000.0
+N_SHARDS = 4
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +52,7 @@ def corpus(sf_dir):
 def idx(tmp_path_factory, ray_session, sf_dir):
     out = str(tmp_path_factory.mktemp("twins") / "idx")
     build_index(os.path.join(sf_dir, "documents.parquet"), out,
-                BuildConfig(n_shards=4, n_buckets=4, text_col="text",
+                BuildConfig(n_shards=N_SHARDS, n_buckets=4, text_col="text",
                             id_col="doc_id", meta_cols=("lang",)),
                 resume=False)
     return out
@@ -92,10 +94,13 @@ def _local(index_dir: str, tbl: pa.Table, where=None, require_all=False):
     return _merge_topk_parts(plan.queries, [part])
 
 
-def _oracle(corpus: pa.Table, tbl: pa.Table, where=None,
-            require_all=False) -> pa.Table:
-    """The unbounded ``OracleIndex`` ranking of each row, restricted as the
-    engine restricts it (filter, AND, NOT, mm, cursor), then cut to k."""
+def _rankings(corpus: pa.Table, tbl: pa.Table, where=None,
+              require_all=False, lmd_store=None):
+    """Per row (query_id, k, [(doc_id, score)]): the unbounded
+    ``OracleIndex`` ranking, restricted as the engine restricts it
+    (filter, AND, NOT, mm, cursor). With ``lmd_store`` (a
+    ``TermStatsStore``) each row is ranked by LM-Dirichlet(``MU``) over
+    the oracle's postings instead, in the store's term order and rates."""
     ids = corpus["doc_id"].to_pylist()
     texts = corpus["text"].to_pylist()
     toks = {d: set(tokenize_text(t)) for d, t in zip(ids, texts)}
@@ -105,17 +110,27 @@ def _oracle(corpus: pa.Table, tbl: pa.Table, where=None,
                    if lang == "en"}
     oracle = OracleIndex(ids, texts)
     cols = set(tbl.column_names)
-    rows = {"query_id": [], "rank": [], "doc_id": [], "score": []}
+    out = []
     for i, (qid, text, k) in enumerate(zip(tbl["query_id"].to_pylist(),
                                            tbl["text"].to_pylist(),
                                            tbl["k"].to_pylist())):
         terms = set(tokenize_text(text))
-        neg = set(tokenize_text(tbl["not_text"][i].as_py() or ""))
-        mm = tbl["min_match"][i].as_py() or 0
+        neg = set(tokenize_text(tbl["not_text"][i].as_py() or "")
+                  if "not_text" in cols else ())
+        mm = tbl["min_match"][i].as_py() or 0 if "min_match" in cols else 0
         cs = tbl["cursor_score"][i].as_py() if "cursor_score" in cols else None
         cd = tbl["cursor_doc"][i].as_py() if "cursor_doc" in cols else None
+        if lmd_store is None:
+            ranking = oracle.score_query(text, len(ids))
+        else:
+            acc: dict[int, float] = {}
+            for p in lmd_store._plan(lmd_store._analyze(text), MU):
+                for d, tf in oracle.postings.get(p.term, {}).items():
+                    acc[d] = acc.get(d, 0.0) + max(0.0, np.log(
+                        1.0 + tf * p.idf) + np.log(MU / (oracle.doc_len[d] + MU)))
+            ranking = sorted(acc.items(), key=lambda kv: (-kv[1], kv[0]))
         kept = []
-        for d, s in oracle.score_query(text, len(ids)):
+        for d, s in ranking:
             if allowed is not None and d not in allowed:
                 continue
             if require_all and not terms <= toks[d]:
@@ -125,7 +140,19 @@ def _oracle(corpus: pa.Table, tbl: pa.Table, where=None,
             if cs is not None and not (round(s, 6) < cs
                                        or (round(s, 6) == cs and d > cd)):
                 continue
-            kept.append((d, s))
+            kept.append((d, float(s)))
+        out.append((qid, k, kept))
+    return out
+
+
+def _oracle(corpus: pa.Table, tbl: pa.Table, where=None,
+            require_all=False, lmd_store=None, shard=None) -> pa.Table:
+    """``_rankings`` cut to each row's k, as a top-k table; with ``shard``
+    the top-k among that shard's docs (``doc_id % N_SHARDS``)."""
+    rows = {"query_id": [], "rank": [], "doc_id": [], "score": []}
+    for qid, k, kept in _rankings(corpus, tbl, where, require_all, lmd_store):
+        if shard is not None:
+            kept = [(d, s) for d, s in kept if d % N_SHARDS == shard]
         for r, (d, s) in enumerate(kept[:k], 1):
             rows["query_id"].append(qid)
             rows["rank"].append(r)
@@ -189,6 +216,84 @@ def test_twins_and_actors_answer_alike(idx, corpus, monkeypatch):
             _assert_same(a, _oracle(corpus, t, w, ra))
     finally:
         pool.shutdown()
+
+
+@pytest.mark.parametrize("knobs", [
+    {},
+    {"_COMPACT_MIN": 1 << 40},  # every chunk over the shard's docs
+    {"_COMPACT_MIN": 0, "_SPARSE": 0},  # over the docs it touches
+    {"_ACC_CELLS": 1, "_SORT_MAX": 0},  # a chunk per query, threshold on
+], ids=["default", "shard_docs", "touched_docs", "tiny_chunks"])
+def test_batch_pass_matches_oracle(idx, corpus, monkeypatch, knobs):
+    """The term-major batch pass (``LocalSearcher``'s plan, one score,
+    merge) equals the oracle bit for bit on plain, ``where``,
+    ``require_all``, NOT, min_match and cursor rows, a row whose k exceeds
+    its matches, LM-Dirichlet, grouped and boosted partials and a zero-hit
+    batch, whichever doc space the accumulator takes and however many
+    chunks a batch spans."""
+    for name, value in knobs.items():
+        monkeypatch.setattr(query, name, value)
+    extra = pa.table({"query_id": pa.array([900], pa.int64()),
+                      "text": pa.array(["window customer"], pa.string()),
+                      "k": pa.array([100_000], pa.int32()),
+                      "not_text": pa.array([None], pa.string()),
+                      "min_match": pa.array([None], pa.int32())})
+    base = pa.concat_tables([_batch(), extra])
+    tbl = _with_cursor(base, _local(idx, base))
+    for t, w, ra in ((tbl, None, False), (tbl, WHERE, False),
+                     (base, None, True), (base, WHERE, True)):
+        got = _local(idx, t, w, ra)
+        _assert_same(got, _oracle(corpus, t, w, ra))
+    n_hits = got.filter(pa.compute.equal(got["query_id"], 900)).num_rows
+    assert 0 < n_hits < 100_000
+    # what leaves a worker: each shard's own top-k
+    for shard in range(N_SHARDS):
+        one = LocalSearcher(idx, shards=[shard])
+        plan = _plan_batch(one.store, tbl)
+        part, _done = one.worker.score(plan)
+        _assert_same(_merge_topk_parts(plan.queries, [part]),
+                     _oracle(corpus, tbl, shard=shard))
+
+    ls = LocalSearcher(idx)
+    plan = _plan_batch(ls.store, base, mu=MU)
+    part, _done = ls.worker.score(plan)
+    _assert_same(_merge_topk_parts(plan.queries, [part]),
+                 _oracle(corpus, base, lmd_store=ls.store))
+
+    lang = dict(zip(corpus["doc_id"].to_pylist(), corpus["lang"].to_pylist()))
+    plan = _plan_batch(ls.store, base, cursors=False)
+    ranked = _rankings(corpus, base)
+    grouped = ls.worker.grouped_partials(plan, "lang")
+    want = set()
+    for qid, k, kept in ranked:
+        per_group: dict = {}
+        for d, s in kept:
+            per_group.setdefault(lang[d], []).append((d, s))
+        want |= {(qid, g, d, s) for g, rows in per_group.items()
+                 for d, s in rows[:k]}
+    assert set(zip(grouped["query_id"], grouped["lang"], grouped["doc_id"],
+                   grouped["score"])) == want
+    weights = {"en": 3.0}
+    boosted = ls.worker.boosted_partials(plan, "lang", weights, 0.5)
+    want = []
+    for qid, k, kept in sorted(ranked):
+        rows = sorted(((s * weights.get(lang[d], 0.5), d, s) for d, s in kept),
+                      key=lambda r: (-r[0], r[1]))
+        want += [(qid, d, s, b) for b, d, s in rows[:k]]
+    assert list(zip(boosted["query_id"], boosted["doc_id"], boosted["score"],
+                    boosted["boosted"])) == want
+
+    # every match of a row holds one of its NOT terms: the pass runs and
+    # selects nothing
+    zero = pa.table({"query_id": pa.array([1, 2, 3], pa.int64()),
+                     "text": pa.array(["the data", "filter", "qqnone"]),
+                     "k": pa.array([5, 5, 5], pa.int32()),
+                     "not_text": pa.array(["the data", "filter", None])})
+    plan = _plan_batch(ls.store, zero)
+    assert sorted(plan.queries) == [1, 2]
+    (q, d, s), done = ls.worker.score(plan)
+    assert q.size == d.size == s.size == 0 and sorted(done) == [1, 2]
+    assert _oracle(corpus, zero).num_rows == 0
 
 
 def test_get_pool_does_not_wait_for_actors(idx, monkeypatch):

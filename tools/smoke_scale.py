@@ -1,10 +1,11 @@
 """Reproducible scale smokes: corpus gen (Ray-parallel) + index build +
-reshard + index maintenance timing at configurable doc counts.
+reshard + index maintenance + query timing at configurable doc counts.
 
 Usage:
     python tools/smoke_scale.py build   [n_docs] [object_store_gb]
     python tools/smoke_scale.py reshard [n_docs]
     python tools/smoke_scale.py maintain [n_docs]
+    python tools/smoke_scale.py query   [n_docs]
 
 These are the scripts behind the numbers in SCALE.md / BASELINE.md — run
 them to reproduce (expect ±40% VM drift per CLAUDE.md; best-of-N yourself).
@@ -186,6 +187,80 @@ def smoke_maintain(n_docs: int) -> None:
         raise SystemExit("maintain smoke failed: fsck not ok or no pair merged")
 
 
+def _query_corpus(sizes, seed: int, step: int = 10_000) -> str:
+    """``perfbench``'s corpus of ``sizes`` written ``step`` rows per parquet
+    file, each slice from its own random stream, so generating a million
+    documents holds one slice in memory (``gen.cached_corpus`` makes the
+    whole table at once)."""
+    import numpy as np
+    import pyarrow.parquet as pq
+
+    from perfbench import gen
+
+    d = f"{_TMP}/avr_smoke_q_corpus_{sizes.n_docs}"
+    if not os.path.exists(d + "/_DONE"):
+        shutil.rmtree(d, ignore_errors=True)
+        os.makedirs(d)
+        for lo in range(0, sizes.n_docs, step):
+            rows = np.arange(lo, min(lo + step, sizes.n_docs))
+            pq.write_table(
+                gen._table(rows, sizes, seed, gen._rng(seed, f"corpus{lo}"),
+                           [gen.needle(int(r)) for r in rows]),
+                f"{d}/part-{lo // step:05d}.parquet")
+        open(d + "/_DONE", "w").close()
+    return d
+
+
+def smoke_query(n_docs: int) -> None:
+    """Query cost at scale, in-process through ``LocalSearcher``: the
+    ``perfbench`` corpus (``_query_corpus``) and query mix of ``n_docs``
+    (seed 1401, a 2×2 index, built once under TMPDIR and reused), its 8
+    batch tables planned, scored and merged three times (the median pass
+    gives rows/s), then 200 single queries of its request stream (p50
+    latency). Prints the driver's peak RSS too."""
+    import resource
+    import statistics
+
+    import numpy as np
+
+    from archivesspace_virgo_ray.index.build import BuildConfig, build_index
+    from archivesspace_virgo_ray.index.query import (
+        LocalSearcher,
+        _merge_topk_parts,
+        _plan_batch,
+    )
+    from perfbench import gen
+
+    seed = 1401
+    sizes = gen.Sizes(n_docs=n_docs)
+    idx = f"{_TMP}/avr_smoke_q_{n_docs}"
+    if not os.path.exists(os.path.join(idx, "_global", "stats.json")):
+        _init()
+        build_index(_query_corpus(sizes, seed), idx,
+                    BuildConfig(n_shards=2, n_buckets=2), resume=False)
+        ray.shutdown()
+    mix = gen.query_mix(sizes, seed)
+    ls = LocalSearcher(idx)
+    rows = sum(t.num_rows for t in mix.batches)
+    passes = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        for tbl in mix.batches:
+            plan = _plan_batch(ls.store, tbl)
+            part, _done = ls.worker.score(plan)
+            _merge_topk_parts(plan.queries, [part])
+        passes.append(time.perf_counter() - t0)
+    lat = []
+    for j in mix.stream[:200].tolist():
+        t0 = time.perf_counter()
+        ls.search(mix.texts[j], mix.ks[j])
+        lat.append(time.perf_counter() - t0)
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"n_docs={n_docs} batch_rows_per_s={rows / statistics.median(passes):.0f} "
+          f"single_p50_ms={1e3 * float(np.median(lat)):.2f} "
+          f"driver_peak_rss_mb={rss_mb:.0f}", flush=True)
+
+
 if __name__ == "__main__":
     mode = sys.argv[1] if len(sys.argv) > 1 else "build"
     n = int(sys.argv[2]) if len(sys.argv) > 2 else 500_000
@@ -195,5 +270,7 @@ if __name__ == "__main__":
         smoke_reshard(n)
     elif mode == "maintain":
         smoke_maintain(n)
+    elif mode == "query":
+        smoke_query(n)
     else:
         raise SystemExit(f"unknown mode {mode!r}")
