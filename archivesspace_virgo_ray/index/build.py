@@ -43,6 +43,7 @@ Scale notes (designed for 10^12 docs / many-node clusters, tested locally):
 from __future__ import annotations
 
 import os
+import uuid
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +60,7 @@ from ..functions.tokenize import (
     stable_hash_strings,
 )
 from .segments import (
+    BUILD_ID,
     DOCS,
     GLOBAL,
     STAGING,
@@ -66,6 +68,7 @@ from .segments import (
     _parquet_files,
     _parquet_rows,
     list_complete_segments,
+    read_build_id,
     read_stats,
     write_segment,
     write_stats,
@@ -429,6 +432,12 @@ def build_index(
             )
         wipe_index_dir(index_dir)  # preserves the held write.lock file
     os.makedirs(index_dir, exist_ok=True)
+    # a rebuild in place writes the same segment names again, so readers
+    # key their cache on this build's id too; a resume keeps it
+    if read_build_id(index_dir) is None:
+        os.makedirs(os.path.join(index_dir, GLOBAL), exist_ok=True)
+        with open(os.path.join(index_dir, GLOBAL, BUILD_ID), "w") as f:
+            f.write(uuid.uuid4().hex)
 
     read_cols = list(
         dict.fromkeys(
@@ -646,8 +655,8 @@ def _write_termstats_bucket(rows: pd.DataFrame, bdir: str) -> None:
 def _seal_termstats(index_dir: str) -> None:
     """Aggregate per-segment term dictionaries into global per-term stats.
 
-    Only VISIBLE segments are sealed — the base plus COMMITTED, unmerged
-    delta generations (update.live_gens) — and the committed-gen set is
+    Only VISIBLE segments are sealed (``segments.live_segments``) — and
+    the committed-gen set is
     recorded in ``termstats*/_SEALED.json`` so readers (TermStatsStore) can
     detect a stale seal after a crash between gen commit and seal and
     self-heal by resealing.
@@ -666,12 +675,7 @@ def _seal_termstats(index_dir: str) -> None:
     """
     import uuid as _uuid
 
-    from .update import (
-        committed_gens,
-        folded_gens,
-        list_segment_generations,
-        live_gens,
-    )
+    from .segments import committed_gens, live_segments
 
     # snapshot the committed set BEFORE listing inputs: a generation that
     # commits mid-seal must NOT be claimed by this seal's _SEALED.json
@@ -679,11 +683,9 @@ def _seal_termstats(index_dir: str) -> None:
     # pass while df silently misses the gen; claiming LESS than aggregated
     # only triggers a harmless reseal)
     sealed = sorted(committed_gens(index_dir))
-    _folded = folded_gens(index_dir)
     term_files = sorted(
         os.path.join(index_dir, "segments", name, "terms.parquet")
-        for _key, names in list_segment_generations(index_dir).items()
-        for name in live_gens(index_dir, names, folded=_folded)
+        for names in live_segments(index_dir).values() for name in names
     )
     term_files = [f for f in term_files if os.path.exists(f)]
     root = os.path.join(index_dir, GLOBAL)

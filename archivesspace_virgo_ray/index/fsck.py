@@ -8,9 +8,11 @@ the cheap answer to "is this index dir safe to serve / snapshot / reshard?".
 Everything here reads metadata and file sizes only — no posting decode, so
 a multi-TB index audits in seconds. (Posting-level byte checks already have
 stronger guarantees: deterministic segments + atomic publish mean a visible
-segment is either complete or absent. A crash inside a republish — old dir
-renamed aside, new dir not yet in — is the one way a segment goes absent;
-it is reported as ``seg_stranded`` and ``repair_index`` restores it.)
+segment is either complete or absent, and a segment dir is written once
+under a new name and only deleted after a committed compaction folded it.
+A crash between a compaction's output and its marker, or between the
+marker and the source reap, leaves invisible dirs: ``uncommitted_leftover``
+and ``folded_leftover``, which ``repair_index`` removes.)
 
 Findings carry STRUCTURED codes (``issue_codes`` parallel to ``issues``) so
 ``repair_index`` matches repairs to exactly the findings they fix — never by
@@ -55,19 +57,17 @@ DOCS_MISSING = "docs_missing"
 DOCS_ROWS = "docs_rows"
 TOMBSTONES_UNREADABLE = "tombstones_unreadable"
 FOLDED_LEFTOVER = "folded_leftover"
+UNCOMMITTED_LEFTOVER = "uncommitted_leftover"
 VACUUM_LEFTOVER = "vacuum_leftover"
-SEG_STRANDED = "seg_stranded"
 
 
 def fsck_index(index_dir: str) -> dict:
     """Audit ``index_dir``; returns {"ok": bool, "issues": [str, ...],
     "issue_codes": [str, ...] (parallel), "n_segments": int,
     "n_postings": int, "n_docs": int}."""
-    import re
-
     from .. import PIPELINE_VERSION
     from .build import termstats_dir
-    from .update import committed_gens, folded_gens, stranded_segments
+    from .segments import committed_gens, folded_gens, segment_gen
 
     findings: list[tuple[str, str]] = []
 
@@ -102,33 +102,30 @@ def fsck_index(index_dir: str) -> dict:
     total_tokens = 0
     positions_flags = set()
     folded = folded_gens(index_dir)
-    stranded = stranded_segments(index_dir)
-    stranded_roots = {scratch for scratch, _seg in stranded}
-    for scratch, seg in stranded:
-        # a publish crashed between renaming the old dir aside and renaming
-        # the new one in: the scratch root holds the segment's only copy
-        add(SEG_STRANDED, f"{seg} missing: its only copy is in {scratch} "
-            "(crashed segment publish — repair restores it)")
+    committed = committed_gens(index_dir)
     for name in sorted(os.listdir(seg_root)) if os.path.isdir(seg_root) else []:
         d = os.path.join(seg_root, name)
         if name.startswith("."):
             # .tmp-* = crashed write_segment staging; .pub-* = crashed
-            # publish scratch (update._publish_segment) — unreferenced
-            # unless it strands a segment (reported above); safe to remove
-            # once the writer is certainly dead (repair uses an mtime
-            # threshold)
-            if name not in stranded_roots:
-                add(STRAY_TMP, f"stray tmp segment dir: {name}")
+            # publish scratch (update._publish_segment) — unreferenced;
+            # safe to remove once the writer is certainly dead (repair
+            # uses an mtime threshold)
+            add(STRAY_TMP, f"stray tmp segment dir: {name}")
             continue
         if not os.path.isdir(d):
             continue
-        gm = re.search(r"_g(\d+)$", name)
-        if gm and int(gm.group(1)) in folded:
-            # superseded by a committed tiered merge: invisible to readers
+        gen = segment_gen(name)
+        if gen in folded:
+            # superseded by a committed compaction: invisible to readers
             # (live_gens skips folded gens) and safe to delete any time —
-            # a crash between the fold's marker commit and source cleanup
-            add(FOLDED_LEFTOVER, f"{name}: folded into a committed tiered "
-                "merge but still on disk")
+            # a crash between the marker commit and the source reap
+            add(FOLDED_LEFTOVER, f"{name}: folded into a committed "
+                "compaction but still on disk")
+            continue
+        if gen and gen not in committed:
+            # a crashed add or compaction's output: invisible to readers
+            add(UNCOMMITTED_LEFTOVER, f"{name}: generation {gen} never "
+                "committed")
             continue
         mpath = os.path.join(d, "manifest.json")
         try:
@@ -192,7 +189,7 @@ def fsck_index(index_dir: str) -> dict:
         add(STATS_POSITIONS_FLAG,
             "stats positions flag disagrees with segments")
 
-    has_gens = bool(committed_gens(index_dir))
+    has_gens = bool(committed)
     if not has_gens:
         # with no deltas, base manifests must reproduce the sealed stats
         if total_postings != stats.get("n_postings"):
@@ -217,10 +214,10 @@ def fsck_index(index_dir: str) -> dict:
         except (OSError, ValueError):
             sealed = None
             add(SEAL_UNREADABLE, "termstats _SEALED.json missing/unreadable")
-        if sealed is not None and sealed != sorted(committed_gens(index_dir)):
+        if sealed is not None and sealed != sorted(committed):
             add(SEAL_STALE,
                 f"termstats sealed gens {sealed} != committed "
-                f"{sorted(committed_gens(index_dir))} (stale seal "
+                f"{sorted(committed)} (stale seal "
                 "— readers will self-heal, but re-seal to clear)")
 
     if os.path.isdir(os.path.join(index_dir, STAGING)):
@@ -280,16 +277,15 @@ def repair_index(index_dir: str,
                  scratch_min_age_sec: float = SCRATCH_MIN_AGE_SEC) -> dict:
     """Heal the SAFE-to-heal findings and re-audit:
 
-    - a segment stranded in a crashed publish's scratch root → restored
-      and that scratch root removed, at any age (``update.
-      _heal_crashed_publish``; repair never deletes a segment's only copy)
     - stray ``.tmp-*`` / ``.pub-*`` segment dirs and a leftover exchange
       ``_staging`` dir older than ``scratch_min_age_sec`` → removed (a
       crashed writer's staging — never referenced by anything; younger
       dirs are skipped because they may belong to a LIVE writer)
-    - folded leftover delta dirs (crash between a tiered merge's marker
-      commit and its source cleanup) → removed (invisible to readers,
-      superseded by the committed combined segment — safe at any age)
+    - folded leftover segment dirs (crash between a compaction's marker
+      commit and its source reap) and uncommitted ones (crash before an
+      add's or a compaction's marker) → removed (invisible to readers;
+      the lock keeps out the writer that could still commit them — safe
+      at any age; ``update._cleanup_uncommitted_gens``)
     - stale/unreadable termstats seal, or missing termstats dir → resealed
       from the segments (termstats is fully derived data)
     - drifted global stats counters / stale stats version → recomputed from
@@ -304,11 +300,9 @@ def repair_index(index_dir: str,
     import shutil
 
     from .build import _seal_termstats
-    from .update import _heal_crashed_publish, repair_stats
+    from .update import _cleanup_uncommitted_gens, repair_stats
 
     actions: list[str] = []
-    actions += [f"restored stranded segment {n}"
-                for n in _heal_crashed_publish(index_dir)]
     now = time.time()
     seg_root = os.path.join(index_dir, "segments")
     scratch = [os.path.join(seg_root, n) for n in
@@ -331,20 +325,9 @@ def repair_index(index_dir: str,
         actions.append(f"removed stray tmp dir {name}")
     before = fsck_index(index_dir)
     codes = set(before["issue_codes"])
-    if FOLDED_LEFTOVER in codes:
-        # folded gens are invisible to readers and superseded by their
-        # COMMITTED combined segment — removal is safe at any age, even
-        # under a live writer (the fold owner would delete them next)
-        from .update import folded_gens as _folded
-
-        import re as _re
-
-        folded = _folded(index_dir)
-        for name in sorted(os.listdir(seg_root)) if os.path.isdir(seg_root) else []:
-            m = _re.search(r"_g(\d+)$", name)
-            if m and int(m.group(1)) in folded:
-                shutil.rmtree(os.path.join(seg_root, name), ignore_errors=True)
-                actions.append(f"removed folded leftover {name}")
+    if codes & {FOLDED_LEFTOVER, UNCOMMITTED_LEFTOVER}:
+        _cleanup_uncommitted_gens(index_dir)
+        actions.append("removed folded and uncommitted segment dirs")
     if VACUUM_LEFTOVER in codes:
         from .update import _heal_crashed_vacuum
 

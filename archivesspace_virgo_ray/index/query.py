@@ -52,12 +52,12 @@ from .segments import (
     _committed_markers,
     _docs_columns,
     committed_gens,
-    folded_gens,
     list_segment_generations,
-    live_gens,
+    live_segments,
     load_tombstone_thresholds,
     numpy_table,
     open_segment,
+    read_build_id,
     read_stats,
 )
 
@@ -366,13 +366,12 @@ class ShardScorer:
     def __init__(self, index_dir: str, shard: int,
                  buckets: list[int] | None = None,
                  reader_cache: dict | None = None):
-        # ``reader_cache``: {(segment name, manifest mtime_ns): reader}
-        # from a previous scorer over the same shard — segments are
-        # immutable once complete (a base rewrite lands via os.replace and
-        # changes the manifest mtime), so matching keys can reuse the
-        # already-mmapped reader. This is the Lucene IndexReader.reopen
-        # economics: a refresh after a small delta add only opens the new
-        # generation's dirs.
+        # ``reader_cache``: {(build id, segment name): reader} from a
+        # previous scorer over the same shard — within one build of an
+        # index a segment name is written once and never rewritten, so a
+        # matching key can reuse the already-mmapped reader. This is the
+        # Lucene IndexReader.reopen economics: a refresh after a small
+        # delta add only opens the new generation's dirs.
         self._reader_cache_in = reader_cache or {}
         # Once constructed, a scorer is immune to concurrent maintenance:
         # term dicts are in memory and postings are mmapped, so a merge
@@ -400,54 +399,41 @@ class ShardScorer:
         # opens a window where a replace/fold committing in between shows
         # both or neither version of a doc.
         markers = _committed_markers(index_dir)
-        committed = set(markers)
-        folded = folded_gens(index_dir, markers=markers)
         # generation-thresholded tombstones: a posting from generation g is
         # masked iff g < masked_below_gen(doc) — covers plain deletes AND
         # replaced-away document versions (update.add_documents "replace")
         self.tomb_ids, self.tomb_thr = load_tombstone_thresholds(
             index_dir, markers=markers)
         self._gen_masks: dict[int, np.ndarray] = {}
-        gens = list_segment_generations(index_dir)
+        build = read_build_id(index_dir)
 
         def _open(n: str):
-            try:
-                mt = os.stat(os.path.join(index_dir, "segments", n,
-                                          "manifest.json")).st_mtime_ns
-            except OSError:
-                mt = 0
-            r = self._reader_cache_in.get((n, mt))
+            r = self._reader_cache_in.get((build, n))
             if r is None:
                 try:
                     r = open_segment(index_dir, n)
                 except FileNotFoundError as e:
-                    # a publish replaced or a merge removed the dir
+                    # a compaction reaped the dir after committing
                     raise _StaleIndexRead(index_dir) from e
-            self.reader_cache[(n, mt)] = r
+            self.reader_cache[(build, n)] = r
             return r
 
-        # bucket -> [(mask gen, reader) per live generation, base first]
+        # bucket -> [(mask gen, reader) per live generation]; a reader's
+        # mask gen comes from the manifest it opened (a compaction
+        # output's is max(source gens))
         self.reader_cache: dict = {}  # handed to the NEXT scorer on refresh
         self.readers: dict[int, list] = {}
         self._segs: dict[int, list] | None = None  # see _dense
         self.doc_ids = np.empty(0, np.int64)
-        for (s, b), names in gens.items():
-            if s != shard or (buckets is not None and b not in buckets):
-                continue
-            # the base opens first: the deltas it already holds and its
-            # mask gen come from the manifest of the version it opened
-            # (a tiered-merge output's mask gen is max(source gens))
-            base = [_open(n) for n in names if "_g" not in n]
-            merged = base[0].manifest.get("merged_through_gen", -1) if base else -1
-            deltas = [_open(n) for n in live_gens(
-                index_dir, names, folded=folded, committed=committed,
-                merged_through=merged) if "_g" in n]
-            self.readers[b] = [(r.mask_gen, r) for r in base + deltas]
-        # validation read (optimistic concurrency): if a fold committed
-        # between our snapshot and the dir listing, its source dirs may
-        # have been removed before we listed them while our snapshot still
-        # expects them visible — retry from a fresh snapshot.
-        if set(_committed_markers(index_dir)) != committed:
+        for (s, b), names in live_segments(index_dir, markers).items():
+            if s == shard and (buckets is None or b in buckets):
+                self.readers[b] = [(r.mask_gen, r) for r in map(_open, names)]
+        # validation read (optimistic concurrency): if a compaction
+        # committed between our snapshot and the dir listing, its source
+        # dirs may have been removed before we listed them while our
+        # snapshot still expects them visible — retry from a fresh
+        # snapshot.
+        if committed_gens(index_dir) != set(markers):
             raise _StaleIndexRead(index_dir)
 
     def masked_for_gen(self, gen: int) -> np.ndarray | None:
@@ -768,11 +754,11 @@ class ShardWorker:
 
     def refresh(self) -> bool:
         """Reopen against the index's CURRENT committed state, reusing
-        unchanged segment readers (keyed by name + manifest mtime) — the
-        Lucene ``IndexReader.reopen`` analog. After a small delta add only
-        the new generation's dirs are opened; after a merge the rewritten
-        bases miss the cache and reload. Superseded readers drop out of
-        the cache and release their mmaps with the old scorer."""
+        unchanged segment readers (keyed by build id + name) — the Lucene
+        ``IndexReader.reopen`` analog. After a small delta add only the
+        new generation's dirs are opened; after a compaction its output
+        dirs. Superseded readers drop out of the cache and release their
+        mmaps with the old scorer."""
         self.stats = read_stats(self.index_dir)
         self.scorers = {
             s: ShardScorer(self.index_dir, s,
@@ -1417,12 +1403,20 @@ def _merge_topk_parts(live: dict, parts: list) -> pa.Table:
     """Merge per-shard (query_id, doc_id, score) array triples (the
     ``ShardWorker.score`` partials) into per-query (query_id, rank, doc_id,
     score) top-k through ``_topk_rows``, k from ``live[qid][0]``; rows
-    whose query_id is not in ``live`` are dropped."""
+    whose query_id is not in ``live`` are dropped. A query with a
+    ``cursor`` (``QueryPlan``) orders on round(score, dp), as its shards
+    selected its rows; scores pass through unrounded."""
     parts = [p for p in parts if len(p[0])]
     if not parts or not live:
         return QueryPool._EMPTY_TOPK
     q, d, s = (np.concatenate(c) for c in zip(*parts))
-    idx, rank = _topk_rows((q,), s, d, _row_k(live, q))
+    dps = {qid: p.cursor[2] for qid, p in live.items()
+           if getattr(p, "cursor", None) is not None}
+    order = s.copy() if dps else s
+    for qid, dp in dps.items():
+        m = q == qid
+        order[m] = np.round(s[m], dp)
+    idx, rank = _topk_rows((q,), order, d, _row_k(live, q))
     return numpy_table({"query_id": q[idx], "rank": rank,
                         "doc_id": d[idx], "score": s[idx]})
 
@@ -2018,7 +2012,7 @@ def facet_counts_all_docs(index_dir: str, facet_col: str) -> pd.DataFrame:
 
 def _index_signature(index_dir: str) -> tuple:
     """Cheap staleness fingerprint: stats/tombstones mtimes + per-segment
-    manifest mtimes (catches adds, deletes, AND in-place merges)."""
+    manifest mtimes (catches adds, deletes, compactions and rebuilds)."""
     sig: list = []
     for rel in ("_global/stats.json", "_global/tombstones.json"):
         p = os.path.join(index_dir, rel)
@@ -2045,10 +2039,12 @@ def _index_signature(index_dir: str) -> tuple:
 _POOLS: dict[str, tuple[tuple, "QueryPool"]] = {}
 
 
-# refreshes a reader may spend waiting for the index to hold still: a full
-# merge publishes pair by pair, and a pool racing one needed up to 7
-# (3 let about one solo run of tests/test_concurrent_readers.py in ten
-# serve a read mixing two states across shards)
+# refreshes a reader may spend waiting for the index to hold still: every
+# commit writes its segment dirs, marker, term stats and stats one after
+# another, each changing the signature, and a maintenance pass commits
+# several times (3 attempts let about one solo run of
+# tests/test_concurrent_readers.py in ten serve a read mixing two states
+# across shards)
 _STABLE_ATTEMPTS = 20
 
 

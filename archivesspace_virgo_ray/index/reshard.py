@@ -13,10 +13,12 @@ deterministic over its triple set and the position codec is canonical
 (re-encode(decode(bytes)) == bytes), the resharded index is BYTE-IDENTICAL
 to a fresh build at the target layout — tested, not assumed.
 
-Scope: base segments only. An index with committed delta generations or
-tombstones must be ``merge_segments``-ed first (the merge already folds
-deltas + deletes into the base); reshard refuses otherwise rather than
-silently dropping updates.
+Scope: one live segment per (shard, bucket) and no tombstones. An index
+with live delta generations or pending deletes/replaces must be merged
+and vacuumed first (``maintain(dead_ratio=0)``: ``merge_segments`` folds
+every generation into one segment per pair, ``vacuum_docs`` drops the dead
+forward-table rows); reshard refuses otherwise rather than silently
+dropping updates or resurrecting deleted docs.
 
 Reference parity: the reference re-posts every document through Solr to
 change its collection layout (SolrHelper.java posts doc-by-doc); this is
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
@@ -39,31 +42,33 @@ from .build import BuildConfig, _all_manifests, _seal_termstats, write_segments
 from .postings import decode_segment, position_bytes_array
 from .segments import (
     DOCS,
-    SegmentReader,
+    SEGMENTS,
     _parquet_rows,
     list_complete_segments,
+    live_segments,
+    open_segment,
     read_stats,
     write_stats,
 )
 from .locking import locked_on, nonlock_contents
-from .update import committed_gens, load_tombstone_thresholds
+from .update import _commit_gen, committed_gens, load_tombstone_thresholds
 
 
 def segment_to_triples(
     src_dir: str,
-    shard: int,
-    bucket: int,
+    name: str,
     n_shards: int,
     n_buckets: int,
     positions: bool,
 ) -> pa.Table:
-    """Decode one source segment into triples keyed by the TARGET layout.
+    """Decode source segment ``name`` into triples keyed by the TARGET
+    layout.
 
     One whole-segment decode (postings.decode_segment); term/bucket hashes
     are computed once per unique term and repeated by df — never per
     posting.
     """
-    r = SegmentReader(src_dir, shard, bucket)
+    r = open_segment(src_dir, name)
     doc_ids, tfs, dls, dfs, pos = decode_segment(r)
     terms = np.asarray(r.terms["term"].to_pylist(), dtype=object)
     bucket_u = (stable_hash_strings(terms) % np.uint64(n_buckets)).astype(np.int64)
@@ -98,15 +103,16 @@ def reshard_index(
     if os.path.abspath(src_dir) == os.path.abspath(dst_dir):
         raise ValueError("reshard_index: src and dst must differ (the source "
                          "stays readable until the new layout is sealed)")
-    gens = committed_gens(src_dir)
     tomb_ids, _ = load_tombstone_thresholds(src_dir)
-    if gens or len(tomb_ids):
+    live = live_segments(src_dir)
+    if len(tomb_ids) or any(len(names) > 1 for names in live.values()):
         raise ValueError(
             "reshard_index: source has delta generations or tombstones — "
-            "run merge_segments(expunge=True) first so the base segments "
-            "are the whole index")
+            "run maintain(dead_ratio=0) (merge_segments, then vacuum_docs) "
+            "first so each pair holds one live segment")
     positions = bool(stats.get("positions", False))
-    segs = sorted(list_complete_segments(src_dir, positions=positions))
+    complete = list_complete_segments(src_dir, positions)
+    segs = sorted(names[0] for key, names in live.items() if key in complete)
     if not segs:
         raise ValueError(f"reshard_index: no complete segments in {src_dir!r}")
 
@@ -117,12 +123,11 @@ def reshard_index(
 
     # ---- postings: one decode task per source segment -> one gkey exchange -
     def emit(batch: pd.DataFrame):
-        for s, b in zip(batch["shard"], batch["bucket"]):
+        for name in batch["name"]:
             yield segment_to_triples(
-                src_dir, int(s), int(b), n_shards, n_buckets, positions)
+                src_dir, name, n_shards, n_buckets, positions)
 
-    src_items = ray.data.from_items(
-        [{"shard": s, "bucket": b} for s, b in segs])
+    src_items = ray.data.from_items([{"name": n} for n in segs])
     triples = src_items.map_batches(emit, batch_format="pandas", batch_size=1)
     cfg = BuildConfig(
         n_shards=n_shards, n_buckets=n_buckets, store_positions=positions,
@@ -151,6 +156,12 @@ def reshard_index(
         ray.data.read_parquet(os.path.join(src_dir, DOCS)).map_batches(
             redoc, batch_format="pyarrow").write_parquet(docs_tmp)
         os.replace(docs_tmp, docs_dst)
+    # the forward table keeps each row's generation: carry the source's
+    # numbering over, so the next commit to the new index takes a higher one
+    if gens := committed_gens(src_dir):
+        _commit_gen(dst_dir, max(gens), {"n_docs": 0, "n_tokens": 0,
+                                         "replaces": [], "n_replaced": 0,
+                                         "n_shadowed": 0})
 
     # ---- seal (same fields build_index writes) ------------------------------
     _seal_termstats(dst_dir)
@@ -172,22 +183,20 @@ def reshard_index(
     return out
 
 
-def _tree_bytes(d: str) -> dict[str, bytes]:
+def _live_files(index_dir: str) -> dict[tuple[int, int], list[dict]]:
+    """(shard, bucket) -> per live segment (generation order) its files'
+    bytes, manifest excluded."""
     out = {}
-    for root, _, files in os.walk(d):
-        for f in files:
-            p = os.path.join(root, f)
-            out[os.path.relpath(p, d)] = open(p, "rb").read()
+    for key, names in live_segments(index_dir).items():
+        dirs = [Path(index_dir, SEGMENTS, n) for n in names]
+        out[key] = [{f.name: f.read_bytes() for f in d.iterdir()
+                     if f.name != "manifest.json"} for d in dirs]
     return out
 
 
 def segments_equal(a: str, b: str) -> bool:
-    """Byte-compare the segments/ trees of two indexes (manifests excluded —
-    lineage differs by construction; terms/blocks/postings must match)."""
-    ta, tb = _tree_bytes(os.path.join(a, "segments")), _tree_bytes(
-        os.path.join(b, "segments"))
-    ka = {k for k in ta if not k.endswith("manifest.json")}
-    kb = {k for k in tb if not k.endswith("manifest.json")}
-    if ka != kb:
-        return False
-    return all(ta[k] == tb[k] for k in ka)
+    """Byte-compare the live segments of two indexes pair by pair: every
+    (shard, bucket) must hold the same files with the same bytes. Segment
+    names and manifests are excluded — a compaction names its output by
+    its generation, and lineage differs by construction."""
+    return _live_files(a) == _live_files(b)

@@ -5,7 +5,10 @@ Ray analog of the reference's idempotent per-ref output files + hash-gated
 full-reindex, SolrHelper.java:98-100, IndexRecordsForV4.java:44-69,116-125):
 
     index_dir/
-      segments/s{shard:04d}_b{bucket:04d}/
+      segments/s{shard:04d}_b{bucket:04d}[_g{gen:04d}]/
+                           # a build writes the base (generation 0); an add
+                           #   or a compaction writes generation gen,
+                           #   visible once _global/gens/g{gen}.json commits
         terms.parquet      # term-ordered dictionary: term, df, cf, max_tf,
                            #   min_dl, n_blocks, block_start, payload_off,
                            #   payload_len, shard, bucket
@@ -22,6 +25,7 @@ full-reindex, SolrHelper.java:98-100, IndexRecordsForV4.java:44-69,116-125):
                            #   removed after use, fsck reports a leftover
       _global/
         stats.json         # N, total_len, avgdl, n_shards, n_buckets, version
+        gens/g{gen:04d}.json  # commit markers (update._commit_gen)
         termstats/bucket=N # global per-term df/cf/max_tf/min_dl (query-time)
 
 A segment is visible only once its manifest says ``complete`` and carries the
@@ -52,6 +56,7 @@ from .postings import decode_doc_table, encode_segment
 
 SEGMENTS = "segments"
 GLOBAL = "_global"
+BUILD_ID = "build_id"  # in GLOBAL: written by build_index (see read_build_id)
 DOCS = "_docs"
 STAGING = "_staging"  # build.write_segments' exchange (transient)
 
@@ -99,16 +104,15 @@ def segment_dir(index_dir: str, shard: int, bucket: int) -> str:
 
 
 def segment_is_complete(
-    index_dir: str, shard: int, bucket: int, positions: bool | None = None
+    index_dir: str, name: str, positions: bool | None = None
 ) -> bool:
-    """``positions``: when given, a segment only counts as complete if its
-    manifest's positions flag matches — a resume with a different
-    ``store_positions`` config must rebuild rather than silently mix
-    positional and non-positional segments."""
-    mpath = os.path.join(segment_dir(index_dir, shard, bucket), "manifest.json")
+    """Whether segment dir ``name`` holds a complete manifest of this
+    ``PIPELINE_VERSION``. ``positions``: when given, a segment only counts
+    as complete if its manifest's positions flag matches — a resume with a
+    different ``store_positions`` config must rebuild rather than silently
+    mix positional and non-positional segments."""
     try:
-        with open(mpath) as f:
-            m = json.load(f)
+        m = read_manifest(index_dir, name)
         ok = m.get("status") == "complete" and m.get("pipeline_version") == PIPELINE_VERSION
         if ok and positions is not None:
             ok = bool(m.get("positions", False)) == bool(positions)
@@ -120,21 +124,9 @@ def segment_is_complete(
 def list_complete_segments(
     index_dir: str, positions: bool | None = None
 ) -> set[tuple[int, int]]:
-    seg_root = os.path.join(index_dir, SEGMENTS)
-    done: set[tuple[int, int]] = set()
-    if not os.path.isdir(seg_root):
-        return done
-    for name in os.listdir(seg_root):
-        if not name.startswith("s") or "_b" not in name:
-            continue
-        try:
-            s, b = name[1:].split("_b")
-            shard, bucket = int(s), int(b)
-        except ValueError:
-            continue
-        if segment_is_complete(index_dir, shard, bucket, positions):
-            done.add((shard, bucket))
-    return done
+    """(shard, bucket) of every pair whose live segments are all complete."""
+    return {key for key, names in live_segments(index_dir).items()
+            if all(segment_is_complete(index_dir, n, positions) for n in names)}
 
 
 def write_segment(
@@ -151,11 +143,10 @@ def write_segment(
 
     Returns the manifest dict (also written to disk).
     """
-    if segment_is_complete(index_dir, shard, bucket, positions="pos" in group.columns):
-        with open(os.path.join(segment_dir(index_dir, shard, bucket), "manifest.json")) as f:
-            m = json.load(f)
-        m["skipped"] = True
-        return m
+    if segment_is_complete(index_dir, segment_name(shard, bucket),
+                           positions="pos" in group.columns):
+        return {**read_manifest(index_dir, segment_name(shard, bucket)),
+                "skipped": True}
 
     import pandas as pd
 
@@ -268,12 +259,12 @@ class SegmentReader:
     Raises ValueError for a segment written under another
     ``PIPELINE_VERSION``: its posting layout may differ.
 
-    Every file is opened through ONE directory fd, so a publish that
-    renames a new version of the dir into place between two opens cannot
-    hand the reader files of two versions: the reader holds the version
-    its fd named, or raises FileNotFoundError if that version was deleted
-    meanwhile. ``manifest`` is the manifest of the version read, and
-    ``mask_gen`` its mask generation (see ``segment_mask_gen``)."""
+    A segment dir is written once under a name no other version ever
+    takes, and every file is opened through ONE directory fd: a
+    compaction reaping the dir between two opens makes the reader raise
+    FileNotFoundError, never read a half-deleted one. ``manifest`` is the
+    manifest read, and ``mask_gen`` its mask generation (see
+    ``segment_mask_gen``)."""
 
     def __init__(
         self,
@@ -412,6 +403,17 @@ def write_stats(index_dir: str, stats: dict) -> None:
     os.replace(tmp, os.path.join(gdir, "stats.json"))
 
 
+def read_build_id(index_dir: str) -> str | None:
+    """The id ``build_index`` gave this index (None if it has none): a
+    segment name means one version within a build, and a rebuild in place
+    writes the same names again."""
+    try:
+        with open(os.path.join(index_dir, GLOBAL, BUILD_ID)) as f:
+            return f.read()
+    except OSError:
+        return None
+
+
 def read_stats(index_dir: str) -> dict:
     with open(os.path.join(index_dir, GLOBAL, "stats.json")) as f:
         return json.load(f)
@@ -475,11 +477,12 @@ def _committed_markers(index_dir: str) -> dict[int, dict]:
 
 def folded_gens(index_dir: str,
                 markers: dict[int, dict] | None = None) -> set[int]:
-    """Generations superseded by a committed tiered merge: every gen listed
-    in a committed marker's ``folds``. Their segment dirs are invisible
-    (live_gens skips them) and removable (cleanup deletes them); their
-    MARKERS stay forever — ``replaces`` lists still feed tombstone
-    thresholds and ``_next_gen`` monotonicity."""
+    """Generations superseded by a committed compaction: every gen listed
+    in a committed marker's ``folds`` (0, the base, once a full merge has
+    run). Their segment dirs are invisible (live_gens skips them) and
+    removable (cleanup deletes them); their MARKERS stay forever —
+    ``replaces`` lists still feed tombstone thresholds and ``_next_gen``
+    monotonicity."""
     if markers is None:
         markers = _committed_markers(index_dir)
     out: set[int] = set()
@@ -493,42 +496,36 @@ def live_gens(
     names: list[str],
     folded: set[int] | None = None,
     committed: set[int] | None = None,
-    merged_through: int | None = None,
 ) -> list[str]:
-    """Visible segment dirs for one (shard, bucket): the base plus delta
-    generations that are (a) committed (gen marker landed), (b) not yet
-    folded into the base (``merged_through_gen`` in the base manifest) and
-    (c) not folded into a committed tiered merge. Callers iterating many
-    pairs should pass ``folded=folded_gens(index_dir)`` once — computing it
-    re-reads every commit marker. Readers racing a live writer should pass
-    BOTH ``folded`` and ``committed`` from one marker snapshot (see
-    ShardScorer._load) so visibility decisions are mutually consistent,
-    and ``merged_through`` from the base manifest they opened, so the
-    deltas they read match the base version they hold."""
-    base = [n for n in names if "_g" not in n]
-    if merged_through is None:
-        merged_through = -1
-        if base:
-            mpath = os.path.join(index_dir, SEGMENTS, base[0], "manifest.json")
-            try:
-                with open(mpath) as f:
-                    merged_through = json.load(f).get("merged_through_gen", -1)
-            except (OSError, ValueError):
-                pass
+    """Visible segment dirs for one (shard, bucket): those whose generation
+    (``segment_gen``; 0 for the base) is committed — the base needs no
+    marker — and not folded into a committed compaction. Callers iterating
+    many pairs should pass ``folded=folded_gens(index_dir)`` once —
+    computing it re-reads every commit marker. Readers racing a live
+    writer should pass BOTH ``folded`` and ``committed`` from one marker
+    snapshot (see ``live_segments``) so visibility decisions are mutually
+    consistent."""
     if committed is None:
         committed = committed_gens(index_dir)
     if folded is None:
         folded = folded_gens(index_dir)
-    out = list(base)
-    for n in names:
-        m = re.search(r"_g(\d+)$", n)
-        if (
-            m
-            and int(m.group(1)) > merged_through
-            and int(m.group(1)) in committed
-            and int(m.group(1)) not in folded
-        ):
-            out.append(n)
+    return [n for n in names
+            if (g := segment_gen(n)) not in folded and (g == 0 or g in committed)]
+
+
+def live_segments(index_dir: str, markers: dict[int, dict] | None = None
+                  ) -> dict[tuple[int, int], list[str]]:
+    """(shard, bucket) -> its live segment dirs (``live_gens``), every
+    visibility decision taken from ONE marker snapshot (``markers``, read
+    here if not given); pairs without a live segment are left out."""
+    if markers is None:
+        markers = _committed_markers(index_dir)
+    folded, committed = folded_gens(index_dir, markers), set(markers)
+    out = {}
+    for key, names in list_segment_generations(index_dir).items():
+        live = live_gens(index_dir, names, folded, committed)
+        if live:
+            out[key] = live
     return out
 
 
@@ -561,52 +558,40 @@ def load_tombstone_thresholds(
     return ids, np.array([thr[int(i)] for i in ids], dtype=np.int64)
 
 
-def segment_gen(index_dir: str, name: str) -> int:
-    """VISIBILITY generation of a segment: a delta's own marker gen (from
-    the dir name), or for a base segment the highest gen folded into it
-    (0 for a virgin base). Drives live_gens / merged_through bookkeeping —
-    use :func:`segment_mask_gen` when deciding which tombstone thresholds
+def segment_gen(name: str) -> int:
+    """Generation of segment dir ``name``: its ``_g`` suffix (the marker
+    that commits it), 0 for a base ``s####_b####`` written by a build or
+    a reshard. Drives visibility (``live_gens``); use
+    :func:`segment_mask_gen` when deciding which tombstone thresholds
     apply to the segment's postings."""
-    m = re.search(r"_g(\d+)$", name)
-    if m:
-        return int(m.group(1))
-    mpath = os.path.join(index_dir, SEGMENTS, name, "manifest.json")
-    try:
-        with open(mpath) as f:
-            return max(0, int(json.load(f).get("merged_through_gen", 0)))
-    except (OSError, ValueError):
-        return 0
+    m = _GEN_RE.match(name)
+    return int(m.group(3) or 0) if m else 0
+
+
+def read_manifest(index_dir: str, name: str) -> dict:
+    with open(os.path.join(index_dir, SEGMENTS, name, "manifest.json")) as f:
+        return json.load(f)
 
 
 def segment_mask_gen(index_dir: str, name: str) -> int:
     """MASK generation of a segment: postings read from it are masked iff
     ``tombstone_threshold > mask_gen``. Equal to the visibility gen except
-    for tiered-merge output, whose manifest records ``mask_gen`` = the
-    highest SOURCE generation folded in: the combined dir carries a fresh
+    for compaction output, whose manifest records ``mask_gen`` = the
+    highest SOURCE generation folded in: the output dir carries a fresh
     marker gen M, but its postings were expunged with the per-source masks
     known at merge time, so only thresholds ABOVE the sources may still
     apply — and a delete racing the merge always lands with threshold
     > max(source gens), so it is never skipped. A reader takes it from
     the manifest it opened (``SegmentReader.mask_gen``)."""
-    mpath = os.path.join(index_dir, SEGMENTS, name, "manifest.json")
     try:
-        with open(mpath) as f:
-            m = json.load(f)
+        m = read_manifest(index_dir, name)
     except (OSError, ValueError):
         m = {}
     return _mask_gen_of(name, m)
 
 
 def _mask_gen_of(name: str, manifest: dict) -> int:
-    """``segment_mask_gen`` of dir ``name`` from its ``manifest``: its
-    ``mask_gen``, else a delta's own gen, else a base's highest folded-in
-    gen (``segment_gen``)."""
-    if "mask_gen" in manifest:
-        return int(manifest["mask_gen"])
-    m = re.search(r"_g(\d+)$", name)
-    if m:
-        return int(m.group(1))
-    return max(0, int(manifest.get("merged_through_gen", 0)))
+    return int(manifest.get("mask_gen", segment_gen(name)))
 
 
 def open_segment(index_dir: str, name: str):

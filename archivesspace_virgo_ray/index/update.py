@@ -12,12 +12,14 @@ segment merging internally. Here both halves are explicit:
   postings land in the same shard forever — queries stay doc-sharded
   scatter/merge, reading base + deltas per (shard, bucket).
 - ``merge_segments``: one plain Ray task per (shard, bucket)
-  (:func:`rewrite_segment`) merges all its generations into a single base
+  (:func:`rewrite_segment`) merges all its live generations into a single
   segment; ``tiered_merge`` runs the same task to fold delta generations
-  into one combined delta. Merging is deterministic (terms ascending,
-  postings doc_id-ascending), so a merged index is **byte-identical** to a
-  full rebuild over the union corpus — the conformance test asserts
-  exactly that.
+  into one combined delta. Both commit the same way (:func:`_compact`):
+  the output is a fresh generation named by one commit marker, so no
+  segment dir is ever renamed over or rewritten in place. Merging is
+  deterministic (terms ascending, postings doc_id-ascending), so a merged
+  index is **byte-identical** to a full rebuild over the union corpus —
+  the conformance test asserts exactly that.
 - ``delete_documents``: generation-thresholded tombstones (Lucene-style):
   masked at query time, df/avgdl unchanged until a merge expunges the
   postings — same visibility semantics as Solr deletes before an optimize.
@@ -28,7 +30,6 @@ segment merging internally. Here both halves are explicit:
 
 from __future__ import annotations
 
-import glob
 import json
 import os
 import re
@@ -44,7 +45,8 @@ import ray.data
 from .build import BuildConfig, _all_manifests, make_doc_stats_fn, make_triples_fn
 from .build import is_small, read_small_source, table_triples, write_segments
 from .locking import locked_on
-from .segments import GLOBAL, SEGMENTS, segment_name, write_segment
+from .segments import GLOBAL, SEGMENTS, live_segments, read_manifest
+from .segments import segment_name, write_segment
 from .segments import _parquet_files, _parquet_rows, read_stats, write_stats
 # the read-side helpers live in segments.py (a query worker imports them
 # without this module's Ray Data and pandas imports); re-exported here
@@ -75,10 +77,12 @@ def _commit_gen(index_dir: str, gen: int, info: dict) -> None:
 
 
 def _cleanup_uncommitted_gens(index_dir: str) -> bool:
-    """Remove delta segment dirs / doc-table parts from generations whose
-    commit marker never landed (a crashed or abandoned add_documents) —
-    makes add_documents safely retryable (no double indexing). Returns True
-    if anything was removed (caller must reseal term stats)."""
+    """Remove segment dirs / doc-table parts from generations whose commit
+    marker never landed (a crashed or abandoned add or compaction) — makes
+    every writer safely retryable (no double indexing) — and segment dirs
+    a committed compaction folded (the base too, once a full merge ran).
+    Both are invisible to readers. Returns True if anything was removed
+    (caller must reseal term stats)."""
     import shutil
 
     removed = False
@@ -87,16 +91,10 @@ def _cleanup_uncommitted_gens(index_dir: str) -> bool:
     root = os.path.join(index_dir, SEGMENTS)
     if os.path.isdir(root):
         for name in os.listdir(root):
-            m = _GEN_RE.match(name)
-            if not (m and m.group(3)):
+            if not _GEN_RE.match(name):
                 continue
-            gen = int(m.group(3))
-            # uncommitted = crashed add/merge; folded = superseded by a
-            # COMMITTED tiered merge (its combined dir carries the data).
-            # Folded leftovers only double-count in manifest sweeps — they
-            # are already invisible to readers — but remove them so stats
-            # recomputation stays a plain sum over dirs.
-            if gen not in committed or gen in folded:
+            gen = segment_gen(name)
+            if gen in folded or (gen and gen not in committed):
                 shutil.rmtree(os.path.join(root, name), ignore_errors=True)
                 removed = True
     docs_dir = os.path.join(index_dir, "_docs")
@@ -110,13 +108,9 @@ def _cleanup_uncommitted_gens(index_dir: str) -> bool:
 
 
 def _next_gen(index_dir: str) -> int:
-    gens = {
-        int(m.group(3))
-        for names in list_segment_generations(index_dir).values()
-        for m in (_GEN_RE.match(n) for n in names)
-        if m and m.group(3)
-    } | committed_gens(index_dir)
-    return (max(gens) + 1) if gens else 1
+    names = list_segment_generations(index_dir).values()
+    return max({0} | committed_gens(index_dir)
+               | {segment_gen(n) for ns in names for n in ns}) + 1
 
 
 @locked_on("index_dir")
@@ -319,15 +313,13 @@ def repair_stats(index_dir: str) -> dict:
     postings doesn't change it, because the forward rows remain)."""
     stats = read_stats(index_dir)
     committed = committed_gens(index_dir)
-    folded = folded_gens(index_dir)
     total_len = 0
     n_postings = 0
-    for m in _all_manifests(index_dir):
-        gen = m.get("lineage", {}).get("generation")
-        if gen is not None and (gen not in committed or gen in folded):
-            continue  # uncommitted (crashed add) or superseded by a fold
-        total_len += m["n_tokens"]
-        n_postings += m["n_postings"]
+    for names in live_segments(index_dir).values():
+        for name in names:
+            m = read_manifest(index_dir, name)
+            total_len += m["n_tokens"]
+            n_postings += m["n_postings"]
     docs_dir = os.path.join(index_dir, "_docs")
     n_docs = 0
     for root, _dirs, files in os.walk(docs_dir):
@@ -371,68 +363,49 @@ def write_segment_gen(index_dir, shard, bucket, gen, group) -> dict:
     from .. import PIPELINE_VERSION
 
     return _publish_segment(
-        index_dir, shard, bucket, f"{segment_name(shard, bucket)}_g{gen:04d}",
-        group, lineage={"generation": gen, "pipeline_version": PIPELINE_VERSION})
+        index_dir, f"{segment_name(shard, bucket)}_g{gen:04d}",
+        lambda scratch: write_segment(
+            scratch, shard, bucket, group,
+            lineage={"generation": gen, "pipeline_version": PIPELINE_VERSION}))
 
 
-def _publish_segment(index_dir, shard, bucket, name, group, lineage=None,
-                     extras=None) -> dict:
-    """Write ``group`` as segment dir ``name``: build it in a dot-prefixed
-    scratch root (reusing write_segment), stamp ``extras`` into its
-    manifest, then rename it into place. A dir already holding ``name`` is
-    renamed aside into the scratch root first and deleted only after the
-    new dir is in, so a crash between the two renames strands the old copy
-    where :func:`_heal_crashed_publish` finds and restores it."""
+def _publish_segment(index_dir, name, write, extras=None) -> dict:
+    """Publish the new segment dir ``name``: ``write(scratch)`` builds it
+    as ``segment_name(shard, bucket)`` under a fresh dot-prefixed scratch
+    root and returns its manifest; the manifest is written again with
+    ``extras`` stamped in (unless None), and the dir is renamed into
+    place. A name is written once: an existing ``name`` raises
+    FileExistsError, so nothing is ever renamed over a segment a reader
+    may hold."""
     import shutil
     import uuid
 
     scratch = os.path.join(index_dir, SEGMENTS, f".pub-{uuid.uuid4().hex[:8]}")
-    m = write_segment(scratch, shard, bucket, group, lineage=lineage)
-    src = os.path.join(scratch, SEGMENTS, segment_name(shard, bucket))
-    if extras:
+    m = write(scratch)
+    src = os.path.join(scratch, SEGMENTS, segment_name(m["shard"], m["bucket"]))
+    if extras is not None:
         m.update(extras)
         with open(os.path.join(src, "manifest.json"), "w") as f:
             json.dump(m, f)
     final_dir = os.path.join(index_dir, SEGMENTS, name)
-    if os.path.isdir(final_dir):
-        os.replace(final_dir, os.path.join(scratch, name))
+    if os.path.lexists(final_dir):
+        raise FileExistsError(f"segment {name} already exists")
     os.replace(src, final_dir)
     shutil.rmtree(scratch, ignore_errors=True)
     return m
 
 
-def stranded_segments(index_dir: str) -> list[tuple[str, str]]:
-    """(scratch dir, segment name) for every segment dir whose only copy is
-    the aside copy of a crashed :func:`_publish_segment`."""
-    root = os.path.join(index_dir, SEGMENTS)
-    out = []
-    for scratch in sorted(os.listdir(root)) if os.path.isdir(root) else []:
-        d = os.path.join(root, scratch)
-        if not (scratch.startswith(".") and os.path.isdir(d)):
-            continue
-        out.extend(
-            (scratch, name) for name in sorted(os.listdir(d))
-            if _GEN_RE.match(name)
-            and not os.path.exists(os.path.join(root, name)))
-    return out
-
-
-def _heal_crashed_publish(index_dir: str) -> list[str]:
-    """Restore every stranded segment dir and drop its scratch root.
-    Putting the old copy back is always correct: a full merge deletes its
-    source deltas only after the publish, and a fold's or add's output is
-    invisible until its marker commits. Call under the index lock (no
-    publish is then in flight). Returns the restored names (shared by
-    merge_segments, tiered_merge/maintain and fsck --repair)."""
-    import shutil
-
-    root = os.path.join(index_dir, SEGMENTS)
-    restored = []
-    for scratch, name in stranded_segments(index_dir):
-        os.replace(os.path.join(root, scratch, name), os.path.join(root, name))
-        shutil.rmtree(os.path.join(root, scratch), ignore_errors=True)
-        restored.append(name)
-    return restored
+def _link_segment(scratch, index_dir, shard, bucket, source) -> dict:
+    """``write`` step of :func:`_publish_segment` for a pair whose one
+    source segment needs no rewrite: hard-link its files into ``scratch``
+    (the bytes a rewrite would write) and return its manifest."""
+    src = os.path.join(index_dir, SEGMENTS, source)
+    dst = os.path.join(scratch, SEGMENTS, segment_name(shard, bucket))
+    os.makedirs(dst)
+    for f in os.listdir(src):
+        if f != "manifest.json":  # written fresh by _publish_segment
+            os.link(os.path.join(src, f), os.path.join(dst, f))
+    return read_manifest(index_dir, source)
 
 
 def _read_expunged_triples(
@@ -463,66 +436,59 @@ def _read_expunged_triples(
     return pd.concat(frames, ignore_index=True)
 
 
-def rewrite_segment(index_dir, shard, bucket, names, tombs, fold=None) -> dict:
+def rewrite_segment(index_dir, shard, bucket, names, tombs, fold) -> dict:
     """Rewrite one (shard, bucket) pair: the work unit of both compactions.
     Reads the driver-chosen source dirs ``names``, drops the postings
     masked at each source's own generation (deletes and replaced-away
-    versions), and publishes the survivors as one segment. Deterministic
-    (write_segment sorts by (term, doc_id)), so a full merge is
-    byte-identical to a rebuild over the live corpus and a retried task
-    writes the same bytes. ``tombs`` = (tomb_ids, tomb_thr, n_shards).
+    versions), and writes the survivors as the pair's segment of
+    generation ``out_gen`` (``fold`` = (out_gen, mask_gen)), invisible
+    until the driver commits that marker. Deterministic (write_segment
+    sorts by (term, doc_id)), so a full merge is byte-identical to a
+    rebuild over the live corpus and a retried task writes the same bytes.
+    ``tombs`` = (tomb_ids, tomb_thr, n_shards).
 
-    - **full merge** (``fold`` None): replaces the base segment, stamping
-      ``merged_through_gen`` (highest source generation; readers skip the
-      deltas at or below it), then deletes the source deltas. A crash
-      before that delete leaves deltas that readers already skip.
-    - **tiered fold** (``fold`` = (out_gen, mask_gen)): writes
-      ``_g{out_gen}``, invisible until the driver commits that marker,
-      stamping ``mask_gen`` (highest folded generation) and lineage so
-      query-time thresholds keep masking correctly (segment_mask_gen).
-      Writes no dir when every posting was masked: the committed fold
-      hides the sources and nothing needs to replace them.
-
-    Both stamp ``expunged_sig``, the signature of the masks applied here,
-    so segment_needs_expunge fires again only when the pair's relevant
-    mask set changes. Returns {shard, bucket, n_tokens, n_postings,
-    n_dropped}."""
-    import shutil
-
+    A single source with no masked posting is hard-linked instead of
+    decoded (same bytes). The manifest gets ``mask_gen`` (the highest
+    folded generation, so query-time thresholds keep masking correctly —
+    segment_mask_gen), lineage and ``expunged_sig``, the signature of the
+    masks applied, so segment_needs_expunge fires again only when the
+    pair's relevant mask set changes. Writes no dir when every posting was
+    masked: the committed marker hides the sources and nothing needs to
+    replace them. Returns {shard, bucket, n_tokens, n_postings, n_dropped,
+    rewritten}."""
     from .. import PIPELINE_VERSION
 
     tomb_ids, tomb_thr, n_shards = tombs
-    readers = {n: open_segment(index_dir, n) for n in names}
-    # positions carry through iff every source stores them (always true
-    # when built/added consistently)
-    merge_pos = all(r.has_positions for r in readers.values())
-    triples = _read_expunged_triples(readers, tomb_ids, tomb_thr,
-                                     merge_pos)
-    n_src = sum(int(r.terms["df"].to_numpy().sum()) for r in readers.values())
-    out = {"shard": shard, "bucket": bucket, "n_tokens": 0, "n_postings": 0,
-           "n_dropped": n_src - len(triples)}
-    if fold is None:
-        stamp_gen = max(segment_gen(index_dir, n) for n in names)
-        name, lineage = segment_name(shard, bucket), None
-        extras = {"merged_through_gen": stamp_gen}
-    else:
-        out_gen, stamp_gen = fold
+    out_gen, mask_gen = fold
+    name = f"{segment_name(shard, bucket)}_g{out_gen:04d}"
+    extras = {"lineage": {"generation": out_gen,
+                          "pipeline_version": PIPELINE_VERSION},
+              "mask_gen": mask_gen,
+              "expunged_sig": mask_signature(tomb_ids, tomb_thr, shard,
+                                             n_shards, mask_gen)}
+    out = {"shard": shard, "bucket": bucket, "n_dropped": 0,
+           "rewritten": len(names) > 1 or segment_needs_expunge(
+               index_dir, shard, names[0], *tombs)}
+    if out["rewritten"]:
+        readers = {n: open_segment(index_dir, n) for n in names}
+        # positions carry through iff every source stores them (always
+        # true when built/added consistently)
+        merge_pos = all(r.has_positions for r in readers.values())
+        triples = _read_expunged_triples(readers, tomb_ids, tomb_thr,
+                                         merge_pos)
+        out["n_dropped"] = sum(int(r.terms["df"].to_numpy().sum())
+                               for r in readers.values()) - len(triples)
         if not len(triples):
-            return out
-        name = f"{segment_name(shard, bucket)}_g{out_gen:04d}"
-        lineage = {"generation": out_gen, "pipeline_version": PIPELINE_VERSION}
-        extras = {"mask_gen": stamp_gen}
-    extras["expunged_sig"] = mask_signature(tomb_ids, tomb_thr, shard,
-                                            n_shards, stamp_gen)
-    m = _publish_segment(index_dir, shard, bucket, name, triples, lineage,
-                         extras)
-    if fold is None:
-        for n in names:
-            if "_g" in n:
-                shutil.rmtree(os.path.join(index_dir, SEGMENTS, n),
-                              ignore_errors=True)
-    out.update(n_tokens=int(m["n_tokens"]), n_postings=int(m["n_postings"]))
-    return out
+            return {**out, "n_tokens": 0, "n_postings": 0}
+
+        def write(scratch):
+            return write_segment(scratch, shard, bucket, triples)
+    else:
+        def write(scratch):
+            return _link_segment(scratch, index_dir, shard, bucket, names[0])
+    m = _publish_segment(index_dir, name, write, extras)
+    return {**out, "n_tokens": int(m["n_tokens"]),
+            "n_postings": int(m["n_postings"])}
 
 
 @ray.remote
@@ -531,7 +497,7 @@ def _rewrite_segment_task(*args) -> dict:
     return rewrite_segment(*args)
 
 
-def _rewrite_pairs(index_dir, work, tombs, concurrency, fold=None) -> list[dict]:
+def _rewrite_pairs(index_dir, work, tombs, concurrency, fold) -> list[dict]:
     """Run :func:`rewrite_segment` over ``work`` [(shard, bucket, names)]
     as plain Ray tasks, at most ``concurrency`` at once, with the options
     of the merge placement hook. Results come back in ``work`` order."""
@@ -552,41 +518,79 @@ def _load_tombs(index_dir: str) -> tuple[np.ndarray, np.ndarray, int]:
     return (*load_tombstone_thresholds(index_dir), read_stats(index_dir)["n_shards"])
 
 
+def _compact(index_dir, fold, tombs, concurrency, info) -> tuple[int, list]:
+    """One compaction commit, shared by both compactions: fold the live
+    generations ``fold`` into a fresh generation M.
+
+    1. every pair holding a folded generation gets its segment of M from
+       :func:`rewrite_segment` — a Ray task per pair that needs a rewrite
+       (at most ``concurrency`` at once), in-process for a pair whose one
+       source needs none (a hard link) — invisible until committed,
+    2. marker M commits with ``folds`` (plus ``info``): the atomic
+       visibility flip — readers now see M and skip the sources,
+    3. the folded source dirs are deleted (lazily: a crash here leaves
+       dirs that cleanup and fsck --repair reap).
+
+    Returns (M, per-pair results)."""
+    import shutil
+
+    out_gen = _next_gen(index_dir)
+    fold_set = set(fold)
+    stamp = (out_gen, max(fold))
+    tasks, local = [], []
+    for (s, b), names in sorted(live_segments(index_dir).items()):
+        src = [n for n in names if segment_gen(n) in fold_set]
+        if len(src) == 1 and not segment_needs_expunge(index_dir, s, src[0], *tombs):
+            local.append((s, b, src))
+        elif src:
+            tasks.append((s, b, src))
+    out = _rewrite_pairs(index_dir, tasks, tombs, concurrency, stamp) + [
+        rewrite_segment(index_dir, s, b, src, tombs, stamp) for s, b, src in local]
+    _commit_gen(
+        index_dir, out_gen,
+        {"n_docs": 0, "n_tokens": sum(r["n_tokens"] for r in out),
+         "replaces": [], "n_replaced": 0, "n_shadowed": 0,
+         "folds": sorted(int(g) for g in fold), **info},
+    )
+    root = os.path.join(index_dir, SEGMENTS)
+    for name in os.listdir(root):
+        if _GEN_RE.match(name) and segment_gen(name) in fold_set:
+            shutil.rmtree(os.path.join(root, name), ignore_errors=True)
+    return out_gen, out
+
+
 @locked_on("index_dir")
 def merge_segments(index_dir: str, concurrency: int = 4) -> pd.DataFrame:
-    """Merge every multi-generation (shard, bucket) back to a single base
-    segment, one :func:`rewrite_segment` task per pair (at most
-    ``concurrency`` at once), and EXPUNGE masked postings — also from
-    single-generation pairs in shards holding deleted docs, so a full
-    merge always leaves stats exact. Returns the merge report."""
-    _heal_crashed_publish(index_dir)
+    """Merge every (shard, bucket) to ONE live segment and EXPUNGE masked
+    postings — also from single-segment pairs in shards holding deleted
+    docs, so a full merge always leaves stats exact. Runs only when some
+    pair needs it; then it commits like one :func:`tiered_merge` round
+    (:func:`_compact`): every live generation, the base's 0 included, folds
+    into a fresh generation M whose marker says ``merged``. Pairs that
+    need no rewrite get M by hard link, so the merge pays only for dirty
+    pairs. Returns the merge report: the rewritten pairs."""
+    from .build import _seal_termstats
+
+    _cleanup_uncommitted_gens(index_dir)  # a crashed earlier attempt
     tombs = _load_tombs(index_dir)
-    folded = folded_gens(index_dir)
-    work = []
-    for (s, b), names in sorted(list_segment_generations(index_dir).items()):
-        # merge only the VISIBLE set: base + committed, unmerged gens. A
-        # single-generation pair is still rewritten when it may hold masked
-        # postings — a delete's expunge must not depend on a delta
-        # happening to exist in that bucket.
-        live = live_gens(index_dir, names, folded=folded)
-        if len(live) > 1 or any(
-            segment_needs_expunge(index_dir, s, n, *tombs) for n in live
-        ):
-            work.append((s, b, live))
-    if not work:
+    live = live_segments(index_dir)
+    if all(len(names) == 1
+           and not segment_needs_expunge(index_dir, s, names[0], *tombs)
+           for (s, _b), names in live.items()):
         return pd.DataFrame(columns=["shard", "bucket", "merged"])
-    _rewrite_pairs(index_dir, work, tombs, concurrency)
+    gens = {segment_gen(n) for names in live.values() for n in names}
+    _gen, out = _compact(index_dir, sorted(gens), tombs, concurrency,
+                         {"merged": True})
     # a merge drops masked postings (deletes / replaced-away versions), so
     # corpus totals and per-term stats change: recompute stats from disk
     # truth and reseal the term dictionary. After a full merge, stats are
     # EXACT for the live corpus — the same numbers a from-scratch rebuild
     # over the latest versions would produce.
-    from .build import _seal_termstats
-
     repair_stats(index_dir)
     _seal_termstats(index_dir)
-    return pd.DataFrame({"shard": [s for s, _b, _n in work],
-                         "bucket": [b for _s, b, _n in work],
+    done = [r for r in out if r["rewritten"]]
+    return pd.DataFrame({"shard": [r["shard"] for r in done],
+                         "bucket": [r["bucket"] for r in done],
                          "merged": True})
 
 
@@ -617,22 +621,15 @@ def _restamp_sealed_gens(index_dir: str, expected: list[int]) -> bool:
 
 def _live_delta_gen_sizes(index_dir: str) -> dict[int, int]:
     """gen -> token size for every VISIBLE delta generation (committed, not
-    folded, not merged into the base), from the commit markers — no segment
-    IO. Size drives tier assignment only; slight overstatement after an
-    expunge is harmless."""
+    folded; never the base nor a full merge's output, which the tier
+    policy leaves alone), from the commit markers — no segment IO. Size
+    drives tier assignment only; slight overstatement after an expunge is
+    harmless."""
     markers = _committed_markers(index_dir)
-    folded = folded_gens(index_dir)
-    live: set[int] = set()
-    for (_s, _b), names in list_segment_generations(index_dir).items():
-        for n in live_gens(index_dir, names, folded=folded):
-            m = re.search(r"_g(\d+)$", n)
-            if m:
-                live.add(int(m.group(1)))
-    return {
-        g: max(1, int(markers.get(g, {}).get("n_tokens", 1)))
-        for g in sorted(live)
-        if g not in folded
-    }
+    live = {segment_gen(n) for names in live_segments(index_dir, markers).values()
+            for n in names}
+    return {g: max(1, int(markers[g].get("n_tokens", 1)))
+            for g in sorted(live) if g and not markers[g].get("merged")}
 
 
 def select_fold(
@@ -672,63 +669,29 @@ def tiered_merge(
     query) at O(merge_factor * log(total/smallest)) without ever rewriting
     the base, unlike :func:`merge_segments` whose cost is the whole index.
 
-    Commit protocol per round (single maintenance writer assumed, like all
-    index mutators here):
-
-    1. heal a crashed publish and clean uncommitted/folded leftovers (a
-       crashed prior attempt),
-    2. write every (shard, bucket) combined delta at a fresh generation M,
-       one :func:`rewrite_segment` task per pair (at most ``concurrency``
-       at once) — invisible until committed,
-    3. commit marker M with ``folds=[...]`` — the atomic visibility flip:
-       readers now see the combined and skip the folded sources,
-    4. delete the folded source dirs (lazy; step 1 / fsck also reap them),
-    5. reseal stats + termstats (sealed_gens must cover M; postings counts
-       shrink when masked postings were expunged).
+    Single maintenance writer assumed, like all index mutators here: clean
+    uncommitted/folded leftovers (a crashed prior attempt), then per round
+    one :func:`_compact` commit of the generations :func:`select_fold`
+    picks, and finally reseal stats + termstats (sealed_gens must cover
+    the new markers; postings counts shrink when masked postings were
+    expunged).
 
     Returns {"rounds": [...]} with per-round folds/new_gen/pairs."""
-    import shutil
-
     from .build import _seal_termstats
 
     report: dict = {"rounds": []}
-    _heal_crashed_publish(index_dir)
     if _cleanup_uncommitted_gens(index_dir):
         _seal_termstats(index_dir)
         repair_stats(index_dir)
     seal_basis = sorted(committed_gens(index_dir))
     tombs = _load_tombs(index_dir)  # folds add no tombstones
-    root = os.path.join(index_dir, SEGMENTS)
     total_dropped = 0
     for _ in range(max_rounds):
         fold = select_fold(_live_delta_gen_sizes(index_dir), merge_factor)
         if not fold:
             break
-        out_gen = _next_gen(index_dir)
-        fold_set = set(fold)
-
-        def folded_here(name: str) -> bool:
-            m = _GEN_RE.match(name)
-            return bool(m and m.group(3) and int(m.group(3)) in fold_set)
-
-        work = []
-        for (s, b), names in sorted(list_segment_generations(index_dir).items()):
-            src = [n for n in names if folded_here(n)]
-            if src:
-                work.append((s, b, src))
-        out = _rewrite_pairs(index_dir, work, tombs, concurrency,
-                             fold=(out_gen, max(fold)))
-        _commit_gen(
-            index_dir, out_gen,
-            {"n_docs": 0, "n_tokens": sum(r["n_tokens"] for r in out),
-             "replaces": [], "n_replaced": 0, "n_shadowed": 0,
-             "folds": [int(g) for g in fold], "tiered": True},
-        )
-        # sources are now invisible; reap them (crash here is harmless —
-        # cleanup and fsck --repair both remove folded leftovers)
-        for name in os.listdir(root):
-            if folded_here(name):
-                shutil.rmtree(os.path.join(root, name), ignore_errors=True)
+        out_gen, out = _compact(index_dir, fold, tombs, concurrency,
+                                {"tiered": True})
         round_dropped = sum(r["n_dropped"] for r in out)
         total_dropped += round_dropped
         report["rounds"].append(
@@ -831,9 +794,9 @@ def vacuum_docs(index_dir: str) -> dict:
     postings disappear; this makes the doc-table rows and the tombstone
     file follow), run after a full expunging :func:`merge_segments`.
 
-    Preconditions (ValueError otherwise): no visible delta generations and
-    no live segment still holding masked postings — i.e. every mask is
-    already physically applied, so dropping the bookkeeping loses nothing.
+    Preconditions (ValueError otherwise): one live segment per pair and
+    none still holding masked postings — i.e. every mask is already
+    physically applied, so dropping the bookkeeping loses nothing.
 
     1. Rewrite ``_docs`` keeping only rows with ``gen >= threshold(doc_id)``
        — exactly the segment mask rule: explicitly-deleted docs drop
@@ -858,20 +821,16 @@ def vacuum_docs(index_dir: str) -> dict:
     stats = read_stats(index_dir)
     n_shards = stats["n_shards"]
     tomb_ids, tomb_thr = load_tombstone_thresholds(index_dir)
-    gens_map = list_segment_generations(index_dir)
-    folded = folded_gens(index_dir)
-    for (s, _b), names in gens_map.items():
-        live = live_gens(index_dir, names, folded=folded)
-        if any("_g" in n for n in live):
+    for (s, _b), names in live_segments(index_dir).items():
+        if len(names) > 1:
             raise ValueError(
-                "vacuum_docs: visible delta generations remain — run "
-                "merge_segments() first")
-        for n in live:
-            if segment_needs_expunge(index_dir, s, n, tomb_ids, tomb_thr,
-                                     n_shards):
-                raise ValueError(
-                    f"vacuum_docs: segment {n} still holds masked postings "
-                    "— run merge_segments() first")
+                f"vacuum_docs: visible delta generations remain ({names}) "
+                "— run merge_segments() first")
+        if segment_needs_expunge(index_dir, s, names[0], tomb_ids, tomb_thr,
+                                 n_shards):
+            raise ValueError(
+                f"vacuum_docs: segment {names[0]} still holds masked "
+                "postings — run merge_segments() first")
     n_tomb = len(_read_tombstone_file(index_dir))
     if not len(tomb_ids):
         return {"vacuumed": False, "rows_dropped": 0, "tombstones_cleared": 0}
@@ -928,25 +887,6 @@ def vacuum_docs(index_dir: str) -> dict:
             "tombstones_cleared": n_tomb}
 
 
-def _global_merged_through(index_dir: str) -> int:
-    """Conservative (min over base segments) merged_through generation —
-    markers at or below it had their replaced-away postings expunged by a
-    full merge already."""
-    mt = None
-    for (_s, _b), names in list_segment_generations(index_dir).items():
-        base = [n for n in names if "_g" not in n]
-        if not base:
-            return -1
-        mpath = os.path.join(index_dir, SEGMENTS, base[0], "manifest.json")
-        try:
-            with open(mpath) as f:
-                v = int(json.load(f).get("merged_through_gen", -1))
-        except (OSError, ValueError):
-            v = -1
-        mt = v if mt is None else min(mt, v)
-    return -1 if mt is None else mt
-
-
 @locked_on("index_dir")
 def maintain(
     index_dir: str,
@@ -964,7 +904,7 @@ def maintain(
        delta generations while the log-structured policy finds a tier;
     2. **full expunging merge** (index-sized cost, so gated): only when the
        garbage fraction — explicitly deleted docs plus replaced-away
-       versions not yet expunged (markers above the base's merged_through)
+       versions not yet expunged (markers above the newest full merge's)
        — reaches ``dead_ratio`` of the corpus;
     3. **vacuum** (optional, after a merge): compact the forward table and
        reset the tombstone bookkeeping via :func:`vacuum_docs`.
@@ -978,12 +918,11 @@ def maintain(
     stats = read_stats(index_dir)
     n_dead = _dead_count_cached(index_dir, stats)
     write_stats(index_dir, stats)  # persist the dead cache for next time
-    mt = _global_merged_through(index_dir)
-    n_replaced = sum(
-        int(info.get("n_replaced", 0))
-        for gen, info in _committed_markers(index_dir).items()
-        if gen > mt
-    )
+    markers = _committed_markers(index_dir)
+    merged = max((g for g, info in markers.items() if info.get("merged")),
+                 default=0)
+    n_replaced = sum(int(info.get("n_replaced", 0))
+                     for gen, info in markers.items() if gen > merged)
     garbage = n_dead + n_replaced
     n_live = int(stats.get("n_docs", 0))
     frac = garbage / (n_live + garbage) if (n_live + garbage) else 0.0
@@ -1079,10 +1018,8 @@ def mask_signature(
 def segment_expunged_sig(index_dir: str, name: str) -> str:
     """The mask signature the last expunging merge applied to this segment
     (recorded by the merger; "" for never-expunged)."""
-    mpath = os.path.join(index_dir, SEGMENTS, name, "manifest.json")
     try:
-        with open(mpath) as f:
-            return str(json.load(f).get("expunged_sig", ""))
+        return str(read_manifest(index_dir, name).get("expunged_sig", ""))
     except (OSError, ValueError):
         return ""
 

@@ -202,13 +202,25 @@ def _live_postings(sc: ShardScorer) -> dict:
     return {key: sorted(v) for key, v in out.items() if v}
 
 
+def _rewrite_in_process(monkeypatch) -> None:
+    """Run a compaction's segment rewrites in this process, so a hook
+    installed here sees every step of its commit."""
+    from archivesspace_virgo_ray.index import update
+
+    def rewrite_pairs(index_dir, work, tombs, concurrency, fold=None):
+        return [update.rewrite_segment(index_dir, s, b, names, tombs, fold)
+                for s, b, names in work]
+
+    monkeypatch.setattr(update, "_rewrite_pairs", rewrite_pairs)
+
+
 def test_reader_held_between_opens_sees_one_segment_version(
         tmp_path, corpus, ray_session, monkeypatch):
     """Deterministic: a reader that has read a segment's doc table is held
-    while a merge republishes that very dir (rename aside, rename in,
-    delete the old copy). It must end up with ONE version of the segment
-    (it retries from a fresh snapshot), never the old doc table with the
-    new term dict and postings."""
+    while a full merge writes that pair's output, commits it and deletes
+    the segment the reader is opening. It must end up with ONE version of
+    the pair (it retries from a fresh snapshot), never the old doc table
+    with the new term dict and postings."""
     from archivesspace_virgo_ray.index import segments, update
 
     src, _victims = corpus
@@ -221,18 +233,18 @@ def test_reader_held_between_opens_sees_one_segment_version(
     # deletes in this pair make the merge rewrite its doc table
     delete_documents(idx, ids[::5])
     want = _live_postings(ShardScorer(idx, 0, buckets=[0]))
-    name = segments.segment_name(0, 0)
     real = segments.decode_doc_table
     fired = []
 
-    def hold_and_publish(buf, n_docs):
+    def hold_and_merge(buf, n_docs):
         out = real(buf, n_docs)
         if not fired:
             fired.append(True)
-            update.rewrite_segment(idx, 0, 0, [name], update._load_tombs(idx))
+            update.merge_segments(idx, concurrency=1)
         return out
 
-    monkeypatch.setattr(segments, "decode_doc_table", hold_and_publish)
+    _rewrite_in_process(monkeypatch)
+    monkeypatch.setattr(segments, "decode_doc_table", hold_and_merge)
     held = ShardScorer(idx, 0, buckets=[0])
     monkeypatch.undo()
     assert fired
@@ -240,3 +252,40 @@ def test_reader_held_between_opens_sees_one_segment_version(
     assert len(after.readers[0][0][1].doc_map) < len(ids)  # expunged
     assert _live_postings(after) == want
     assert _live_postings(held) == want
+
+
+def test_scorers_during_a_full_merge_see_one_state(
+        tmp_path, corpus, ray_session, monkeypatch):
+    """Deterministic: build shard scorers after every rename a full merge
+    makes (its segment writes, marker, stats), with the rewrites run in
+    process. Each must hold the live postings of the index before the
+    merge or after it — never a pair whose segment is missing because it
+    was renamed away at that moment."""
+    from archivesspace_virgo_ray.index import update
+
+    src, _victims = corpus
+    idx = str(tmp_path / "idx")
+    build_index(os.path.join(src, "base.parquet"), idx, BuildConfig(**CFG),
+                resume=False)
+    add_documents(os.path.join(src, "d1.parquet"), idx, BuildConfig(**CFG))
+
+    def state():
+        return [_live_postings(ShardScorer(idx, s))
+                for s in range(CFG["n_shards"])]
+
+    pre = state()
+    real = os.replace
+    seen = []
+
+    def observe(a, b):
+        real(a, b)
+        seen.append(state())
+
+    _rewrite_in_process(monkeypatch)
+    monkeypatch.setattr(os, "replace", observe)
+    assert len(update.merge_segments(idx, concurrency=1))
+    monkeypatch.undo()
+    post = state()
+    assert len(seen) > 3
+    bad = [i for i, st in enumerate(seen) if st not in (pre, post)]
+    assert not bad, f"{len(bad)}/{len(seen)} scorers saw neither state"

@@ -171,6 +171,8 @@ def _ranked(idx: str, live: dict, tbl: pa.Table, mu=None, where=False,
                                        or (round(s, 6) == cs and d > cd)):
                 continue
             kept.append((d, float(s)))
+        if cs is not None:  # a cursor pages in its own order
+            kept.sort(key=lambda ds: (-round(ds[1], 6), ds[0]))
         out.append((qid, k, kept))
     return out
 

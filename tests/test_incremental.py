@@ -15,6 +15,7 @@ from archivesspace_virgo_ray.corpus import generate_corpus
 from archivesspace_virgo_ray.functions.hashing import doc_id_from_key
 from archivesspace_virgo_ray.index.build import BuildConfig, build_index
 from archivesspace_virgo_ray.index.query import LocalSearcher
+from archivesspace_virgo_ray.index.reshard import segments_equal
 from archivesspace_virgo_ray.index.update import (
     add_documents,
     delete_documents,
@@ -77,12 +78,8 @@ def test_merge_is_byte_identical_to_rebuild(corpora, tmp_path_factory, ray_sessi
     os.makedirs(full_dir)
     pq.write_table(full, os.path.join(full_dir, "part-0.parquet"))
     build_index(full_dir, idx_full, BuildConfig(**CFG), resume=False)
-
-    for (s, b), names in list_segment_generations(idx_full).items():
-        for f in ("terms.parquet", "blocks.parquet", "docs.bin", "postings.bin"):
-            a = open(os.path.join(idx_full, "segments", names[0], f), "rb").read()
-            bb = open(os.path.join(idx_inc, "segments", names[0], f), "rb").read()
-            assert a == bb, f"{names[0]}/{f} differs from full rebuild"
+    # pair by pair: the merge names each output by its generation
+    assert segments_equal(idx_full, idx_inc), "merge differs from full rebuild"
 
     # queries still exact post-merge
     oracle = OracleIndex(_ids(full).tolist(), full["content"].to_pylist())
@@ -103,7 +100,6 @@ def test_large_delta_add_matches_small_path(corpora, tmp_path_factory,
     import ray.data
 
     from archivesspace_virgo_ray.index import build, update
-    from archivesspace_virgo_ray.index.reshard import segments_equal
 
     d, full, base, delta = corpora
     root = tmp_path_factory.mktemp("idx_bigadd")
@@ -263,11 +259,7 @@ def test_replace_semantics_and_merge_equals_rebuild(tmp_path, ray_session):
     idx_full = str(d / "idx_full")
     build_index(str(d / "latest.parquet"), idx_full, BuildConfig(**MINI_CFG),
                 resume=False)
-    for (sh, b), names in list_segment_generations(idx_full).items():
-        for f in ("terms.parquet", "blocks.parquet", "docs.bin", "postings.bin"):
-            a = open(os.path.join(idx_full, "segments", names[0], f), "rb").read()
-            bb = open(os.path.join(idx, "segments", names[0], f), "rb").read()
-            assert a == bb, f"{names[0]}/{f} differs from rebuild over latest"
+    assert segments_equal(idx_full, idx), "merge differs from rebuild over latest"
     # post-merge stats and scores match the rebuild exactly
     from archivesspace_virgo_ray.index.segments import read_stats
 

@@ -156,53 +156,3 @@ def test_fsck_heals_crashed_vacuum_window(built):
     assert after["ok"], after["issues"]
     assert os.path.isdir(docs)
     assert not os.path.isdir(docs + ".old") and not os.path.isdir(docs + ".vtmp")
-
-
-def _strand_base(idx: str) -> str:
-    """The on-disk state of a segment publish that crashed between its two
-    renames: the old base renamed aside into a dot-prefixed scratch root,
-    the merged dir not yet renamed in."""
-    name = min(n for names in list_segment_generations(idx).values()
-               for n in names if "_g" not in n)
-    seg_root = os.path.join(idx, "segments")
-    os.makedirs(os.path.join(seg_root, ".pub-deadbeef"))
-    os.replace(os.path.join(seg_root, name),
-               os.path.join(seg_root, ".pub-deadbeef", name))
-    return name
-
-
-def _assert_union_answers(idx, full):
-    indexed = full.slice(0, 250)  # base + d1
-    oracle = OracleIndex(_ids(indexed).tolist(), indexed["content"].to_pylist())
-    searcher = LocalSearcher(idx)
-    for q in ("the", "def return", "license import"):
-        got, expect = searcher.search(q, 10), oracle.score_query(q, 10)
-        assert [x for x, _ in got] == [x for x, _ in expect], q
-        assert [s for _, s in got] == [s for _, s in expect], q
-
-
-def test_fsck_repairs_crashed_publish_window(built):
-    idx, src, full = built
-    add_documents(os.path.join(src, "d1.parquet"), idx, BuildConfig(**CFG))
-    name = _strand_base(idx)
-    audit = fsck_index(idx)
-    assert not audit["ok"]
-    assert "seg_stranded" in audit["issue_codes"]
-    assert "stray_tmp" not in audit["issue_codes"]
-    after = repair_index(idx)  # default age gate: the copy is seconds old
-    assert after["ok"], after["issues"]
-    assert os.path.isdir(os.path.join(idx, "segments", name))
-    assert not os.path.exists(os.path.join(idx, "segments", ".pub-deadbeef"))
-    _assert_union_answers(idx, full)
-
-
-def test_maintain_heals_crashed_publish_window(built):
-    idx, src, full = built
-    add_documents(os.path.join(src, "d1.parquet"), idx, BuildConfig(**CFG))
-    add_documents(os.path.join(src, "d1.parquet"), idx, BuildConfig(**CFG),
-                  on_conflict="replace")
-    _strand_base(idx)
-    rep = maintain(idx, merge_factor=2, dead_ratio=0.10)
-    assert rep["merged_pairs"] > 0
-    assert fsck_index(idx)["ok"]
-    _assert_union_answers(idx, full)

@@ -6,7 +6,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from archivesspace_virgo_ray.index.query import _merge_topk_parts
+from archivesspace_virgo_ray.index.query import QueryPlan, _merge_topk_parts
 
 SCHEMA = pa.schema([("query_id", pa.int64()), ("rank", pa.int64()),
                     ("doc_id", pa.int64()), ("score", pa.float64())])
@@ -103,3 +103,21 @@ def test_scores_pass_through_bit_for_bit():
     s = np.array([0.1 + 0.2, np.nextafter(0.3, 1.0), 0.3, 5e-324], np.float64)
     parts = [_part([0, 0], [1, 2], s[:2]), _part([0, 0], [3, 4], s[2:])]
     _check({0: (4, ["p"])}, parts)
+
+
+def test_cursor_rows_merge_in_the_rounded_order():
+    """A cursor query's shards select their top-k on round(score, dp), so
+    the merge orders its rows that way too: a rounded tie straddling k
+    breaks on doc_id, wherever the docs live; scores stay unrounded."""
+    parts = [_part([7, 8], [10, 10], [1.0000004] * 2),
+             _part([7, 8], [5, 5], [1.0000001] * 2)]
+    live = {7: QueryPlan(1, [], 1, cursor=(2.0, 0, 6)),
+            8: QueryPlan(1, [], 1)}
+    got = _merge_topk_parts(live, parts)
+    assert got["query_id"].to_pylist() == [7, 8]
+    assert got["doc_id"].to_pylist() == [5, 10]
+    assert got["score"].to_pylist() == [1.0000001, 1.0000004]
+    live[7] = QueryPlan(2, [], 1, cursor=(2.0, 0, 6))
+    got = _merge_topk_parts(live, parts)
+    assert got["doc_id"].to_pylist() == [5, 10, 10]
+    assert got["rank"].to_pylist() == [1, 2, 1]

@@ -1,8 +1,8 @@
 """Pool reopen (Lucene IndexReader.reopen analog).
 
 get_pool refreshes a live pool in place when the index changes: actors
-stay warm, unchanged segment readers are reused (keyed by segment name +
-manifest mtime), the result cache drops, and results equal a cold pool /
+stay warm, unchanged segment readers are reused (keyed by build id +
+segment name), the result cache drops, and results equal a cold pool /
 the union oracle.
 """
 
@@ -120,4 +120,18 @@ def test_scorer_reader_cache_reuses_unchanged_segments(built):
     sc3 = ShardScorer(idx, 0, reader_cache=sc2.reader_cache)
     shared = sum(1 for k, r in sc3.reader_cache.items()
                  if sc2.reader_cache.get(k) is r)
-    assert shared == 0, "rewritten bases must NOT reuse stale readers"
+    assert shared == 0, "merged pairs must NOT reuse stale readers"
+
+
+def test_scorer_reader_cache_misses_after_a_rebuild_in_place(built):
+    """A rebuild writes the same segment names with other contents: a
+    scorer handed the old scorer's readers must not reuse them."""
+    idx, src, _full = built
+    sc1 = ShardScorer(idx, 0)
+    build_index(os.path.join(src, "d1.parquet"), idx, BuildConfig(**CFG),
+                resume=False)
+    sc2 = ShardScorer(idx, 0, reader_cache=sc1.reader_cache)
+    assert not set(sc1.reader_cache.values()) & set(sc2.reader_cache.values())
+    fresh = ShardScorer(idx, 0)
+    assert [len(r.doc_map) for _g, r in sc2.readers[0]] == \
+        [len(r.doc_map) for _g, r in fresh.readers[0]]

@@ -141,6 +141,8 @@ def _rankings(corpus: pa.Table, tbl: pa.Table, where=None,
                                        or (round(s, 6) == cs and d > cd)):
                 continue
             kept.append((d, float(s)))
+        if cs is not None:  # a cursor pages in its own order
+            kept.sort(key=lambda ds: (-round(ds[1], 6), ds[0]))
         out.append((qid, k, kept))
     return out
 

@@ -70,6 +70,39 @@ def test_reshard_refuses_unmerged_and_dirty(ray_session, tmp_path):
         reshard_index(src, str(tmp_path / "out"), 4, 8)
 
 
+def test_reshard_after_add_and_merge_equals_fresh_build(ray_session, tmp_path):
+    """A merged index reshards: the result is the fresh build of its live
+    corpus at the target layout, and its commits continue the source's
+    generation numbering (the forward table keeps each row's gen)."""
+    from archivesspace_virgo_ray.index.update import (
+        add_documents,
+        committed_gens,
+        merge_segments,
+        realtime_get,
+    )
+
+    src, dst, fresh = (str(tmp_path / n) for n in ("src", "dst", "fresh"))
+    build_index(CORPUS, src, _cfg(2, 4))
+    delta = pd.DataFrame({"doc_id": [990001], "text": ["brand new delta doc"],
+                          "lang": ["en"], "source": ["s"], "n_chars": [19]})
+    add_documents(ray_docs(delta), src, _cfg(2, 4))
+    assert len(merge_segments(src, concurrency=2))
+    reshard_index(src, dst, 4, 8)
+
+    live = pa.concat_tables([pq.read_table(CORPUS), pa.Table.from_pandas(
+        delta, preserve_index=False)], promote_options="default")
+    pq.write_table(live, str(tmp_path / "live.parquet"))
+    build_index(str(tmp_path / "live.parquet"), fresh, _cfg(4, 8))
+    assert segments_equal(dst, fresh)
+    assert LocalSearcher(dst).search("brand new delta", 5) == \
+        LocalSearcher(fresh).search("brand new delta", 5)
+
+    assert max(committed_gens(dst)) == max(committed_gens(src))
+    add_documents(ray_docs(delta.assign(source=["s2"])), dst, _cfg(4, 8),
+                  on_conflict="replace")
+    assert realtime_get(dst, [990001])["source"].tolist() == ["s2"]
+
+
 def ray_docs(df: pd.DataFrame):
     import ray.data
 

@@ -20,8 +20,14 @@ import pytest
 from archivesspace_virgo_ray.corpus import generate_corpus
 from archivesspace_virgo_ray.functions.hashing import doc_id_from_key
 from archivesspace_virgo_ray.index.build import BuildConfig, build_index
-from archivesspace_virgo_ray.index.fsck import FOLDED_LEFTOVER, fsck_index, repair_index
+from archivesspace_virgo_ray.index.fsck import (
+    FOLDED_LEFTOVER,
+    UNCOMMITTED_LEFTOVER,
+    fsck_index,
+    repair_index,
+)
 from archivesspace_virgo_ray.index.query import LocalSearcher
+from archivesspace_virgo_ray.index.reshard import segments_equal
 from archivesspace_virgo_ray.index.update import (
     _cleanup_uncommitted_gens,
     add_documents,
@@ -152,11 +158,7 @@ def test_tiered_then_full_merge_is_byte_identical(slices, tmp_path_factory,
     os.makedirs(full_dir)
     pq.write_table(full, os.path.join(full_dir, "part-0.parquet"))
     build_index(full_dir, idx_full, BuildConfig(**CFG), resume=False)
-    for (s, b), names in list_segment_generations(idx_full).items():
-        for f in ("terms.parquet", "blocks.parquet", "docs.bin", "postings.bin"):
-            a = open(os.path.join(idx_full, "segments", names[0], f), "rb").read()
-            bb = open(os.path.join(idx, "segments", names[0], f), "rb").read()
-            assert a == bb, f"{names[0]}/{f} differs from full rebuild"
+    assert segments_equal(idx_full, idx), "merge differs from full rebuild"
 
 
 def test_tiered_with_delete_and_replace(slices, tmp_path_factory, ray_session):
@@ -238,6 +240,26 @@ def test_crash_before_marker_is_invisible_and_retryable(
     # retry cleans the leftovers and completes
     report = tiered_merge(idx, merge_factor=4, concurrency=2)
     assert report["rounds"][0]["folds"] == [1, 2, 3, 4]
+    _assert_matches_oracle(idx, _ids(full).tolist(), full["content"].to_pylist())
+
+    # a full merge commits the same way: crashed before its marker, its
+    # output is invisible and the answers stay the pre-merge ones, fsck
+    # names the output and repair reaps it; the retry completes
+    before = {n for ns in list_segment_generations(idx).values() for n in ns}
+    monkeypatch.setattr(upd, "_commit_gen", boom)
+    with pytest.raises(RuntimeError):
+        merge_segments(idx, concurrency=2)
+    monkeypatch.undo()
+    outputs = {n for ns in list_segment_generations(idx).values()
+               for n in ns} - before
+    assert outputs and all(n.endswith("_g0006") for n in outputs)
+    _assert_matches_oracle(idx, _ids(full).tolist(), full["content"].to_pylist())
+    assert set(fsck_index(idx)["issue_codes"]) == {UNCOMMITTED_LEFTOVER}
+    after = repair_index(idx)
+    assert after["ok"], after["issues"]
+    assert not any(n in outputs for ns in list_segment_generations(idx).values()
+                   for n in ns)
+    assert len(merge_segments(idx, concurrency=2))
     _assert_matches_oracle(idx, _ids(full).tolist(), full["content"].to_pylist())
 
 
