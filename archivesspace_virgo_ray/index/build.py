@@ -70,6 +70,7 @@ from .segments import (
     list_complete_segments,
     read_build_id,
     read_stats,
+    segment_bucket,
     write_segment,
     write_stats,
 )
@@ -634,6 +635,26 @@ def termstats_dir(index_dir: str) -> str:
 _TERMSTATS_COLS = ("term", "df", "cf", "max_tf", "min_dl")
 
 
+def _term_rows(term_files: list[str]) -> pd.DataFrame:
+    """The termstats columns of segment term dictionaries, each row with
+    its segment's term ``bucket``, read off the segment's dir name (a term
+    dictionary stores no constant columns)."""
+    import pyarrow.parquet as pq
+
+    return pd.concat(
+        [pq.read_table(f, columns=list(_TERMSTATS_COLS)).to_pandas()
+         .assign(bucket=segment_bucket(f)) for f in term_files],
+        ignore_index=True,
+    )
+
+
+def _with_bucket(batch: pd.DataFrame) -> pd.DataFrame:
+    """``_term_rows``' bucket column for a Ray Data batch read with
+    ``include_paths``."""
+    buckets = {p: segment_bucket(p) for p in batch["path"].unique()}
+    return batch.drop(columns="path").assign(bucket=batch["path"].map(buckets))
+
+
 def _write_termstats_bucket(rows: pd.DataFrame, bdir: str) -> None:
     """Aggregate one term bucket's per-segment term rows into global
     per-term stats (df/cf sums, max_tf max, min_dl min) and write them
@@ -700,19 +721,15 @@ def _seal_termstats(index_dir: str) -> None:
 
     total_bytes = sum(os.path.getsize(f) for f in term_files)
     if total_bytes < _SEAL_DRIVER_MAX_BYTES:
-        import pyarrow.parquet as pq
-
-        df = pd.concat(
-            [pq.read_table(f, columns=["bucket", *_TERMSTATS_COLS]).to_pandas()
-             for f in term_files],
-            ignore_index=True,
-        )
+        df = _term_rows(term_files)
         for bucket, sub in df.groupby("bucket"):
             _write_termstats_bucket(sub, os.path.join(tmp, f"bucket={int(bucket)}"))
     else:
         from ray.data.aggregate import Max, Min, Sum
 
-        ds = ray.data.read_parquet(term_files, columns=["bucket", *_TERMSTATS_COLS])
+        ds = ray.data.read_parquet(
+            term_files, columns=list(_TERMSTATS_COLS), include_paths=True,
+        ).map_batches(_with_bucket, batch_format="pandas")
         g = ds.groupby(["bucket", "term"]).aggregate(
             Sum("df", alias_name="df"),
             Sum("cf", alias_name="cf"),
@@ -812,11 +829,7 @@ def _seal_termstats_incremental(index_dir: str, gen: int) -> bool:
             json.dump({"sealed_gens": committed_now}, f)
         os.replace(tmp, os.path.join(cur, "_SEALED.json"))
         return True
-    delta = pd.concat(
-        [pq.read_table(f, columns=["bucket", *_TERMSTATS_COLS]).to_pandas()
-         for f in delta_files],
-        ignore_index=True,
-    )
+    delta = _term_rows(delta_files)
     tmp = os.path.join(index_dir, GLOBAL, f"termstats-{_uuid.uuid4().hex[:8]}")
     import shutil as _shutil
 

@@ -5,11 +5,13 @@ table vs stats — and report (never repair) what disagrees.
 
 At 100 TB an index outlives many runs, machines and operators; the audit is
 the cheap answer to "is this index dir safe to serve / snapshot / reshard?".
-Everything here reads metadata and file sizes only — no posting decode, so
-a multi-TB index audits in seconds. (Posting-level byte checks already have
-stronger guarantees: deterministic segments + atomic publish mean a visible
-segment is either complete or absent, and a segment dir is written once
-under a new name and only deleted after a committed compaction folded it.
+Everything here reads metadata, file sizes and each segment's small term
+and block tables (the layout a reader derives from them must fit the
+files) — no posting decode, so a multi-TB index audits in seconds.
+(Posting-level byte checks already have stronger guarantees:
+deterministic segments + atomic publish mean a visible segment is either
+complete or absent, and a segment dir is written once under a new name
+and only deleted after a committed compaction folded it.
 A crash between a compaction's output and its marker, or between the
 marker and the source reap, leaves invisible dirs: ``uncommitted_leftover``
 and ``folded_leftover``, which ``repair_index`` removes.)
@@ -46,6 +48,10 @@ SEG_DOC_TABLE_SIZE = "seg_doc_table_size"
 SEG_POSITIONS_MISSING = "seg_positions_missing"
 SEG_POSITIONS_SIZE = "seg_positions_size"
 SEG_TERMS_ROWS = "seg_terms_rows"
+SEG_BLOCK_ROWS = "seg_block_rows"
+SEG_LAYOUT_SIZE = "seg_layout_size"
+SEG_TF_BYTES = "seg_tf_bytes"
+SEG_LAST_ORD = "seg_last_ord"
 MIXED_POSITIONS = "mixed_positions"
 STATS_POSITIONS_FLAG = "stats_positions_flag"
 STATS_POSTINGS_SUM = "stats_postings_sum"
@@ -174,6 +180,11 @@ def fsck_index(index_dir: str) -> dict:
                 add(SEG_TERMS_ROWS,
                     f"{name}: terms.parquet {n_terms} rows != "
                     f"manifest n_terms {m.get('n_terms')}")
+        if (m.get("pipeline_version") == PIPELINE_VERSION
+                and all(os.path.exists(os.path.join(d, fn)) for fn in
+                        ("terms.parquet", "blocks.parquet", "postings.bin"))):
+            for code, msg in _layout_findings(d, m):
+                add(code, f"{name}: {msg}")
         n_segments += 1
         # only BASE segments (s####_b####) feed the stats counters; delta
         # generations carry their own counters and merge later
@@ -259,6 +270,46 @@ def fsck_index(index_dir: str) -> dict:
             add(TOMBSTONES_UNREADABLE, "tombstones.json unreadable")
 
     return result(n_segments, total_postings, n_docs)
+
+
+def _layout_findings(d: str, manifest: dict) -> list[tuple[str, str]]:
+    """Check the layout a reader derives from segment dir ``d``'s term and
+    block tables (``postings.term_layout``: offsets are not stored, so a
+    damaged table would misread rather than raise) against its files."""
+    import numpy as np
+    import pyarrow.parquet as pq
+
+    from .postings import BLOCK_SIZE, term_layout
+    from .segments import column_numpy
+
+    terms = pq.ParquetFile(os.path.join(d, "terms.parquet")).read(
+        columns=["df", "max_tf"])
+    blocks = pq.ParquetFile(os.path.join(d, "blocks.parquet")).read(
+        columns=["last_ord", "ord_bytes", "tf_bytes"])
+    df, max_tf, last, ob, tb = (column_numpy(c) for c in (
+        terms["df"], terms["max_tf"], blocks["last_ord"],
+        blocks["ord_bytes"], blocks["tf_bytes"]))
+    n_rows = int(((df + BLOCK_SIZE - 1) // BLOCK_SIZE).sum())
+    if len(ob) != n_rows:
+        return [(SEG_BLOCK_ROWS, f"blocks.parquet {len(ob)} rows != "
+                 f"{n_rows}, the blocks its terms' dfs need")]
+    out = []
+    try:
+        lay = term_layout(df, max_tf, ob, tb)
+    except ValueError as e:
+        out.append((SEG_TF_BYTES, f"blocks.parquet: {e}"))
+    else:
+        size = os.path.getsize(os.path.join(d, "postings.bin"))
+        if int(lay["payload_len"].sum()) != size:
+            out.append((SEG_LAYOUT_SIZE, "terms' derived payloads add up to "
+                        f"{int(lay['payload_len'].sum())} bytes, postings.bin "
+                        f"holds {size}"))
+    n_docs = int(manifest.get("n_docs", 0))
+    bad = np.flatnonzero((last < 0) | (last >= n_docs))
+    if len(bad):
+        out.append((SEG_LAST_ORD, f"{len(bad)} block last ordinals outside "
+                    f"the segment's {n_docs} docs"))
+    return out
 
 
 # repairs keyed by the EXACT finding codes they fix

@@ -1,10 +1,12 @@
-"""Posting-list codec: segment-local doc ordinals + varbyte compression +
-block-max metadata.
+"""Posting-list codec, format v3: segment-local doc ordinals, varbyte
+ordinal deltas, tf runs packed at the width they need, and block-max
+metadata.
 
 This is the from-scratch replacement for the index format the reference
 delegates to Solr/Lucene (every ``*_text`` field it posts,
 ASpaceObject.java:253). Like Lucene, a segment numbers its docs 0…n−1 and
-keeps one length norm per doc; postings never repeat per-doc values.
+keeps one length norm per doc, postings never repeat per-doc values, and a
+tf run takes only the bits its values need.
 
 Layout per segment:
 
@@ -15,28 +17,40 @@ Layout per segment:
   (``doc_map[ords]``, ``dl_map[ords]``);
 - ``postings.bin`` — the terms' payloads back to back in term order. Per
   term, postings sorted by ordinal and cut into blocks of ``BLOCK_SIZE``;
-  the term's payload is varbyte(ordinal deltas) of every block, then
-  varbyte(tfs) of every block. Each term's first delta is its absolute
-  ordinal and a block's first delta is taken from the previous block's
-  last ordinal, which the decoder recovers from the block table as
-  ``searchsorted(doc_map, last_doc[b - 1])`` (exact: the map is sorted and
-  unique), so blocks decode independently;
-- per block metadata (the skip list, ``blocks.parquet``): last_doc (a doc
-  id, not an ordinal), n, max_tf, min_dl and the two payload byte-lengths.
-  ``(max_tf, min_dl)`` give an avgdl-free block-max score bound at query
-  time: ``ub = idf * max_tf*(k1+1) / (max_tf + k1*(1-b+b*min_dl/avgdl))`` —
+  the term's payload is varbyte(ordinal deltas) of every block, then its
+  tf run. Each term's first delta is its absolute ordinal and a block's
+  first delta is taken from the previous block's last ordinal
+  (``last_ord`` in the block table), so blocks decode independently. The
+  term's ``max_tf`` picks its tf run's class (``tf_class``): 1 → no bytes
+  at all (every tf is 1); ≤ 16 → one nibble of tf − 1 per posting, low
+  nibble first, the term's run padded to a whole byte, so a full block
+  is 64 bytes at a fixed offset; otherwise varbyte(tfs);
+- ``terms.parquet`` — term, df, cf, max_tf, min_dl, nothing else. A
+  term's blocks number ceil(df / BLOCK_SIZE) and follow the previous
+  term's in the block table, each holds ``BLOCK_SIZE`` postings but its
+  last, and its payload offset and length are prefix sums of the block
+  table's byte counts: ``term_layout`` derives them once per segment open
+  with a few vectorised prefix sums;
+- ``blocks.parquet`` — the skip list, one row per block in term order:
+  ``last_ord`` (the block's last ordinal), ``max_tf``, ``min_dl`` and the
+  byte counts of its ordinal deltas and its tf run (plus ``pos_bytes``
+  when positional). ``(max_tf, min_dl)`` give an avgdl-free block-max
+  score bound at query time:
+  ``ub = idf * max_tf*(k1+1) / (max_tf + k1*(1-b+b*min_dl/avgdl))`` —
   monotone up in tf and down in dl, hence a true upper bound for every
   posting in the block.
 
 ``encode_segment`` writes a segment in one pass: one ``np.unique`` for the
-ordinals, one varbyte encode per stream, per-block byte counts and bounds
+ordinals, one varbyte encode for the ordinal deltas and one for the wide tf
+runs, one nibble pack for the narrow ones, per-block byte counts and bounds
 from ``reduceat`` over the global block starts, and one scatter that lays
-the two streams out term by term. ``decode_segment`` is its inverse (one
-gather back to stream order, one varbyte decode), for a whole segment or for
-a subset of its terms (the query batch pass reads all of a batch's terms
-in one segment this way). ``decode_posting_list`` decodes selected blocks
-of one term (phrase candidates): it gathers the selected blocks' bytes
-with one index first.
+the runs out term by term. ``decode_segment`` is its inverse (one gather
+back to stream order, one varbyte decode, one nibble unpack), for a whole
+segment or for a subset of its terms: the query batch pass reads all of a
+batch's terms in one segment this way, its rows grouped by tf class, so
+the decoded tf runs line up without a scatter. ``decode_posting_list``
+decodes selected blocks of one term (phrase candidates): it gathers the
+selected blocks' bytes with one index first.
 
 Both codec directions are vectorized numpy (no per-value Python loop): encode
 loops only over byte-position (<=10 iterations); decode takes each value's
@@ -209,7 +223,22 @@ def decode_positions(
     return _rebase(deltas, tfs)
 
 
-BLOCK_COLUMNS = ("last_doc", "n", "max_tf", "min_dl", "ord_bytes", "tf_bytes")
+# tf-run classes (``tf_class``), in the order a class-grouped decode lays
+# the runs out: varbyte, one nibble per posting, none (every tf is 1)
+TF_WIDE, TF_NIBBLE, TF_ONES = 0, 1, 2
+NIBBLE_MAX_TF = 16
+_NARROW_CLASSES = np.array([TF_NIBBLE, TF_ONES], np.int8)
+
+TERM_COLUMNS = ("df", "cf", "max_tf", "min_dl")
+BLOCK_COLUMNS = ("last_ord", "max_tf", "min_dl", "ord_bytes", "tf_bytes")
+
+
+def tf_class(max_tf) -> np.ndarray:
+    """The tf-run class (int8) of terms with these ``max_tf``."""
+    max_tf = np.asarray(max_tf)
+    return np.where(max_tf <= 1, TF_ONES,
+                    np.where(max_tf <= NIBBLE_MAX_TF, TF_NIBBLE, TF_WIDE)
+                    ).astype(np.int8)
 
 
 def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -225,11 +254,87 @@ def _stream_index(ord_off, ord_bytes, tf_off, tf_bytes) -> np.ndarray:
                    np.concatenate([ord_bytes, tf_bytes]))
 
 
-def _term_stream_index(payload_off, term_ord_bytes, term_tf_bytes) -> np.ndarray:
-    """Segment stream order -> payload order: each term's payload holds its
-    ordinal bytes, then its tf bytes."""
-    return _stream_index(payload_off, term_ord_bytes,
-                         payload_off + term_ord_bytes, term_tf_bytes)
+def _block_sums(v: np.ndarray, block_start: np.ndarray,
+                block_end: np.ndarray) -> np.ndarray:
+    """Per term, the sum of a block column over its blocks."""
+    csum = np.zeros(len(v) + 1, np.int64)
+    np.cumsum(v, out=csum[1:])
+    return csum[block_end] - csum[block_start]
+
+
+def block_firsts(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The first posting of every block of terms owning postings
+    ``[starts[t], ends[t])``: a term's start plus ``BLOCK_SIZE`` per
+    earlier block of the same term."""
+    n_blocks = (ends - starts + BLOCK_SIZE - 1) // BLOCK_SIZE
+    within = np.arange(int(n_blocks.sum())) - np.repeat(_starts(n_blocks), n_blocks)
+    return np.repeat(starts, n_blocks) + within * BLOCK_SIZE
+
+
+def term_layout(df, max_tf, ord_bytes, tf_bytes) -> dict[str, np.ndarray]:
+    """Everything v3 derives instead of storing, from the term dictionary's
+    dfs and max_tfs and the block table's byte counts: per term
+    ``tf_class``, ``n_blocks``, ``block_start`` (its first block-table
+    row), ``ord_len``/``tf_len`` (the byte lengths of its ordinal run and
+    tf run), ``payload_off``/``payload_len`` in ``postings.bin`` and
+    ``tf_off``, where its tf run starts; per block ``n``, its posting
+    count. Raises ValueError unless the block table holds
+    Σ ceil(df / BLOCK_SIZE) rows and every narrow block's tf bytes are its
+    class's (none, or ceil(n / 2) nibble bytes)."""
+    df = np.asarray(df, dtype=np.int64)
+    n_blocks = (df + BLOCK_SIZE - 1) // BLOCK_SIZE
+    n_rows = int(n_blocks.sum())
+    if len(ord_bytes) != n_rows or len(tf_bytes) != n_rows:
+        raise ValueError(f"block table holds {len(ord_bytes)} rows; the "
+                         f"term dictionary's dfs need {n_rows}")
+    block_start = _starts(n_blocks)
+    block_end = block_start + n_blocks
+    n = np.full(n_rows, BLOCK_SIZE, np.int64)
+    n[block_end - 1] = df - BLOCK_SIZE * (n_blocks - 1)
+    cls = tf_class(max_tf)
+    block_cls = np.repeat(cls, n_blocks)
+    narrow = block_cls != TF_WIDE
+    if (np.where(block_cls == TF_NIBBLE, (n + 1) >> 1, 0)[narrow]
+            != tf_bytes[narrow]).any():
+        raise ValueError("a narrow block's tf bytes disagree with its "
+                         "term's tf class")
+    ord_len = _block_sums(ord_bytes, block_start, block_end)
+    tf_len = _block_sums(tf_bytes, block_start, block_end)
+    payload_off = _starts(ord_len + tf_len)
+    return {"tf_class": cls, "n_blocks": n_blocks, "block_start": block_start,
+            "ord_len": ord_len, "tf_len": tf_len, "payload_off": payload_off,
+            "tf_off": payload_off + ord_len, "payload_len": ord_len + tf_len,
+            "n": n}
+
+
+def _pack_nibbles(v: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Runs of values 0…15 (``counts[i]`` values in run i) as bytes, two
+    values per byte, low nibble first; each run padded to a whole byte."""
+    nbytes = (counts + 1) >> 1
+    pad = np.zeros(2 * int(nbytes.sum()), np.uint8)
+    pad[_ranges(2 * _starts(nbytes), counts)] = v
+    return pad[0::2] | (pad[1::2] << 4)
+
+
+# byte -> the two tfs its nibbles hold (low nibble first, each + 1)
+_NIBBLE_TFS = np.stack([np.arange(256) % 16, np.arange(256) // 16], axis=1) + 1
+
+
+def _unpack_tfs(buf: np.ndarray, counts: np.ndarray,
+                nbytes: np.ndarray) -> np.ndarray:
+    """Inverse of ``_pack_nibbles`` for nibble tf runs (``counts[i]``
+    postings in ``nbytes[i]`` bytes) → int64 tfs (nibble + 1). ``buf``
+    must hold the runs' bytes exactly (``term_layout`` checks each
+    segment's at open)."""
+    tfs = np.take(_NIBBLE_TFS, buf, axis=0).ravel()  # faster than [buf]
+    even = (counts & 1) == 0
+    if not even.all():  # drop the pad nibble closing each odd run
+        keep = np.ones(len(tfs), bool)
+        ends = np.cumsum(nbytes)
+        ends *= 2
+        keep[ends - 1] = even
+        tfs = tfs[keep]
+    return tfs
 
 
 def encode_doc_table(doc_map: np.ndarray, dl_map: np.ndarray) -> bytes:
@@ -256,11 +361,8 @@ def encode_segment(doc_ids, tfs, dls, starts, ends):
     the doc table keeps one length per doc).
 
     Returns (payload, doc_table, n_docs, terms, blocks): ``doc_table`` is
-    the ``docs.bin`` bytes; ``terms`` holds per-term ``n_blocks`` (int32),
-    ``block_start``, ``payload_off``, ``payload_len`` (int64); ``blocks``
-    holds the ``BLOCK_COLUMNS`` arrays in term order (``n`` int32, the rest
-    int64; all int64 for an empty segment, the on-disk format of an empty
-    segment's block table).
+    the ``docs.bin`` bytes; ``terms`` holds the ``TERM_COLUMNS`` arrays and
+    ``blocks`` the ``BLOCK_COLUMNS`` arrays in term order, all int64.
     """
     doc_ids = np.asarray(doc_ids, dtype=np.int64)
     tfs = np.asarray(tfs, dtype=np.int64)
@@ -269,9 +371,8 @@ def encode_segment(doc_ids, tfs, dls, starts, ends):
     ends = np.asarray(ends, dtype=np.int64)
     if len(doc_ids) == 0:
         e = np.empty(0, dtype=np.int64)
-        terms = {"n_blocks": np.empty(0, dtype=np.int32), "block_start": e,
-                 "payload_off": e, "payload_len": e}
-        return b"", b"", 0, terms, {k: e for k in BLOCK_COLUMNS}
+        return (b"", b"", 0, {k: e for k in TERM_COLUMNS},
+                {k: e for k in BLOCK_COLUMNS})
     doc_map, ords = np.unique(doc_ids, return_inverse=True)
     dl_map = np.empty(len(doc_map), dtype=np.int64)
     dl_map[ords] = dls
@@ -282,12 +383,11 @@ def encode_segment(doc_ids, tfs, dls, starts, ends):
             f"doc id {doc_ids[i]} carries two doc lengths in one segment "
             f"({dls[i]} and {dl_map[ords[i]]})")
 
-    n_blocks = (ends - starts + BLOCK_SIZE - 1) // BLOCK_SIZE
-    block_start = _starts(n_blocks)
-    # global first posting of every block: its term's start plus
-    # BLOCK_SIZE per earlier block of the same term
-    within = np.arange(int(n_blocks.sum())) - np.repeat(block_start, n_blocks)
-    bstart = np.repeat(starts, n_blocks) + within * BLOCK_SIZE
+    df = ends - starts
+    max_tf = np.maximum.reduceat(tfs, starts)
+    cls = tf_class(max_tf)
+    n_blocks = (df + BLOCK_SIZE - 1) // BLOCK_SIZE
+    bstart = block_firsts(starts, ends)
     bend = np.minimum(bstart + BLOCK_SIZE, np.repeat(ends, n_blocks))
 
     # one ordinal-delta stream for the whole segment: a block's first delta
@@ -296,26 +396,42 @@ def encode_segment(doc_ids, tfs, dls, starts, ends):
     deltas = np.empty(len(ords), dtype=np.int64)
     deltas[1:] = ords[1:] - ords[:-1]
     deltas[starts] = ords[starts]
-    streams = (deltas, tfs)
-    nbytes = [_varbyte_nbytes(v.astype(np.uint64)) for v in streams]
-    encoded = np.frombuffer(
-        b"".join(varbyte_encode(v, nb) for v, nb in zip(streams, nbytes)),
-        dtype=np.uint8)
-    ord_bytes, tf_bytes = (np.add.reduceat(nb, bstart) for nb in nbytes)
-    term_ord, term_tf = (np.add.reduceat(nb, starts) for nb in nbytes)
-    payload_off = _starts(term_ord + term_tf)
+    ord_nb = _varbyte_nbytes(deltas.astype(np.uint64))
+    # tf runs: varbyte bytes for the wide terms' postings, a nibble each
+    # for the narrow terms', nothing for the all-ones terms'
+    wide_terms = np.flatnonzero(cls == TF_WIDE)
+    nib_terms = np.flatnonzero(cls == TF_NIBBLE)
+    post_cls = np.repeat(cls, df)
+    wide = post_cls == TF_WIDE
+    tf_nb = np.zeros(len(tfs), np.int64)
+    tf_nb[wide] = _varbyte_nbytes(tfs[wide].astype(np.uint64))
+    tf_bytes = np.add.reduceat(tf_nb, bstart)
+    nib_blocks = np.repeat(cls == TF_NIBBLE, n_blocks)
+    tf_bytes[nib_blocks] = (bend - bstart + 1)[nib_blocks] >> 1
+    ord_bytes = np.add.reduceat(ord_nb, bstart)
+
+    # the runs' places in the payload: the layout a reader derives
+    lay = term_layout(df, max_tf, ord_bytes, tf_bytes)
+    tf_off, tf_len = lay["tf_off"], lay["tf_len"]
+    encoded = np.frombuffer(b"".join((
+        varbyte_encode(deltas, ord_nb),
+        varbyte_encode(tfs[wide], tf_nb[wide]),
+        _pack_nibbles(tfs[post_cls == TF_NIBBLE] - 1, df[nib_terms]).tobytes(),
+    )), dtype=np.uint8)
     payload = np.empty(len(encoded), dtype=np.uint8)
-    payload[_term_stream_index(payload_off, term_ord, term_tf)] = encoded
+    payload[_ranges(
+        np.concatenate([lay["payload_off"], tf_off[wide_terms], tf_off[nib_terms]]),
+        np.concatenate([lay["ord_len"], tf_len[wide_terms], tf_len[nib_terms]]),
+    )] = encoded
 
     terms = {
-        "n_blocks": n_blocks.astype(np.int32),
-        "block_start": block_start,
-        "payload_off": payload_off,
-        "payload_len": term_ord + term_tf,
+        "df": df,
+        "cf": np.add.reduceat(tfs, starts),
+        "max_tf": max_tf,
+        "min_dl": np.minimum.reduceat(dls, starts),
     }
     blocks = {
-        "last_doc": doc_ids[bend - 1],
-        "n": (bend - bstart).astype(np.int32),
+        "last_ord": ords[bend - 1],
         "max_tf": np.maximum.reduceat(tfs, bstart),
         "min_dl": np.minimum.reduceat(dls, bstart),
         "ord_bytes": ord_bytes,
@@ -328,9 +444,10 @@ def encode_segment(doc_ids, tfs, dls, starts, ends):
 def decode_segment(reader, rows: np.ndarray | None = None,
                    ordinals: bool = False):
     """Decode every posting of a segment (a ``SegmentReader``) in one pass:
-    one gather of ``postings.bin`` back to stream order, one varbyte decode,
-    a term-segmented cumsum that rebases the ordinal deltas, and the two
-    doc-table gathers.
+    one gather of ``postings.bin`` back to stream order, one varbyte decode
+    of the ordinal deltas and the wide tf runs, one nibble unpack of the
+    narrow tf runs, a term-segmented cumsum that rebases the ordinal
+    deltas, and the two doc-table gathers.
 
     Returns (doc_ids, tfs, dls, df, positions): flat int64 arrays in
     (term, doc_id) order, per-term df (term order of ``reader.terms``), and
@@ -339,22 +456,42 @@ def decode_segment(reader, rows: np.ndarray | None = None,
 
     ``rows``: decode only these term rows of ``reader.terms``, in the given
     order (the query path: a batch's terms in one pass); ``df`` is then
-    theirs and positions are not decoded (None). ``ordinals``: return the
-    segment ordinals in place of the doc ids (``reader.doc_map[ords]``).
+    theirs and positions are not decoded (None). Rows grouped by tf class
+    (``term_cols["tf_class"]`` ascending) decode without a scatter of the
+    tfs. ``ordinals``: return the segment ordinals in place of the doc ids
+    (``reader.doc_map[ords]``).
     """
     cols = reader.term_cols
-    df, off, ord_len, plen = (
+    df, off, ord_len, tf_off, tf_len, cls = (
         cols[c] if rows is None else cols[c][rows]
-        for c in ("df", "payload_off", "ord_len", "payload_len"))
-    df = df.astype(np.int64)
+        for c in ("df", "payload_off", "ord_len", "tf_off", "tf_len", "tf_class"))
     total = int(df.sum())
+    # tf runs in class order (wide, nibble, ones): the rows' own order
+    # when they come grouped, else a stable sort of it
+    order = None if not (cls[1:] < cls[:-1]).any() else np.argsort(cls, kind="stable")
+    g_cls, g_df, g_off, g_len = (
+        (cls, df, tf_off, tf_len) if order is None else
+        (cls[order], df[order], tf_off[order], tf_len[order]))
+    n_wide, n_nib = np.searchsorted(g_cls, _NARROW_CLASSES)
     if len(df) == 1:  # one term's payload is already in stream order
-        buf = reader.payload[int(off[0]):int(off[0] + plen[0])]
+        buf = reader.payload[int(off[0]):int(tf_off[0] + tf_len[0])]
     else:
-        buf = reader.payload[_term_stream_index(off, ord_len, plen - ord_len)]
-    vals = varbyte_decode(buf, 2 * total).view(np.int64)
+        buf = reader.payload[_ranges(np.concatenate([off, g_off]),
+                                     np.concatenate([ord_len, g_len]))]
+    n_vb = len(buf) - int(g_len[n_wide:n_nib].sum())
+    n_wide_tfs = int(g_df[:n_wide].sum())
+    vals = varbyte_decode(buf[:n_vb], total + n_wide_tfs).view(np.int64)
     ords = _rebase(vals[:total], df)
     tfs = vals[total:]
+    if n_wide < len(df):  # then the nibble runs (if any), then the ones
+        nib = (_unpack_tfs(buf[n_vb:], g_df[n_wide:n_nib], g_len[n_wide:n_nib])
+               if n_nib > n_wide else tfs[:0])
+        tfs = np.concatenate([tfs, nib, np.ones(total - len(tfs) - len(nib),
+                                                np.int64)])
+        if order is not None:
+            out = np.empty(total, np.int64)
+            out[_ranges(_starts(df)[order], g_df)] = tfs
+            tfs = out
     positions = None
     if rows is None and reader.has_positions:
         pos = varbyte_decode(reader.pos_payload, int(tfs.sum())).astype(np.int64)
@@ -368,24 +505,17 @@ def encode_posting_list(
 ) -> tuple[bytes, dict[str, np.ndarray]]:
     """Encode one term's postings (doc_id-ascending, unique): a one-term
     ``encode_segment``. Returns (payload_bytes, block_table), the table
-    carrying the doc table as ``doc_map``/``dl_map`` like
-    ``SegmentReader.term_entry``'s."""
+    carrying the blocks' posting counts ``n`` and the doc table as
+    ``doc_map``/``dl_map`` like ``SegmentReader.term_entry``'s."""
     n = len(doc_ids)
     assert n > 0
     payload, _docs, _n_docs, _terms, blocks = encode_segment(doc_ids, tfs, dls, [0], [n])
+    layout = term_layout([n], _terms["max_tf"], blocks["ord_bytes"],
+                         blocks["tf_bytes"])
     # one term's doc ids are unique and ascending: they ARE its doc map
-    return payload, {**blocks, "doc_map": np.asarray(doc_ids, dtype=np.int64),
+    return payload, {**blocks, "n": layout["n"],
+                     "doc_map": np.asarray(doc_ids, dtype=np.int64),
                      "dl_map": np.asarray(dls, dtype=np.int64)}
-
-
-def decode_term(payload, n: int, doc_map: np.ndarray, dl_map: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A whole term's ``n`` postings -> (doc_ids, tfs, dls): one varbyte
-    decode of its payload (every ordinal delta, then every tf) and one
-    cumsum, then the two doc-table gathers."""
-    vals = varbyte_decode(payload, 2 * n).view(np.int64)
-    ords = np.cumsum(vals[:n])
-    return doc_map[ords], vals[n:], dl_map[ords]
 
 
 def decode_posting_list(
@@ -395,40 +525,54 @@ def decode_posting_list(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode (a subset of) a term's blocks -> (doc_ids, tfs, dls).
 
-    ``block_table``: the term's block rows plus its segment's ``doc_map``
-    and ``dl_map``. ``block_mask`` selects blocks (block-max / skip-driven
-    decode); omitted means all. Payload must start at the term's first
-    block.
+    ``block_table``: the term's block rows (with their posting counts
+    ``n``) plus its segment's ``doc_map`` and ``dl_map``. ``block_mask``
+    selects blocks (block-max / skip-driven decode); omitted means all.
+    Payload must start at the term's first block.
 
-    A whole term is one varbyte decode of its payload and one cumsum. A
-    masked decode gathers the selected blocks' ordinal and tf bytes with
-    one index first and rebases each selected block from the previous
-    block's last ordinal. The doc table then maps ordinals to doc ids and
-    dls with two gathers.
+    A whole term is one varbyte decode of its payload (its tf run too when
+    it is wide) and one cumsum. A masked decode gathers the selected
+    blocks' ordinal and tf bytes with one index first and rebases each
+    selected block from the previous block's ``last_ord``. The doc table
+    then maps ordinals to doc ids and dls with two gathers. The term's tf
+    class is its blocks' largest ``max_tf``'s.
     """
     bn = block_table["n"]
-    doc_map = block_table["doc_map"]
+    ob, tb = block_table["ord_bytes"], block_table["tf_bytes"]
+    cls = int(tf_class(block_table["max_tf"].max()))
     buf = np.frombuffer(payload, dtype=np.uint8)
     if block_mask is None:
-        return decode_term(buf, int(bn.sum()), doc_map, block_table["dl_map"])
-    sel = np.flatnonzero(block_mask)
-    if len(sel) == 0:
-        e = np.empty(0, dtype=np.int64)
-        return e, e.copy(), e.copy()
-    ob, tb = block_table["ord_bytes"], block_table["tf_bytes"]
-    n_sel = bn[sel].astype(np.int64)
+        sel, n_sel = None, bn
+    else:
+        sel = np.flatnonzero(block_mask)
+        if len(sel) == 0:
+            e = np.empty(0, dtype=np.int64)
+            return e, e.copy(), e.copy()
+        n_sel = bn[sel]
+        ob, tb = ob[sel], tb[sel]
+        o_all, t_all = block_table["ord_bytes"], block_table["tf_bytes"]
+        buf = buf[_stream_index(_starts(o_all)[sel], ob,
+                                int(o_all.sum()) + _starts(t_all)[sel], tb)]
+    n_sel = n_sel.astype(np.int64)
     total = int(n_sel.sum())
-    idx = _stream_index(_starts(ob)[sel], ob[sel],
-                        int(ob.sum()) + _starts(tb)[sel], tb[sel])
-    vals = varbyte_decode(buf[idx], 2 * total).view(np.int64)
-    # rebase: global cumsum of deltas, then per selected block subtract the
-    # cumsum entering the block and add its true base (prev block's last
-    # ordinal; a term's first delta is absolute)
-    csum = np.cumsum(vals[:total])
-    starts = _starts(n_sel)
-    entering = np.where(starts > 0, csum[starts - 1], 0)
-    bases = np.where(
-        sel > 0,
-        np.searchsorted(doc_map, block_table["last_doc"][np.maximum(sel - 1, 0)]), 0)
-    ords = csum + np.repeat(bases - entering, n_sel)
-    return doc_map[ords], vals[total:], block_table["dl_map"][ords]
+    if cls == TF_WIDE:
+        vals = varbyte_decode(buf, 2 * total).view(np.int64)
+        deltas, tfs = vals[:total], vals[total:]
+    else:
+        n_ob = int(ob.sum())
+        deltas = varbyte_decode(buf[:n_ob], total).view(np.int64)
+        tfs = (_unpack_tfs(buf[n_ob:], n_sel, tb) if cls == TF_NIBBLE
+               else np.ones(total, np.int64))
+    csum = np.cumsum(deltas)
+    if sel is None:
+        ords = csum
+    else:
+        # rebase: per selected block subtract the cumsum entering the block
+        # and add its true base (the previous block's last ordinal; a
+        # term's first delta is absolute)
+        starts = _starts(n_sel)
+        entering = np.where(starts > 0, csum[starts - 1], 0)
+        bases = np.where(sel > 0,
+                         block_table["last_ord"][np.maximum(sel - 1, 0)], 0)
+        ords = csum + np.repeat(bases - entering, n_sel)
+    return block_table["doc_map"][ords], tfs, block_table["dl_map"][ords]

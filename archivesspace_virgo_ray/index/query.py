@@ -36,6 +36,7 @@ NOT, ``require_all``/mm and cursors only remove cells; none changes a sum.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from dataclasses import dataclass
@@ -506,7 +507,8 @@ class ShardScorer:
     def _segment_rows(self, pairs: list[tuple[int, str]]):
         """Per live segment holding a term of ``pairs``: (reader, ordinal →
         dense index, live bitmap or None, indices into ``pairs``, the terms'
-        rows in the segment)."""
+        rows in the segment). The rows come grouped by tf class, so
+        ``decode_segment`` lays their tf runs out without a scatter."""
         segs = self._dense()
         by_bucket: dict[int, list] = {}
         for i, (b, t) in enumerate(pairs):
@@ -516,8 +518,11 @@ class ShardScorer:
                 found = [(i, r) for i, t in its
                          if (r := reader.term_row(t)) is not None]
                 if found:
-                    pi, rows = zip(*found)
-                    yield reader, to_dense, live, pi, np.array(rows, np.int64)
+                    pi, rows = (np.array(c, np.int64) for c in zip(*found))
+                    by_class = np.argsort(reader.term_cols["tf_class"][rows],
+                                          kind="stable")
+                    yield (reader, to_dense, live, pi[by_class].tolist(),
+                           rows[by_class])
 
     def term_docs(self, bucket: int, term: str) -> np.ndarray:
         """Sorted doc ids holding ``term`` in this shard: its live postings
@@ -911,7 +916,7 @@ class ShardWorker:
             bmask = None
             if within is not None:
                 btab = e["block_table"]
-                last = btab["last_doc"]
+                last = reader.doc_map[btab["last_ord"]]
                 first = np.empty_like(last)
                 if len(last):
                     first[0] = 0
@@ -1425,6 +1430,17 @@ DEFAULT_POOL_ACTORS = 4
 _POOL_CACHE_MAX = 3
 
 
+@functools.cache
+def _shard_worker_actor():
+    """``ShardWorker`` as a Ray actor class, made once per process: Ray
+    exports a class afresh for every ``ray.remote`` of it (about 50 ms
+    before its first actor starts, against about 1 ms once exported), and
+    one class serves every pool of the process, across Ray sessions too."""
+    import ray
+
+    return ray.remote(num_cpus=0)(ShardWorker)
+
+
 class QueryPool:
     """Reusable pool of shard-pinned ``ShardWorker`` actors — scorer /
     reader / tombstone state loads ONCE per actor (T5), then every query
@@ -1491,14 +1507,12 @@ class QueryPool:
         one-shot recovery path when an actor dies (OOM, node loss): every
         shard's state reloads from the durable segment store, so a respawn
         is always safe."""
-        import ray
-
         self._kill_actors()
         if not self.shards:
             return
         from .placement import pool_actor_options
 
-        Worker = ray.remote(num_cpus=0)(ShardWorker)
+        Worker = _shard_worker_actor()
         for i in range(self.n_actors):
             # appended one by one: a failing spawn leaves the started
             # actors where ``shutdown`` finds them

@@ -51,7 +51,12 @@ from .segments import (
     write_stats,
 )
 from .locking import locked_on, nonlock_contents
-from .update import _commit_gen, committed_gens, load_tombstone_thresholds
+from .update import (
+    _commit_gen,
+    _committed_markers,
+    extra_rows,
+    load_tombstone_thresholds,
+)
 
 
 def segment_to_triples(
@@ -156,16 +161,20 @@ def reshard_index(
         ray.data.read_parquet(os.path.join(src_dir, DOCS)).map_batches(
             redoc, batch_format="pyarrow").write_parquet(docs_tmp)
         os.replace(docs_tmp, docs_dst)
-    # the forward table keeps each row's generation: carry the source's
-    # numbering over, so the next commit to the new index takes a higher one
-    if gens := committed_gens(src_dir):
-        _commit_gen(dst_dir, max(gens), {"n_docs": 0, "n_tokens": 0,
-                                         "replaces": [], "n_replaced": 0,
-                                         "n_shadowed": 0})
+    # the forward table keeps each row's generation and every row: carry
+    # the source's numbering over, so the next commit to the new index
+    # takes a higher one, and its extra rows (an update_fields row beside
+    # the row it updates), so repair_stats' identity holds on the new index
+    markers = _committed_markers(src_dir)
+    extras = extra_rows(markers)
+    if markers:
+        _commit_gen(dst_dir, max(markers), {"n_docs": 0, "n_tokens": 0,
+                                            "replaces": [], "extra_rows": extras})
 
     # ---- seal (same fields build_index writes) ------------------------------
     _seal_termstats(dst_dir)
-    n_docs = _parquet_rows(os.path.join(dst_dir, DOCS))
+    # the live docs: the source holds no tombstones, so no dead ones
+    n_docs = _parquet_rows(os.path.join(dst_dir, DOCS)) - extras
     total_len = sum(m["n_tokens"] for m in _all_manifests(dst_dir))
     out = {
         "n_docs": n_docs,

@@ -10,15 +10,16 @@ full-reindex, SolrHelper.java:98-100, IndexRecordsForV4.java:44-69,116-125):
                            #   or a compaction writes generation gen,
                            #   visible once _global/gens/g{gen}.json commits
         terms.parquet      # term-ordered dictionary: term, df, cf, max_tf,
-                           #   min_dl, n_blocks, block_start, payload_off,
-                           #   payload_len, shard, bucket
-        blocks.parquet     # block-max skip table, concatenated in term order
+                           #   min_dl; nothing a reader can derive
+        blocks.parquet     # block-max skip table, concatenated in term order:
+                           #   last_ord, max_tf, min_dl, ord_bytes, tf_bytes
                            #   (+ pos_bytes per block when positional)
         docs.bin           # doc table: ordinal -> doc_id, ordinal -> dl
                            #   (varbyte; one entry per doc of the segment)
-        postings.bin       # ordinal-delta + tf varbyte block payloads
+        postings.bin       # per term: ordinal-delta varbytes, then its tf
+                           #   run (none, nibbles or varbyte by max_tf)
         positions.bin      # optional per-posting token positions stream
-                           #   (store_positions=True; terms carry pos_off/len)
+                           #   (store_positions=True)
         manifest.json      # lineage + counters + pipeline_version + status
       _docs/               # forward doc table: doc_id, dl, sha256, meta cols
       _staging/gkey=N/     # transient triples exchange (build.write_segments);
@@ -27,6 +28,12 @@ full-reindex, SolrHelper.java:98-100, IndexRecordsForV4.java:44-69,116-125):
         stats.json         # N, total_len, avgdl, n_shards, n_buckets, version
         gens/g{gen:04d}.json  # commit markers (update._commit_gen)
         termstats/bucket=N # global per-term df/cf/max_tf/min_dl (query-time)
+
+Posting format v3 (``postings`` module docstring) stores no offsets: a
+``SegmentReader`` derives each term's blocks, payload and position offsets
+and every block's posting count from the dfs and the byte counts with a few
+prefix sums at open (``postings.term_layout``), and refuses a segment whose
+tables do not fit its files (``fsck`` names which check failed).
 
 A segment is visible only once its manifest says ``complete`` and carries the
 current PIPELINE_VERSION — the write is tmp-dir + ``os.replace`` (manifest
@@ -52,7 +59,14 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from .. import PIPELINE_VERSION
-from .postings import decode_doc_table, encode_segment
+from .postings import (
+    _block_sums,
+    _starts,
+    block_firsts,
+    decode_doc_table,
+    encode_segment,
+    term_layout,
+)
 
 SEGMENTS = "segments"
 GLOBAL = "_global"
@@ -178,34 +192,18 @@ def write_segment(
 
     payload, doc_table, n_docs, term_cols, block_cols = encode_segment(
         doc_ids, tfs, dls, starts, ends)
-    term_rows = {
-        "term": uniq_terms,
-        "df": (ends - starts).astype(np.int64),
-        "cf": np.add.reduceat(tfs, starts).astype(np.int64) if len(tfs) else np.empty(0, np.int64),
-        "max_tf": np.maximum.reduceat(tfs, starts).astype(np.int64) if len(tfs) else np.empty(0, np.int64),
-        "min_dl": np.minimum.reduceat(dls, starts).astype(np.int64) if len(dls) else np.empty(0, np.int64),
-        **term_cols,
-    }
     if has_pos:
-        # one join of the per-posting position bytes; per-block and
-        # per-term byte counts from reduceat over the same boundaries
+        # one join of the per-posting position bytes; per-block byte counts
+        # from reduceat over the block boundaries (a term's run is the sum
+        # of its blocks', see postings.term_layout)
         pos_payload = b"".join(pos_sorted.tolist())
-        empty = np.empty(0, np.int64)
-        n = block_cols["n"]
         block_cols["pos_bytes"] = (
-            np.add.reduceat(pos_lens, np.cumsum(n) - n) if len(pos_lens) else empty)
-        pos_len = np.add.reduceat(pos_lens, starts) if len(pos_lens) else empty
-        term_rows["pos_off"] = np.cumsum(pos_len) - pos_len
-        term_rows["pos_len"] = pos_len
+            np.add.reduceat(pos_lens, block_firsts(starts, ends))
+            if len(pos_lens) else np.empty(0, np.int64))
 
     n_terms = len(uniq_terms)
-    terms_tbl = pa.table(
-        {
-            **{k: pa.array(v) for k, v in term_rows.items()},
-            "shard": pa.array([shard] * n_terms, pa.int32()),
-            "bucket": pa.array([bucket] * n_terms, pa.int32()),
-        }
-    )
+    terms_tbl = pa.table({"term": pa.array(uniq_terms, pa.string()),
+                          **{k: pa.array(v) for k, v in term_cols.items()}})
     blocks_tbl = pa.table({k: pa.array(v) for k, v in block_cols.items()})
 
     final_dir = segment_dir(index_dir, shard, bucket)
@@ -309,7 +307,7 @@ class SegmentReader:
         try:
             with read("positions.bin") as f:
                 self.pos_payload = _mmap_or_empty(f)
-            self.has_positions = True
+            self.has_positions = "pos_bytes" in self.blocks
         except FileNotFoundError:
             self.has_positions = False
             self.pos_payload = np.empty(0, np.uint8)
@@ -317,24 +315,26 @@ class SegmentReader:
         self._lookup = {
             term: i for i, term in enumerate(t["term"].to_pylist())
         }
-        # per-term numpy columns (row order of ``terms``), plus ``ord_len``:
-        # the byte length of a term's ordinal deltas, the head of its payload
-        self.term_cols = {
-            name: column_numpy(t[name]) for name in (
-                "df", "cf", "max_tf", "min_dl", "n_blocks", "block_start",
-                "payload_off", "payload_len",
-            )
-        }
-        ord_csum = np.zeros(len(self.blocks["ord_bytes"]) + 1, np.int64)
-        np.cumsum(self.blocks["ord_bytes"], out=ord_csum[1:])
-        bs = self.term_cols["block_start"]
-        self.term_cols["ord_len"] = (
-            ord_csum[bs + self.term_cols["n_blocks"]] - ord_csum[bs])
-        if self.has_positions and "pos_off" in t.column_names:
-            self.term_cols["pos_off"] = column_numpy(t["pos_off"])
-            self.term_cols["pos_len"] = column_numpy(t["pos_len"])
-        else:
-            self.has_positions = False
+        # per-term numpy columns (row order of ``terms``): the stored ones
+        # plus the layout v3 derives (postings.term_layout); the blocks'
+        # posting counts join the block columns
+        cols = {name: column_numpy(t[name])
+                for name in ("df", "cf", "max_tf", "min_dl")}
+        layout = term_layout(cols["df"], cols["max_tf"],
+                             self.blocks["ord_bytes"], self.blocks["tf_bytes"])
+        self.blocks["n"] = layout.pop("n")
+        last = self.blocks["last_ord"]
+        if (int(layout["payload_len"].sum()) != len(self.payload)
+                or (len(last) and not 0 <= last.min() <= last.max() < m["n_docs"])):
+            raise ValueError(f"segment {d}: its term and block tables do not "
+                             "fit its postings.bin and docs.bin (fsck names it)")
+        self.term_cols = {**cols, **layout}
+        if self.has_positions:
+            bs = layout["block_start"]
+            pos_len = _block_sums(self.blocks["pos_bytes"], bs,
+                                  bs + layout["n_blocks"])
+            self.term_cols["pos_off"] = _starts(pos_len)
+            self.term_cols["pos_len"] = pos_len
 
     def term_row(self, term: str) -> int | None:
         """``term``'s row in ``terms`` (and ``term_cols``), or None."""
@@ -566,6 +566,12 @@ def segment_gen(name: str) -> int:
     apply to the segment's postings."""
     m = _GEN_RE.match(name)
     return int(m.group(3) or 0) if m else 0
+
+
+def segment_bucket(path: str) -> int:
+    """Term bucket of the segment a file ``path`` lies in, from its dir
+    name ``s####_b####[_g####]``."""
+    return int(_GEN_RE.match(os.path.basename(os.path.dirname(path))).group(2))
 
 
 def read_manifest(index_dir: str, name: str) -> dict:

@@ -297,6 +297,21 @@ def add_documents(
     return new_stats
 
 
+# commit-marker fields that count forward-table rows of a doc the table
+# already held: a replaced-away version (``n_replaced``), the dead row a
+# re-add shadows (``n_shadowed``), the row an update_fields row updates
+# (``meta_update``), and what a vacuum or a reshard carried over of all
+# three (``extra_rows``)
+EXTRA_ROW_FIELDS = ("n_replaced", "n_shadowed", "meta_update", "extra_rows")
+
+
+def extra_rows(markers: dict[int, dict]) -> int:
+    """Forward-table rows the commit ``markers`` record beyond one per
+    doc (``EXTRA_ROW_FIELDS``)."""
+    return sum(int(info.get(f, 0)) for info in markers.values()
+               for f in EXTRA_ROW_FIELDS)
+
+
 def repair_stats(index_dir: str) -> dict:
     """Recompute global stats from disk truth (live segments + doc-table
     parquet metadata + tombstones) — heals a crash between gen commit and
@@ -306,11 +321,12 @@ def repair_stats(index_dir: str) -> dict:
 
         n_docs = rows - extra_versions - dead_now
 
-    where ``rows`` counts every committed forward-table row, every marker's
-    ``n_replaced + n_shadowed`` records one extra row for a doc the table
-    already held, and ``dead_now`` counts docs whose LATEST version is
-    masked by an explicit delete (recomputed fresh — a merge expunging the
-    postings doesn't change it, because the forward rows remain)."""
+    where ``rows`` counts every committed forward-table row,
+    ``extra_versions`` is ``extra_rows``' count over the commit markers
+    (rows of a doc the table already held), and ``dead_now`` counts docs
+    whose LATEST version is masked by an explicit delete (recomputed
+    fresh — a merge expunging the postings doesn't change it, because the
+    forward rows remain)."""
     stats = read_stats(index_dir)
     committed = committed_gens(index_dir)
     total_len = 0
@@ -329,10 +345,7 @@ def repair_stats(index_dir: str) -> dict:
         for f in files:
             if f.endswith(".parquet"):
                 n_docs += pq.ParquetFile(os.path.join(root, f)).metadata.num_rows
-    n_docs -= sum(
-        int(info.get("n_replaced", 0)) + int(info.get("n_shadowed", 0))
-        for info in _committed_markers(index_dir).values()
-    )
+    n_docs -= extra_rows(_committed_markers(index_dir))
     n_docs -= _dead_count_cached(index_dir, stats)
     stats.pop("n_docs_dead_merged", None)  # superseded by the identity above
     stats.update(
@@ -834,6 +847,7 @@ def vacuum_docs(index_dir: str) -> dict:
     n_tomb = len(_read_tombstone_file(index_dir))
     if not len(tomb_ids):
         return {"vacuumed": False, "rows_dropped": 0, "tombstones_cleared": 0}
+    n_dead = _dead_count_cached(index_dir, stats)
 
     docs_dir = os.path.join(index_dir, "_docs")
     old_dir, tmp_dir = docs_dir + ".old", docs_dir + ".vtmp"
@@ -866,18 +880,25 @@ def vacuum_docs(index_dir: str) -> dict:
     tpath = os.path.join(index_dir, GLOBAL, "tombstones.json")
     if os.path.exists(tpath):
         os.unlink(tpath)
-    # the extra rows the markers accounted for (replaced-away versions,
-    # shadowed re-adds) are physically gone now — zero the row-accounting
-    # fields so repair_stats' identity (rows - extras - dead) stays exact,
-    # and drop the replaces lists (their thresholds mask nothing after the
-    # full merge). Rewrites are atomic per marker file.
+    # the replaced-away versions, shadowed rows and every row of a dead
+    # doc are physically gone now; the rows an update_fields row updates
+    # stay. repair_stats' identity (rows - extras - dead) held before and
+    # the dead count is 0 after, so the extra rows left are extras + dead
+    # - dropped: the newest marker carries them as ``extra_rows``, every
+    # other row-accounting field is zeroed, and the replaces lists go
+    # (their thresholds mask nothing after the full merge). Rewrites are
+    # atomic per marker file.
     mdir = _gen_marker_dir(index_dir)
-    for gen, info in _committed_markers(index_dir).items():
-        if not (info.get("n_replaced") or info.get("n_shadowed")
-                or info.get("replaces")):
+    markers = _committed_markers(index_dir)
+    left = extra_rows(markers) + n_dead - (n_before - n_after)
+    newest = max(markers, default=None)
+    for gen, info in markers.items():
+        carry = left if gen == newest else 0
+        if not (carry or info.get("replaces")
+                or any(info.get(f) for f in EXTRA_ROW_FIELDS)):
             continue
-        info = {**info, "replaces": [], "n_replaced": 0, "n_shadowed": 0,
-                "vacuumed": True}
+        info = {**info, "replaces": [], **dict.fromkeys(EXTRA_ROW_FIELDS, 0),
+                "extra_rows": carry, "vacuumed": True}
         tmp = os.path.join(mdir, f".g{gen:04d}.tmp")
         with open(tmp, "w") as f:
             json.dump(info, f)

@@ -4,6 +4,8 @@ import json
 import os
 import shutil
 
+import pytest
+
 from archivesspace_virgo_ray.index.build import BuildConfig, build_index
 from archivesspace_virgo_ray.index.fsck import fsck_index
 
@@ -206,3 +208,38 @@ def test_readers_reject_stale_segment_version(ray_session, tmp_path):
         bm25_topk(idx, q)
     for needle in (seg, "'avr-index-0'", repr(PIPELINE_VERSION)):
         assert needle in str(ei.value)
+
+
+@pytest.mark.parametrize("code", ["seg_block_rows", "seg_layout_size",
+                                  "seg_tf_bytes", "seg_last_ord"])
+def test_detects_corrupt_block_table(ray_session, tmp_path, code):
+    """Offsets are derived from the term and block tables, not stored: each
+    kind of damage to the block table is its own finding, and a reader
+    refuses the segment rather than misread it."""
+    import numpy as np
+    import pyarrow.parquet as pq
+
+    from archivesspace_virgo_ray.index.postings import TF_WIDE
+    from archivesspace_virgo_ray.index.segments import SegmentReader, numpy_table
+
+    idx = _build(tmp_path)
+    seg = sorted(os.listdir(os.path.join(idx, "segments")))[0]
+    r = SegmentReader(idx, name=seg)
+    cols = {k: v.copy() for k, v in r.blocks.items() if k != "n"}
+    if code == "seg_block_rows":
+        cols = {k: v[:-1] for k, v in cols.items()}
+    elif code == "seg_layout_size":
+        cols["ord_bytes"][0] += 1
+    elif code == "seg_tf_bytes":  # the total stays the file's size
+        narrow = np.flatnonzero(r.term_cols["tf_class"] != TF_WIDE)[0]
+        b = r.term_cols["block_start"][narrow]
+        cols["tf_bytes"][b] += 1
+        cols["ord_bytes"][b] -= 1
+    else:
+        cols["last_ord"][-1] = r.manifest["n_docs"]
+    pq.write_table(numpy_table(cols),
+                   os.path.join(idx, "segments", seg, "blocks.parquet"))
+    res = fsck_index(idx)
+    assert res["issue_codes"] == [code], res["issues"]
+    with pytest.raises(ValueError):
+        SegmentReader(idx, name=seg)

@@ -441,6 +441,45 @@ def test_query_worker_imports_neither_ray_data_nor_pandas(idx, tmp_path):
     assert out.stdout.split() == [str(len(want[1])), "[]"]
 
 
+def test_one_actor_class_serves_pools_in_two_ray_sessions(idx, tmp_path):
+    """The pool's ``ShardWorker`` actor class is made once per process and
+    reused: two pools, each in its own Ray session of one process, spawn
+    their actors from the same class, and both answer through them as the
+    in-process path does."""
+    tbl = _batch()
+    tbl_path = str(tmp_path / "batch.pkl")
+    with open(tbl_path, "wb") as f:
+        pickle.dump(tbl, f)
+    script = (
+        "import pickle, ray\n"
+        "from archivesspace_virgo_ray.index import query\n"
+        f"tbl = pickle.load(open({tbl_path!r}, 'rb'))\n"
+        "out = []\n"
+        "for _session in range(2):\n"
+        "    ray.init(address='local', num_cpus=1, include_dashboard=False,\n"
+        "             logging_level='ERROR')\n"
+        f"    pool = query.QueryPool({idx!r}, n_actors=1)\n"
+        "    pool.wait_ready()\n"
+        "    pool._hand_over()\n"
+        "    assert pool.actors and not pool._twins\n"
+        "    out.append((pool.topk_collect(pool.topk_submit(tbl)),\n"
+        "                query._shard_worker_actor()))\n"
+        "    pool.shutdown()\n"
+        "    ray.shutdown()\n"
+        "(a, ca), (b, cb) = out\n"
+        "print(a.equals(b), ca is cb)\n"
+        "pickle.dump(a, open(" + repr(tbl_path + ".out") + ", 'wb'))\n")
+    env = dict(os.environ, PYTHONPATH=REPO)
+    out = subprocess.run([sys.executable, "-c", script], env=env, cwd=REPO,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split()[-2:] == ["True", "True"]
+    with open(tbl_path + ".out", "rb") as f:
+        got = pickle.load(f)
+    assert got.num_rows > 0
+    _assert_same(got, _local(idx, tbl))
+
+
 def test_column_numpy_and_numpy_table_round_trip():
     """The buffer-level Arrow <-> numpy helpers a query worker uses instead
     of ``to_numpy``/``pa.array``: sliced and multi-chunk columns, floats,

@@ -14,12 +14,18 @@ from hypothesis import strategies as st
 from archivesspace_virgo_ray.index.postings import (
     BLOCK_COLUMNS,
     BLOCK_SIZE,
+    TERM_COLUMNS,
+    TF_NIBBLE,
+    TF_ONES,
+    TF_WIDE,
     decode_positions,
     decode_posting_list,
     decode_segment,
     encode_posting_list,
     encode_segment,
     position_bytes_array,
+    term_layout,
+    tf_class,
     varbyte_decode,
     varbyte_encode,
 )
@@ -57,9 +63,10 @@ def test_posting_list_roundtrip_multi_block():
     payload, table = encode_posting_list(docs, tfs, dls)
     d2, t2, l2 = decode_posting_list(payload, table)
     assert (d2 == docs).all() and (t2 == tfs).all() and (l2 == dls).all()
-    # block metadata correct
-    assert table["last_doc"][-1] == docs[-1]
-    assert table["n"].sum() == n
+    # block metadata correct: one term's ordinals are its posting indices
+    assert table["last_ord"].tolist() == [127, 255, 383, n - 1]
+    assert table["doc_map"][table["last_ord"][-1]] == docs[-1]
+    assert table["n"].tolist() == [128, 128, 128, 17]
     assert table["max_tf"][0] == tfs[:BLOCK_SIZE].max()
     assert table["min_dl"][0] == dls[:BLOCK_SIZE].min()
 
@@ -120,23 +127,29 @@ def _ref_varbyte(v: int) -> bytes:
 
 
 def _ref_encode_segment(doc_ids, tfs, dls, starts, ends):
-    """Plain-Python v2 encoder: ordinals by ascending doc id, each term's
+    """Plain-Python v3 encoder: ordinals by ascending doc id, each term's
     first ordinal absolute, a term's payload = its blocks' ordinal bytes
-    then their tf bytes; loops over docs, terms, blocks and base-128 bytes.
-    Returns (payload, doc_table, n_docs, terms, blocks)."""
+    then its tf run: nothing when its max tf is 1, a nibble of tf - 1 per
+    posting (low nibble first, padded to a whole byte) when it is at most
+    16, else varbyte; loops over docs, terms, blocks, postings and
+    base-128 bytes. Returns (payload, doc_table, n_docs, terms, blocks)."""
     doc_ids, tfs, dls = (list(map(int, a)) for a in (doc_ids, tfs, dls))
     dl_of = dict(zip(doc_ids, dls))
     docs = sorted(dl_of)
     ordinal = {d: o for o, d in enumerate(docs)}
     doc_table = b"".join(
-        _ref_varbyte(d - (docs[o - 1] if o else 0)) for o, d in enumerate(docs)
+        _ref_varbyte((d - (docs[o - 1] if o else 0)) % 2**64)
+        for o, d in enumerate(docs)
     ) + b"".join(_ref_varbyte(dl_of[d]) for d in docs)
     payload = bytearray()
-    terms = {"n_blocks": [], "block_start": [], "payload_off": [], "payload_len": []}
+    terms = {k: [] for k in TERM_COLUMNS}
     blocks = {k: [] for k in BLOCK_COLUMNS}
     for s, e in zip(map(int, starts), map(int, ends)):
-        terms["block_start"].append(len(blocks["n"]))
-        terms["payload_off"].append(len(payload))
+        max_tf = max(tfs[s:e])
+        terms["df"].append(e - s)
+        terms["cf"].append(sum(tfs[s:e]))
+        terms["max_tf"].append(max_tf)
+        terms["min_dl"].append(min(dls[s:e]))
         term_ords, term_tfs = bytearray(), bytearray()
         for bs in range(s, e, BLOCK_SIZE):
             be = min(bs + BLOCK_SIZE, e)
@@ -144,36 +157,51 @@ def _ref_encode_segment(doc_ids, tfs, dls, starts, ends):
                 _ref_varbyte(ordinal[doc_ids[i]] - ordinal[doc_ids[i - 1]]
                              if i > s else ordinal[doc_ids[i]])
                 for i in range(bs, be))
-            tf = b"".join(_ref_varbyte(tfs[i]) for i in range(bs, be))
+            if max_tf == 1:
+                tf = b""
+            elif max_tf <= 16:
+                nib = [tfs[i] - 1 for i in range(bs, be)] + [0]
+                tf = bytes(nib[j] | nib[j + 1] << 4 for j in range(0, be - bs, 2))
+            else:
+                tf = b"".join(_ref_varbyte(tfs[i]) for i in range(bs, be))
             term_ords += ords
             term_tfs += tf
-            blocks["last_doc"].append(doc_ids[be - 1])
-            blocks["n"].append(be - bs)
+            blocks["last_ord"].append(ordinal[doc_ids[be - 1]])
             blocks["max_tf"].append(max(tfs[bs:be]))
             blocks["min_dl"].append(min(dls[bs:be]))
             blocks["ord_bytes"].append(len(ords))
             blocks["tf_bytes"].append(len(tf))
         payload += term_ords + term_tfs
-        terms["n_blocks"].append(len(blocks["n"]) - terms["block_start"][-1])
-        terms["payload_len"].append(len(payload) - terms["payload_off"][-1])
     return bytes(payload), doc_table, len(docs), terms, blocks
 
 
 _SEGMENT_DFS = [1, 127, 128, 129, 3 * BLOCK_SIZE + 17]
+# the largest tf of each tf-run class: all ones, one nibble, varbyte
+_CLASS_MAX_TFS = (1, 16, 17)
 
 
-def _mk_segment(seed, dfs=_SEGMENT_DFS):
-    """Flat (term, doc_id)-ordered postings of one term per df: doc ids up
-    to 2**63 - 1 (0 and 2**63 - 1 shared by several terms), tfs and dls
-    needing 1-3 varbyte bytes, one dl per doc."""
+def _mk_segment(seed, dfs=_SEGMENT_DFS, max_tfs=None, n_docs=None):
+    """Flat (term, doc_id)-ordered postings of one term per df: doc ids
+    over the whole int64 range (so ``docs.bin`` holds 10-byte modular
+    deltas; -2**63, 0 and 2**63 - 1 shared by several terms), dls
+    needing 1-3 varbyte bytes, one dl per doc. Tfs need 1-3 varbyte
+    bytes, or, with ``max_tfs``, term i's tfs lie in 1..max_tfs[i] and
+    reach it. ``n_docs``: draw the ids from that many docs (large
+    ordinal deltas when the dfs are small)."""
     rng = np.random.default_rng(seed)
-    dfs = rng.permutation(dfs)
+    order = rng.permutation(len(dfs))
+    dfs = np.asarray(dfs)[order]
+    pool = (None if n_docs is None else
+            np.unique(rng.integers(-2**63, 2**63 - 1, n_docs, dtype=np.int64)))
     docs = []
     for df in dfs:
-        ids = np.unique(rng.integers(0, 2**63 - 1, 2 * df, dtype=np.int64))
+        if pool is None:
+            ids = np.unique(rng.integers(-2**63, 2**63 - 1, 2 * df, dtype=np.int64))
+        else:
+            ids = pool
         ids = np.sort(rng.choice(ids, df, replace=False))
-        if df > 2:
-            ids[0], ids[-1] = 0, 2**63 - 1
+        if df > 3:
+            ids[:3] = -2**63, 0, 2**63 - 1
         docs.append(np.sort(ids))
     doc_ids = np.concatenate(docs)
     n = len(doc_ids)
@@ -185,46 +213,67 @@ def _mk_segment(seed, dfs=_SEGMENT_DFS):
                                  rng.integers(2**14, 2**21, n)]).astype(np.int64)
 
     ends = np.cumsum(dfs)
-    tfs = vals()
+    starts = ends - dfs
+    if max_tfs is None:
+        tfs = vals()
+    else:
+        top = np.repeat(np.asarray(max_tfs)[order], dfs)
+        tfs = rng.integers(1, top + 1)
+        tfs[starts + rng.integers(0, dfs)] = top[starts]  # reach the max
     _uniq, first, inv = np.unique(doc_ids, return_index=True, return_inverse=True)
     dls = vals()[first][inv]
-    return doc_ids, tfs, dls, ends - dfs, ends
+    return doc_ids, tfs.astype(np.int64), dls, starts, ends
 
 
-_TERM_DTYPES = {"n_blocks": np.int32, "block_start": np.int64,
-                "payload_off": np.int64, "payload_len": np.int64}
-_BLOCK_DTYPES = {k: np.int32 if k == "n" else np.int64 for k in BLOCK_COLUMNS}
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_encode_segment_matches_reference(seed):
-    doc_ids, tfs, dls, starts, ends = _mk_segment(seed)
+def _check_against_reference(doc_ids, tfs, dls, starts, ends):
     payload, doc_table, n_docs, terms, blocks = encode_segment(
         doc_ids, tfs, dls, starts, ends)
     ref_payload, ref_docs, ref_n, ref_terms, ref_blocks = _ref_encode_segment(
         doc_ids, tfs, dls, starts, ends)
     assert payload == ref_payload
     assert doc_table == ref_docs and n_docs == ref_n
-    assert set(terms) == set(_TERM_DTYPES) and set(blocks) == set(BLOCK_COLUMNS)
-    for k, dt in _TERM_DTYPES.items():
-        assert terms[k].dtype == dt, k
-        assert terms[k].tolist() == ref_terms[k], k
-    for k, dt in _BLOCK_DTYPES.items():
-        assert blocks[k].dtype == dt, k
-        assert blocks[k].tolist() == ref_blocks[k], k
+    assert set(terms) == set(TERM_COLUMNS) and set(blocks) == set(BLOCK_COLUMNS)
+    for got, ref in ((terms, ref_terms), (blocks, ref_blocks)):
+        for k, v in got.items():
+            assert v.dtype == np.int64, k
+            assert v.tolist() == ref[k], k
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_encode_segment_matches_reference(seed):
+    _check_against_reference(*_mk_segment(seed))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       terms=st.lists(st.tuples(st.sampled_from([1, 2, 3, 127, 128, 129, 255,
+                                                 256, 257, 3 * BLOCK_SIZE + 17]),
+                                st.sampled_from(_CLASS_MAX_TFS)),
+                      min_size=1, max_size=8),
+       n_docs=st.sampled_from([None, 20000]))
+def test_encode_segment_tf_classes_match_reference(seed, terms, n_docs):
+    """Every tf-run class (``max_tf`` 1, 16, 17), odd and even dfs,
+    one-posting terms, block boundaries, 10-byte doc-id deltas and
+    multi-byte ordinal deltas: the codec equals the plain-Python v3
+    encoder."""
+    dfs, max_tfs = zip(*terms)
+    doc_ids, tfs, dls, starts, ends = _mk_segment(seed, dfs, max_tfs, n_docs)
+    _check_against_reference(doc_ids, tfs, dls, starts, ends)
 
 
 def test_encode_segment_empty():
     e = np.empty(0, np.int64)
     payload, doc_table, n_docs, terms, blocks = encode_segment(e, e, e, e, e)
     assert payload == doc_table == b"" and n_docs == 0
-    assert {k: v.dtype for k, v in terms.items()} == _TERM_DTYPES
-    assert all(v.dtype == np.int64 and len(v) == 0 for v in blocks.values())
-    assert all(len(v) == 0 for v in terms.values())
+    assert set(terms) == set(TERM_COLUMNS) and set(blocks) == set(BLOCK_COLUMNS)
+    for v in (*terms.values(), *blocks.values()):
+        assert v.dtype == np.int64 and len(v) == 0
 
 
-def test_encode_posting_list_is_a_one_term_segment():
-    doc_ids, tfs, dls, starts, ends = _mk_segment(7, dfs=[3 * BLOCK_SIZE + 17])
+@pytest.mark.parametrize("max_tf", _CLASS_MAX_TFS)
+def test_encode_posting_list_is_a_one_term_segment(max_tf):
+    doc_ids, tfs, dls, starts, ends = _mk_segment(
+        7, dfs=[3 * BLOCK_SIZE + 17], max_tfs=[max_tf])
     payload, table = encode_posting_list(doc_ids, tfs, dls)
     ref_payload, _docs, _n, _terms, ref_blocks = _ref_encode_segment(
         doc_ids, tfs, dls, starts, ends)
@@ -232,6 +281,39 @@ def test_encode_posting_list_is_a_one_term_segment():
     assert {k: table[k].tolist() for k in BLOCK_COLUMNS} == ref_blocks
     assert table["doc_map"].tolist() == doc_ids.tolist()
     assert table["dl_map"].tolist() == dls.tolist()
+    d2, t2, l2 = decode_posting_list(payload, table)
+    assert (d2.tolist(), t2.tolist(), l2.tolist()) == (
+        doc_ids.tolist(), tfs.tolist(), dls.tolist())
+
+
+def test_term_layout_derives_offsets():
+    """The layout a v3 reader derives equals what v2 stored: block starts,
+    per-block posting counts, run lengths and payload offsets."""
+    doc_ids, tfs, dls, starts, ends = _mk_segment(
+        3, dfs=[1, 2, 129, 256, 3 * BLOCK_SIZE + 17], max_tfs=[1, 16, 17, 16, 1])
+    payload, _docs, _n, terms, blocks = encode_segment(doc_ids, tfs, dls, starts, ends)
+    lay = term_layout(terms["df"], terms["max_tf"], blocks["ord_bytes"],
+                      blocks["tf_bytes"])
+    assert sorted(lay["n_blocks"].tolist()) == [1, 1, 2, 2, 4]
+    assert lay["block_start"].tolist() == np.concatenate(
+        [[0], np.cumsum(lay["n_blocks"])[:-1]]).tolist()
+    assert int(lay["n"].sum()) == len(doc_ids)
+    assert set(lay["n"].tolist()) <= {1, 2, 17, 128}
+    assert lay["payload_off"].tolist() == np.concatenate(
+        [[0], np.cumsum(lay["payload_len"])[:-1]]).tolist()
+    assert int(lay["payload_len"].sum()) == len(payload)
+    cls = lay["tf_class"]
+    assert cls.tolist() == tf_class(terms["max_tf"]).tolist()
+    nib = cls == TF_NIBBLE
+    assert (lay["tf_len"][cls == TF_ONES] == 0).all()
+    assert lay["tf_len"][nib].tolist() == ((terms["df"][nib] + 1) // 2).tolist()
+    with pytest.raises(ValueError, match="block table holds"):
+        term_layout(terms["df"], terms["max_tf"], blocks["ord_bytes"][:-1],
+                    blocks["tf_bytes"][:-1])
+    bad = blocks["tf_bytes"].copy()
+    bad[np.repeat(nib, lay["n_blocks"])] += 1
+    with pytest.raises(ValueError, match="tf class"):
+        term_layout(terms["df"], terms["max_tf"], blocks["ord_bytes"], bad)
 
 
 def test_encode_segment_rejects_two_dls_for_one_doc():
@@ -247,11 +329,14 @@ def test_encode_segment_rejects_two_dls_for_one_doc():
 
 
 def _positional_group(seed):
-    """A (term, doc_id, tf, dl, pos) triple frame with small tfs, shuffled
-    out of (term, doc_id) order; returns it with its per-posting positions."""
+    """A (term, doc_id, tf, dl, pos) triple frame, shuffled out of (term,
+    doc_id) order, its terms' tfs up to 1, 16 or 17 in turn (every tf-run
+    class); returns it with its per-posting positions."""
     doc_ids, _tfs, dls, starts, ends = _mk_segment(seed)
     rng = np.random.default_rng(seed + 100)
-    tfs = rng.integers(1, 9, len(doc_ids)).astype(np.int64)
+    top = np.array(_CLASS_MAX_TFS)[np.arange(len(starts)) % 3]
+    tfs = rng.integers(1, np.repeat(top, ends - starts) + 1).astype(np.int64)
+    tfs[starts + rng.integers(0, ends - starts)] = top  # reach each max
     flat = np.concatenate([np.sort(rng.choice(5000, t, replace=False)) for t in tfs])
     terms = np.repeat([f"t{i:02d}" for i in range(len(starts))], ends - starts)
     group = pd.DataFrame({
@@ -291,10 +376,12 @@ def test_decode_segment_roundtrip_with_positions(tmp_path):
 def test_decode_posting_list_random_block_masks(tmp_path, seed):
     """A masked decode == the full decode restricted to the selected
     blocks, for every term of a multi-term segment (ordinals of one term
-    are sparse in the segment's doc map, so block rebasing matters)."""
+    are sparse in the segment's doc map, so block rebasing matters) and
+    every tf-run class (a selected odd last block ends in a pad nibble)."""
     group, _flat = _positional_group(seed)
     write_segment(str(tmp_path), 0, 0, group)
     r = SegmentReader(str(tmp_path), 0, 0)
+    assert set(r.term_cols["tf_class"].tolist()) == {TF_WIDE, TF_NIBBLE, TF_ONES}
     rng = np.random.default_rng(seed + 50)
     for term in r.terms["term"].to_pylist():
         e = r.term_entry(term)
@@ -314,6 +401,29 @@ def test_decode_posting_list_random_block_masks(tmp_path, seed):
             p_keep = np.repeat(keep, full[1])
             p = decode_positions(e["pos_payload"], bt["pos_bytes"], got[1], mask)
             assert p.tolist() == p_full[p_keep].tolist()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_decode_segment_rows_in_any_order(tmp_path, seed):
+    """A rows decode == the whole decode's slices of those terms, for rows
+    grouped by tf class (the query path) and in any other order."""
+    group, _flat = _positional_group(seed)
+    write_segment(str(tmp_path), 0, 0, group.drop(columns=["pos"]))
+    r = SegmentReader(str(tmp_path), 0, 0)
+    full = decode_segment(r)
+    off = np.concatenate([[0], np.cumsum(full[3])])
+    assert len(set(r.term_cols["tf_class"].tolist())) > 1
+    rng = np.random.default_rng(seed)
+    picks = [np.argsort(r.term_cols["tf_class"], kind="stable")]
+    picks += [rng.permutation(len(off) - 1)[:rng.integers(1, len(off))]
+              for _ in range(8)]
+    for rows in picks:
+        ids, tfs, dls, df, pos = decode_segment(r, rows)
+        sl = np.concatenate([np.arange(off[i], off[i + 1]) for i in rows])
+        assert pos is None and df.tolist() == full[3][rows].tolist()
+        for got, want in zip((ids, tfs, dls), full):
+            assert got.dtype == np.int64
+            assert got.tolist() == want[sl].tolist()
 
 
 def test_decode_segment_empty_and_plain(tmp_path):
@@ -375,16 +485,17 @@ def _golden_docs() -> pa.Table:
     return pa.table({"doc_id": pa.array(ids, pa.int64()), "text": pa.array(texts)})
 
 
-# sha256 of each segment file. The posting-format-v2 digests of
-# postings.bin and docs.bin were recorded when segment-local ordinals
-# replaced per-posting doc ids and dls; positions.bin kept its digests
-# from before the whole-segment codec. The file format must not drift;
-# postings.bin and docs.bin are the same with and without positions.
+# sha256 of each segment file. The postings.bin digests are format v3's
+# (tf runs packed by class: none, nibbles or varbyte); docs.bin kept its
+# digests from posting format v2, which introduced segment-local ordinals,
+# and positions.bin from before the whole-segment codec. The file format
+# must not drift; postings.bin and docs.bin are the same with and without
+# positions.
 _GOLDEN_POSTINGS = {
-    "s0000_b0000": "de047ade8f1085ca5270f313e683148e5dcae8e000fb0ede579304a49457bbc3",
-    "s0000_b0001": "2c73150b003ea162fb08399d60f812eed8527974fef1a2ed850d918e6226c07f",
-    "s0001_b0000": "def26577cf478ebeba767e1a71d9503ee409b15dea3a7305b9a07c6f3f972004",
-    "s0001_b0001": "10255d4e0b8a54727d8c76b59b52ad67a80ee44f68280fe8cdc23f9a9239f244",
+    "s0000_b0000": "e09b718ac31d6c761f059d377af58c3e2fabcb3387ec92f6c542502ffb40cad6",
+    "s0000_b0001": "f0c7bf567a40edfcfd67a508b5f3b2059043076b804664e1f22edba50f7b159d",
+    "s0001_b0000": "58115a14f56ce57f8f01f105c224029ed5b699257ef2b6c33f3024b1fc5169c8",
+    "s0001_b0001": "fc41e6bde818158e672d288d01d06688318c41b8a1d81dbf416c1a58493605b3",
 }
 # shard 0's two buckets hold the same docs, so their doc tables match
 _GOLDEN_DOCS = {

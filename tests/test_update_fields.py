@@ -108,3 +108,67 @@ def test_update_fields_twice_latest_wins(upd_idx):
     fc = pool.facet_counts("grp", text="cherry", mode="or")
     m = dict(zip(fc["grp"], fc["n_docs"]))
     assert m.get("y") == 1 and "x" not in m
+
+
+def _added(tmp_path, rows, name):
+    path = str(tmp_path / name)
+    pq.write_table(pa.table({
+        "doc_id": pa.array([d for d, _, _ in rows], pa.int64()),
+        "text": pa.array([t for _, t, _ in rows], pa.string()),
+        "grp": pa.array([g for _, _, g in rows], pa.string()),
+    }), path)
+    return path
+
+
+def _assert_matches_oracle(idx, live):
+    """``n_docs`` and BM25 answers equal the oracle's over the live docs."""
+    from archivesspace_virgo_ray.index.query import LocalSearcher
+    from archivesspace_virgo_ray.index.segments import read_stats
+    from archivesspace_virgo_ray.oracle import OracleIndex
+
+    oracle = OracleIndex(list(live), list(live.values()))
+    assert read_stats(idx)["n_docs"] == len(live)
+    ls = LocalSearcher(idx)
+    for q in ("apple", "banana cherry", "apple date", "elder fig apple"):
+        assert ls.search(q, 10) == oracle.score_query(q, 10), q
+
+
+def test_stats_after_update_fields_then_add_match_oracle(upd_idx, tmp_path):
+    """An update_fields row sits beside the row it updates: every later
+    stats repair (an add runs one) must not count it as a doc, or idf and
+    avgdl drift from the live corpus's."""
+    from archivesspace_virgo_ray.index.reshard import reshard_index
+    from archivesspace_virgo_ray.index.update import (
+        add_documents,
+        delete_documents,
+        maintain,
+        repair_stats,
+    )
+
+    cfg = BuildConfig(n_shards=2, n_buckets=4, text_col="text", id_col="doc_id",
+                      meta_cols=("grp",))
+    update_fields(upd_idx, pd.DataFrame({
+        "doc_id": np.array([1, 2], dtype=np.int64), "grp": ["b", "c"]}))
+    update_fields(upd_idx, pd.DataFrame({
+        "doc_id": np.array([2], dtype=np.int64), "grp": ["d"]}))
+    new = [(5, "date elder apple", "a"), (6, "fig fig apple date", "b")]
+    add_documents(_added(tmp_path, new, "add.parquet"), upd_idx, cfg)
+    live = {d: t for d, t, _ in DOCS + new}
+    _assert_matches_oracle(upd_idx, live)
+    repair_stats(upd_idx)
+    _assert_matches_oracle(upd_idx, live)
+
+    # a delete of an updated doc (stats keep it until a merge), the full
+    # merge and the vacuum that drops its rows, then a reshard of the
+    # vacuumed index
+    delete_documents(upd_idx, [2])
+    del live[2]
+    maintain(upd_idx, dead_ratio=0.0)
+    _assert_matches_oracle(upd_idx, live)
+    repair_stats(upd_idx)
+    _assert_matches_oracle(upd_idx, live)
+    dst = str(tmp_path / "resharded")
+    reshard_index(upd_idx, dst, 1, 2)
+    _assert_matches_oracle(dst, live)
+    repair_stats(dst)
+    _assert_matches_oracle(dst, live)

@@ -211,34 +211,77 @@ def _query_corpus(sizes, seed: int, step: int = 10_000) -> str:
     return d
 
 
+# an index's file classes: a segment file by its name, else the top-level
+# dir (term stats live under _global/termstats-*)
+_SEGMENT_FILES = {"postings.bin": "postings", "terms.parquet": "term_dict",
+                  "blocks.parquet": "block_table", "docs.bin": "docs_bin"}
+
+
+def index_census(idx: str) -> dict[str, int]:
+    """Bytes of index ``idx`` by file class: ``postings.bin``, the term
+    dictionary, the block table, ``docs.bin``, the forward doc table
+    ``_docs`` and the global term stats; manifests, positions and the
+    rest count as ``other``."""
+    out = dict.fromkeys((*_SEGMENT_FILES.values(), "_docs", "termstats",
+                         "other"), 0)
+    for d, _dirs, files in os.walk(idx):
+        top = os.path.relpath(d, idx).split(os.sep)
+        for f in files:
+            if top[0] == "segments":
+                key = _SEGMENT_FILES.get(f, "other")
+            elif top[0] == "_docs":
+                key = "_docs"
+            elif top[0] == "_global" and top[1:2] and top[1].startswith("termstats"):
+                key = "termstats"
+            else:
+                key = "other"
+            out[key] += os.path.getsize(os.path.join(d, f))
+    return out
+
+
 def smoke_query(n_docs: int) -> None:
     """Query cost at scale, in-process through ``LocalSearcher``: the
     ``perfbench`` corpus (``_query_corpus``) and query mix of ``n_docs``
-    (seed 1401, a 2×2 index, built once under TMPDIR and reused), its 8
-    batch tables planned, scored and merged three times (the median pass
-    gives rows/s), then 200 single queries of its request stream (p50
-    latency). Prints the driver's peak RSS too."""
+    (seed 1401, a 2×2 index, built once under TMPDIR and reused while its
+    ``PIPELINE_VERSION`` is current), its index bytes per input byte and
+    each file class's share of them (``index_census``), its 8 batch
+    tables planned, scored and merged three times (the median pass gives
+    rows/s), then 200 single queries of its request stream (p50 latency).
+    Prints the driver's peak RSS too."""
     import resource
     import statistics
 
     import numpy as np
 
+    from archivesspace_virgo_ray import PIPELINE_VERSION
     from archivesspace_virgo_ray.index.build import BuildConfig, build_index
     from archivesspace_virgo_ray.index.query import (
         LocalSearcher,
         _merge_topk_parts,
         _plan_batch,
     )
+    from archivesspace_virgo_ray.index.segments import read_stats
     from perfbench import gen
 
     seed = 1401
     sizes = gen.Sizes(n_docs=n_docs)
     idx = f"{_TMP}/avr_smoke_q_{n_docs}"
-    if not os.path.exists(os.path.join(idx, "_global", "stats.json")):
+    try:
+        current = read_stats(idx).get("pipeline_version") == PIPELINE_VERSION
+    except OSError:
+        current = False
+    if not current:
+        shutil.rmtree(idx, ignore_errors=True)
         _init()
         build_index(_query_corpus(sizes, seed), idx,
                     BuildConfig(n_shards=2, n_buckets=2), resume=False)
         ray.shutdown()
+    census = index_census(idx)
+    total = sum(census.values())
+    print(f"n_docs={n_docs} index_bytes={total} index_bytes_per_input_byte="
+          f"{total / gen.parquet_bytes(_query_corpus(sizes, seed)):.4f} "
+          + " ".join(f"{k}={v / total:.3f}" for k, v in census.items()),
+          flush=True)
     mix = gen.query_mix(sizes, seed)
     ls = LocalSearcher(idx)
     rows = sum(t.num_rows for t in mix.batches)
