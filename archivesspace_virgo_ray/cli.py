@@ -270,7 +270,8 @@ def cmd_qsearch(args) -> int:
 def cmd_fsck(args) -> int:
     """Index integrity audit — metadata/size cross-checks only, no posting
     decode; exit code 1 when issues are found. ``--repair`` heals the safe
-    findings (stray tmp dirs, stale seal, drifted stats) and re-audits."""
+    findings (stray tmp dirs, leftover dirs and term-stats versions, drifted
+    marker stats) and re-audits."""
     from .index.fsck import fsck_index, repair_index
 
     r = repair_index(args.index) if args.repair else fsck_index(args.index)

@@ -42,6 +42,7 @@ Scale notes (designed for 10^12 docs / many-node clusters, tested locally):
 
 from __future__ import annotations
 
+import json
 import os
 import uuid
 from dataclasses import dataclass, field
@@ -65,14 +66,16 @@ from .segments import (
     GLOBAL,
     STAGING,
     _docs_columns,
+    _committed_markers,
     _parquet_files,
     _parquet_rows,
     list_complete_segments,
+    live_segments,
     read_build_id,
     read_stats,
     segment_bucket,
+    termstats_dir,  # noqa: F401  (re-exported: the term-stats readers)
     write_segment,
-    write_stats,
 )
 
 
@@ -174,8 +177,8 @@ class BuildConfig:
     # pre-tokenize analysis rewrite applied to the text column (Solr
     # analysis-chain analog): "plain" = none; "ident" = identifier split
     # (camelCase + snake_case -> parts) for source-code fields. Recorded in
-    # stats.json — query planning reads it back and rewrites QUERY text the
-    # same way, so callers never pre-analyze by hand.
+    # the markers' stats — query planning reads it back and rewrites QUERY
+    # text the same way, so callers never pre-analyze by hand.
     analyzer: str = "plain"
     lineage: dict = field(default_factory=dict)
 
@@ -383,21 +386,24 @@ def build_index(
 
     ``cfg.n_shards`` / ``cfg.n_buckets`` of None are auto-sized from the
     input's on-disk bytes and the cluster's CPU count; the chosen values are
-    recorded in lineage (and, as always, in _global/stats.json — adds must
-    reuse them)."""
+    recorded in lineage (and, as always, in the build marker's stats —
+    adds must reuse them)."""
     cfg = cfg or BuildConfig()
     from ..functions.tokenize import ANALYZERS
 
     if cfg.analyzer not in ANALYZERS:
         raise ValueError(
             f"unknown analyzer {cfg.analyzer!r} (known: {ANALYZERS})")
+    prev = None
     if resume:
         # resume is crash recovery of the SAME build — a different analyzer
-        # would silently mix token streams across segments
+        # would silently mix token streams across segments. An index of
+        # another PIPELINE_VERSION raises here (read_marker): rebuild it.
         try:
-            prev_an = read_stats(index_dir).get("analyzer", "plain")
-        except (OSError, ValueError, KeyError):
-            prev_an = None
+            prev = read_stats(index_dir)
+        except FileNotFoundError:
+            prev = None
+        prev_an = None if prev is None else prev.get("analyzer", "plain")
         if prev_an is not None and prev_an != cfg.analyzer:
             raise ValueError(
                 f"build_index(resume=True): index {index_dir!r} was built "
@@ -420,7 +426,7 @@ def build_index(
         # corpus) must never be silently and irrecoverably deleted.
         looks_like_index = (
             os.path.isdir(os.path.join(index_dir, "segments"))
-            or os.path.exists(os.path.join(index_dir, GLOBAL, "stats.json"))
+            or os.path.isdir(os.path.join(index_dir, GLOBAL, "gens"))
             or os.path.isdir(os.path.join(index_dir, DOCS))
             or os.path.isdir(os.path.join(index_dir, DOCS + ".tmp"))
         )
@@ -428,7 +434,7 @@ def build_index(
             raise ValueError(
                 f"build_index(resume=False): refusing to delete {index_dir!r} — "
                 "it is non-empty but has no index signature (segments/, "
-                "_global/stats.json or _docs/). Point index_dir at a fresh or "
+                "_global/gens/ or _docs/). Point index_dir at a fresh or "
                 "existing index directory, or remove it manually."
             )
         wipe_index_dir(index_dir)  # preserves the held write.lock file
@@ -456,8 +462,8 @@ def build_index(
     docs_dir = os.path.join(index_dir, DOCS)
     if resume and os.path.isdir(docs_dir):
         cols = _docs_columns(docs_dir)
-        if not ("gen" in cols and all(c in cols for c in cfg.meta_cols)):
-            shutil.rmtree(docs_dir)  # pre-gen-column or narrower-meta table
+        if not all(c in cols for c in cfg.meta_cols):
+            shutil.rmtree(docs_dir)  # a narrower-meta table
     docs_done = resume and os.path.isdir(docs_dir)
 
     def publish_docs(write) -> None:
@@ -478,35 +484,31 @@ def build_index(
     )
     completed_gkeys = frozenset(s * cfg.n_buckets + b for s, b in completed)
 
-    # Fast resume: a finished build stamps (pipeline_version, layout,
-    # n_groups) into stats.json — written LAST, so its presence proves the
-    # prior build ran to completion. When the stamp matches this config AND
-    # every stamped group is still complete on disk, skip the triples pass
-    # entirely. Without this a no-op resume still streamed the whole corpus
-    # through the tokenizer just to drop every group pre-exchange (~5 s per
-    # resume check at 100k docs — paid by EVERY query entry that re-verifies
-    # the shared index). Groups can be empty-by-content (no term hashes into
-    # them), which is why "all shard x bucket combos complete" is the wrong
-    # test — the stamp records how many groups the finished build produced.
-    prior_complete = False
-    if resume:
-        try:
-            prev = read_stats(index_dir)
-            prior_complete = (
-                prev.get("pipeline_version") == PIPELINE_VERSION
-                and prev.get("n_shards") == cfg.n_shards
-                and prev.get("n_buckets") == cfg.n_buckets
-                and bool(prev.get("positions", False)) == cfg.store_positions
-                and prev.get("analyzer", "plain") == cfg.analyzer
-                and prev.get("n_groups") is not None
-                and prev.get("n_groups") == len(completed)
-            )
-        except (OSError, ValueError, KeyError):
-            prior_complete = False
-    no_segments = pd.DataFrame({"skipped": pd.Series([], dtype=bool)})
+    # Fast resume: a finished build commits marker g0000 LAST, its stats
+    # stamped with (pipeline_version, layout, n_groups), so its presence
+    # proves the prior build ran to completion. When the stamp matches this
+    # config AND every stamped group is still complete on disk, skip the
+    # triples pass entirely. Without this a no-op resume still streamed the
+    # whole corpus through the tokenizer just to drop every group
+    # pre-exchange (~5 s per resume check at 100k docs — paid by EVERY
+    # query entry that re-verifies the shared index). Groups can be
+    # empty-by-content (no term hashes into them), which is why "all shard
+    # x bucket combos complete" is the wrong test — the stamp records how
+    # many groups the finished build produced.
+    prior_complete = prev is not None and (
+        prev.get("n_shards") == cfg.n_shards
+        and prev.get("n_buckets") == cfg.n_buckets
+        and bool(prev.get("positions", False)) == cfg.store_positions
+        and prev.get("analyzer", "plain") == cfg.analyzer
+        and prev.get("n_groups") is not None
+        and prev.get("n_groups") == len(completed)
+    )
     if prior_complete and docs_done:
-        seg_rows = no_segments
-    elif (table := read_small_source(source, read_cols)) is not None:
+        # nothing to do: the committed markers stand as they are
+        return {**prev, "n_segments_written": 0,
+                "n_segments_skipped": len(completed)}
+    no_segments = pd.DataFrame({"skipped": pd.Series([], dtype=bool)})
+    if (table := read_small_source(source, read_cols)) is not None:
         # ---- small source: both passes on the driver, one after the other
         import pyarrow.parquet as pq
 
@@ -566,8 +568,11 @@ def build_index(
     # analog) — no second tokenization pass needed
     total_len = sum(m["n_tokens"] for m in _all_manifests(index_dir))
 
-    # ---- seal: global term stats + corpus stats ----------------------------
-    _seal_termstats(index_dir)
+    # ---- commit: term stats, then the build's marker -----------------------
+    # g0000, written LAST, is the build-complete stamp; a build resumed over
+    # a committed one (a segment lost since) commits the next generation
+    markers = _committed_markers(index_dir)
+    gen = max(markers, default=-1) + 1
     stats = {
         "n_docs": n_docs,
         "total_len": total_len,
@@ -588,14 +593,17 @@ def build_index(
         "n_groups": len(
             list_complete_segments(index_dir, positions=cfg.store_positions)
         ),
+        "pipeline_version": PIPELINE_VERSION,
     }
-    write_stats(index_dir, stats)
+    from .update import _commit_gen
+
+    _commit_gen(index_dir, gen, {"stats": stats, "termstats": _seal_termstats(
+        index_dir, {**markers, gen: {}})})
     return stats
 
 
 def _all_manifests(index_dir: str) -> list[dict]:
     import glob
-    import json
 
     out = []
     for p in sorted(glob.glob(os.path.join(index_dir, "segments", "s*_b*", "manifest.json"))):
@@ -605,31 +613,6 @@ def _all_manifests(index_dir: str) -> list[dict]:
 
 
 _SEAL_DRIVER_MAX_BYTES = 256 * 1024 * 1024
-
-
-_TERMSTATS_PTR = "termstats.CURRENT"
-
-
-def termstats_dir(index_dir: str) -> str:
-    """Resolve the CURRENT sealed termstats directory.
-
-    Seals publish into a fresh versioned dir (``_global/termstats-<id>``)
-    and then atomically replace a pointer file — readers resolving through
-    the pointer never observe a half-deleted directory (the old
-    rmtree-then-replace swap had a window where a term silently vanished
-    from planning). Falls back to the legacy unversioned path for indexes
-    sealed before the pointer existed.
-    """
-    root = os.path.join(index_dir, GLOBAL)
-    try:
-        with open(os.path.join(root, _TERMSTATS_PTR)) as f:
-            name = os.path.basename(f.read().strip())
-        p = os.path.join(root, name)
-        if name.startswith("termstats") and os.path.isdir(p):
-            return p
-    except OSError:
-        pass
-    return os.path.join(root, "termstats")
 
 
 _TERMSTATS_COLS = ("term", "df", "cf", "max_tf", "min_dl")
@@ -673,57 +656,33 @@ def _write_termstats_bucket(rows: pd.DataFrame, bdir: str) -> None:
                    os.path.join(bdir, "part-0.parquet"))
 
 
-def _seal_termstats(index_dir: str) -> None:
-    """Aggregate per-segment term dictionaries into global per-term stats.
+def _seal_termstats(index_dir: str, markers: dict[int, dict]) -> str:
+    """Aggregate the term dictionaries of the segments live under
+    ``markers`` (the commit's own marker included) into global per-term
+    stats, written as a fresh version ``_global/termstats-<id>/bucket=N``.
+    Returns the version's name, which the commit's marker names: no
+    reader sees the version before that marker lands.
 
-    Only VISIBLE segments are sealed (``segments.live_segments``) — and
-    the committed-gen set is
-    recorded in ``termstats*/_SEALED.json`` so readers (TermStatsStore) can
-    detect a stale seal after a crash between gen commit and seal and
-    self-heal by resealing.
-
-    Publication is a versioned dir + atomic pointer replace (see
-    ``termstats_dir``): concurrent readers keep resolving the previous
-    version until the pointer flips; superseded versions are reclaimed
-    age-gated, never while they could still be mid-read.
-
-    Vocab-sized, not corpus-sized. Two paths with identical output layout
-    (termstats-<id>/bucket=N/):
+    Vocab-sized, not corpus-sized. Two paths with identical output layout:
     - small vocab (term files < 256 MB): single pandas reduction — the Ray
       groupby's fixed cost would dominate;
     - large vocab (unbounded identifier space at code-corpus scale): Ray
       Data groupby shuffle.
     """
-    import uuid as _uuid
-
-    from .segments import committed_gens, live_segments
-
-    # snapshot the committed set BEFORE listing inputs: a generation that
-    # commits mid-seal must NOT be claimed by this seal's _SEALED.json
-    # (claiming it without its term files would make the stale-seal check
-    # pass while df silently misses the gen; claiming LESS than aggregated
-    # only triggers a harmless reseal)
-    sealed = sorted(committed_gens(index_dir))
     term_files = sorted(
         os.path.join(index_dir, "segments", name, "terms.parquet")
-        for names in live_segments(index_dir).values() for name in names
+        for names in live_segments(index_dir, markers).values()
+        for name in names
     )
-    term_files = [f for f in term_files if os.path.exists(f)]
-    root = os.path.join(index_dir, GLOBAL)
-    if not term_files:
-        return
-    # unique versioned dir per sealer: concurrent reseals (e.g. several
-    # query actors self-healing the same stale seal) never touch each
-    # other's staging dirs. Superseded/crashed versions are reclaimed
-    # age-gated (a live concurrent seal lasts seconds, never an hour) and
-    # never the version the pointer currently names.
-    tmp = os.path.join(root, f"termstats-{_uuid.uuid4().hex[:8]}")
-
+    name = f"termstats-{uuid.uuid4().hex[:8]}"
+    tmp = os.path.join(index_dir, GLOBAL, name)
+    os.makedirs(tmp)
     total_bytes = sum(os.path.getsize(f) for f in term_files)
     if total_bytes < _SEAL_DRIVER_MAX_BYTES:
-        df = _term_rows(term_files)
-        for bucket, sub in df.groupby("bucket"):
-            _write_termstats_bucket(sub, os.path.join(tmp, f"bucket={int(bucket)}"))
+        if term_files:
+            df = _term_rows(term_files)
+            for bucket, sub in df.groupby("bucket"):
+                _write_termstats_bucket(sub, os.path.join(tmp, f"bucket={int(bucket)}"))
     else:
         from ray.data.aggregate import Max, Min, Sum
 
@@ -737,102 +696,47 @@ def _seal_termstats(index_dir: str) -> None:
             Min("min_dl", alias_name="min_dl"),
         )
         g.write_parquet(tmp, partition_cols=["bucket"])
-    _publish_termstats(index_dir, tmp, sealed)
+    return name
 
 
-def _publish_termstats(index_dir: str, tmp: str, sealed: list[int]) -> None:
-    """Stamp ``_SEALED.json`` into the staged versioned dir and flip the
-    pointer atomically (write-tmp + os.replace). Two concurrent sealers
-    compute identical content — last writer wins and the loser's version
-    is reclaimed by the age-gated sweep."""
-    import glob as _glob
-    import json
-    import shutil
-    import time as _time
-    import uuid as _uuid
-
-    root = os.path.join(index_dir, GLOBAL)
-    with open(os.path.join(tmp, "_SEALED.json"), "w") as f:
-        json.dump({"sealed_gens": sealed}, f)
-    ptr = os.path.join(root, _TERMSTATS_PTR)
-    ptr_tmp = f"{ptr}.tmp-{_uuid.uuid4().hex[:8]}"
-    with open(ptr_tmp, "w") as f:
-        f.write(os.path.basename(tmp))
-    os.replace(ptr_tmp, ptr)
-    current = termstats_dir(index_dir)
-    now = _time.time()
-    for old in _glob.glob(os.path.join(root, "termstats-*")) + [
-        os.path.join(root, "termstats")  # legacy unversioned layout
-    ] + _glob.glob(os.path.join(root, "termstats.tmp-*")):
-        if os.path.abspath(old) == os.path.abspath(current):
-            continue
-        try:
-            if os.path.isdir(old) and now - os.path.getmtime(old) > 3600:
-                shutil.rmtree(old, ignore_errors=True)
-        except OSError:
-            pass
-    for stale in _glob.glob(ptr + ".tmp-*"):  # crashed sealers' pointer tmps
-        try:
-            if now - os.path.getmtime(stale) > 3600:
-                os.unlink(stale)
-        except OSError:
-            pass
-
-
-def _seal_termstats_incremental(index_dir: str, gen: int) -> bool:
-    """Delta-sized seal refresh after ``add_documents``: merge generation
-    ``gen``'s term stats into the CURRENT seal instead of re-aggregating
-    every live segment's term file. Exact by construction — df/cf are
-    sums and max_tf/min_dl are max/min, so combine(prev_agg, delta) equals
-    the full aggregation, bucket by bucket (the full-reseal parity test
-    pins this). Returns False (caller must full-reseal) when:
-
-    - the current seal does not cover exactly committed − {gen} (stale
-      seal, crashed prior add — merging into it would compound the gap);
-    - the seal is past the driver-path size bound (the Ray groupby path
-      owns that regime; at 10^9 terms a distributed incremental merge
-      would be the next step, and the full path is already distributed).
+def _seal_termstats_incremental(index_dir: str, gen: int,
+                                markers: dict[int, dict]) -> str | None:
+    """Delta-sized seal after ``add_documents``: merge generation ``gen``'s
+    term stats into the version its predecessor's marker (the newest of
+    ``markers`` below ``gen``) names, instead of re-aggregating every live
+    segment's term file. Exact by construction — df/cf are sums and
+    max_tf/min_dl are max/min, so combine(prev_agg, delta) equals the full
+    aggregation, bucket by bucket (the full-reseal parity test pins this).
+    Returns the new version's name, or None (caller must full-reseal) when
+    the predecessor's version is missing or past the driver-path size bound
+    (the Ray groupby path owns that regime; at 10^9 terms a distributed
+    incremental merge would be the next step, and the full path is already
+    distributed).
     """
     import glob as _glob
-    import json
-    import uuid as _uuid
+    import shutil as _shutil
 
-    from .update import committed_gens
+    import pyarrow.parquet as pq
 
-    committed_now = sorted(committed_gens(index_dir))
-    if gen not in committed_now:
-        return False
-    cur = termstats_dir(index_dir)
-    try:
-        with open(os.path.join(cur, "_SEALED.json")) as f:
-            cur_gens = sorted(json.load(f).get("sealed_gens", []))
-    except (OSError, ValueError):
-        return False
-    if cur_gens != sorted(set(committed_now) - {gen}):
-        return False
+    prev = max(g for g in markers if g != gen)
+    cur = os.path.join(index_dir, GLOBAL, markers[prev].get("termstats", ""))
+    if not markers[prev].get("termstats") or not os.path.isdir(cur):
+        return None
     cur_bytes = sum(
         os.path.getsize(p)
         for p in _glob.glob(os.path.join(cur, "bucket=*", "*.parquet"))
     )
     if cur_bytes >= _SEAL_DRIVER_MAX_BYTES:
-        return False
-    import pyarrow.parquet as pq
-
+        return None
     delta_files = sorted(
         _glob.glob(os.path.join(index_dir, "segments", f"*_g{gen:04d}",
                                 "terms.parquet")))
-    if not delta_files:
-        # empty generation (e.g. metadata-only): content unchanged, only
-        # the claimed gen list grows — restamp in place
-        tmp = os.path.join(cur, "_SEALED.json.tmp")
-        with open(tmp, "w") as f:
-            json.dump({"sealed_gens": committed_now}, f)
-        os.replace(tmp, os.path.join(cur, "_SEALED.json"))
-        return True
+    if not delta_files:  # a generation without terms: df is unchanged
+        return markers[prev]["termstats"]
     delta = _term_rows(delta_files)
-    tmp = os.path.join(index_dir, GLOBAL, f"termstats-{_uuid.uuid4().hex[:8]}")
-    import shutil as _shutil
-
+    name = f"termstats-{uuid.uuid4().hex[:8]}"
+    tmp = os.path.join(index_dir, GLOBAL, name)
+    os.makedirs(tmp)
     delta_by_bucket = {int(b): sub for b, sub in delta.groupby("bucket")}
     for bdir in sorted(_glob.glob(os.path.join(cur, "bucket=*"))):
         b = int(os.path.basename(bdir).split("=", 1)[1])
@@ -841,9 +745,28 @@ def _seal_termstats_incremental(index_dir: str, gen: int) -> bool:
         if sub is None:
             _shutil.copytree(bdir, out_bdir)  # untouched bucket rides along
             continue
-        prev = pq.read_table(bdir, columns=list(_TERMSTATS_COLS)).to_pandas()
-        _write_termstats_bucket(pd.concat([prev, sub], ignore_index=True), out_bdir)
+        prev_rows = pq.read_table(bdir, columns=list(_TERMSTATS_COLS)).to_pandas()
+        _write_termstats_bucket(pd.concat([prev_rows, sub], ignore_index=True),
+                                out_bdir)
     for b, sub in delta_by_bucket.items():  # buckets new to the vocabulary
         _write_termstats_bucket(sub, os.path.join(tmp, f"bucket={b}"))
-    _publish_termstats(index_dir, tmp, committed_now)
-    return True
+    return name
+
+
+def _reap_termstats(index_dir: str) -> None:
+    """The reap rule: remove every term-stats version that neither of the
+    two newest markers names — superseded versions and a crashed commit's
+    unnamed one. A reader pinned at an older marker finds its version gone
+    and reopens at the newest (``query._StaleIndexRead``)."""
+    import shutil
+
+    from .segments import committed_gens, marker_path
+
+    keep = set()
+    for g in sorted(committed_gens(index_dir))[-2:]:
+        with open(marker_path(index_dir, g)) as f:
+            keep.add(json.load(f).get("termstats"))
+    root = os.path.join(index_dir, GLOBAL)
+    for name in os.listdir(root):
+        if name.startswith("termstats-") and name not in keep:
+            shutil.rmtree(os.path.join(root, name), ignore_errors=True)

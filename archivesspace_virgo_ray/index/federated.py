@@ -29,6 +29,7 @@ from .query import (
     BatchPlan,
     TermPlan,
     TermStatsStore,
+    _StaleIndexRead,
     _canonical,
     _merge_topk_parts,
     _plan_batch,
@@ -69,7 +70,11 @@ class FederatedSearcher:
         self._load_members()
 
     def _load_members(self) -> None:
-        self.stores = [TermStatsStore(d) for d in self.index_dirs]
+        # each member plans with its pool's store: the marker its actors
+        # hold
+        self.pools, self._sigs = zip(
+            *(get_pool_and_sig(d) for d in self.index_dirs))
+        self.stores = [pool.store for pool in self.pools]
         self.n_docs = sum(st.stats["n_docs"] for st in self.stores)
         self.total_len = sum(st.stats["total_len"] for st in self.stores)
         self.avgdl = self.total_len / self.n_docs if self.n_docs else 0.0
@@ -79,8 +84,6 @@ class FederatedSearcher:
                 f"federated members disagree on analyzer: {sorted(ans)} — "
                 "global term stats would merge mixed token streams")
         self.analyzer = ans.pop() if ans else "plain"
-        self.pools, self._sigs = zip(
-            *(get_pool_and_sig(d) for d in self.index_dirs))
 
     def _ensure_fresh(self) -> None:
         """Re-resolve member pools and RELOAD the merged global stats when
@@ -144,10 +147,16 @@ class FederatedSearcher:
               mu: float | None = None) -> pa.Table:
         """Plan once with global stats, scatter each member its rebucketed
         plan, merge every actor's per-shard k-heaps."""
-        self._ensure_fresh()
         import ray
 
-        plan = _plan_batch(self, queries, mu)
+        while True:
+            self._ensure_fresh()
+            try:
+                plan = _plan_batch(self, queries, mu)
+                break
+            except _StaleIndexRead:  # a member's term stats were reaped
+                for pool in self.pools:
+                    pool.refresh()
         futures = [a.score.remote(_member_plan(plan, st), where)
                    for st, pool in zip(self.stores, self.pools)
                    for a in pool.actors] if plan.queries else []

@@ -1,7 +1,8 @@
 """Index integrity audit (fsck): cross-check every durable artifact the
-engine writes — segment manifests vs their files, manifest counters vs
-global stats, the termstats seal vs committed generations, the forward doc
-table vs stats — and report (never repair) what disagrees.
+engine writes — segment manifests vs their files, the newest commit
+marker's stats vs the live segments and the forward doc table, the
+term-stats versions the markers name — and report (never repair) what
+disagrees.
 
 At 100 TB an index outlives many runs, machines and operators; the audit is
 the cheap answer to "is this index dir safe to serve / snapshot / reshard?".
@@ -14,7 +15,9 @@ complete or absent, and a segment dir is written once under a new name
 and only deleted after a committed compaction folded it.
 A crash between a compaction's output and its marker, or between the
 marker and the source reap, leaves invisible dirs: ``uncommitted_leftover``
-and ``folded_leftover``, which ``repair_index`` removes.)
+and ``folded_leftover``; a crash between a seal and its marker leaves a
+term-stats version no marker names: ``termstats_leftover``. ``repair_index``
+removes all three.)
 
 Findings carry STRUCTURED codes (``issue_codes`` parallel to ``issues``) so
 ``repair_index`` matches repairs to exactly the findings they fix — never by
@@ -29,13 +32,14 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import time
 
-from .segments import DOCS, GLOBAL, STAGING, read_stats
+from .segments import DOCS, GLOBAL, STAGING
 from .locking import locked_on
 
 # issue codes (stable API: repair_index and external tooling key on these)
-STATS_UNREADABLE = "stats_unreadable"
+MARKER_UNREADABLE = "marker_unreadable"
 STATS_VERSION = "stats_version"
 STRAY_TMP = "stray_tmp"
 MANIFEST_MISSING = "manifest_missing"
@@ -54,14 +58,10 @@ SEG_TF_BYTES = "seg_tf_bytes"
 SEG_LAST_ORD = "seg_last_ord"
 MIXED_POSITIONS = "mixed_positions"
 STATS_POSITIONS_FLAG = "stats_positions_flag"
-STATS_POSTINGS_SUM = "stats_postings_sum"
-STATS_TOKENS_SUM = "stats_tokens_sum"
+MARKER_STATS = "marker_stats"
 TERMSTATS_MISSING = "termstats_missing"
-SEAL_UNREADABLE = "seal_unreadable"
-SEAL_STALE = "seal_stale"
+TERMSTATS_LEFTOVER = "termstats_leftover"
 DOCS_MISSING = "docs_missing"
-DOCS_ROWS = "docs_rows"
-TOMBSTONES_UNREADABLE = "tombstones_unreadable"
 FOLDED_LEFTOVER = "folded_leftover"
 UNCOMMITTED_LEFTOVER = "uncommitted_leftover"
 VACUUM_LEFTOVER = "vacuum_leftover"
@@ -70,10 +70,17 @@ VACUUM_LEFTOVER = "vacuum_leftover"
 def fsck_index(index_dir: str) -> dict:
     """Audit ``index_dir``; returns {"ok": bool, "issues": [str, ...],
     "issue_codes": [str, ...] (parallel), "n_segments": int,
-    "n_postings": int, "n_docs": int}."""
+    "n_postings": int, "n_docs": int} (postings of the live segments,
+    committed forward-table rows)."""
+    from .segments import (
+        _committed_markers,
+        folded_gens,
+        newest_gen,
+        read_marker,
+        segment_gen,
+    )
+    from .update import extra_rows
     from .. import PIPELINE_VERSION
-    from .build import termstats_dir
-    from .segments import committed_gens, folded_gens, segment_gen
 
     findings: list[tuple[str, str]] = []
 
@@ -90,25 +97,29 @@ def fsck_index(index_dir: str) -> dict:
             "n_docs": n_docs,
         }
 
-    # ---- global stats ------------------------------------------------------
+    # ---- the newest commit marker ------------------------------------------
     try:
-        stats = read_stats(index_dir)
-    except (OSError, ValueError) as e:
-        add(STATS_UNREADABLE, f"stats.json unreadable: {e}")
+        newest = read_marker(index_dir)
+    except ValueError as e:
+        if "pipeline_version" in str(e):
+            add(STATS_VERSION, str(e))
+        else:
+            add(MARKER_UNREADABLE, f"newest commit marker unreadable: {e}")
         return result(0, 0, 0)
-    if stats.get("pipeline_version") != PIPELINE_VERSION:
-        add(STATS_VERSION,
-            f"stats pipeline_version {stats.get('pipeline_version')!r} != "
-            f"current {PIPELINE_VERSION!r}")
+    except OSError as e:
+        add(MARKER_UNREADABLE, f"newest commit marker unreadable: {e}")
+        return result(0, 0, 0)
+    stats = newest["stats"]
+    markers = _committed_markers(index_dir)
+    for gen in sorted(g for g, m in markers.items() if not m):
+        add(MARKER_UNREADABLE, f"commit marker g{gen:04d} unreadable")
 
     # ---- segments ----------------------------------------------------------
     seg_root = os.path.join(index_dir, "segments")
-    n_segments = 0
-    total_postings = 0
-    total_tokens = 0
+    n_segments = n_postings = total_len = 0
     positions_flags = set()
-    folded = folded_gens(index_dir)
-    committed = committed_gens(index_dir)
+    folded = folded_gens(index_dir, markers)
+    committed = set(markers)
     for name in sorted(os.listdir(seg_root)) if os.path.isdir(seg_root) else []:
         d = os.path.join(seg_root, name)
         if name.startswith("."):
@@ -186,11 +197,8 @@ def fsck_index(index_dir: str) -> dict:
             for code, msg in _layout_findings(d, m):
                 add(code, f"{name}: {msg}")
         n_segments += 1
-        # only BASE segments (s####_b####) feed the stats counters; delta
-        # generations carry their own counters and merge later
-        if "_g" not in name:
-            total_postings += int(m.get("n_postings", 0))
-            total_tokens += int(m.get("n_tokens", 0))
+        n_postings += int(m.get("n_postings", 0))
+        total_len += int(m.get("n_tokens", 0))
         positions_flags.add(bool(m.get("positions", False)))
 
     if len(positions_flags) > 1:
@@ -200,76 +208,62 @@ def fsck_index(index_dir: str) -> dict:
         add(STATS_POSITIONS_FLAG,
             "stats positions flag disagrees with segments")
 
-    has_gens = bool(committed)
-    if not has_gens:
-        # with no deltas, base manifests must reproduce the sealed stats
-        if total_postings != stats.get("n_postings"):
-            add(STATS_POSTINGS_SUM,
-                f"sum(manifest n_postings) {total_postings} != "
-                f"stats n_postings {stats.get('n_postings')}")
-        if total_tokens != stats.get("total_len"):
-            add(STATS_TOKENS_SUM,
-                f"sum(manifest n_tokens) {total_tokens} != "
-                f"stats total_len {stats.get('total_len')}")
-
-    # ---- termstats seal ----------------------------------------------------
-    ts = termstats_dir(index_dir)
-    sealed_path = os.path.join(ts, "_SEALED.json")
-    if not os.path.isdir(ts):
-        add(TERMSTATS_MISSING,
-            "termstats dir missing (pointer dangles or never sealed)")
-    else:
-        try:
-            with open(sealed_path) as f:
-                sealed = sorted(json.load(f).get("sealed_gens", []))
-        except (OSError, ValueError):
-            sealed = None
-            add(SEAL_UNREADABLE, "termstats _SEALED.json missing/unreadable")
-        if sealed is not None and sealed != sorted(committed):
-            add(SEAL_STALE,
-                f"termstats sealed gens {sealed} != committed "
-                f"{sorted(committed)} (stale seal "
-                "— readers will self-heal, but re-seal to clear)")
+    # ---- term-stats versions: the reap rule keeps the two newest markers'
+    gens = sorted(markers)
+    kept = {markers[g].get("termstats") for g in gens[-2:]}
+    if not os.path.isdir(os.path.join(index_dir, GLOBAL, newest["termstats"])):
+        add(TERMSTATS_MISSING, f"term-stats version {newest['termstats']} "
+            f"the newest marker g{newest_gen(index_dir):04d} names is missing")
+    for name in sorted(os.listdir(os.path.join(index_dir, GLOBAL))):
+        if name.startswith("termstats-") and name not in kept:
+            add(TERMSTATS_LEFTOVER, f"term-stats version {name}: no kept "
+                "marker names it")
 
     if os.path.isdir(os.path.join(index_dir, STAGING)):
         # crashed triples exchange (build.write_segments): never read by
         # anything, rebuilt from scratch by the next exchange
         add(STRAY_TMP, f"stray tmp exchange staging dir: {STAGING}")
 
-    # ---- forward doc table --------------------------------------------------
+    # ---- forward doc table and the stats identity ---------------------------
     docs_dir = os.path.join(index_dir, DOCS)
-    for suffix in (".old", ".vtmp"):
-        if os.path.isdir(docs_dir + suffix):
-            add(VACUUM_LEFTOVER,
-                f"{DOCS}{suffix} present (crashed vacuum_docs — repair "
-                "restores/cleans it)")
+    swap = [n for n in sorted(os.listdir(index_dir))
+            if re.match(rf"^{DOCS}\.(old(-g\d+)?|vtmp)$", n)]
+    for name in swap:
+        add(VACUUM_LEFTOVER, f"{name} present (crashed vacuum_docs — repair "
+            "rolls its swap back or forward)")
     n_docs = 0
     if not os.path.isdir(docs_dir):
-        if os.path.isdir(docs_dir + ".old"):
-            pass  # covered by VACUUM_LEFTOVER: repair restores from .old
-        else:
+        if not any(".old" in n for n in swap):  # else VACUUM_LEFTOVER
             add(DOCS_MISSING, "_docs table missing")
     else:
-        import pyarrow.parquet as pq
+        n_docs = _forward_rows(docs_dir, committed, add)
+    want = {"n_docs": n_docs - extra_rows(markers)
+            - stats.get("dead_cache", {}).get("n_dead", 0),
+            "total_len": total_len, "n_postings": n_postings}
+    for key, value in want.items():
+        if key != "n_docs" or (os.path.isdir(docs_dir) and not swap):
+            if stats.get(key) != value:
+                add(MARKER_STATS, f"newest marker's {key} {stats.get(key)} "
+                    f"!= {value} (live segments and forward table)")
 
-        for root, _dirs, files in os.walk(docs_dir):
-            for f in files:
-                if f.endswith(".parquet"):
-                    n_docs += pq.read_metadata(os.path.join(root, f)).num_rows
-        if not has_gens and n_docs != stats.get("n_docs"):
-            add(DOCS_ROWS,
-                f"_docs rows {n_docs} != stats n_docs {stats.get('n_docs')}")
+    return result(n_segments, n_postings, n_docs)
 
-    # ---- tombstones ----------------------------------------------------------
-    tpath = os.path.join(index_dir, GLOBAL, "tombstones.json")
-    if os.path.exists(tpath):
-        try:
-            with open(tpath) as f:
-                json.load(f)
-        except (OSError, ValueError):
-            add(TOMBSTONES_UNREADABLE, "tombstones.json unreadable")
 
-    return result(n_segments, total_postings, n_docs)
+def _forward_rows(docs_dir: str, committed: set[int], add) -> int:
+    """Rows of the forward table's committed parts (``gen=N`` dirs of an
+    uncommitted N are reported, not counted), from the footers."""
+    import pyarrow.parquet as pq
+
+    n = 0
+    for root, _dirs, files in os.walk(docs_dir):
+        m = re.search(r"gen=(\d+)$", root)
+        if m and int(m.group(1)) not in committed:
+            add(UNCOMMITTED_LEFTOVER, f"{DOCS}/{os.path.basename(root)}: "
+                f"generation {int(m.group(1))} never committed")
+            continue
+        n += sum(pq.read_metadata(os.path.join(root, f)).num_rows
+                 for f in files if f.endswith(".parquet"))
+    return n
 
 
 def _layout_findings(d: str, manifest: dict) -> list[tuple[str, str]]:
@@ -313,9 +307,9 @@ def _layout_findings(d: str, manifest: dict) -> list[tuple[str, str]]:
 
 
 # repairs keyed by the EXACT finding codes they fix
-_RESEAL_CODES = frozenset({SEAL_STALE, SEAL_UNREADABLE, TERMSTATS_MISSING})
-_RESTATS_CODES = frozenset({STATS_POSTINGS_SUM, STATS_TOKENS_SUM, DOCS_ROWS,
-                            STATS_POSITIONS_FLAG, STATS_VERSION})
+_RECOMMIT_CODES = frozenset({MARKER_STATS, TERMSTATS_MISSING})
+_REAP_CODES = frozenset({FOLDED_LEFTOVER, UNCOMMITTED_LEFTOVER,
+                         TERMSTATS_LEFTOVER})
 
 # Don't delete a dot-prefixed scratch dir younger than this: a delta add /
 # build may still be writing into it (fsck --repair can run concurrently
@@ -333,14 +327,15 @@ def repair_index(index_dir: str,
       crashed writer's staging — never referenced by anything; younger
       dirs are skipped because they may belong to a LIVE writer)
     - folded leftover segment dirs (crash between a compaction's marker
-      commit and its source reap) and uncommitted ones (crash before an
-      add's or a compaction's marker) → removed (invisible to readers;
-      the lock keeps out the writer that could still commit them — safe
-      at any age; ``update._cleanup_uncommitted_gens``)
-    - stale/unreadable termstats seal, or missing termstats dir → resealed
-      from the segments (termstats is fully derived data)
-    - drifted global stats counters / stale stats version → recomputed from
-      disk truth (``update.repair_stats``)
+      commit and its source reap), uncommitted ones (crash before an add's
+      or a compaction's marker) and term-stats versions no kept marker
+      names → removed (invisible to readers; the lock keeps out the writer
+      that could still commit them — safe at any age;
+      ``update._cleanup_uncommitted_gens``, ``build._reap_termstats``)
+    - drifted stats in the newest marker, or a missing term-stats version
+      → a new marker commits the stats recomputed from the live segments
+      and the forward table, naming a fresh full seal (term stats are
+      fully derived data)
 
     Repairs trigger on structured issue CODES, never on message text.
     Structural damage (missing/truncated segment files) is NOT repairable
@@ -350,8 +345,8 @@ def repair_index(index_dir: str,
     Returns the post-repair audit plus an ``actions`` list."""
     import shutil
 
-    from .build import _seal_termstats
-    from .update import _cleanup_uncommitted_gens, repair_stats
+    from .build import _reap_termstats
+    from .update import _cleanup_uncommitted_gens
 
     actions: list[str] = []
     now = time.time()
@@ -376,20 +371,45 @@ def repair_index(index_dir: str,
         actions.append(f"removed stray tmp dir {name}")
     before = fsck_index(index_dir)
     codes = set(before["issue_codes"])
-    if codes & {FOLDED_LEFTOVER, UNCOMMITTED_LEFTOVER}:
+    if codes & _REAP_CODES:
         _cleanup_uncommitted_gens(index_dir)
-        actions.append("removed folded and uncommitted segment dirs")
+        _reap_termstats(index_dir)
+        actions.append("removed folded and uncommitted segment dirs and "
+                       "unnamed term-stats versions")
     if VACUUM_LEFTOVER in codes:
         from .update import _heal_crashed_vacuum
 
         if _heal_crashed_vacuum(index_dir):
             actions.append("healed crashed vacuum (_docs restored/cleaned)")
-    if codes & _RESEAL_CODES:
-        _seal_termstats(index_dir)
-        actions.append("resealed termstats")
-    if codes & _RESTATS_CODES:
-        repair_stats(index_dir)
-        actions.append("recomputed global stats from disk truth")
+    # after the heals: a rolled-back vacuum swap leaves stats that agree
+    if codes & _RECOMMIT_CODES and set(
+            fsck_index(index_dir)["issue_codes"]) & _RECOMMIT_CODES:
+        _recommit(index_dir)
+        actions.append("recomputed global stats from disk truth and "
+                       "committed them with a fresh term-stats seal")
     after = fsck_index(index_dir)
     after["actions"] = actions
     return after
+
+
+def _recommit(index_dir: str) -> None:
+    """Commit a marker carrying the newest one's stats recomputed from the
+    live segments and the forward table (the identity ``marker_stats``
+    checks) and a fresh full term-stats seal."""
+    from .build import _seal_termstats
+    from .segments import _committed_markers, live_totals
+    from .update import _commit_gen, _next_gen, extra_rows
+
+    markers = _committed_markers(index_dir)
+    stats = markers[max(markers)]["stats"]
+    n_docs = (_forward_rows(os.path.join(index_dir, DOCS), set(markers),
+                            lambda *_: None)
+              - extra_rows(markers)
+              - stats.get("dead_cache", {}).get("n_dead", 0))
+    total_len, n_postings = live_totals(index_dir, markers)
+    gen = _next_gen(index_dir)
+    _commit_gen(index_dir, gen, {
+        "stats": {**stats, "n_docs": n_docs, "total_len": total_len,
+                  "avgdl": total_len / n_docs if n_docs else 0.0,
+                  "n_postings": n_postings},
+        "termstats": _seal_termstats(index_dir, {**markers, gen: {}})})

@@ -41,7 +41,7 @@ import os
 
 from .build import BuildConfig, build_index
 from .locking import locked_on
-from .segments import GLOBAL, read_stats
+from .segments import GLOBAL, committed_gens, read_stats
 
 STATE_NAME = "ingest.json"
 
@@ -111,7 +111,7 @@ def ingest_once(
     files, keys, high = _scan(corpus_dir, state)
     out = {"bootstrapped": False, "n_files": len(files), "added": 0,
            "replaced": 0, "watermark_ns": int(state.get("watermark_ns", -1))}
-    if not os.path.exists(os.path.join(index_dir, GLOBAL, "stats.json")):
+    if not committed_gens(index_dir):
         # first run: the whole directory IS the backlog
         stats = build_index(corpus_dir, index_dir, cfg, resume=True)
         _save_state(index_dir, keys, high)

@@ -1,13 +1,14 @@
 """Single-writer index locking — the Lucene ``write.lock`` analog.
 
 The maintenance surface (``add_documents`` / ``delete_documents`` /
-``merge_segments`` / ``tiered_merge`` / a resumed ``build_index``) is
-read-modify-write over shared files (``stats.json``, ``tombstones.json``,
+``update_fields`` / ``merge_segments`` / ``tiered_merge`` /
+``vacuum_docs`` / a resumed ``build_index``) derives each commit from the
+one before it (its marker's stats, term-stats version and tombstones, and
 the next generation number), so it follows Lucene's concurrency model
 (IndexWriter + write.lock): **one writer per index, any number of
-readers**. Readers never take the lock — commit markers make every
-mutation atomically visible, so queries are always consistent without
-coordination.
+readers**. Readers never take the lock — each commit is one new marker
+that makes it atomically visible, so queries are always consistent
+without coordination.
 
 Mechanism: ``flock(2)`` on ``<index>/_global/write.lock``.
 
@@ -21,7 +22,7 @@ Mechanism: ``flock(2)`` on ``<index>/_global/write.lock``.
 
 Within one process a per-index ``threading.RLock`` serializes threads and
 makes the lock reentrant (``delete_by_query`` → ``delete_documents``,
-``tiered_merge`` → ``repair_stats`` compose without deadlock); flock alone
+``maintain`` → ``tiered_merge`` compose without deadlock); flock alone
 cannot do this because two fds of the same process still conflict.
 
 On an object store (S3/GCS) there is no flock — run mutations for one

@@ -50,16 +50,20 @@ from ..functions.tokenize import stable_hash_strings, tokenize_text
 from ..oracle import B, K1, bm25_idf, term_upper_bound
 from .postings import _ranges, _starts, decode_posting_list, decode_segment
 from .segments import (
+    GLOBAL,
     _committed_markers,
-    _docs_columns,
+    _markers_of,
     committed_gens,
+    folded_gens,
     list_segment_generations,
     live_segments,
     load_tombstone_thresholds,
+    masked_rows,
+    newest_gen,
     numpy_table,
     open_segment,
     read_build_id,
-    read_stats,
+    read_marker,
 )
 
 
@@ -76,17 +80,22 @@ class TermPlan:
 
 
 class TermStatsStore:
-    """Global per-term stats (df, max_tf, min_dl) from _global/termstats.
+    """Global per-term stats (df, max_tf, min_dl) and corpus stats of ONE
+    commit: marker ``at`` (the newest when None) names both.
 
-    Self-healing: the seal records which committed generations it covers
-    (``termstats/_SEALED.json``); if that set no longer matches the on-disk
-    committed set (a crash between gen commit and seal), the store reseals
-    before serving — queries never plan with stale df."""
+    Buckets load lazily from the term-stats version the marker names. The
+    reap rule keeps the versions of the two newest markers, so a store held
+    across two later commits may find its version gone: it then raises
+    ``_StaleIndexRead`` and its owner (a pool, a ``LocalSearcher``) reopens
+    whole at the newest marker — a plan never mixes two commits' df and
+    stats, and never reads a missing bucket as an empty one."""
 
-    def __init__(self, index_dir: str):
+    def __init__(self, index_dir: str, at: int | None = None):
         self.index_dir = index_dir
-        self._ensure_sealed()
-        self.stats = read_stats(index_dir)
+        self.marker = newest_gen(index_dir) if at is None else at
+        m = read_marker(index_dir, self.marker)
+        self.stats = m["stats"]
+        self._ts_dir = os.path.join(index_dir, GLOBAL, m["termstats"])
         self._buckets: dict[int, dict[str, tuple[int, int, int]]] = {}
         self._term_bucket: dict[str, int] = {}  # see _bucket_of
 
@@ -99,53 +108,26 @@ class TermStatsStore:
 
         return apply_analyzer(self.stats.get("analyzer", "plain"), text)
 
-    def _ensure_sealed(self) -> None:
-        import json
-
-        from .build import termstats_dir
-
-        p = os.path.join(termstats_dir(self.index_dir), "_SEALED.json")
-        want = sorted(committed_gens(self.index_dir))
-        try:
-            with open(p) as f:
-                have = sorted(json.load(f).get("sealed_gens", []))
-        except (OSError, ValueError):
-            have = None
-        if have != want:
-            from .build import _seal_termstats
-
-            _seal_termstats(self.index_dir)
-        # pin ONE resolved version for this store's lifetime: every bucket
-        # load reads the same seal, even if a reseal flips the pointer
-        # mid-query (the pinned dir is age-gated, never deleted under us)
-        self._ts_dir = termstats_dir(self.index_dir)
-
-    def _ensure_current(self) -> None:
-        """If the pinned seal version outlived the age-gated GC (store held
-        warm across later reseals), re-resolve/reseal and refresh the WHOLE
-        snapshot rather than silently treating vanished buckets as an empty
-        vocabulary. The pointer only moves when the committed gens changed
-        (or a concurrent identical reseal won), so cached buckets and stats
-        may describe a different index version — mixing old-seal df with
-        new-seal stats would break the bit-identical BM25 contract."""
-        if not os.path.isdir(self._ts_dir):
-            self._ensure_sealed()
-            self._buckets = {}
-            self._term_bucket = {}  # n_buckets may differ
-            self.stats = read_stats(self.index_dir)
-
     def _load_bucket(
         self, bucket: int
     ) -> dict[str, tuple[int, int, int, int]]:
         """term -> (df, max_tf, min_dl, cf). cf rides along for the
-        LM-Dirichlet planner; BM25 planning ignores it."""
+        LM-Dirichlet planner; BM25 planning ignores it. A bucket no term
+        hashes to has no dir; a reaped version (renamed away before it is
+        removed, so a path read fails whole) raises ``_StaleIndexRead``."""
         if bucket not in self._buckets:
-            self._ensure_current()
             path = os.path.join(self._ts_dir, f"bucket={bucket}")
             d: dict[str, tuple[int, int, int, int]] = {}
-            if os.path.isdir(path):
+            try:
                 t = pq.read_table(
                     path, columns=["term", "df", "max_tf", "min_dl", "cf"])
+            except (OSError, ValueError):
+                if not os.path.isdir(self._ts_dir):
+                    raise _StaleIndexRead(self.index_dir) from None
+                if os.path.exists(path):
+                    raise
+                t = None
+            if t is not None:
                 terms = t["term"].to_pylist()
                 dfs = t["df"].to_numpy()
                 mtf = t["max_tf"].to_numpy()
@@ -188,7 +170,6 @@ class TermStatsStore:
                     ) -> dict[str, TermPlan]:
         """term → TermPlan of every indexed one of ``terms`` (one hash
         call for all of them; see ``_plan_terms``)."""
-        self._ensure_current()  # BEFORE stats are read below
         buckets = self._bucket_of(terms)
         st = self.stats
         return _plan_terms(terms, buckets, self._term_stats(terms, buckets),
@@ -336,8 +317,9 @@ def _expression_key(where) -> bytes:
 
 
 class _StaleIndexRead(Exception):
-    """A maintenance commit landed between a reader's marker snapshot and
-    its directory listing — re-read from a fresh snapshot."""
+    """Later commits reaped part of the state a reader's pinned marker
+    names — a compaction's folded segment dirs, or (the reap rule) its
+    term-stats version: reopen whole at the newest marker."""
 
 
 # Accumulator cells (queries × docs) and postings a chunk of a batch pass
@@ -366,40 +348,38 @@ class ShardScorer:
 
     def __init__(self, index_dir: str, shard: int,
                  buckets: list[int] | None = None,
-                 reader_cache: dict | None = None):
+                 reader_cache: dict | None = None, at: int | None = None):
         # ``reader_cache``: {(build id, segment name): reader} from a
         # previous scorer over the same shard — within one build of an
         # index a segment name is written once and never rewritten, so a
         # matching key can reuse the already-mmapped reader. This is the
         # Lucene IndexReader.reopen economics: a refresh after a small
         # delta add only opens the new generation's dirs.
+        #
+        # The scorer holds the state of ONE marker, ``at`` (the newest when
+        # None): its stats, its tombstones and the segments live under the
+        # markers up to it. Once constructed it is immune to concurrent
+        # maintenance: term dicts are in memory and postings are mmapped,
+        # so a compaction rmtree'ing a folded dir leaves our open inodes
+        # intact (POSIX). During construction a compaction committed after
+        # ``at`` may reap a dir ``at`` still shows: that raises
+        # ``_StaleIndexRead`` and the owner re-pins; a scorer of the newest
+        # marker (``at`` None) re-pins itself.
         self._reader_cache_in = reader_cache or {}
-        # Once constructed, a scorer is immune to concurrent maintenance:
-        # term dicts are in memory and postings are mmapped, so a merge
-        # rmtree'ing a folded dir leaves our open inodes intact (POSIX).
-        # The only race is DURING construction — list the generations, a
-        # fold commits, open a now-removed dir. Mutations are atomic
-        # (marker/rename commits), so a bounded re-list + re-open always
-        # converges on a consistent committed state.
-        last_err: Exception | None = None
-        for _attempt in range(4):
+        while True:
             try:
-                self._load(index_dir, shard, buckets)
-                return
-            # OSError, not just FileNotFoundError: pyarrow surfaces a
-            # vanished-mid-rmtree segment file as a generic OSError
-            except (OSError, _StaleIndexRead) as e:
-                last_err = e
-        raise last_err
+                return self._load(index_dir, shard, buckets,
+                                  newest_gen(index_dir) if at is None else at)
+            except _StaleIndexRead:
+                if at is not None:
+                    raise
 
-    def _load(self, index_dir: str, shard: int, buckets: list[int] | None):
-        self.stats = read_stats(index_dir)
+    def _load(self, index_dir: str, shard: int, buckets: list[int] | None,
+              at: int) -> None:
+        markers = _committed_markers(index_dir, at)
+        self.marker = at
+        self.stats = read_marker(index_dir, self.marker)["stats"]
         self.avgdl = self.stats["avgdl"]
-        # ONE marker snapshot drives every visibility decision (committed
-        # set, folded set, replace thresholds) — reading them separately
-        # opens a window where a replace/fold committing in between shows
-        # both or neither version of a doc.
-        markers = _committed_markers(index_dir)
         # generation-thresholded tombstones: a posting from generation g is
         # masked iff g < masked_below_gen(doc) — covers plain deletes AND
         # replaced-away document versions (update.add_documents "replace")
@@ -426,15 +406,16 @@ class ShardScorer:
         self.readers: dict[int, list] = {}
         self._segs: dict[int, list] | None = None  # see _dense
         self.doc_ids = np.empty(0, np.int64)
-        for (s, b), names in live_segments(index_dir, markers).items():
+        live = live_segments(index_dir, markers)
+        for (s, b), names in live.items():
             if s == shard and (buckets is None or b in buckets):
                 self.readers[b] = [(r.mask_gen, r) for r in map(_open, names)]
-        # validation read (optimistic concurrency): if a compaction
-        # committed between our snapshot and the dir listing, its source
-        # dirs may have been removed before we listed them while our
-        # snapshot still expects them visible — retry from a fresh
-        # snapshot.
-        if committed_gens(index_dir) != set(markers):
+        # a compaction committed after ``at`` reaps the dirs it folded,
+        # perhaps before the listing above: if one folded a generation
+        # ``at`` shows live, that listing may lack its dirs
+        later = _markers_of(index_dir, committed_gens(index_dir) - set(markers))
+        if folded_gens(index_dir, later) & (
+                ({0} | set(markers)) - folded_gens(index_dir, markers)):
             raise _StaleIndexRead(index_dir)
 
     def masked_for_gen(self, gen: int) -> np.ndarray | None:
@@ -741,49 +722,48 @@ class ShardWorker:
     worker — the driver only ever receives per-shard top-k heaps, facet
     count partials, or final match-id arrays."""
 
-    def __init__(self, index_dir: str, shards: list[int] | None = None):
+    def __init__(self, index_dir: str, shards: list[int] | None = None,
+                 at: int | None = None):
         self.index_dir = index_dir
-        self.stats = read_stats(index_dir)
         all_shards = sorted({s for s, _ in list_segment_generations(index_dir)})
         self.shards = sorted(shards) if shards is not None else all_shards
-        self.scorers = {s: ShardScorer(index_dir, s) for s in self.shards}
+        self.scorers: dict[int, ShardScorer] = {}
+        self.refresh(at)
+
+    def ready(self) -> int:
+        """Barrier: as an actor method this only returns once ``__init__``
+        finished, i.e. every scorer's segment state is loaded. Returns the
+        marker it loaded, which a pool compares with its twins'."""
+        return self.marker
+
+    def refresh(self, at: int | None = None) -> int:
+        """(Re)load every shard at marker ``at`` (the newest when None),
+        reusing unchanged segment readers (keyed by build id + name) — the
+        Lucene ``IndexReader.reopen`` analog. After a small delta add only
+        the new generation's dirs are opened; after a compaction its output
+        dirs. Superseded readers drop out of the cache and release their
+        mmaps with the old scorer. A compaction that reaped part of
+        ``at``'s state re-pins the load at the newest marker. Returns the
+        marker loaded."""
+        while True:
+            marker = newest_gen(self.index_dir) if at is None else at
+            try:
+                scorers = {
+                    s: ShardScorer(self.index_dir, s, at=marker,
+                                   reader_cache=old.reader_cache
+                                   if (old := self.scorers.get(s)) else None)
+                    for s in self.shards}
+                break
+            except _StaleIndexRead:
+                at = None
+        self.marker, self.scorers = marker, scorers
+        self.stats = read_marker(self.index_dir, marker)["stats"]
         self._docs_cache: dict = {}   # (shard, cols) -> pa.Table slice
         self._filter_cache: dict = {}  # (shard, _expression_key(where)) -> ids
-        self._docs_has_gen: bool | None = None
-
-    def ready(self) -> bool:
-        """Barrier: as an actor method this only returns once ``__init__``
-        finished, i.e. every scorer's segment state is loaded — the hook
-        ``get_pool`` uses to validate a pool against concurrent writers."""
-        return True
-
-    def refresh(self) -> bool:
-        """Reopen against the index's CURRENT committed state, reusing
-        unchanged segment readers (keyed by build id + name) — the Lucene
-        ``IndexReader.reopen`` analog. After a small delta add only the
-        new generation's dirs are opened; after a compaction its output
-        dirs. Superseded readers drop out of the cache and release their
-        mmaps with the old scorer."""
-        self.stats = read_stats(self.index_dir)
-        self.scorers = {
-            s: ShardScorer(self.index_dir, s,
-                           reader_cache=old.reader_cache)
-            for s, old in self.scorers.items()
-        }
-        self._docs_cache.clear()
-        self._filter_cache.clear()
-        self._docs_has_gen = None
-        return True
+        return marker
 
     def ping(self) -> list[int]:
         return self.shards
-
-    def _has_gen(self) -> bool:
-        if self._docs_has_gen is None:
-            self._docs_has_gen = "gen" in _docs_columns(
-                os.path.join(self.index_dir, "_docs")
-            )
-        return self._docs_has_gen
 
     def _docs_slice(self, shard: int, columns: tuple[str, ...]) -> pa.Table:
         """Column-pruned, shard-predicate-pushdown read of _docs (cached)."""
@@ -799,28 +779,15 @@ class ShardWorker:
 
     def _latest_live_docs(self, shard: int, extra_cols: tuple[str, ...] = ()) -> pd.DataFrame:
         """This shard's forward rows resolved to each doc's CURRENT version
-        (max-gen row under replace semantics), minus docs whose current
-        version is tombstone-masked."""
-        cols = ("doc_id",) + (("gen",) if self._has_gen() else ()) + tuple(extra_cols)
-        df = self._docs_slice(shard, cols).to_pandas()
-        if self._has_gen():
-            df = df.sort_values("gen", kind="mergesort").drop_duplicates(
-                "doc_id", keep="last"
-            )
-            row_gen = df["gen"].to_numpy(np.int64)
-        else:
-            df = df.drop_duplicates("doc_id")
-            row_gen = np.zeros(len(df), dtype=np.int64)
+        at the pinned marker (its max-gen row up to the marker, under
+        replace semantics), minus docs whose current version is
+        tombstone-masked."""
+        df = self._docs_slice(
+            shard, ("doc_id", "gen") + tuple(extra_cols)).to_pandas()
+        df = df[df["gen"] <= self.marker].sort_values(
+            "gen", kind="mergesort").drop_duplicates("doc_id", keep="last")
         sc = self.scorers[shard]
-        if len(sc.tomb_ids):
-            d = df["doc_id"].to_numpy(np.int64)
-            pos = np.searchsorted(sc.tomb_ids, d)
-            ok = pos < len(sc.tomb_ids)
-            hit = np.zeros(len(d), dtype=bool)
-            hit[ok] = sc.tomb_ids[pos[ok]] == d[ok]
-            dead = np.zeros(len(d), dtype=bool)
-            dead[hit] = sc.tomb_thr[np.searchsorted(sc.tomb_ids, d[hit])] > row_gen[hit]
-            df = df[~dead]
+        df = df[~masked_rows(df["doc_id"], df["gen"], sc.tomb_ids, sc.tomb_thr)]
         return df.reset_index(drop=True)
 
     def _filter_ids(self, shard: int, where) -> np.ndarray:
@@ -832,26 +799,18 @@ class ShardWorker:
         key = (shard, _expression_key(where))
         if key not in self._filter_cache:
             d = pads.dataset(os.path.join(self.index_dir, "_docs"))
-            if self._has_gen():
-                t = d.to_table(
-                    filter=(pads.field("shard") == shard) & where,
-                    columns=["doc_id", "gen"],
-                )
-                hits = t.to_pandas().groupby("doc_id")["gen"].max()
-                latest = self._latest_live_docs(shard)
-                lat = pd.Series(
-                    latest["gen"].to_numpy(np.int64) if "gen" in latest.columns
-                    else np.zeros(len(latest), np.int64),
-                    index=latest["doc_id"].to_numpy(np.int64),
-                )
-                # a doc passes iff its LATEST live row matched the predicate
-                common = hits.index.intersection(lat.index)
-                ids = common[hits.loc[common] >= lat.loc[common]].to_numpy(np.int64)
-            else:
-                t = d.to_table(
-                    filter=(pads.field("shard") == shard) & where, columns=["doc_id"]
-                )
-                ids = t["doc_id"].to_numpy()
+            t = d.to_table(
+                filter=(pads.field("shard") == shard)
+                & (pads.field("gen") <= self.marker) & where,
+                columns=["doc_id", "gen"],
+            )
+            hits = t.to_pandas().groupby("doc_id")["gen"].max()
+            latest = self._latest_live_docs(shard)
+            lat = pd.Series(latest["gen"].to_numpy(np.int64),
+                            index=latest["doc_id"].to_numpy(np.int64))
+            # a doc passes iff its LATEST live row matched the predicate
+            common = hits.index.intersection(lat.index)
+            ids = common[hits.loc[common] >= lat.loc[common]].to_numpy(np.int64)
             if len(self._filter_cache) > 64:
                 self._filter_cache.clear()
             self._filter_cache[key] = np.sort(np.unique(ids))
@@ -1273,8 +1232,15 @@ class LocalSearcher:
 
     def __init__(self, index_dir: str, shards: list[int] | None = None):
         self.index_dir = index_dir
-        self.store = TermStatsStore(index_dir)
-        self.worker = ShardWorker(index_dir, shards)
+        self._shards = shards
+        self._open()
+
+    def _open(self) -> None:
+        """Pin the newest marker: the worker loads its state (re-pinning if
+        a compaction reaped part of it) and the store plans at the marker
+        the worker holds."""
+        self.worker = ShardWorker(self.index_dir, self._shards)
+        self.store = TermStatsStore(self.index_dir, at=self.worker.marker)
 
     def search(
         self, text: str, k: int, where=None, require_all: bool = False,
@@ -1288,13 +1254,21 @@ class LocalSearcher:
         query's (a Solr q.op=AND analog).
         ``not_text``: NOT clause (Solr ``a -b``) — docs containing ANY of
         its terms are excluded; surviving scores unchanged. All three
-        restrictions are computed shard-locally inside the worker."""
-        plan = _plan_batch(self.store, pa.table({
+        restrictions are computed shard-locally inside the worker. A
+        searcher whose term-stats version was reaped (two commits since it
+        opened) reopens at the newest marker first."""
+        queries = pa.table({
             "query_id": pa.array([0], pa.int64()),
             "text": pa.array([text], pa.string()),
             "k": pa.array([k], pa.int64()),
             "not_text": pa.array([not_text], pa.string()),
-        }))
+        })
+        while True:
+            try:
+                plan = _plan_batch(self.store, queries)
+                break
+            except _StaleIndexRead:
+                self._open()
         part, _done = self.worker.score(plan, where, require_all)
         t = _merge_topk_parts(plan.queries, [part])
         return list(zip(t["doc_id"].to_pylist(), t["score"].to_pylist()))
@@ -1312,9 +1286,10 @@ def _serve_snapshot_store(index_dir: str, snap_ref) -> TermStatsStore:
     if store is None:
         import ray
 
-        stats, buckets, ts_dir = ray.get(snap_ref)
+        marker, stats, buckets, ts_dir = ray.get(snap_ref)
         store = TermStatsStore.__new__(TermStatsStore)
         store.index_dir = index_dir
+        store.marker = marker
         store.stats = stats
         store._buckets = dict(buckets)
         store._term_bucket = {}
@@ -1342,10 +1317,10 @@ def bm25_serve(index_dir: str, queries_ds, concurrency: int = 2, batch_size: int
 
     pool = get_pool(index_dir)
     pool._settle()  # the serve tasks call the actors
+    pool._repinning(lambda: [pool.store._load_bucket(b) for b in
+                             range(int(pool.store.stats["n_buckets"]))])
     store = pool.store
-    for b in range(int(store.stats["n_buckets"])):
-        store._load_bucket(b)
-    snap_ref = ray.put((store.stats, store._buckets, store._ts_dir))
+    snap_ref = ray.put((store.marker, store.stats, store._buckets, store._ts_dir))
     workers = list(pool.actors)
 
     def serve_batch(batch: pa.Table) -> pa.Table:
@@ -1441,6 +1416,15 @@ def _shard_worker_actor():
     return ray.remote(num_cpus=0)(ShardWorker)
 
 
+def _repins(method):
+    """A ``QueryPool`` entry point that plans with the pool's store: run it
+    through ``QueryPool._repinning``."""
+    @functools.wraps(method)
+    def run(self, *args, **kwargs):
+        return self._repinning(lambda: method(self, *args, **kwargs))
+    return run
+
+
 class QueryPool:
     """Reusable pool of shard-pinned ``ShardWorker`` actors — scorer /
     reader / tombstone state loads ONCE per actor (T5), then every query
@@ -1458,18 +1442,23 @@ class QueryPool:
     an in-process **twin**: a ``ShardWorker`` over the same share of
     shards, the ``LocalSearcher`` path. ``topk_submit`` sends a batch to
     every actor whose state has loaded and scores the other shares on
-    their twins meanwhile; one ``_merge_topk_parts`` merges both. A twin
-    is dropped (handover) once its actor is ready and the index is still
-    at the signature the twins were loaded under, so the actor holds the
-    same state; after a change the twins keep serving, consistent with the
-    planning store, until ``get_pool`` refreshes the pool, and ``refresh``
-    drops every twin. The other entry points call the actors only, so they
-    hand every share over first (``_settle``)."""
+    their twins meanwhile; one ``_merge_topk_parts`` merges both.
+
+    The store, every twin and every actor load the state of ONE marker,
+    the pool's ``marker``. A twin is dropped (handover) once its actor is
+    ready and reports that marker; an actor that had to re-pin (a later
+    compaction reaped part of the marker's state) keeps its twin serving,
+    consistent with the planning store, until ``get_pool`` refreshes the
+    pool, and ``refresh`` drops every twin. The other entry points call the
+    actors only, so they hand every share over first (``_settle``). A
+    ``_StaleIndexRead`` — the reap rule removed the store's term-stats
+    version, two commits on — reopens the pool whole at the newest marker
+    and runs the call again (``_repinning``)."""
 
     # Solr queryResultCache analog: results cache on the POOL INSTANCE, so
     # invalidation rides the existing staleness machinery for free —
-    # ``get_pool`` fingerprints the index (stats/tombstones/manifest
-    # mtimes) and, after any mutation, refreshes the pool in place, and
+    # ``get_pool`` compares the index's (build id, newest marker) with the
+    # pool's and, after any commit, refreshes the pool in place, and
     # ``refresh()`` clears this cache. Capacity-bounded LRU; exact-key
     # hits only.
     RESULT_CACHE_CAP = 128
@@ -1478,10 +1467,6 @@ class QueryPool:
         from collections import OrderedDict
 
         self.index_dir = index_dir
-        # read BEFORE the store and the twins load: equal at handover, it
-        # proves the actors loaded the state the twins hold
-        self._twin_sig = _index_signature(index_dir)
-        self.store = TermStatsStore(index_dir)
         self.shards = sorted({s for s, _ in list_segment_generations(index_dir)})
         self.n_actors = min(n_actors or DEFAULT_POOL_ACTORS, max(1, len(self.shards)))
         self.actors: list = []
@@ -1491,22 +1476,43 @@ class QueryPool:
         self.cache_hits = 0
         self.cache_misses = 0
         try:
+            self.build = read_build_id(index_dir)
+            self.marker = newest_gen(index_dir)
             self._spawn()
-            self._twins = {i: ShardWorker(index_dir, self._share(i))
-                           for i in range(len(self.actors))}
+            self._load_twins()
         except BaseException:
             self.shutdown()
             raise
+
+    @property
+    def sig(self) -> tuple:
+        """(build id, marker) of the state the pool serves: equal to
+        ``_index_signature`` while no commit landed since."""
+        return self.build, self.marker
+
+    def _load_twins(self) -> None:
+        """Load the twins and the store at the pool's marker. A twin that
+        found part of it reaped loaded a newer one: the pool then re-pins
+        the newest marker, respawns its actors there and goes again."""
+        while True:
+            self._twins = {i: ShardWorker(self.index_dir, self._share(i),
+                                          at=self.marker)
+                           for i in range(len(self.actors))}
+            if all(t.marker == self.marker for t in self._twins.values()):
+                break
+            self.marker = newest_gen(self.index_dir)
+            self._spawn()
+        self.store = TermStatsStore(self.index_dir, at=self.marker)
 
     def _share(self, i: int) -> list[int]:
         """The shards of actor ``i`` (round-robin)."""
         return self.shards[i :: self.n_actors]
 
     def _spawn(self) -> None:
-        """(Re)create the actor set without waiting for it — also the
-        one-shot recovery path when an actor dies (OOM, node loss): every
-        shard's state reloads from the durable segment store, so a respawn
-        is always safe."""
+        """(Re)create the actor set at the pool's marker without waiting
+        for it — also the one-shot recovery path when an actor dies (OOM,
+        node loss): every shard's state reloads from the durable segment
+        store, so a respawn is always safe."""
         self._kill_actors()
         if not self.shards:
             return
@@ -1518,7 +1524,7 @@ class QueryPool:
             # actors where ``shutdown`` finds them
             self.actors.append(Worker.options(
                 **pool_actor_options(self.index_dir, self._share(i))
-            ).remote(self.index_dir, self._share(i)))
+            ).remote(self.index_dir, self._share(i), self.marker))
             self._ready.append(self.actors[-1].ready.remote())
 
     def wait_ready(self) -> None:
@@ -1528,47 +1534,62 @@ class QueryPool:
         ray.get(self._ready)
 
     def _hand_over(self) -> None:
-        """Drop the twin of every actor whose state has loaded, if the
-        index is still at the signature the twins were loaded under."""
+        """Drop the twin of every actor whose state has loaded at the
+        pool's marker."""
         import ray
 
         if not self._twins:
             return
         refs = [self._ready[i] for i in self._twins]
         done, _ = ray.wait(refs, num_returns=len(refs), timeout=0)
-        if done and _index_signature(self.index_dir) == self._twin_sig:
-            for i in [i for i in self._twins if self._ready[i] in done]:
+        for i in [i for i in self._twins if self._ready[i] in done]:
+            if ray.get(self._ready[i]) == self.marker:
                 del self._twins[i]
 
     def _settle(self) -> None:
         """Hand every share over to its actor, for the entry points that
-        call the actors only (each calls this before it plans). Actors
-        that started after a commit may hold different states, so this
-        refreshes them all, which waits for them, until the index holds
-        still across one refresh (as ``get_pool`` validates)."""
+        call the actors only (each calls this before it plans): wait for
+        the actors, and if one loaded another marker than the pool's (or
+        died), reopen the pool at the newest marker."""
+        import ray
+
         if self._twins:
-            _until_stable(self.index_dir, self._twin_sig, self.refresh)
+            try:
+                stale = any(m != self.marker for m in ray.get(self._ready))
+            except ray.exceptions.RayActorError:
+                stale = True
+            if stale:
+                self.refresh()
+            self._twins = {}
 
     def refresh(self) -> None:
-        """Reopen every shard actor in place against the index's current
-        committed state (unchanged segment readers reused — see
-        ShardWorker.refresh) and reload the driver-side planning store.
-        Orders of magnitude cheaper than a teardown+respawn after a small
-        delta add; falls back to a respawn if an actor died."""
+        """Reopen every shard actor in place at the newest marker
+        (unchanged segment readers reused — see ShardWorker.refresh) and
+        reload the driver-side planning store at the same marker, until
+        every actor reports it (one that found part of it reaped re-pins
+        at a newer one, and the pool goes again). Orders of magnitude
+        cheaper than a teardown+respawn after a small delta add; falls
+        back to a respawn if an actor died."""
         import ray
 
         from collections import OrderedDict
 
-        self.store = TermStatsStore(self.index_dir)
         self._result_cache = OrderedDict()  # results may change: drop all
         self.cache_hits = 0
         self.cache_misses = 0
-        try:
-            ray.get([a.refresh.remote() for a in self.actors])
-        except ray.exceptions.RayActorError:
-            self._spawn()
-            self.wait_ready()
         self._twins = {}
+        while True:
+            self.build = read_build_id(self.index_dir)
+            self.marker = newest_gen(self.index_dir)
+            try:
+                loaded = ray.get([a.refresh.remote(self.marker)
+                                  for a in self.actors])
+            except ray.exceptions.RayActorError:
+                self._spawn()
+                loaded = ray.get(self._ready)
+            if all(m == self.marker for m in loaded):
+                break
+        self.store = TermStatsStore(self.index_dir, at=self.marker)
 
     def _retrying(self, fn):
         """Run fn; on an actor failure respawn the pool and retry ONCE."""
@@ -1581,12 +1602,23 @@ class QueryPool:
             self.wait_ready()
             return fn()
 
+    def _repinning(self, fn):
+        """Run fn; while it raises ``_StaleIndexRead`` (the pinned
+        marker's term stats were reaped), reopen the pool at the newest
+        marker and run it again."""
+        while True:
+            try:
+                return fn()
+            except _StaleIndexRead:
+                self.refresh()
+
     # -- BM25 scatter/merge --------------------------------------------------
 
     _EMPTY_TOPK = numpy_table(
         {"query_id": np.empty(0, np.int64), "rank": np.empty(0, np.int64),
          "doc_id": np.empty(0, np.int64), "score": np.empty(0, np.float64)})
 
+    @_repins
     def topk_submit(self, queries: pa.Table, where=None, require_all: bool = False):
         """Plan one query batch and dispatch it to every actor WITHOUT
         waiting — returns a handle for ``topk_collect``. Submitting several
@@ -1615,6 +1647,7 @@ class QueryPool:
                  for t in self._twins.values()]
         return (plan.queries, futures, local)
 
+    @_repins
     def topk_time_allowed(
         self, queries: pa.Table, time_allowed_s: float, where=None,
         require_all: bool = False,
@@ -1702,6 +1735,7 @@ class QueryPool:
             self._result_cache.popitem(last=False)
         return out
 
+    @_repins
     def topk_lmd(self, queries: pa.Table, mu: float = 2000.0) -> pa.Table:
         """LM-Dirichlet ranked retrieval (Lucene LMDirichletSimilarity):
         the BM25 plan/score/merge path and side channels, planned for
@@ -1724,6 +1758,7 @@ class QueryPool:
             return None, nq
         return plans, nq
 
+    @_repins
     def matching_doc_ids(self, text: str, mode: str = "and") -> np.ndarray:
         import ray
 
@@ -1745,6 +1780,7 @@ class QueryPool:
         inside the index instead of re-reading candidate raw text."""
         return bool(self.store.stats.get("positions", False))
 
+    @_repins
     def phrase_ids(
         self, phrases: dict[int, tuple]
     ) -> dict[int, np.ndarray]:
@@ -1783,6 +1819,7 @@ class QueryPool:
 
         return self._retrying(run)
 
+    @_repins
     def span_not_ids(
         self, queries: dict[int, tuple]
     ) -> dict[int, np.ndarray]:
@@ -1824,6 +1861,7 @@ class QueryPool:
 
         return self._retrying(run)
 
+    @_repins
     def facet_counts(
         self, facet_col: str, text: str | None = None, mode: str = "and"
     ) -> pd.DataFrame:
@@ -1873,6 +1911,7 @@ class QueryPool:
         )
         return np.sort(np.concatenate(parts)) if parts else np.empty(0, np.int64)
 
+    @_repins
     def grouped_topk(
         self, queries: pa.Table, group_col: str
     ) -> pd.DataFrame:
@@ -1906,6 +1945,7 @@ class QueryPool:
         out["grp_rank"] = rank
         return out[["query_id", group_col, "grp_rank", "doc_id", "score"]]
 
+    @_repins
     def boosted_topk(
         self,
         queries: pa.Table,
@@ -1970,8 +2010,7 @@ def facet_counts_all_docs(index_dir: str, facet_col: str) -> pd.DataFrame:
 
     from ..state.aggregates import tree_aggregate
     docs_dir = os.path.join(index_dir, "_docs")
-    has_gen = "gen" in _docs_columns(docs_dir)
-    cols = ["doc_id", facet_col] + (["gen"] if has_gen else [])
+    cols = ["doc_id", facet_col, "gen"]
     tomb_ids, tomb_thr = load_tombstone_thresholds(index_dir)
     tomb_ref = ray.put(tomb_ids)
 
@@ -2001,14 +2040,9 @@ def facet_counts_all_docs(index_dir: str, facet_col: str) -> pd.DataFrame:
             batch_format="pandas",
         ).to_pandas()  # bounded by the threshold set × generations
         if len(hot):
-            if has_gen:
-                hot = hot.sort_values("gen", kind="mergesort").drop_duplicates(
-                    "doc_id", keep="last"
-                )
-                row_gen = hot["gen"].to_numpy(np.int64)
-            else:
-                hot = hot.drop_duplicates("doc_id")
-                row_gen = np.zeros(len(hot), dtype=np.int64)
+            hot = hot.sort_values("gen", kind="mergesort").drop_duplicates(
+                "doc_id", keep="last")
+            row_gen = hot["gen"].to_numpy(np.int64)
             thr = tomb_thr[np.searchsorted(tomb_ids, hot["doc_id"].to_numpy(np.int64))]
             live = hot[thr <= row_gen]
             if len(live):
@@ -2025,113 +2059,59 @@ def facet_counts_all_docs(index_dir: str, facet_col: str) -> pd.DataFrame:
 
 
 def _index_signature(index_dir: str) -> tuple:
-    """Cheap staleness fingerprint: stats/tombstones mtimes + per-segment
-    manifest mtimes (catches adds, deletes, compactions and rebuilds)."""
-    sig: list = []
-    for rel in ("_global/stats.json", "_global/tombstones.json"):
-        p = os.path.join(index_dir, rel)
-        try:
-            st = os.stat(p)
-            sig.append((rel, st.st_mtime_ns, st.st_size))
-        except OSError:
-            sig.append((rel, 0, 0))
-    seg_root = os.path.join(index_dir, "segments")
-    names = sorted(os.listdir(seg_root)) if os.path.isdir(seg_root) else []
-    for n in names:
-        try:
-            sig.append((n, os.stat(os.path.join(seg_root, n, "manifest.json")).st_mtime_ns))
-        except OSError:
-            sig.append((n, 0))
-    # committed-generation markers: catches metadata-only generations
-    # (update_fields) that touch neither stats nor any segment manifest
-    gen_root = os.path.join(index_dir, "_global", "gens")
-    if os.path.isdir(gen_root):
-        sig.extend(("gen:" + n) for n in sorted(os.listdir(gen_root)))
-    return tuple(sig)
+    """(build id, newest marker): every commit writes a new marker and a
+    rebuild in place a new build id, so this changes exactly when the
+    state a reader would pin does."""
+    return read_build_id(index_dir), newest_gen(index_dir)
 
 
-_POOLS: dict[str, tuple[tuple, "QueryPool"]] = {}
-
-
-# refreshes a reader may spend waiting for the index to hold still: every
-# commit writes its segment dirs, marker, term stats and stats one after
-# another, each changing the signature, and a maintenance pass commits
-# several times (3 attempts let about one solo run of
-# tests/test_concurrent_readers.py in ten serve a read mixing two states
-# across shards)
-_STABLE_ATTEMPTS = 20
-
-
-def _until_stable(index_dir: str, sig: tuple, step) -> tuple:
-    """Snapshot-consistent (re)load: run ``step`` (a pool's twins or its
-    actors (re)load their state), then re-read the signature — if a writer
-    committed DURING the step, different shards may hold different
-    committed states, so go again. Returns the signature of the last step.
-    Bounded retries, so a writer that never pauses cannot stall readers:
-    the last attempt is still per-shard consistent (each scorer snapshot
-    is atomic), just not cross-shard identical — the steady-state pool
-    self-heals on the next get_pool call anyway."""
-    for attempt in range(_STABLE_ATTEMPTS):
-        step()
-        sig_after = _index_signature(index_dir)
-        if sig_after == sig or attempt == _STABLE_ATTEMPTS - 1:
-            return sig
-        sig = sig_after
+_POOLS: dict[str, "QueryPool"] = {}
 
 
 def get_pool(index_dir: str, n_actors: int | None = None) -> QueryPool:
-    """Cached pool per index dir; refreshed in place when the index changes
-    on disk. The cache is a small LRU so long test sessions over many
-    scratch indexes don't accumulate actors. ``n_actors`` only applies at
-    creation.
+    """Cached pool per index dir, at the index's newest marker: refreshed
+    in place when a commit landed since. The cache is a small LRU so long
+    test sessions over many scratch indexes don't accumulate actors.
+    ``n_actors`` only applies at creation.
 
     A new pool is returned as soon as its twins have loaded, without
     waiting for its actor processes (see ``QueryPool``). A pool whose open
     or refresh raises is shut down, so no actor outlives the failure."""
     sig = _index_signature(index_dir)
-    cached = _POOLS.get(index_dir)
-    if cached is not None and cached[0] == sig:
-        _POOLS[index_dir] = _POOLS.pop(index_dir)  # refresh LRU order
-        return cached[1]
-    if cached is not None:
-        # the index changed under a live pool: REOPEN it in place
-        # (unchanged segment readers reused, actors kept warm) instead of
-        # paying a full teardown + respawn — Lucene reopen economics.
-        pool = _POOLS.pop(index_dir)[1]
-    else:
+    pool = _POOLS.pop(index_dir, None)
+    if pool is not None and pool.sig == sig:
+        _POOLS[index_dir] = pool  # refresh LRU order
+        return pool
+    if pool is None:
         while len(_POOLS) >= _POOL_CACHE_MAX:
-            oldest = next(iter(_POOLS))
-            _POOLS.pop(oldest)[1].shutdown()
-        pool = None
-
-    def step():
-        nonlocal pool
+            _POOLS.pop(next(iter(_POOLS))).shutdown()
+    try:
         if pool is None:
             pool = QueryPool(index_dir, n_actors)  # shuts down on error
         else:
+            # the index changed under a live pool: REOPEN it in place
+            # (unchanged segment readers reused, actors kept warm) instead
+            # of paying a full teardown + respawn — Lucene reopen economics
             pool.refresh()
-
-    try:
-        sig = _until_stable(index_dir, sig, step)
     except BaseException:
         if pool is not None:
             pool.shutdown()
         raise
-    _POOLS[index_dir] = (sig, pool)
+    _POOLS[index_dir] = pool
     return pool
 
 
 def get_pool_and_sig(index_dir: str, n_actors: int | None = None):
-    """(pool, the index signature it reflects) — consumers that snapshot
+    """(pool, the (build id, marker) it serves) — consumers that snapshot
     derived state alongside a pool (FederatedSearcher's merged global
     stats) compare signatures to know when their snapshot went stale,
     since the pool object itself is refreshed in place."""
     pool = get_pool(index_dir, n_actors)
-    return pool, _POOLS[index_dir][0]
+    return pool, pool.sig
 
 
 def shutdown_pools() -> None:
-    for _sig, pool in _POOLS.values():
+    for pool in _POOLS.values():
         pool.shutdown()
     _POOLS.clear()
 
@@ -2174,14 +2154,20 @@ def explain(index_dir: str, text: str, doc_id: int) -> dict:
     for each query term present in the doc — tf, dl, df, idf, contribution —
     plus the total. Sums in canonical term order, so ``total`` is
     bit-identical to the ranked score."""
-    store = TermStatsStore(index_dir)
-    plans = store.plan_query(text)
-    stats = store.stats
     doc_id = int(doc_id)
-    # the scorer's one-snapshot view: the live postings of every
-    # generation (a replaced or deleted version never counts)
-    scorer = ShardScorer(index_dir, doc_id % stats["n_shards"],
-                         buckets=sorted({p.bucket for p in plans}))
+    while True:
+        # the store and the scorer at one marker: the live postings of
+        # every generation (a replaced or deleted version never counts)
+        try:
+            store = TermStatsStore(index_dir)
+            plans = store.plan_query(text)
+            stats = store.stats
+            scorer = ShardScorer(index_dir, doc_id % stats["n_shards"],
+                                 buckets=sorted({p.bucket for p in plans}),
+                                 at=store.marker)
+            break
+        except _StaleIndexRead:
+            continue
     terms_out = []
     total = 0.0
     for p in plans:

@@ -48,12 +48,12 @@ from .segments import (
     live_segments,
     open_segment,
     read_stats,
-    write_stats,
 )
 from .locking import locked_on, nonlock_contents
 from .update import (
     _commit_gen,
     _committed_markers,
+    committed_gens,
     extra_rows,
     load_tombstone_thresholds,
 )
@@ -104,12 +104,15 @@ def reshard_index(
     to an uninterrupted run.
 
     Returns the new stats dict (same shape as ``build_index``'s)."""
-    stats = read_stats(src_dir)
     if os.path.abspath(src_dir) == os.path.abspath(dst_dir):
         raise ValueError("reshard_index: src and dst must differ (the source "
                          "stays readable until the new layout is sealed)")
-    tomb_ids, _ = load_tombstone_thresholds(src_dir)
-    live = live_segments(src_dir)
+    markers = _committed_markers(src_dir)
+    stats = markers[max(markers)]["stats"]
+    if resume and committed_gens(dst_dir):  # its marker landed: complete
+        return read_stats(dst_dir)
+    tomb_ids, _ = load_tombstone_thresholds(src_dir, markers)
+    live = live_segments(src_dir, markers)
     if len(tomb_ids) or any(len(names) > 1 for names in live.values()):
         raise ValueError(
             "reshard_index: source has delta generations or tombstones — "
@@ -151,8 +154,8 @@ def reshard_index(
     docs_dst = os.path.join(dst_dir, DOCS)
     docs_tmp = docs_dst + ".tmp"
     # Resume-safe: the rename below is atomic, so an existing _docs IS a
-    # completed rewrite — skip it (a crash between the rename and
-    # write_stats would otherwise hit os.replace onto a non-empty dir).
+    # completed rewrite — skip it (a crash between the rename and the
+    # marker would otherwise hit os.replace onto a non-empty dir).
     # A crash DURING the write leaves partial files in _docs.tmp; rmtree
     # first so the re-run's write_parquet can't add UUID-named files next
     # to them and silently duplicate rows.
@@ -161,18 +164,15 @@ def reshard_index(
         ray.data.read_parquet(os.path.join(src_dir, DOCS)).map_batches(
             redoc, batch_format="pyarrow").write_parquet(docs_tmp)
         os.replace(docs_tmp, docs_dst)
-    # the forward table keeps each row's generation and every row: carry
-    # the source's numbering over, so the next commit to the new index
-    # takes a higher one, and its extra rows (an update_fields row beside
-    # the row it updates), so repair_stats' identity holds on the new index
-    markers = _committed_markers(src_dir)
-    extras = extra_rows(markers)
-    if markers:
-        _commit_gen(dst_dir, max(markers), {"n_docs": 0, "n_tokens": 0,
-                                            "replaces": [], "extra_rows": extras})
 
-    # ---- seal (same fields build_index writes) ------------------------------
-    _seal_termstats(dst_dir)
+    # ---- commit (the stats build_index writes), its marker LAST ------------
+    # The forward table keeps each row's generation and every row: the
+    # marker takes the source's newest generation, so the next commit to
+    # the new index takes a higher one, and carries the source's extra rows
+    # (an update_fields row beside the row it updates), so the stats'
+    # identity holds on the new index
+    gen = max(markers)
+    extras = extra_rows(markers)
     # the live docs: the source holds no tombstones, so no dead ones
     n_docs = _parquet_rows(os.path.join(dst_dir, DOCS)) - extras
     total_len = sum(m["n_tokens"] for m in _all_manifests(dst_dir))
@@ -186,9 +186,13 @@ def reshard_index(
         "n_segments_skipped": int(seg_rows["skipped"].sum()),
         "n_postings": sum(m["n_postings"] for m in _all_manifests(dst_dir)),
         "positions": positions,
+        "analyzer": stats.get("analyzer", "plain"),
         "n_groups": len(list_complete_segments(dst_dir, positions=positions)),
+        "pipeline_version": stats["pipeline_version"],
     }
-    write_stats(dst_dir, out)
+    info = {"n_docs": 0, "n_tokens": 0, "replaces": [], "extra_rows": extras}
+    _commit_gen(dst_dir, gen, {**info, "stats": out,
+                               "termstats": _seal_termstats(dst_dir, {gen: info})})
     return out
 
 

@@ -25,9 +25,23 @@ full-reindex, SolrHelper.java:98-100, IndexRecordsForV4.java:44-69,116-125):
       _staging/gkey=N/     # transient triples exchange (build.write_segments);
                            #   removed after use, fsck reports a leftover
       _global/
-        stats.json         # N, total_len, avgdl, n_shards, n_buckets, version
-        gens/g{gen:04d}.json  # commit markers (update._commit_gen)
-        termstats/bucket=N # global per-term df/cf/max_tf/min_dl (query-time)
+        gens/g{gen:04d}.json  # commit markers, one per commit, written once
+                           #   (update._commit_gen; g0000 = the build): the
+                           #   commit's stats (N, total_len, avgdl, n_shards,
+                           #   n_buckets, version, ...), the term-stats
+                           #   version it names, and what it changed (folds,
+                           #   replaces, a delete's tombstones, ...)
+        termstats-<id>/bucket=N  # global per-term df/cf/max_tf/min_dl; a
+                           #   version is written before the marker naming
+                           #   it, and reaped once neither of the two newest
+                           #   markers names it
+        build_id           # this build's id (read_build_id)
+
+A reader pins ONE marker (the newest, or ``at=``) and takes its whole
+state from it: ``read_stats``, ``termstats_dir``, and the segments and
+tombstones of the markers up to it (``live_segments``,
+``load_tombstone_thresholds``). An index of an older PIPELINE_VERSION kept
+its commit state elsewhere: opening it raises, naming the version.
 
 Posting format v3 (``postings`` module docstring) stores no offsets: a
 ``SegmentReader`` derives each term's blocks, payload and position offsets
@@ -149,13 +163,15 @@ def write_segment(
     bucket: int,
     group: "pd.DataFrame",
     lineage: dict | None = None,
+    extras: dict | None = None,
 ) -> dict:
     """Build + atomically publish one segment from its (term, doc_id, tf, dl)
     triples. Deterministic: terms sorted ascending, postings doc_id-ascending,
     so the same triple set yields byte-identical files regardless of upstream
     partitioning (resume test relies on this).
 
-    Returns the manifest dict (also written to disk).
+    Returns the manifest dict (also written to disk, with ``extras``
+    stamped in).
     """
     if segment_is_complete(index_dir, segment_name(shard, bucket),
                            positions="pos" in group.columns):
@@ -235,6 +251,7 @@ def write_segment(
             "positions": bool(has_pos),
             "positions_bytes": len(pos_payload) if has_pos else 0,
             "lineage": lineage or {},
+            **(extras or {}),
         }
         with open(os.path.join(tmp_dir, "manifest.json"), "w") as f:
             json.dump(manifest, f)
@@ -384,25 +401,6 @@ def _parquet_rows(path: str) -> int:
     return sum(pq.ParquetFile(f).metadata.num_rows for f in _parquet_files(path))
 
 
-def write_stats(index_dir: str, stats: dict) -> None:
-    """Replace ``_global/stats.json`` with ``stats``, unless it already
-    holds exactly them: renaming a fresh file over an existing one makes
-    ext4 flush it (tens of ms), and ``repair_stats`` and ``maintain``
-    rewrite unchanged stats on every commit."""
-    stats = {**stats, "pipeline_version": PIPELINE_VERSION}
-    try:
-        if read_stats(index_dir) == stats:
-            return
-    except (OSError, ValueError):
-        pass
-    gdir = os.path.join(index_dir, GLOBAL)
-    os.makedirs(gdir, exist_ok=True)
-    tmp = os.path.join(gdir, f".stats-{uuid.uuid4().hex[:8]}.json")
-    with open(tmp, "w") as f:
-        json.dump(stats, f)
-    os.replace(tmp, os.path.join(gdir, "stats.json"))
-
-
 def read_build_id(index_dir: str) -> str | None:
     """The id ``build_index`` gave this index (None if it has none): a
     segment name means one version within a build, and a rebuild in place
@@ -414,15 +412,116 @@ def read_build_id(index_dir: str) -> str | None:
         return None
 
 
-def read_stats(index_dir: str) -> dict:
-    with open(os.path.join(index_dir, GLOBAL, "stats.json")) as f:
-        return json.load(f)
-
-
-# -- read side: which segment generations a reader sees ------------------
+# -- commit markers: the one record of each commit ---------------------
 
 _GEN_RE = re.compile(r"^s(\d+)_b(\d+)(?:_g(\d+))?$")
-_DELETE_FOREVER = 1 << 60  # legacy list-format tombstones: masked at any gen
+_MARKER_RE = re.compile(r"^g(\d+)\.json$")
+
+
+def _gen_marker_dir(index_dir: str) -> str:
+    return os.path.join(index_dir, GLOBAL, "gens")
+
+
+def marker_path(index_dir: str, gen: int) -> str:
+    return os.path.join(_gen_marker_dir(index_dir), f"g{gen:04d}.json")
+
+
+def write_marker(index_dir: str, gen: int, info: dict) -> None:
+    """Commit generation ``gen``: write its marker once, under a name no
+    commit took before (tmp file + rename onto the new name). Raises
+    FileExistsError rather than replace a marker a reader may hold."""
+    final = marker_path(index_dir, gen)
+    if os.path.lexists(final):
+        raise FileExistsError(f"marker {final} already exists")
+    os.makedirs(os.path.dirname(final), exist_ok=True)
+    tmp = os.path.join(os.path.dirname(final),
+                       f".g{gen:04d}-{uuid.uuid4().hex[:8]}.tmp")
+    with open(tmp, "w") as f:
+        json.dump(info, f)
+    os.replace(tmp, final)
+
+
+def committed_gens(index_dir: str, at: int | None = None) -> set[int]:
+    """Generations whose marker exists (those up to ``at`` when given)."""
+    d = _gen_marker_dir(index_dir)
+    names = os.listdir(d) if os.path.isdir(d) else []
+    gens = {int(m.group(1)) for n in names if (m := _MARKER_RE.match(n))}
+    return gens if at is None else {g for g in gens if g <= at}
+
+
+def newest_gen(index_dir: str) -> int:
+    """The newest committed generation: the marker a reader pins. An index
+    without one was never built (FileNotFoundError), or was written by a
+    ``PIPELINE_VERSION`` that kept its commit state elsewhere (ValueError,
+    see ``read_marker``)."""
+    gens = committed_gens(index_dir)
+    if not gens:
+        if os.path.exists(os.path.join(index_dir, GLOBAL, "stats.json")):
+            _refuse_version(index_dir, None)
+        raise FileNotFoundError(f"{index_dir}: no committed marker (not built)")
+    return max(gens)
+
+
+def _refuse_version(index_dir: str, version) -> None:
+    if version is None:  # a layout whose stats lived beside its markers
+        try:
+            with open(os.path.join(index_dir, GLOBAL, "stats.json")) as f:
+                version = json.load(f).get("pipeline_version")
+        except (OSError, ValueError):
+            pass
+    raise ValueError(
+        f"index {index_dir} was written under pipeline_version {version!r}, "
+        f"this code reads {PIPELINE_VERSION!r}: rebuild the index")
+
+
+def read_marker(index_dir: str, at: int | None = None) -> dict:
+    """Marker ``at`` (the newest when None): the commit's ``stats``, the
+    name of its ``termstats`` version and what the commit changed. Raises
+    for a marker of another ``PIPELINE_VERSION``."""
+    gen = newest_gen(index_dir) if at is None else at
+    with open(marker_path(index_dir, gen)) as f:
+        m = json.load(f)
+    version = m.get("stats", {}).get("pipeline_version")
+    if version != PIPELINE_VERSION:
+        _refuse_version(index_dir, version)
+    return m
+
+
+def read_stats(index_dir: str, at: int | None = None) -> dict:
+    """Global stats (N, total_len, avgdl, n_shards, n_buckets, ...) as of
+    marker ``at`` (the newest when None)."""
+    return read_marker(index_dir, at)["stats"]
+
+
+def termstats_dir(index_dir: str, at: int | None = None) -> str:
+    """The term-stats version marker ``at`` (the newest when None) names."""
+    return os.path.join(index_dir, GLOBAL, read_marker(index_dir, at)["termstats"])
+
+
+def _committed_markers(index_dir: str, at: int | None = None
+                       ) -> dict[int, dict]:
+    """gen -> marker of every committed generation (up to ``at`` when
+    given); an unreadable marker reads as {} (fsck names it)."""
+    return _markers_of(index_dir, committed_gens(index_dir, at))
+
+
+def _markers_of(index_dir: str, gens) -> dict[int, dict]:
+    out: dict[int, dict] = {}
+    for gen in gens:
+        try:
+            with open(marker_path(index_dir, gen)) as f:
+                out[gen] = json.load(f)
+        except (OSError, ValueError):
+            out[gen] = {}
+    return out
+
+
+def applied_through(markers: dict[int, dict]) -> int:
+    """The newest generation a ``vacuum_docs`` commit among ``markers``
+    applied: the tombstones, replaces and extra-row counts of markers up
+    to it are physically gone (0 if no vacuum ran)."""
+    return max((int(info["applied_through"]) for info in markers.values()
+                if "applied_through" in info), default=0)
 
 
 def list_segment_generations(index_dir: str) -> dict[tuple[int, int], list[str]]:
@@ -439,39 +538,6 @@ def list_segment_generations(index_dir: str) -> dict[tuple[int, int], list[str]]
             continue
         key = (int(m.group(1)), int(m.group(2)))
         out.setdefault(key, []).append(name)
-    return out
-
-
-def _gen_marker_dir(index_dir: str) -> str:
-    return os.path.join(index_dir, GLOBAL, "gens")
-
-
-def committed_gens(index_dir: str) -> set[int]:
-    d = _gen_marker_dir(index_dir)
-    if not os.path.isdir(d):
-        return set()
-    out = set()
-    for name in os.listdir(d):
-        m = re.match(r"^g(\d+)\.json$", name)
-        if m:
-            out.add(int(m.group(1)))
-    return out
-
-
-def _committed_markers(index_dir: str) -> dict[int, dict]:
-    d = _gen_marker_dir(index_dir)
-    out: dict[int, dict] = {}
-    if not os.path.isdir(d):
-        return out
-    for name in os.listdir(d):
-        m = re.match(r"^g(\d+)\.json$", name)
-        if not m:
-            continue
-        try:
-            with open(os.path.join(d, name)) as f:
-                out[int(m.group(1))] = json.load(f)
-        except (OSError, ValueError):
-            out[int(m.group(1))] = {}
     return out
 
 
@@ -517,7 +583,8 @@ def live_segments(index_dir: str, markers: dict[int, dict] | None = None
                   ) -> dict[tuple[int, int], list[str]]:
     """(shard, bucket) -> its live segment dirs (``live_gens``), every
     visibility decision taken from ONE marker snapshot (``markers``, read
-    here if not given); pairs without a live segment are left out."""
+    here if not given; a reader pinned at marker G passes those up to G);
+    pairs without a live segment are left out."""
     if markers is None:
         markers = _committed_markers(index_dir)
     folded, committed = folded_gens(index_dir, markers), set(markers)
@@ -529,33 +596,52 @@ def live_segments(index_dir: str, markers: dict[int, dict] | None = None
     return out
 
 
-def _read_tombstone_file(index_dir: str) -> dict[int, int]:
-    path = os.path.join(index_dir, GLOBAL, "tombstones.json")
-    if not os.path.exists(path):
-        return {}
-    with open(path) as f:
-        raw = json.load(f)
-    if isinstance(raw, list):  # legacy format: plain dead-forever ids
-        return {int(d): _DELETE_FOREVER for d in raw}
-    return {int(k): int(v) for k, v in raw.items()}
+def live_totals(index_dir: str, markers: dict[int, dict]) -> tuple[int, int]:
+    """(total tokens, postings) of the segments live under ``markers``,
+    from their manifests."""
+    ms = [read_manifest(index_dir, n)
+          for names in live_segments(index_dir, markers).values() for n in names]
+    return sum(m["n_tokens"] for m in ms), sum(m["n_postings"] for m in ms)
+
+
+def tombstones(markers: dict[int, dict], fields=("tombstones", "replaces")
+               ) -> dict[int, int]:
+    """doc id -> masked_below_gen over ``markers``: each id a marker's
+    ``fields`` list masks below that marker's own generation. A delete
+    lists its ids under ``tombstones``, a replace-add under ``replaces``;
+    lists a vacuum applied no longer count."""
+    cut = applied_through(markers)
+    thr: dict[int, int] = {}
+    for gen, info in markers.items():
+        if gen > cut:
+            for f in fields:
+                for d in info.get(f, ()):
+                    thr[int(d)] = max(thr.get(int(d), 0), gen)
+    return thr
 
 
 def load_tombstone_thresholds(
-    index_dir: str, markers: dict[int, dict] | None = None
+    index_dir: str, markers: dict[int, dict] | None = None,
+    at: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted doc ids, aligned masked_below_gen) merged from the explicit
-    tombstone file and the committed generations' ``replaces`` lists."""
-    thr = _read_tombstone_file(index_dir)
-    if markers is None:
-        markers = _committed_markers(index_dir)
-    for gen, info in markers.items():
-        for d in info.get("replaces", ()):
-            thr[int(d)] = max(thr.get(int(d), 0), gen)
-    if not thr:
-        e = np.empty(0, dtype=np.int64)
-        return e, e
+    """(sorted doc ids, aligned masked_below_gen) of the deletes and
+    replaced-away versions in force at marker ``at`` (the newest when
+    None; or over the snapshot ``markers``)."""
+    thr = tombstones(_committed_markers(index_dir, at) if markers is None
+                     else markers)
     ids = np.array(sorted(thr), dtype=np.int64)
     return ids, np.array([thr[int(i)] for i in ids], dtype=np.int64)
+
+
+def masked_rows(ids, gens, tomb_ids: np.ndarray, tomb_thr: np.ndarray
+                ) -> np.ndarray:
+    """Whether each forward-table row (doc ``ids[i]`` at generation
+    ``gens[i]``) is masked: its doc has a threshold above the generation."""
+    ids = np.asarray(ids, np.int64)
+    if not len(tomb_ids):
+        return np.zeros(len(ids), bool)
+    pos = np.minimum(np.searchsorted(tomb_ids, ids), len(tomb_ids) - 1)
+    return (tomb_ids[pos] == ids) & (tomb_thr[pos] > np.asarray(gens, np.int64))
 
 
 def segment_gen(name: str) -> int:

@@ -7,8 +7,8 @@ locking:
 - segment payloads copy FIRST (one Ray task per segment — parallel across
   the cluster, and resumable: a re-run skips segments whose snapshot
   manifest already matches byte-for-byte);
-- the small global state (`_docs`, `_global`, tombstones, generation
-  markers) copies next on the driver;
+- the small global state (`_docs`, `_global`: the commit markers and
+  their term-stats versions) copies next on the driver;
 - a `_SNAPSHOT_COMPLETE.json` marker lands LAST. Restore refuses a
   marker-less directory, so a snapshot killed mid-copy can never be
   mistaken for a good one — the same commit-after-publish ordering as the
@@ -38,15 +38,12 @@ def _copytree(src: str, dst: str) -> None:
 
 def _mutation_fingerprint(index_dir: str) -> tuple:
     """Everything a concurrent writer could change between the two copy
-    phases: the committed-generation set and the tombstone file bytes. If
-    this moves during a snapshot, the segment phase and the global-state
-    phase may describe different index versions."""
-    from .update import _read_tombstone_file, committed_gens
+    phases: every commit writes a new marker, so the committed-generation
+    set. If this moves during a snapshot, the segment phase and the
+    global-state phase may describe different index versions."""
+    from .segments import committed_gens
 
-    return (
-        tuple(sorted(committed_gens(index_dir))),
-        tuple(sorted(_read_tombstone_file(index_dir).items())),
-    )
+    return tuple(sorted(committed_gens(index_dir)))
 
 
 def snapshot_index(
@@ -56,10 +53,10 @@ def snapshot_index(
     Returns {n_segments, skipped} — re-running after a crash skips
     segments already copied (manifest equality check).
 
-    Consistency: the committed-gen set + tombstones are fingerprinted at
-    start and re-checked after both copy phases. If a writer committed a
+    Consistency: the committed-gen set is fingerprinted at start and
+    re-checked after both copy phases. If a writer committed a
     generation (update_fields / delete_by_query / add_documents) mid-copy —
-    which would leave gen markers/tombstones/termstats referencing segments
+    which would leave gen markers and term stats referencing segments
     the segment phase never saw — the copy RETRIES (resume-skipping
     unchanged segments) up to ``max_attempts`` and then raises rather than
     publishing a silently inconsistent snapshot."""

@@ -26,6 +26,14 @@ segment merging internally. Here both halves are explicit:
   A later re-add of the same id becomes visible automatically.
 - ``add_documents(on_conflict="replace")``: Solr replace-by-id — old
   generations are masked atomically via the commit marker's replaces list.
+
+Every commit (these, ``update_fields``, ``vacuum_docs``, a build, a
+reshard) is ONE new marker ``_global/gens/g####.json``, written once after
+everything it names: the commit's full stats, the term-stats version it
+names (a fresh one when df changed, else its predecessor's) and what it
+changed (folds, replaces, a delete's tombstones). Nothing a reader may hold
+is rewritten in place; a commit then reaps the term-stats versions neither
+of the two newest markers names (``build._reap_termstats``).
 """
 
 from __future__ import annotations
@@ -42,38 +50,43 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from .build import BuildConfig, _all_manifests, make_doc_stats_fn, make_triples_fn
+from .build import BuildConfig, make_doc_stats_fn, make_triples_fn
 from .build import is_small, read_small_source, table_triples, write_segments
 from .locking import locked_on
-from .segments import GLOBAL, SEGMENTS, live_segments, read_manifest
+from .segments import SEGMENTS, live_segments, read_manifest
 from .segments import segment_name, write_segment
-from .segments import _parquet_files, _parquet_rows, read_stats, write_stats
+from .segments import _parquet_files, _parquet_rows, read_stats
 # the read-side helpers live in segments.py (a query worker imports them
 # without this module's Ray Data and pandas imports); re-exported here
 from .segments import (  # noqa: F401
-    _DELETE_FOREVER,
     _GEN_RE,
     _committed_markers,
     _docs_columns,
-    _gen_marker_dir,
-    _read_tombstone_file,
+    applied_through,
     committed_gens,
     folded_gens,
     list_segment_generations,
     live_gens,
+    live_totals,
     load_tombstone_thresholds,
+    masked_rows,
     open_segment,
     segment_gen,
     segment_mask_gen,
+    tombstones,
+    write_marker,
 )
 
+
 def _commit_gen(index_dir: str, gen: int, info: dict) -> None:
-    d = _gen_marker_dir(index_dir)
-    os.makedirs(d, exist_ok=True)
-    tmp = os.path.join(d, f".g{gen:04d}.tmp")
-    with open(tmp, "w") as f:
-        json.dump(info, f)
-    os.replace(tmp, os.path.join(d, f"g{gen:04d}.json"))
+    """Commit generation ``gen``: write its marker ``info`` — the commit's
+    ``stats``, the ``termstats`` version it names (written before) and
+    what it changed — once, then reap the term-stats versions the reap
+    rule frees (``build._reap_termstats``)."""
+    from .build import _reap_termstats
+
+    write_marker(index_dir, gen, info)
+    _reap_termstats(index_dir)
 
 
 def _cleanup_uncommitted_gens(index_dir: str) -> bool:
@@ -81,8 +94,9 @@ def _cleanup_uncommitted_gens(index_dir: str) -> bool:
     marker never landed (a crashed or abandoned add or compaction) — makes
     every writer safely retryable (no double indexing) — and segment dirs
     a committed compaction folded (the base too, once a full merge ran).
-    Both are invisible to readers. Returns True if anything was removed
-    (caller must reseal term stats)."""
+    Both are invisible to readers; every writer runs this first, so a
+    leftover never shares its generation with a later commit. Returns True
+    if anything was removed."""
     import shutil
 
     removed = False
@@ -145,12 +159,11 @@ def add_documents(
             f"cfg analyzer {cfg.analyzer!r} must match the existing index's "
             f"{stats.get('analyzer', 'plain')!r} — mixed token streams would "
             "silently corrupt postings")
-    from .build import _assign_ids, _seal_termstats
+    from .build import _assign_ids, _seal_termstats, _seal_termstats_incremental
 
-    if _cleanup_uncommitted_gens(index_dir):  # drop half-added gens (retry)
-        _seal_termstats(index_dir)  # stale term stats may include them
-    repair_stats(index_dir)  # heal a prior crash between marker and stats
-    stats = read_stats(index_dir)
+    _cleanup_uncommitted_gens(index_dir)  # drop half-added gens (retry)
+    markers = _committed_markers(index_dir)
+    n_dead = _dead_docs(index_dir, markers, stats)
     # delta segments must match the base's positional layout — adopt it
     # (mixing positional and non-positional generations would silently
     # disable phrase-by-positions for some docs)
@@ -194,8 +207,7 @@ def add_documents(
     inc_ref = ray.put(uniq_inc)  # sorted
 
     docs_dir = os.path.join(index_dir, "_docs")
-    existing_cols = _docs_columns(docs_dir)
-    scan_cols = ["doc_id"] + (["gen"] if "gen" in existing_cols else [])
+    scan_cols = ["doc_id", "gen"]
 
     # per-file tasks instead of ray.data.read_parquet: the datasource's
     # metadata prefetch alone cost ~1.5 s against a 1M-doc forward table,
@@ -211,20 +223,10 @@ def add_documents(
     replaced: list[int] = []
     shadowed: list[int] = []
     if len(overlap):
-        if "gen" in overlap.columns:
-            latest = overlap.groupby("doc_id")["gen"].max()
-        else:
-            latest = pd.Series(0, index=pd.unique(overlap["doc_id"]))
-        tomb_ids, tomb_thr = load_tombstone_thresholds(index_dir)
+        latest = overlap.groupby("doc_id")["gen"].max()
+        tomb_ids, tomb_thr = load_tombstone_thresholds(index_dir, markers)
         lat_ids = latest.index.to_numpy(np.int64)
-        lat_gen = latest.to_numpy(np.int64)
-        dead = np.zeros(len(lat_ids), dtype=bool)
-        if len(tomb_ids):
-            pos = np.searchsorted(tomb_ids, lat_ids)
-            ok = pos < len(tomb_ids)
-            m = np.zeros(len(lat_ids), dtype=bool)
-            m[ok] = tomb_ids[pos[ok]] == lat_ids[ok]
-            dead[m] = tomb_thr[np.searchsorted(tomb_ids, lat_ids[m])] > lat_gen[m]
+        dead = masked_rows(lat_ids, latest.to_numpy(), tomb_ids, tomb_thr)
         live_overlap = np.sort(lat_ids[~dead])
         shadowed = [int(d) for d in np.sort(lat_ids[dead])]
         if len(live_overlap):
@@ -262,38 +264,24 @@ def add_documents(
     seg_rows = write_segments(triples, index_dir, cfg, gen=gen)
 
     n_new = int(len(uniq_inc))
-    gen_tokens = int(seg_rows["n_tokens"].sum())
-    # commit order: segments + docs durable → marker (the authority: readers
-    # ignore unmarked gens; cleanup removes them; `replaces` masks the old
-    # versions atomically) → termstats seal (covers COMMITTED gens only; a
-    # crash before the seal is healed by TermStatsStore's sealed-gens check)
-    # → stats (a crash before stats self-heals via repair_stats()).
-    _commit_gen(
-        index_dir, gen,
-        {"n_docs": n_new, "n_tokens": gen_tokens,
-         "replaces": replaced, "n_replaced": len(replaced),
-         "n_shadowed": len(shadowed)},
-    )
-    # delta-sized seal merge; any precondition miss falls back to the full
-    # (vocab-sized) reseal — same resulting stats either way
-    from .build import _seal_termstats_incremental
-
-    if not _seal_termstats_incremental(index_dir, gen):
-        _seal_termstats(index_dir)
-    new_stats = {
-        **stats,
-        # stats["n_docs"] counts LIVE docs (repair_stats ran above, so dead
-        # docs are already excluded): a brand-new id adds 1, a replace adds
-        # 0 (its old version was counted), and a re-add over a DEAD id adds
-        # 1 (its old version was not counted)
-        "n_docs": stats["n_docs"] + n_new - len(replaced),
-        "total_len": stats["total_len"] + gen_tokens,
-        "n_postings": sum(m["n_postings"] for m in _all_manifests(index_dir)),
-    }
-    new_stats["avgdl"] = (
-        new_stats["total_len"] / new_stats["n_docs"] if new_stats["n_docs"] else 0.0
-    )
-    write_stats(index_dir, new_stats)
+    # commit order: segments + docs, then the term-stats version (a
+    # delta-sized merge into the predecessor's; the full reseal when that
+    # cannot run — same stats either way), then the marker: readers ignore
+    # unmarked gens and versions, cleanup and the reap rule remove them, and
+    # ``replaces`` masks the old versions atomically with the new ones
+    info = {"n_docs": n_new, "n_tokens": int(seg_rows["n_tokens"].sum()),
+            "replaces": replaced, "n_replaced": len(replaced),
+            "n_shadowed": len(shadowed)}
+    after = {**markers, gen: info}
+    # stats["n_docs"] counts LIVE docs: a brand-new id adds 1, a replace
+    # adds 0 (its old version was counted), and a re-add over a DEAD id
+    # adds 1 (its old version was not counted)
+    new_stats = _restat(index_dir, stats, after, n_new,
+                        len(replaced) + len(shadowed), n_dead - len(shadowed))
+    info.update(stats=new_stats, termstats=(
+        _seal_termstats_incremental(index_dir, gen, after)
+        or _seal_termstats(index_dir, after)))
+    _commit_gen(index_dir, gen, info)
     return new_stats
 
 
@@ -307,55 +295,35 @@ EXTRA_ROW_FIELDS = ("n_replaced", "n_shadowed", "meta_update", "extra_rows")
 
 def extra_rows(markers: dict[int, dict]) -> int:
     """Forward-table rows the commit ``markers`` record beyond one per
-    doc (``EXTRA_ROW_FIELDS``)."""
-    return sum(int(info.get(f, 0)) for info in markers.values()
-               for f in EXTRA_ROW_FIELDS)
+    doc (``EXTRA_ROW_FIELDS``); a vacuum's marker carries what it left of
+    those its predecessors recorded (``applied_through``)."""
+    cut = applied_through(markers)
+    return sum(int(info.get(f, 0)) for gen, info in markers.items()
+               if gen > cut for f in EXTRA_ROW_FIELDS)
 
 
-def repair_stats(index_dir: str) -> dict:
-    """Recompute global stats from disk truth (live segments + doc-table
-    parquet metadata + tombstones) — heals a crash between gen commit and
-    stats write, and folds in pending deletes.
+def _restat(index_dir: str, prev: dict, markers: dict[int, dict], rows: int,
+            extras: int, dead: int) -> dict:
+    """The stats a recounting commit writes into its marker: ``prev`` (its
+    predecessor's) with ``n_docs`` moved by the forward-table ``rows`` the
+    commit adds, less the ``extras`` among them (rows of docs the table
+    held) and the docs that died since ``prev`` counted its ``dead`` ones,
+    and the totals of the segments live under ``markers`` (the commit's
+    own marker included). The invariant fsck checks (``marker_stats``):
 
-    The n_docs identity is merge-independent and always exact:
+        n_docs = rows - extra_rows - dead_cache["n_dead"]
 
-        n_docs = rows - extra_versions - dead_now
-
-    where ``rows`` counts every committed forward-table row,
-    ``extra_versions`` is ``extra_rows``' count over the commit markers
-    (rows of a doc the table already held), and ``dead_now`` counts docs
-    whose LATEST version is masked by an explicit delete (recomputed
-    fresh — a merge expunging the postings doesn't change it, because the
-    forward rows remain)."""
-    stats = read_stats(index_dir)
-    committed = committed_gens(index_dir)
-    total_len = 0
-    n_postings = 0
-    for names in live_segments(index_dir).values():
-        for name in names:
-            m = read_manifest(index_dir, name)
-            total_len += m["n_tokens"]
-            n_postings += m["n_postings"]
-    docs_dir = os.path.join(index_dir, "_docs")
-    n_docs = 0
-    for root, _dirs, files in os.walk(docs_dir):
-        gen_m = re.search(r"gen=(\d+)", root)
-        if gen_m and int(gen_m.group(1)) not in committed:
-            continue
-        for f in files:
-            if f.endswith(".parquet"):
-                n_docs += pq.ParquetFile(os.path.join(root, f)).metadata.num_rows
-    n_docs -= extra_rows(_committed_markers(index_dir))
-    n_docs -= _dead_count_cached(index_dir, stats)
-    stats.pop("n_docs_dead_merged", None)  # superseded by the identity above
-    stats.update(
-        n_docs=n_docs,
-        total_len=total_len,
-        avgdl=total_len / n_docs if n_docs else 0.0,
-        n_postings=n_postings,
-    )
-    write_stats(index_dir, stats)
-    return stats
+    where ``dead_cache`` is the dead-doc count ``n_docs`` accounts for and
+    the tombstones it was taken at (``_tombstone_key``). A delete and a
+    drop-free fold carry their predecessor's stats: Lucene-delete
+    semantics, N and df keep a deleted doc until a later commit recounts."""
+    total_len, n_postings = live_totals(index_dir, markers)
+    n_docs = (prev["n_docs"] + rows - extras
+              - (dead - prev.get("dead_cache", {}).get("n_dead", 0)))
+    return {**prev, "n_docs": n_docs, "total_len": total_len,
+            "avgdl": total_len / n_docs if n_docs else 0.0,
+            "n_postings": n_postings,
+            "dead_cache": {"key": _tombstone_key(markers), "n_dead": dead}}
 
 
 @ray.remote(num_cpus=0.5)
@@ -382,24 +350,19 @@ def write_segment_gen(index_dir, shard, bucket, gen, group) -> dict:
             lineage={"generation": gen, "pipeline_version": PIPELINE_VERSION}))
 
 
-def _publish_segment(index_dir, name, write, extras=None) -> dict:
-    """Publish the new segment dir ``name``: ``write(scratch)`` builds it
-    as ``segment_name(shard, bucket)`` under a fresh dot-prefixed scratch
-    root and returns its manifest; the manifest is written again with
-    ``extras`` stamped in (unless None), and the dir is renamed into
-    place. A name is written once: an existing ``name`` raises
-    FileExistsError, so nothing is ever renamed over a segment a reader
-    may hold."""
+def _publish_segment(index_dir, name, write) -> dict:
+    """Publish the new segment dir ``name``: ``write(scratch)`` builds it,
+    manifest included, as ``segment_name(shard, bucket)`` under a fresh
+    dot-prefixed scratch root and returns its manifest, and the dir is
+    renamed into place. A name is written once: an existing ``name``
+    raises FileExistsError, so nothing is ever renamed over a segment a
+    reader may hold."""
     import shutil
     import uuid
 
     scratch = os.path.join(index_dir, SEGMENTS, f".pub-{uuid.uuid4().hex[:8]}")
     m = write(scratch)
     src = os.path.join(scratch, SEGMENTS, segment_name(m["shard"], m["bucket"]))
-    if extras is not None:
-        m.update(extras)
-        with open(os.path.join(src, "manifest.json"), "w") as f:
-            json.dump(m, f)
     final_dir = os.path.join(index_dir, SEGMENTS, name)
     if os.path.lexists(final_dir):
         raise FileExistsError(f"segment {name} already exists")
@@ -408,17 +371,21 @@ def _publish_segment(index_dir, name, write, extras=None) -> dict:
     return m
 
 
-def _link_segment(scratch, index_dir, shard, bucket, source) -> dict:
+def _link_segment(scratch, index_dir, shard, bucket, source, extras) -> dict:
     """``write`` step of :func:`_publish_segment` for a pair whose one
     source segment needs no rewrite: hard-link its files into ``scratch``
-    (the bytes a rewrite would write) and return its manifest."""
+    (the bytes a rewrite would write) and write its manifest with
+    ``extras`` stamped in."""
     src = os.path.join(index_dir, SEGMENTS, source)
     dst = os.path.join(scratch, SEGMENTS, segment_name(shard, bucket))
     os.makedirs(dst)
     for f in os.listdir(src):
-        if f != "manifest.json":  # written fresh by _publish_segment
+        if f != "manifest.json":
             os.link(os.path.join(src, f), os.path.join(dst, f))
-    return read_manifest(index_dir, source)
+    m = {**read_manifest(index_dir, source), **extras}
+    with open(os.path.join(dst, "manifest.json"), "w") as f:
+        json.dump(m, f)
+    return m
 
 
 def _read_expunged_triples(
@@ -495,11 +462,13 @@ def rewrite_segment(index_dir, shard, bucket, names, tombs, fold) -> dict:
             return {**out, "n_tokens": 0, "n_postings": 0}
 
         def write(scratch):
-            return write_segment(scratch, shard, bucket, triples)
+            return write_segment(scratch, shard, bucket, triples,
+                                 extras=extras)
     else:
         def write(scratch):
-            return _link_segment(scratch, index_dir, shard, bucket, names[0])
-    m = _publish_segment(index_dir, name, write, extras)
+            return _link_segment(scratch, index_dir, shard, bucket, names[0],
+                                 extras)
+    m = _publish_segment(index_dir, name, write)
     return {**out, "n_tokens": int(m["n_tokens"]),
             "n_postings": int(m["n_postings"])}
 
@@ -527,11 +496,14 @@ def _rewrite_pairs(index_dir, work, tombs, concurrency, fold) -> list[dict]:
     return ray.get(refs)
 
 
-def _load_tombs(index_dir: str) -> tuple[np.ndarray, np.ndarray, int]:
-    return (*load_tombstone_thresholds(index_dir), read_stats(index_dir)["n_shards"])
+def _load_tombs(index_dir: str, markers: dict[int, dict]
+                ) -> tuple[np.ndarray, np.ndarray, int]:
+    return (*load_tombstone_thresholds(index_dir, markers),
+            read_stats(index_dir)["n_shards"])
 
 
-def _compact(index_dir, fold, tombs, concurrency, info) -> tuple[int, list]:
+def _compact(index_dir, fold, tombs, concurrency, info, recount=False
+             ) -> tuple[int, list]:
     """One compaction commit, shared by both compactions: fold the live
     generations ``fold`` into a fresh generation M.
 
@@ -540,18 +512,24 @@ def _compact(index_dir, fold, tombs, concurrency, info) -> tuple[int, list]:
        (at most ``concurrency`` at once), in-process for a pair whose one
        source needs none (a hard link) — invisible until committed,
     2. marker M commits with ``folds`` (plus ``info``): the atomic
-       visibility flip — readers now see M and skip the sources,
+       visibility flip — readers now see M and skip the sources. A fold
+       that dropped masked postings (or ``recount``) names a fresh full
+       term-stats seal and recounted stats (``_restat``); a drop-free one
+       only moved postings between dirs, so it names its predecessor's,
     3. the folded source dirs are deleted (lazily: a crash here leaves
        dirs that cleanup and fsck --repair reap).
 
     Returns (M, per-pair results)."""
     import shutil
 
+    from .build import _seal_termstats
+
+    markers = _committed_markers(index_dir)
     out_gen = _next_gen(index_dir)
     fold_set = set(fold)
     stamp = (out_gen, max(fold))
     tasks, local = [], []
-    for (s, b), names in sorted(live_segments(index_dir).items()):
+    for (s, b), names in sorted(live_segments(index_dir, markers).items()):
         src = [n for n in names if segment_gen(n) in fold_set]
         if len(src) == 1 and not segment_needs_expunge(index_dir, s, src[0], *tombs):
             local.append((s, b, src))
@@ -559,12 +537,18 @@ def _compact(index_dir, fold, tombs, concurrency, info) -> tuple[int, list]:
             tasks.append((s, b, src))
     out = _rewrite_pairs(index_dir, tasks, tombs, concurrency, stamp) + [
         rewrite_segment(index_dir, s, b, src, tombs, stamp) for s, b, src in local]
-    _commit_gen(
-        index_dir, out_gen,
-        {"n_docs": 0, "n_tokens": sum(r["n_tokens"] for r in out),
-         "replaces": [], "n_replaced": 0, "n_shadowed": 0,
-         "folds": sorted(int(g) for g in fold), **info},
-    )
+    info = {"n_docs": 0, "n_tokens": sum(r["n_tokens"] for r in out),
+            "replaces": [], "n_replaced": 0, "n_shadowed": 0,
+            "folds": sorted(int(g) for g in fold), **info}
+    after = {**markers, out_gen: info}
+    prev = markers[max(markers)]
+    if recount or any(r["n_dropped"] for r in out):
+        info.update(stats=_restat(index_dir, prev["stats"], after, 0, 0,
+                                  _dead_docs(index_dir, markers, prev["stats"])),
+                    termstats=_seal_termstats(index_dir, after))
+    else:
+        info.update(stats=prev["stats"], termstats=prev["termstats"])
+    _commit_gen(index_dir, out_gen, info)
     root = os.path.join(index_dir, SEGMENTS)
     for name in os.listdir(root):
         if _GEN_RE.match(name) and segment_gen(name) in fold_set:
@@ -582,54 +566,25 @@ def merge_segments(index_dir: str, concurrency: int = 4) -> pd.DataFrame:
     into a fresh generation M whose marker says ``merged``. Pairs that
     need no rewrite get M by hard link, so the merge pays only for dirty
     pairs. Returns the merge report: the rewritten pairs."""
-    from .build import _seal_termstats
-
     _cleanup_uncommitted_gens(index_dir)  # a crashed earlier attempt
-    tombs = _load_tombs(index_dir)
-    live = live_segments(index_dir)
+    markers = _committed_markers(index_dir)
+    tombs = _load_tombs(index_dir, markers)
+    live = live_segments(index_dir, markers)
     if all(len(names) == 1
            and not segment_needs_expunge(index_dir, s, names[0], *tombs)
            for (s, _b), names in live.items()):
         return pd.DataFrame(columns=["shard", "bucket", "merged"])
     gens = {segment_gen(n) for names in live.values() for n in names}
-    _gen, out = _compact(index_dir, sorted(gens), tombs, concurrency,
-                         {"merged": True})
     # a merge drops masked postings (deletes / replaced-away versions), so
-    # corpus totals and per-term stats change: recompute stats from disk
-    # truth and reseal the term dictionary. After a full merge, stats are
-    # EXACT for the live corpus — the same numbers a from-scratch rebuild
-    # over the latest versions would produce.
-    repair_stats(index_dir)
-    _seal_termstats(index_dir)
+    # its marker recounts the stats: after a full merge they are EXACT for
+    # the live corpus — the numbers a from-scratch rebuild over the latest
+    # versions would produce
+    _gen, out = _compact(index_dir, sorted(gens), tombs, concurrency,
+                         {"merged": True}, recount=True)
     done = [r for r in out if r["rewritten"]]
     return pd.DataFrame({"shard": [r["shard"] for r in done],
                          "bucket": [r["bucket"] for r in done],
                          "merged": True})
-
-
-def _restamp_sealed_gens(index_dir: str, expected: list[int]) -> bool:
-    """Fast-path seal refresh after a DROP-FREE tiered fold: the fold only
-    moved postings between segment dirs, so the sealed per-term stats are
-    content-identical — only the committed-gen list grew. Refuses (returns
-    False, caller must full-reseal) unless the current seal covers EXACTLY
-    ``expected`` (the pre-fold committed set): restamping a stale seal
-    would claim generations whose term stats it never aggregated."""
-    from .build import termstats_dir
-
-    path = os.path.join(termstats_dir(index_dir), "_SEALED.json")
-    try:
-        with open(path) as f:
-            cur = json.load(f)
-    except (OSError, ValueError):
-        return False
-    if sorted(cur.get("sealed_gens", [])) != sorted(expected):
-        return False
-    cur["sealed_gens"] = sorted(committed_gens(index_dir))
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(cur, f)
-    os.replace(tmp, path)
-    return True
 
 
 def _live_delta_gen_sizes(index_dir: str) -> dict[int, int]:
@@ -685,118 +640,102 @@ def tiered_merge(
     Single maintenance writer assumed, like all index mutators here: clean
     uncommitted/folded leftovers (a crashed prior attempt), then per round
     one :func:`_compact` commit of the generations :func:`select_fold`
-    picks, and finally reseal stats + termstats (sealed_gens must cover
-    the new markers; postings counts shrink when masked postings were
-    expunged).
+    picks — each round's marker names the term stats and stats of its own
+    live set.
 
     Returns {"rounds": [...]} with per-round folds/new_gen/pairs."""
-    from .build import _seal_termstats
-
     report: dict = {"rounds": []}
-    if _cleanup_uncommitted_gens(index_dir):
-        _seal_termstats(index_dir)
-        repair_stats(index_dir)
-    seal_basis = sorted(committed_gens(index_dir))
-    tombs = _load_tombs(index_dir)  # folds add no tombstones
-    total_dropped = 0
+    _cleanup_uncommitted_gens(index_dir)
+    tombs = _load_tombs(index_dir, _committed_markers(index_dir))  # folds add none
     for _ in range(max_rounds):
         fold = select_fold(_live_delta_gen_sizes(index_dir), merge_factor)
         if not fold:
             break
         out_gen, out = _compact(index_dir, fold, tombs, concurrency,
                                 {"tiered": True})
-        round_dropped = sum(r["n_dropped"] for r in out)
-        total_dropped += round_dropped
         report["rounds"].append(
             {"folds": [int(g) for g in fold], "new_gen": int(out_gen),
              "pairs": sum(r["n_postings"] > 0 for r in out),
-             "n_dropped": round_dropped}
+             "n_dropped": sum(r["n_dropped"] for r in out)}
         )
-    if report["rounds"]:
-        # a DROP-FREE fold only moves postings between dirs: global term
-        # stats and counters are content-identical, so restamping the
-        # seal's gen list beats recomputing a vocab-sized aggregation.
-        # Any expunged posting (or a stale pre-fold seal) takes the full
-        # reseal + stats-recompute path.
-        if total_dropped == 0 and _restamp_sealed_gens(index_dir, seal_basis):
-            report["seal"] = "restamped"
-        else:
-            _seal_termstats(index_dir)
-            repair_stats(index_dir)
-            report["seal"] = "resealed"
     return report
 
 
-def _dead_count_cached(index_dir: str, stats: dict) -> int:
-    """Cached dead-doc count: the distributed forward-table probe reruns
-    only when something that can change it changed — the tombstone file
-    (deletes) or the total shadowed-re-add count (revivals). Everything
-    else (adds of new ids, replaces of live ids, merges) preserves it, so
-    steady-state ingest after a delete pays zero extra scans. The cache
-    rides inside stats.json (the caller persists it)."""
-    path = os.path.join(index_dir, GLOBAL, "tombstones.json")
-    try:
-        tkey = os.stat(path).st_mtime_ns
-    except OSError:
-        tkey = 0
-    shadowed = sum(
-        int(i.get("n_shadowed", 0)) for i in _committed_markers(index_dir).values()
-    )
-    key = [tkey, shadowed]
+def _tombstone_key(markers: dict[int, dict]) -> int:
+    """Which delete tombstones are in force under ``markers``: the newest
+    generation whose marker added some a vacuum has not applied (0: none).
+    Deletes only add tombstones and only a vacuum clears them, so equal
+    keys mean equal tombstone sets."""
+    cut = applied_through(markers)
+    return max((g for g, info in markers.items()
+                if g > cut and info.get("tombstones")), default=0)
+
+
+def _dead_docs(index_dir: str, markers: dict[int, dict], stats: dict) -> int:
+    """Docs whose latest version an explicit delete masks under
+    ``markers``: ``stats``' dead-doc count when it was taken at the same
+    tombstones (``_tombstone_key``; an add moves it by the dead docs it
+    re-adds), else the distributed forward-table probe. Adds of new ids,
+    replaces of live ids, field updates and merges leave it unchanged, so
+    steady-state ingest after a delete pays one scan."""
     cache = stats.get("dead_cache")
-    if cache and cache.get("key") == key:
+    if cache and cache.get("key") == _tombstone_key(markers):
         return int(cache["n_dead"])
-    n = _count_dead_docs(index_dir)
-    stats["dead_cache"] = {"key": key, "n_dead": n}
-    return n
+    return _count_dead_docs(index_dir, markers)
 
 
-def _count_dead_docs(index_dir: str) -> int:
+def _count_dead_docs(index_dir: str, markers: dict[int, dict]) -> int:
     """Docs present in the forward table whose latest generation is masked
     by an EXPLICIT delete tombstone (replaced-away versions are accounted
     separately via the commit markers' n_replaced). The tombstone set is
     small; the corpus-sized side is scanned distributed against it."""
-    thr_map = _read_tombstone_file(index_dir)
+    thr_map = tombstones(markers, ("tombstones",))
     if not thr_map:
         return 0
     ids = np.array(sorted(thr_map), dtype=np.int64)
     thr = np.array([thr_map[int(i)] for i in ids], dtype=np.int64)
     ids_ref = ray.put(ids)
     docs_dir = os.path.join(index_dir, "_docs")
-    cols = ["doc_id"] + (["gen"] if "gen" in _docs_columns(docs_dir) else [])
-    parts = ray.get([_overlap_scan.remote(f, cols, ids_ref)
+    parts = ray.get([_overlap_scan.remote(f, ["doc_id", "gen"], ids_ref)
                      for f in _parquet_files(docs_dir)])
-    rows = (pd.concat(parts, ignore_index=True) if parts
-            else pd.DataFrame(columns=cols))
-    if not len(rows):
+    rows = pd.concat(parts, ignore_index=True) if parts else None
+    if rows is None or not len(rows):
         return 0
-    if "gen" in rows.columns:
-        latest = rows.groupby("doc_id")["gen"].max()
-    else:
-        latest = pd.Series(0, index=pd.unique(rows["doc_id"]))
-    lat_ids = latest.index.to_numpy(np.int64)
-    lat_gen = latest.to_numpy(np.int64)
-    t = thr[np.searchsorted(ids, lat_ids)]
-    return int((t > lat_gen).sum())
+    latest = rows.groupby("doc_id")["gen"].max()
+    return int(masked_rows(latest.index, latest.to_numpy(), ids, thr).sum())
 
 
 def _heal_crashed_vacuum(index_dir: str) -> bool:
-    """Recover the rename-rename crash windows of :func:`vacuum_docs`:
-    restore ``_docs`` from ``_docs.old`` if the crash hit between the two
-    renames, and drop any leftover staging/backup dirs. Returns True if
-    anything was healed (shared by vacuum_docs and fsck --repair)."""
+    """Recover the crash windows of :func:`vacuum_docs`' forward-table
+    swap. Its backup ``_docs.old-gN`` names the generation the vacuum
+    commits: if marker N landed the swap stands and the backup goes; if
+    not (or for an unnamed ``_docs.old``) the swap is rolled back — the
+    compacted table moves aside and the backup returns — so the forward
+    table always matches the newest marker's stats. Leftover staging goes
+    too. Returns True if anything was healed (shared by vacuum_docs and
+    fsck --repair)."""
     import shutil
 
     docs_dir = os.path.join(index_dir, "_docs")
-    old_dir, tmp_dir = docs_dir + ".old", docs_dir + ".vtmp"
+    tmp_dir = docs_dir + ".vtmp"
+    committed = committed_gens(index_dir)
     healed = False
-    if not os.path.isdir(docs_dir) and os.path.isdir(old_dir):
-        os.replace(old_dir, docs_dir)
+    for name in sorted(os.listdir(index_dir)):
+        m = re.match(r"^_docs\.old(?:-g(\d+))?$", name)
+        if not m:
+            continue
+        old = os.path.join(index_dir, name)
+        if m.group(1) is None or int(m.group(1)) not in committed:
+            if os.path.isdir(docs_dir):
+                shutil.rmtree(tmp_dir, ignore_errors=True)
+                os.rename(docs_dir, tmp_dir)
+            os.rename(old, docs_dir)
+        else:
+            shutil.rmtree(old, ignore_errors=True)
         healed = True
-    for d in (tmp_dir, old_dir):
-        if os.path.isdir(d):
-            shutil.rmtree(d, ignore_errors=True)
-            healed = True
+    if os.path.isdir(tmp_dir):
+        shutil.rmtree(tmp_dir, ignore_errors=True)
+        healed = True
     return healed
 
 
@@ -817,24 +756,29 @@ def vacuum_docs(index_dir: str) -> dict:
        threshold map is small (deletes + replaces) and broadcast; the
        corpus-sized side streams through a filter — no shuffle, no
        driver-side data.
-    2. Swap in via rename-rename (``_docs`` -> ``_docs.old``, staging ->
-       ``_docs``); the crash window between the renames is healed by the
-       next vacuum or ``fsck --repair`` (VACUUM_LEFTOVER).
-    3. Delete ``tombstones.json``: every threshold it carried is applied,
-       so the dead-doc count — and :func:`maintain`'s garbage metric —
-       resets to 0. (Commit markers keep their ``replaces`` lists: they
-       are the generation-numbering history and their thresholds are
-       no-ops against post-merge segments.)
+    2. Swap in via rename-rename (``_docs`` -> ``_docs.old-gN``, staging
+       -> ``_docs``), N being the generation step 3 commits.
+    3. Commit marker N, whose ``applied_through`` names the newest
+       generation before it: every tombstone and ``replaces`` threshold of
+       the markers up to there is applied, so the dead-doc count — and
+       :func:`maintain`'s garbage metric — resets to 0. Older markers are
+       never rewritten; they keep the generation-numbering history. Then
+       the backup goes. A crash between the renames and the marker is
+       rolled back, one after it rolled forward, by the next vacuum or
+       ``fsck --repair`` (VACUUM_LEFTOVER, ``_heal_crashed_vacuum``).
 
     Live stats are unchanged by construction; returns
     ``{"vacuumed", "rows_dropped", "tombstones_cleared"}``."""
     import shutil
 
     _heal_crashed_vacuum(index_dir)
-    stats = read_stats(index_dir)
+    _cleanup_uncommitted_gens(index_dir)
+    markers = _committed_markers(index_dir)
+    newest = max(markers)
+    stats = markers[newest]["stats"]
     n_shards = stats["n_shards"]
-    tomb_ids, tomb_thr = load_tombstone_thresholds(index_dir)
-    for (s, _b), names in live_segments(index_dir).items():
+    tomb_ids, tomb_thr = load_tombstone_thresholds(index_dir, markers)
+    for (s, _b), names in live_segments(index_dir, markers).items():
         if len(names) > 1:
             raise ValueError(
                 f"vacuum_docs: visible delta generations remain ({names}) "
@@ -844,67 +788,43 @@ def vacuum_docs(index_dir: str) -> dict:
             raise ValueError(
                 f"vacuum_docs: segment {names[0]} still holds masked "
                 "postings — run merge_segments() first")
-    n_tomb = len(_read_tombstone_file(index_dir))
+    n_tomb = len(tombstones(markers, ("tombstones",)))
     if not len(tomb_ids):
         return {"vacuumed": False, "rows_dropped": 0, "tombstones_cleared": 0}
-    n_dead = _dead_count_cached(index_dir, stats)
+    n_dead = _dead_docs(index_dir, markers, stats)
 
     docs_dir = os.path.join(index_dir, "_docs")
-    old_dir, tmp_dir = docs_dir + ".old", docs_dir + ".vtmp"
-    has_gen = "gen" in _docs_columns(docs_dir)
+    tmp_dir = docs_dir + ".vtmp"
     ids_ref, thr_ref = ray.put(tomb_ids), ray.put(tomb_thr)
 
     def keep_live(t: pa.Table) -> pa.Table:
-        d = np.asarray(t["doc_id"].to_numpy(), dtype=np.int64)
-        g = (np.asarray(t["gen"].to_numpy(), dtype=np.int64)
-             if has_gen else np.zeros(len(d), np.int64))
-        ti, th = ray.get(ids_ref), ray.get(thr_ref)
-        pos = np.searchsorted(ti, d)
-        ok = pos < len(ti)
-        masked = np.zeros(len(d), dtype=bool)
-        hit_pos = pos[ok]
-        hit = ti[hit_pos] == d[ok]
-        sub = np.zeros(int(ok.sum()), dtype=bool)
-        sub[hit] = g[ok][hit] < th[hit_pos[hit]]
-        masked[ok] = sub
-        return t.filter(pa.array(~masked))
+        return t.filter(pa.array(~masked_rows(
+            t["doc_id"].to_numpy(), t["gen"].to_numpy(),
+            ray.get(ids_ref), ray.get(thr_ref))))
 
     n_before = _parquet_rows(docs_dir)
     (ray.data.read_parquet(docs_dir)
         .map_batches(keep_live, batch_format="pyarrow")
         .write_parquet(tmp_dir))
-    n_after = _parquet_rows(tmp_dir)
+    dropped = n_before - _parquet_rows(tmp_dir)
+    gen = _next_gen(index_dir)
+    old_dir = f"{docs_dir}.old-g{gen:04d}"
     os.replace(docs_dir, old_dir)
     os.replace(tmp_dir, docs_dir)
-    shutil.rmtree(old_dir, ignore_errors=True)
-    tpath = os.path.join(index_dir, GLOBAL, "tombstones.json")
-    if os.path.exists(tpath):
-        os.unlink(tpath)
     # the replaced-away versions, shadowed rows and every row of a dead
     # doc are physically gone now; the rows an update_fields row updates
-    # stay. repair_stats' identity (rows - extras - dead) held before and
-    # the dead count is 0 after, so the extra rows left are extras + dead
-    # - dropped: the newest marker carries them as ``extra_rows``, every
-    # other row-accounting field is zeroed, and the replaces lists go
-    # (their thresholds mask nothing after the full merge). Rewrites are
-    # atomic per marker file.
-    mdir = _gen_marker_dir(index_dir)
-    markers = _committed_markers(index_dir)
-    left = extra_rows(markers) + n_dead - (n_before - n_after)
-    newest = max(markers, default=None)
-    for gen, info in markers.items():
-        carry = left if gen == newest else 0
-        if not (carry or info.get("replaces")
-                or any(info.get(f) for f in EXTRA_ROW_FIELDS)):
-            continue
-        info = {**info, "replaces": [], **dict.fromkeys(EXTRA_ROW_FIELDS, 0),
-                "extra_rows": carry, "vacuumed": True}
-        tmp = os.path.join(mdir, f".g{gen:04d}.tmp")
-        with open(tmp, "w") as f:
-            json.dump(info, f)
-        os.replace(tmp, os.path.join(mdir, f"g{gen:04d}.json"))
-    repair_stats(index_dir)  # revalidates n_docs against the compacted table
-    return {"vacuumed": True, "rows_dropped": int(n_before - n_after),
+    # stay. The stats' identity (rows - extras - dead) held before and the
+    # dead count is 0 after, so the extra rows left are extras + dead -
+    # dropped: this marker carries them as ``extra_rows``, and those of
+    # the markers it applied no longer count (``extra_rows``)
+    left = extra_rows(markers) + n_dead - dropped
+    info = {"applied_through": newest, "extra_rows": left, "vacuumed": True}
+    info["stats"] = _restat(index_dir, stats, {**markers, gen: info}, -dropped,
+                            left - extra_rows(markers), 0)
+    info["termstats"] = markers[newest]["termstats"]
+    _commit_gen(index_dir, gen, info)
+    shutil.rmtree(old_dir, ignore_errors=True)
+    return {"vacuumed": True, "rows_dropped": int(dropped),
             "tombstones_cleared": n_tomb}
 
 
@@ -930,16 +850,19 @@ def maintain(
     3. **vacuum** (optional, after a merge): compact the forward table and
        reset the tombstone bookkeeping via :func:`vacuum_docs`.
 
-    The garbage fraction is an upper-bound estimate (marker counters +
-    the cached dead-doc probe), never a corpus scan. Safe to run on any
-    schedule: each step no-ops when there is nothing to do."""
+    The garbage fraction is an upper-bound estimate from the markers alone
+    — the dead-doc count the newest marker carries, plus every id deleted
+    since it was taken — never a corpus scan. Safe to run on any schedule:
+    each step no-ops when there is nothing to do."""
     report: dict = {"tiered": tiered_merge(
         index_dir, merge_factor=merge_factor, max_rounds=max_fold_rounds,
         concurrency=concurrency)}
-    stats = read_stats(index_dir)
-    n_dead = _dead_count_cached(index_dir, stats)
-    write_stats(index_dir, stats)  # persist the dead cache for next time
     markers = _committed_markers(index_dir)
+    stats = markers[max(markers)]["stats"]
+    cache = stats.get("dead_cache", {})
+    since = max(cache.get("key", 0), applied_through(markers))
+    n_dead = cache.get("n_dead", 0) + sum(
+        len(info.get("tombstones", ())) for g, info in markers.items() if g > since)
     merged = max((g for g, info in markers.items() if info.get("merged")),
                  default=0)
     n_replaced = sum(int(info.get("n_replaced", 0))
@@ -963,10 +886,11 @@ def maintain(
 # masked_below_gen, and a posting read from a segment of generation ``g`` is
 # masked iff ``g < masked_below_gen``. Two producers:
 #
-# - ``delete_documents`` records masked_below_gen = the next unused
-#   generation, so every generation existing at delete time is masked but a
-#   LATER re-add of the same doc id becomes visible automatically — no
-#   tombstone clearing (and no crash window between clearing and commit).
+# - ``delete_documents`` commits a marker listing the ids under
+#   ``tombstones``: masked_below_gen = that marker's own generation, so
+#   every generation existing at delete time is masked but a LATER re-add
+#   of the same doc id becomes visible automatically — no tombstone
+#   clearing (and no crash window between clearing and commit).
 # - ``add_documents(on_conflict="replace")`` records the replaced ids in the
 #   new generation's COMMIT MARKER (threshold = that generation), so the old
 #   version is masked atomically with the new version becoming visible.
@@ -974,18 +898,20 @@ def maintain(
 @locked_on("index_dir")
 def delete_documents(index_dir: str, doc_ids) -> int:
     """Tombstone doc ids. Lucene-delete semantics: masked from results at
-    query time; df/length stats unchanged until rebuild/merge."""
-    path = os.path.join(index_dir, GLOBAL, "tombstones.json")
-    thr = _read_tombstone_file(index_dir)
-    cut = _next_gen(index_dir)
-    for d in doc_ids:
-        thr[int(d)] = max(thr.get(int(d), 0), cut)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump({str(k): v for k, v in sorted(thr.items())}, f)
-    os.replace(tmp, path)
-    return len(thr)
+    query time; df/length stats unchanged until rebuild/merge (the marker
+    carries its predecessor's stats and term-stats version). Returns the
+    number of ids tombstoned by deletes in force."""
+    _cleanup_uncommitted_gens(index_dir)
+    markers = _committed_markers(index_dir)
+    ids = sorted({int(d) for d in doc_ids})
+    if ids:
+        prev = markers[max(markers)]
+        gen = _next_gen(index_dir)
+        info = {"tombstones": ids, "stats": prev["stats"],
+                "termstats": prev["termstats"]}
+        _commit_gen(index_dir, gen, info)
+        markers[gen] = info
+    return len(tombstones(markers, ("tombstones",)))
 
 
 @locked_on("index_dir")
@@ -1003,16 +929,6 @@ def delete_by_query(index_dir: str, text: str, mode: str = "and") -> int:
     if len(ids):
         delete_documents(index_dir, ids.tolist())
     return int(len(ids))
-
-
-def load_tombstones(index_dir: str) -> np.ndarray:
-    """Legacy view: ids dead at EVERY live generation (plain deletes that no
-    later generation has re-added)."""
-    ids, thr = load_tombstone_thresholds(index_dir)
-    if not len(ids):
-        return ids
-    max_gen = max(committed_gens(index_dir) | {0})
-    return ids[thr > max_gen]
 
 
 def mask_signature(
@@ -1064,6 +980,7 @@ def segment_needs_expunge(
     return sig != segment_expunged_sig(index_dir, name)
 
 
+@locked_on("index_dir")
 def update_fields(index_dir: str, updates: pd.DataFrame) -> dict:
     """Atomic partial update (Solr atomic-update ``set`` on stored fields):
     overwrite metadata columns of LIVE docs WITHOUT touching postings —
@@ -1078,15 +995,13 @@ def update_fields(index_dir: str, updates: pd.DataFrame) -> dict:
     Shape: the corpus-sized doc table scans DISTRIBUTED against the
     broadcast target-id set (only delta-sized matches reach the driver);
     the new generation is one small parquet of the resolved current rows
-    with the fields overwritten. No segments, no stats change, and the
-    commit marker carries no ``replaces`` — postings visibility is
-    untouched.
+    with the fields overwritten. No segments, and the commit marker carries
+    no ``replaces`` — postings visibility is untouched — and names its
+    predecessor's term-stats version.
     """
-    from .build import _seal_termstats
-
-    if _cleanup_uncommitted_gens(index_dir):
-        _seal_termstats(index_dir)
-    repair_stats(index_dir)
+    _cleanup_uncommitted_gens(index_dir)
+    markers = _committed_markers(index_dir)
+    prev = markers[max(markers)]
 
     docs_dir = os.path.join(index_dir, "_docs")
     existing_cols = _docs_columns(docs_dir)
@@ -1121,25 +1036,11 @@ def update_fields(index_dir: str, updates: pd.DataFrame) -> dict:
         rows = pd.DataFrame({c: pd.Series([], dtype=object)
                              for c in existing_cols})
         rows["doc_id"] = rows["doc_id"].astype(np.int64)
-    if "gen" in rows.columns:
-        rows = rows.sort_values("gen", kind="mergesort").drop_duplicates(
-            "doc_id", keep="last"
-        )
-    else:
-        rows = rows.drop_duplicates("doc_id")
-        rows["gen"] = np.int64(0)
+    rows = rows.sort_values("gen", kind="mergesort").drop_duplicates(
+        "doc_id", keep="last")
     # live check (tombstoned-current rows are dead)
-    tomb_ids, tomb_thr = load_tombstone_thresholds(index_dir)
-    if len(tomb_ids) and len(rows):
-        d = rows["doc_id"].to_numpy(np.int64)
-        g = rows["gen"].to_numpy(np.int64)
-        pos = np.searchsorted(tomb_ids, d)
-        ok = pos < len(tomb_ids)
-        hit = np.zeros(len(d), dtype=bool)
-        hit[ok] = tomb_ids[pos[ok]] == d[ok]
-        dead = np.zeros(len(d), dtype=bool)
-        dead[hit] = tomb_thr[np.searchsorted(tomb_ids, d[hit])] > g[hit]
-        rows = rows[~dead]
+    rows = rows[~masked_rows(rows["doc_id"], rows["gen"],
+                             *load_tombstone_thresholds(index_dir, markers))]
     missing = np.setdiff1d(target, rows["doc_id"].to_numpy(np.int64))
     if len(missing):
         raise ValueError(
@@ -1159,17 +1060,16 @@ def update_fields(index_dir: str, updates: pd.DataFrame) -> dict:
         pa.Table.from_pandas(new_rows, preserve_index=False),
         os.path.join(gen_dir, "part-0.parquet"),
     )
-    _commit_gen(
-        index_dir, gen,
-        {"n_docs": 0, "n_tokens": 0, "replaces": [], "n_replaced": 0,
-         "n_shadowed": 0, "meta_update": int(len(new_rows))},
-    )
-    # a metadata-only generation has no term files: the incremental path
-    # restamps the seal's gen list in place (O(1)); stale seal → full
-    from .build import _seal_termstats, _seal_termstats_incremental
-
-    if not _seal_termstats_incremental(index_dir, gen):
-        _seal_termstats(index_dir)
+    # the stats recount as an add's would (pending deletes), and the rows
+    # of this generation are extra rows of docs the table holds
+    info = {"n_docs": 0, "n_tokens": 0, "replaces": [], "n_replaced": 0,
+            "n_shadowed": 0, "meta_update": int(len(new_rows))}
+    info.update(
+        stats=_restat(index_dir, prev["stats"], {**markers, gen: info},
+                      len(new_rows), len(new_rows),
+                      _dead_docs(index_dir, markers, prev["stats"])),
+        termstats=prev["termstats"])
+    _commit_gen(index_dir, gen, info)
     return {"gen": gen, "n_updated": int(len(new_rows)), "set_cols": set_cols}
 
 
@@ -1185,8 +1085,9 @@ def realtime_get(
     log; here the gen-layered ``_docs`` table IS that log, so RTG is one
     pushdown ``isin`` read (point lookup — never a corpus scan into the
     driver; parquet row groups that can't contain the ids are pruned by
-    their doc_id statistics). Crash remnants of uncommitted generations are
-    cleaned first, exactly like the write paths do.
+    their doc_id statistics). It reads as of the newest marker: rows of a
+    generation no marker commits yet (every writer cleans up crash
+    remnants first, so those are newer) are left out.
 
     Returns rows sorted by doc_id; ``columns`` (plus doc_id) prunes the
     output. Reference parity: the Solr endpoint the reference posts to
@@ -1195,34 +1096,19 @@ def realtime_get(
     """
     import pyarrow.dataset as pads
 
-    from .build import _seal_termstats
+    from .segments import newest_gen
 
-    if _cleanup_uncommitted_gens(index_dir):
-        _seal_termstats(index_dir)
+    at = newest_gen(index_dir)
     docs_dir = os.path.join(index_dir, "_docs")
     ids = np.unique(np.asarray(list(doc_ids), dtype=np.int64))
     dset = pads.dataset(docs_dir)
     pdf = dset.to_table(
         filter=pads.field("doc_id").isin(pa.array(ids, pa.int64()))
     ).to_pandas()
-    if "gen" in pdf.columns:
-        pdf = pdf.sort_values("gen", kind="mergesort").drop_duplicates(
-            "doc_id", keep="last"
-        )
-        row_gen = pdf["gen"].to_numpy(np.int64)
-    else:
-        pdf = pdf.drop_duplicates("doc_id")
-        row_gen = np.zeros(len(pdf), dtype=np.int64)
-    tomb_ids, tomb_thr = load_tombstone_thresholds(index_dir)
-    if len(tomb_ids) and len(pdf):
-        d = pdf["doc_id"].to_numpy(np.int64)
-        pos = np.searchsorted(tomb_ids, d)
-        ok = pos < len(tomb_ids)
-        hit = np.zeros(len(d), dtype=bool)
-        hit[ok] = tomb_ids[pos[ok]] == d[ok]
-        dead = np.zeros(len(d), dtype=bool)
-        dead[hit] = tomb_thr[np.searchsorted(tomb_ids, d[hit])] > row_gen[hit]
-        pdf = pdf[~dead]
+    pdf = pdf[pdf["gen"] <= at].sort_values(
+        "gen", kind="mergesort").drop_duplicates("doc_id", keep="last")
+    pdf = pdf[~masked_rows(pdf["doc_id"], pdf["gen"],
+                           *load_tombstone_thresholds(index_dir, at=at))]
     pdf = pdf.sort_values("doc_id", ignore_index=True)
     if columns is not None:
         keep = ["doc_id"] + [c for c in columns if c != "doc_id"]

@@ -28,7 +28,11 @@ BM25_K = 10
 
 
 def _index_dir_for(sf_dir: str) -> str:
-    tag = hashlib.md5(sf_dir.encode()).hexdigest()[:8]
+    """The cached index of ``sf_dir``, one per ``PIPELINE_VERSION``: an
+    index of another version refuses to open, resume included."""
+    from ... import PIPELINE_VERSION
+
+    tag = hashlib.md5(f"{sf_dir}:{PIPELINE_VERSION}".encode()).hexdigest()[:8]
     return f"/tmp/avr_bm25_idx_{tag}"
 
 

@@ -289,3 +289,116 @@ def test_scorers_during_a_full_merge_see_one_state(
     assert len(seen) > 3
     bad = [i for i, st in enumerate(seen) if st not in (pre, post)]
     assert not bad, f"{len(bad)}/{len(seen)} scorers saw neither state"
+
+
+def _reader_state(idx: str) -> tuple:
+    """What a reader opened now plans and scores with: a TermStatsStore's
+    stats and the df of the query vocabulary, and each shard's
+    ShardScorer's stats and live postings."""
+    from archivesspace_virgo_ray.index.query import TermStatsStore
+
+    store = TermStatsStore(idx)
+    terms = sorted({t for q in ("def return", "self import", "the license")
+                    for t in store._analyze(q)})
+    plan = (store.stats["n_docs"], store.stats["total_len"],
+            tuple(store._term_stats(terms, store._bucket_of(terms))))
+    scorers = []
+    for s in range(CFG["n_shards"]):
+        sc = ShardScorer(idx, s)
+        scorers.append((sc.stats["n_docs"], sc.avgdl, _live_postings(sc)))
+    return plan, tuple(map(repr, scorers))
+
+
+def _observe_every_write(monkeypatch, observe) -> None:
+    """Call ``observe()`` after each file write of a commit: every rename,
+    unlink and tree removal, and each write-mode file's close."""
+    import builtins
+    import shutil
+
+    busy = []
+
+    def after(fn):
+        def run(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if not busy:
+                busy.append(1)
+                try:
+                    observe()
+                finally:
+                    busy.clear()
+            return out
+        return run
+
+    class Closing:
+        def __init__(self, f):
+            self._f = f
+
+        def __getattr__(self, name):
+            return getattr(self._f, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.close()
+
+        def close(self):
+            if not self._f.closed:
+                after(self._f.close)()
+
+    real_open = builtins.open
+
+    def open_(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        return Closing(f) if any(c in mode for c in "wax+") and not busy else f
+
+    for mod, name in ((os, "replace"), (os, "rename"), (os, "unlink"),
+                      (os, "remove"), (shutil, "rmtree")):
+        monkeypatch.setattr(mod, name, after(getattr(mod, name)))
+    monkeypatch.setattr(builtins, "open", open_)
+
+
+def test_readers_at_every_write_of_a_commit_see_one_state(
+        tmp_path, corpus, ray_session, monkeypatch):
+    """Deterministic: a TermStatsStore and a ShardScorer per shard opened
+    after every file write of an add, a delete, an update_fields and a
+    vacuum. Each must plan and score with exactly the stats and df of the
+    index before the commit or exactly those after it — never new term
+    stats with old corpus stats (a commit spread over several files)."""
+    import pandas as pd
+
+    from archivesspace_virgo_ray.index.update import update_fields, vacuum_docs
+
+    src, victims = corpus
+    idx = str(tmp_path / "idx")
+    build_index(os.path.join(src, "base.parquet"), idx, BuildConfig(**CFG),
+                resume=False)
+    commits = [
+        ("add", lambda: add_documents(os.path.join(src, "d1.parquet"), idx,
+                                      BuildConfig(**CFG))),
+        ("delete", lambda: delete_documents(idx, victims)),
+        ("update_fields", lambda: update_fields(idx, pd.DataFrame(
+            {"doc_id": live[:3], "lang": ["zz"] * 3}))),
+        ("vacuum", lambda: vacuum_docs(idx)),
+    ]
+    for name, commit in commits:
+        if name == "vacuum":
+            merge_segments(idx, concurrency=1)
+        live = _live_ids(idx)
+        pre = _reader_state(idx)
+        seen = []
+        with monkeypatch.context() as mp:
+            _observe_every_write(mp, lambda: seen.append(_reader_state(idx)))
+            commit()
+        post = _reader_state(idx)
+        assert seen, name
+        for i, st in enumerate(seen):
+            assert st[0] in (pre[0], post[0]), \
+                f"{name}: store at write {i} planned with neither state"
+            assert st[1] in (pre[1], post[1]), \
+                f"{name}: scorers at write {i} scored with neither state"
+
+
+def _live_ids(idx: str) -> list[int]:
+    """Doc ids the index answers for: the sentinel's matches."""
+    return [d for s in range(CFG["n_shards"]) for d in _shard_ids(idx, s)]

@@ -12,6 +12,13 @@ from archivesspace_virgo_ray.index.fsck import fsck_index
 CORPUS = "/root/testdata/sf0.001/documents.parquet"
 
 
+def _newest_marker(idx):
+    """Path of the newest commit marker (a test corrupts it in place)."""
+    from archivesspace_virgo_ray.index.segments import marker_path, newest_gen
+
+    return marker_path(idx, newest_gen(idx))
+
+
 def _build(tmp_path, positions=False):
     idx = str(tmp_path / "idx")
     build_index(CORPUS, idx, BuildConfig(
@@ -84,9 +91,9 @@ def test_leftover_staging_is_reported_repaired_and_not_snapshotted(
 def test_detects_stats_drift_and_missing_positions(ray_session, tmp_path):
     idx = _build(tmp_path, positions=True)
     # corrupt global stats counter
-    sp = os.path.join(idx, "_global", "stats.json")
+    sp = _newest_marker(idx)
     s = json.load(open(sp))
-    s["n_postings"] += 7
+    s["stats"]["n_postings"] += 7
     json.dump(s, open(sp, "w"))
     # drop one positions stream
     seg = sorted(os.listdir(os.path.join(idx, "segments")))[0]
@@ -113,10 +120,10 @@ def test_repair_heals_safe_findings(ray_session, tmp_path):
     dead = os.path.join(idx, "segments", ".tmp-s0000_b0000-dead")
     os.makedirs(dead)
     os.utime(dead, (0, 0))  # backdate: a LIVE-looking scratch is skipped
-    sp = os.path.join(idx, "_global", "stats.json")
+    sp = _newest_marker(idx)
     s = json.load(open(sp))
-    s["n_postings"] += 3
-    s["total_len"] += 3
+    s["stats"]["n_postings"] += 3
+    s["stats"]["total_len"] += 3
     json.dump(s, open(sp, "w"))
     r = repair_index(idx)
     assert r["ok"], r["issues"]
@@ -243,3 +250,41 @@ def test_detects_corrupt_block_table(ray_session, tmp_path, code):
     assert res["issue_codes"] == [code], res["issues"]
     with pytest.raises(ValueError):
         SegmentReader(idx, name=seg)
+
+
+@pytest.mark.parametrize("code", ["marker_unreadable", "marker_stats",
+                                  "termstats_missing", "termstats_leftover"])
+def test_detects_commit_record_damage(ray_session, tmp_path, code):
+    """Each kind of damage to the commit record is its own finding: an
+    unreadable newest marker, stats that disagree with the live segments
+    and the forward table, a term-stats version the marker names but is
+    gone, and one no kept marker names (a crash between a seal and its
+    marker). Repair commits a new marker for the stats and the missing
+    version and reaps the leftover; an unreadable marker stays reported."""
+    from archivesspace_virgo_ray.index import fsck as F
+    from archivesspace_virgo_ray.index.query import LocalSearcher
+    from archivesspace_virgo_ray.index.segments import termstats_dir
+
+    idx = _build(tmp_path)
+    want = LocalSearcher(idx).search("the data model", 5)
+    ts = termstats_dir(idx)
+    if code == "marker_unreadable":
+        with open(_newest_marker(idx), "w") as f:
+            f.write("{not json")
+    elif code == "marker_stats":
+        sp = _newest_marker(idx)
+        s = json.load(open(sp))
+        s["stats"]["n_docs"] += 1
+        json.dump(s, open(sp, "w"))
+    elif code == "termstats_missing":
+        shutil.rmtree(ts)
+    else:
+        shutil.copytree(ts, os.path.join(idx, "_global", "termstats-deadbeef"))
+    res = fsck_index(idx)
+    assert res["issue_codes"] == [code], res["issues"]
+    fixed = F.repair_index(idx)
+    if code == "marker_unreadable":
+        assert fixed["issue_codes"] == [code]
+        return
+    assert fixed["ok"], fixed["issues"]
+    assert LocalSearcher(idx).search("the data model", 5) == want

@@ -290,46 +290,6 @@ def test_delete_then_readd_becomes_visible(tmp_path, ray_session):
     assert {x for x, _ in s.search("gamma", 10)} == set()  # old version stays dead
 
 
-def test_termstats_self_heal_after_crash_between_commit_and_seal(
-    tmp_path, ray_session
-):
-    """Crash window: gen committed but termstats not resealed — readers
-    detect the stale seal (sealed_gens mismatch) and reseal before planning."""
-    import json as _json
-
-    import pyarrow.parquet as pqt
-
-    base = _mini_corpus([(1, "alpha beta", "en"), (2, "beta gamma", "fr")])
-    delta = _mini_corpus([(3, "beta delta", "en")])
-    d = tmp_path
-    pqt.write_table(base, str(d / "base.parquet"))
-    pqt.write_table(delta, str(d / "delta.parquet"))
-    idx = str(d / "idx")
-    build_index(str(d / "base.parquet"), idx, BuildConfig(**MINI_CFG), resume=False)
-    add_documents(str(d / "delta.parquet"), idx, BuildConfig(**MINI_CFG))
-
-    # simulate the crash by restoring a PRE-ADD seal record (in the CURRENT
-    # pointer-resolved seal version)
-    from archivesspace_virgo_ray.index.build import termstats_dir
-
-    sealed = os.path.join(termstats_dir(idx), "_SEALED.json")
-    with open(sealed, "w") as f:
-        _json.dump({"sealed_gens": []}, f)
-
-    from archivesspace_virgo_ray.index.query import TermStatsStore
-
-    store = TermStatsStore(idx)  # must self-heal (reseal publishes a NEW
-    # version and flips the pointer)
-    with open(os.path.join(termstats_dir(idx), "_SEALED.json")) as f:
-        assert _json.load(f)["sealed_gens"] == [1]
-    plans = store.plan_query("beta")
-    assert plans and plans[0].term == "beta"
-    # df reflects all three docs post-heal
-    from archivesspace_virgo_ray.oracle import bm25_idf
-
-    assert plans[0].idf == bm25_idf(3, store.stats["n_docs"])
-
-
 def test_delete_merge_readd_keeps_stats_exact(tmp_path, ray_session):
     """delete → merge (expunge) → re-add of the same id: n_docs/avgdl must
     match a from-scratch rebuild over the live corpus (regression: the
@@ -455,63 +415,10 @@ def test_consecutive_same_shard_deletes_both_expunge(tmp_path, ray_session):
     assert LocalSearcher(idx).search("beta", 10) == LocalSearcher(idx2).search("beta", 10)
 
 
-def test_termstats_versioned_seal_keeps_old_version_until_aged(
-    tmp_path, ray_session
-):
-    """A reseal publishes a NEW versioned dir and flips the pointer; the
-    previously-resolved version stays on disk (pinned readers keep a
-    complete seal under their feet — the old rmtree/replace swap had a
-    window where buckets vanished mid-read)."""
-    import pyarrow.parquet as pqt
-
-    from archivesspace_virgo_ray.index.build import (
-        _seal_termstats,
-        termstats_dir,
-    )
-    from archivesspace_virgo_ray.index.query import TermStatsStore
-
-    base = _mini_corpus([(1, "alpha beta", "en"), (2, "beta gamma", "fr")])
-    d = tmp_path
-    pqt.write_table(base, str(d / "base.parquet"))
-    idx = str(d / "idx")
-    build_index(str(d / "base.parquet"), idx, BuildConfig(**MINI_CFG), resume=False)
-
-    v1 = termstats_dir(idx)
-    assert os.path.basename(v1).startswith("termstats-")
-    store = TermStatsStore(idx)
-    assert store._ts_dir == v1
-
-    _seal_termstats(idx)  # reseal (identical content, new version)
-    v2 = termstats_dir(idx)
-    assert v2 != v1
-    # old version survives the flip (age-gated GC only) and the pinned
-    # store still plans correctly from it
-    assert os.path.isdir(v1)
-    plans = store.plan_query("beta")
-    assert plans and plans[0].term == "beta"
-    # a fresh store resolves the new version and agrees
-    assert TermStatsStore(idx).plan_query("beta")[0].idf == plans[0].idf
-
-
-def test_termstats_dir_legacy_fallback(tmp_path):
-    """Indexes sealed before the pointer existed resolve to the legacy
-    unversioned path."""
-    from archivesspace_virgo_ray.index.build import termstats_dir
-
-    idx = str(tmp_path / "idx")
-    legacy = os.path.join(idx, "_global", "termstats")
-    os.makedirs(legacy)
-    assert termstats_dir(idx) == legacy
-
-
-def test_warm_store_refreshes_whole_snapshot_when_pinned_seal_gcd(
-    tmp_path, ray_session
-):
-    """A warm TermStatsStore whose pinned seal version was GC'd after the
-    committed gens CHANGED must refresh buckets AND stats — never mix
-    old-seal df with new-seal df (the bit-identical BM25 contract)."""
-    import shutil
-
+def test_termstats_version_outlives_one_commit(tmp_path, ray_session):
+    """An add's marker names a NEW term-stats version; the reap rule keeps
+    the version the second-newest marker names, so a store pinned before
+    the add still plans from its complete version."""
     import pyarrow.parquet as pqt
 
     from archivesspace_virgo_ray.index.build import termstats_dir
@@ -525,24 +432,61 @@ def test_warm_store_refreshes_whole_snapshot_when_pinned_seal_gcd(
     idx = str(d / "idx")
     build_index(str(d / "base.parquet"), idx, BuildConfig(**MINI_CFG), resume=False)
 
+    v1 = termstats_dir(idx)
+    assert os.path.basename(v1).startswith("termstats-")
+    store = TermStatsStore(idx)
+    assert store._ts_dir == v1
+
+    add_documents(str(d / "delta.parquet"), idx, BuildConfig(**MINI_CFG))
+    v2 = termstats_dir(idx)
+    assert v2 != v1
+    assert os.path.isdir(v1)
+    plans = store.plan_query("beta")
+    assert plans and plans[0].term == "beta"
+    # the pinned store plans its own commit: 2 docs, df(beta) = 2
+    assert store.stats["n_docs"] == 2
+    fresh = TermStatsStore(idx)
+    assert fresh._ts_dir == v2 and fresh.stats["n_docs"] == 3
+    assert fresh.plan_query("beta")[0].idf != plans[0].idf
+
+
+def test_warm_store_refreshes_whole_snapshot_when_pinned_seal_gcd(
+    tmp_path, ray_session
+):
+    """A warm TermStatsStore held across TWO commits finds its version
+    reaped: planning a term of a bucket it has not loaded raises
+    _StaleIndexRead — never a plan that reads the missing bucket as empty
+    (a partial vocabulary) — and a fresh store plans the newest commit."""
+    import pyarrow.parquet as pqt
+
+    from archivesspace_virgo_ray.index.query import TermStatsStore, _StaleIndexRead
+
+    base = _mini_corpus([(1, "alpha beta", "en"), (2, "beta gamma", "fr")])
+    d = tmp_path
+    pqt.write_table(base, str(d / "base.parquet"))
+    for i, text in enumerate(("beta delta", "delta epsilon")):
+        pqt.write_table(_mini_corpus([(3 + i, text, "en")]), str(d / f"d{i}.parquet"))
+    idx = str(d / "idx")
+    build_index(str(d / "base.parquet"), idx, BuildConfig(**MINI_CFG), resume=False)
+
     store = TermStatsStore(idx)
     assert store.plan_query("beta")  # warm one bucket from the base seal
     old_dir = store._ts_dir
+    for i in range(2):
+        add_documents(str(d / f"d{i}.parquet"), idx, BuildConfig(**MINI_CFG))
+    assert not os.path.exists(old_dir)
 
-    add_documents(str(d / "delta.parquet"), idx, BuildConfig(**MINI_CFG))
-    # simulate the age-gated sweep reclaiming the old pinned version
-    shutil.rmtree(old_dir)
+    cold = [t for t in ("alpha", "beta", "gamma", "delta", "epsilon")
+            if store._bucket_of([t])[0] not in store._buckets]
+    assert cold, "every term's bucket is warm: pick more terms"
+    for t in cold:
+        with pytest.raises(_StaleIndexRead):
+            store.plan_query(t)
+    from archivesspace_virgo_ray.oracle import bm25_idf
 
     fresh = TermStatsStore(idx)
-    # an UNCACHED term forces the GC'd-seal fallback, which must refresh
-    # the WHOLE snapshot — after it fires, every plan (including the
-    # previously-cached 'beta' bucket) must equal a fresh store's, never a
-    # mix of old-seal and new-seal df/stats
-    for q in ("delta", "beta", "alpha gamma"):
-        got = [(p.term, p.idf, p.ub) for p in store.plan_query(q)]
-        want = [(p.term, p.idf, p.ub) for p in fresh.plan_query(q)]
-        assert got == want, q
-    assert store.stats["n_docs"] == 3
+    assert fresh.stats["n_docs"] == 4
+    assert fresh.plan_query("delta")[0].idf == bm25_idf(2, 4)
 
 
 def test_delete_by_query(ray_session, tmp_path):
@@ -623,38 +567,3 @@ def test_realtime_get_sees_updates_deletes_and_readds(tmp_path, ray_session):
     out = realtime_get(idx, [1, 2, 3], columns=["lang"])
     assert out["doc_id"].tolist() == [1, 2]
     assert out["lang"].tolist() == ["xx", "es"]  # readd's latest version wins
-
-
-def test_add_rewrites_stats_only_when_they_change(tmp_path, ray_session,
-                                                  monkeypatch):
-    """After a clean commit an add's ``repair_stats`` has nothing to heal,
-    so ``_global/stats.json`` keeps its inode and mtime until the add's
-    own stats write (replacing a file costs an ext4 flush)."""
-    from archivesspace_virgo_ray.index import build, update
-
-    d = tmp_path
-    rows = [(i, f"alpha w{i} common", "en") for i in range(1, 7)]
-    for name, part in (("base", rows[:4]), ("a1", rows[4:5]), ("a2", rows[5:])):
-        pq.write_table(_mini_corpus(part), str(d / f"{name}.parquet"))
-    idx = str(d / "idx")
-    build_index(str(d / "base.parquet"), idx, BuildConfig(**MINI_CFG), resume=False)
-    add_documents(str(d / "a1.parquet"), idx, BuildConfig(**MINI_CFG))
-    sp = os.path.join(idx, "_global", "stats.json")
-
-    def stamp():
-        st = os.stat(sp)
-        return st.st_ino, st.st_mtime_ns
-
-    clean = stamp()
-    at_commit = []
-    real_commit = update._commit_gen
-
-    def spy(*args, **kwargs):
-        at_commit.append(stamp())
-        return real_commit(*args, **kwargs)
-
-    monkeypatch.setattr(update, "_commit_gen", spy)
-    stats = add_documents(str(d / "a2.parquet"), idx, BuildConfig(**MINI_CFG))
-    assert at_commit == [clean]
-    assert stamp() != clean
-    assert stats["n_docs"] == update.read_stats(idx)["n_docs"] == 6

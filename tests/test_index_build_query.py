@@ -2,7 +2,6 @@
 partitioning invariance, sha256 per-row invariant, and checkpoint/resume."""
 
 import glob
-import json
 import os
 import shutil
 
@@ -19,6 +18,7 @@ from archivesspace_virgo_ray.corpus import (
 from archivesspace_virgo_ray.functions.hashing import doc_id_from_key, sha256_hex
 from archivesspace_virgo_ray.index.build import BuildConfig, build_index
 from archivesspace_virgo_ray.index.query import LocalSearcher, bm25_topk
+from archivesspace_virgo_ray.index.segments import read_stats
 from archivesspace_virgo_ray.oracle import OracleIndex
 
 N_DOCS = 400
@@ -153,10 +153,7 @@ def test_resume_skips_completed_and_is_byte_identical(
             a = open(os.path.join(idx_a, "segments", name, f), "rb").read()
             b = open(os.path.join(idx_b, "segments", name, f), "rb").read()
             assert a == b, f"{name}/{f} differs after resume"
-    with open(os.path.join(idx_a, "_global", "stats.json")) as f:
-        sa = json.load(f)
-    with open(os.path.join(idx_b, "_global", "stats.json")) as f:
-        sb = json.load(f)
+    sa, sb = read_stats(idx_a), read_stats(idx_b)
     for key in ("n_docs", "total_len", "avgdl", "n_postings"):
         assert sa[key] == sb[key]
 

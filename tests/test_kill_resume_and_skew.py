@@ -15,6 +15,7 @@ import pytest
 
 from archivesspace_virgo_ray.corpus import generate_queries, write_corpus
 from archivesspace_virgo_ray.index.build import BuildConfig, build_index
+from archivesspace_virgo_ray.index.segments import read_stats
 from archivesspace_virgo_ray.oracle import OracleIndex
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -77,8 +78,8 @@ def test_sigkill_mid_build_then_resume_byte_identical(kill_corpus, tmp_path_fact
         pytest.skip("build finished before kill fired (machine too fast)")
     n_partial = len(glob.glob(os.path.join(idx_killed, "segments", "s*_b*", "manifest.json")))
     assert 1 <= n_partial < 8, f"expected a partial index, got {n_partial}/8 segments"
-    # crashed run must not have sealed global stats
-    assert not os.path.exists(os.path.join(idx_killed, "_global", "stats.json"))
+    # crashed run must not have committed the build's marker
+    assert not os.path.exists(os.path.join(idx_killed, "_global", "gens", "g0000.json"))
 
     _run_build(kill_corpus, idx_killed)  # resume in a fresh process
 
@@ -87,8 +88,7 @@ def test_sigkill_mid_build_then_resume_byte_identical(kill_corpus, tmp_path_fact
             a = open(os.path.join(idx_clean, "segments", seg, f), "rb").read()
             b = open(os.path.join(idx_killed, "segments", seg, f), "rb").read()
             assert a == b, f"{seg}/{f} differs after kill+resume"
-    sa = json.load(open(os.path.join(idx_clean, "_global", "stats.json")))
-    sb = json.load(open(os.path.join(idx_killed, "_global", "stats.json")))
+    sa, sb = read_stats(idx_clean), read_stats(idx_killed)
     for key in ("n_docs", "total_len", "avgdl", "n_postings"):
         assert sa[key] == sb[key]
 
@@ -264,7 +264,7 @@ def test_sigkill_mid_staging_then_resume_byte_identical(kill_corpus,
     killed = _run_staged_build(kill_corpus, idx_killed, kill_on_staging=True)
     if not killed:
         pytest.skip("staging finished before kill fired (machine too fast)")
-    assert not os.path.exists(os.path.join(idx_killed, "_global", "stats.json"))
+    assert not os.path.exists(os.path.join(idx_killed, "_global", "gens", "g0000.json"))
 
     _run_staged_build(kill_corpus, idx_killed)  # resume in a fresh process
 
@@ -274,7 +274,6 @@ def test_sigkill_mid_staging_then_resume_byte_identical(kill_corpus,
             a = open(os.path.join(idx_clean, "segments", seg, f), "rb").read()
             b = open(os.path.join(idx_killed, "segments", seg, f), "rb").read()
             assert a == b, f"{seg}/{f} differs after staged kill+resume"
-    sa = json.load(open(os.path.join(idx_clean, "_global", "stats.json")))
-    sb = json.load(open(os.path.join(idx_killed, "_global", "stats.json")))
+    sa, sb = read_stats(idx_clean), read_stats(idx_killed)
     for key in ("n_docs", "total_len", "avgdl", "n_postings"):
         assert sa[key] == sb[key]

@@ -318,9 +318,10 @@ def test_get_pool_does_not_wait_for_actors(idx, monkeypatch):
 def test_add_during_startup_never_hands_over_to_mixed_state(tmp_path,
                                                             ray_session):
     """An add that commits after the twins loaded but before the actors
-    are ready: the pool keeps answering from the twins' state (the actors
-    may have loaded either state, or one each); the next get_pool
-    refreshes and its answers include the add."""
+    are ready: the actors load the marker the pool pinned, not the add's,
+    so they take over from the twins and the pool keeps answering the
+    pinned state; the next get_pool refreshes and its answers include the
+    add."""
     full = generate_corpus(260, seed=41)
     src = tmp_path / "corp"
     src.mkdir()
@@ -347,7 +348,7 @@ def test_add_during_startup_never_hands_over_to_mixed_state(tmp_path,
         add_documents(str(src / "d1.parquet"), index_dir, cfg)
         pool.wait_ready()
         assert pool.topk(q)["doc_id"].to_pylist() == expect(200)
-        assert sorted(pool._twins) == [0, 1], "handed over across a commit"
+        assert not pool._twins, "actors at the twins' marker take over"
         pool2 = get_pool(index_dir)
         assert pool2 is pool and not pool._twins
         assert pool2.topk(q)["doc_id"].to_pylist() == expect(260)
@@ -366,8 +367,8 @@ def test_shutdown_while_actors_start_leaves_no_actor(idx):
 
 
 def test_failed_refresh_shuts_the_pool_down(tmp_path, ray_session, sf_dir):
-    """A get_pool whose refresh raises (unreadable stats) must not leave
-    the pool's actors running outside the cache."""
+    """A get_pool whose refresh raises (an unreadable newest marker) must
+    not leave the pool's actors running outside the cache."""
     import json
 
     index_dir = str(tmp_path / "idx")
@@ -377,7 +378,8 @@ def test_failed_refresh_shuts_the_pool_down(tmp_path, ray_session, sf_dir):
     pool = get_pool(index_dir)
     pool.wait_ready()
     handles = list(pool.actors)
-    with open(os.path.join(index_dir, "_global", "stats.json"), "w") as f:
+    with open(os.path.join(index_dir, "_global", "gens", "g0001.json"),
+              "w") as f:
         f.write("{not json")
     with pytest.raises(json.JSONDecodeError):
         get_pool(index_dir)

@@ -115,15 +115,16 @@ def test_query_pool_reuse_and_invalidation(doc_index, sf_dir):
     assert len(before) == 5
 
     victim = int(before["doc_id"].iloc[0])
+    markers = set(os.listdir(os.path.join(doc_index, "_global", "gens")))
     delete_documents(doc_index, [victim])
     p3 = get_pool(doc_index)
     assert p3 is p1  # index changed → same pool, refreshed in place
     after = bm25_topk(doc_index, q).to_pandas()
     assert victim not in set(after["doc_id"])
-    # restore: clear the tombstone file for the other module-scoped tests
-    import os
-
-    os.remove(os.path.join(doc_index, "_global", "tombstones.json"))
+    # restore for the other module-scoped tests: drop the delete's marker
+    # (it names its predecessor's term stats, so nothing else changed)
+    (new,) = set(os.listdir(os.path.join(doc_index, "_global", "gens"))) - markers
+    os.remove(os.path.join(doc_index, "_global", "gens", new))
     assert victim in set(bm25_topk(doc_index, q).to_pandas()["doc_id"])
 
 

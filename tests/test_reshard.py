@@ -109,9 +109,15 @@ def ray_docs(df: pd.DataFrame):
     return ray.data.from_arrow(pa.Table.from_pandas(df, preserve_index=False))
 
 
+def _drop_marker(idx):
+    """Undo a finished reshard's commit: its one marker."""
+    (name,) = os.listdir(os.path.join(idx, "_global", "gens"))
+    os.remove(os.path.join(idx, "_global", "gens", name))
+
+
 def test_reshard_resume_after_partial(ray_session, tmp_path):
-    """Kill-resume: wipe stats + a segment from a finished reshard, resume,
-    and the result is byte-identical to a clean reshard."""
+    """Kill-resume: wipe the marker + a segment from a finished reshard,
+    resume, and the result is byte-identical to a clean reshard."""
     import shutil
 
     src = str(tmp_path / "src")
@@ -120,8 +126,8 @@ def test_reshard_resume_after_partial(ray_session, tmp_path):
     build_index(CORPUS, src, _cfg(4, 8))
     reshard_index(src, clean, n_shards=2, n_buckets=4)
     reshard_index(src, crashed, n_shards=2, n_buckets=4)
-    # simulate a crash: seal artifacts + one segment missing
-    os.remove(os.path.join(crashed, "_global", "stats.json"))
+    # simulate a crash: the marker + one segment missing
+    _drop_marker(crashed)
     segs = sorted(os.listdir(os.path.join(crashed, "segments")))
     shutil.rmtree(os.path.join(crashed, "segments", segs[0]))
     shutil.rmtree(os.path.join(crashed, "_docs"))
@@ -137,7 +143,7 @@ def test_reshard_resume_mid_docs_write_and_post_rename(ray_session, tmp_path):
     """The two _docs crash windows the first resume test missed: (a) crash
     DURING the docs write (partial files left in _docs.tmp — a resume must
     not merge new files next to them and duplicate rows), (b) crash AFTER
-    the _docs rename but before write_stats (resume must not os.replace
+    the _docs rename but before the marker (resume must not os.replace
     onto the completed, non-empty _docs)."""
     import shutil
 
@@ -149,10 +155,10 @@ def test_reshard_resume_mid_docs_write_and_post_rename(ray_session, tmp_path):
     reshard_index(src, clean, n_shards=2, n_buckets=4)
     n_docs_clean = len(_pq.read_table(os.path.join(clean, "_docs")))
 
-    # (a) mid-docs-write: stats missing, _docs missing, stale partial tmp
+    # (a) mid-docs-write: marker missing, _docs missing, stale partial tmp
     mid = str(tmp_path / "mid")
     reshard_index(src, mid, n_shards=2, n_buckets=4)
-    os.remove(os.path.join(mid, "_global", "stats.json"))
+    _drop_marker(mid)
     tmp_docs = os.path.join(mid, "_docs.tmp")
     os.rename(os.path.join(mid, "_docs"), tmp_docs)  # fake a partial write
     reshard_index(src, mid, n_shards=2, n_buckets=4, resume=True)
@@ -160,10 +166,10 @@ def test_reshard_resume_mid_docs_write_and_post_rename(ray_session, tmp_path):
     assert len(_pq.read_table(os.path.join(mid, "_docs"))) == n_docs_clean
     assert segments_equal(mid, clean)
 
-    # (b) post-rename: _docs complete, only the seal (stats) missing
+    # (b) post-rename: _docs complete, only the marker missing
     post = str(tmp_path / "post")
     reshard_index(src, post, n_shards=2, n_buckets=4)
-    os.remove(os.path.join(post, "_global", "stats.json"))
+    _drop_marker(post)
     reshard_index(src, post, n_shards=2, n_buckets=4, resume=True)
     assert len(_pq.read_table(os.path.join(post, "_docs"))) == n_docs_clean
     assert segments_equal(post, clean)

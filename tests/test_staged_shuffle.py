@@ -117,10 +117,10 @@ def test_staged_resume_skips_complete_segments(ray_session, tmp_path,
     build_index(docs_path, idx, _cfg(), resume=False)
     assert not os.path.exists(os.path.join(idx, "_staging"))
     before = _segment_bytes(idx)
-    # delete ONE segment + the stats stamp: resume must rebuild only it
+    # delete ONE segment + the build's marker: resume must rebuild only it
     victim = sorted(os.listdir(os.path.join(idx, "segments")))[0]
     shutil.rmtree(os.path.join(idx, "segments", victim))
-    os.remove(os.path.join(idx, "_global", "stats.json"))
+    os.remove(os.path.join(idx, "_global", "gens", "g0000.json"))
     stats = build_index(docs_path, idx, _cfg(), resume=True)
     assert stats["n_segments_written"] == 1
     after = _segment_bytes(idx)

@@ -22,6 +22,7 @@ from archivesspace_virgo_ray.functions.hashing import doc_id_from_key
 from archivesspace_virgo_ray.index.build import BuildConfig, build_index
 from archivesspace_virgo_ray.index.fsck import (
     FOLDED_LEFTOVER,
+    TERMSTATS_LEFTOVER,
     UNCOMMITTED_LEFTOVER,
     fsck_index,
     repair_index,
@@ -243,8 +244,9 @@ def test_crash_before_marker_is_invisible_and_retryable(
     _assert_matches_oracle(idx, _ids(full).tolist(), full["content"].to_pylist())
 
     # a full merge commits the same way: crashed before its marker, its
-    # output is invisible and the answers stay the pre-merge ones, fsck
-    # names the output and repair reaps it; the retry completes
+    # output and the term-stats version it sealed are invisible and the
+    # answers stay the pre-merge ones, fsck names both and repair reaps
+    # them; the retry completes
     before = {n for ns in list_segment_generations(idx).values() for n in ns}
     monkeypatch.setattr(upd, "_commit_gen", boom)
     with pytest.raises(RuntimeError):
@@ -254,7 +256,8 @@ def test_crash_before_marker_is_invisible_and_retryable(
                for n in ns} - before
     assert outputs and all(n.endswith("_g0006") for n in outputs)
     _assert_matches_oracle(idx, _ids(full).tolist(), full["content"].to_pylist())
-    assert set(fsck_index(idx)["issue_codes"]) == {UNCOMMITTED_LEFTOVER}
+    assert set(fsck_index(idx)["issue_codes"]) == {UNCOMMITTED_LEFTOVER,
+                                                   TERMSTATS_LEFTOVER}
     after = repair_index(idx)
     assert after["ok"], after["issues"]
     assert not any(n in outputs for ns in list_segment_generations(idx).values()

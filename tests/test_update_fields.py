@@ -135,15 +135,20 @@ def _assert_matches_oracle(idx, live):
 
 def test_stats_after_update_fields_then_add_match_oracle(upd_idx, tmp_path):
     """An update_fields row sits beside the row it updates: every later
-    stats repair (an add runs one) must not count it as a doc, or idf and
-    avgdl drift from the live corpus's."""
+    commit's stats (an add recounts) must not count it as a doc, or idf
+    and avgdl drift from the live corpus's; fsck's ``marker_stats`` check
+    recomputes the same identity from the forward table."""
+    from archivesspace_virgo_ray.index.fsck import fsck_index
     from archivesspace_virgo_ray.index.reshard import reshard_index
     from archivesspace_virgo_ray.index.update import (
         add_documents,
         delete_documents,
         maintain,
-        repair_stats,
     )
+
+    def audit_ok(idx):
+        audit = fsck_index(idx)
+        assert audit["ok"], audit["issues"]
 
     cfg = BuildConfig(n_shards=2, n_buckets=4, text_col="text", id_col="doc_id",
                       meta_cols=("grp",))
@@ -155,7 +160,7 @@ def test_stats_after_update_fields_then_add_match_oracle(upd_idx, tmp_path):
     add_documents(_added(tmp_path, new, "add.parquet"), upd_idx, cfg)
     live = {d: t for d, t, _ in DOCS + new}
     _assert_matches_oracle(upd_idx, live)
-    repair_stats(upd_idx)
+    audit_ok(upd_idx)
     _assert_matches_oracle(upd_idx, live)
 
     # a delete of an updated doc (stats keep it until a merge), the full
@@ -165,10 +170,10 @@ def test_stats_after_update_fields_then_add_match_oracle(upd_idx, tmp_path):
     del live[2]
     maintain(upd_idx, dead_ratio=0.0)
     _assert_matches_oracle(upd_idx, live)
-    repair_stats(upd_idx)
+    audit_ok(upd_idx)
     _assert_matches_oracle(upd_idx, live)
     dst = str(tmp_path / "resharded")
     reshard_index(upd_idx, dst, 1, 2)
     _assert_matches_oracle(dst, live)
-    repair_stats(dst)
+    audit_ok(dst)
     _assert_matches_oracle(dst, live)

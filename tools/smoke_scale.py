@@ -177,7 +177,7 @@ def smoke_maintain(n_docs: int) -> None:
     ok = fsck_index(idx)["ok"]
     print(f"n_docs={n_docs} build={t_build:.1f}s adds4x{n_delta}={t_adds:.1f}s "
           f"del+repl={t_mut:.1f}s fold={t_fold:.1f}s "
-          f"(rounds={len(fold['rounds'])}, seal={fold.get('seal')}) "
+          f"(rounds={len(fold['rounds'])}) "
           f"maintain={t_maint:.1f}s (merged_pairs={rep['merged_pairs']}, "
           f"vacuum={rep.get('vacuum')}) fold/full={t_fold / max(t_maint, 1e-9):.2f} "
           f"n_docs_final={read_stats(idx)['n_docs']} fsck_ok={ok}", flush=True)
@@ -266,9 +266,9 @@ def smoke_query(n_docs: int) -> None:
     seed = 1401
     sizes = gen.Sizes(n_docs=n_docs)
     idx = f"{_TMP}/avr_smoke_q_{n_docs}"
-    try:
+    try:  # an index of another PIPELINE_VERSION refuses to open
         current = read_stats(idx).get("pipeline_version") == PIPELINE_VERSION
-    except OSError:
+    except (OSError, ValueError):
         current = False
     if not current:
         shutil.rmtree(idx, ignore_errors=True)
