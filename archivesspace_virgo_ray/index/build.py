@@ -756,8 +756,11 @@ def _seal_termstats_incremental(index_dir: str, gen: int,
 def _reap_termstats(index_dir: str) -> None:
     """The reap rule: remove every term-stats version that neither of the
     two newest markers names — superseded versions and a crashed commit's
-    unnamed one. A reader pinned at an older marker finds its version gone
-    and reopens at the newest (``query._StaleIndexRead``)."""
+    unnamed one. A version is renamed away (``.reap-<id>``) before it is
+    removed, so it vanishes whole: a reader pinned at an older marker finds
+    its version gone, never some of its buckets, and reopens at the newest
+    (``query._StaleIndexRead``). A reap that crashed leaves a ``.reap-*``
+    dir no reader opens; the next reap removes it."""
     import shutil
 
     from .segments import committed_gens, marker_path
@@ -768,5 +771,10 @@ def _reap_termstats(index_dir: str) -> None:
             keep.add(json.load(f).get("termstats"))
     root = os.path.join(index_dir, GLOBAL)
     for name in os.listdir(root):
+        path = os.path.join(root, name)
         if name.startswith("termstats-") and name not in keep:
-            shutil.rmtree(os.path.join(root, name), ignore_errors=True)
+            gone = os.path.join(root, f".reap-{uuid.uuid4().hex[:8]}")
+            os.rename(path, gone)
+            shutil.rmtree(gone, ignore_errors=True)
+        elif name.startswith(".reap-"):
+            shutil.rmtree(path, ignore_errors=True)

@@ -34,6 +34,7 @@ from .query import (
     _merge_topk_parts,
     _plan_batch,
     _plan_terms,
+    _repin_attempts,
     get_pool_and_sig,
 )
 
@@ -149,7 +150,7 @@ class FederatedSearcher:
         plan, merge every actor's per-shard k-heaps."""
         import ray
 
-        while True:
+        for _ in _repin_attempts(", ".join(self.index_dirs)):
             self._ensure_fresh()
             try:
                 plan = _plan_batch(self, queries, mu)

@@ -16,8 +16,9 @@ and only deleted after a committed compaction folded it.
 A crash between a compaction's output and its marker, or between the
 marker and the source reap, leaves invisible dirs: ``uncommitted_leftover``
 and ``folded_leftover``; a crash between a seal and its marker leaves a
-term-stats version no marker names: ``termstats_leftover``. ``repair_index``
-removes all three.)
+term-stats version no marker names, and a crashed reap its renamed-away
+``.reap-*`` dir: ``termstats_leftover``. ``repair_index`` removes all
+three.)
 
 Findings carry STRUCTURED codes (``issue_codes`` parallel to ``issues``) so
 ``repair_index`` matches repairs to exactly the findings they fix — never by
@@ -218,6 +219,9 @@ def fsck_index(index_dir: str) -> dict:
         if name.startswith("termstats-") and name not in kept:
             add(TERMSTATS_LEFTOVER, f"term-stats version {name}: no kept "
                 "marker names it")
+        elif name.startswith(".reap-"):
+            add(TERMSTATS_LEFTOVER, f"{name}: a crashed reap's term-stats "
+                "version")
 
     if os.path.isdir(os.path.join(index_dir, STAGING)):
         # crashed triples exchange (build.write_segments): never read by
@@ -227,7 +231,7 @@ def fsck_index(index_dir: str) -> dict:
     # ---- forward doc table and the stats identity ---------------------------
     docs_dir = os.path.join(index_dir, DOCS)
     swap = [n for n in sorted(os.listdir(index_dir))
-            if re.match(rf"^{DOCS}\.(old(-g\d+)?|vtmp)$", n)]
+            if re.match(rf"^{DOCS}\.(old-g\d+|vtmp)$", n)]
     for name in swap:
         add(VACUUM_LEFTOVER, f"{name} present (crashed vacuum_docs — repair "
             "rolls its swap back or forward)")
@@ -371,16 +375,16 @@ def repair_index(index_dir: str,
         actions.append(f"removed stray tmp dir {name}")
     before = fsck_index(index_dir)
     codes = set(before["issue_codes"])
-    if codes & _REAP_CODES:
-        _cleanup_uncommitted_gens(index_dir)
-        _reap_termstats(index_dir)
-        actions.append("removed folded and uncommitted segment dirs and "
-                       "unnamed term-stats versions")
     if VACUUM_LEFTOVER in codes:
         from .update import _heal_crashed_vacuum
 
         if _heal_crashed_vacuum(index_dir):
             actions.append("healed crashed vacuum (_docs restored/cleaned)")
+    if codes & _REAP_CODES:
+        _cleanup_uncommitted_gens(index_dir)
+        _reap_termstats(index_dir)
+        actions.append("removed folded and uncommitted segment dirs and "
+                       "unnamed term-stats versions")
     # after the heals: a rolled-back vacuum swap leaves stats that agree
     if codes & _RECOMMIT_CODES and set(
             fsck_index(index_dir)["issue_codes"]) & _RECOMMIT_CODES:

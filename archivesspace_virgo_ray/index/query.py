@@ -322,6 +322,20 @@ class _StaleIndexRead(Exception):
     term-stats version: reopen whole at the newest marker."""
 
 
+# opens a reader tries while commits keep reaping the state it pinned
+_REPIN_ATTEMPTS = 20
+
+
+def _repin_attempts(index_dir: str):
+    """Loop over this to retry an open that raised ``_StaleIndexRead``:
+    yields ``_REPIN_ATTEMPTS`` times, then raises instead of letting a
+    reader spin without end behind a writer that never pauses."""
+    yield from range(_REPIN_ATTEMPTS)
+    raise RuntimeError(
+        f"{index_dir}: commits reaped the state a reader pinned "
+        f"{_REPIN_ATTEMPTS} times in a row; retry once writes pause")
+
+
 # Accumulator cells (queries × docs) and postings a chunk of a batch pass
 # holds at most, unless it is one query with more (``_chunks``). Transient
 # bytes per cell: the float64 sums (8), the int64 hit counts (8, freed once
@@ -366,7 +380,7 @@ class ShardScorer:
         # ``_StaleIndexRead`` and the owner re-pins; a scorer of the newest
         # marker (``at`` None) re-pins itself.
         self._reader_cache_in = reader_cache or {}
-        while True:
+        for _ in _repin_attempts(index_dir):
             try:
                 return self._load(index_dir, shard, buckets,
                                   newest_gen(index_dir) if at is None else at)
@@ -745,7 +759,7 @@ class ShardWorker:
         mmaps with the old scorer. A compaction that reaped part of
         ``at``'s state re-pins the load at the newest marker. Returns the
         marker loaded."""
-        while True:
+        for _ in _repin_attempts(self.index_dir):
             marker = newest_gen(self.index_dir) if at is None else at
             try:
                 scorers = {
@@ -1263,7 +1277,7 @@ class LocalSearcher:
             "k": pa.array([k], pa.int64()),
             "not_text": pa.array([not_text], pa.string()),
         })
-        while True:
+        for _ in _repin_attempts(self.index_dir):
             try:
                 plan = _plan_batch(self.store, queries)
                 break
@@ -1494,7 +1508,7 @@ class QueryPool:
         """Load the twins and the store at the pool's marker. A twin that
         found part of it reaped loaded a newer one: the pool then re-pins
         the newest marker, respawns its actors there and goes again."""
-        while True:
+        for _ in _repin_attempts(self.index_dir):
             self._twins = {i: ShardWorker(self.index_dir, self._share(i),
                                           at=self.marker)
                            for i in range(len(self.actors))}
@@ -1578,7 +1592,7 @@ class QueryPool:
         self.cache_hits = 0
         self.cache_misses = 0
         self._twins = {}
-        while True:
+        for _ in _repin_attempts(self.index_dir):
             self.build = read_build_id(self.index_dir)
             self.marker = newest_gen(self.index_dir)
             try:
@@ -1605,8 +1619,8 @@ class QueryPool:
     def _repinning(self, fn):
         """Run fn; while it raises ``_StaleIndexRead`` (the pinned
         marker's term stats were reaped), reopen the pool at the newest
-        marker and run it again."""
-        while True:
+        marker and run it again (``_repin_attempts``)."""
+        for _ in _repin_attempts(self.index_dir):
             try:
                 return fn()
             except _StaleIndexRead:
@@ -2155,7 +2169,7 @@ def explain(index_dir: str, text: str, doc_id: int) -> dict:
     plus the total. Sums in canonical term order, so ``total`` is
     bit-identical to the ranked score."""
     doc_id = int(doc_id)
-    while True:
+    for _ in _repin_attempts(index_dir):
         # the store and the scorer at one marker: the live postings of
         # every generation (a replaced or deleted version never counts)
         try:

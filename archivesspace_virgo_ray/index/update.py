@@ -62,6 +62,7 @@ from .segments import (  # noqa: F401
     _GEN_RE,
     _committed_markers,
     _docs_columns,
+    _markers_of,
     applied_through,
     committed_gens,
     folded_gens,
@@ -93,13 +94,14 @@ def _cleanup_uncommitted_gens(index_dir: str) -> bool:
     """Remove segment dirs / doc-table parts from generations whose commit
     marker never landed (a crashed or abandoned add or compaction) — makes
     every writer safely retryable (no double indexing) — and segment dirs
-    a committed compaction folded (the base too, once a full merge ran).
+    a committed compaction folded (the base too, once a full merge ran),
+    after healing a crashed vacuum's swap (``_heal_crashed_vacuum``).
     Both are invisible to readers; every writer runs this first, so a
     leftover never shares its generation with a later commit. Returns True
-    if anything was removed."""
+    if anything was removed or healed."""
     import shutil
 
-    removed = False
+    removed = _heal_crashed_vacuum(index_dir)
     committed = committed_gens(index_dir)
     folded = folded_gens(index_dir)
     root = os.path.join(index_dir, SEGMENTS)
@@ -708,30 +710,32 @@ def _count_dead_docs(index_dir: str, markers: dict[int, dict]) -> int:
 def _heal_crashed_vacuum(index_dir: str) -> bool:
     """Recover the crash windows of :func:`vacuum_docs`' forward-table
     swap. Its backup ``_docs.old-gN`` names the generation the vacuum
-    commits: if marker N landed the swap stands and the backup goes; if
-    not (or for an unnamed ``_docs.old``) the swap is rolled back — the
+    commits: if marker N landed and is the vacuum's own (``vacuumed``) the
+    swap stands and the backup goes; if not the swap is rolled back — the
     compacted table moves aside and the backup returns — so the forward
     table always matches the newest marker's stats. Leftover staging goes
-    too. Returns True if anything was healed (shared by vacuum_docs and
-    fsck --repair)."""
+    too. Every writer runs this first (``_cleanup_uncommitted_gens``), so
+    no other commit takes generation N from a swap still waiting for its
+    marker. Returns True if anything was healed."""
     import shutil
 
     docs_dir = os.path.join(index_dir, "_docs")
     tmp_dir = docs_dir + ".vtmp"
-    committed = committed_gens(index_dir)
     healed = False
     for name in sorted(os.listdir(index_dir)):
-        m = re.match(r"^_docs\.old(?:-g(\d+))?$", name)
+        m = re.match(r"^_docs\.old-g(\d+)$", name)
         if not m:
             continue
         old = os.path.join(index_dir, name)
-        if m.group(1) is None or int(m.group(1)) not in committed:
+        gen = int(m.group(1))
+        if (gen in committed_gens(index_dir)
+                and _markers_of(index_dir, [gen])[gen].get("vacuumed")):
+            shutil.rmtree(old, ignore_errors=True)
+        else:
             if os.path.isdir(docs_dir):
                 shutil.rmtree(tmp_dir, ignore_errors=True)
                 os.rename(docs_dir, tmp_dir)
             os.rename(old, docs_dir)
-        else:
-            shutil.rmtree(old, ignore_errors=True)
         healed = True
     if os.path.isdir(tmp_dir):
         shutil.rmtree(tmp_dir, ignore_errors=True)
@@ -764,14 +768,13 @@ def vacuum_docs(index_dir: str) -> dict:
        :func:`maintain`'s garbage metric — resets to 0. Older markers are
        never rewritten; they keep the generation-numbering history. Then
        the backup goes. A crash between the renames and the marker is
-       rolled back, one after it rolled forward, by the next vacuum or
+       rolled back, one after it rolled forward, by the next writer or
        ``fsck --repair`` (VACUUM_LEFTOVER, ``_heal_crashed_vacuum``).
 
     Live stats are unchanged by construction; returns
     ``{"vacuumed", "rows_dropped", "tombstones_cleared"}``."""
     import shutil
 
-    _heal_crashed_vacuum(index_dir)
     _cleanup_uncommitted_gens(index_dir)
     markers = _committed_markers(index_dir)
     newest = max(markers)

@@ -165,6 +165,75 @@ def test_reader_held_across_two_commits_reopens_at_newest(
         shutdown_pools()
 
 
+def test_a_reaped_version_vanishes_whole(tmp_path, corpus, ray_session,
+                                         monkeypatch):
+    """The reap renames a version away before it removes it. Caught with
+    one bucket of the version removed and the rest still on disk, a store
+    pinned at the reaped version refuses every cold bucket — none reads as
+    empty, so no plan sees part of a vocabulary — and the crashed reap's
+    leftover is an fsck finding the next reap removes."""
+    import shutil
+
+    from archivesspace_virgo_ray.index.fsck import fsck_index
+    from archivesspace_virgo_ray.index.query import TermStatsStore, _StaleIndexRead
+
+    src, _ids, _texts = corpus
+    idx = str(tmp_path / "idx")
+    build_index(os.path.join(src, "base.parquet"), idx, BuildConfig(**CFG),
+                resume=False)
+    store = TermStatsStore(idx)
+    buckets = sorted(int(n.split("=")[1]) for n in os.listdir(store._ts_dir))
+    assert len(buckets) > 1 and not store._buckets
+    update.add_documents(os.path.join(src, "d0.parquet"), idx,
+                         BuildConfig(**CFG))
+
+    real_rmtree = shutil.rmtree
+    reaped = []
+
+    def rmtree_one_bucket(path, *a, **k):
+        # a reap stopped after the first bucket of the version is gone
+        if os.path.basename(str(path)).startswith((".reap-", "termstats-")):
+            reaped.append(path)
+            return real_rmtree(os.path.join(path, f"bucket={buckets[0]}"))
+        return real_rmtree(path, *a, **k)
+
+    monkeypatch.setattr(shutil, "rmtree", rmtree_one_bucket)
+    update.add_documents(os.path.join(src, "d1.parquet"), idx,
+                         BuildConfig(**CFG))
+    monkeypatch.undo()
+    assert reaped and os.path.isdir(reaped[0])
+    for b in buckets:
+        with pytest.raises(_StaleIndexRead):
+            store._load_bucket(b)
+    assert not store._buckets
+
+    assert fsck_index(idx)["issue_codes"] == ["termstats_leftover"]
+    update.delete_documents(idx, _ids[:1])  # the next commit's reap
+    assert fsck_index(idx)["ok"]
+
+
+def test_repinning_gives_up_behind_a_writer_that_never_pauses(
+        tmp_path, corpus, ray_session, monkeypatch):
+    """A reader re-pins a bounded number of times, then raises."""
+    from archivesspace_virgo_ray.index import query
+
+    src, _ids, _texts = corpus
+    idx = str(tmp_path / "idx")
+    build_index(os.path.join(src, "base.parquet"), idx, BuildConfig(**CFG),
+                resume=False)
+    searcher = query.LocalSearcher(idx)
+    opens = []
+    monkeypatch.setattr(searcher, "_open", lambda: opens.append(1))
+
+    def always_stale(*a, **k):
+        raise query._StaleIndexRead(idx)
+
+    monkeypatch.setattr(query, "_plan_batch", always_stale)
+    with pytest.raises(RuntimeError, match="reaped"):
+        searcher.search("the", 5)
+    assert len(opens) == query._REPIN_ATTEMPTS
+
+
 def test_an_older_index_refuses_to_open(tmp_path, corpus, ray_session):
     """An index whose commit state lived outside its markers (an older
     PIPELINE_VERSION: ``stats.json`` beside markers without stats) is not

@@ -147,15 +147,60 @@ def test_vacuum_noop_without_garbage(built):
 
 
 def test_fsck_heals_crashed_vacuum_window(built):
+    from archivesspace_virgo_ray.index.segments import newest_gen
+
     idx, _src, _full = built
     docs = os.path.join(idx, "_docs")
-    # simulate a crash between the two renames: _docs gone, .old + .vtmp left
+    # simulate a crash between the two renames: _docs gone, the backup
+    # named for the uncommitted generation + .vtmp left
+    old = f"{docs}.old-g{newest_gen(idx) + 1:04d}"
     shutil.copytree(docs, docs + ".vtmp")
-    os.replace(docs, docs + ".old")
+    os.replace(docs, old)
     audit = fsck_index(idx)
     assert not audit["ok"]
     assert "vacuum_leftover" in audit["issue_codes"]
     after = repair_index(idx)
     assert after["ok"], after["issues"]
     assert os.path.isdir(docs)
-    assert not os.path.isdir(docs + ".old") and not os.path.isdir(docs + ".vtmp")
+    assert not os.path.isdir(old) and not os.path.isdir(docs + ".vtmp")
+
+
+def test_vacuum_killed_before_its_marker_rolls_back_for_the_next_writer(
+        built, monkeypatch):
+    """A vacuum that swapped the forward table but died before its marker
+    committed nothing: the next writer (here an add, which takes the
+    generation the vacuum meant to) rolls the swap back first, so the
+    dropped rows still count as the stats say, fsck is clean, repair
+    changes nothing and answers equal the oracle's."""
+    from archivesspace_virgo_ray.index import update
+    from archivesspace_virgo_ray.index.update import merge_segments
+
+    idx, src, full = built
+    add_documents(os.path.join(src, "d1.parquet"), idx, BuildConfig(**CFG))
+    base_ids = _ids(pq.read_table(os.path.join(src, "base.parquet")))
+    victims = sorted(set(base_ids.tolist()))[:40]
+    delete_documents(idx, victims)
+    merge_segments(idx, concurrency=2)
+
+    def killed(*a, **k):
+        raise KeyboardInterrupt("killed before the marker")
+
+    monkeypatch.setattr(update, "_commit_gen", killed)
+    with pytest.raises(KeyboardInterrupt):
+        vacuum_docs(idx)
+    monkeypatch.undo()
+    assert any(n.startswith("_docs.old-g") for n in os.listdir(idx))
+
+    add_documents(os.path.join(src, "d2.parquet"), idx, BuildConfig(**CFG))
+    assert not any(n.startswith("_docs.old") for n in os.listdir(idx))
+    audit = fsck_index(idx)
+    assert audit["ok"], audit["issues"]
+    assert repair_index(idx)["actions"] == []
+    assert read_stats(idx)["n_docs"] == 300 - 40
+
+    live = full.filter(pa.compute.invert(pa.compute.is_in(
+        pa.array(_ids(full)), value_set=pa.array(victims))))
+    oracle = OracleIndex(_ids(live).tolist(), live["content"].to_pylist())
+    searcher = LocalSearcher(idx)
+    for q in ("the", "def return", "license import"):
+        assert searcher.search(q, 10) == oracle.score_query(q, 10), q
