@@ -2,13 +2,14 @@
 
 Solr's distributed search scores each shard with its own local IDF unless
 distributed IDF (the ExactStatsCache) is enabled — the classic source of
-cross-shard rank skew. This module implements the exact-stats model on Ray:
+cross-shard rank skew. This module implements the exact-stats model:
 the driver merges per-term (df, max_tf, min_dl, cf) across every member
 index (df and cf sum — member doc sets must be disjoint — max_tf max,
 min_dl min) and corpus stats (n_docs/total_len sum; avgdl recomputed from
 the sums), plans every query batch ONCE with those global values through
-the pool's planner (``query._plan_batch``), and scatters the plan to each
-member's warm ``QueryPool`` actors; the plan carries the global avgdl.
+the pool's planner (``query._plan_batch``), and scores the plan on each
+member's cached ``QueryPool`` worker, in process; the plan carries the
+global avgdl.
 
 Because a document lives in exactly one member index, per-doc contributions
 accumulate in the same canonical term order (desc global upper bound, tie
@@ -71,8 +72,8 @@ class FederatedSearcher:
         self._load_members()
 
     def _load_members(self) -> None:
-        # each member plans with its pool's store: the marker its actors
-        # hold
+        # each member plans with its pool's store: the marker its worker
+        # holds
         self.pools, self._sigs = zip(
             *(get_pool_and_sig(d) for d in self.index_dirs))
         self.stores = [pool.store for pool in self.pools]
@@ -91,12 +92,7 @@ class FederatedSearcher:
         any member changed. get_pool refreshes a cached pool IN PLACE on
         index change (Lucene reopen), so a long-lived federated searcher
         must not keep scoring with construction-time df/avgdl against
-        refreshed postings — the stats snapshot follows the pools. The
-        members' actors are settled first (``QueryPool._settle``): the
-        search calls them directly, and a settle that reloads them shows
-        here as a signature change."""
-        for pool in self.pools:
-            pool._settle()
+        refreshed postings — the stats snapshot follows the pools."""
         pools, sigs = zip(*(get_pool_and_sig(d) for d in self.index_dirs))
         if sigs != self._sigs:
             self._load_members()
@@ -146,10 +142,8 @@ class FederatedSearcher:
 
     def _topk(self, queries: pa.Table, where=None,
               mu: float | None = None) -> pa.Table:
-        """Plan once with global stats, scatter each member its rebucketed
-        plan, merge every actor's per-shard k-heaps."""
-        import ray
-
+        """Plan once with global stats, score each member's rebucketed plan
+        on its pool's worker, merge the per-shard k-heaps."""
         for _ in _repin_attempts(", ".join(self.index_dirs)):
             self._ensure_fresh()
             try:
@@ -158,11 +152,10 @@ class FederatedSearcher:
             except _StaleIndexRead:  # a member's term stats were reaped
                 for pool in self.pools:
                     pool.refresh()
-        futures = [a.score.remote(_member_plan(plan, st), where)
-                   for st, pool in zip(self.stores, self.pools)
-                   for a in pool.actors] if plan.queries else []
-        return _merge_topk_parts(plan.queries,
-                                 [t for t, _done in ray.get(futures)])
+        parts = [pool.worker.score(_member_plan(plan, st), where)[0]
+                 for st, pool in zip(self.stores, self.pools)
+                 ] if plan.queries else []
+        return _merge_topk_parts(plan.queries, parts)
 
     def topk(self, queries: pa.Table, where=None) -> pa.Table:
         """(query_id, text, k) → (query_id, rank, doc_id, score), the global
@@ -171,8 +164,8 @@ class FederatedSearcher:
         (``not_text``, ``min_match``, ``cursor_score``/``cursor_doc``).
         ``where``: optional pyarrow filter over the members' ``_docs``
         meta columns, evaluated shard-locally (Solr fq semantics — restricts
-        the result set, never the stats). Scatter fan-out = Σ members' actor
-        counts; each actor returns only its per-shard k-heaps."""
+        the result set, never the stats). Each member's worker returns only
+        its per-shard k-heaps."""
         return self._topk(queries, where)
 
     def topk_lmd(self, queries: pa.Table, mu: float = 2000.0) -> pa.Table:

@@ -7,7 +7,7 @@ parquet for ALL query words together: each block prunes candidates to the
 Levenshtein DP on survivors, and keeps its local top-``max_expansions`` per
 word by (distance asc, df desc, term asc) — the driver merges
 k×blocks×words rows. The expanded set then scores as one OR query through
-the shard-pinned BM25 pool, exactly like prefix queries.
+the BM25 pool, exactly like prefix queries.
 
 Determinism contract (mirrored bit-for-bit by the DuckDB oracle): plain
 unit-cost Levenshtein (no transpositions — DuckDB's ``levenshtein``), cut by
@@ -135,17 +135,16 @@ def fuzzy_topk(
         index_dir, list(dict.fromkeys(words)), max_distance, max_expansions
     )
 
-    handles = []
+    parts = []
     for qid, word, k in zip(qids, words, ks):
         terms = expanded.get(word, [])
         if not terms:
             continue
-        q1 = pa.table({
+        t = pool.topk(pa.table({
             "query_id": pa.array([qid], pa.int64()),
             "text": pa.array([" ".join(terms)], pa.string()),
             "k": pa.array([k], pa.int32()),
-        })
-        handles.append(pool.topk_submit(q1))
-    parts = [pool.topk_collect(h) for h in handles]
-    parts = [p for p in parts if p.num_rows]
+        }))
+        if t.num_rows:
+            parts.append(t)
     return pa.concat_tables(parts) if parts else QueryPool._EMPTY_TOPK

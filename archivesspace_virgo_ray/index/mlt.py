@@ -8,8 +8,8 @@ Semantics (pinned by tests/test_mlt.py):
    (``ln((n - df + 0.5) / (df + 0.5) + 1)``), cut to ``max_terms`` by
    (score desc, term asc) — rounding makes cross-engine float ordering
    exact, the same trick the BM25 oracle contract uses;
-2. the selected terms run as one OR query through the shard-pinned BM25
-   pool (scores identical to a user typing those terms);
+2. the selected terms run as one OR query through the BM25 pool
+   (scores identical to a user typing those terms);
 3. the source doc itself is excluded from its result list.
 
 Scale shape: source texts are fetched with a pushdown-filtered column-pruned
@@ -103,21 +103,17 @@ def more_like_this(
     )
 
     pool = get_pool(index_dir)
-    handles = []
+    parts = []
     for qid, src, k in zip(qids, srcs, ks):
         terms = terms_by_qid.get(qid, [])
         if not terms:
             continue
-        q1 = pa.table({
+        t = pool.topk(pa.table({
             "query_id": pa.array([qid], pa.int64()),
             "text": pa.array([" ".join(terms)], pa.string()),
             # +1: the source doc may occupy one slot before exclusion
             "k": pa.array([k + 1], pa.int32()),
-        })
-        handles.append((src, k, pool.topk_submit(q1)))
-    parts = []
-    for src, k, h in handles:
-        t = pool.topk_collect(h).to_pandas()
+        })).to_pandas()
         t = t[t["doc_id"] != src].head(k).reset_index(drop=True)
         if len(t):
             t["rank"] = np.arange(1, len(t) + 1, dtype=np.int64)

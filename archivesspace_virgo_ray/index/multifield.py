@@ -44,17 +44,15 @@ def dismax_topk(
     texts = queries["text"].to_pylist()
     ks = [int(k) for k in queries["k"].to_pylist()]
 
-    # phase 1: per-field top-k heaps (submit all fields before collecting)
-    handles = [pool.topk_submit(queries) for pool, _ in pools]
-    phase1 = [pool.topk_collect(h).to_pandas()
-              for (pool, _), h in zip(pools, handles)]
+    # phase 1: per-field top-k heaps
+    phase1 = [pool.topk(queries).to_pandas() for pool, _ in pools]
 
     # phase 2: exact rescore of each query's candidate union in every field
     cands: dict[int, np.ndarray] = {}
     for qid in qids:
         ids = [t.loc[t["query_id"] == qid, "doc_id"].to_numpy() for t in phase1]
         cands[qid] = np.unique(np.concatenate(ids)) if ids else np.empty(0, np.int64)
-    rescore_handles = []
+    parts = []
     for (pool, w) in pools:
         for qid, text in zip(qids, texts):
             c = cands[qid]
@@ -65,17 +63,11 @@ def dismax_topk(
                 "text": pa.array([text], pa.string()),
                 "k": pa.array([len(c)], pa.int32()),
             })
-            rescore_handles.append(
-                (pool, w, pool.topk_submit(
-                    q1, where=pc.field("doc_id").isin(c.tolist())
-                ))
-            )
-    parts = []
-    for pool, w, h in rescore_handles:
-        t = pool.topk_collect(h).to_pandas()
-        if len(t):
-            t["score"] = w * t["score"].to_numpy()
-            parts.append(t[["query_id", "doc_id", "score"]])
+            t = pool.topk(
+                q1, where=pc.field("doc_id").isin(c.tolist())).to_pandas()
+            if len(t):
+                t["score"] = w * t["score"].to_numpy()
+                parts.append(t[["query_id", "doc_id", "score"]])
 
     if not parts:
         return QueryPool._EMPTY_TOPK

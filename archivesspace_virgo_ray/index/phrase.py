@@ -200,14 +200,13 @@ def phrase_topk(
 
 
 def _score_verified(pool, qids, texts, ks, verified, id_col: str):
-    """Pipelined per-query scoring against a per-query id whitelist: all
-    queries submitted before any collect so the actors' queues stay full.
-    Surviving docs score IDENTICALLY to the unrestricted query."""
+    """Per-query scoring against a per-query id whitelist. Surviving docs
+    score IDENTICALLY to the unrestricted query."""
     import pyarrow.dataset as pads
 
     from .query import QueryPool
 
-    handles = []
+    parts = []
     for qid, text, k in zip(qids, texts, ks):
         ids = verified.get(qid)
         if ids is None or ids.size == 0:
@@ -218,9 +217,9 @@ def _score_verified(pool, qids, texts, ks, verified, id_col: str):
             "k": pa.array([int(k)], pa.int32()),
         })
         where = pads.field(id_col).isin(pa.array(ids, pa.int64()))
-        handles.append(pool.topk_submit(q1, where, True))
-    parts = [pool.topk_collect(h) for h in handles]
-    parts = [p for p in parts if p.num_rows]
+        t = pool.topk(q1, where, True)
+        if t.num_rows:
+            parts.append(t)
     return pa.concat_tables(parts) if parts else QueryPool._EMPTY_TOPK
 
 

@@ -13,10 +13,9 @@ Two phases, both bounded:
    merges k×blocks×prefixes rows. The vocabulary is orders of magnitude
    smaller than the corpus, and only matching row groups leave storage.
 2. **scoring** — each prefix's expanded terms run as one OR query through
-   the normal shard-pinned BM25 pool: a doc's score is the BM25 sum over
-   whichever expanded terms it contains (Lucene
-   TopTermsScoringBooleanQueryRewrite semantics). All queries are submitted
-   before any collect, so the pool's actor queues stay full.
+   the normal BM25 pool: a doc's score is the BM25 sum over whichever
+   expanded terms it contains (Lucene TopTermsScoringBooleanQueryRewrite
+   semantics).
 
 Determinism: the expansion cut orders by (df desc, term asc) — a total
 order, so the same corpus always expands to the same term set on both the
@@ -206,19 +205,18 @@ def regex_topk(
     for p, g in browsed.groupby("pattern", sort=False):
         expanded[str(p)] = g["term"].tolist()
 
-    handles = []
+    parts = []
     for qid, pat, k in zip(qids, pats, ks):
         terms = expanded.get(pat, [])
         if not terms:
             continue
-        q1 = pa.table({
+        t = pool.topk(pa.table({
             "query_id": pa.array([qid], pa.int64()),
             "text": pa.array([" ".join(terms)], pa.string()),
             "k": pa.array([k], pa.int32()),
-        })
-        handles.append(pool.topk_submit(q1))
-    parts = [pool.topk_collect(h) for h in handles]
-    parts = [p for p in parts if p.num_rows]
+        }))
+        if t.num_rows:
+            parts.append(t)
     return pa.concat_tables(parts) if parts else QueryPool._EMPTY_TOPK
 
 
@@ -255,17 +253,16 @@ def prefix_topk(
     expanded = expand_prefixes(index_dir, list(dict.fromkeys(prefixes)),
                                max_expansions)
 
-    handles = []
+    parts = []
     for qid, prefix, k in zip(qids, prefixes, ks):
         terms = expanded.get(prefix, [])
         if not terms:
             continue
-        q1 = pa.table({
+        t = pool.topk(pa.table({
             "query_id": pa.array([qid], pa.int64()),
             "text": pa.array([" ".join(terms)], pa.string()),
             "k": pa.array([k], pa.int32()),
-        })
-        handles.append(pool.topk_submit(q1))
-    parts = [pool.topk_collect(h) for h in handles]
-    parts = [p for p in parts if p.num_rows]
+        }))
+        if t.num_rows:
+            parts.append(t)
     return pa.concat_tables(parts) if parts else QueryPool._EMPTY_TOPK

@@ -1,10 +1,10 @@
 """BM25 top-k query engine over the segment store.
 
 Replaces the reference's Solr query path (SolrHelper.getRecordsForQuery,
-SolrHelper.java:39-80): plan a query batch once (global df/stats lookup) →
-scatter the plan across doc-shard index partitions → one term-major pass per
-shard over the whole batch → merge per-shard heaps → final (score desc,
-doc_id asc) top-k.
+SolrHelper.java:39-80) with one long-lived in-process searcher per index
+(``LocalSearcher``, cached as ``QueryPool``): plan a query batch once
+(global df/stats lookup) → one term-major pass per doc shard over the whole
+batch → merge per-shard heaps → final (score desc, doc_id asc) top-k.
 
 The term-major pass (``ShardScorer.score_batch``; term-at-a-time with an
 accumulator array, Turtle & Flood 1995), per shard and batch, in chunks of
@@ -721,20 +721,18 @@ def _score_chunk(scorer: ShardScorer, chunk, ok_docs, avgdl: float,
 
 
 class ShardWorker:
-    """Query-side state for a SUBSET of doc shards, loaded ONCE (T5): segment
-    readers + tombstones per shard, and — lazily, only when a facet/filter
-    query needs it — that shard's column-pruned slice of the forward
-    ``_docs`` table. Used in-process by ``LocalSearcher`` and by a new
-    ``QueryPool``'s twins, and as a Ray actor by ``QueryPool`` (building
-    one and scoring BM25 imports neither Ray Data nor pandas, so an actor
-    starts sooner); on a real cluster each actor is placed on the node
-    holding its shards (the always-warm per-shard analog of the reference's
-    long-lived Solr server, SolrHelper.java:39-80).
+    """Query-side state for a SUBSET of doc shards, loaded ONCE (T5) at one
+    marker: segment readers + tombstones per shard, and — lazily, only when
+    a facet/filter query needs it — that shard's column-pruned slice of the
+    forward ``_docs`` table. ``LocalSearcher`` and ``QueryPool`` hold one
+    over every shard, in the calling process: the always-warm analog of
+    the reference's long-lived Solr searcher (SolrHelper.java:39-80).
+    Building one and scoring BM25 imports neither Ray Data nor pandas.
 
     Everything corpus-scale (posting decode, boolean set ops, facet
-    counting, predicate evaluation over ``_docs``) happens HERE, inside the
-    worker — the driver only ever receives per-shard top-k heaps, facet
-    count partials, or final match-id arrays."""
+    counting, predicate evaluation over ``_docs``) happens HERE; its
+    callers only ever receive per-shard top-k heaps, facet count partials,
+    or final match-id arrays."""
 
     def __init__(self, index_dir: str, shards: list[int] | None = None,
                  at: int | None = None):
@@ -743,12 +741,6 @@ class ShardWorker:
         self.shards = sorted(shards) if shards is not None else all_shards
         self.scorers: dict[int, ShardScorer] = {}
         self.refresh(at)
-
-    def ready(self) -> int:
-        """Barrier: as an actor method this only returns once ``__init__``
-        finished, i.e. every scorer's segment state is loaded. Returns the
-        marker it loaded, which a pool compares with its twins'."""
-        return self.marker
 
     def refresh(self, at: int | None = None) -> int:
         """(Re)load every shard at marker ``at`` (the newest when None),
@@ -775,9 +767,6 @@ class ShardWorker:
         self._docs_cache: dict = {}   # (shard, cols) -> pa.Table slice
         self._filter_cache: dict = {}  # (shard, _expression_key(where)) -> ids
         return marker
-
-    def ping(self) -> list[int]:
-        return self.shards
 
     def _docs_slice(self, shard: int, columns: tuple[str, ...]) -> pa.Table:
         """Column-pruned, shard-predicate-pushdown read of _docs (cached)."""
@@ -1196,15 +1185,13 @@ class ShardWorker:
     ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], list[int]]:
         """Score a batch plan against this worker's shards → (per-shard
         top-k partials as (query_id, doc_id, score) numpy arrays, the query
-        ids finished on every shard). Numpy, not Arrow: a Ray actor that
-        returns an Arrow table imports Ray Data and pandas to serialise it. The filter (``where``, Solr fq), the
+        ids finished on every shard). The filter (``where``, Solr fq), the
         conjunctive (``require_all``, q.op=AND) and mm whitelists and the
         NOT blacklist are computed SHARD-LOCAL — nothing corpus-sized
         leaves the worker. ``deadline`` (Solr ``timeAllowed``): an epoch
         after which scoring stops, checked before each shard and chunk
-        (``ShardScorer.score_batch``); the caller keeps only queries EVERY
-        worker finished (single-node contract: a multi-node deployment
-        would ship a budget and re-anchor on actor-local clocks).
+        (``ShardScorer.score_batch``); the caller keeps only queries every
+        shard finished.
 
         ``plan`` may also be a bare ``{qid: (k, term plans)}`` mapping:
         BM25, this index's avgdl, no NOT/mm/cursor, and ``n_terms_by_qid``
@@ -1238,123 +1225,8 @@ class ShardWorker:
                 [x for x, c in n_done.items() if c == len(self.shards)])
 
 
-class LocalSearcher:
-    """All shards in one process — the in-process twin of ``QueryPool``
-    over the same plan (``_plan_batch``), score (``ShardWorker.score``)
-    and merge (``_merge_topk_parts``); conformance tests and per-query
-    latency."""
-
-    def __init__(self, index_dir: str, shards: list[int] | None = None):
-        self.index_dir = index_dir
-        self._shards = shards
-        self._open()
-
-    def _open(self) -> None:
-        """Pin the newest marker: the worker loads its state (re-pinning if
-        a compaction reaped part of it) and the store plans at the marker
-        the worker holds."""
-        self.worker = ShardWorker(self.index_dir, self._shards)
-        self.store = TermStatsStore(self.index_dir, at=self.worker.marker)
-
-    def search(
-        self, text: str, k: int, where=None, require_all: bool = False,
-        not_text: str | None = None,
-    ) -> list[tuple[int, float]]:
-        """``where``: optional pyarrow dataset filter expression over the
-        forward doc table's meta columns (e.g. ``pc.field("lang") == "py"``)
-        — the facet/range-filter query surface (S6/J8).
-        ``require_all``: conjunctive (AND) ranking — only docs containing
-        every query term are scored; scores identical to the unrestricted
-        query's (a Solr q.op=AND analog).
-        ``not_text``: NOT clause (Solr ``a -b``) — docs containing ANY of
-        its terms are excluded; surviving scores unchanged. All three
-        restrictions are computed shard-locally inside the worker. A
-        searcher whose term-stats version was reaped (two commits since it
-        opened) reopens at the newest marker first."""
-        queries = pa.table({
-            "query_id": pa.array([0], pa.int64()),
-            "text": pa.array([text], pa.string()),
-            "k": pa.array([k], pa.int64()),
-            "not_text": pa.array([not_text], pa.string()),
-        })
-        for _ in _repin_attempts(self.index_dir):
-            try:
-                plan = _plan_batch(self.store, queries)
-                break
-            except _StaleIndexRead:
-                self._open()
-        part, _done = self.worker.score(plan, where, require_all)
-        t = _merge_topk_parts(plan.queries, [part])
-        return list(zip(t["doc_id"].to_pylist(), t["score"].to_pylist()))
-
-
-# process-level cache for broadcast planning snapshots: a Ray worker process
-# survives across tasks, so each process deserializes a given snapshot ONCE
-# (keyed by the ObjectRef) no matter how many serve batches it executes
-_SERVE_SNAP_CACHE: dict = {}
-
-
-def _serve_snapshot_store(index_dir: str, snap_ref) -> TermStatsStore:
-    key = snap_ref.hex()
-    store = _SERVE_SNAP_CACHE.get(key)
-    if store is None:
-        import ray
-
-        marker, stats, buckets, ts_dir = ray.get(snap_ref)
-        store = TermStatsStore.__new__(TermStatsStore)
-        store.index_dir = index_dir
-        store.marker = marker
-        store.stats = stats
-        store._buckets = dict(buckets)
-        store._term_bucket = {}
-        store._ts_dir = ts_dir
-        if len(_SERVE_SNAP_CACHE) > 8:
-            _SERVE_SNAP_CACHE.clear()
-        _SERVE_SNAP_CACHE[key] = store
-    return store
-
-
-def bm25_serve(index_dir: str, queries_ds, concurrency: int = 2, batch_size: int = 32):
-    """Serve a query Dataset through the session's warm shard-pinned pool.
-
-    TASK-based stage (not an actor pool): per-pipeline actor spawn was the
-    dominant cost of the old path. Segment state lives in the cached pool's
-    ``ShardWorker`` actors (handles ride the closure); planning state is the
-    pool's force-loaded termstats broadcast once via ``ray.put`` and cached
-    per worker PROCESS (``_SERVE_SNAP_CACHE``), so a serve batch pays one
-    plan + one scatter and zero per-pipeline setup. ``concurrency`` caps
-    in-flight batch tasks (each is a scatter across every shard worker —
-    more in-flight than worker parallelism just queues). The query table
-    takes the same optional columns as ``bm25_topk`` (``not_text``,
-    ``min_match``, ``cursor_score``/``cursor_doc``)."""
-    import ray
-
-    pool = get_pool(index_dir)
-    pool._settle()  # the serve tasks call the actors
-    pool._repinning(lambda: [pool.store._load_bucket(b) for b in
-                             range(int(pool.store.stats["n_buckets"]))])
-    store = pool.store
-    snap_ref = ray.put((store.marker, store.stats, store._buckets, store._ts_dir))
-    workers = list(pool.actors)
-
-    def serve_batch(batch: pa.Table) -> pa.Table:
-        plan = _plan_batch(_serve_snapshot_store(index_dir, snap_ref), batch)
-        if not plan.queries or not workers:
-            return QueryPool._EMPTY_TOPK
-        results = ray.get([w.score.remote(plan) for w in workers])
-        return _merge_topk_parts(plan.queries, [t for t, _done in results])
-
-    return queries_ds.map_batches(
-        serve_batch,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=1,
-    )
-
-
 # ---------------------------------------------------------------------------
-# QueryPool: shard-pinned actor pool + the distributed boolean/facet path
+# Top-k merge: per-shard heaps → the final (score desc, doc_id asc) top-k
 # ---------------------------------------------------------------------------
 
 _ALL = 1 << 62  # a k that keeps every match
@@ -1415,88 +1287,144 @@ def _merge_topk_parts(live: dict, parts: list) -> pa.Table:
                         "doc_id": d[idx], "score": s[idx]})
 
 
-DEFAULT_POOL_ACTORS = 4
-_POOL_CACHE_MAX = 3
+# ---------------------------------------------------------------------------
+# LocalSearcher / QueryPool: one pinned in-process searcher per index
+# ---------------------------------------------------------------------------
 
+class LocalSearcher:
+    """Every shard of an index (or ``shards`` of them) in this process at
+    ONE pinned marker: a ``ShardWorker`` and the ``TermStatsStore`` that
+    plans for it. ``_ranked`` is the one ranked call of the engine — plan
+    (``_plan_batch``), score (``ShardWorker.score``), merge
+    (``_merge_topk_parts``) — behind ``search``, every ranked ``QueryPool``
+    entry point and each ``bm25_serve`` worker.
 
-@functools.cache
-def _shard_worker_actor():
-    """``ShardWorker`` as a Ray actor class, made once per process: Ray
-    exports a class afresh for every ``ray.remote`` of it (about 50 ms
-    before its first actor starts, against about 1 ms once exported), and
-    one class serves every pool of the process, across Ray sessions too."""
-    import ray
+    A ``_StaleIndexRead`` (the reap rule removed the store's term-stats
+    version, two commits on) reopens the searcher whole at the newest
+    marker and runs the call again (``_repinning``)."""
 
-    return ray.remote(num_cpus=0)(ShardWorker)
+    def __init__(self, index_dir: str, shards: list[int] | None = None,
+                 at: int | None = None):
+        self.index_dir = index_dir
+        self._shards = shards
+        self.worker: ShardWorker | None = None
+        self._open(at)
+
+    def _open(self, at: int | None = None) -> None:
+        """Pin marker ``at`` (the newest when None): the worker loads its
+        state — reusing the readers of unchanged segments on a reopen
+        (``ShardWorker.refresh``), re-pinning the newest marker if a
+        compaction reaped part of it — and the store plans at the marker
+        the worker holds."""
+        if self.worker is None:
+            self.worker = ShardWorker(self.index_dir, self._shards, at)
+        else:
+            self.worker.refresh(at)
+        self.store = TermStatsStore(self.index_dir, at=self.worker.marker)
+
+    @property
+    def marker(self) -> int:
+        """The marker the searcher is pinned at."""
+        return self.worker.marker
+
+    def _repinning(self, fn):
+        """Run fn; while it raises ``_StaleIndexRead`` (the pinned
+        marker's term stats were reaped), reopen at the newest marker and
+        run it again (``_repin_attempts``)."""
+        for _ in _repin_attempts(self.index_dir):
+            try:
+                return fn()
+            except _StaleIndexRead:
+                self._open()
+
+    def _ranked(self, queries: pa.Table, where=None,
+                require_all: bool = False, mu: float | None = None,
+                time_allowed_s: float | None = None
+                ) -> tuple[pa.Table, list[int]]:
+        """Plan ``queries`` with the store, score the plan on the worker
+        and merge → (the top-k table, the sorted ids of the planned queries
+        ``time_allowed_s`` cut off). The budget starts once the batch is
+        planned; a query is in the table only if every shard finished it."""
+        plan = self._repinning(lambda: _plan_batch(self.store, queries, mu))
+        deadline = (None if time_allowed_s is None
+                    else time.time() + max(0.0, float(time_allowed_s)))
+        part, done = self.worker.score(plan, where, require_all, deadline)
+        done = set(done)
+        live = {q: v for q, v in plan.queries.items() if q in done}
+        return (_merge_topk_parts(live, [part]),
+                sorted(q for q in plan.queries if q not in done))
+
+    def search(
+        self, text: str, k: int, where=None, require_all: bool = False,
+        not_text: str | None = None,
+    ) -> list[tuple[int, float]]:
+        """``where``: optional pyarrow dataset filter expression over the
+        forward doc table's meta columns (e.g. ``pc.field("lang") == "py"``)
+        — the facet/range-filter query surface (S6/J8).
+        ``require_all``: conjunctive (AND) ranking — only docs containing
+        every query term are scored; scores identical to the unrestricted
+        query's (a Solr q.op=AND analog).
+        ``not_text``: NOT clause (Solr ``a -b``) — docs containing ANY of
+        its terms are excluded; surviving scores unchanged. All three
+        restrictions are computed shard-locally inside the worker."""
+        queries = pa.table({
+            "query_id": pa.array([0], pa.int64()),
+            "text": pa.array([text], pa.string()),
+            "k": pa.array([k], pa.int64()),
+            "not_text": pa.array([not_text], pa.string()),
+        })
+        t, _cut = self._ranked(queries, where, require_all)
+        return list(zip(t["doc_id"].to_pylist(), t["score"].to_pylist()))
 
 
 def _repins(method):
     """A ``QueryPool`` entry point that plans with the pool's store: run it
-    through ``QueryPool._repinning``."""
+    through ``LocalSearcher._repinning``."""
     @functools.wraps(method)
     def run(self, *args, **kwargs):
         return self._repinning(lambda: method(self, *args, **kwargs))
     return run
 
 
-class QueryPool:
-    """Reusable pool of shard-pinned ``ShardWorker`` actors — scorer /
-    reader / tombstone state loads ONCE per actor (T5), then every query
-    batch, boolean match, facet count, or filter evaluation reuses it.
+def _ids_by_query(t: pa.Table, out: dict[int, np.ndarray]
+                  ) -> dict[int, np.ndarray]:
+    """``out`` with each query's sorted doc ids of a (query_id, doc_id)
+    table set."""
+    q = t["query_id"].to_numpy()
+    d = t["doc_id"].to_numpy()
+    for qid in np.unique(q).tolist():
+        out[int(qid)] = np.sort(d[q == qid])
+    return out
 
-    Shards are assigned round-robin across ``n_actors`` actors; on a real
-    cluster each actor would additionally carry a placement-group constraint
-    pinning it to the node that holds its shards' segment files. Actors are
-    created with ``num_cpus=0`` so a long-lived pool can never starve the
-    Dataset tasks sharing the session of logical CPUs (the OS still
-    schedules the real cores); a cluster deployment would use ``num_cpus=1``
-    + placement groups instead.
 
-    The pool answers before its actors are up. Next to each actor it loads
-    an in-process **twin**: a ``ShardWorker`` over the same share of
-    shards, the ``LocalSearcher`` path. ``topk_submit`` sends a batch to
-    every actor whose state has loaded and scores the other shares on
-    their twins meanwhile; one ``_merge_topk_parts`` merges both.
-
-    The store, every twin and every actor load the state of ONE marker,
-    the pool's ``marker``. A twin is dropped (handover) once its actor is
-    ready and reports that marker; an actor that had to re-pin (a later
-    compaction reaped part of the marker's state) keeps its twin serving,
-    consistent with the planning store, until ``get_pool`` refreshes the
-    pool, and ``refresh`` drops every twin. The other entry points call the
-    actors only, so they hand every share over first (``_settle``). A
-    ``_StaleIndexRead`` — the reap rule removed the store's term-stats
-    version, two commits on — reopens the pool whole at the newest marker
-    and runs the call again (``_repinning``)."""
+class QueryPool(LocalSearcher):
+    """The cached searcher behind ``get_pool``: a ``LocalSearcher`` over
+    every shard, whose state loads ONCE (T5) and serves every query batch,
+    boolean match, facet count and filter until a commit lands, plus a
+    result cache. ``get_pool`` then reopens it in place (``refresh``):
+    unchanged segment readers are reused, the store and worker re-pin the
+    newest marker together."""
 
     # Solr queryResultCache analog: results cache on the POOL INSTANCE, so
     # invalidation rides the existing staleness machinery for free —
     # ``get_pool`` compares the index's (build id, newest marker) with the
     # pool's and, after any commit, refreshes the pool in place, and
-    # ``refresh()`` clears this cache. Capacity-bounded LRU; exact-key
-    # hits only.
+    # every reopen clears this cache. Capacity-bounded LRU; exact-key hits
+    # only.
     RESULT_CACHE_CAP = 128
 
-    def __init__(self, index_dir: str, n_actors: int | None = None):
+    _EMPTY_TOPK = numpy_table(
+        {"query_id": np.empty(0, np.int64), "rank": np.empty(0, np.int64),
+         "doc_id": np.empty(0, np.int64), "score": np.empty(0, np.float64)})
+
+    def _open(self, at: int | None = None) -> None:
         from collections import OrderedDict
 
-        self.index_dir = index_dir
-        self.shards = sorted({s for s, _ in list_segment_generations(index_dir)})
-        self.n_actors = min(n_actors or DEFAULT_POOL_ACTORS, max(1, len(self.shards)))
-        self.actors: list = []
-        self._ready: list = []  # per actor, the ref of its ``ready`` call
-        self._twins: dict[int, ShardWorker] = {}  # actor index -> twin
         self._result_cache: "OrderedDict[tuple, pa.Table]" = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
-        try:
-            self.build = read_build_id(index_dir)
-            self.marker = newest_gen(index_dir)
-            self._spawn()
-            self._load_twins()
-        except BaseException:
-            self.shutdown()
-            raise
+        self.build = read_build_id(self.index_dir)
+        super()._open(at)
 
     @property
     def sig(self) -> tuple:
@@ -1504,205 +1432,13 @@ class QueryPool:
         ``_index_signature`` while no commit landed since."""
         return self.build, self.marker
 
-    def _load_twins(self) -> None:
-        """Load the twins and the store at the pool's marker. A twin that
-        found part of it reaped loaded a newer one: the pool then re-pins
-        the newest marker, respawns its actors there and goes again."""
-        for _ in _repin_attempts(self.index_dir):
-            self._twins = {i: ShardWorker(self.index_dir, self._share(i),
-                                          at=self.marker)
-                           for i in range(len(self.actors))}
-            if all(t.marker == self.marker for t in self._twins.values()):
-                break
-            self.marker = newest_gen(self.index_dir)
-            self._spawn()
-        self.store = TermStatsStore(self.index_dir, at=self.marker)
-
-    def _share(self, i: int) -> list[int]:
-        """The shards of actor ``i`` (round-robin)."""
-        return self.shards[i :: self.n_actors]
-
-    def _spawn(self) -> None:
-        """(Re)create the actor set at the pool's marker without waiting
-        for it — also the one-shot recovery path when an actor dies (OOM,
-        node loss): every shard's state reloads from the durable segment
-        store, so a respawn is always safe."""
-        self._kill_actors()
-        if not self.shards:
-            return
-        from .placement import pool_actor_options
-
-        Worker = _shard_worker_actor()
-        for i in range(self.n_actors):
-            # appended one by one: a failing spawn leaves the started
-            # actors where ``shutdown`` finds them
-            self.actors.append(Worker.options(
-                **pool_actor_options(self.index_dir, self._share(i))
-            ).remote(self.index_dir, self._share(i), self.marker))
-            self._ready.append(self.actors[-1].ready.remote())
-
-    def wait_ready(self) -> None:
-        """Block until every actor finished loading its shard state."""
-        import ray
-
-        ray.get(self._ready)
-
-    def _hand_over(self) -> None:
-        """Drop the twin of every actor whose state has loaded at the
-        pool's marker."""
-        import ray
-
-        if not self._twins:
-            return
-        refs = [self._ready[i] for i in self._twins]
-        done, _ = ray.wait(refs, num_returns=len(refs), timeout=0)
-        for i in [i for i in self._twins if self._ready[i] in done]:
-            if ray.get(self._ready[i]) == self.marker:
-                del self._twins[i]
-
-    def _settle(self) -> None:
-        """Hand every share over to its actor, for the entry points that
-        call the actors only (each calls this before it plans): wait for
-        the actors, and if one loaded another marker than the pool's (or
-        died), reopen the pool at the newest marker."""
-        import ray
-
-        if self._twins:
-            try:
-                stale = any(m != self.marker for m in ray.get(self._ready))
-            except ray.exceptions.RayActorError:
-                stale = True
-            if stale:
-                self.refresh()
-            self._twins = {}
-
     def refresh(self) -> None:
-        """Reopen every shard actor in place at the newest marker
-        (unchanged segment readers reused — see ShardWorker.refresh) and
-        reload the driver-side planning store at the same marker, until
-        every actor reports it (one that found part of it reaped re-pins
-        at a newer one, and the pool goes again). Orders of magnitude
-        cheaper than a teardown+respawn after a small delta add; falls
-        back to a respawn if an actor died."""
-        import ray
+        """Reopen at the newest marker (unchanged segment readers reused —
+        see ``ShardWorker.refresh``) and drop the result cache: orders of
+        magnitude cheaper than a cold open after a small delta add."""
+        self._open()
 
-        from collections import OrderedDict
-
-        self._result_cache = OrderedDict()  # results may change: drop all
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self._twins = {}
-        for _ in _repin_attempts(self.index_dir):
-            self.build = read_build_id(self.index_dir)
-            self.marker = newest_gen(self.index_dir)
-            try:
-                loaded = ray.get([a.refresh.remote(self.marker)
-                                  for a in self.actors])
-            except ray.exceptions.RayActorError:
-                self._spawn()
-                loaded = ray.get(self._ready)
-            if all(m == self.marker for m in loaded):
-                break
-        self.store = TermStatsStore(self.index_dir, at=self.marker)
-
-    def _retrying(self, fn):
-        """Run fn; on an actor failure respawn the pool and retry ONCE."""
-        import ray
-
-        try:
-            return fn()
-        except ray.exceptions.RayActorError:
-            self._spawn()
-            self.wait_ready()
-            return fn()
-
-    def _repinning(self, fn):
-        """Run fn; while it raises ``_StaleIndexRead`` (the pinned
-        marker's term stats were reaped), reopen the pool at the newest
-        marker and run it again (``_repin_attempts``)."""
-        for _ in _repin_attempts(self.index_dir):
-            try:
-                return fn()
-            except _StaleIndexRead:
-                self.refresh()
-
-    # -- BM25 scatter/merge --------------------------------------------------
-
-    _EMPTY_TOPK = numpy_table(
-        {"query_id": np.empty(0, np.int64), "rank": np.empty(0, np.int64),
-         "doc_id": np.empty(0, np.int64), "score": np.empty(0, np.float64)})
-
-    @_repins
-    def topk_submit(self, queries: pa.Table, where=None, require_all: bool = False):
-        """Plan one query batch and dispatch it to every actor WITHOUT
-        waiting — returns a handle for ``topk_collect``. Submitting several
-        batches before collecting keeps every actor's queue full (the
-        serving path).
-
-        An optional ``not_text`` string column on ``queries`` carries each
-        query's NOT clause (Solr ``a -b``): docs containing ANY of its terms
-        are excluded from that query's ranking; surviving scores are
-        unchanged. Exclusion sets are computed shard-locally in the actors.
-
-        Optional ``cursor_score`` (float64) / ``cursor_doc`` (int64) columns
-        carry a per-query search-after mark (Solr cursorMark): only docs
-        strictly after (round(score, 6) desc, doc_id asc) = (cursor_score,
-        cursor_doc) are ranked. Null cursor_score → no cursor for that row.
-
-        Shares whose actor is still starting are scored by their twins,
-        after the remote calls went out (see the class docstring)."""
-        plan = _plan_batch(self.store, queries)
-        if not plan.queries or not self.actors:
-            return (plan.queries, [], [])
-        self._hand_over()
-        futures = [a.score.remote(plan, where, require_all)
-                   for i, a in enumerate(self.actors) if i not in self._twins]
-        local = [t.score(plan, where, require_all)[0]
-                 for t in self._twins.values()]
-        return (plan.queries, futures, local)
-
-    @_repins
-    def topk_time_allowed(
-        self, queries: pa.Table, time_allowed_s: float, where=None,
-        require_all: bool = False,
-    ) -> tuple[pa.Table, list[int]]:
-        """Deadline-bounded scatter (Solr ``timeAllowed`` + partialResults):
-        returns ``(topk_table, partial_qids)``. A query appears in the table
-        only if EVERY worker finished it before the deadline (those rows are
-        bit-identical to the exact path); the rest are listed in
-        ``partial_qids`` — dropped, never returned with silently-wrong
-        ranks. ``time_allowed_s <= 0`` degenerates to all-partial. The
-        budget starts once the actors serve. A worker checks it before each
-        shard and each accumulator chunk of the batch pass, not within one:
-        a batch that fits one chunk (``_chunks``; a whole 160-row batch over
-        a small shard) finishes or drops on that shard as a whole."""
-        self._settle()
-        plan = _plan_batch(self.store, queries)
-        if not plan.queries or not self.actors:
-            return self._EMPTY_TOPK, sorted(plan.queries)
-
-        def run():
-            import ray
-
-            deadline = time.time() + max(0.0, float(time_allowed_s))
-            results = ray.get([a.score.remote(plan, where, require_all, deadline)
-                               for a in self.actors])
-            done: set[int] = set(plan.queries)
-            for _t, d in results:
-                done &= set(d)
-            merged = _merge_topk_parts(
-                {q: v for q, v in plan.queries.items() if q in done},
-                [t for t, _d in results])
-            return merged, sorted(q for q in plan.queries if q not in done)
-
-        return self._retrying(run)
-
-    def topk_collect(self, handle) -> pa.Table:
-        import ray
-
-        live, futures, local = handle
-        return _merge_topk_parts(
-            live, [t for t, _done in ray.get(futures)] + local)
+    # -- ranked -------------------------------------------------------------
 
     @staticmethod
     def _cache_key(queries: pa.Table, where) -> str:
@@ -1728,12 +1464,16 @@ class QueryPool:
         self, queries: pa.Table, where=None, require_all: bool = False
     ) -> pa.Table:
         """(query_id:int64, text:string, k:int32) → (query_id, rank, doc_id,
-        score). Planning happens once on the driver; each actor returns only
-        per-shard top-k heaps (k × n_shards rows per query), merged here.
-        A dead actor triggers one pool respawn + retry. Results LRU-cache on
-        the pool (see RESULT_CACHE_CAP) — after an index mutation
-        ``get_pool``'s fingerprint refreshes the pool, and ``refresh()``
-        clears the cache, so stale hits can't happen."""
+        score). An optional ``not_text`` string column carries each query's
+        NOT clause (Solr ``a -b``): docs containing ANY of its terms are
+        excluded, surviving scores unchanged. Optional ``min_match``
+        (edismax mm) and ``cursor_score`` (float64) / ``cursor_doc``
+        (int64) columns: a search-after mark (Solr cursorMark) ranks only
+        docs strictly after (round(score, 6) desc, doc_id asc) =
+        (cursor_score, cursor_doc); a null cursor_score means no cursor.
+        Results LRU-cache on the pool (see RESULT_CACHE_CAP); a commit
+        makes ``get_pool`` refresh the pool, which clears the cache, so
+        stale hits can't happen."""
         key = (self._cache_key(queries, where), bool(require_all))
         hit = self._result_cache.get(key)
         if hit is not None:
@@ -1741,26 +1481,36 @@ class QueryPool:
             self.cache_hits += 1
             return hit
         self.cache_misses += 1
-        out = self._retrying(
-            lambda: self.topk_collect(self.topk_submit(queries, where, require_all))
-        )
+        out, _cut = self._ranked(queries, where, require_all)
         self._result_cache[key] = out
         while len(self._result_cache) > self.RESULT_CACHE_CAP:
             self._result_cache.popitem(last=False)
         return out
 
-    @_repins
+    def topk_time_allowed(
+        self, queries: pa.Table, time_allowed_s: float, where=None,
+        require_all: bool = False,
+    ) -> tuple[pa.Table, list[int]]:
+        """Deadline-bounded top-k (Solr ``timeAllowed`` + partialResults):
+        returns ``(topk_table, partial_qids)``. A query appears in the table
+        only if every shard finished it before the deadline (those rows are
+        bit-identical to the exact path); the rest are listed in
+        ``partial_qids`` — dropped, never returned with silently-wrong
+        ranks. ``time_allowed_s <= 0`` degenerates to all-partial. The
+        budget starts once the batch is planned. The worker checks it
+        before each shard and each accumulator chunk of the batch pass, not
+        within one: a batch that fits one chunk (``_chunks``; a whole
+        160-row batch over a small shard) finishes or drops on that shard
+        as a whole."""
+        return self._ranked(queries, where, require_all,
+                            time_allowed_s=time_allowed_s)
+
     def topk_lmd(self, queries: pa.Table, mu: float = 2000.0) -> pa.Table:
         """LM-Dirichlet ranked retrieval (Lucene LMDirichletSimilarity):
         the BM25 plan/score/merge path and side channels, planned for
         LM-Dirichlet(``mu``) — a different per-posting contribution and
         bound (``_contrib``)."""
-        self._settle()
-        plan = _plan_batch(self.store, queries, mu=float(mu))
-        if not plan.queries:
-            return self._EMPTY_TOPK
-        return self._retrying(lambda: self.topk_collect(
-            (plan.queries, [a.score.remote(plan) for a in self.actors], [])))
+        return self._ranked(queries, mu=float(mu))[0]
 
     # -- boolean / facet / filter -------------------------------------------
 
@@ -1774,18 +1524,10 @@ class QueryPool:
 
     @_repins
     def matching_doc_ids(self, text: str, mode: str = "and") -> np.ndarray:
-        import ray
-
-        self._settle()
         plans, nq = self._plan_boolean(text, mode)
-        if plans is None or not self.actors:
+        if plans is None:
             return np.empty(0, np.int64)
-
-        def run():
-            parts = ray.get([a.match.remote(plans, mode, nq) for a in self.actors])
-            return np.sort(np.concatenate(parts)) if parts else np.empty(0, np.int64)
-
-        return self._retrying(run)
+        return np.sort(self.worker.match(plans, mode, nq))
 
     @property
     def has_positions(self) -> bool:
@@ -1803,13 +1545,8 @@ class QueryPool:
         the match to spans whose first token sits among the doc's first
         ``max_start`` tokens (Lucene SpanFirst). Returns qid → sorted
         matching doc ids (empty arrays for no-match / unplannable phrases).
-        One scatter for ALL queries; each actor returns only
-        (query_id, doc_id) pairs (bounded by the rarest term's df), and
-        shards are disjoint doc populations so the merge is a
-        concatenation."""
-        import ray
-
-        self._settle()
+        One worker call for ALL queries, returning only (query_id, doc_id)
+        pairs (bounded by the rarest term's df)."""
         planned: dict[int, tuple] = {}
         for qid, spec in phrases.items():
             text, slop = spec[0], spec[1]
@@ -1819,19 +1556,7 @@ class QueryPool:
                 entry = entry + (int(spec[2]),)
             planned[int(qid)] = entry
         out = {int(q): np.empty(0, np.int64) for q in phrases}
-        if not planned or not self.actors:
-            return out
-
-        def run():
-            parts = ray.get([a.phrase_ids.remote(planned) for a in self.actors])
-            merged = pa.concat_tables(parts)
-            if merged.num_rows:
-                df = merged.to_pandas()
-                for qid, g in df.groupby("query_id"):
-                    out[int(qid)] = np.sort(g["doc_id"].to_numpy(np.int64))
-            return out
-
-        return self._retrying(run)
+        return _ids_by_query(self.worker.phrase_ids(planned), out)
 
     @_repins
     def span_not_ids(
@@ -1840,11 +1565,8 @@ class QueryPool:
         """Lucene SpanNot matching: ``queries`` maps qid → (phrase text,
         exclude term, dist). Returns qid → sorted doc ids having at least
         one exact-phrase occurrence with no exclude-term occurrence within
-        ``dist`` tokens of the span (pre = post = dist). Same scatter/merge
-        shape as ``phrase_ids``."""
-        import ray
-
-        self._settle()
+        ``dist`` tokens of the span (pre = post = dist). Same shape as
+        ``phrase_ids``."""
         planned: dict[int, tuple] = {}
         for qid, (text, excl, dist) in queries.items():
             toks = tokenize_text(self.store.qtext(text))
@@ -1859,71 +1581,31 @@ class QueryPool:
                 eplans[0] if eplans else None, int(dist),
             )
         out = {int(q): np.empty(0, np.int64) for q in queries}
-        if not planned or not self.actors:
-            return out
-
-        def run():
-            parts = ray.get(
-                [a.span_not_ids.remote(planned) for a in self.actors]
-            )
-            merged = pa.concat_tables(parts)
-            if merged.num_rows:
-                df = merged.to_pandas()
-                for qid, g in df.groupby("query_id"):
-                    out[int(qid)] = np.sort(g["doc_id"].to_numpy(np.int64))
-            return out
-
-        return self._retrying(run)
+        return _ids_by_query(self.worker.span_not_ids(planned), out)
 
     @_repins
     def facet_counts(
         self, facet_col: str, text: str | None = None, mode: str = "and"
     ) -> pd.DataFrame:
-        import pandas as pd
-        import ray
-
+        """(facet value, n_docs) over the docs matching ``text`` (every
+        doc when None), each counted once under its current version at
+        the pinned marker (``ShardWorker._latest_live_docs``)."""
         plans: list[TermPlan] | None = None
         nq = 0
-        if text is None:
-            # whole-corpus facet: a streaming Dataset aggregation — never a
-            # per-worker shard-slice materialization (the query-restricted
-            # path below is bounded by the match set instead)
-            return facet_counts_all_docs(self.index_dir, facet_col)
-        self._settle()
         if text is not None:
             plans, nq = self._plan_boolean(text, mode)
             if plans is None:  # zero-match query → empty facet table
+                import pandas as pd
+
                 return pd.DataFrame({facet_col: [], "n_docs": []}).astype(
-                    {"n_docs": np.int64}
-                )
-        parts = self._retrying(
-            lambda: ray.get(
-                [a.facet_counts.remote(facet_col, plans, mode, nq)
-                 for a in self.actors]
-            )
-        ) if self.actors else []
-        if not parts:
-            return pd.DataFrame({facet_col: [], "n_docs": []}).astype(
-                {"n_docs": np.int64}
-            )
-        out = (
-            pd.concat(parts, ignore_index=True)
-            .groupby(facet_col, as_index=False, dropna=False)["n_docs"].sum()
-            .sort_values([facet_col], ignore_index=True)
-        )
+                    {"n_docs": np.int64})
+        out = self.worker.facet_counts(facet_col, plans, mode, nq)
+        out = out.sort_values([facet_col], ignore_index=True)
         out["n_docs"] = out["n_docs"].astype(np.int64)
         return out
 
     def filter_doc_ids(self, where) -> np.ndarray:
-        import ray
-
-        self._settle()
-        if not self.actors:
-            return np.empty(0, np.int64)
-        parts = self._retrying(
-            lambda: ray.get([a.filter_ids.remote(where) for a in self.actors])
-        )
-        return np.sort(np.concatenate(parts)) if parts else np.empty(0, np.int64)
+        return np.sort(self.worker.filter_ids(where))
 
     @_repins
     def grouped_topk(
@@ -1932,23 +1614,19 @@ class QueryPool:
         """Field collapsing (Solr group.field): per query and per distinct
         ``group_col`` value, the top-k docs by (score desc, doc_id asc) —
         k from each query's ``k`` column. Returns (query_id, <group_col>,
-        grp_rank, doc_id, score). Each actor ships per-group heaps only;
-        the exact per-group merge happens here. Takes ``not_text`` and
-        ``min_match`` like ``topk``; a cursor column raises ValueError
-        (Solr rejects cursorMark with grouping too)."""
+        grp_rank, doc_id, score): the worker's per-group heaps, merged
+        here. Takes ``not_text`` and ``min_match`` like ``topk``; a cursor
+        column raises ValueError (Solr rejects cursorMark with grouping
+        too)."""
         import pandas as pd
-        import ray
 
-        self._settle()
         plan = _plan_batch(self.store, queries, cursors=False)
-        parts = self._retrying(lambda: ray.get(
-            [a.grouped_partials.remote(plan, group_col) for a in self.actors]
-        )) if plan.queries else []
-        merged = pd.concat(parts, ignore_index=True) if parts else pd.DataFrame(
-            {"query_id": pd.Series([], dtype=np.int64),
-             "doc_id": pd.Series([], dtype=np.int64),
-             "score": pd.Series([], dtype=np.float64),
-             group_col: pd.Series([], dtype=object)})
+        merged = (self.worker.grouped_partials(plan, group_col)
+                  if plan.queries else pd.DataFrame(
+                      {"query_id": pd.Series([], dtype=np.int64),
+                       "doc_id": pd.Series([], dtype=np.int64),
+                       "score": pd.Series([], dtype=np.float64),
+                       group_col: pd.Series([], dtype=object)}))
         q = merged["query_id"].to_numpy(np.int64)
         codes, _ = pd.factorize(merged[group_col], sort=True,
                                 use_na_sentinel=False)
@@ -1970,106 +1648,57 @@ class QueryPool:
         """Boost query (Solr ``boost=``): top-k per query by
         ``score * w(boost_col)``. ``weights`` is either a categorical
         ``{value: w}`` dict (with ``default_w``) or a VECTORIZED callable
-        over the meta column (numeric function queries — recip()/linear());
-        the callable ships to the actors once per call. Returns
-        (query_id, doc_id, score, boosted). Takes ``not_text`` and
+        over the meta column (numeric function queries — recip()/linear()).
+        Returns (query_id, doc_id, score, boosted). Takes ``not_text`` and
         ``min_match`` like ``topk``; a cursor column raises ValueError."""
         import pandas as pd
-        import ray
 
-        self._settle()
         plan = _plan_batch(self.store, queries, cursors=False)
-        parts = self._retrying(lambda: ray.get([
-            a.boosted_partials.remote(plan, boost_col, weights, default_w)
-            for a in self.actors
-        ])) if plan.queries else []
-        merged = pd.concat(parts, ignore_index=True) if parts else pd.DataFrame(
-            {c: pd.Series([], dtype=t) for c, t in (
-                ("query_id", np.int64), ("doc_id", np.int64),
-                ("score", np.float64), ("boosted", np.float64))})
+        merged = (self.worker.boosted_partials(plan, boost_col, weights,
+                                               default_w)
+                  if plan.queries else pd.DataFrame(
+                      {c: pd.Series([], dtype=t) for c, t in (
+                          ("query_id", np.int64), ("doc_id", np.int64),
+                          ("score", np.float64), ("boosted", np.float64))}))
         q = merged["query_id"].to_numpy(np.int64)
         idx, _rank = _topk_rows((q,), merged["boosted"].to_numpy(),
                                 merged["doc_id"].to_numpy(),
                                 _row_k(plan.queries, q))
         return merged.iloc[idx].reset_index(drop=True)
 
-    def _kill_actors(self) -> None:
-        import ray
 
-        for a in self.actors:
-            try:
-                ray.kill(a)
-            except Exception:
-                pass
-        self.actors = []
-        self._ready = []
+class _ServeWorker:
+    """One ``bm25_serve`` worker (a Ray Data actor): a ``LocalSearcher`` at
+    the marker the driver read, with every term-stats bucket loaded up
+    front, so each batch it answers plans and scores one committed state
+    and reads no term stats from disk."""
 
-    def shutdown(self) -> None:
-        """Kill every actor, ready or still starting, and drop the twins."""
-        self._kill_actors()
-        self._twins = {}
+    def __init__(self, index_dir: str, marker: int):
+        s = self.searcher = LocalSearcher(index_dir, at=marker)
+        s._repinning(lambda: [s.store._load_bucket(b) for b in
+                              range(int(s.store.stats["n_buckets"]))])
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        return self.searcher._ranked(batch)[0]
 
 
-def facet_counts_all_docs(index_dir: str, facet_col: str) -> pd.DataFrame:
-    """Whole-corpus facet counts as a STREAMING Dataset aggregation.
-
-    The only docs whose forward rows need version resolution are those in
-    the (small) tombstone/replace threshold set — every other doc has
-    exactly one live row. So: a vectorized per-batch count over the cold
-    rows (tree-merged), plus a driver-side resolution of the hot rows
-    (bounded by the threshold set, collected via a distributed filter)."""
-    import pandas as pd
-    import ray
-    import ray.data
-
-    from ..state.aggregates import tree_aggregate
-    docs_dir = os.path.join(index_dir, "_docs")
-    cols = ["doc_id", facet_col, "gen"]
-    tomb_ids, tomb_thr = load_tombstone_thresholds(index_dir)
-    tomb_ref = ray.put(tomb_ids)
-
-    def _hot_mask(ids: np.ndarray) -> np.ndarray:
-        tomb = ray.get(tomb_ref)
-        if not len(tomb):
-            return np.zeros(len(ids), dtype=bool)
-        pos = np.searchsorted(tomb, ids)
-        ok = pos < len(tomb)
-        hit = np.zeros(len(ids), dtype=bool)
-        hit[ok] = tomb[pos[ok]] == ids[ok]
-        return hit
-
-    def cold_partial(df: pd.DataFrame) -> pd.DataFrame:
-        ids = df["doc_id"].to_numpy(np.int64)
-        cold = df[~_hot_mask(ids)]
-        return cold.groupby(facet_col, as_index=False, dropna=False).agg(
-            n_docs=("doc_id", "size")
-        )
-
-    ds = ray.data.read_parquet(docs_dir, columns=cols)
-    counts = tree_aggregate(ds, [facet_col], cold_partial, {"n_docs": "sum"}).to_pandas()
-
-    if len(tomb_ids):
-        hot = ds.map_batches(
-            lambda df: df[_hot_mask(df["doc_id"].to_numpy(np.int64))],
-            batch_format="pandas",
-        ).to_pandas()  # bounded by the threshold set × generations
-        if len(hot):
-            hot = hot.sort_values("gen", kind="mergesort").drop_duplicates(
-                "doc_id", keep="last")
-            row_gen = hot["gen"].to_numpy(np.int64)
-            thr = tomb_thr[np.searchsorted(tomb_ids, hot["doc_id"].to_numpy(np.int64))]
-            live = hot[thr <= row_gen]
-            if len(live):
-                extra = live.groupby(facet_col, as_index=False, dropna=False).agg(
-                    n_docs=("doc_id", "size")
-                )
-                counts = (
-                    pd.concat([counts, extra], ignore_index=True)
-                    .groupby(facet_col, as_index=False, dropna=False)["n_docs"].sum()
-                )
-    counts = counts.sort_values([facet_col], ignore_index=True)
-    counts["n_docs"] = counts["n_docs"].astype(np.int64)
-    return counts
+def bm25_serve(index_dir: str, queries_ds, concurrency: int = 2,
+               batch_size: int = 32):
+    """Serve a query Dataset: ``map_batches`` over ``concurrency`` actors,
+    each holding the in-process searcher of one marker (``_ServeWorker``;
+    the driver reads the marker once, a worker that finds part of its
+    state reaped re-pins the newest). A batch pays one plan, one
+    in-process score and one merge. The query table takes the same
+    optional columns as ``bm25_topk`` (``not_text``, ``min_match``,
+    ``cursor_score``/``cursor_doc``)."""
+    return queries_ds.map_batches(
+        _ServeWorker,
+        fn_constructor_args=(index_dir, newest_gen(index_dir)),
+        batch_format="pyarrow",
+        batch_size=batch_size,
+        concurrency=concurrency,
+        num_cpus=1,
+    )
 
 
 def _index_signature(index_dir: str) -> tuple:
@@ -2079,54 +1708,40 @@ def _index_signature(index_dir: str) -> tuple:
     return read_build_id(index_dir), newest_gen(index_dir)
 
 
+_POOL_CACHE_MAX = 3
 _POOLS: dict[str, "QueryPool"] = {}
 
 
-def get_pool(index_dir: str, n_actors: int | None = None) -> QueryPool:
+def get_pool(index_dir: str) -> QueryPool:
     """Cached pool per index dir, at the index's newest marker: refreshed
-    in place when a commit landed since. The cache is a small LRU so long
-    test sessions over many scratch indexes don't accumulate actors.
-    ``n_actors`` only applies at creation.
-
-    A new pool is returned as soon as its twins have loaded, without
-    waiting for its actor processes (see ``QueryPool``). A pool whose open
-    or refresh raises is shut down, so no actor outlives the failure."""
+    in place when a commit landed since. The cache is a small LRU, so long
+    test sessions over many scratch indexes don't accumulate mmapped
+    readers. A pool whose refresh raises leaves the cache."""
     sig = _index_signature(index_dir)
     pool = _POOLS.pop(index_dir, None)
-    if pool is not None and pool.sig == sig:
-        _POOLS[index_dir] = pool  # refresh LRU order
-        return pool
     if pool is None:
         while len(_POOLS) >= _POOL_CACHE_MAX:
-            _POOLS.pop(next(iter(_POOLS))).shutdown()
-    try:
-        if pool is None:
-            pool = QueryPool(index_dir, n_actors)  # shuts down on error
-        else:
-            # the index changed under a live pool: REOPEN it in place
-            # (unchanged segment readers reused, actors kept warm) instead
-            # of paying a full teardown + respawn — Lucene reopen economics
-            pool.refresh()
-    except BaseException:
-        if pool is not None:
-            pool.shutdown()
-        raise
+            _POOLS.pop(next(iter(_POOLS)))
+        pool = QueryPool(index_dir)
+    elif pool.sig != sig:
+        # the index changed under a live pool: REOPEN it in place
+        # (unchanged segment readers reused) — Lucene reopen economics
+        pool.refresh()
     _POOLS[index_dir] = pool
     return pool
 
 
-def get_pool_and_sig(index_dir: str, n_actors: int | None = None):
+def get_pool_and_sig(index_dir: str):
     """(pool, the (build id, marker) it serves) — consumers that snapshot
     derived state alongside a pool (FederatedSearcher's merged global
     stats) compare signatures to know when their snapshot went stale,
     since the pool object itself is refreshed in place."""
-    pool = get_pool(index_dir, n_actors)
+    pool = get_pool(index_dir)
     return pool, pool.sig
 
 
 def shutdown_pools() -> None:
-    for pool in _POOLS.values():
-        pool.shutdown()
+    """Drop every cached pool (its readers unmap with it)."""
     _POOLS.clear()
 
 
@@ -2134,8 +1749,8 @@ def matching_doc_ids(index_dir: str, text: str, mode: str = "and") -> np.ndarray
     """Boolean retrieval: sorted doc ids containing ALL ("and") or ANY
     ("or") of the query's terms — the reference's conjunctive facet
     predicate surface (`... AND types:repository`, IndexRecords.java:174).
-    Tombstones excluded. Posting decode + set ops run inside the shard
-    workers; the driver receives only the final id array."""
+    Tombstones excluded. Posting decode + set ops run in the pool's
+    worker, shard by shard."""
     return get_pool(index_dir).matching_doc_ids(text, mode)
 
 
@@ -2143,23 +1758,24 @@ def facet_counts(
     index_dir: str, facet_col: str, text: str | None = None, mode: str = "and"
 ) -> "pd.DataFrame":
     """Facet counting over the (optionally query-restricted) doc set — the
-    Solr ``facet.field`` surface. Distributed: each shard worker computes its
-    shard-local match set and counts facet values against its own
-    column-pruned ``_docs`` slice; only (facet value, count) partials reach
-    the driver. Null facet values form a real group (SQL GROUP BY parity)."""
+    Solr ``facet.field`` surface. Per shard the pool's worker computes the
+    shard-local match set (every doc without ``text``) and counts each
+    doc's current facet value at the pinned marker against the shard's
+    column-pruned ``_docs`` slice. Null facet values form a real group
+    (SQL GROUP BY parity)."""
     return get_pool(index_dir).facet_counts(facet_col, text, mode)
 
 
 def lmd_topk(index_dir: str, queries: pa.Table, mu: float = 2000.0) -> pa.Table:
-    """LM-Dirichlet top-k over the warm pool (see ``QueryPool.topk_lmd``)."""
+    """LM-Dirichlet top-k through the cached pool (``QueryPool.topk_lmd``)."""
     return get_pool(index_dir).topk_lmd(queries, mu)
 
 
 def filter_doc_ids(index_dir: str, where) -> np.ndarray:
     """Sorted doc ids passing a pyarrow filter expression over _docs —
-    evaluated shard-locally in the workers (column-pruned, predicate
-    pushdown); prefer passing ``where=`` to the query paths directly, which
-    keeps even the id arrays inside the workers."""
+    evaluated shard by shard in the pool's worker (column-pruned,
+    predicate pushdown); prefer passing ``where=`` to the query paths
+    directly, which keeps even the id arrays inside the worker."""
     return get_pool(index_dir).filter_doc_ids(where)
 
 
@@ -2211,19 +1827,15 @@ def bm25_topk(
     *,
     where=None,
     require_all: bool = False,
-    concurrency: int | None = None,
 ) -> pa.Table:
-    """Distributed scatter/merge BM25 over a queries table
-    ``(query_id:int64, text:string, k:int32)`` → ``(query_id, rank, doc_id,
-    score)``. An optional ``not_text`` column carries per-query NOT clauses
-    (docs matching any negative term are excluded, scores unchanged).
-
-    Routed through the cached shard-pinned ``QueryPool`` (T5): scorer state
-    loads once per actor and is reused across calls; query planning happens
-    once on the driver; each actor ships back only per-shard top-k heaps
-    (k × n_shards rows per query) merged driver-side. ``where`` (a pyarrow
-    expression over _docs meta columns) and ``require_all`` (conjunctive
-    AND semantics) are evaluated shard-locally inside the actors — no
-    corpus-sized whitelist ever reaches the driver."""
-    pool = get_pool(index_dir, n_actors=concurrency)
-    return pool.topk(queries, where=where, require_all=require_all)
+    """BM25 top-k over a queries table ``(query_id:int64, text:string,
+    k:int32)`` → ``(query_id, rank, doc_id, score)``, through the cached
+    ``QueryPool`` (T5): scorer state loads once per pool and is reused
+    across calls; each batch is planned once, scored shard by shard into
+    per-shard top-k heaps and merged. Takes the optional columns of
+    ``QueryPool.topk`` (``not_text``, ``min_match``,
+    ``cursor_score``/``cursor_doc``). ``where`` (a pyarrow expression over
+    _docs meta columns) and ``require_all`` (conjunctive AND semantics) are
+    evaluated shard-locally — no corpus-sized whitelist is built."""
+    return get_pool(index_dir).topk(queries, where=where,
+                                    require_all=require_all)

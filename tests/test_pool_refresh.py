@@ -1,9 +1,9 @@
 """Pool reopen (Lucene IndexReader.reopen analog).
 
-get_pool refreshes a live pool in place when the index changes: actors
-stay warm, unchanged segment readers are reused (keyed by build id +
-segment name), the result cache drops, and results equal a cold pool /
-the union oracle.
+get_pool refreshes a live pool in place when the index changes: the same
+pool object serves on, unchanged segment readers are reused (keyed by
+build id + segment name), the result cache drops, and results equal a
+cold pool / the union oracle.
 """
 
 import os
@@ -44,15 +44,18 @@ def built(tmp_path, ray_session):
 def test_get_pool_refreshes_in_place_with_warm_actors(built):
     idx, src, full = built
     pool = get_pool(idx)
-    actor_ids = [a._actor_id for a in pool.actors]
     before = pool.topk(_query_tbl("def return")).to_pandas()
     assert len(before)
+    readers = {s: dict(sc.reader_cache)
+               for s, sc in pool.worker.scorers.items()}
 
     add_documents(os.path.join(src, "d1.parquet"), idx, BuildConfig(**CFG))
     pool2 = get_pool(idx)
     assert pool2 is pool, "index change should refresh, not rebuild"
-    assert [a._actor_id for a in pool2.actors] == actor_ids, \
-        "actors must stay warm across a refresh"
+    for s, sc in pool2.worker.scorers.items():
+        assert all(sc.reader_cache[k] is r for k, r in readers[s].items()), \
+            "unchanged segment readers must be reused across a refresh"
+        assert len(sc.reader_cache) > len(readers[s]), "delta opened"
 
     got = pool2.topk(_query_tbl("def return")).to_pandas()
     ids = doc_id_from_key(full["repo"].to_pylist(), full["path"].to_pylist(),

@@ -1,18 +1,16 @@
-"""A new QueryPool answers before its actor processes are up: an in-process
-twin (a ``ShardWorker`` over the same share of shards) scores each share
-until its actor is ready, then hands over.
+"""The query pool scores in process: one ``ShardWorker`` over every shard
+and the ``TermStatsStore`` that plans for it, pinned at one marker.
 
-Pinned here: twins and actors give bit-identical answers (equal to the
-``LocalSearcher`` path and to ``oracle.OracleIndex``); a handover never
-mixes two index states; actor death, shutdown and failed opens leave no
-live actor; and a query worker imports neither Ray Data nor pandas.
+Pinned here: the batch pass equals ``oracle.OracleIndex`` bit for bit; a
+pool serves the state it pinned until ``get_pool`` refreshes it; a failed
+refresh leaves no cached pool; a query worker imports neither Ray Data nor
+pandas; and a process that only queries starts no Ray.
 """
 
 import os
 import pickle
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pyarrow as pa
@@ -27,7 +25,6 @@ from archivesspace_virgo_ray.index import query
 from archivesspace_virgo_ray.index.build import BuildConfig, build_index
 from archivesspace_virgo_ray.index.query import (
     LocalSearcher,
-    QueryPool,
     _merge_topk_parts,
     _plan_batch,
     get_pool,
@@ -174,52 +171,6 @@ def _assert_same(got: pa.Table, want: pa.Table) -> None:
         np.asarray(want["score"].to_pylist(), np.float64).view(np.int64))
 
 
-def _assert_dies(handle, deadline_s: float = 120.0) -> None:
-    """The actor behind ``handle`` must die within the deadline.
-    ``ray.kill`` is asynchronous: a call sent right after it may still be
-    answered (seen in about 1 of 16 kills), so poll until the actor is
-    gone."""
-    import ray
-
-    end = time.monotonic() + deadline_s
-    while True:
-        try:
-            ray.get(handle.ping.remote(), timeout=deadline_s)
-        except ray.exceptions.RayActorError:
-            return
-        if time.monotonic() > end:
-            pytest.fail(f"actor still answers {deadline_s} s after its kill")
-        time.sleep(0.05)
-
-
-def test_twins_and_actors_answer_alike(idx, corpus, monkeypatch):
-    """The same batches once through the twins (handover held) and once
-    through the actors: bit-identical, equal to LocalSearcher and the
-    oracle; after the handover the pool holds no twin."""
-    base = _batch()
-    tbl = _with_cursor(base, _local(idx, base))
-    cases = [(tbl, None, False), (tbl, WHERE, False),
-             (base, None, True), (base, WHERE, True)]
-    pool = QueryPool(idx, n_actors=2)
-    try:
-        monkeypatch.setattr(QueryPool, "_hand_over", lambda self: None)
-        via_twins = [pool.topk_collect(pool.topk_submit(t, w, ra))
-                     for t, w, ra in cases]
-        assert sorted(pool._twins) == [0, 1]
-        monkeypatch.undo()
-        pool.wait_ready()
-        via_actors = [pool.topk_collect(pool.topk_submit(t, w, ra))
-                      for t, w, ra in cases]
-        assert not pool._twins, "a twin outlived the handover"
-        for (t, w, ra), a, b in zip(cases, via_twins, via_actors):
-            assert a.num_rows > 0
-            assert a.equals(b)
-            _assert_same(a, _local(idx, t, w, ra))
-            _assert_same(a, _oracle(corpus, t, w, ra))
-    finally:
-        pool.shutdown()
-
-
 @pytest.mark.parametrize("knobs", [
     {},
     {"_COMPACT_MIN": 1 << 40},  # every chunk over the shard's docs
@@ -298,30 +249,11 @@ def test_batch_pass_matches_oracle(idx, corpus, monkeypatch, knobs):
     assert _oracle(corpus, zero).num_rows == 0
 
 
-def test_get_pool_does_not_wait_for_actors(idx, monkeypatch):
-    shutdown_pools()
-
-    def no_wait(self):
-        raise AssertionError("get_pool waited for the actors")
-
-    monkeypatch.setattr(QueryPool, "wait_ready", no_wait)
-    pool = get_pool(idx)
-    try:
-        assert pool._twins
-        monkeypatch.undo()
-        got = pool.topk(_batch())
-        _assert_same(got, _local(idx, _batch()))
-    finally:
-        shutdown_pools()
-
-
 def test_add_during_startup_never_hands_over_to_mixed_state(tmp_path,
                                                             ray_session):
-    """An add that commits after the twins loaded but before the actors
-    are ready: the actors load the marker the pool pinned, not the add's,
-    so they take over from the twins and the pool keeps answering the
-    pinned state; the next get_pool refreshes and its answers include the
-    add."""
+    """An add that commits between get_pool's pin and the pool's first
+    answer: the pool serves the state it pinned, and the next get_pool
+    refreshes it in place and serves the add."""
     full = generate_corpus(260, seed=41)
     src = tmp_path / "corp"
     src.mkdir()
@@ -346,83 +278,37 @@ def test_add_during_startup_never_hands_over_to_mixed_state(tmp_path,
     try:
         pool = get_pool(index_dir)
         add_documents(str(src / "d1.parquet"), index_dir, cfg)
-        pool.wait_ready()
         assert pool.topk(q)["doc_id"].to_pylist() == expect(200)
-        assert not pool._twins, "actors at the twins' marker take over"
         pool2 = get_pool(index_dir)
-        assert pool2 is pool and not pool._twins
+        assert pool2 is pool
         assert pool2.topk(q)["doc_id"].to_pylist() == expect(260)
     finally:
         shutdown_pools()
 
 
-def test_shutdown_while_actors_start_leaves_no_actor(idx):
-    shutdown_pools()
-    pool = get_pool(idx)
-    handles = list(pool.actors)
-    assert handles and pool._twins
-    shutdown_pools()
-    for h in handles:
-        _assert_dies(h)
-
-
 def test_failed_refresh_shuts_the_pool_down(tmp_path, ray_session, sf_dir):
-    """A get_pool whose refresh raises (an unreadable newest marker) must
-    not leave the pool's actors running outside the cache."""
+    """A get_pool whose refresh raises (an unreadable newest marker)
+    leaves no cached pool behind."""
     import json
 
     index_dir = str(tmp_path / "idx")
     build_index(os.path.join(sf_dir, "documents.parquet"), index_dir,
                 BuildConfig(n_shards=2, n_buckets=2, text_col="text",
                             id_col="doc_id", meta_cols=()), resume=False)
-    pool = get_pool(index_dir)
-    pool.wait_ready()
-    handles = list(pool.actors)
+    get_pool(index_dir)
     with open(os.path.join(index_dir, "_global", "gens", "g0001.json"),
               "w") as f:
         f.write("{not json")
     with pytest.raises(json.JSONDecodeError):
         get_pool(index_dir)
-    for h in handles:
-        _assert_dies(h)
+    assert index_dir not in query._POOLS
     shutdown_pools()
-
-
-def test_failed_twin_load_shuts_the_actors_down(idx, monkeypatch):
-    shutdown_pools()
-    spawned = []
-    real_spawn = QueryPool._spawn
-
-    def spy(self):
-        real_spawn(self)
-        spawned.extend(self.actors)
-
-    def boom(*args, **kwargs):
-        raise OSError("twin load failed")
-
-    monkeypatch.setattr(QueryPool, "_spawn", spy)
-    # driver-side only: the actors import the real module
-    monkeypatch.setattr(query, "ShardScorer", boom)
-    with pytest.raises(OSError, match="twin load failed"):
-        get_pool(idx)
-    assert spawned
-    for h in spawned:
-        _assert_dies(h)
-    assert idx not in query._POOLS
-    monkeypatch.undo()
-    pool = get_pool(idx)  # the actors never saw the driver-side patch
-    try:
-        pool.wait_ready()
-        _assert_same(pool.topk(_batch()), _local(idx, _batch()))
-        assert not pool._twins
-    finally:
-        shutdown_pools()
 
 
 def test_query_worker_imports_neither_ray_data_nor_pandas(idx, tmp_path):
-    """Building a ShardWorker and scoring a BM25 plan (what a pool actor
-    does before it serves) must not import Ray Data or pandas: each costs
-    an actor hundreds of milliseconds of start-up."""
+    """Building a ShardWorker and scoring a BM25 plan (a cold pool's open
+    and first batch) must not import Ray Data or pandas: each costs a
+    query-only process hundreds of milliseconds."""
     ls = LocalSearcher(idx)
     plan = _plan_batch(ls.store, _batch())
     want, _ = ls.worker.score(plan)
@@ -443,43 +329,55 @@ def test_query_worker_imports_neither_ray_data_nor_pandas(idx, tmp_path):
     assert out.stdout.split() == [str(len(want[1])), "[]"]
 
 
-def test_one_actor_class_serves_pools_in_two_ray_sessions(idx, tmp_path):
-    """The pool's ``ShardWorker`` actor class is made once per process and
-    reused: two pools, each in its own Ray session of one process, spawn
-    their actors from the same class, and both answer through them as the
-    in-process path does."""
-    tbl = _batch()
-    tbl_path = str(tmp_path / "batch.pkl")
-    with open(tbl_path, "wb") as f:
-        pickle.dump(tbl, f)
-    script = (
-        "import pickle, ray\n"
-        "from archivesspace_virgo_ray.index import query\n"
-        f"tbl = pickle.load(open({tbl_path!r}, 'rb'))\n"
-        "out = []\n"
-        "for _session in range(2):\n"
-        "    ray.init(address='local', num_cpus=1, include_dashboard=False,\n"
-        "             logging_level='ERROR')\n"
-        f"    pool = query.QueryPool({idx!r}, n_actors=1)\n"
-        "    pool.wait_ready()\n"
-        "    pool._hand_over()\n"
-        "    assert pool.actors and not pool._twins\n"
-        "    out.append((pool.topk_collect(pool.topk_submit(tbl)),\n"
-        "                query._shard_worker_actor()))\n"
-        "    pool.shutdown()\n"
-        "    ray.shutdown()\n"
-        "(a, ca), (b, cb) = out\n"
-        "print(a.equals(b), ca is cb)\n"
-        "pickle.dump(a, open(" + repr(tbl_path + ".out") + ", 'wb'))\n")
+def test_query_only_process_starts_no_ray(tmp_path, ray_session, sf_dir):
+    """A process that only queries indexes built elsewhere never starts
+    Ray: ranked (BM25, LM-Dirichlet, timeAllowed), boolean, phrase,
+    span-not, both facet forms, filter, grouped, boosted and explain, and a
+    federated search over two members that equals the combined index."""
+    docs = pq.read_table(os.path.join(sf_dir, "documents.parquet"))
+    cfg = BuildConfig(n_shards=2, n_buckets=2, text_col="text",
+                      id_col="doc_id", meta_cols=("lang",),
+                      store_positions=True)
+    paths = {}
+    for name, part in (("whole", docs), ("a", docs.slice(0, 250)),
+                       ("b", docs.slice(250))):
+        src = str(tmp_path / f"{name}.parquet")
+        pq.write_table(part, src)
+        paths[name] = str(tmp_path / name)
+        build_index(src, paths[name], cfg, resume=False)
+    doc = docs["doc_id"][0].as_py()
+    phrase = " ".join(tokenize_text(docs["text"][0].as_py())[:2])
+    script = f"""
+import pyarrow as pa, pyarrow.dataset as pads
+from archivesspace_virgo_ray.index import query as Q
+from archivesspace_virgo_ray.index.federated import FederatedSearcher
+idx = {paths["whole"]!r}
+tbl = pa.table({{"query_id": pa.array([0, 1], pa.int64()),
+                "text": pa.array(["the data model", "sort merge"]),
+                "k": pa.array([5, 5], pa.int32())}})
+pool = Q.get_pool(idx)
+sizes = [
+    Q.bm25_topk(idx, tbl).num_rows, Q.lmd_topk(idx, tbl).num_rows,
+    pool.topk_time_allowed(tbl, 60.0)[0].num_rows,
+    len(Q.matching_doc_ids(idx, "the data")),
+    len(pool.phrase_ids({{0: ({phrase!r}, 0)}})[0]),
+    len(pool.span_not_ids({{0: ({phrase!r}, "zzzz", 2)}})[0]),
+    len(Q.facet_counts(idx, "lang")),
+    len(Q.facet_counts(idx, "lang", text="data")),
+    len(Q.filter_doc_ids(idx, pads.field("lang") == "en")),
+    len(pool.grouped_topk(tbl, "lang")),
+    len(pool.boosted_topk(tbl, "lang", {{"en": 2.0}})),
+    len(Q.explain(idx, {phrase!r}, {doc})["terms"]),
+]
+fed = FederatedSearcher([{paths["a"]!r}, {paths["b"]!r}]).topk(tbl)
+import ray
+print(all(sizes), fed.equals(Q.bm25_topk(idx, tbl)), ray.is_initialized())
+"""
     env = dict(os.environ, PYTHONPATH=REPO)
     out = subprocess.run([sys.executable, "-c", script], env=env, cwd=REPO,
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split()[-2:] == ["True", "True"]
-    with open(tbl_path + ".out", "rb") as f:
-        got = pickle.load(f)
-    assert got.num_rows > 0
-    _assert_same(got, _local(idx, tbl))
+    assert out.stdout.split()[-3:] == ["True", "True", "False"]
 
 
 def test_column_numpy_and_numpy_table_round_trip():

@@ -3,6 +3,7 @@ filtering restricts results without changing scores."""
 
 import os
 
+import pyarrow as pa
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import pytest
@@ -173,70 +174,34 @@ def test_facet_counts_null_group(tmp_path, ray_session):
     assert got == {"en": 1, None: 2}
 
 
-def test_query_pool_survives_actor_death(doc_index):
-    """Killing a pool actor mid-session must not lose queries: the pool
-    respawns (state reloads from the durable segment store) and retries."""
-    import ray
+def test_all_docs_facet_counts_each_doc_under_its_current_fields(
+        tmp_path, ray_session):
+    """A whole-corpus facet counts each live doc once, under the value its
+    latest version holds at the pinned marker: a doc whose ``lang``
+    ``update_fields`` set counts under the new value only. The facet
+    restricted to a query that every doc matches is the same table."""
+    import pandas as pd
 
-    import pyarrow as pa
+    from archivesspace_virgo_ray.index.query import facet_counts
+    from archivesspace_virgo_ray.index.update import update_fields
 
-    from archivesspace_virgo_ray.index.query import get_pool
-
-    pool = get_pool(doc_index)
-    q = pa.table({"query_id": pa.array([0], pa.int64()),
-                  "text": pa.array(["the data"], pa.string()),
-                  "k": pa.array([5], pa.int32())})
-    before = pool.topk(q).to_pandas()
-    ray.kill(pool.actors[0])
-    after = pool.topk(q).to_pandas()  # respawn + retry path
-    assert after.equals(before)
-
-    # the same while the killed actor's in-process twin still serves its
-    # share: the twin keeps answering, and once the actor's readiness
-    # resolves (as an error) the next batch goes through the respawn path.
-    # Fresh query ids keep these batches out of the result cache.
-    from archivesspace_virgo_ray.index.query import QueryPool
-
-    fresh = QueryPool(doc_index, n_actors=2)
-    try:
-        assert sorted(fresh._twins) == [0, 1]
-        killed = fresh.actors[0]
-        ray.kill(killed)
-        q1 = q.set_column(0, "query_id", pa.array([1], pa.int64()))
-        got = fresh.topk(q1).to_pandas()
-        assert got.drop(columns="query_id").equals(
-            before.drop(columns="query_id"))
-        ray.wait([fresh._ready[0]], timeout=120)
-        q2 = q.set_column(0, "query_id", pa.array([2], pa.int64()))
-        got = fresh.topk(q2).to_pandas()
-        assert got.drop(columns="query_id").equals(
-            before.drop(columns="query_id"))
-        assert fresh.actors[0] is not killed and not fresh._twins
-    finally:
-        fresh.shutdown()
-
-
-def test_pool_results_invariant_across_actor_count(doc_index):
-    """W4 invariance at the pool level: shard→actor assignment is invisible
-    to results."""
-    import pyarrow as pa
-
-    from archivesspace_virgo_ray.index.query import QueryPool
-
-    q = pa.table({"query_id": pa.array([0, 1], pa.int64()),
-                  "text": pa.array(["the data", "filter scan"], pa.string()),
-                  "k": pa.array([8, 8], pa.int32())})
-    p1 = QueryPool(doc_index, n_actors=1)
-    p2 = QueryPool(doc_index, n_actors=2)
-    try:
-        assert p1.topk(q).to_pandas().equals(p2.topk(q).to_pandas())
-        f1 = p1.facet_counts("lang")  # all-docs facet (no query restriction)
-        f2 = p2.facet_counts("lang", text="the", mode="or")
-        assert int(f1["n_docs"].sum()) >= int(f2["n_docs"].sum()) > 0
-        assert f1.equals(p2.facet_counts("lang"))
-    finally:
-        p1.shutdown()
-        p2.shutdown()
+    df = pd.DataFrame({
+        "doc_id": [1, 2, 3, 4],
+        "text": ["common a", "common b", "common c", "common d"],
+        "lang": ["en", "en", "fr", "fr"],
+    })
+    pq.write_table(pa.Table.from_pandas(df, preserve_index=False),
+                   str(tmp_path / "base.parquet"))
+    idx = str(tmp_path / "idx")
+    build_index(str(tmp_path / "base.parquet"), idx,
+                BuildConfig(n_shards=2, n_buckets=2, text_col="text",
+                            id_col="doc_id", meta_cols=("lang",)),
+                resume=False)
+    update_fields(idx, pd.DataFrame({"doc_id": [1], "lang": ["de"]}))
+    fc = facet_counts(idx, "lang")
+    assert dict(zip(fc["lang"], fc["n_docs"].tolist())) == {
+        "de": 1, "en": 1, "fr": 2}
+    assert fc.equals(facet_counts(idx, "lang", text="common"))
 
 
 def test_all_docs_facet_with_replace_and_delete(tmp_path, ray_session):

@@ -247,11 +247,14 @@ def smoke_query(n_docs: int) -> None:
     each file class's share of them (``index_census``), its 8 batch
     tables planned, scored and merged three times (the median pass gives
     rows/s), then 200 single queries of its request stream (p50 latency).
-    Prints the driver's peak RSS too."""
+    Then the same through ``bm25_topk`` after a cold ``get_pool`` (its
+    seconds printed), every query under a fresh id so the pool's result
+    cache never hits. Prints the driver's peak RSS after each part."""
     import resource
     import statistics
 
     import numpy as np
+    import pyarrow as pa
 
     from archivesspace_virgo_ray import PIPELINE_VERSION
     from archivesspace_virgo_ray.index.build import BuildConfig, build_index
@@ -259,6 +262,9 @@ def smoke_query(n_docs: int) -> None:
         LocalSearcher,
         _merge_topk_parts,
         _plan_batch,
+        bm25_topk,
+        get_pool,
+        shutdown_pools,
     )
     from archivesspace_virgo_ray.index.segments import read_stats
     from perfbench import gen
@@ -302,6 +308,42 @@ def smoke_query(n_docs: int) -> None:
     print(f"n_docs={n_docs} batch_rows_per_s={rows / statistics.median(passes):.0f} "
           f"single_p50_ms={1e3 * float(np.median(lat)):.2f} "
           f"driver_peak_rss_mb={rss_mb:.0f}", flush=True)
+
+    next_id = iter(range(1 << 40, 1 << 41))
+
+    def fresh(tbl):  # new query ids: the result cache never hits
+        ids = pa.array([next(next_id) for _ in range(tbl.num_rows)], pa.int64())
+        return tbl.set_column(tbl.schema.get_field_index("query_id"),
+                              "query_id", ids)
+
+    batches = [[fresh(t) for t in mix.batches] for _ in range(3)]
+    singles = [fresh(pa.table({"query_id": pa.array([0], pa.int64()),
+                               "text": pa.array([mix.texts[j]]),
+                               "k": pa.array([mix.ks[j]], pa.int32())}))
+               for j in mix.stream[:200].tolist()]
+    _init()
+    shutdown_pools()
+    t0 = time.perf_counter()
+    get_pool(idx)
+    open_s = time.perf_counter() - t0
+    passes = []
+    for tables in batches:
+        t0 = time.perf_counter()
+        for tbl in tables:
+            bm25_topk(idx, tbl)
+        passes.append(time.perf_counter() - t0)
+    lat = []
+    for tbl in singles:
+        t0 = time.perf_counter()
+        bm25_topk(idx, tbl)
+        lat.append(time.perf_counter() - t0)
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"n_docs={n_docs} pool_open_s={open_s:.3f} "
+          f"pool_batch_rows_per_s={rows / statistics.median(passes):.0f} "
+          f"pool_single_p50_ms={1e3 * float(np.median(lat)):.2f} "
+          f"driver_peak_rss_mb={rss_mb:.0f}", flush=True)
+    shutdown_pools()
+    ray.shutdown()
 
 
 if __name__ == "__main__":
