@@ -11,10 +11,13 @@ DuckDB equivalent::
 
     unnest(string_split_regex(lower(text), '[^a-z0-9_]+'))   -- drop '' tokens
 
-All kernels are batch-oriented: one call per Arrow batch, the inner loop is a
-compiled-regex ``findall`` per document (documents are large, so the per-row
-C-regex call dominates, not Python overhead), and the (doc, term) -> tf
-aggregation is a vectorized pandas groupby.
+``tokenize_text`` (``str.lower`` + ``findall``) is the contract, used by the
+oracle and the query side. The build tokenizes a whole Arrow batch at once
+(``_flat_tokens_arrow``): Arrow lowercases, one byte table turns every
+non-token byte into a space, Arrow splits and dictionary-encodes, and the
+(doc, term) -> tf aggregation runs over integer keys in numpy. A batch's
+postings come back as codes into its vocabulary (``batch_term_codes``):
+Python string objects exist once per distinct term, never per posting.
 """
 
 from __future__ import annotations
@@ -24,6 +27,13 @@ import re
 import numpy as np
 
 TOKEN_RE = re.compile(r"[a-z0-9_]+")
+
+# byte -> itself for a token byte ([a-z0-9_]), else a space. Every byte of
+# a multi-byte UTF-8 sequence is >= 0x80, so none of them is a token byte:
+# mapping the bytes of lowercased UTF-8 text is exact, not an ASCII shortcut
+_TOKEN_BYTES = np.full(256, ord(" "), np.uint8)
+for _c in b"abcdefghijklmnopqrstuvwxyz0123456789_":
+    _TOKEN_BYTES[_c] = _c
 
 
 def tokenize_text(text: str) -> list[str]:
@@ -40,19 +50,22 @@ def token_counts_batch(texts: np.ndarray) -> np.ndarray:
 
 
 def _flat_tokens_arrow(texts) -> tuple[np.ndarray, np.ndarray, object]:
-    """Arrow tokenize: (doc_ord per token, dict codes per token, vocab
-    StringArray). The hot path of the index build — ``utf8_lower`` +
-    ``split_pattern_regex`` + ``dictionary_encode`` all run as C++ kernels,
-    never materializing per-token Python strings (the old findall/factorize
-    kernel spent ~80% of build wall-time here at 100k docs).
+    """Arrow tokenize: (doc_ord per token, dict code per token, vocab
+    StringArray), tokens in document order. No per-token Python object is
+    made: ``utf8_lower``, the byte table (``_TOKEN_BYTES``, one ``np.take``
+    over the values buffer), ``ascii_split_whitespace`` and
+    ``dictionary_encode`` all run over whole buffers. RE2's
+    ``split_pattern_regex`` on ``[^a-z0-9_]+`` gives the same split at
+    about four times the cost.
 
-    Token equivalence with ``tokenize_text`` (str.lower + findall) is
-    property-tested (tests/test_text_kernels.py). Lowercasing differences
-    between CPython (FULL Unicode case mapping) and Arrow's ``utf8_lower``
-    (simple mapping) can only change tokens for characters whose lowercase
-    lands in ``[a-z0-9_]``; the one divergent such character is U+0130
-    LATIN CAPITAL I WITH DOT ABOVE (full: 'i'+U+0307, simple: 'i'), which is
-    normalized to the full mapping before the Arrow kernel runs."""
+    Token equivalence with ``tokenize_text`` is tested over every BMP code
+    point and by property (tests/test_tokenize_kernel.py). CPython lowercases
+    with the FULL Unicode case mapping, Arrow's ``utf8_lower`` with the
+    simple one; they can only differ in tokens for characters whose
+    lowercase lands in ``[a-z0-9_]``, and the one such character they map
+    differently is U+0130 LATIN CAPITAL I WITH DOT ABOVE (full: 'i'+U+0307,
+    simple: 'i'), rewritten to the full mapping first. A null text raises
+    ValueError: it is no document, not an empty one."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
@@ -62,49 +75,102 @@ def _flat_tokens_arrow(texts) -> tuple[np.ndarray, np.ndarray, object]:
         arr = texts
     else:
         arr = pa.array(list(texts), pa.string())
-    arr = pc.replace_substring(arr, pattern="İ", replacement="i̇")
-    tok = pc.split_pattern_regex(pc.utf8_lower(arr), "[^a-z0-9_]+")
+    if arr.null_count:
+        raise ValueError("tokenize: null text at row "
+                         f"{pc.index(pc.is_null(arr), True).as_py()}")
+    low = pc.utf8_lower(pc.replace_substring(arr, pattern="İ", replacement="i̇"))
+    offsets = value_offsets(low)
+    lo, hi = int(offsets[0]), int(offsets[-1])
+    data = low.buffers()[2]
+    mapped = (np.take(_TOKEN_BYTES, np.frombuffer(data, np.uint8)[lo:hi])
+              if hi > lo else np.empty(0, np.uint8))
+    spaced = pa.Array.from_buffers(
+        low.type, len(low),
+        [None, pa.py_buffer(offsets - offsets.dtype.type(lo)), pa.py_buffer(mapped)])
+    tok = pc.ascii_split_whitespace(spaced)
     flat = pc.list_flatten(tok)
-    lens_all = pc.list_value_length(tok).to_numpy(zero_copy_only=False).astype(np.int64)
-    doc_ord_all = np.repeat(np.arange(len(texts), dtype=np.int64), lens_all)
-    # split yields '' at leading/trailing separator boundaries — drop them
-    nonempty = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
+    lens_all = np.diff(value_offsets(tok))
+    doc_ord_all = np.repeat(np.arange(len(arr), dtype=np.int64), lens_all)
+    # the split yields '' at a leading or trailing space and for an empty
+    # text — drop them
+    nonempty = np.diff(value_offsets(flat)) > 0
     d = pc.dictionary_encode(flat)
     codes = np.asarray(d.indices, dtype=np.int64)
     return doc_ord_all[nonempty], codes[nonempty], d.dictionary
 
 
+def value_offsets(arr) -> np.ndarray:
+    """The ``len(arr) + 1`` value offsets of an Arrow string, binary or
+    list array (a view of its offsets buffer; the array's own offset
+    applied)."""
+    import pyarrow as pa
+
+    t = arr.type
+    wide = (pa.types.is_large_string(t) or pa.types.is_large_binary(t)
+            or pa.types.is_large_list(t))
+    dtype = np.dtype(np.int64 if wide else np.int32)
+    return np.frombuffer(arr.buffers()[1], dtype, count=len(arr) + 1,
+                         offset=arr.offset * dtype.itemsize)
+
+
+def batch_term_codes(doc_ids: np.ndarray, texts, positions: bool = False):
+    """A batch's postings, one row per distinct (doc, term), with each
+    term as a code into the batch's vocabulary:
+
+        (codes, vocab, doc_ids, tfs, dls, pos)
+
+    ``codes`` are int64 indexes into ``vocab`` (an Arrow StringArray),
+    ``doc_ids``/``tfs``/``dls`` int64. ``dl`` (document length in tokens)
+    is computed here because a document lies wholly in one batch, so no
+    later join against a doc-length table is needed. ``pos`` is None
+    unless ``positions``: then an Arrow BinaryArray, posting i's ascending
+    in-doc positions delta+varbyte encoded (the bytes that land in the
+    segment's positions stream, ``postings.encode_position_deltas``).
+    Rows are in (doc, code) order; the row SET is the contract."""
+    doc_ord, codes, vocab = _flat_tokens_arrow(texts)
+    n_docs = len(doc_ids)
+    lens = np.bincount(doc_ord, minlength=n_docs).astype(np.int64)
+    nvocab = np.int64(max(len(vocab), 1))
+    key = doc_ord * nvocab + codes
+    pos = None
+    if positions:
+        from ..index.postings import position_bytes_array
+
+        doc_starts = np.concatenate([[0], np.cumsum(lens)[:-1]]).astype(np.int64)
+        pos_in_doc = np.arange(len(key), dtype=np.int64) - doc_starts[doc_ord]
+        # stable: within a (doc, term) group positions stay ascending
+        order = np.argsort(key, kind="stable")
+        sk = key[order]
+        first = np.ones(len(sk), dtype=bool)
+        first[1:] = sk[1:] != sk[:-1]
+        starts = np.flatnonzero(first)
+        tf = np.diff(np.append(starts, len(sk))).astype(np.int64)
+        uniq_key = sk[starts]
+        pos = position_bytes_array(tf, pos_in_doc[order])
+    else:
+        uniq_key, tf = np.unique(key, return_counts=True)
+    out_doc_ord = uniq_key // nvocab
+    return (uniq_key % nvocab, vocab,
+            np.asarray(doc_ids, dtype=np.int64)[out_doc_ord],
+            tf.astype(np.int64), lens[out_doc_ord], pos)
+
+
+def _term_objects(codes: np.ndarray, vocab) -> np.ndarray:
+    """Per-posting terms as an object array: one Python string per
+    distinct term, gathered by code."""
+    return np.asarray(vocab.to_pylist(), dtype=object)[codes]
+
+
 def batch_term_doc_tf(
     doc_ids: np.ndarray, texts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten a batch of documents into (term, doc_id, tf, dl) arrays.
-
-    ``dl`` (document length in tokens) is computed here because a document is
-    wholly contained in one batch — no later join against a doc-length table
-    is ever needed (it rides along with each posting).
-
-    Returns (terms: object ndarray, doc_ids: int64, tfs: int64, dls: int64),
-    one row per distinct (doc, term). Row ORDER is unspecified (consumers
-    sort or aggregate); the row SET is the contract.
-    """
-    doc_ord, codes, vocab = _flat_tokens_arrow(texts)
-    if len(codes) == 0:
-        e = np.empty(0, dtype=np.int64)
-        return np.empty(0, dtype=object), e, e, e
-    lens = np.bincount(doc_ord, minlength=len(texts)).astype(np.int64)
-    nvocab = np.int64(len(vocab))
-    key = doc_ord * nvocab + codes
-    uniq_key, tf = np.unique(key, return_counts=True)
-    out_doc_ord = uniq_key // nvocab
-    out_code = uniq_key % nvocab
-    doc_ids_arr = np.asarray(doc_ids, dtype=np.int64)
-    vocab_np = np.asarray(vocab.to_pylist(), dtype=object)
-    return (
-        vocab_np[out_code],
-        doc_ids_arr[out_doc_ord],
-        tf.astype(np.int64),
-        lens[out_doc_ord],
-    )
+    """Flatten a batch of documents into (term, doc_id, tf, dl) arrays:
+    ``batch_term_codes`` with the terms as an object ndarray, for the
+    corpus operators that want them (the index build keeps codes).
+    Row ORDER is unspecified (consumers sort or aggregate); the row SET
+    is the contract."""
+    codes, vocab, ids, tfs, dls, _ = batch_term_codes(doc_ids, texts)
+    return _term_objects(codes, vocab), ids, tfs, dls
 
 
 def batch_term_doc_tf_py(
@@ -140,48 +206,11 @@ def batch_term_doc_tf_py(
 def batch_term_doc_tf_pos(
     doc_ids: np.ndarray, texts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, object]:
-    """``batch_term_doc_tf`` + per-posting token positions.
-
-    Returns (terms, doc_ids, tfs, dls, pos_bytes) where ``pos_bytes`` is an
-    Arrow BinaryArray: posting i's ascending in-doc positions, delta+varbyte
-    encoded (``postings.encode_position_deltas`` layout — the exact bytes
-    that land in the segment's positions stream). The (term, doc, tf, dl)
-    outputs are identical to ``batch_term_doc_tf`` (same key order).
-    """
-    from ..index.postings import position_bytes_array
-
-    doc_ord, codes, vocab = _flat_tokens_arrow(texts)
-    total = len(codes)
-    if total == 0:
-        import pyarrow as pa
-
-        e = np.empty(0, dtype=np.int64)
-        return np.empty(0, dtype=object), e, e, e, pa.array([], pa.binary())
-    lens = np.bincount(doc_ord, minlength=len(texts)).astype(np.int64)
-    doc_starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
-    pos_in_doc = np.arange(total, dtype=np.int64) - doc_starts[doc_ord]
-    nvocab = np.int64(len(vocab))
-    key = doc_ord * nvocab + codes
-    # stable sort: within a (doc, term) group positions stay ascending
-    order = np.argsort(key, kind="stable")
-    sk = key[order]
-    first = np.ones(len(sk), dtype=bool)
-    first[1:] = sk[1:] != sk[:-1]
-    starts = np.flatnonzero(first)
-    tf = np.diff(np.concatenate([starts, [len(sk)]])).astype(np.int64)
-    uniq_key = sk[starts]
-    out_doc_ord = uniq_key // nvocab
-    out_code = uniq_key % nvocab
-    doc_ids_arr = np.asarray(doc_ids, dtype=np.int64)
-    pos_arr = position_bytes_array(tf, pos_in_doc[order])
-    vocab_np = np.asarray(vocab.to_pylist(), dtype=object)
-    return (
-        vocab_np[out_code],
-        doc_ids_arr[out_doc_ord],
-        tf,
-        lens[out_doc_ord],
-        pos_arr,
-    )
+    """``batch_term_doc_tf`` + per-posting token positions: (terms,
+    doc_ids, tfs, dls, pos_bytes), ``pos_bytes`` as ``batch_term_codes``
+    gives them. The (term, doc, tf, dl) rows equal ``batch_term_doc_tf``'s."""
+    codes, vocab, ids, tfs, dls, pos = batch_term_codes(doc_ids, texts, True)
+    return _term_objects(codes, vocab), ids, tfs, dls, pos
 
 
 def stable_hash_strings(values) -> np.ndarray:

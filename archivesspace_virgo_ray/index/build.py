@@ -48,18 +48,14 @@ import uuid
 from dataclasses import dataclass, field
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 from .. import PIPELINE_VERSION
 from ..functions.hashing import doc_id_from_key, sha256_hex
 from .locking import locked_on, nonlock_contents, wipe_index_dir
-from ..functions.tokenize import (
-    batch_term_doc_tf,
-    batch_term_doc_tf_pos,
-    stable_hash_strings,
-)
+from ..functions.tokenize import batch_term_codes, stable_hash_strings
 from .segments import (
     BUILD_ID,
     DOCS,
@@ -69,6 +65,7 @@ from .segments import (
     _committed_markers,
     _parquet_files,
     _parquet_rows,
+    column_numpy,
     list_complete_segments,
     live_segments,
     read_build_id,
@@ -183,6 +180,20 @@ class BuildConfig:
     lineage: dict = field(default_factory=dict)
 
 
+def _check_text(batch: pa.Table, cfg: BuildConfig) -> None:
+    """Raise ValueError naming the text column and the key of the first
+    row whose text is null: a null is no document, and indexing it as an
+    empty one would hide a broken source."""
+    col = batch[cfg.text_col]
+    if not col.null_count:
+        return
+    row = pc.index(pc.is_null(col), True).as_py()
+    keys = [cfg.id_col] if cfg.id_col is not None else list(cfg.key_cols)
+    key = ", ".join(f"{k}={batch[k][row].as_py()!r}" for k in keys)
+    raise ValueError(f"text column {cfg.text_col!r} is null in the row "
+                     f"with {key}")
+
+
 def _assign_ids(batch: pa.Table, cfg: BuildConfig) -> np.ndarray:
     if cfg.id_col is not None:
         return batch[cfg.id_col].to_numpy()
@@ -202,6 +213,7 @@ def make_doc_stats_fn(cfg: BuildConfig, gen: int = 0):
     semantics, update.add_documents)."""
 
     def doc_stats(batch: pa.Table) -> pa.Table:
+        _check_text(batch, cfg)
         texts = np.asarray(batch[cfg.text_col].to_pylist(), dtype=object)
         ids = _assign_ids(batch, cfg)
         out = {
@@ -224,38 +236,27 @@ def make_triples_fn(cfg: BuildConfig, completed_gkeys: frozenset[int]):
     """Pass-2 batch fn: (term, doc_id, tf, dl, gkey) triples; resume-filtered."""
 
     def triples(batch: pa.Table) -> pa.Table:
-        # the Arrow column feeds the C++ tokenize kernel directly — never
-        # round-trip through Python strings on the build hot path
+        # the Arrow column feeds the tokenize kernel directly, and every
+        # posting stays a vocabulary code: Python strings are made once per
+        # distinct term of the batch, never per posting
+        _check_text(batch, cfg)
         texts = batch[cfg.text_col]
         if cfg.analyzer != "plain":
             from ..functions.tokenize import apply_analyzer_arrow
 
             texts = apply_analyzer_arrow(cfg.analyzer, texts)
         ids = np.asarray(_assign_ids(batch, cfg), dtype=np.int64)
-        if cfg.store_positions:
-            terms, doc_ids, tfs, dls, pos = batch_term_doc_tf_pos(ids, texts)
-        else:
-            terms, doc_ids, tfs, dls = batch_term_doc_tf(ids, texts)
-            pos = None
-        if len(terms) == 0:
-            return pa.table(
-                {
-                    "term": pa.array([], pa.string()),
-                    "doc_id": pa.array([], pa.int64()),
-                    "tf": pa.array([], pa.int32()),
-                    "dl": pa.array([], pa.int32()),
-                    **({"pos": pa.array([], pa.binary())} if cfg.store_positions else {}),
-                    "gkey": pa.array([], pa.int32()),
-                }
-            )
-        shard = (doc_ids % cfg.n_shards).astype(np.int64)
-        bucket = (stable_hash_strings(terms) % np.uint64(cfg.n_buckets)).astype(np.int64)
-        gkey = (shard * cfg.n_buckets + bucket).astype(np.int32)
+        codes, vocab, doc_ids, tfs, dls, pos = batch_term_codes(
+            ids, texts, cfg.store_positions)
+        # a term's bucket hashes once per batch vocabulary entry
+        vocab_bucket = (stable_hash_strings(vocab.to_pylist())
+                        % np.uint64(cfg.n_buckets)).astype(np.int64)
+        gkey = ((doc_ids % cfg.n_shards) * cfg.n_buckets
+                + vocab_bucket[codes]).astype(np.int32)
         if completed_gkeys:
             keep = ~np.isin(gkey, np.fromiter(completed_gkeys, dtype=np.int64))
-            terms, doc_ids, tfs, dls, gkey = (
-                terms[keep], doc_ids[keep], tfs[keep], dls[keep], gkey[keep]
-            )
+            codes, doc_ids, tfs, dls, gkey = (
+                codes[keep], doc_ids[keep], tfs[keep], dls[keep], gkey[keep])
             if pos is not None:
                 pos = pos.filter(pa.array(keep))
         # tf/dl/gkey ride the wide exchange as int32: a doc never exceeds
@@ -265,12 +266,12 @@ def make_triples_fn(cfg: BuildConfig, completed_gkeys: frozenset[int]):
         # write_segment re-widens to int64 at encode time; values identical.
         return pa.table(
             {
-                "term": pa.array(terms, pa.string()),
-                "doc_id": pa.array(doc_ids),
+                "term": vocab.take(pa.array(codes, pa.int64())),
+                "doc_id": pa.array(doc_ids, pa.int64()),
                 "tf": pa.array(tfs.astype(np.int32)),
                 "dl": pa.array(dls.astype(np.int32)),
                 **({"pos": pos} if pos is not None else {}),
-                "gkey": pa.array(gkey),
+                "gkey": pa.array(gkey, pa.int32()),
             }
         )
 
@@ -294,16 +295,15 @@ def table_triples(table: pa.Table, cfg: BuildConfig,
 
 def _write_group(index_dir, gkey, part: pa.Table, cfg: BuildConfig, gen) -> dict:
     """Write the segment of one gkey from its triples ``part``."""
-    group = part.to_pandas()
     shard, bucket = divmod(gkey, cfg.n_buckets)
     if gen is None:
         m = write_segment(
-            index_dir, shard, bucket, group,
+            index_dir, shard, bucket, part,
             lineage={**cfg.lineage, "pipeline_version": PIPELINE_VERSION})
     else:
         from .update import write_segment_gen
 
-        m = write_segment_gen(index_dir, shard, bucket, gen, group)
+        m = write_segment_gen(index_dir, shard, bucket, gen, part)
     return {"shard": shard, "bucket": bucket, "n_terms": m["n_terms"],
             "n_postings": m["n_postings"], "n_tokens": m["n_tokens"],
             "skipped": bool(m.get("skipped", False))}
@@ -324,9 +324,9 @@ def _write_segment_task(index_dir, gkey, path: str, cfg: BuildConfig, gen) -> di
 def write_segments(
     triples, index_dir: str, cfg: BuildConfig, gen: int | None = None,
     on_staged=None,
-) -> pd.DataFrame:
+) -> list[dict]:
     """THE triples → segment exchange (build, delta add and reshard): one
-    row per written segment (``shard, bucket, n_terms, n_postings,
+    dict per written segment (``shard, bucket, n_terms, n_postings,
     n_tokens, skipped``).
 
     ``triples`` carry ``gkey = shard * n_buckets + bucket``. A ``pa.Table``
@@ -354,7 +354,7 @@ def write_segments(
         if isinstance(triples, pa.Table):
             if on_staged is not None:
                 on_staged()
-            gkeys = triples["gkey"].to_numpy()
+            gkeys = column_numpy(triples["gkey"])
             order = np.argsort(gkeys, kind="stable")
             keys, starts = np.unique(gkeys[order], return_index=True)
             ends = np.append(starts[1:], len(order))
@@ -371,8 +371,7 @@ def write_segments(
                             for g in sorted(parts)])
     finally:
         shutil.rmtree(staging, ignore_errors=True)
-    cols = ["shard", "bucket", "n_terms", "n_postings", "n_tokens", "skipped"]
-    return pd.DataFrame(rows, columns=cols).astype({"skipped": bool})
+    return rows
 
 
 @locked_on("index_dir")
@@ -507,7 +506,6 @@ def build_index(
         # nothing to do: the committed markers stand as they are
         return {**prev, "n_segments_written": 0,
                 "n_segments_skipped": len(completed)}
-    no_segments = pd.DataFrame({"skipped": pd.Series([], dtype=bool)})
     if (table := read_small_source(source, read_cols)) is not None:
         # ---- small source: both passes on the driver, one after the other
         import pyarrow.parquet as pq
@@ -519,7 +517,7 @@ def build_index(
                                os.path.join(tmp, "part-0.parquet"))
 
             publish_docs(write_doc_table)
-        seg_rows = no_segments if prior_complete else write_segments(
+        seg_rows = [] if prior_complete else write_segments(
             table_triples(table, cfg, completed_gkeys), index_dir, cfg)
     else:
         # ---- pass 1 (doc table) + pass 2 (segments) run CONCURRENTLY ------
@@ -534,7 +532,7 @@ def build_index(
 
         if prior_complete:  # the doc table alone is missing
             publish_docs(write_doc_table)
-            seg_rows = no_segments
+            seg_rows = []
         else:
             pass1_error: list[BaseException] = []
 
@@ -581,8 +579,8 @@ def build_index(
         "n_buckets": cfg.n_buckets,
         # skipped = segments already complete before this run (their triples
         # were dropped pre-exchange, so they never reach the writer)
-        "n_segments_written": int((~seg_rows["skipped"]).sum()),
-        "n_segments_skipped": len(completed) + int(seg_rows["skipped"].sum()),
+        "n_segments_written": sum(not r["skipped"] for r in seg_rows),
+        "n_segments_skipped": len(completed) + sum(r["skipped"] for r in seg_rows),
         "n_postings": sum(
             m["n_postings"] for m in _all_manifests(index_dir)
         ),
@@ -618,42 +616,43 @@ _SEAL_DRIVER_MAX_BYTES = 256 * 1024 * 1024
 _TERMSTATS_COLS = ("term", "df", "cf", "max_tf", "min_dl")
 
 
-def _term_rows(term_files: list[str]) -> pd.DataFrame:
-    """The termstats columns of segment term dictionaries, each row with
-    its segment's term ``bucket``, read off the segment's dir name (a term
-    dictionary stores no constant columns)."""
+def _term_rows(term_files: list[str]) -> dict[int, pa.Table]:
+    """term bucket -> the termstats columns of its segments' term
+    dictionaries; a file's bucket is read off its segment's dir name (a
+    term dictionary stores no constant columns)."""
     import pyarrow.parquet as pq
 
-    return pd.concat(
-        [pq.read_table(f, columns=list(_TERMSTATS_COLS)).to_pandas()
-         .assign(bucket=segment_bucket(f)) for f in term_files],
-        ignore_index=True,
-    )
+    parts: dict[int, list[pa.Table]] = {}
+    for f in term_files:
+        parts.setdefault(segment_bucket(f), []).append(
+            pq.ParquetFile(f).read(columns=list(_TERMSTATS_COLS)))
+    return {b: pa.concat_tables(ts) for b, ts in parts.items()}
 
 
-def _with_bucket(batch: pd.DataFrame) -> pd.DataFrame:
-    """``_term_rows``' bucket column for a Ray Data batch read with
-    ``include_paths``."""
-    buckets = {p: segment_bucket(p) for p in batch["path"].unique()}
-    return batch.drop(columns="path").assign(bucket=batch["path"].map(buckets))
+def _with_bucket(batch: pa.Table) -> pa.Table:
+    """A term-file batch read with ``include_paths``, its ``path`` column
+    replaced by the term ``bucket`` (``_term_rows``' grouping)."""
+    paths = pc.unique(batch["path"])
+    buckets = np.array([segment_bucket(p) for p in paths.to_pylist()], np.int64)
+    at = column_numpy(pc.index_in(batch["path"], value_set=paths))
+    return batch.drop_columns(["path"]).append_column(
+        "bucket", pa.array(buckets[at], pa.int64()))
 
 
-def _write_termstats_bucket(rows: pd.DataFrame, bdir: str) -> None:
+def _write_termstats_bucket(rows: pa.Table, bdir: str) -> None:
     """Aggregate one term bucket's per-segment term rows into global
     per-term stats (df/cf sums, max_tf max, min_dl min) and write them
     term-sorted as ``bdir/part-0.parquet``. Sum/max/min compose, so rows
     that are themselves aggregates (a prior seal) fold in exactly."""
     import pyarrow.parquet as pq
 
-    out = (
-        rows.groupby("term", as_index=False)
-        .agg(df=("df", "sum"), cf=("cf", "sum"),
-             max_tf=("max_tf", "max"), min_dl=("min_dl", "min"))
-        .sort_values("term", ignore_index=True)
-    )
+    agg = rows.group_by("term").aggregate(
+        [("df", "sum"), ("cf", "sum"), ("max_tf", "max"), ("min_dl", "min")])
+    out = pa.table({"term": agg["term"], "df": agg["df_sum"],
+                    "cf": agg["cf_sum"], "max_tf": agg["max_tf_max"],
+                    "min_dl": agg["min_dl_min"]}).sort_by("term")
     os.makedirs(bdir, exist_ok=True)
-    pq.write_table(pa.Table.from_pandas(out, preserve_index=False),
-                   os.path.join(bdir, "part-0.parquet"))
+    pq.write_table(out, os.path.join(bdir, "part-0.parquet"))
 
 
 def _seal_termstats(index_dir: str, markers: dict[int, dict]) -> str:
@@ -664,8 +663,8 @@ def _seal_termstats(index_dir: str, markers: dict[int, dict]) -> str:
     reader sees the version before that marker lands.
 
     Vocab-sized, not corpus-sized. Two paths with identical output layout:
-    - small vocab (term files < 256 MB): single pandas reduction — the Ray
-      groupby's fixed cost would dominate;
+    - small vocab (term files < 256 MB): one Arrow ``group_by`` per term
+      bucket on the driver — the Ray groupby's fixed cost would dominate;
     - large vocab (unbounded identifier space at code-corpus scale): Ray
       Data groupby shuffle.
     """
@@ -679,16 +678,14 @@ def _seal_termstats(index_dir: str, markers: dict[int, dict]) -> str:
     os.makedirs(tmp)
     total_bytes = sum(os.path.getsize(f) for f in term_files)
     if total_bytes < _SEAL_DRIVER_MAX_BYTES:
-        if term_files:
-            df = _term_rows(term_files)
-            for bucket, sub in df.groupby("bucket"):
-                _write_termstats_bucket(sub, os.path.join(tmp, f"bucket={int(bucket)}"))
+        for bucket, rows in _term_rows(term_files).items():
+            _write_termstats_bucket(rows, os.path.join(tmp, f"bucket={bucket}"))
     else:
         from ray.data.aggregate import Max, Min, Sum
 
         ds = ray.data.read_parquet(
             term_files, columns=list(_TERMSTATS_COLS), include_paths=True,
-        ).map_batches(_with_bucket, batch_format="pandas")
+        ).map_batches(_with_bucket, batch_format="pyarrow")
         g = ds.groupby(["bucket", "term"]).aggregate(
             Sum("df", alias_name="df"),
             Sum("cf", alias_name="cf"),
@@ -733,11 +730,10 @@ def _seal_termstats_incremental(index_dir: str, gen: int,
                                 "terms.parquet")))
     if not delta_files:  # a generation without terms: df is unchanged
         return markers[prev]["termstats"]
-    delta = _term_rows(delta_files)
+    delta_by_bucket = _term_rows(delta_files)
     name = f"termstats-{uuid.uuid4().hex[:8]}"
     tmp = os.path.join(index_dir, GLOBAL, name)
     os.makedirs(tmp)
-    delta_by_bucket = {int(b): sub for b, sub in delta.groupby("bucket")}
     for bdir in sorted(_glob.glob(os.path.join(cur, "bucket=*"))):
         b = int(os.path.basename(bdir).split("=", 1)[1])
         out_bdir = os.path.join(tmp, f"bucket={b}")
@@ -745,9 +741,10 @@ def _seal_termstats_incremental(index_dir: str, gen: int,
         if sub is None:
             _shutil.copytree(bdir, out_bdir)  # untouched bucket rides along
             continue
-        prev_rows = pq.read_table(bdir, columns=list(_TERMSTATS_COLS)).to_pandas()
-        _write_termstats_bucket(pd.concat([prev_rows, sub], ignore_index=True),
-                                out_bdir)
+        prev_rows = pq.read_table(bdir, columns=list(_TERMSTATS_COLS))
+        _write_termstats_bucket(
+            pa.concat_tables([prev_rows, sub], promote_options="permissive"),
+            out_bdir)
     for b, sub in delta_by_bucket.items():  # buckets new to the vocabulary
         _write_termstats_bucket(sub, os.path.join(tmp, f"bucket={b}"))
     return name

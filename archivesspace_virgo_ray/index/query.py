@@ -1684,8 +1684,10 @@ class _ServeWorker:
 
 def bm25_serve(index_dir: str, queries_ds, concurrency: int = 2,
                batch_size: int = 32):
-    """Serve a query Dataset: ``map_batches`` over ``concurrency`` actors,
-    each holding the in-process searcher of one marker (``_ServeWorker``;
+    """Serve a query Dataset: ``map_batches`` over an autoscaling pool of
+    1 to ``concurrency`` actors (a one-block input starts one; each loads
+    the whole index), each holding the in-process searcher of one marker
+    (``_ServeWorker``;
     the driver reads the marker once, a worker that finds part of its
     state reaped re-pins the newest). A batch pays one plan, one
     in-process score and one merge. The query table takes the same
@@ -1696,7 +1698,7 @@ def bm25_serve(index_dir: str, queries_ds, concurrency: int = 2,
         fn_constructor_args=(index_dir, newest_gen(index_dir)),
         batch_format="pyarrow",
         batch_size=batch_size,
-        concurrency=concurrency,
+        concurrency=(1, concurrency),
         num_cpus=1,
     )
 

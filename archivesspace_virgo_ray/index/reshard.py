@@ -32,7 +32,6 @@ import shutil
 from pathlib import Path
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray
 import ray.data
@@ -70,17 +69,17 @@ def segment_to_triples(
     layout.
 
     One whole-segment decode (postings.decode_segment); term/bucket hashes
-    are computed once per unique term and repeated by df — never per
-    posting.
+    are computed once per unique term and gathered by term row — never
+    per posting, and no posting's term is a Python string.
     """
     r = open_segment(src_dir, name)
     doc_ids, tfs, dls, dfs, pos = decode_segment(r)
-    terms = np.asarray(r.terms["term"].to_pylist(), dtype=object)
-    bucket_u = (stable_hash_strings(terms) % np.uint64(n_buckets)).astype(np.int64)
-    new_shard = doc_ids % n_shards
-    gkey = (new_shard * n_buckets + np.repeat(bucket_u, dfs)).astype(np.int32)
+    bucket_u = (stable_hash_strings(r.terms["term"].to_pylist())
+                % np.uint64(n_buckets)).astype(np.int64)
+    rows = np.repeat(np.arange(len(dfs), dtype=np.int64), dfs)
+    gkey = ((doc_ids % n_shards) * n_buckets + bucket_u[rows]).astype(np.int32)
     return pa.table({
-        "term": pa.array(np.repeat(terms, dfs), pa.string()),
+        "term": r.terms["term"].take(pa.array(rows)),
         "doc_id": pa.array(doc_ids),
         "tf": pa.array(tfs.astype(np.int32)),
         "dl": pa.array(dls.astype(np.int32)),
@@ -130,13 +129,13 @@ def reshard_index(
     os.makedirs(dst_dir, exist_ok=True)
 
     # ---- postings: one decode task per source segment -> one gkey exchange -
-    def emit(batch: pd.DataFrame):
-        for name in batch["name"]:
+    def emit(batch: pa.Table):
+        for name in batch["name"].to_pylist():
             yield segment_to_triples(
                 src_dir, name, n_shards, n_buckets, positions)
 
     src_items = ray.data.from_items([{"name": n} for n in segs])
-    triples = src_items.map_batches(emit, batch_format="pandas", batch_size=1)
+    triples = src_items.map_batches(emit, batch_format="pyarrow", batch_size=1)
     cfg = BuildConfig(
         n_shards=n_shards, n_buckets=n_buckets, store_positions=positions,
         lineage={"reshard_from": src_dir,
@@ -182,8 +181,8 @@ def reshard_index(
         "avgdl": total_len / n_docs if n_docs else 0.0,
         "n_shards": n_shards,
         "n_buckets": n_buckets,
-        "n_segments_written": int((~seg_rows["skipped"]).sum()),
-        "n_segments_skipped": int(seg_rows["skipped"].sum()),
+        "n_segments_written": sum(not r["skipped"] for r in seg_rows),
+        "n_segments_skipped": sum(r["skipped"] for r in seg_rows),
         "n_postings": sum(m["n_postings"] for m in _all_manifests(dst_dir)),
         "positions": positions,
         "analyzer": stats.get("analyzer", "plain"),

@@ -73,6 +73,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from .. import PIPELINE_VERSION
+from ..functions.tokenize import value_offsets
 from .postings import (
     _block_sums,
     _starts,
@@ -161,64 +162,67 @@ def write_segment(
     index_dir: str,
     shard: int,
     bucket: int,
-    group: "pd.DataFrame",
+    triples: pa.Table,
     lineage: dict | None = None,
     extras: dict | None = None,
 ) -> dict:
-    """Build + atomically publish one segment from its (term, doc_id, tf, dl)
-    triples. Deterministic: terms sorted ascending, postings doc_id-ascending,
-    so the same triple set yields byte-identical files regardless of upstream
-    partitioning (resume test relies on this).
+    """Build + atomically publish one segment from its (term, doc_id, tf,
+    dl[, pos]) triples table. Deterministic: terms sorted ascending,
+    postings doc_id-ascending, so the same triple set yields byte-identical
+    files regardless of upstream partitioning (resume test relies on this).
 
     Returns the manifest dict (also written to disk, with ``extras``
     stamped in).
     """
+    has_pos = "pos" in triples.column_names
     if segment_is_complete(index_dir, segment_name(shard, bucket),
-                           positions="pos" in group.columns):
+                           positions=has_pos):
         return {**read_manifest(index_dir, segment_name(shard, bucket)),
                 "skipped": True}
 
-    import pandas as pd
+    import pyarrow.compute as pc
 
-    # (term, doc_id) sort via factorize + lexsort: ~5x faster than an
-    # object-dtype mergesort on large groups, same deterministic order
-    raw_terms = group["term"].to_numpy()
-    codes, uniq_terms = pd.factorize(raw_terms, sort=True)
-    order = np.lexsort((group["doc_id"].to_numpy(np.int64), codes))
+    # (term, doc_id) order by vocabulary rank: dictionary-encode the terms,
+    # rank the dictionary (byte order = code point order), then one lexsort
+    # of integers — only the distinct terms are ever compared as strings
+    enc = pc.dictionary_encode(triples["term"].combine_chunks())
+    term_order = pc.sort_indices(enc.dictionary)
+    by_term = column_numpy(term_order)
+    rank = np.empty(len(by_term), np.int64)
+    rank[by_term] = np.arange(len(by_term))
+    codes = rank[column_numpy(enc.indices)]
+    doc_ids = column_numpy(triples["doc_id"]).astype(np.int64)
+    order = np.lexsort((doc_ids, codes))
     codes = codes[order]
-    doc_ids = group["doc_id"].to_numpy(np.int64)[order]
-    tfs = group["tf"].to_numpy(np.int64)[order]
-    dls = group["dl"].to_numpy(np.int64)[order]
-    # optional positions: per-posting pre-encoded delta+varbyte bytes
-    # (tokenize.batch_term_doc_tf_pos) — the writer only reorders and
-    # concatenates them, never re-encodes
-    has_pos = "pos" in group.columns
-    pos_sorted = group["pos"].to_numpy()[order] if has_pos else None
-    pos_lens = (
-        np.fromiter((len(b) for b in pos_sorted), dtype=np.int64, count=len(pos_sorted))
-        if has_pos else None
-    )
+    doc_ids = doc_ids[order]
+    tfs = column_numpy(triples["tf"]).astype(np.int64)[order]
+    dls = column_numpy(triples["dl"]).astype(np.int64)[order]
 
     # term boundaries
     first = np.ones(len(codes), dtype=bool)
     first[1:] = codes[1:] != codes[:-1]
     starts = np.flatnonzero(first)
     ends = np.concatenate([starts[1:], [len(codes)]])
-    uniq_terms = np.asarray(uniq_terms, dtype=object)
 
     payload, doc_table, n_docs, term_cols, block_cols = encode_segment(
         doc_ids, tfs, dls, starts, ends)
     if has_pos:
-        # one join of the per-posting position bytes; per-block byte counts
-        # from reduceat over the block boundaries (a term's run is the sum
-        # of its blocks', see postings.term_layout)
-        pos_payload = b"".join(pos_sorted.tolist())
+        # optional positions: per-posting pre-encoded delta+varbyte bytes
+        # (tokenize.batch_term_codes) — the writer only reorders and
+        # concatenates them, never re-encodes; per-block byte counts from
+        # reduceat over the block boundaries (a term's run is the sum of
+        # its blocks', see postings.term_layout)
+        pos = pc.take(triples["pos"], order).combine_chunks()
+        offsets = value_offsets(pos)
+        pos_lens = np.diff(offsets).astype(np.int64)
+        pos_payload = (np.frombuffer(pos.buffers()[2], np.uint8)[offsets[0]:offsets[-1]]
+                       if len(pos) else b"")
         block_cols["pos_bytes"] = (
             np.add.reduceat(pos_lens, block_firsts(starts, ends))
             if len(pos_lens) else np.empty(0, np.int64))
 
-    n_terms = len(uniq_terms)
-    terms_tbl = pa.table({"term": pa.array(uniq_terms, pa.string()),
+    n_terms = len(by_term)
+    terms_tbl = pa.table({"term": enc.dictionary.take(term_order).cast(pa.string()),
                           **{k: pa.array(v) for k, v in term_cols.items()}})
     blocks_tbl = pa.table({k: pa.array(v) for k, v in block_cols.items()})
 

@@ -250,9 +250,9 @@ def add_documents(
     if delta_tbl is None and is_small(len(inc_ids)):
         delta_tbl = pa.Table.from_pandas(docs.to_pandas(), preserve_index=False)
     if delta_tbl is not None:
+        doc_rows = make_doc_stats_fn(cfg, gen=gen)(delta_tbl)
         os.makedirs(gen_dir, exist_ok=True)
-        pq.write_table(make_doc_stats_fn(cfg, gen=gen)(delta_tbl),
-                       os.path.join(gen_dir, "part-0.parquet"))
+        pq.write_table(doc_rows, os.path.join(gen_dir, "part-0.parquet"))
         triples = table_triples(delta_tbl, cfg)
     else:
         docs.map_batches(
@@ -271,7 +271,7 @@ def add_documents(
     # cannot run — same stats either way), then the marker: readers ignore
     # unmarked gens and versions, cleanup and the reap rule remove them, and
     # ``replaces`` masks the old versions atomically with the new ones
-    info = {"n_docs": n_new, "n_tokens": int(seg_rows["n_tokens"].sum()),
+    info = {"n_docs": n_new, "n_tokens": sum(int(r["n_tokens"]) for r in seg_rows),
             "replaces": replaced, "n_replaced": len(replaced),
             "n_shadowed": len(shadowed)}
     after = {**markers, gen: info}
@@ -341,14 +341,14 @@ def _overlap_scan(path: str, cols: list[str], inc: np.ndarray) -> pd.DataFrame:
     return t.filter(pa.array(hit)).to_pandas()
 
 
-def write_segment_gen(index_dir, shard, bucket, gen, group) -> dict:
+def write_segment_gen(index_dir, shard, bucket, gen, triples: pa.Table) -> dict:
     """Delta-segment writer: same format, gen-suffixed directory."""
     from .. import PIPELINE_VERSION
 
     return _publish_segment(
         index_dir, f"{segment_name(shard, bucket)}_g{gen:04d}",
         lambda scratch: write_segment(
-            scratch, shard, bucket, group,
+            scratch, shard, bucket, triples,
             lineage={"generation": gen, "pipeline_version": PIPELINE_VERSION}))
 
 
@@ -395,27 +395,29 @@ def _read_expunged_triples(
     tomb_ids: np.ndarray,
     tomb_thr: np.ndarray,
     merge_pos: bool,
-) -> pd.DataFrame:
+) -> pa.Table:
     """Decode every (term, doc) posting of the segments in ``readers``
     (name -> SegmentReader), dropping postings masked at each source
-    segment's own mask generation. Returns the (term, doc_id, tf, dl[, pos])
-    frame write_segment consumes. One whole-segment decode, one mask test
-    and one frame per source segment."""
+    segment's own mask generation. Returns the (term, doc_id, tf, dl[,
+    pos]) table write_segment consumes. One whole-segment decode, one mask
+    test and one table per source segment; each posting's term is an Arrow
+    ``take`` of the reader's term column by term row."""
     from .postings import decode_segment, position_bytes_array
 
-    frames = []
+    parts = []
     for rdr in readers.values():
         docs, tfs, dls, df, pos = decode_segment(rdr)
-        terms = np.repeat(np.asarray(rdr.terms["term"].to_pylist(), dtype=object), df)
         mask = tomb_ids[tomb_thr > rdr.mask_gen]
         keep = ~np.isin(docs, mask)
-        cols = {"term": terms[keep], "doc_id": docs[keep], "tf": tfs[keep],
-                "dl": dls[keep]}
+        rows = np.repeat(np.arange(len(df), dtype=np.int64), df)[keep]
+        cols = {"term": rdr.terms["term"].take(pa.array(rows)),
+                "doc_id": pa.array(docs[keep]), "tf": pa.array(tfs[keep]),
+                "dl": pa.array(dls[keep])}
         if merge_pos:
-            cols["pos"] = position_bytes_array(
-                cols["tf"], pos[np.repeat(keep, tfs)]).to_pylist()
-        frames.append(pd.DataFrame(cols))
-    return pd.concat(frames, ignore_index=True)
+            cols["pos"] = position_bytes_array(tfs[keep],
+                                               pos[np.repeat(keep, tfs)])
+        parts.append(pa.table(cols))
+    return pa.concat_tables(parts)
 
 
 def rewrite_segment(index_dir, shard, bucket, names, tombs, fold) -> dict:
@@ -458,9 +460,9 @@ def rewrite_segment(index_dir, shard, bucket, names, tombs, fold) -> dict:
         merge_pos = all(r.has_positions for r in readers.values())
         triples = _read_expunged_triples(readers, tomb_ids, tomb_thr,
                                          merge_pos)
-        out["n_dropped"] = sum(int(r.terms["df"].to_numpy().sum())
-                               for r in readers.values()) - len(triples)
-        if not len(triples):
+        out["n_dropped"] = sum(int(r.term_cols["df"].sum())
+                               for r in readers.values()) - triples.num_rows
+        if not triples.num_rows:
             return {**out, "n_tokens": 0, "n_postings": 0}
 
         def write(scratch):

@@ -11,8 +11,6 @@ from archivesspace_virgo_ray.index.build import BuildConfig, build_index
 from archivesspace_virgo_ray.index.query import LocalSearcher
 from archivesspace_virgo_ray.index.update import add_documents
 from archivesspace_virgo_ray.oracle import OracleIndex
-from archivesspace_virgo_ray.pipelines.dedup import _perm_params
-from archivesspace_virgo_ray.pipelines.oracles.common import TOK_SQL
 
 VOCAB = ["aa", "bb", "cc", "dd", "ee", "the", "x1", "y2", "z3", "needle_q"]
 
@@ -265,6 +263,11 @@ def _minhash_sql(
     ``final="components"`` adds a recursive-CTE transitive closure for the
     minhash_dedup (doc_id, rep_id) output.
     """
+    # imported here, not at module top: the BM25 cases above must keep
+    # collecting without the corpus operators
+    from archivesspace_virgo_ray.pipelines.dedup import _perm_params
+    from archivesspace_virgo_ray.pipelines.oracles.common import TOK_SQL
+
     a_c, b_c = _perm_params(n_perm, seed)
     perm_rows = ", ".join(
         f"({i}, {int(a_c[i])}, {int(b_c[i])})" for i in range(n_perm)
@@ -371,7 +374,10 @@ WHERE d.doc_id NOT IN (SELECT doc_id FROM dropped)
 """
 
 
-SQL_SIMHASH_PAIRS = f"""
+def _simhash_pairs_sql() -> str:
+    from archivesspace_virgo_ray.pipelines.oracles.common import TOK_SQL
+
+    return f"""
 WITH toks AS (
   SELECT doc_id, unnest(list_filter({TOK_SQL}, x -> x <> '')) AS term FROM documents),
 tf AS (SELECT doc_id, term, CAST(count(*) AS BIGINT) AS c FROM toks GROUP BY 1, 2),
@@ -469,7 +475,7 @@ def test_fuzz_near_dup_oracles(seed, tmp_path, ray_session):
     # simhash pairs
     gots = simhash_near_dups(ds, max_hamming=3)
     gots = gots.to_pandas() if hasattr(gots, "to_pandas") else gots
-    exps = con.execute(SQL_SIMHASH_PAIRS).df()
+    exps = con.execute(_simhash_pairs_sql()).df()
     pd.testing.assert_frame_equal(
         norm(gots, ["doc_a", "doc_b", "hamming"]),
         norm(exps, ["doc_a", "doc_b", "hamming"]),

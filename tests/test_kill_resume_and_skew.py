@@ -139,6 +139,39 @@ def test_actor_pool_query_serving(kill_corpus, tmp_path_factory, ray_session):
         assert sub["score"].tolist() == [s for _, s in expect], text
 
 
+def test_serve_sizes_its_actor_pool_to_the_input(tmp_path, ray_session):
+    """``bm25_serve`` autoscales from one actor: a one-block query Dataset
+    starts one ``_ServeWorker`` (each loads the whole index), not
+    ``concurrency`` of them."""
+    import pyarrow.parquet as pq
+    import ray
+    import ray.data
+
+    from archivesspace_virgo_ray.index.query import bm25_serve, bm25_topk
+
+    src = str(tmp_path / "src.parquet")
+    pq.write_table(pa.table({"doc_id": pa.array(range(40), pa.int64()),
+                             "text": [f"w{i % 7} w{i % 3} x" for i in range(40)]}), src)
+    idx = str(tmp_path / "idx")
+    build_index(src, idx, BuildConfig(n_shards=2, n_buckets=2, text_col="text",
+                                      id_col="doc_id", meta_cols=()))
+    queries = pa.table({"query_id": pa.array([0, 1], pa.int64()),
+                        "text": pa.array(["w1", "x w2"], pa.string()),
+                        "k": pa.array([3, 3], pa.int32())})
+
+    def serve_actors():
+        return {aid for aid, a in ray._private.state.actors().items()
+                if "_ServeWorker" in a.get("ActorClassName", "")}
+
+    before = serve_actors()
+    got = bm25_serve(idx, ray.data.from_arrow(queries), concurrency=4).to_pandas()
+    assert len(serve_actors() - before) == 1
+    got = got.sort_values(["query_id", "rank"], ignore_index=True)
+    expect = bm25_topk(idx, queries).to_pandas()
+    assert got["doc_id"].tolist() == expect["doc_id"].tolist()
+    assert got["score"].tolist() == expect["score"].tolist()
+
+
 def test_serve_honours_min_match_and_cursor(kill_corpus, tmp_path_factory, ray_session):
     """``bm25_serve`` takes the same side-channel columns as ``bm25_topk``:
     ``min_match`` and a ``cursor_score``/``cursor_doc`` search-after mark

@@ -29,7 +29,16 @@ from archivesspace_virgo_ray.index.postings import (
     varbyte_decode,
     varbyte_encode,
 )
-from archivesspace_virgo_ray.index.segments import SegmentReader, write_segment
+from archivesspace_virgo_ray.index.segments import SegmentReader
+from archivesspace_virgo_ray.index.segments import write_segment as _write_table
+
+
+def write_segment(index_dir, shard, bucket, group: pd.DataFrame):
+    """``segments.write_segment`` over a triple frame (it takes a table)."""
+    types = {"term": pa.string(), "pos": pa.binary()}
+    return _write_table(index_dir, shard, bucket, pa.table(
+        {c: pa.array(group[c].tolist(), types.get(c, pa.int64()))
+         for c in group.columns}))
 
 
 def test_varbyte_roundtrip_basic():
@@ -459,7 +468,7 @@ def test_expunged_triples_rewrite_equals_filtered_write(tmp_path, n_tombs):
     triples = _read_expunged_triples(readers, tomb_ids, tomb_thr, True)
     survivors = group[~group["doc_id"].isin(tomb_ids)]
     assert len(triples) == len(survivors) < len(group)
-    write_segment(a, 0, 0, triples)
+    _write_table(a, 0, 0, triples)
     write_segment(b, 0, 0, survivors)
     assert segments_equal(a, b)
 

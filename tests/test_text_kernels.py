@@ -449,67 +449,6 @@ def test_bigram_logprob_exact_small_corpus(ray_session):
     assert out.loc[2, "avg_logprob"] == 0.0 and out.loc[2, "n_tokens"] == 0
 
 
-# --- Arrow tokenize kernel equivalence (the build's hot path) ---------------
-
-def _canon_tdtf(res):
-    terms, dids, tfs, dls = res[:4]
-    return sorted(zip([str(t) for t in terms], dids.tolist(),
-                      tfs.tolist(), dls.tolist()))
-
-
-def test_arrow_tokenize_kernel_equals_python_all_bmp():
-    """The Arrow kernel (utf8_lower + split_pattern_regex) must produce the
-    same (term, doc, tf, dl) SET as the findall reference for EVERY
-    representable BMP codepoint embedded mid-token — this is what licenses
-    using it in the index build while tokenize_text stays the contract."""
-    import numpy as np
-
-    from archivesspace_virgo_ray.functions.tokenize import (
-        batch_term_doc_tf,
-        batch_term_doc_tf_py,
-    )
-
-    chunk = [f"ab{chr(cp)}cd" for cp in range(0x20, 0x10000)
-             if not (0xD800 <= cp <= 0xDFFF)]
-    big = np.array([" ".join(chunk[i:i + 4000])
-                    for i in range(0, len(chunk), 4000)], dtype=object)
-    ids = np.arange(len(big))
-    assert _canon_tdtf(batch_term_doc_tf(ids, big)) == \
-        _canon_tdtf(batch_term_doc_tf_py(ids, big))
-
-
-def test_arrow_tokenize_kernel_property(ray_session):
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    import numpy as np
-
-    from archivesspace_virgo_ray.functions.tokenize import (
-        batch_term_doc_tf,
-        batch_term_doc_tf_py,
-        batch_term_doc_tf_pos,
-    )
-
-    texts_st = st.lists(
-        st.text(
-            alphabet=st.characters(blacklist_categories=("Cs",)),
-            max_size=60,
-        ),
-        min_size=1, max_size=8,
-    )
-
-    @settings(max_examples=150, deadline=None)
-    @given(texts_st)
-    def check(texts):
-        arr = np.asarray(texts, dtype=object)
-        ids = np.arange(len(arr))
-        want = _canon_tdtf(batch_term_doc_tf_py(ids, arr))
-        assert _canon_tdtf(batch_term_doc_tf(ids, arr)) == want
-        assert _canon_tdtf(batch_term_doc_tf_pos(ids, arr)) == want
-
-    check()
-
-
 def test_ident_pretokenize_scalar_arrow_equivalent():
     """The scalar and Arrow identifier-split rewrites are the same function
     (RE2 / re agree on these patterns: left-to-right, non-overlapping)."""
