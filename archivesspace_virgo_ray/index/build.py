@@ -42,6 +42,7 @@ Scale notes (designed for 10^12 docs / many-node clusters, tested locally):
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import uuid
@@ -71,7 +72,7 @@ from .segments import (
     read_build_id,
     read_stats,
     segment_bucket,
-    termstats_dir,  # noqa: F401  (re-exported: the term-stats readers)
+    termstats_dir,  # noqa: F401  (re-exported beside the term-stats writers)
     write_segment,
 )
 
@@ -192,6 +193,25 @@ def _check_text(batch: pa.Table, cfg: BuildConfig) -> None:
     key = ", ".join(f"{k}={batch[k][row].as_py()!r}" for k in keys)
     raise ValueError(f"text column {cfg.text_col!r} is null in the row "
                      f"with {key}")
+
+
+@contextlib.contextmanager
+def batch_errors_as_raised(ds: ray.data.Dataset):
+    """Run the block with ``ds``'s batch functions raising their own
+    errors: a ValueError one raises (``_check_text``) reaches the caller as
+    itself. Ray Data otherwise wraps it in a ``UserCodeException`` whose
+    cause does not survive the task boundary."""
+    ctx = ds.context
+    wrapped = ctx.raise_original_map_exception
+    ctx.raise_original_map_exception = True
+    try:
+        yield
+    except ray.exceptions.RayTaskError as e:
+        if isinstance(e.cause, ValueError):
+            raise e.cause from None
+        raise
+    finally:
+        ctx.raise_original_map_exception = wrapped
 
 
 def _assign_ids(batch: pa.Table, cfg: BuildConfig) -> np.ndarray:
@@ -530,36 +550,37 @@ def build_index(
             docs.map_batches(make_doc_stats_fn(cfg), batch_format="pyarrow",
                              batch_size=cfg.batch_size).write_parquet(tmp)
 
-        if prior_complete:  # the doc table alone is missing
-            publish_docs(write_doc_table)
-            seg_rows = []
-        else:
-            pass1_error: list[BaseException] = []
+        with batch_errors_as_raised(docs):
+            if prior_complete:  # the doc table alone is missing
+                publish_docs(write_doc_table)
+                seg_rows = []
+            else:
+                pass1_error: list[BaseException] = []
 
-            def run_pass1():
-                try:
-                    if not docs_done:
-                        publish_docs(write_doc_table)
-                except BaseException as e:  # surfaced after join
-                    pass1_error.append(e)
+                def run_pass1():
+                    try:
+                        if not docs_done:
+                            publish_docs(write_doc_table)
+                    except BaseException as e:  # surfaced after join
+                        pass1_error.append(e)
 
-            t1 = threading.Thread(target=run_pass1, daemon=True)
-            triples = docs.map_batches(
-                make_triples_fn(cfg, completed_gkeys),
-                batch_format="pyarrow",
-                batch_size=cfg.batch_size,
-            )
-            # pass 1 starts AFTER the staging Dataset write: two concurrent
-            # driver-side write_parquet constructions race on ray's lazy
-            # fsspec-http probe (a failed import is never cached, so every
-            # overlapping pair can see a partially initialized module and
-            # die with "cannot import name HTTPFileSystem"). Pass 1 instead
-            # overlaps the reduce phase (per-gkey segment tasks), which
-            # never touches a Dataset datasink — same wall-clock shape.
-            seg_rows = write_segments(triples, index_dir, cfg, on_staged=t1.start)
-            t1.join()
-            if pass1_error:
-                raise pass1_error[0]
+                t1 = threading.Thread(target=run_pass1, daemon=True)
+                triples = docs.map_batches(
+                    make_triples_fn(cfg, completed_gkeys),
+                    batch_format="pyarrow",
+                    batch_size=cfg.batch_size,
+                )
+                # pass 1 starts AFTER the staging Dataset write: two concurrent
+                # driver-side write_parquet constructions race on ray's lazy
+                # fsspec-http probe (a failed import is never cached, so every
+                # overlapping pair can see a partially initialized module and
+                # die with "cannot import name HTTPFileSystem"). Pass 1 instead
+                # overlaps the reduce phase (per-gkey segment tasks), which
+                # never touches a Dataset datasink — same wall-clock shape.
+                seg_rows = write_segments(triples, index_dir, cfg, on_staged=t1.start)
+                t1.join()
+                if pass1_error:
+                    raise pass1_error[0]
 
     n_docs = _parquet_rows(docs_dir)
     # total token count = sum of per-segment token counters (manifest K7

@@ -1,28 +1,20 @@
 """Fuzzy queries (Solr ``term~d``, d <= 2) — Lucene's FuzzyQuery top-terms
-rewrite re-expressed over the termstats vocabulary.
+rewrite over the pinned term dictionary.
 
-Expansion is ONE distributed column-pruned scan of the sealed termstats
-parquet for ALL query words together: each block prunes candidates to the
-``|len(term) - len(word)| <= d`` band (vectorized) before running the
-Levenshtein DP on survivors, and keeps its local top-``max_expansions`` per
-word by (distance asc, df desc, term asc) — the driver merges
-k×blocks×words rows. The expanded set then scores as one OR query through
-the BM25 pool, exactly like prefix queries.
+Expansion reads the pool's ``Vocabulary`` (``query.TermStatsStore``): the
+terms in the ``|len(term) - len(word)| <= d`` length band reach the
+Levenshtein DP, and the first ``max_expansions`` within ``d`` edits by
+(distance asc, df desc, term asc) are kept. The expanded set then scores
+as one OR query through the BM25 pool at the same marker, exactly like
+prefix queries.
 
 Determinism contract (mirrored bit-for-bit by the DuckDB oracle): plain
 unit-cost Levenshtein (no transpositions — DuckDB's ``levenshtein``), cut by
 (distance asc, df desc, term asc).
-
-Scale note: at extreme vocabularies Lucene walks a Levenshtein automaton
-over an FST instead of scanning; the length-band + capped-per-block scan
-here is the Dataset-native equivalent and stays proportional to vocabulary
-bytes, never corpus bytes.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from ..functions.tokenize import tokenize_text
@@ -45,6 +37,17 @@ def levenshtein(a: str, b: str) -> int:
     return prev[-1]
 
 
+def _expand(vocab, words: list[str], max_distance: int,
+            max_expansions: int) -> dict[str, list[str]]:
+    out: dict[str, list[str]] = {}
+    for w in words:
+        norm = (tokenize_text(w) or [None])[0]
+        rows = (vocab.near(norm, max_distance, max_expansions)[0]
+                if norm else [])
+        out[w] = vocab.terms[rows].tolist()
+    return out
+
+
 def expand_fuzzy(
     index_dir: str,
     words: list[str],
@@ -52,66 +55,11 @@ def expand_fuzzy(
     max_expansions: int = 50,
 ) -> dict[str, list[str]]:
     """word -> top matching vocabulary terms within ``max_distance`` edits,
-    by (distance asc, df desc, term asc). Single vocabulary scan."""
-    import ray.data
+    by (distance asc, df desc, term asc), at the pool's pinned marker."""
+    from .query import get_pool
 
-    from .build import termstats_dir
-
-    out: dict[str, list[str]] = {w: [] for w in words}
-    norm = {w: (tokenize_text(w) or [None])[0] for w in words}
-    live = sorted({n for n in norm.values() if n})
-    if not live:
-        return out
-
-    def topn(df: pd.DataFrame) -> pd.DataFrame:
-        tlen = df["term"].str.len().to_numpy()
-        frames = []
-        for w in live:
-            band = np.abs(tlen - len(w)) <= max_distance
-            cand = df[band]
-            if len(cand) == 0:
-                continue
-            dist = np.fromiter(
-                (levenshtein(w, t) for t in cand["term"]),
-                dtype=np.int64, count=len(cand),
-            )
-            hit = cand[dist <= max_distance].copy()
-            if len(hit) == 0:
-                continue
-            hit["dist"] = dist[dist <= max_distance]
-            hit["word"] = w
-            hit = hit.sort_values(
-                ["dist", "df", "term"], ascending=[True, False, True]
-            ).head(max_expansions)
-            frames.append(hit)
-        return (
-            pd.concat(frames, ignore_index=True)
-            if frames
-            else pd.DataFrame({
-                "term": pd.Series([], dtype=object),
-                "df": pd.Series([], dtype=np.int64),
-                "dist": pd.Series([], dtype=np.int64),
-                "word": pd.Series([], dtype=object),
-            })
-        )
-
-    matched = (
-        ray.data.read_parquet(termstats_dir(index_dir), columns=["term", "df"])
-        .map_batches(topn, batch_format="pandas")
-        .to_pandas()
-    )
-    if len(matched) == 0 or "term" not in matched.columns:
-        return out
-    by_word: dict[str, list[str]] = {}
-    for w, g in matched.groupby("word"):
-        g = g.sort_values(
-            ["dist", "df", "term"], ascending=[True, False, True]
-        ).head(max_expansions)
-        by_word[str(w)] = g["term"].tolist()
-    for raw, n in norm.items():
-        if n:
-            out[raw] = by_word.get(n, [])
-    return out
+    return get_pool(index_dir).vocabulary_lookup(
+        lambda v: _expand(v, words, max_distance, max_expansions))
 
 
 def fuzzy_topk(
@@ -120,31 +68,13 @@ def fuzzy_topk(
     max_distance: int = 2,
     max_expansions: int = 50,
 ) -> pa.Table:
-    """Distributed fuzzy-query BM25 top-k.
+    """Fuzzy-query BM25 top-k.
 
     ``queries``: (query_id:int64, word:string, k:int32). Returns
     (query_id, rank, doc_id, score); a word with no in-distance vocabulary
     term contributes no rows."""
-    from .query import QueryPool, get_pool
+    from .query import get_pool
 
-    pool = get_pool(index_dir)
-    qids = [int(q) for q in queries["query_id"].to_pylist()]
-    words = queries["word"].to_pylist()
-    ks = [int(k) for k in queries["k"].to_pylist()]
-    expanded = expand_fuzzy(
-        index_dir, list(dict.fromkeys(words)), max_distance, max_expansions
-    )
-
-    parts = []
-    for qid, word, k in zip(qids, words, ks):
-        terms = expanded.get(word, [])
-        if not terms:
-            continue
-        t = pool.topk(pa.table({
-            "query_id": pa.array([qid], pa.int64()),
-            "text": pa.array([" ".join(terms)], pa.string()),
-            "k": pa.array([k], pa.int32()),
-        }))
-        if t.num_rows:
-            parts.append(t)
-    return pa.concat_tables(parts) if parts else QueryPool._EMPTY_TOPK
+    return get_pool(index_dir).expanded_topk(
+        queries, "word", lambda store, words: _expand(
+            store.vocabulary(), words, max_distance, max_expansions))

@@ -35,6 +35,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..functions.tokenize import tokenize_text
+from .segments import numpy_table
 
 _CLAUSE = re.compile(r'([+-]?)"([^"]*)"(?:~(\d+))?|([+-]?)(\S+)')
 
@@ -120,8 +121,8 @@ def querystring_topk(
     rank, doc_id, score)."""
     import pyarrow.dataset as pads
 
-    from .prefix import expand_prefixes
-    from .query import QueryPool, get_pool
+    from .prefix import _prefix_rows, _terms
+    from .query import get_pool
 
     # rows using the tree grammar (parens / AND / OR / NOT) route through
     # the Lucene-BooleanQuery evaluator; plain rows keep the flat path
@@ -145,8 +146,7 @@ def querystring_topk(
     if any(pq.filters for pq in parsed.values()):
         import os as _os
 
-        from .segments import DOCS
-        from .update import _docs_columns
+        from .segments import DOCS, _docs_columns
 
         meta_cols = set(_docs_columns(_os.path.join(index_dir, DOCS)))
         for pq in parsed.values():
@@ -156,73 +156,77 @@ def querystring_topk(
                         f"unknown filter field {fld!r}; _docs has "
                         f"{sorted(meta_cols)}")
 
-    all_prefixes = sorted({p for pq in parsed.values()
-                           for p in pq.all_prefixes()})
-    expansions = (expand_prefixes(index_dir, all_prefixes, max_expansions)
-                  if all_prefixes else {})
+    def run():
+        all_prefixes = sorted({p for pq in parsed.values()
+                               for p in pq.all_prefixes()})
+        expansions = (_terms(_prefix_rows, pool.store.vocabulary(),
+                             all_prefixes, max_expansions)
+                      if all_prefixes else {})
 
-    # batch every phrase across every query through ONE positional pass
-    phrase_specs: dict[int, tuple] = {}
-    phrase_owner: dict[int, int] = {}
-    pid = 0
-    for qid, pq in parsed.items():
-        for text, slop in pq.phrases:
-            phrase_specs[pid] = (text, slop)
-            phrase_owner[pid] = qid
-            pid += 1
-    if phrase_specs and not pool.has_positions:
-        raise ValueError(
-            "query-string phrases need a positional index "
-            "(BuildConfig(store_positions=True)); for non-positional "
-            "indexes use index.phrase.phrase_topk's text-verify path")
-    phrase_hits = pool.phrase_ids(phrase_specs) if phrase_specs else {}
+        # batch every phrase across every query through ONE positional pass
+        phrase_specs: dict[int, tuple] = {}
+        phrase_owner: dict[int, int] = {}
+        pid = 0
+        for qid, pq in parsed.items():
+            for text, slop in pq.phrases:
+                phrase_specs[pid] = (text, slop)
+                phrase_owner[pid] = qid
+                pid += 1
+        if phrase_specs and not pool.has_positions:
+            raise ValueError(
+                "query-string phrases need a positional index "
+                "(BuildConfig(store_positions=True)); for non-positional "
+                "indexes use index.phrase.phrase_topk's text-verify path")
+        phrase_hits = pool.phrase_ids(phrase_specs) if phrase_specs else {}
 
-    parts = []
-    for qid, k in zip(qids, ks):
-        pq = parsed[qid]
-        positive = pq.positive_terms(expansions)
-        if not positive:
-            continue
-        allowed: np.ndarray | None = None
-        if pq.must:
-            allowed = pool.matching_doc_ids(" ".join(pq.must), mode="and")
-        for p in pq.must_prefixes:
-            # +pref* is a disjunctive must: the doc needs ANY expansion.
-            # An empty expansion set means no doc can satisfy the clause.
-            exp = expansions.get(p, [])
-            ids = (pool.matching_doc_ids(" ".join(exp), mode="or")
-                   if exp else np.empty(0, dtype=np.int64))
-            ids = np.sort(np.asarray(ids, dtype=np.int64))
-            allowed = ids if allowed is None else np.intersect1d(
-                allowed, ids, assume_unique=True)
-        for p, owner in phrase_owner.items():
-            if owner != qid:
+        parts = []
+        for qid, k in zip(qids, ks):
+            pq = parsed[qid]
+            positive = pq.positive_terms(expansions)
+            if not positive:
                 continue
-            ids = np.sort(np.asarray(phrase_hits.get(p, []), dtype=np.int64))
-            allowed = ids if allowed is None else np.intersect1d(
-                allowed, ids, assume_unique=True)
-        if allowed is not None and len(allowed) == 0:
-            continue
-        not_terms = set(pq.must_not)
-        for p in pq.must_not_prefixes:  # -pref*: exclude the expansions
-            not_terms |= set(expansions.get(p, []))
-        q1 = pa.table({
-            "query_id": pa.array([qid], pa.int64()),
-            "text": pa.array([" ".join(positive)], pa.string()),
-            "k": pa.array([k], pa.int32()),
-            **({"not_text": pa.array([" ".join(sorted(not_terms))],
-                                     pa.string())}
-               if not_terms else {}),
-        })
-        where = (pads.field("doc_id").isin(allowed.tolist())
-                 if allowed is not None else None)
-        for fld, val, neg in pq.filters:
-            e = (pads.field(fld) != val) if neg else (pads.field(fld) == val)
-            where = e if where is None else (where & e)
-        parts.append(pool.topk(q1, where=where))
-    if not parts:
-        return QueryPool._EMPTY_TOPK
-    return pa.concat_tables(parts)
+            allowed: np.ndarray | None = None
+            if pq.must:
+                allowed = pool.matching_doc_ids(" ".join(pq.must), mode="and")
+            for p in pq.must_prefixes:
+                # +pref* is a disjunctive must: the doc needs ANY expansion.
+                # An empty expansion set means no doc can satisfy the clause.
+                exp = expansions.get(p, [])
+                ids = (pool.matching_doc_ids(" ".join(exp), mode="or")
+                       if exp else np.empty(0, dtype=np.int64))
+                ids = np.sort(np.asarray(ids, dtype=np.int64))
+                allowed = ids if allowed is None else np.intersect1d(
+                    allowed, ids, assume_unique=True)
+            for p, owner in phrase_owner.items():
+                if owner != qid:
+                    continue
+                ids = np.sort(np.asarray(phrase_hits.get(p, []), dtype=np.int64))
+                allowed = ids if allowed is None else np.intersect1d(
+                    allowed, ids, assume_unique=True)
+            if allowed is not None and len(allowed) == 0:
+                continue
+            not_terms = set(pq.must_not)
+            for p in pq.must_not_prefixes:  # -pref*: exclude the expansions
+                not_terms |= set(expansions.get(p, []))
+            q1 = pa.table({
+                "query_id": pa.array([qid], pa.int64()),
+                "text": pa.array([" ".join(positive)], pa.string()),
+                "k": pa.array([k], pa.int32()),
+                **({"not_text": pa.array([" ".join(sorted(not_terms))],
+                                         pa.string())}
+                   if not_terms else {}),
+            })
+            where = (pads.field("doc_id").isin(allowed.tolist())
+                     if allowed is not None else None)
+            for fld, val, neg in pq.filters:
+                e = (pads.field(fld) != val) if neg else (pads.field(fld) == val)
+                where = e if where is None else (where & e)
+            parts.append(pool.topk(q1, where=where))
+        return pa.concat_tables(parts) if parts else pool._EMPTY_TOPK
+
+    # the expansions, the must and phrase matches and the score at
+    # one pinned marker
+    return pool._repinning(run)
 
 
 # --------------------- boolean query trees (Lucene BooleanQuery) ------------
@@ -242,9 +246,10 @@ def querystring_topk(
 # Execution shape: one pooled boolean-match pass per unique leaf (the id
 # arrays reach the driver — same boundary as the must/phrase handling
 # above), numpy set algebra for the tree, then ONE pooled scoring pass per
-# distinct contribution gate (full-score over the gate's doc whitelist),
-# summed per doc on the driver. Distinct gates are few (bounded by the
-# tree's AND nodes), so the fan-out is per-GATE, not per-doc.
+# distinct contribution gate (every match among the gate's sorted doc ids,
+# which each shard's batch pass takes as its whitelist), summed per doc
+# with numpy. Distinct gates are few (bounded by the tree's AND nodes), so
+# the fan-out is per-GATE, not per-doc.
 
 _TREE_TOKEN = re.compile(r'\(|\)|"[^"]*"(?:~\d+)?|[^\s()]+')
 _TREE_MARKERS = re.compile(r'[()]|(?:^|\s)(?:AND|OR|NOT)(?:\s|$)')
@@ -435,9 +440,7 @@ def boolean_topk(index_dir: str, queries: pa.Table) -> pa.Table:
     k:int32) → (query_id, rank, doc_id, score); score = Lucene
     BooleanScorer semantics (sum over leaves matched through matching
     branches), ranked (round(score, 6) desc, doc_id asc)."""
-    import pandas as pd
-
-    from .query import QueryPool, get_pool
+    from .query import get_pool
 
     pool = get_pool(index_dir)
     parts = []
@@ -445,86 +448,75 @@ def boolean_topk(index_dir: str, queries: pa.Table) -> pa.Table:
                             queries["text"].to_pylist(),
                             queries["k"].to_pylist()):
         tree = parse_boolean(text)
-        leaves: list[BoolNode] = []
-        _tree_leaves(tree, leaves)
-        # one pooled match per unique leaf
-        leaf_ids: dict[int, np.ndarray] = {}
-        term_cache: dict[str, np.ndarray] = {}
-        phrase_cache: dict[tuple, np.ndarray] = {}
-        phrase_specs = {}
-        for i, lf in enumerate(leaves):
-            if lf.op == "phrase" and lf.leaf not in phrase_cache:
-                phrase_specs[i] = lf.leaf
-        if phrase_specs:
-            if not pool.has_positions:
-                raise ValueError("boolean phrases need a positional index")
-            hits = pool.phrase_ids(phrase_specs)
-            for i, spec in phrase_specs.items():
-                phrase_cache[spec] = np.sort(
-                    np.asarray(hits.get(i, []), dtype=np.int64))
-        for lf in leaves:
-            if lf.op == "term":
-                if lf.leaf not in term_cache:
-                    term_cache[lf.leaf] = np.sort(np.asarray(
-                        pool.matching_doc_ids(lf.leaf, mode="or"),
-                        dtype=np.int64))
-                leaf_ids[id(lf)] = term_cache[lf.leaf]
-            else:
-                leaf_ids[id(lf)] = phrase_cache[lf.leaf]
-
-        match_cache: dict[int, np.ndarray] = {}
-        root_match = _cache_matches(tree, leaf_ids, match_cache)
-        if not len(root_match):
+        # the leaf matches and the gated scores at one pinned marker
+        doc, score = pool._repinning(lambda: _boolean_scores(pool, tree))
+        if not len(doc):
             continue
-        gates: list[tuple[BoolNode, np.ndarray]] = []
-        _leaf_gates(tree, leaf_ids, match_cache, None, gates)
-        # group scoring leaves by identical gate; phrases score via their
-        # tokens (Lucene PhraseQuery scores like a conjunction weight —
-        # here: the phrase's terms contribute within the phrase's gate)
-        from collections import Counter
+        ids, at = np.unique(doc, return_inverse=True)
+        total = np.round(np.bincount(at, weights=score), 6)
+        top = np.lexsort((ids, -total))[:int(k)]
+        parts.append(numpy_table({
+            "query_id": np.full(len(top), int(qid), np.int64),
+            "rank": np.arange(1, len(top) + 1, dtype=np.int64),
+            "doc_id": ids[top], "score": total[top]}))
+    return pa.concat_tables(parts) if parts else pool._EMPTY_TOPK
 
-        groups: dict[bytes, tuple[np.ndarray, Counter]] = {}
-        for lf, gate in gates:
-            if not len(gate):
-                continue
-            key = gate.tobytes()
-            terms = ([lf.leaf] if lf.op == "term"
-                     else tokenize_text(lf.leaf[0]))
-            g = groups.setdefault(key, (gate, Counter()))
-            g[1].update(terms)
-        frames = []
-        for gate, counts in groups.values():
-            import pyarrow.dataset as pads
 
-            # duplicate clauses each score (Lucene sums duplicate
-            # scorers): a term appearing c times in this gate contributes
-            # c× its single score — run one pass per multiplicity level m
-            # with the terms of count >= m; the level sums add up to c×.
-            for m in range(1, max(counts.values()) + 1):
-                terms = sorted(t for t, c in counts.items() if c >= m)
-                q1 = pa.table({
-                    "query_id": pa.array([0], pa.int64()),
-                    "text": pa.array([" ".join(terms)], pa.string()),
-                    "k": pa.array([len(gate)], pa.int32()),
-                })
-                t = pool.topk(
-                    q1, where=pads.field("doc_id").isin(gate.tolist())
-                ).to_pandas()
-                frames.append(t[["doc_id", "score"]])
-        if not frames:
+def _boolean_scores(pool, tree: BoolNode) -> tuple[np.ndarray, np.ndarray]:
+    """(doc_id, score) of every leaf contribution of ``tree``: one pooled
+    match per unique leaf, then one gated pass per distinct gate."""
+    from collections import Counter
+
+    leaves: list[BoolNode] = []
+    _tree_leaves(tree, leaves)
+    leaf_ids: dict[int, np.ndarray] = {}
+    term_cache: dict[str, np.ndarray] = {}
+    phrase_cache: dict[tuple, np.ndarray] = {}
+    phrase_specs = {}
+    for i, lf in enumerate(leaves):
+        if lf.op == "phrase" and lf.leaf not in phrase_cache:
+            phrase_specs[i] = lf.leaf
+    if phrase_specs:
+        if not pool.has_positions:
+            raise ValueError("boolean phrases need a positional index")
+        hits = pool.phrase_ids(phrase_specs)
+        for i, spec in phrase_specs.items():
+            phrase_cache[spec] = np.sort(
+                np.asarray(hits.get(i, []), dtype=np.int64))
+    for lf in leaves:
+        if lf.op == "term":
+            if lf.leaf not in term_cache:
+                term_cache[lf.leaf] = np.sort(np.asarray(
+                    pool.matching_doc_ids(lf.leaf, mode="or"),
+                    dtype=np.int64))
+            leaf_ids[id(lf)] = term_cache[lf.leaf]
+        else:
+            leaf_ids[id(lf)] = phrase_cache[lf.leaf]
+
+    match_cache: dict[int, np.ndarray] = {}
+    e = np.empty(0, np.int64), np.empty(0, np.float64)
+    if not len(_cache_matches(tree, leaf_ids, match_cache)):
+        return e
+    gates: list[tuple[BoolNode, np.ndarray]] = []
+    _leaf_gates(tree, leaf_ids, match_cache, None, gates)
+    # group scoring leaves by identical gate; phrases score via their
+    # tokens (Lucene PhraseQuery scores like a conjunction weight —
+    # here: the phrase's terms contribute within the phrase's gate)
+    groups: dict[bytes, tuple[np.ndarray, Counter]] = {}
+    for lf, gate in gates:
+        if not len(gate):
             continue
-        total = (pd.concat(frames, ignore_index=True)
-                 .groupby("doc_id", as_index=False)["score"].sum())
-        total["score"] = total["score"].round(6)
-        total = total.sort_values(["score", "doc_id"],
-                                  ascending=[False, True], kind="mergesort",
-                                  ignore_index=True).head(int(k))
-        parts.append(pa.table({
-            "query_id": pa.array([int(qid)] * len(total), pa.int64()),
-            "rank": pa.array(np.arange(1, len(total) + 1), pa.int64()),
-            "doc_id": pa.array(total["doc_id"].to_numpy(np.int64)),
-            "score": pa.array(total["score"].to_numpy(np.float64)),
-        }))
-    if not parts:
-        return QueryPool._EMPTY_TOPK
-    return pa.concat_tables(parts)
+        terms = ([lf.leaf] if lf.op == "term"
+                 else tokenize_text(lf.leaf[0]))
+        g = groups.setdefault(gate.tobytes(), (gate, Counter()))
+        g[1].update(terms)
+    parts = [e]
+    for gate, counts in groups.values():
+        # duplicate clauses each score (Lucene sums duplicate scorers): a
+        # term appearing c times in this gate contributes c× its single
+        # score — one query per multiplicity level m with the terms of
+        # count >= m, all in one pass; the level sums add up to c×.
+        parts.append(pool.gate_scores(
+            [" ".join(sorted(t for t, c in counts.items() if c >= m))
+             for m in range(1, max(counts.values()) + 1)], gate))
+    return tuple(np.concatenate(c) for c in zip(*parts))

@@ -53,6 +53,7 @@ from .segments import (
     GLOBAL,
     _committed_markers,
     _markers_of,
+    column_numpy,
     committed_gens,
     folded_gens,
     list_segment_generations,
@@ -98,6 +99,7 @@ class TermStatsStore:
         self._ts_dir = os.path.join(index_dir, GLOBAL, m["termstats"])
         self._buckets: dict[int, dict[str, tuple[int, int, int]]] = {}
         self._term_bucket: dict[str, int] = {}  # see _bucket_of
+        self._vocab: Vocabulary | None = None  # see vocabulary
 
     def qtext(self, text: str) -> str:
         """Apply the index's recorded analyzer to QUERY text (Solr applies
@@ -183,6 +185,77 @@ class TermStatsStore:
     def plan_query(self, text: str) -> list[TermPlan]:
         """Tokenize + canonical-order term plans (missing terms dropped)."""
         return self._plan(self._analyze(text))
+
+    def vocabulary(self) -> Vocabulary:
+        """Every term of this store's term-stats version with its df, read
+        whole by the first term-dictionary lookup (fuzzy, prefix, regex,
+        spellcheck) and kept; planning never reads it. A reaped version
+        raises ``_StaleIndexRead``, as in ``_load_bucket``."""
+        if self._vocab is None:
+            ts = self._ts_dir
+            try:
+                parts = [pq.read_table(os.path.join(ts, b),
+                                       columns=["term", "df"])
+                         for b in sorted(os.listdir(ts))
+                         if b.startswith("bucket=")]
+            except (OSError, ValueError):
+                if not os.path.isdir(ts):
+                    raise _StaleIndexRead(self.index_dir) from None
+                raise
+            self._vocab = Vocabulary(parts)
+        return self._vocab
+
+
+class Vocabulary:
+    """The term dictionary of one term-stats version: ``terms`` in
+    ascending order (code point order, as Python compares str), their
+    ``df`` and their lengths. Each lookup cuts its matches by a total
+    order, so the same vocabulary always expands to the same terms:
+
+    - ``ranked``: (df desc, term asc), the top-terms rewrite of prefix
+      and regexp queries and the Solr terms component;
+    - ``near``: (edit distance asc, df desc, term asc), fuzzy queries and
+      spellcheck."""
+
+    def __init__(self, parts: list[pa.Table]):
+        import pyarrow.compute as pc
+
+        terms = pa.chunked_array([p["term"].cast(pa.string()) for p in parts],
+                                 pa.string())
+        order = pc.sort_indices(terms)
+        terms = terms.take(order)
+        self.terms = np.array(terms.to_pylist(), dtype=object)
+        self.df = (np.concatenate([column_numpy(p["df"]) for p in parts])
+                   .astype(np.int64)[column_numpy(order)]
+                   if parts else np.empty(0, np.int64))
+        self.lengths = column_numpy(pc.utf8_length(terms)).astype(np.int64)
+
+    def prefixed(self, prefix: str) -> np.ndarray:
+        """Rows of the terms that start with ``prefix``: one sorted range,
+        [prefix, prefix with its last character bumped)."""
+        hi = prefix[:-1] + chr(ord(prefix[-1]) + 1)
+        lo, hi = np.searchsorted(self.terms, [prefix, hi])
+        return np.arange(lo, hi)
+
+    def ranked(self, rows: np.ndarray, n: int) -> np.ndarray:
+        """The first ``n`` of ascending ``rows`` by (df desc, term asc)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        return rows[np.argsort(-self.df[rows], kind="stable")[:n]]
+
+    def near(self, word: str, d: int, n: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, edit distances) of the first ``n`` terms within ``d``
+        edits of ``word`` by (distance asc, df desc, term asc). Only terms
+        in the length band |len(term) - len(word)| <= d reach
+        ``fuzzy.levenshtein``."""
+        from .fuzzy import levenshtein
+
+        rows = np.flatnonzero(np.abs(self.lengths - len(word)) <= d)
+        dist = np.fromiter((levenshtein(word, t) for t in self.terms[rows]),
+                           dtype=np.int64, count=len(rows))
+        rows, dist = rows[dist <= d], dist[dist <= d]
+        cut = np.lexsort((rows, -self.df[rows], dist))[:n]
+        return rows[cut], dist[cut]
 
 
 def _contrib(idf, tfs, dls, avgdl: float, mu: float | None = None):
@@ -1204,20 +1277,23 @@ class ShardWorker:
 
     def _score_rows(self, plan: BatchPlan, where=None,
                     require_all: bool = False,
-                    deadline: float | None = None, k: int | None = None):
-        """One ``ShardScorer.score_batch`` pass per shard, behind ``score``
-        and the grouped and boosted partials → ((query_id, doc_id, score)
-        arrays, the query ids finished on every shard). ``k`` overrides
-        every query's k; ``deadline`` is checked before each shard too."""
+                    deadline: float | None = None, k: int | None = None,
+                    allowed: np.ndarray | None = None):
+        """One ``ShardScorer.score_batch`` pass per shard, behind ``score``,
+        the grouped and boosted partials and boolean gates → ((query_id,
+        doc_id, score) arrays, the query ids finished on every shard).
+        ``k`` overrides every query's k; ``deadline`` is checked before each
+        shard too. ``allowed``, a sorted doc-id whitelist, takes the place
+        of ``where``."""
         n_done = dict.fromkeys(plan.queries, 0)
         parts = [(np.empty(0, np.int64), np.empty(0, np.int64),
                   np.empty(0, np.float64))]
         for s in self.shards:
             if deadline is not None and time.time() >= deadline:
                 break
-            allowed = self._filter_ids(s, where) if where is not None else None
+            ok = self._filter_ids(s, where) if where is not None else allowed
             part, done = self.scorers[s].score_batch(
-                plan, allowed, require_all, deadline, k)
+                plan, ok, require_all, deadline, k)
             parts.append(part)
             for x in done:
                 n_done[x] += 1
@@ -1308,6 +1384,7 @@ class LocalSearcher:
         self.index_dir = index_dir
         self._shards = shards
         self.worker: ShardWorker | None = None
+        self._pinning = False  # inside a _repinning call
         self._open(at)
 
     def _open(self, at: int | None = None) -> None:
@@ -1330,12 +1407,21 @@ class LocalSearcher:
     def _repinning(self, fn):
         """Run fn; while it raises ``_StaleIndexRead`` (the pinned
         marker's term stats were reaped), reopen at the newest marker and
-        run it again (``_repin_attempts``)."""
-        for _ in _repin_attempts(self.index_dir):
-            try:
-                return fn()
-            except _StaleIndexRead:
-                self._open()
+        run it again (``_repin_attempts``). A call made inside another one
+        runs once and leaves a stale read to the outer call, so every step
+        of the outer fn (a term lookup and the score of its terms) sees
+        one marker."""
+        if self._pinning:
+            return fn()
+        self._pinning = True
+        try:
+            for _ in _repin_attempts(self.index_dir):
+                try:
+                    return fn()
+                except _StaleIndexRead:
+                    self._open()
+        finally:
+            self._pinning = False
 
     def _ranked(self, queries: pa.Table, where=None,
                 require_all: bool = False, mu: float | None = None,
@@ -1512,6 +1598,38 @@ class QueryPool(LocalSearcher):
         bound (``_contrib``)."""
         return self._ranked(queries, mu=float(mu))[0]
 
+    # -- term-dictionary lookups ---------------------------------------------
+
+    def vocabulary_lookup(self, fn):
+        """``fn(vocabulary)`` over the pinned store's ``Vocabulary``: the
+        terms the pool scores, never a newer commit's."""
+        return self._repinning(lambda: fn(self.store.vocabulary()))
+
+    def expanded_topk(self, queries: pa.Table, key_col: str, expand
+                      ) -> pa.Table:
+        """Top-k of each row of ``queries`` (query_id, ``key_col``, k) as
+        the OR query of the terms ``expand(store, keys)`` maps its
+        ``key_col`` value to (no terms: no rows), ``keys`` the column's
+        distinct values; rows answer in table order, each on its own even
+        when two share a query id. The lookup and the score see ONE pinned
+        marker: a reaped version re-runs both at the newest. Fuzzy,
+        prefix, regexp and more-like-this queries."""
+        keys = queries[key_col].to_pylist()
+
+        def run():
+            got = expand(self.store, list(dict.fromkeys(keys)))
+            texts = [" ".join(got[key]) for key in keys]
+            rows = [i for i, text in enumerate(texts) if text]
+            if not rows:
+                return self._EMPTY_TOPK
+            t = self.topk(pa.table({  # query_id: the row number
+                "query_id": pa.array(rows, pa.int64()),
+                "text": pa.array([texts[i] for i in rows], pa.string()),
+                "k": queries["k"].take(rows)}))
+            return t.set_column(0, "query_id",
+                                queries["query_id"].take(t["query_id"]))
+        return self._repinning(run)
+
     # -- boolean / facet / filter -------------------------------------------
 
     def _plan_boolean(self, text: str, mode: str):
@@ -1528,6 +1646,21 @@ class QueryPool(LocalSearcher):
         if plans is None:
             return np.empty(0, np.int64)
         return np.sort(self.worker.match(plans, mode, nq))
+
+    @_repins
+    def gate_scores(self, texts: list[str], allowed: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every match of each of the OR queries ``texts`` among the sorted
+        doc ids ``allowed`` → unranked (doc_id, score) arrays, in one batch
+        pass: the gated scores of a boolean query
+        (``qparser.boolean_topk``)."""
+        plan = _plan_batch(self.store, pa.table({
+            "query_id": pa.array(range(len(texts)), pa.int64()),
+            "text": pa.array(texts, pa.string()),
+            "k": pa.array([0] * len(texts), pa.int64())}))
+        (_q, doc, score), _done = self.worker._score_rows(
+            plan, k=_ALL, allowed=allowed)
+        return doc, score
 
     @property
     def has_positions(self) -> bool:

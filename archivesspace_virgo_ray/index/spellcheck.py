@@ -1,5 +1,5 @@
 """Spellcheck / did-you-mean (Solr SpellCheckComponent,
-DirectSolrSpellChecker analogue) over the sealed termstats vocabulary.
+DirectSolrSpellChecker analogue) over the pinned term dictionary.
 
 Reference behavior mirrored: a query word already present in the index
 vocabulary is "correct" and gets NO suggestions; a missing word is corrected
@@ -7,13 +7,9 @@ from index terms within ``max_distance`` edits, ranked by
 (distance asc, df desc, term asc), capped at ``max_suggestions``
 (cf. Solr's spellcheck.count + "alternativeTermCount=0" semantics).
 
-Execution shape (same as ``index.fuzzy.expand_fuzzy``): ONE distributed,
-column-pruned scan of the termstats parquet for ALL words together — each
-block prunes to the ``|len(term) - len(word)| <= d`` length band
-(vectorized) before the Levenshtein DP, keeps a local top-(N+1) per word
-(the +1 absorbs the word's own dist-0 row, which marks it correct), and the
-driver merges k×blocks×words rows. Cost is proportional to vocabulary
-bytes, never corpus bytes — the 100 TB shape.
+The lookup is the fuzzy one (``query.Vocabulary.near``) at the pool's
+pinned marker, cut at ``max_suggestions + 1``: the +1 holds the word's own
+dist-0 row, which marks it correct.
 """
 
 from __future__ import annotations
@@ -22,7 +18,6 @@ import numpy as np
 import pandas as pd
 
 from ..functions.tokenize import tokenize_text
-from .fuzzy import levenshtein
 
 _EMPTY = pd.DataFrame({
     "word": pd.Series([], dtype=object),
@@ -31,6 +26,29 @@ _EMPTY = pd.DataFrame({
     "dist": pd.Series([], dtype=np.int64),
     "df": pd.Series([], dtype=np.int64),
 })
+
+
+def _suggest(vocab, words: list[str], max_distance: int,
+             max_suggestions: int) -> pd.DataFrame:
+    frames = []
+    for raw in dict.fromkeys(words):
+        norm = (tokenize_text(raw) or [None])[0]
+        if not norm:
+            continue
+        rows, dist = vocab.near(norm, max_distance, max_suggestions + 1)
+        if not len(dist) or dist[0] == 0:
+            continue  # hopeless, or in the vocabulary -> correct
+        rows, dist = rows[:max_suggestions], dist[:max_suggestions]
+        frames.append(pd.DataFrame({
+            "word": pd.Series([raw] * len(rows), dtype=object),
+            "rank": np.arange(1, len(rows) + 1, dtype=np.int64),
+            "suggestion": pd.Series(vocab.terms[rows], dtype=object),
+            "dist": dist,
+            "df": vocab.df[rows],
+        }))
+    if not frames:
+        return _EMPTY.copy()
+    return pd.concat(frames, ignore_index=True)
 
 
 def spellcheck(
@@ -42,74 +60,10 @@ def spellcheck(
     """-> (word, rank, suggestion, dist, df): top corrections per MISSING
     word; vocabulary words (and words with no in-distance candidates beyond
     themselves) contribute no rows. ``word`` holds the caller's raw string."""
-    import ray.data
+    from .query import get_pool
 
-    from .build import termstats_dir
-
-    norm = {w: (tokenize_text(w) or [None])[0] for w in words}
-    live = sorted({n for n in norm.values() if n})
-    if not live:
-        return _EMPTY.copy()
-    keep_n = max_suggestions + 1  # +1: the dist-0 self row may be dropped
-
-    def topn(df: pd.DataFrame) -> pd.DataFrame:
-        tlen = df["term"].str.len().to_numpy()
-        frames = []
-        for w in live:
-            band = np.abs(tlen - len(w)) <= max_distance
-            cand = df[band]
-            if len(cand) == 0:
-                continue
-            dist = np.fromiter(
-                (levenshtein(w, t) for t in cand["term"]),
-                dtype=np.int64, count=len(cand),
-            )
-            hit = cand[dist <= max_distance].copy()
-            if len(hit) == 0:
-                continue
-            hit["dist"] = dist[dist <= max_distance]
-            hit["word"] = w
-            hit = hit.sort_values(
-                ["dist", "df", "term"], ascending=[True, False, True]
-            ).head(keep_n)
-            frames.append(hit)
-        if not frames:
-            return pd.DataFrame({
-                "term": pd.Series([], dtype=object),
-                "df": pd.Series([], dtype=np.int64),
-                "dist": pd.Series([], dtype=np.int64),
-                "word": pd.Series([], dtype=object),
-            })
-        return pd.concat(frames, ignore_index=True)
-
-    matched = (
-        ray.data.read_parquet(termstats_dir(index_dir), columns=["term", "df"])
-        .map_batches(topn, batch_format="pandas")
-        .to_pandas()
-    )
-    out_frames = []
-    if len(matched) and "word" in matched.columns:
-        by_norm = dict(tuple(matched.groupby("word")))
-        for raw, n in norm.items():
-            g = by_norm.get(n)
-            if g is None:
-                continue
-            g = g.sort_values(
-                ["dist", "df", "term"], ascending=[True, False, True]
-            )
-            if (g["dist"].to_numpy() == 0).any():
-                continue  # word exists in the vocabulary -> correct
-            g = g.head(max_suggestions).reset_index(drop=True)
-            out_frames.append(pd.DataFrame({
-                "word": pd.Series([raw] * len(g), dtype=object),
-                "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-                "suggestion": g["term"].astype(object),
-                "dist": g["dist"].to_numpy(np.int64),
-                "df": g["df"].to_numpy(np.int64),
-            }))
-    if not out_frames:
-        return _EMPTY.copy()
-    return pd.concat(out_frames, ignore_index=True)
+    return get_pool(index_dir).vocabulary_lookup(
+        lambda v: _suggest(v, words, max_distance, max_suggestions))
 
 
 def collate(words: list[str], suggestions: pd.DataFrame) -> str:

@@ -50,7 +50,8 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from .build import BuildConfig, make_doc_stats_fn, make_triples_fn
+from .build import BuildConfig, batch_errors_as_raised, make_doc_stats_fn
+from .build import make_triples_fn
 from .build import is_small, read_small_source, table_triples, write_segments
 from .locking import locked_on
 from .segments import SEGMENTS, live_segments, read_manifest
@@ -254,16 +255,17 @@ def add_documents(
         os.makedirs(gen_dir, exist_ok=True)
         pq.write_table(doc_rows, os.path.join(gen_dir, "part-0.parquet"))
         triples = table_triples(delta_tbl, cfg)
+        seg_rows = write_segments(triples, index_dir, cfg, gen=gen)
     else:
-        docs.map_batches(
-            make_doc_stats_fn(cfg, gen=gen), batch_format="pyarrow",
-            batch_size=cfg.batch_size,
-        ).write_parquet(gen_dir)
-        triples = docs.map_batches(
-            make_triples_fn(cfg, frozenset()), batch_format="pyarrow",
-            batch_size=cfg.batch_size,
-        )
-    seg_rows = write_segments(triples, index_dir, cfg, gen=gen)
+        with batch_errors_as_raised(docs):
+            docs.map_batches(
+                make_doc_stats_fn(cfg, gen=gen), batch_format="pyarrow",
+                batch_size=cfg.batch_size,
+            ).write_parquet(gen_dir)
+            seg_rows = write_segments(docs.map_batches(
+                make_triples_fn(cfg, frozenset()), batch_format="pyarrow",
+                batch_size=cfg.batch_size,
+            ), index_dir, cfg, gen=gen)
 
     n_new = int(len(uniq_inc))
     # commit order: segments + docs, then the term-stats version (a

@@ -332,8 +332,10 @@ def test_query_worker_imports_neither_ray_data_nor_pandas(idx, tmp_path):
 def test_query_only_process_starts_no_ray(tmp_path, ray_session, sf_dir):
     """A process that only queries indexes built elsewhere never starts
     Ray: ranked (BM25, LM-Dirichlet, timeAllowed), boolean, phrase,
-    span-not, both facet forms, filter, grouped, boosted and explain, and a
-    federated search over two members that equals the combined index."""
+    span-not, both facet forms, filter, grouped, boosted and explain, the
+    term-dictionary queries (fuzzy, prefix, regexp, spellcheck), flat and
+    boolean query strings, more-like-this, and a federated search over two
+    members that equals the combined index."""
     docs = pq.read_table(os.path.join(sf_dir, "documents.parquet"))
     cfg = BuildConfig(n_shards=2, n_buckets=2, text_col="text",
                       id_col="doc_id", meta_cols=("lang",),
@@ -351,10 +353,20 @@ def test_query_only_process_starts_no_ray(tmp_path, ray_session, sf_dir):
 import pyarrow as pa, pyarrow.dataset as pads
 from archivesspace_virgo_ray.index import query as Q
 from archivesspace_virgo_ray.index.federated import FederatedSearcher
+from archivesspace_virgo_ray.index.fuzzy import fuzzy_topk
+from archivesspace_virgo_ray.index.mlt import more_like_this
+from archivesspace_virgo_ray.index.prefix import prefix_topk, regex_topk
+from archivesspace_virgo_ray.index.qparser import querystring_topk
+from archivesspace_virgo_ray.index.spellcheck import spellcheck
 idx = {paths["whole"]!r}
 tbl = pa.table({{"query_id": pa.array([0, 1], pa.int64()),
                 "text": pa.array(["the data model", "sort merge"]),
                 "k": pa.array([5, 5], pa.int32())}})
+
+def one(col, value):
+    return pa.table({{"query_id": pa.array([0], pa.int64()),
+                     col: pa.array([value]), "k": pa.array([5], pa.int32())}})
+
 pool = Q.get_pool(idx)
 sizes = [
     Q.bm25_topk(idx, tbl).num_rows, Q.lmd_topk(idx, tbl).num_rows,
@@ -368,6 +380,14 @@ sizes = [
     len(pool.grouped_topk(tbl, "lang")),
     len(pool.boosted_topk(tbl, "lang", {{"en": 2.0}})),
     len(Q.explain(idx, {phrase!r}, {doc})["terms"]),
+    fuzzy_topk(idx, one("word", "srot")).num_rows,
+    prefix_topk(idx, one("prefix", "st")).num_rows,
+    regex_topk(idx, one("pattern", "s.*t")).num_rows,
+    len(spellcheck(idx, ["srot"])),
+    querystring_topk(idx, one("text", "sort dat*")).num_rows,
+    querystring_topk(idx, one("text", "sort AND (merge OR data)")).num_rows,
+    more_like_this(idx, {paths["whole"] + ".parquet"!r},
+                   one("doc_id", {doc})).num_rows,
 ]
 fed = FederatedSearcher([{paths["a"]!r}, {paths["b"]!r}]).topk(tbl)
 import ray

@@ -1,4 +1,5 @@
-"""Prefix/wildcard queries: expansion cap, normalization, OR-equivalence."""
+"""Prefix/wildcard queries: expansion cap, normalization, OR-equivalence,
+and the expansion at the pool's pinned marker."""
 
 import shutil
 
@@ -94,6 +95,21 @@ def test_prefix_topk_equals_expanded_or_query(prefix_idx):
     )
 
 
+def test_prefix_topk_answers_each_row(prefix_idx):
+    """Rows answer in table order, each on its own, also two rows that
+    share a query id."""
+    idx, _ = prefix_idx
+    q = pa.table({
+        "query_id": pa.array([9, 9, 2], pa.int64()),
+        "prefix": pa.array(["st", "sa", "zz"], pa.string()),
+        "k": pa.array([10, 10, 10], pa.int32()),
+    })
+    got = prefix_topk(idx, q)
+    assert got["query_id"].to_pylist() == [9] * 4  # stream/stripe, salt
+    assert got.equals(pa.concat_tables(
+        [prefix_topk(idx, q.slice(i, 1)) for i in range(3)]))
+
+
 def test_prefix_topk_no_match_is_empty(prefix_idx):
     idx, _ = prefix_idx
     q = pa.table({
@@ -166,3 +182,78 @@ def test_regex_bad_pattern_raises_on_driver(prefix_idx):
     idx, _ = prefix_idx
     with pytest.raises(Exception):
         browse_terms_regex(idx, ["(unclosed"], limit=5)
+
+
+def _race_index(tmp_path):
+    """Docs 1 "stream sort", 2 "stream scan", 3 "table"; returns (index,
+    write(name, rows) -> parquet path, cfg())."""
+    def write(name, rows):
+        path = str(tmp_path / f"{name}.parquet")
+        pq.write_table(pa.table({
+            "doc_id": pa.array([d for d, _ in rows], pa.int64()),
+            "text": pa.array([t for _, t in rows], pa.string())}), path)
+        return path
+
+    cfg = lambda: BuildConfig(n_shards=2, n_buckets=4, text_col="text",  # noqa: E731
+                              id_col="doc_id", meta_cols=())
+    idx = str(tmp_path / "idx")
+    build_index(write("base", [(1, "stream sort"), (2, "stream scan"),
+                               (3, "table")]), idx, cfg(), resume=False)
+    return idx, write, cfg
+
+
+_ST = pa.table({
+    "query_id": pa.array([1], pa.int64()),
+    "prefix": pa.array(["st"], pa.string()),
+    "k": pa.array([10], pa.int32()),
+})
+
+
+def test_expansion_reads_the_pools_pinned_marker(ray_session, tmp_path,
+                                                 monkeypatch):
+    """An add that lands between ``get_pool`` and the expansion must not
+    change it: the pool scores at its pinned marker, so the expansion reads
+    that marker's vocabulary, not the newer one where 'stx' outranks
+    'stream'."""
+    from archivesspace_virgo_ray.index import query
+    from archivesspace_virgo_ray.index.update import add_documents
+
+    idx, write, cfg = _race_index(tmp_path)
+    delta = write("delta", [(4, "stx"), (5, "stx"), (6, "stx")])
+    get_pool, added = query.get_pool, []
+
+    def get_pool_then_add(index_dir):
+        pool = get_pool(index_dir)
+        if not added:
+            added.append(add_documents(delta, idx, cfg()))
+        return pool
+
+    monkeypatch.setattr(query, "get_pool", get_pool_then_add)
+    got = prefix_topk(idx, _ST, max_expansions=1)
+    assert sorted(got["doc_id"].to_pylist()) == [1, 2]
+
+
+def test_a_reaped_version_reruns_the_expansion_with_the_score(
+        ray_session, tmp_path, monkeypatch):
+    """Two adds after the pool expanded reap its term-stats version, so
+    planning the expanded terms finds it gone: the expansion re-runs at the
+    newest marker together with the score ('stx' now), never scoring the
+    old expansion ('stream') at the new marker."""
+    from archivesspace_virgo_ray.index import query
+    from archivesspace_virgo_ray.index.update import add_documents
+
+    idx, write, cfg = _race_index(tmp_path)
+    deltas = [write("d1", [(4, "stx"), (5, "stx"), (6, "stx")]),
+              write("d2", [(7, "table")])]
+    get_pool = query.get_pool
+
+    def get_pool_then_reap(index_dir):
+        pool = get_pool(index_dir)
+        pool.store.vocabulary()  # the expansion's read, at the pin
+        while deltas:
+            add_documents(deltas.pop(0), idx, cfg())
+        return pool
+
+    monkeypatch.setattr(query, "get_pool", get_pool_then_reap)
+    got = prefix_topk(idx, _ST, max_expansions=1)
+    assert sorted(got["doc_id"].to_pylist()) == [4, 5, 6]

@@ -447,45 +447,3 @@ def test_bigram_logprob_exact_small_corpus(ray_session):
     assert out.loc[0, "avg_logprob"] == round(d1, 6)
     assert out.loc[1, "avg_logprob"] == round(d2, 6)
     assert out.loc[2, "avg_logprob"] == 0.0 and out.loc[2, "n_tokens"] == 0
-
-
-def test_ident_pretokenize_scalar_arrow_equivalent():
-    """The scalar and Arrow identifier-split rewrites are the same function
-    (RE2 / re agree on these patterns: left-to-right, non-overlapping)."""
-    import pyarrow as pa
-
-    from archivesspace_virgo_ray.functions.tokenize import (
-        ident_pretokenize,
-        ident_pretokenize_arrow,
-    )
-
-    cases = [
-        "keyAgg rowScan theA aAgg part",
-        "getHTTPResponse foo_bar x",
-        "HTTPServer2 a2B __lead trail__ s",
-        "",
-        "plain lower words only",
-        "ALLCAPS MixedCASEToken x9Y",
-    ]
-    got = ident_pretokenize_arrow(pa.array(cases, pa.string())).to_pylist()
-    assert got == [ident_pretokenize(s) for s in cases]
-
-
-def test_ident_pretokenize_inverts_camel_pairing():
-    """Round-trip property the bm25_ident_topk oracle rests on: pairing
-    adjacent lowercase tokens into camel compounds, then splitting, yields
-    the original token stream."""
-    from archivesspace_virgo_ray.functions.tokenize import (
-        TOKEN_RE,
-        ident_pretokenize,
-    )
-
-    for text in ["key agg row scan slow", "a b c", "single", "x y"]:
-        toks = TOKEN_RE.findall(text)
-        comp = [
-            toks[i] + toks[i + 1][0].upper() + toks[i + 1][1:]
-            if i + 1 < len(toks) else toks[i]
-            for i in range(0, len(toks), 2)
-        ]
-        back = TOKEN_RE.findall(ident_pretokenize(" ".join(comp)).lower())
-        assert back == toks

@@ -1,5 +1,6 @@
 """The build's Arrow tokenize kernel against the ``tokenize_text`` contract
-(``str.lower`` + ``findall``), and the build's refusal of a null text."""
+(``str.lower`` + ``findall``), the build's refusal of a null text, and the
+``ident`` analyzer's identifier split."""
 
 import os
 
@@ -179,3 +180,73 @@ def test_add_documents_names_the_null_text_row(tmp_path, ray_session):
         add_documents(delta, idx, cfg())
     assert LocalSearcher(idx).search("alpha beta", 5) == before
     assert not os.path.exists(os.path.join(idx, "_docs", "gen=0001"))
+
+
+def test_null_text_above_the_size_rule_raises_the_value_error(
+        tmp_path, ray_session, monkeypatch):
+    """Above the size rule the batches run as Ray Data tasks: the caller
+    still gets the ValueError itself, not Ray's task-error wrapper."""
+    from archivesspace_virgo_ray.index import build
+    from archivesspace_virgo_ray.index.update import add_documents
+
+    cfg = lambda: build.BuildConfig(n_shards=2, n_buckets=2,  # noqa: E731
+                                    text_col="text", id_col="doc_id",
+                                    meta_cols=())
+    idx = str(tmp_path / "idx")
+    build.build_index(_write(str(tmp_path / "base.parquet"), pa.table(
+        {"doc_id": pa.array([1, 2], pa.int64()), "text": ["alpha", "beta"]})),
+        idx, cfg())
+    monkeypatch.setattr(build, "_SMALL_SOURCE_ROWS", 0)
+    bad = _write(str(tmp_path / "bad.parquet"), pa.table(
+        {"doc_id": pa.array([3, 4], pa.int64()), "text": ["gamma", None]}))
+    msg = "text column 'text' is null in the row with doc_id=4"
+    with pytest.raises(ValueError, match=msg) as built:
+        build.build_index(bad, str(tmp_path / "idx2"), cfg())
+    with pytest.raises(ValueError, match=msg) as added:
+        add_documents(bad, idx, cfg())
+    assert type(built.value) is ValueError
+    assert type(added.value) is ValueError
+
+
+# --- the ident analyzer's identifier split ----------------------------------
+
+def test_ident_pretokenize_scalar_arrow_equivalent():
+    """The scalar and Arrow identifier-split rewrites are the same function
+    (RE2 / re agree on these patterns: left-to-right, non-overlapping)."""
+    import pyarrow as pa
+
+    from archivesspace_virgo_ray.functions.tokenize import (
+        ident_pretokenize,
+        ident_pretokenize_arrow,
+    )
+
+    cases = [
+        "keyAgg rowScan theA aAgg part",
+        "getHTTPResponse foo_bar x",
+        "HTTPServer2 a2B __lead trail__ s",
+        "",
+        "plain lower words only",
+        "ALLCAPS MixedCASEToken x9Y",
+    ]
+    got = ident_pretokenize_arrow(pa.array(cases, pa.string())).to_pylist()
+    assert got == [ident_pretokenize(s) for s in cases]
+
+
+def test_ident_pretokenize_inverts_camel_pairing():
+    """Round-trip property the bm25_ident_topk oracle rests on: pairing
+    adjacent lowercase tokens into camel compounds, then splitting, yields
+    the original token stream."""
+    from archivesspace_virgo_ray.functions.tokenize import (
+        TOKEN_RE,
+        ident_pretokenize,
+    )
+
+    for text in ["key agg row scan slow", "a b c", "single", "x y"]:
+        toks = TOKEN_RE.findall(text)
+        comp = [
+            toks[i] + toks[i + 1][0].upper() + toks[i + 1][1:]
+            if i + 1 < len(toks) else toks[i]
+            for i in range(0, len(toks), 2)
+        ]
+        back = TOKEN_RE.findall(ident_pretokenize(" ".join(comp)).lower())
+        assert back == toks
