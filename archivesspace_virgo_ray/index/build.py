@@ -61,6 +61,7 @@ from .segments import (
     BUILD_ID,
     DOCS,
     GLOBAL,
+    PARQUET_CODEC,
     STAGING,
     _docs_columns,
     _committed_markers,
@@ -69,11 +70,13 @@ from .segments import (
     column_numpy,
     list_complete_segments,
     live_segments,
+    parquet_decoded_bytes,
     read_build_id,
     read_stats,
     segment_bucket,
     termstats_dir,  # noqa: F401  (re-exported beside the term-stats writers)
     write_segment,
+    write_table,
 )
 
 
@@ -528,13 +531,11 @@ def build_index(
                 "n_segments_skipped": len(completed)}
     if (table := read_small_source(source, read_cols)) is not None:
         # ---- small source: both passes on the driver, one after the other
-        import pyarrow.parquet as pq
-
         if not docs_done:
             def write_doc_table(tmp):
                 os.makedirs(tmp)
-                pq.write_table(make_doc_stats_fn(cfg)(table),
-                               os.path.join(tmp, "part-0.parquet"))
+                write_table(make_doc_stats_fn(cfg)(table),
+                            os.path.join(tmp, "part-0.parquet"))
 
             publish_docs(write_doc_table)
         seg_rows = [] if prior_complete else write_segments(
@@ -548,7 +549,8 @@ def build_index(
 
         def write_doc_table(tmp):
             docs.map_batches(make_doc_stats_fn(cfg), batch_format="pyarrow",
-                             batch_size=cfg.batch_size).write_parquet(tmp)
+                             batch_size=cfg.batch_size).write_parquet(
+                tmp, **PARQUET_CODEC)
 
         with batch_errors_as_raised(docs):
             if prior_complete:  # the doc table alone is missing
@@ -631,6 +633,9 @@ def _all_manifests(index_dir: str) -> list[dict]:
     return out
 
 
+# a seal aggregates on the driver while the term rows it reads decode to
+# fewer bytes than this (``parquet_decoded_bytes``: footer sizes, so the
+# bound is on driver memory whatever the files' codec)
 _SEAL_DRIVER_MAX_BYTES = 256 * 1024 * 1024
 
 
@@ -665,15 +670,13 @@ def _write_termstats_bucket(rows: pa.Table, bdir: str) -> None:
     per-term stats (df/cf sums, max_tf max, min_dl min) and write them
     term-sorted as ``bdir/part-0.parquet``. Sum/max/min compose, so rows
     that are themselves aggregates (a prior seal) fold in exactly."""
-    import pyarrow.parquet as pq
-
     agg = rows.group_by("term").aggregate(
         [("df", "sum"), ("cf", "sum"), ("max_tf", "max"), ("min_dl", "min")])
     out = pa.table({"term": agg["term"], "df": agg["df_sum"],
                     "cf": agg["cf_sum"], "max_tf": agg["max_tf_max"],
                     "min_dl": agg["min_dl_min"]}).sort_by("term")
     os.makedirs(bdir, exist_ok=True)
-    pq.write_table(out, os.path.join(bdir, "part-0.parquet"))
+    write_table(out, os.path.join(bdir, "part-0.parquet"))
 
 
 def _seal_termstats(index_dir: str, markers: dict[int, dict]) -> str:
@@ -684,8 +687,9 @@ def _seal_termstats(index_dir: str, markers: dict[int, dict]) -> str:
     reader sees the version before that marker lands.
 
     Vocab-sized, not corpus-sized. Two paths with identical output layout:
-    - small vocab (term files < 256 MB): one Arrow ``group_by`` per term
-      bucket on the driver — the Ray groupby's fixed cost would dominate;
+    - small vocab (term rows decode to < 256 MB): one Arrow ``group_by``
+      per term bucket on the driver — the Ray groupby's fixed cost would
+      dominate;
     - large vocab (unbounded identifier space at code-corpus scale): Ray
       Data groupby shuffle.
     """
@@ -697,8 +701,7 @@ def _seal_termstats(index_dir: str, markers: dict[int, dict]) -> str:
     name = f"termstats-{uuid.uuid4().hex[:8]}"
     tmp = os.path.join(index_dir, GLOBAL, name)
     os.makedirs(tmp)
-    total_bytes = sum(os.path.getsize(f) for f in term_files)
-    if total_bytes < _SEAL_DRIVER_MAX_BYTES:
+    if parquet_decoded_bytes(term_files) < _SEAL_DRIVER_MAX_BYTES:
         for bucket, rows in _term_rows(term_files).items():
             _write_termstats_bucket(rows, os.path.join(tmp, f"bucket={bucket}"))
     else:
@@ -713,7 +716,7 @@ def _seal_termstats(index_dir: str, markers: dict[int, dict]) -> str:
             Max("max_tf", alias_name="max_tf"),
             Min("min_dl", alias_name="min_dl"),
         )
-        g.write_parquet(tmp, partition_cols=["bucket"])
+        g.write_parquet(tmp, partition_cols=["bucket"], **PARQUET_CODEC)
     return name
 
 
@@ -740,11 +743,8 @@ def _seal_termstats_incremental(index_dir: str, gen: int,
     cur = os.path.join(index_dir, GLOBAL, markers[prev].get("termstats", ""))
     if not markers[prev].get("termstats") or not os.path.isdir(cur):
         return None
-    cur_bytes = sum(
-        os.path.getsize(p)
-        for p in _glob.glob(os.path.join(cur, "bucket=*", "*.parquet"))
-    )
-    if cur_bytes >= _SEAL_DRIVER_MAX_BYTES:
+    if parquet_decoded_bytes(_glob.glob(os.path.join(
+            cur, "bucket=*", "*.parquet"))) >= _SEAL_DRIVER_MAX_BYTES:
         return None
     delta_files = sorted(
         _glob.glob(os.path.join(index_dir, "segments", f"*_g{gen:04d}",

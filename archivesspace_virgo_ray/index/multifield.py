@@ -37,10 +37,10 @@ def dismax_topk(
     ``queries``: (query_id:int64, text:string, k:int32). Returns
     (query_id, rank, doc_id, score) with score = max_f(weight_f * bm25_f),
     ranked score desc / doc_id asc."""
-    from .query import QueryPool, get_pool
+    from .query import QueryPool, get_pool, query_ids
 
     pools = [(get_pool(d), float(w)) for d, w in fields]
-    qids = [int(q) for q in queries["query_id"].to_pylist()]
+    qids = query_ids(queries)
     texts = queries["text"].to_pylist()
     ks = [int(k) for k in queries["k"].to_pylist()]
 

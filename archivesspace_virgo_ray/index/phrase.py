@@ -171,10 +171,10 @@ def phrase_topk(
     """
     import pyarrow.dataset as pads
 
-    from .query import QueryPool, get_pool
+    from .query import QueryPool, get_pool, query_ids
 
     pool = get_pool(index_dir)
-    qids = [int(q) for q in queries["query_id"].to_pylist()]
+    qids = query_ids(queries)
     texts = queries["text"].to_pylist()
     ks = queries["k"].to_pylist()
     slops = (
@@ -241,10 +241,10 @@ def near_topk(
     exactly |posA − posB| − 1 ≤ N), reusing the positional or text-verify
     machinery; scoring is standard BM25 over the terms, identical to the
     unrestricted query for surviving docs."""
-    from .query import get_pool
+    from .query import get_pool, query_ids
 
     pool = get_pool(index_dir)
-    qids = [int(q) for q in queries["query_id"].to_pylist()]
+    qids = query_ids(queries)
     texts = queries["text"].to_pylist()
     ks = queries["k"].to_pylist()
     slops = dict(zip(qids, (int(s) for s in queries["slop"].to_pylist())))
@@ -306,10 +306,10 @@ def span_not_topk(
     import ray
     import ray.data
 
-    from .query import get_pool
+    from .query import get_pool, query_ids
 
     pool = get_pool(index_dir)
-    qids = [int(q) for q in queries["query_id"].to_pylist()]
+    qids = query_ids(queries)
     texts = queries["text"].to_pylist()
     excls = dict(zip(qids, queries["excl"].to_pylist()))
     dists = dict(zip(qids, (int(d) for d in queries["dist"].to_pylist())))

@@ -122,8 +122,9 @@ def querystring_topk(
     import pyarrow.dataset as pads
 
     from .prefix import _prefix_rows, _terms
-    from .query import get_pool
+    from .query import get_pool, query_ids
 
+    qids = query_ids(queries)
     # rows using the tree grammar (parens / AND / OR / NOT) route through
     # the Lucene-BooleanQuery evaluator; plain rows keep the flat path
     tree_rows = [i for i, t in enumerate(queries["text"].to_pylist())
@@ -138,7 +139,6 @@ def querystring_topk(
         return pa.concat_tables(out)
 
     pool = get_pool(index_dir)
-    qids = [int(v) for v in queries["query_id"].to_pylist()]
     texts = queries["text"].to_pylist()
     ks = [int(v) for v in queries["k"].to_pylist()]
     parsed = {qid: parse_query(t) for qid, t in zip(qids, texts)}

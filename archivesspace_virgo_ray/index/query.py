@@ -329,6 +329,21 @@ class BatchPlan:
     mu: float | None = None
 
 
+def query_ids(queries: pa.Table) -> list[int]:
+    """``queries``' ``query_id`` column as ints. A repeated id raises
+    ValueError naming it: answers are keyed by query id, so a second row
+    with the same id would silently take the place of the first."""
+    qids = [int(q) for q in queries["query_id"].to_pylist()]
+    if len(set(qids)) < len(qids):
+        from collections import Counter
+
+        dup = next(q for q, n in Counter(qids).items() if n > 1)
+        raise ValueError(
+            f"query_id {dup} repeats in the query table: every row needs "
+            "its own query_id")
+    return qids
+
+
 def _plan_batch(planner, queries: pa.Table, mu: float | None = None,
                 cursors: bool = True) -> BatchPlan:
     """The only reader of a query table's columns: ``query_id``, ``text``,
@@ -350,6 +365,7 @@ def _plan_batch(planner, queries: pa.Table, mu: float | None = None,
     def col(name: str) -> list:
         return queries[name].to_pylist() if name in cols else none
 
+    qids = query_ids(queries)
     terms = [planner._analyze(text) for text in col("text")]
     negs = [planner._analyze(nt) if nt else [] for nt in col("not_text")]
     vocab = set().union(*terms)
@@ -361,12 +377,12 @@ def _plan_batch(planner, queries: pa.Table, mu: float | None = None,
         neg = planner._term_plans(sorted(neg_vocab)) if neg_vocab else {}
     planned: dict[int, QueryPlan] = {}
     for qid, k, ts, ns, mm, cs, cd in zip(
-            col("query_id"), col("k"), terms, negs, col("min_match"),
+            qids, col("k"), terms, negs, col("min_match"),
             col("cursor_score"), col("cursor_doc")):
         plans = _canonical(pos[t] for t in ts if t in pos)
         if not plans:
             continue
-        planned[int(qid)] = QueryPlan(
+        planned[qid] = QueryPlan(
             int(k), plans, len(ts),
             _canonical(neg[t] for t in ns if t in neg) if ns else [],
             int(mm) if mm is not None and int(mm) > 1 else 0,

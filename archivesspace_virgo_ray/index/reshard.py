@@ -41,6 +41,7 @@ from .build import BuildConfig, _all_manifests, _seal_termstats, write_segments
 from .postings import decode_segment, position_bytes_array
 from .segments import (
     DOCS,
+    PARQUET_CODEC,
     SEGMENTS,
     _parquet_rows,
     list_complete_segments,
@@ -161,7 +162,8 @@ def reshard_index(
     if not os.path.isdir(docs_dst):
         shutil.rmtree(docs_tmp, ignore_errors=True)
         ray.data.read_parquet(os.path.join(src_dir, DOCS)).map_batches(
-            redoc, batch_format="pyarrow").write_parquet(docs_tmp)
+            redoc, batch_format="pyarrow").write_parquet(
+                docs_tmp, **PARQUET_CODEC)
         os.replace(docs_tmp, docs_dst)
 
     # ---- commit (the stats build_index writes), its marker LAST ------------

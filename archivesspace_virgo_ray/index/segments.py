@@ -89,6 +89,19 @@ BUILD_ID = "build_id"  # in GLOBAL: written by build_index (see read_build_id)
 DOCS = "_docs"
 STAGING = "_staging"  # build.write_segments' exchange (transient)
 
+# The codec of every parquet file an index keeps (segment term and block
+# tables, _docs, term stats), on the driver path (``write_table``) and in
+# every Ray Data ``write_parquet(..., **PARQUET_CODEC)``. zstd, and no
+# dictionary pages: term, doc_id and sha256 hold distinct values, where a
+# dictionary only costs bytes. Readers decode any codec, so files written
+# under another one stay readable and decode to equal tables.
+PARQUET_CODEC = {"compression": "zstd", "use_dictionary": False}
+
+
+def write_table(table: pa.Table, path: str) -> None:
+    """Write ``table`` as the parquet file ``path`` in the index codec."""
+    pq.write_table(table, path, **PARQUET_CODEC)
+
 
 # Arrow type name -> numpy dtype of the fixed-width columns column_numpy reads
 _NUMPY_DTYPES = {**{t: t for t in ("int8", "int16", "int32", "int64", "uint8",
@@ -232,8 +245,8 @@ def write_segment(
     )
     os.makedirs(tmp_dir, exist_ok=True)
     try:
-        pq.write_table(terms_tbl, os.path.join(tmp_dir, "terms.parquet"))
-        pq.write_table(blocks_tbl, os.path.join(tmp_dir, "blocks.parquet"))
+        write_table(terms_tbl, os.path.join(tmp_dir, "terms.parquet"))
+        write_table(blocks_tbl, os.path.join(tmp_dir, "blocks.parquet"))
         with open(os.path.join(tmp_dir, "docs.bin"), "wb") as f:
             f.write(doc_table)
         with open(os.path.join(tmp_dir, "postings.bin"), "wb") as f:
@@ -403,6 +416,17 @@ def _parquet_files(path: str) -> list[str]:
 def _parquet_rows(path: str) -> int:
     """Row count of every .parquet file under ``path``, from the footers."""
     return sum(pq.ParquetFile(f).metadata.num_rows for f in _parquet_files(path))
+
+
+def parquet_decoded_bytes(files: list[str]) -> int:
+    """Uncompressed bytes of the parquet ``files``' row groups, from the
+    footers: what reading them costs in memory, whatever their codec."""
+    total = 0
+    for f in files:
+        meta = pq.read_metadata(f)
+        total += sum(meta.row_group(i).total_byte_size
+                     for i in range(meta.num_row_groups))
+    return total
 
 
 def read_build_id(index_dir: str) -> str | None:

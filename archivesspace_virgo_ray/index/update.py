@@ -57,6 +57,7 @@ from .locking import locked_on
 from .segments import SEGMENTS, live_segments, read_manifest
 from .segments import segment_name, write_segment
 from .segments import _parquet_files, _parquet_rows, read_stats
+from .segments import PARQUET_CODEC, write_table
 # the read-side helpers live in segments.py (a query worker imports them
 # without this module's Ray Data and pandas imports); re-exported here
 from .segments import (  # noqa: F401
@@ -253,7 +254,7 @@ def add_documents(
     if delta_tbl is not None:
         doc_rows = make_doc_stats_fn(cfg, gen=gen)(delta_tbl)
         os.makedirs(gen_dir, exist_ok=True)
-        pq.write_table(doc_rows, os.path.join(gen_dir, "part-0.parquet"))
+        write_table(doc_rows, os.path.join(gen_dir, "part-0.parquet"))
         triples = table_triples(delta_tbl, cfg)
         seg_rows = write_segments(triples, index_dir, cfg, gen=gen)
     else:
@@ -261,7 +262,7 @@ def add_documents(
             docs.map_batches(
                 make_doc_stats_fn(cfg, gen=gen), batch_format="pyarrow",
                 batch_size=cfg.batch_size,
-            ).write_parquet(gen_dir)
+            ).write_parquet(gen_dir, **PARQUET_CODEC)
             seg_rows = write_segments(docs.map_batches(
                 make_triples_fn(cfg, frozenset()), batch_format="pyarrow",
                 batch_size=cfg.batch_size,
@@ -812,7 +813,7 @@ def vacuum_docs(index_dir: str) -> dict:
     n_before = _parquet_rows(docs_dir)
     (ray.data.read_parquet(docs_dir)
         .map_batches(keep_live, batch_format="pyarrow")
-        .write_parquet(tmp_dir))
+        .write_parquet(tmp_dir, **PARQUET_CODEC))
     dropped = n_before - _parquet_rows(tmp_dir)
     gen = _next_gen(index_dir)
     old_dir = f"{docs_dir}.old-g{gen:04d}"
@@ -1063,10 +1064,8 @@ def update_fields(index_dir: str, updates: pd.DataFrame) -> dict:
     new_rows["gen"] = np.int64(gen)
     gen_dir = os.path.join(docs_dir, f"gen={gen:04d}")
     os.makedirs(gen_dir, exist_ok=True)
-    pq.write_table(
-        pa.Table.from_pandas(new_rows, preserve_index=False),
-        os.path.join(gen_dir, "part-0.parquet"),
-    )
+    write_table(pa.Table.from_pandas(new_rows, preserve_index=False),
+                os.path.join(gen_dir, "part-0.parquet"))
     # the stats recount as an add's would (pending deletes), and the rows
     # of this generation are extra rows of docs the table holds
     info = {"n_docs": 0, "n_tokens": 0, "replaces": [], "n_replaced": 0,
