@@ -26,6 +26,36 @@ def sha256_hex(texts) -> np.ndarray:
     )
 
 
+# byte -> its two lowercase hex digits
+_HEX = np.frombuffer(bytes.hex(bytes(range(256))).encode(), np.uint8).reshape(256, 2)
+
+
+def sha256_hex_arrow(col):
+    """``sha256_hex`` of an Arrow string or large_string (chunked) array
+    without nulls, as an Arrow string array: each row's UTF-8 bytes are
+    hashed straight from the values buffer through its offsets, and the
+    digests are hex-encoded in one table lookup, so no row becomes a
+    Python string."""
+    import pyarrow as pa
+
+    from .tokenize import value_offsets
+
+    digests = bytearray()
+    h = hashlib.sha256
+    for chunk in (col.chunks if isinstance(col, pa.ChunkedArray) else [col]):
+        if not len(chunk):
+            continue
+        data = memoryview(chunk.buffers()[2] or b"")
+        off = value_offsets(chunk).tolist()
+        for a, b in zip(off[:-1], off[1:]):
+            digests += h(data[a:b]).digest()
+    n = len(digests) // 32
+    hexed = _HEX[np.frombuffer(digests, np.uint8)]
+    return pa.StringArray.from_buffers(
+        n, pa.py_buffer(np.arange(0, 64 * n + 1, 64, dtype=np.int32)),
+        pa.py_buffer(hexed.tobytes()))
+
+
 def doc_id_from_key(repos, paths, commits) -> np.ndarray:
     """Stable positive int64 doc id from the (repo, path, commit) natural key.
 

@@ -54,7 +54,7 @@ import pyarrow.compute as pc
 
 import ray.data
 from .. import PIPELINE_VERSION
-from ..functions.hashing import doc_id_from_key, sha256_hex
+from ..functions.hashing import doc_id_from_key, sha256_hex_arrow
 from .locking import locked_on, nonlock_contents, wipe_index_dir
 from ..functions.tokenize import batch_term_codes, stable_hash_strings
 from .segments import (
@@ -237,11 +237,10 @@ def make_doc_stats_fn(cfg: BuildConfig, gen: int = 0):
 
     def doc_stats(batch: pa.Table) -> pa.Table:
         _check_text(batch, cfg)
-        texts = np.asarray(batch[cfg.text_col].to_pylist(), dtype=object)
         ids = _assign_ids(batch, cfg)
         out = {
             "doc_id": pa.array(np.asarray(ids, dtype=np.int64)),
-            "sha256": pa.array(sha256_hex(texts), pa.string()),
+            "sha256": sha256_hex_arrow(batch[cfg.text_col]),
             "shard": pa.array(
                 (np.asarray(ids, dtype=np.int64) % cfg.n_shards).astype(np.int32)
             ),

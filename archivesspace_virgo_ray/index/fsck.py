@@ -55,7 +55,7 @@ SEG_POSITIONS_SIZE = "seg_positions_size"
 SEG_TERMS_ROWS = "seg_terms_rows"
 SEG_BLOCK_ROWS = "seg_block_rows"
 SEG_LAYOUT_SIZE = "seg_layout_size"
-SEG_TF_BYTES = "seg_tf_bytes"
+SEG_ORD_BITS = "seg_ord_bits"
 SEG_LAST_ORD = "seg_last_ord"
 MIXED_POSITIONS = "mixed_positions"
 STATS_POSITIONS_FLAG = "stats_positions_flag"
@@ -277,31 +277,30 @@ def _layout_findings(d: str, manifest: dict) -> list[tuple[str, str]]:
     import numpy as np
     import pyarrow.parquet as pq
 
-    from .postings import BLOCK_SIZE, term_layout
+    from .postings import BLOCK_SIZE, TAIL, term_layout
     from .segments import column_numpy
 
     terms = pq.ParquetFile(os.path.join(d, "terms.parquet")).read(
-        columns=["df", "max_tf"])
+        columns=["df"])
     blocks = pq.ParquetFile(os.path.join(d, "blocks.parquet")).read(
-        columns=["last_ord", "ord_bytes", "tf_bytes"])
-    df, max_tf, last, ob, tb = (column_numpy(c) for c in (
-        terms["df"], terms["max_tf"], blocks["last_ord"],
-        blocks["ord_bytes"], blocks["tf_bytes"]))
+        columns=["last_ord", "max_tf", "ord_bits"])
+    df, last, max_tf, ord_bits = (column_numpy(c) for c in (
+        terms["df"], blocks["last_ord"], blocks["max_tf"], blocks["ord_bits"]))
     n_rows = int(((df + BLOCK_SIZE - 1) // BLOCK_SIZE).sum())
-    if len(ob) != n_rows:
-        return [(SEG_BLOCK_ROWS, f"blocks.parquet {len(ob)} rows != "
+    if len(ord_bits) != n_rows:
+        return [(SEG_BLOCK_ROWS, f"blocks.parquet {len(ord_bits)} rows != "
                  f"{n_rows}, the blocks its terms' dfs need")]
     out = []
     try:
-        lay = term_layout(df, max_tf, ob, tb)
+        lay = term_layout(df, max_tf, ord_bits)
     except ValueError as e:
-        out.append((SEG_TF_BYTES, f"blocks.parquet: {e}"))
+        out.append((SEG_ORD_BITS, f"blocks.parquet: {e}"))
     else:
         size = os.path.getsize(os.path.join(d, "postings.bin"))
-        if int(lay["payload_len"].sum()) != size:
+        if int(lay["payload_len"].sum()) + TAIL != size:
             out.append((SEG_LAYOUT_SIZE, "terms' derived payloads add up to "
                         f"{int(lay['payload_len'].sum())} bytes, postings.bin "
-                        f"holds {size}"))
+                        f"holds {size} with its {TAIL}-byte tail"))
     n_docs = int(manifest.get("n_docs", 0))
     bad = np.flatnonzero((last < 0) | (last >= n_docs))
     if len(bad):

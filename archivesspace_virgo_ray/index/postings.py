@@ -1,12 +1,13 @@
-"""Posting-list codec, format v3: segment-local doc ordinals, varbyte
-ordinal deltas, tf runs packed at the width they need, and block-max
-metadata.
+"""Posting-list codec, format v4: segment-local doc ordinals, ordinal
+gaps and tfs bit-packed per block at the width the block needs, and
+block-max metadata.
 
 This is the from-scratch replacement for the index format the reference
 delegates to Solr/Lucene (every ``*_text`` field it posts,
 ASpaceObject.java:253). Like Lucene, a segment numbers its docs 0…n−1 and
-keeps one length norm per doc, postings never repeat per-doc values, and a
-tf run takes only the bits its values need.
+keeps one length norm per doc, postings never repeat per-doc values, and
+each block of ``BLOCK_SIZE`` postings is packed at the width its largest
+value needs (Lucene's ``ForUtil``; binary packing, Anh & Moffat).
 
 Layout per segment:
 
@@ -15,47 +16,47 @@ Layout per segment:
   ``o``-th smallest doc id of the segment, so ordinal order IS doc-id order
   and decoding maps ordinals back with two gathers
   (``doc_map[ords]``, ``dl_map[ords]``);
-- ``postings.bin`` — the terms' payloads back to back in term order. Per
-  term, postings sorted by ordinal and cut into blocks of ``BLOCK_SIZE``;
-  the term's payload is varbyte(ordinal deltas) of every block, then its
-  tf run. Each term's first delta is its absolute ordinal and a block's
-  first delta is taken from the previous block's last ordinal
-  (``last_ord`` in the block table), so blocks decode independently. The
-  term's ``max_tf`` picks its tf run's class (``tf_class``): 1 → no bytes
-  at all (every tf is 1); ≤ 16 → one nibble of tf − 1 per posting, low
-  nibble first, the term's run padded to a whole byte, so a full block
-  is 64 bytes at a fixed offset; otherwise varbyte(tfs);
+- ``postings.bin`` — the terms' payloads back to back in term order, then
+  ``TAIL`` zero bytes. Per term, postings sorted by ordinal and cut into
+  blocks of ``BLOCK_SIZE``; the term's payload is every block's ordinal
+  run, then every block's tf run. A block's ordinal run holds its ordinal
+  gaps at ``ord_bits`` bits each (the bits of its largest gap); a term's
+  first gap is its absolute ordinal and a block's first gap is taken from
+  the previous block's last ordinal (``last_ord`` in the block table), so
+  blocks decode independently. A block's tf run holds tf − 1 at
+  ``bit_width(max_tf − 1)`` bits each: a block whose tfs are all 1 takes
+  no bytes. Values are packed LSB first, little-endian, and each run is
+  padded to a whole byte;
 - ``terms.parquet`` — term, df, cf, max_tf, min_dl, nothing else. A
   term's blocks number ceil(df / BLOCK_SIZE) and follow the previous
   term's in the block table, each holds ``BLOCK_SIZE`` postings but its
-  last, and its payload offset and length are prefix sums of the block
-  table's byte counts: ``term_layout`` derives them once per segment open
-  with a few vectorised prefix sums;
+  last; ``term_layout`` derives every run's byte count ceil(n·width / 8)
+  and every offset from them once per segment open, with a few
+  vectorised prefix sums;
 - ``blocks.parquet`` — the skip list, one row per block in term order:
-  ``last_ord`` (the block's last ordinal), ``max_tf``, ``min_dl`` and the
-  byte counts of its ordinal deltas and its tf run (plus ``pos_bytes``
-  when positional). ``(max_tf, min_dl)`` give an avgdl-free block-max
-  score bound at query time:
+  ``last_ord`` (the block's last ordinal), ``max_tf``, ``min_dl`` and
+  ``ord_bits`` (uint8; plus ``pos_bytes`` when positional).
+  ``(max_tf, min_dl)`` give an avgdl-free block-max score bound at query
+  time:
   ``ub = idf * max_tf*(k1+1) / (max_tf + k1*(1-b+b*min_dl/avgdl))`` —
   monotone up in tf and down in dl, hence a true upper bound for every
   posting in the block.
 
 ``encode_segment`` writes a segment in one pass: one ``np.unique`` for the
-ordinals, one varbyte encode for the ordinal deltas and one for the wide tf
-runs, one nibble pack for the narrow ones, per-block byte counts and bounds
-from ``reduceat`` over the global block starts, and one scatter that lays
-the runs out term by term. ``decode_segment`` is its inverse (one gather
-back to stream order, one varbyte decode, one nibble unpack), for a whole
-segment or for a subset of its terms: the query batch pass reads all of a
-batch's terms in one segment this way, its rows grouped by tf class, so
-the decoded tf runs line up without a scatter. ``decode_posting_list``
-decodes selected blocks of one term (phrase candidates): it gathers the
-selected blocks' bytes with one index first.
+ordinals, per-block widths and bounds from ``reduceat`` over the global
+block starts, and one pack per stream (ordinal gaps, tfs) that ORs each
+value into a uint64 bit stream (``_pack_runs``). ``decode_segment`` is its
+inverse for a whole segment or for a subset of its terms (the query batch
+pass reads all of a batch's terms in one segment this way): every value is
+one 64-bit read at its byte offset in a stride-1 view of ``postings.bin``
+(``packed_view``), a shift and a mask. ``decode_posting_list`` decodes
+selected blocks of one term (phrase candidates).
 
-Both codec directions are vectorized numpy (no per-value Python loop): encode
-loops only over byte-position (<=10 iterations); decode takes each value's
-last byte and folds in the earlier bytes of the multi-byte values, one
-byte position per pass.
+``docs.bin`` and ``positions.bin`` stay varbyte. Both codec directions are
+vectorized numpy (no per-value Python loop): varbyte encode loops only over
+byte position (<=10 iterations); varbyte decode takes each value's last
+byte and folds in the earlier bytes of the multi-byte values, one byte
+position per pass.
 """
 
 from __future__ import annotations
@@ -223,35 +224,37 @@ def decode_positions(
     return _rebase(deltas, tfs)
 
 
-# tf-run classes (``tf_class``), in the order a class-grouped decode lays
-# the runs out: varbyte, one nibble per posting, none (every tf is 1)
-TF_WIDE, TF_NIBBLE, TF_ONES = 0, 1, 2
-NIBBLE_MAX_TF = 16
-_NARROW_CLASSES = np.array([TF_NIBBLE, TF_ONES], np.int8)
-
 TERM_COLUMNS = ("df", "cf", "max_tf", "min_dl")
-BLOCK_COLUMNS = ("last_ord", "max_tf", "min_dl", "ord_bytes", "tf_bytes")
+BLOCK_COLUMNS = ("last_ord", "max_tf", "min_dl", "ord_bits")
+# the per-block columns ``term_layout`` derives at open
+BLOCK_LAYOUT = ("n", "tf_bits", "ord_off", "tf_off")
+
+# the widest packed value: a 64-bit read at a byte offset holds the value
+# shifted by up to 7 bits
+MAX_BITS = 57
+# zero bytes closing ``postings.bin``: a 64-bit read at its last payload
+# byte stays inside the file
+TAIL = 7
 
 
-def tf_class(max_tf) -> np.ndarray:
-    """The tf-run class (int8) of terms with these ``max_tf``."""
-    max_tf = np.asarray(max_tf)
-    return np.where(max_tf <= 1, TF_ONES,
-                    np.where(max_tf <= NIBBLE_MAX_TF, TF_NIBBLE, TF_WIDE)
-                    ).astype(np.int8)
+def bit_width(v) -> np.ndarray:
+    """Bits each value needs (int64; 0 for 0 and for negatives), exact for
+    every int64."""
+    x = np.asarray(v, dtype=np.int64)
+    out = np.zeros(x.shape, np.int64)
+    for s in (32, 16, 8, 4, 2, 1):
+        big = x >> s > 0
+        out[big] += s
+        x = np.where(big, x >> s, x)
+    return out + (x > 0)
 
 
 def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Concatenated index ranges ``[starts[i], starts[i] + sizes[i])``."""
+    if len(sizes) == 1:  # one term's blocks: a tenth of the numpy calls
+        return np.arange(starts[0], starts[0] + sizes[0])
     sizes = np.asarray(sizes, dtype=np.int64)
     return np.repeat(starts - _starts(sizes), sizes) + np.arange(int(sizes.sum()))
-
-
-def _stream_index(ord_off, ord_bytes, tf_off, tf_bytes) -> np.ndarray:
-    """Payload positions of some byte runs in stream order: every ordinal
-    run (``ord_bytes`` bytes at ``ord_off``), then every tf run."""
-    return _ranges(np.concatenate([ord_off, tf_off]),
-                   np.concatenate([ord_bytes, tf_bytes]))
 
 
 def _block_sums(v: np.ndarray, block_start: np.ndarray,
@@ -271,70 +274,105 @@ def block_firsts(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return np.repeat(starts, n_blocks) + within * BLOCK_SIZE
 
 
-def term_layout(df, max_tf, ord_bytes, tf_bytes) -> dict[str, np.ndarray]:
-    """Everything v3 derives instead of storing, from the term dictionary's
-    dfs and max_tfs and the block table's byte counts: per term
-    ``tf_class``, ``n_blocks``, ``block_start`` (its first block-table
-    row), ``ord_len``/``tf_len`` (the byte lengths of its ordinal run and
-    tf run), ``payload_off``/``payload_len`` in ``postings.bin`` and
-    ``tf_off``, where its tf run starts; per block ``n``, its posting
-    count. Raises ValueError unless the block table holds
-    Σ ceil(df / BLOCK_SIZE) rows and every narrow block's tf bytes are its
-    class's (none, or ceil(n / 2) nibble bytes)."""
+def term_layout(df, max_tf, ord_bits) -> dict[str, np.ndarray]:
+    """Everything v4 derives instead of storing, from the term dictionary's
+    dfs and the block table's ``max_tf`` and ``ord_bits``: per term
+    ``n_blocks``, ``block_start`` (its first block-table row) and
+    ``payload_off``/``payload_len`` in ``postings.bin``; per block ``n``
+    (its posting count), ``tf_bits`` (``bit_width(max_tf - 1)``) and
+    ``ord_off``/``tf_off``, where its ordinal and tf runs start. Raises
+    ValueError unless the block table holds Σ ceil(df / BLOCK_SIZE) rows,
+    every width lies in 0..MAX_BITS and every ``max_tf`` is at least 1."""
     df = np.asarray(df, dtype=np.int64)
+    max_tf = np.asarray(max_tf, dtype=np.int64)
+    ord_bits = np.asarray(ord_bits).astype(np.int64)
     n_blocks = (df + BLOCK_SIZE - 1) // BLOCK_SIZE
     n_rows = int(n_blocks.sum())
-    if len(ord_bytes) != n_rows or len(tf_bytes) != n_rows:
-        raise ValueError(f"block table holds {len(ord_bytes)} rows; the "
+    if len(ord_bits) != n_rows or len(max_tf) != n_rows:
+        raise ValueError(f"block table holds {len(ord_bits)} rows; the "
                          f"term dictionary's dfs need {n_rows}")
+    tf_bits = bit_width(max_tf - 1)
+    if n_rows and (ord_bits.min() < 0 or max(ord_bits.max(), tf_bits.max())
+                   > MAX_BITS or max_tf.min() < 1):
+        raise ValueError(f"a block's ord_bits or tf width lies outside "
+                         f"0..{MAX_BITS} (or its max_tf below 1)")
     block_start = _starts(n_blocks)
-    block_end = block_start + n_blocks
     n = np.full(n_rows, BLOCK_SIZE, np.int64)
-    n[block_end - 1] = df - BLOCK_SIZE * (n_blocks - 1)
-    cls = tf_class(max_tf)
-    block_cls = np.repeat(cls, n_blocks)
-    narrow = block_cls != TF_WIDE
-    if (np.where(block_cls == TF_NIBBLE, (n + 1) >> 1, 0)[narrow]
-            != tf_bytes[narrow]).any():
-        raise ValueError("a narrow block's tf bytes disagree with its "
-                         "term's tf class")
-    ord_len = _block_sums(ord_bytes, block_start, block_end)
-    tf_len = _block_sums(tf_bytes, block_start, block_end)
-    payload_off = _starts(ord_len + tf_len)
-    return {"tf_class": cls, "n_blocks": n_blocks, "block_start": block_start,
-            "ord_len": ord_len, "tf_len": tf_len, "payload_off": payload_off,
-            "tf_off": payload_off + ord_len, "payload_len": ord_len + tf_len,
-            "n": n}
+    n[block_start + n_blocks - 1] = df - BLOCK_SIZE * (n_blocks - 1)
+    # the payload is a sequence of byte-padded runs: per term, its blocks'
+    # ordinal runs, then their tf runs; one prefix sum places them all
+    ord_seq = np.arange(n_rows) + np.repeat(block_start, n_blocks)
+    tf_seq = ord_seq + np.repeat(n_blocks, n_blocks)
+    run_bytes = np.empty(2 * n_rows, np.int64)
+    run_bytes[ord_seq] = (n * ord_bits + 7) >> 3
+    run_bytes[tf_seq] = (n * tf_bits + 7) >> 3
+    run_off = _starts(run_bytes)
+    payload_off = run_off[2 * block_start] if n_rows else block_start
+    return {"n_blocks": n_blocks, "block_start": block_start,
+            "payload_off": payload_off,
+            "payload_len": np.diff(payload_off, append=int(run_bytes.sum())),
+            "n": n, "tf_bits": tf_bits,
+            "ord_off": run_off[ord_seq], "tf_off": run_off[tf_seq]}
 
 
-def _pack_nibbles(v: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Runs of values 0…15 (``counts[i]`` values in run i) as bytes, two
-    values per byte, low nibble first; each run padded to a whole byte."""
-    nbytes = (counts + 1) >> 1
-    pad = np.zeros(2 * int(nbytes.sum()), np.uint8)
-    pad[_ranges(2 * _starts(nbytes), counts)] = v
-    return pad[0::2] | (pad[1::2] << 4)
+def _value_bits(run_off: np.ndarray, n: np.ndarray, bits: np.ndarray):
+    """The bit position of every value of byte-aligned runs: run i holds
+    ``n[i]`` values of ``bits[i]`` bits from byte ``run_off[i]``, so value
+    j of the concatenation sits at bit
+    ``8·run_off[i] + (j − Σ n[:i])·bits[i]``: no prefix sum over values."""
+    bits = np.asarray(bits, np.int64)
+    pos = np.arange(int(n.sum()))
+    pos *= np.repeat(bits, n)
+    pos += np.repeat(8 * run_off - _starts(n) * bits, n)
+    return pos
 
 
-# byte -> the two tfs its nibbles hold (low nibble first, each + 1)
-_NIBBLE_TFS = np.stack([np.arange(256) % 16, np.arange(256) // 16], axis=1) + 1
+def _pack_runs(words: np.ndarray, values: np.ndarray, run_off, n, bits) -> None:
+    """OR ``values`` (int64 or uint64, runs in payload order: monotone bit
+    positions, disjoint fields) into ``words``, a little-endian uint64 bit
+    stream, LSB first. Values sharing a word are contiguous, so one
+    ``bitwise_or.reduceat`` merges them; at most one value crosses into
+    each next word."""
+    if not len(values):
+        return
+    pos = _value_bits(run_off, n, bits)
+    word = pos >> 6
+    shift = (pos & 63).astype(np.uint64)
+    values = values.astype(np.uint64)
+    first = np.flatnonzero(np.diff(word, prepend=-1))
+    words[word[first]] |= np.bitwise_or.reduceat(values << shift, first)
+    spill = (values >> np.uint64(1)) >> (np.uint64(63) - shift)
+    cross = np.flatnonzero(spill)
+    words[word[cross] + 1] |= spill[cross]
 
 
-def _unpack_tfs(buf: np.ndarray, counts: np.ndarray,
-                nbytes: np.ndarray) -> np.ndarray:
-    """Inverse of ``_pack_nibbles`` for nibble tf runs (``counts[i]``
-    postings in ``nbytes[i]`` bytes) → int64 tfs (nibble + 1). ``buf``
-    must hold the runs' bytes exactly (``term_layout`` checks each
-    segment's at open)."""
-    tfs = np.take(_NIBBLE_TFS, buf, axis=0).ravel()  # faster than [buf]
-    even = (counts & 1) == 0
-    if not even.all():  # drop the pad nibble closing each odd run
-        keep = np.ones(len(tfs), bool)
-        ends = np.cumsum(nbytes)
-        ends *= 2
-        keep[ends - 1] = even
-        tfs = tfs[keep]
-    return tfs
+def packed_view(buf: np.ndarray) -> np.ndarray:
+    """``buf`` (uint8, closed by ``TAIL`` bytes) as a stride-1 little-endian
+    int64 view: element i is the 8 bytes from byte i, so a value's bits
+    are one gather away. No copy, also over a read-only mmap."""
+    n = max(len(buf) - TAIL, 0)
+    return np.ndarray((n,), "<i8", buf, 0, (1,)) if n else np.zeros(1, np.int64)
+
+
+def _unpack_runs(view: np.ndarray, run_off, n, bits) -> np.ndarray:
+    """Inverse of ``_pack_runs`` over a ``packed_view`` → int64 values.
+    Each value is one 64-bit read at its byte, a shift and a mask (the
+    mask drops the sign bits an arithmetic shift brings in). A zero-width
+    run may start at the payload's end: it reads the last word instead
+    and masks it to 0.
+
+    Indexing the unaligned view costs about 7 ns a value; ``np.take``
+    first copies the whole view into an aligned array (8 B per payload
+    byte) and then gathers at about 1.4 ns a value, so it pays once the
+    values outnumber a quarter of the payload's bytes (a whole-segment
+    decode, a batch with head terms)."""
+    pos = _value_bits(np.minimum(run_off, len(view) - 1), n, bits)
+    at = pos >> 3
+    v = view.take(at) if 4 * len(at) > len(view) else view[at]
+    pos &= 7
+    v >>= pos
+    v &= np.repeat((1 << np.asarray(bits, np.int64)) - 1, n)
+    return v
 
 
 def encode_doc_table(doc_map: np.ndarray, dl_map: np.ndarray) -> bytes:
@@ -358,11 +396,14 @@ def encode_segment(doc_ids, tfs, dls, starts, ends):
     ``doc_ids``/``tfs``/``dls``: the segment's postings, (term, doc_id)
     ascending; term t owns ``[starts[t], ends[t])`` (df >= 1, no gaps).
     Every posting of one doc must carry the same dl (ValueError otherwise:
-    the doc table keeps one length per doc).
+    the doc table keeps one length per doc), and no block may need more
+    than ``MAX_BITS`` bits per value (ValueError: a tf above 2**57).
 
-    Returns (payload, doc_table, n_docs, terms, blocks): ``doc_table`` is
-    the ``docs.bin`` bytes; ``terms`` holds the ``TERM_COLUMNS`` arrays and
-    ``blocks`` the ``BLOCK_COLUMNS`` arrays in term order, all int64.
+    Returns (payload, doc_table, n_docs, terms, blocks): ``payload`` is
+    the ``postings.bin`` bytes (``TAIL`` included) and ``doc_table`` the
+    ``docs.bin`` bytes; ``terms`` holds the ``TERM_COLUMNS`` arrays and
+    ``blocks`` the ``BLOCK_COLUMNS`` arrays in term order, int64 but
+    ``ord_bits`` (uint8).
     """
     doc_ids = np.asarray(doc_ids, dtype=np.int64)
     tfs = np.asarray(tfs, dtype=np.int64)
@@ -371,8 +412,9 @@ def encode_segment(doc_ids, tfs, dls, starts, ends):
     ends = np.asarray(ends, dtype=np.int64)
     if len(doc_ids) == 0:
         e = np.empty(0, dtype=np.int64)
-        return (b"", b"", 0, {k: e for k in TERM_COLUMNS},
-                {k: e for k in BLOCK_COLUMNS})
+        return (bytes(TAIL), b"", 0, {k: e for k in TERM_COLUMNS},
+                {**{k: e for k in BLOCK_COLUMNS},
+                 "ord_bits": np.empty(0, np.uint8)})
     doc_map, ords = np.unique(doc_ids, return_inverse=True)
     dl_map = np.empty(len(doc_map), dtype=np.int64)
     dl_map[ords] = dls
@@ -384,70 +426,59 @@ def encode_segment(doc_ids, tfs, dls, starts, ends):
             f"({dls[i]} and {dl_map[ords[i]]})")
 
     df = ends - starts
-    max_tf = np.maximum.reduceat(tfs, starts)
-    cls = tf_class(max_tf)
     n_blocks = (df + BLOCK_SIZE - 1) // BLOCK_SIZE
     bstart = block_firsts(starts, ends)
     bend = np.minimum(bstart + BLOCK_SIZE, np.repeat(ends, n_blocks))
 
-    # one ordinal-delta stream for the whole segment: a block's first delta
-    # is the previous block's last ordinal of the same term, i.e. the plain
-    # consecutive delta, and each term's first delta is its absolute ordinal
-    deltas = np.empty(len(ords), dtype=np.int64)
-    deltas[1:] = ords[1:] - ords[:-1]
-    deltas[starts] = ords[starts]
-    ord_nb = _varbyte_nbytes(deltas.astype(np.uint64))
-    # tf runs: varbyte bytes for the wide terms' postings, a nibble each
-    # for the narrow terms', nothing for the all-ones terms'
-    wide_terms = np.flatnonzero(cls == TF_WIDE)
-    nib_terms = np.flatnonzero(cls == TF_NIBBLE)
-    post_cls = np.repeat(cls, df)
-    wide = post_cls == TF_WIDE
-    tf_nb = np.zeros(len(tfs), np.int64)
-    tf_nb[wide] = _varbyte_nbytes(tfs[wide].astype(np.uint64))
-    tf_bytes = np.add.reduceat(tf_nb, bstart)
-    nib_blocks = np.repeat(cls == TF_NIBBLE, n_blocks)
-    tf_bytes[nib_blocks] = (bend - bstart + 1)[nib_blocks] >> 1
-    ord_bytes = np.add.reduceat(ord_nb, bstart)
-
-    # the runs' places in the payload: the layout a reader derives
-    lay = term_layout(df, max_tf, ord_bytes, tf_bytes)
-    tf_off, tf_len = lay["tf_off"], lay["tf_len"]
-    encoded = np.frombuffer(b"".join((
-        varbyte_encode(deltas, ord_nb),
-        varbyte_encode(tfs[wide], tf_nb[wide]),
-        _pack_nibbles(tfs[post_cls == TF_NIBBLE] - 1, df[nib_terms]).tobytes(),
-    )), dtype=np.uint8)
-    payload = np.empty(len(encoded), dtype=np.uint8)
-    payload[_ranges(
-        np.concatenate([lay["payload_off"], tf_off[wide_terms], tf_off[nib_terms]]),
-        np.concatenate([lay["ord_len"], tf_len[wide_terms], tf_len[nib_terms]]),
-    )] = encoded
-
-    terms = {
-        "df": df,
-        "cf": np.add.reduceat(tfs, starts),
-        "max_tf": max_tf,
-        "min_dl": np.minimum.reduceat(dls, starts),
-    }
+    # ordinal gaps: a block's first gap is taken from the previous block's
+    # last ordinal of the same term, i.e. the plain consecutive gap, and
+    # each term's first gap is its absolute ordinal
+    gaps = np.empty(len(ords), dtype=np.int64)
+    gaps[1:] = ords[1:] - ords[:-1]
+    gaps[starts] = ords[starts]
     blocks = {
         "last_ord": ords[bend - 1],
         "max_tf": np.maximum.reduceat(tfs, bstart),
         "min_dl": np.minimum.reduceat(dls, bstart),
-        "ord_bytes": ord_bytes,
-        "tf_bytes": tf_bytes,
+        "ord_bits": bit_width(np.maximum.reduceat(gaps, bstart)),
     }
-    return (payload.tobytes(), encode_doc_table(doc_map, dl_map), len(doc_map),
-            terms, blocks)
+    lay = term_layout(df, blocks["max_tf"], blocks["ord_bits"])
+    blocks["ord_bits"] = blocks["ord_bits"].astype(np.uint8)
+    size = int(lay["payload_len"].sum())
+    words = np.zeros((size + TAIL) // 8 + 2, "<u8")
+    n = lay["n"]
+    _pack_runs(words, gaps, lay["ord_off"], n, blocks["ord_bits"])
+    _pack_runs(words, tfs - 1, lay["tf_off"], n, lay["tf_bits"])
+    terms = {
+        "df": df,
+        "cf": np.add.reduceat(tfs, starts),
+        "max_tf": np.maximum.reduceat(tfs, starts),
+        "min_dl": np.minimum.reduceat(dls, starts),
+    }
+    return (words.view(np.uint8)[:size + TAIL].tobytes(),
+            encode_doc_table(doc_map, dl_map), len(doc_map), terms, blocks)
+
+
+def _decode_blocks(view, ord_off, tf_off, n, ord_bits, tf_bits, df):
+    """Ordinals and tfs (int64) of some blocks, in block order: one unpack
+    of their ordinal runs then their tf runs, and the per-term rebase of
+    the gaps (``df``: postings per term; each term's first gap is
+    absolute)."""
+    total = int(df.sum())
+    vals = _unpack_runs(view, np.concatenate([ord_off, tf_off]),
+                        np.concatenate([n, n]),
+                        np.concatenate([ord_bits, tf_bits]))
+    tfs = vals[total:]
+    tfs += 1
+    return _rebase(vals[:total], df), tfs
 
 
 def decode_segment(reader, rows: np.ndarray | None = None,
                    ordinals: bool = False):
     """Decode every posting of a segment (a ``SegmentReader``) in one pass:
-    one gather of ``postings.bin`` back to stream order, one varbyte decode
-    of the ordinal deltas and the wide tf runs, one nibble unpack of the
-    narrow tf runs, a term-segmented cumsum that rebases the ordinal
-    deltas, and the two doc-table gathers.
+    one vectorised unpack of the ordinal and tf runs of its blocks straight
+    from ``postings.bin``, a term-segmented cumsum that rebases the
+    ordinal gaps, and the two doc-table gathers.
 
     Returns (doc_ids, tfs, dls, df, positions): flat int64 arrays in
     (term, doc_id) order, per-term df (term order of ``reader.terms``), and
@@ -456,42 +487,18 @@ def decode_segment(reader, rows: np.ndarray | None = None,
 
     ``rows``: decode only these term rows of ``reader.terms``, in the given
     order (the query path: a batch's terms in one pass); ``df`` is then
-    theirs and positions are not decoded (None). Rows grouped by tf class
-    (``term_cols["tf_class"]`` ascending) decode without a scatter of the
-    tfs. ``ordinals``: return the segment ordinals in place of the doc ids
-    (``reader.doc_map[ords]``).
+    theirs and positions are not decoded (None). ``ordinals``: return the
+    segment ordinals in place of the doc ids (``reader.doc_map[ords]``).
     """
-    cols = reader.term_cols
-    df, off, ord_len, tf_off, tf_len, cls = (
-        cols[c] if rows is None else cols[c][rows]
-        for c in ("df", "payload_off", "ord_len", "tf_off", "tf_len", "tf_class"))
-    total = int(df.sum())
-    # tf runs in class order (wide, nibble, ones): the rows' own order
-    # when they come grouped, else a stable sort of it
-    order = None if not (cls[1:] < cls[:-1]).any() else np.argsort(cls, kind="stable")
-    g_cls, g_df, g_off, g_len = (
-        (cls, df, tf_off, tf_len) if order is None else
-        (cls[order], df[order], tf_off[order], tf_len[order]))
-    n_wide, n_nib = np.searchsorted(g_cls, _NARROW_CLASSES)
-    if len(df) == 1:  # one term's payload is already in stream order
-        buf = reader.payload[int(off[0]):int(tf_off[0] + tf_len[0])]
+    cols, blk = reader.term_cols, reader.blocks
+    if rows is None:
+        df, sel = cols["df"], slice(None)
     else:
-        buf = reader.payload[_ranges(np.concatenate([off, g_off]),
-                                     np.concatenate([ord_len, g_len]))]
-    n_vb = len(buf) - int(g_len[n_wide:n_nib].sum())
-    n_wide_tfs = int(g_df[:n_wide].sum())
-    vals = varbyte_decode(buf[:n_vb], total + n_wide_tfs).view(np.int64)
-    ords = _rebase(vals[:total], df)
-    tfs = vals[total:]
-    if n_wide < len(df):  # then the nibble runs (if any), then the ones
-        nib = (_unpack_tfs(buf[n_vb:], g_df[n_wide:n_nib], g_len[n_wide:n_nib])
-               if n_nib > n_wide else tfs[:0])
-        tfs = np.concatenate([tfs, nib, np.ones(total - len(tfs) - len(nib),
-                                                np.int64)])
-        if order is not None:
-            out = np.empty(total, np.int64)
-            out[_ranges(_starts(df)[order], g_df)] = tfs
-            tfs = out
+        df = cols["df"][rows]
+        sel = _ranges(cols["block_start"][rows], cols["n_blocks"][rows])
+    ords, tfs = _decode_blocks(
+        reader.words, *(blk[c][sel] for c in ("ord_off", "tf_off", "n",
+                                              "ord_bits", "tf_bits")), df)
     positions = None
     if rows is None and reader.has_positions:
         pos = varbyte_decode(reader.pos_payload, int(tfs.sum())).astype(np.int64)
@@ -504,18 +511,19 @@ def encode_posting_list(
     doc_ids: np.ndarray, tfs: np.ndarray, dls: np.ndarray
 ) -> tuple[bytes, dict[str, np.ndarray]]:
     """Encode one term's postings (doc_id-ascending, unique): a one-term
-    ``encode_segment``. Returns (payload_bytes, block_table), the table
-    carrying the blocks' posting counts ``n`` and the doc table as
-    ``doc_map``/``dl_map`` like ``SegmentReader.term_entry``'s."""
+    ``encode_segment``. Returns (payload_bytes, block_table) like
+    ``SegmentReader.term_entry``'s: the term's payload without the
+    segment's ``TAIL``, and its block rows with the ``BLOCK_LAYOUT``
+    columns and the doc table as ``doc_map``/``dl_map``."""
     n = len(doc_ids)
     assert n > 0
     payload, _docs, _n_docs, _terms, blocks = encode_segment(doc_ids, tfs, dls, [0], [n])
-    layout = term_layout([n], _terms["max_tf"], blocks["ord_bytes"],
-                         blocks["tf_bytes"])
+    layout = term_layout([n], blocks["max_tf"], blocks["ord_bits"])
     # one term's doc ids are unique and ascending: they ARE its doc map
-    return payload, {**blocks, "n": layout["n"],
-                     "doc_map": np.asarray(doc_ids, dtype=np.int64),
-                     "dl_map": np.asarray(dls, dtype=np.int64)}
+    return payload[:-TAIL], {
+        **blocks, **{k: layout[k] for k in BLOCK_LAYOUT},
+        "doc_map": np.asarray(doc_ids, dtype=np.int64),
+        "dl_map": np.asarray(dls, dtype=np.int64)}
 
 
 def decode_posting_list(
@@ -525,54 +533,33 @@ def decode_posting_list(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode (a subset of) a term's blocks -> (doc_ids, tfs, dls).
 
-    ``block_table``: the term's block rows (with their posting counts
-    ``n``) plus its segment's ``doc_map`` and ``dl_map``. ``block_mask``
-    selects blocks (block-max / skip-driven decode); omitted means all.
-    Payload must start at the term's first block.
+    ``block_table``: the term's block rows with their ``BLOCK_LAYOUT``
+    columns (run offsets in its segment's ``postings.bin``: the first
+    block's ordinal run starts the term's payload) plus its segment's
+    ``doc_map`` and ``dl_map``. ``block_mask`` selects blocks (block-max
+    / skip-driven decode); omitted means all. ``payload`` must start at
+    the term's first block and may end at its last byte
+    (``term_entry``'s): it is copied once behind a zero tail.
 
-    A whole term is one varbyte decode of its payload (its tf run too when
-    it is wide) and one cumsum. A masked decode gathers the selected
-    blocks' ordinal and tf bytes with one index first and rebases each
-    selected block from the previous block's ``last_ord``. The doc table
-    then maps ordinals to doc ids and dls with two gathers. The term's tf
-    class is its blocks' largest ``max_tf``'s.
+    The selected blocks' gaps are unpacked and summed as one run; a masked
+    decode then rebases each block from the previous block's ``last_ord``
+    (a term's first gap is absolute), and the doc table maps ordinals to
+    doc ids and dls with two gathers.
     """
-    bn = block_table["n"]
-    ob, tb = block_table["ord_bytes"], block_table["tf_bytes"]
-    cls = int(tf_class(block_table["max_tf"].max()))
-    buf = np.frombuffer(payload, dtype=np.uint8)
-    if block_mask is None:
-        sel, n_sel = None, bn
-    else:
-        sel = np.flatnonzero(block_mask)
-        if len(sel) == 0:
-            e = np.empty(0, dtype=np.int64)
-            return e, e.copy(), e.copy()
-        n_sel = bn[sel]
-        ob, tb = ob[sel], tb[sel]
-        o_all, t_all = block_table["ord_bytes"], block_table["tf_bytes"]
-        buf = buf[_stream_index(_starts(o_all)[sel], ob,
-                                int(o_all.sum()) + _starts(t_all)[sel], tb)]
-    n_sel = n_sel.astype(np.int64)
-    total = int(n_sel.sum())
-    if cls == TF_WIDE:
-        vals = varbyte_decode(buf, 2 * total).view(np.int64)
-        deltas, tfs = vals[:total], vals[total:]
-    else:
-        n_ob = int(ob.sum())
-        deltas = varbyte_decode(buf[:n_ob], total).view(np.int64)
-        tfs = (_unpack_tfs(buf[n_ob:], n_sel, tb) if cls == TF_NIBBLE
-               else np.ones(total, np.int64))
-    csum = np.cumsum(deltas)
-    if sel is None:
-        ords = csum
-    else:
-        # rebase: per selected block subtract the cumsum entering the block
-        # and add its true base (the previous block's last ordinal; a
-        # term's first delta is absolute)
-        starts = _starts(n_sel)
-        entering = np.where(starts > 0, csum[starts - 1], 0)
-        bases = np.where(sel > 0,
-                         block_table["last_ord"][np.maximum(sel - 1, 0)], 0)
-        ords = csum + np.repeat(bases - entering, n_sel)
-    return block_table["doc_map"][ords], tfs, block_table["dl_map"][ords]
+    bt = block_table
+    sel = slice(None) if block_mask is None else np.flatnonzero(block_mask)
+    n = bt["n"][sel]
+    raw = np.frombuffer(payload, dtype=np.uint8)
+    buf = np.zeros(len(raw) + TAIL, np.uint8)
+    buf[:len(raw)] = raw
+    start = bt["ord_off"][0]
+    ords, tfs = _decode_blocks(packed_view(buf), bt["ord_off"][sel] - start,
+                               bt["tf_off"][sel] - start, n,
+                               bt["ord_bits"][sel], bt["tf_bits"][sel],
+                               np.array([n.sum()]))
+    if block_mask is not None and len(sel):
+        first = _starts(n)
+        entering = np.where(first > 0, ords[first - 1], 0)
+        ords += np.repeat(np.where(sel > 0, bt["last_ord"][sel - 1], 0)
+                          - entering, n)
+    return bt["doc_map"][ords], tfs, bt["dl_map"][ords]

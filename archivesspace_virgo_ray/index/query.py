@@ -591,8 +591,7 @@ class ShardScorer:
     def _segment_rows(self, pairs: list[tuple[int, str]]):
         """Per live segment holding a term of ``pairs``: (reader, ordinal →
         dense index, live bitmap or None, indices into ``pairs``, the terms'
-        rows in the segment). The rows come grouped by tf class, so
-        ``decode_segment`` lays their tf runs out without a scatter."""
+        rows in the segment)."""
         segs = self._dense()
         by_bucket: dict[int, list] = {}
         for i, (b, t) in enumerate(pairs):
@@ -602,11 +601,8 @@ class ShardScorer:
                 found = [(i, r) for i, t in its
                          if (r := reader.term_row(t)) is not None]
                 if found:
-                    pi, rows = (np.array(c, np.int64) for c in zip(*found))
-                    by_class = np.argsort(reader.term_cols["tf_class"][rows],
-                                          kind="stable")
-                    yield (reader, to_dense, live, pi[by_class].tolist(),
-                           rows[by_class])
+                    pi, rows = zip(*found)
+                    yield reader, to_dense, live, pi, np.array(rows, np.int64)
 
     def term_docs(self, bucket: int, term: str) -> np.ndarray:
         """Sorted doc ids holding ``term`` in this shard: its live postings

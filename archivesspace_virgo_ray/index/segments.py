@@ -12,12 +12,13 @@ full-reindex, SolrHelper.java:98-100, IndexRecordsForV4.java:44-69,116-125):
         terms.parquet      # term-ordered dictionary: term, df, cf, max_tf,
                            #   min_dl; nothing a reader can derive
         blocks.parquet     # block-max skip table, concatenated in term order:
-                           #   last_ord, max_tf, min_dl, ord_bytes, tf_bytes
+                           #   last_ord, max_tf, min_dl, ord_bits (uint8)
                            #   (+ pos_bytes per block when positional)
         docs.bin           # doc table: ordinal -> doc_id, ordinal -> dl
                            #   (varbyte; one entry per doc of the segment)
-        postings.bin       # per term: ordinal-delta varbytes, then its tf
-                           #   run (none, nibbles or varbyte by max_tf)
+        postings.bin       # per term: its blocks' ordinal gaps, then their
+                           #   tf - 1s, each block's run bit-packed at one
+                           #   width; 7 zero bytes close the file
         positions.bin      # optional per-posting token positions stream
                            #   (store_positions=True)
         manifest.json      # lineage + counters + pipeline_version + status
@@ -43,11 +44,12 @@ tombstones of the markers up to it (``live_segments``,
 ``load_tombstone_thresholds``). An index of an older PIPELINE_VERSION kept
 its commit state elsewhere: opening it raises, naming the version.
 
-Posting format v3 (``postings`` module docstring) stores no offsets: a
+Posting format v4 (``postings`` module docstring) stores no offsets: a
 ``SegmentReader`` derives each term's blocks, payload and position offsets
-and every block's posting count from the dfs and the byte counts with a few
-prefix sums at open (``postings.term_layout``), and refuses a segment whose
-tables do not fit its files (``fsck`` names which check failed).
+and every block's posting count, tf width and run offsets from the dfs and
+the blocks' ``max_tf`` and ``ord_bits`` with a few prefix sums at open
+(``postings.term_layout``), and refuses a segment whose tables do not fit
+its files (``fsck`` names which check failed).
 
 A segment is visible only once its manifest says ``complete`` and carries the
 current PIPELINE_VERSION — the write is tmp-dir + ``os.replace`` (manifest
@@ -75,11 +77,14 @@ import pyarrow.parquet as pq
 from .. import PIPELINE_VERSION
 from ..functions.tokenize import value_offsets
 from .postings import (
+    BLOCK_LAYOUT,
+    TAIL,
     _block_sums,
     _starts,
     block_firsts,
     decode_doc_table,
     encode_segment,
+    packed_view,
     term_layout,
 )
 
@@ -350,18 +355,20 @@ class SegmentReader:
             term: i for i, term in enumerate(t["term"].to_pylist())
         }
         # per-term numpy columns (row order of ``terms``): the stored ones
-        # plus the layout v3 derives (postings.term_layout); the blocks'
-        # posting counts join the block columns
+        # plus the layout v4 derives (postings.term_layout); the blocks'
+        # posting counts, tf widths and run offsets join the block columns
         cols = {name: column_numpy(t[name])
                 for name in ("df", "cf", "max_tf", "min_dl")}
-        layout = term_layout(cols["df"], cols["max_tf"],
-                             self.blocks["ord_bytes"], self.blocks["tf_bytes"])
-        self.blocks["n"] = layout.pop("n")
+        layout = term_layout(cols["df"], self.blocks["max_tf"],
+                             self.blocks["ord_bits"])
+        for name in BLOCK_LAYOUT:
+            self.blocks[name] = layout.pop(name)
         last = self.blocks["last_ord"]
-        if (int(layout["payload_len"].sum()) != len(self.payload)
+        if (int(layout["payload_len"].sum()) + TAIL != len(self.payload)
                 or (len(last) and not 0 <= last.min() <= last.max() < m["n_docs"])):
             raise ValueError(f"segment {d}: its term and block tables do not "
                              "fit its postings.bin and docs.bin (fsck names it)")
+        self.words = packed_view(self.payload)
         self.term_cols = {**cols, **layout}
         if self.has_positions:
             bs = layout["block_start"]

@@ -218,30 +218,26 @@ def test_readers_reject_stale_segment_version(ray_session, tmp_path):
 
 
 @pytest.mark.parametrize("code", ["seg_block_rows", "seg_layout_size",
-                                  "seg_tf_bytes", "seg_last_ord"])
+                                  "seg_ord_bits", "seg_last_ord"])
 def test_detects_corrupt_block_table(ray_session, tmp_path, code):
     """Offsets are derived from the term and block tables, not stored: each
     kind of damage to the block table is its own finding, and a reader
     refuses the segment rather than misread it."""
-    import numpy as np
     import pyarrow.parquet as pq
 
-    from archivesspace_virgo_ray.index.postings import TF_WIDE
+    from archivesspace_virgo_ray.index.postings import BLOCK_COLUMNS, MAX_BITS
     from archivesspace_virgo_ray.index.segments import SegmentReader, numpy_table
 
     idx = _build(tmp_path)
     seg = sorted(os.listdir(os.path.join(idx, "segments")))[0]
     r = SegmentReader(idx, name=seg)
-    cols = {k: v.copy() for k, v in r.blocks.items() if k != "n"}
+    cols = {k: r.blocks[k].copy() for k in BLOCK_COLUMNS}
     if code == "seg_block_rows":
         cols = {k: v[:-1] for k, v in cols.items()}
-    elif code == "seg_layout_size":
-        cols["ord_bytes"][0] += 1
-    elif code == "seg_tf_bytes":  # the total stays the file's size
-        narrow = np.flatnonzero(r.term_cols["tf_class"] != TF_WIDE)[0]
-        b = r.term_cols["block_start"][narrow]
-        cols["tf_bytes"][b] += 1
-        cols["ord_bytes"][b] -= 1
+    elif code == "seg_layout_size":  # 8 more bits per value: n more bytes
+        cols["ord_bits"][0] += 8
+    elif code == "seg_ord_bits":  # wider than a 64-bit read holds
+        cols["ord_bits"][0] = MAX_BITS + 1
     else:
         cols["last_ord"][-1] = r.manifest["n_docs"]
     pq.write_table(numpy_table(cols),

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from archivesspace_virgo_ray.index.postings import (
     BLOCK_COLUMNS,
     BLOCK_SIZE,
+    MAX_BITS,
+    TAIL,
     TERM_COLUMNS,
-    TF_NIBBLE,
-    TF_ONES,
-    TF_WIDE,
+    bit_width,
     decode_positions,
     decode_posting_list,
     decode_segment,
@@ -25,7 +25,6 @@ from archivesspace_virgo_ray.index.postings import (
     encode_segment,
     position_bytes_array,
     term_layout,
-    tf_class,
     varbyte_decode,
     varbyte_encode,
 )
@@ -135,13 +134,23 @@ def _ref_varbyte(v: int) -> bytes:
             return bytes(out)
 
 
+def _ref_pack(values, width: int) -> bytes:
+    """``values`` at ``width`` bits each, LSB first, one bit at a time,
+    padded to a whole byte."""
+    bits = [(v >> b) & 1 for v in values for b in range(width)]
+    bits += [0] * (-len(bits) % 8)
+    return bytes(sum(bits[i + j] << j for j in range(8))
+                 for i in range(0, len(bits), 8))
+
+
 def _ref_encode_segment(doc_ids, tfs, dls, starts, ends):
-    """Plain-Python v3 encoder: ordinals by ascending doc id, each term's
-    first ordinal absolute, a term's payload = its blocks' ordinal bytes
-    then its tf run: nothing when its max tf is 1, a nibble of tf - 1 per
-    posting (low nibble first, padded to a whole byte) when it is at most
-    16, else varbyte; loops over docs, terms, blocks, postings and
-    base-128 bytes. Returns (payload, doc_table, n_docs, terms, blocks)."""
+    """Plain-Python v4 encoder: ordinals by ascending doc id, each term's
+    first ordinal absolute; per block, the ordinal gaps packed at the
+    bits of the block's largest gap and tf - 1 at the bits of its largest
+    tf - 1 (``_ref_pack``); a term's payload = its blocks' ordinal runs
+    then their tf runs; 7 zero bytes close the payload. Loops over docs,
+    terms, blocks, postings, bits and base-128 bytes. Returns (payload,
+    doc_table, n_docs, terms, blocks)."""
     doc_ids, tfs, dls = (list(map(int, a)) for a in (doc_ids, tfs, dls))
     dl_of = dict(zip(doc_ids, dls))
     docs = sorted(dl_of)
@@ -154,39 +163,32 @@ def _ref_encode_segment(doc_ids, tfs, dls, starts, ends):
     terms = {k: [] for k in TERM_COLUMNS}
     blocks = {k: [] for k in BLOCK_COLUMNS}
     for s, e in zip(map(int, starts), map(int, ends)):
-        max_tf = max(tfs[s:e])
         terms["df"].append(e - s)
         terms["cf"].append(sum(tfs[s:e]))
-        terms["max_tf"].append(max_tf)
+        terms["max_tf"].append(max(tfs[s:e]))
         terms["min_dl"].append(min(dls[s:e]))
         term_ords, term_tfs = bytearray(), bytearray()
         for bs in range(s, e, BLOCK_SIZE):
             be = min(bs + BLOCK_SIZE, e)
-            ords = b"".join(
-                _ref_varbyte(ordinal[doc_ids[i]] - ordinal[doc_ids[i - 1]]
-                             if i > s else ordinal[doc_ids[i]])
-                for i in range(bs, be))
-            if max_tf == 1:
-                tf = b""
-            elif max_tf <= 16:
-                nib = [tfs[i] - 1 for i in range(bs, be)] + [0]
-                tf = bytes(nib[j] | nib[j + 1] << 4 for j in range(0, be - bs, 2))
-            else:
-                tf = b"".join(_ref_varbyte(tfs[i]) for i in range(bs, be))
-            term_ords += ords
-            term_tfs += tf
+            gaps = [ordinal[doc_ids[i]] - ordinal[doc_ids[i - 1]] if i > s
+                    else ordinal[doc_ids[i]] for i in range(bs, be)]
+            tf1 = [tfs[i] - 1 for i in range(bs, be)]
+            ord_bits = max(gaps).bit_length()
+            term_ords += _ref_pack(gaps, ord_bits)
+            term_tfs += _ref_pack(tf1, max(tf1).bit_length())
             blocks["last_ord"].append(ordinal[doc_ids[be - 1]])
             blocks["max_tf"].append(max(tfs[bs:be]))
             blocks["min_dl"].append(min(dls[bs:be]))
-            blocks["ord_bytes"].append(len(ords))
-            blocks["tf_bytes"].append(len(tf))
+            blocks["ord_bits"].append(ord_bits)
         payload += term_ords + term_tfs
-    return bytes(payload), doc_table, len(docs), terms, blocks
+    return bytes(payload) + bytes(7), doc_table, len(docs), terms, blocks
 
 
 _SEGMENT_DFS = [1, 127, 128, 129, 3 * BLOCK_SIZE + 17]
-# the largest tf of each tf-run class: all ones, one nibble, varbyte
-_CLASS_MAX_TFS = (1, 16, 17)
+# block max tfs whose tf - 1 needs 0, 1, 2^k and 2^k + 1 bits
+_WIDTH_MAX_TFS = (1, 2, 16, 17, 256, 257)
+# the largest tf the codec packs (tf - 1 takes MAX_BITS bits)
+_WIDEST_TF = 2**MAX_BITS
 
 
 def _mk_segment(seed, dfs=_SEGMENT_DFS, max_tfs=None, n_docs=None):
@@ -244,7 +246,7 @@ def _check_against_reference(doc_ids, tfs, dls, starts, ends):
     assert set(terms) == set(TERM_COLUMNS) and set(blocks) == set(BLOCK_COLUMNS)
     for got, ref in ((terms, ref_terms), (blocks, ref_blocks)):
         for k, v in got.items():
-            assert v.dtype == np.int64, k
+            assert v.dtype == (np.uint8 if k == "ord_bits" else np.int64), k
             assert v.tolist() == ref[k], k
 
 
@@ -255,38 +257,60 @@ def test_encode_segment_matches_reference(seed):
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
-       terms=st.lists(st.tuples(st.sampled_from([1, 2, 3, 127, 128, 129, 255,
-                                                 256, 257, 3 * BLOCK_SIZE + 17]),
-                                st.sampled_from(_CLASS_MAX_TFS)),
-                      min_size=1, max_size=8),
-       n_docs=st.sampled_from([None, 20000]))
-def test_encode_segment_tf_classes_match_reference(seed, terms, n_docs):
-    """Every tf-run class (``max_tf`` 1, 16, 17), odd and even dfs,
-    one-posting terms, block boundaries, 10-byte doc-id deltas and
-    multi-byte ordinal deltas: the codec equals the plain-Python v3
-    encoder."""
+       terms=st.lists(st.one_of(
+           st.tuples(st.sampled_from([1, 2, 3, 127, 128, 129, 255, 256, 257,
+                                      3 * BLOCK_SIZE + 17]),
+                     st.sampled_from(_WIDTH_MAX_TFS)),
+           # tfs up to 2**57 (57-bit tf runs); few postings keep cf in int64
+           st.tuples(st.sampled_from([1, 2, 31]), st.just(_WIDEST_TF))),
+           min_size=1, max_size=8),
+       n_docs=st.sampled_from([None, 20000]),
+       first_alone=st.booleans())
+def test_encode_segment_block_widths_match_reference(seed, terms, n_docs,
+                                                     first_alone):
+    """Tf widths 0, 1, 2^k, 2^k + 1 and 57, odd and even dfs, one-posting
+    terms, full and partial last blocks, 10-byte doc-id deltas and wide
+    ordinal gaps: the codec equals the plain-Python v4 encoder byte for
+    byte. ``first_alone`` adds a one-posting term holding ordinal 0 with
+    tf 1: its block has ordinal width 0 and tf width 0, so no bytes."""
     dfs, max_tfs = zip(*terms)
     doc_ids, tfs, dls, starts, ends = _mk_segment(seed, dfs, max_tfs, n_docs)
+    if first_alone:
+        o = int(np.argmin(doc_ids))
+        doc_ids = np.concatenate([doc_ids[o:o + 1], doc_ids])
+        tfs = np.concatenate([[1], tfs])
+        dls = np.concatenate([dls[o:o + 1], dls])
+        starts, ends = np.concatenate([[0], starts + 1]), np.concatenate([[1], ends + 1])
     _check_against_reference(doc_ids, tfs, dls, starts, ends)
+
+
+def test_encode_segment_rejects_a_width_above_57():
+    """A tf of 2**57 + 1 would need a 58-bit tf run, more than a 64-bit read
+    at a byte offset holds: the encoder refuses it."""
+    docs, dls = np.array([3, 8]), np.array([5, 6])
+    encode_segment(docs, np.array([1, _WIDEST_TF]), dls, [0], [2])
+    with pytest.raises(ValueError, match=f"0..{MAX_BITS}"):
+        encode_segment(docs, np.array([1, _WIDEST_TF + 1]), dls, [0], [2])
 
 
 def test_encode_segment_empty():
     e = np.empty(0, np.int64)
     payload, doc_table, n_docs, terms, blocks = encode_segment(e, e, e, e, e)
-    assert payload == doc_table == b"" and n_docs == 0
+    assert payload == bytes(TAIL) and doc_table == b"" and n_docs == 0
     assert set(terms) == set(TERM_COLUMNS) and set(blocks) == set(BLOCK_COLUMNS)
-    for v in (*terms.values(), *blocks.values()):
-        assert v.dtype == np.int64 and len(v) == 0
+    for k, v in (*terms.items(), *blocks.items()):
+        assert len(v) == 0
+        assert v.dtype == (np.uint8 if k == "ord_bits" else np.int64)
 
 
-@pytest.mark.parametrize("max_tf", _CLASS_MAX_TFS)
+@pytest.mark.parametrize("max_tf", (1, 16, 17))
 def test_encode_posting_list_is_a_one_term_segment(max_tf):
     doc_ids, tfs, dls, starts, ends = _mk_segment(
         7, dfs=[3 * BLOCK_SIZE + 17], max_tfs=[max_tf])
     payload, table = encode_posting_list(doc_ids, tfs, dls)
     ref_payload, _docs, _n, _terms, ref_blocks = _ref_encode_segment(
         doc_ids, tfs, dls, starts, ends)
-    assert payload == ref_payload
+    assert payload == ref_payload[:-TAIL]  # a term's payload has no tail
     assert {k: table[k].tolist() for k in BLOCK_COLUMNS} == ref_blocks
     assert table["doc_map"].tolist() == doc_ids.tolist()
     assert table["dl_map"].tolist() == dls.tolist()
@@ -296,33 +320,68 @@ def test_encode_posting_list_is_a_one_term_segment(max_tf):
 
 
 def test_term_layout_derives_offsets():
-    """The layout a v3 reader derives equals what v2 stored: block starts,
-    per-block posting counts, run lengths and payload offsets."""
+    """The layout a v4 reader derives: block starts, per-block posting
+    counts and tf widths, and run offsets that tile the payload term by
+    term (a term's ordinal runs, then its tf runs), each run
+    ceil(n * width / 8) bytes."""
     doc_ids, tfs, dls, starts, ends = _mk_segment(
         3, dfs=[1, 2, 129, 256, 3 * BLOCK_SIZE + 17], max_tfs=[1, 16, 17, 16, 1])
     payload, _docs, _n, terms, blocks = encode_segment(doc_ids, tfs, dls, starts, ends)
-    lay = term_layout(terms["df"], terms["max_tf"], blocks["ord_bytes"],
-                      blocks["tf_bytes"])
+    lay = term_layout(terms["df"], blocks["max_tf"], blocks["ord_bits"])
     assert sorted(lay["n_blocks"].tolist()) == [1, 1, 2, 2, 4]
     assert lay["block_start"].tolist() == np.concatenate(
         [[0], np.cumsum(lay["n_blocks"])[:-1]]).tolist()
     assert int(lay["n"].sum()) == len(doc_ids)
     assert set(lay["n"].tolist()) <= {1, 2, 17, 128}
+    assert lay["tf_bits"].tolist() == [(t - 1).bit_length() for t in blocks["max_tf"].tolist()]
     assert lay["payload_off"].tolist() == np.concatenate(
         [[0], np.cumsum(lay["payload_len"])[:-1]]).tolist()
-    assert int(lay["payload_len"].sum()) == len(payload)
-    cls = lay["tf_class"]
-    assert cls.tolist() == tf_class(terms["max_tf"]).tolist()
-    nib = cls == TF_NIBBLE
-    assert (lay["tf_len"][cls == TF_ONES] == 0).all()
-    assert lay["tf_len"][nib].tolist() == ((terms["df"][nib] + 1) // 2).tolist()
+    assert int(lay["payload_len"].sum()) + TAIL == len(payload)
+    runs = []
+    for t, (bs, nb) in enumerate(zip(lay["block_start"], lay["n_blocks"])):
+        b = np.arange(bs, bs + nb)
+        runs += [(lay["ord_off"][i], lay["n"][i] * int(blocks["ord_bits"][i])) for i in b]
+        runs += [(lay["tf_off"][i], lay["n"][i] * lay["tf_bits"][i]) for i in b]
+        assert lay["ord_off"][bs] == lay["payload_off"][t]
+    off = 0
+    for run_off, n_bits in runs:
+        assert run_off == off
+        off += (n_bits + 7) // 8
+    assert off == len(payload) - TAIL
     with pytest.raises(ValueError, match="block table holds"):
-        term_layout(terms["df"], terms["max_tf"], blocks["ord_bytes"][:-1],
-                    blocks["tf_bytes"][:-1])
-    bad = blocks["tf_bytes"].copy()
-    bad[np.repeat(nib, lay["n_blocks"])] += 1
-    with pytest.raises(ValueError, match="tf class"):
-        term_layout(terms["df"], terms["max_tf"], blocks["ord_bytes"], bad)
+        term_layout(terms["df"], blocks["max_tf"][:-1], blocks["ord_bits"][:-1])
+    for col, bad in (("ord_bits", MAX_BITS + 1), ("max_tf", 0),
+                     ("max_tf", _WIDEST_TF + 1)):
+        cols = {k: blocks[k].astype(np.int64) for k in ("max_tf", "ord_bits")}
+        cols[col][-1] = bad
+        with pytest.raises(ValueError, match=f"0..{MAX_BITS}"):
+            term_layout(terms["df"], cols["max_tf"], cols["ord_bits"])
+
+
+def test_bit_width_is_exact():
+    v = np.array([0, 1, 2, 3, 4, 255, 256, 2**53 + 1, 2**57 - 1, 2**57,
+                  2**63 - 1, -1])
+    assert bit_width(v).tolist() == [int(x).bit_length() if x >= 0 else 0
+                                     for x in v.tolist()]
+
+
+def test_a_block_of_width_zero_takes_no_bytes(tmp_path):
+    """A one-doc segment whose terms all hold tf 1: every gap is ordinal 0
+    and every tf - 1 is 0, so postings.bin is its tail alone, and every
+    decoder reads it back."""
+    group = pd.DataFrame({"term": ["a", "b", "c"], "doc_id": [7, 7, 7],
+                          "tf": [1, 1, 1], "dl": [3, 3, 3]})
+    write_segment(str(tmp_path), 0, 0, group)
+    r = SegmentReader(str(tmp_path), 0, 0)
+    assert bytes(r.payload) == bytes(TAIL)
+    assert r.blocks["ord_bits"].tolist() == r.blocks["tf_bits"].tolist() == [0, 0, 0]
+    ids, tfs, dls, df, _pos = decode_segment(r)
+    assert (ids.tolist(), tfs.tolist(), dls.tolist()) == ([7] * 3, [1] * 3, [3] * 3)
+    assert decode_segment(r, np.array([2]))[0].tolist() == [7]
+    e = r.term_entry("b")
+    assert e["payload"] == b""
+    d, t, l = decode_posting_list(e["payload"], e["block_table"])
+    assert (d.tolist(), t.tolist(), l.tolist()) == ([7], [1], [3])
 
 
 def test_encode_segment_rejects_two_dls_for_one_doc():
@@ -339,11 +398,11 @@ def test_encode_segment_rejects_two_dls_for_one_doc():
 
 def _positional_group(seed):
     """A (term, doc_id, tf, dl, pos) triple frame, shuffled out of (term,
-    doc_id) order, its terms' tfs up to 1, 16 or 17 in turn (every tf-run
-    class); returns it with its per-posting positions."""
+    doc_id) order, its terms' tfs up to 1, 16 or 17 in turn (tf widths 0,
+    4 and 5 bits); returns it with its per-posting positions."""
     doc_ids, _tfs, dls, starts, ends = _mk_segment(seed)
     rng = np.random.default_rng(seed + 100)
-    top = np.array(_CLASS_MAX_TFS)[np.arange(len(starts)) % 3]
+    top = np.array([1, 16, 17])[np.arange(len(starts)) % 3]
     tfs = rng.integers(1, np.repeat(top, ends - starts) + 1).astype(np.int64)
     tfs[starts + rng.integers(0, ends - starts)] = top  # reach each max
     flat = np.concatenate([np.sort(rng.choice(5000, t, replace=False)) for t in tfs])
@@ -386,11 +445,11 @@ def test_decode_posting_list_random_block_masks(tmp_path, seed):
     """A masked decode == the full decode restricted to the selected
     blocks, for every term of a multi-term segment (ordinals of one term
     are sparse in the segment's doc map, so block rebasing matters) and
-    every tf-run class (a selected odd last block ends in a pad nibble)."""
+    tf widths 0, 4 and 5 (a selected odd last block ends inside a byte)."""
     group, _flat = _positional_group(seed)
     write_segment(str(tmp_path), 0, 0, group)
     r = SegmentReader(str(tmp_path), 0, 0)
-    assert set(r.term_cols["tf_class"].tolist()) == {TF_WIDE, TF_NIBBLE, TF_ONES}
+    assert set(r.blocks["tf_bits"].tolist()) >= {0, 4, 5}
     rng = np.random.default_rng(seed + 50)
     for term in r.terms["term"].to_pylist():
         e = r.term_entry(term)
@@ -414,16 +473,15 @@ def test_decode_posting_list_random_block_masks(tmp_path, seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_decode_segment_rows_in_any_order(tmp_path, seed):
-    """A rows decode == the whole decode's slices of those terms, for rows
-    grouped by tf class (the query path) and in any other order."""
+    """A rows decode == the whole decode's slices of those terms, for all
+    rows in term order and for rows in any other order."""
     group, _flat = _positional_group(seed)
     write_segment(str(tmp_path), 0, 0, group.drop(columns=["pos"]))
     r = SegmentReader(str(tmp_path), 0, 0)
     full = decode_segment(r)
     off = np.concatenate([[0], np.cumsum(full[3])])
-    assert len(set(r.term_cols["tf_class"].tolist())) > 1
     rng = np.random.default_rng(seed)
-    picks = [np.argsort(r.term_cols["tf_class"], kind="stable")]
+    picks = [np.arange(len(off) - 1)]
     picks += [rng.permutation(len(off) - 1)[:rng.integers(1, len(off))]
               for _ in range(8)]
     for rows in picks:
@@ -433,6 +491,35 @@ def test_decode_segment_rows_in_any_order(tmp_path, seed):
         for got, want in zip((ids, tfs, dls), full):
             assert got.dtype == np.int64
             assert got.tolist() == want[sl].tolist()
+
+
+def test_decode_posting_list_reads_unpadded_term_payloads(tmp_path):
+    """``term_entry``'s payload is the term's bytes alone, without the
+    file's zero tail, as ``perfbench``'s ``layer_postings`` and the
+    phrase path pass it: ``decode_posting_list`` reads it whole and by
+    block mask, also for the last term, whose payload ends where the tail
+    begins."""
+    group, _flat = _positional_group(6)
+    write_segment(str(tmp_path), 0, 0, group.drop(columns=["pos"]))
+    r = SegmentReader(str(tmp_path), 0, 0)
+    ids, tfs, dls, df, _pos = decode_segment(r)
+    off = np.concatenate([[0], np.cumsum(df)])
+    for i, term in enumerate(r.terms["term"].to_pylist()):
+        e = r.term_entry(term)
+        assert isinstance(e["payload"], bytes)
+        assert len(e["payload"]) == r.term_cols["payload_len"][i]
+        sl = slice(off[i], off[i + 1])
+        got = decode_posting_list(e["payload"], e["block_table"])
+        assert [g.tolist() for g in got] == [ids[sl].tolist(), tfs[sl].tolist(),
+                                             dls[sl].tolist()]
+        n = e["block_table"]["n"]
+        mask = np.arange(len(n)) % 2 == 1
+        keep = np.repeat(mask, n)
+        got = decode_posting_list(e["payload"], e["block_table"], mask)
+        assert [g.tolist() for g in got] == [ids[sl][keep].tolist(),
+                                             tfs[sl][keep].tolist(),
+                                             dls[sl][keep].tolist()]
+    assert e["payload_off"] + e["payload_len"] + TAIL == len(r.payload)
 
 
 def test_decode_segment_empty_and_plain(tmp_path):
@@ -494,17 +581,17 @@ def _golden_docs() -> pa.Table:
     return pa.table({"doc_id": pa.array(ids, pa.int64()), "text": pa.array(texts)})
 
 
-# sha256 of each segment file. The postings.bin digests are format v3's
-# (tf runs packed by class: none, nibbles or varbyte); docs.bin kept its
+# sha256 of each segment file. The postings.bin digests are format v4's
+# (ordinal gaps and tf - 1 bit-packed per block); docs.bin kept its
 # digests from posting format v2, which introduced segment-local ordinals,
 # and positions.bin from before the whole-segment codec. The file format
 # must not drift; postings.bin and docs.bin are the same with and without
 # positions.
 _GOLDEN_POSTINGS = {
-    "s0000_b0000": "e09b718ac31d6c761f059d377af58c3e2fabcb3387ec92f6c542502ffb40cad6",
-    "s0000_b0001": "f0c7bf567a40edfcfd67a508b5f3b2059043076b804664e1f22edba50f7b159d",
-    "s0001_b0000": "58115a14f56ce57f8f01f105c224029ed5b699257ef2b6c33f3024b1fc5169c8",
-    "s0001_b0001": "fc41e6bde818158e672d288d01d06688318c41b8a1d81dbf416c1a58493605b3",
+    "s0000_b0000": "1741f1f0905e58641a37a7c341e67435ddf4bebb7d192639037a60ec78027103",
+    "s0000_b0001": "1050ca90f68c545a664c5dd21b7b472ed7b9f2109217c2ee8fd7215f67e26865",
+    "s0001_b0000": "a4aeecc51c672318b21565e96543cdf104816a12d9c4720636cc8b655e963356",
+    "s0001_b0001": "cf135d01518bfda88d5d464d1c17d5a306ebedd136630201d5e0f4bbe6656c93",
 }
 # shard 0's two buckets hold the same docs, so their doc tables match
 _GOLDEN_DOCS = {

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from archivesspace_virgo_ray.corpus import NEEDLE_FMT, generate_corpus, generate_queries
-from archivesspace_virgo_ray.functions.hashing import doc_id_from_key, sha256_hex
+from archivesspace_virgo_ray.functions.hashing import (
+    doc_id_from_key,
+    sha256_hex,
+    sha256_hex_arrow,
+)
 from archivesspace_virgo_ray.functions.tokenize import (
     batch_term_doc_tf,
     stable_hash_strings,
@@ -73,6 +77,23 @@ def test_stable_hash_deterministic():
 def test_sha256():
     out = sha256_hex(["abc"])
     assert out[0] == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+
+
+def test_sha256_hex_arrow_equals_sha256_hex():
+    """The doc table's digests, hashed from the Arrow values buffer, equal
+    ``sha256_hex`` of the Python strings: non-ASCII and empty texts, a
+    sliced chunk and a column of several chunks, string and large_string."""
+    import pyarrow as pa
+
+    texts = ["abc", "", "héllo wörld ✓", "日本語のテキスト", "x" * 3000, "ünï"]
+    want = sha256_hex(texts).tolist()
+    padded = pa.array(["before", *texts, "after"]).slice(1, len(texts))
+    for col in (pa.array(texts), pa.array(texts, pa.large_string()), padded,
+                pa.chunked_array([padded.slice(0, 2), pa.array(texts[2:]),
+                                  pa.array([], pa.string())])):
+        got = sha256_hex_arrow(col)
+        assert got.type == pa.string() and got.to_pylist() == want
+    assert sha256_hex_arrow(pa.chunked_array([], pa.string())).to_pylist() == []
 
 
 @pytest.fixture(scope="module")
