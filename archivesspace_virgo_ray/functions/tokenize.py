@@ -34,6 +34,10 @@ TOKEN_RE = re.compile(r"[a-z0-9_]+")
 _TOKEN_BYTES = np.full(256, ord(" "), np.uint8)
 for _c in b"abcdefghijklmnopqrstuvwxyz0123456789_":
     _TOKEN_BYTES[_c] = _c
+# the same, with A-Z folded to a-z: on ASCII text, lowering is a byte map
+_ASCII_TOKEN_BYTES = _TOKEN_BYTES.copy()
+for _c in b"ABCDEFGHIJKLMNOPQRSTUVWXYZ":
+    _ASCII_TOKEN_BYTES[_c] = _c + 32
 
 
 def tokenize_text(text: str) -> list[str]:
@@ -56,7 +60,10 @@ def _flat_tokens_arrow(texts) -> tuple[np.ndarray, np.ndarray, object]:
     over the values buffer), ``ascii_split_whitespace`` and
     ``dictionary_encode`` all run over whole buffers. RE2's
     ``split_pattern_regex`` on ``[^a-z0-9_]+`` gives the same split at
-    about four times the cost.
+    about four times the cost. A batch whose bytes are all ASCII skips the
+    Unicode lowering: ``_ASCII_TOKEN_BYTES`` folds A-Z in the same take
+    (``str.lower`` maps no other ASCII character), and one ``max`` over the
+    bytes costs far less than ``pc.string_is_ascii``.
 
     Token equivalence with ``tokenize_text`` is tested over every BMP code
     point and by property (tests/test_tokenize_kernel.py). CPython lowercases
@@ -78,15 +85,15 @@ def _flat_tokens_arrow(texts) -> tuple[np.ndarray, np.ndarray, object]:
     if arr.null_count:
         raise ValueError("tokenize: null text at row "
                          f"{pc.index(pc.is_null(arr), True).as_py()}")
-    low = pc.utf8_lower(pc.replace_substring(arr, pattern="İ", replacement="i̇"))
-    offsets = value_offsets(low)
-    lo, hi = int(offsets[0]), int(offsets[-1])
-    data = low.buffers()[2]
-    mapped = (np.take(_TOKEN_BYTES, np.frombuffer(data, np.uint8)[lo:hi])
-              if hi > lo else np.empty(0, np.uint8))
+    offsets, data = _value_bytes(arr)
+    if data.max(initial=0) < 0x80:
+        mapped = np.take(_ASCII_TOKEN_BYTES, data)
+    else:
+        low = pc.utf8_lower(pc.replace_substring(arr, pattern="İ", replacement="i̇"))
+        offsets, data = _value_bytes(low)
+        mapped = np.take(_TOKEN_BYTES, data)
     spaced = pa.Array.from_buffers(
-        low.type, len(low),
-        [None, pa.py_buffer(offsets - offsets.dtype.type(lo)), pa.py_buffer(mapped)])
+        arr.type, len(arr), [None, pa.py_buffer(offsets), pa.py_buffer(mapped)])
     tok = pc.ascii_split_whitespace(spaced)
     flat = pc.list_flatten(tok)
     lens_all = np.diff(value_offsets(tok))
@@ -97,6 +104,16 @@ def _flat_tokens_arrow(texts) -> tuple[np.ndarray, np.ndarray, object]:
     d = pc.dictionary_encode(flat)
     codes = np.asarray(d.indices, dtype=np.int64)
     return doc_ord_all[nonempty], codes[nonempty], d.dictionary
+
+
+def _value_bytes(arr) -> tuple[np.ndarray, np.ndarray]:
+    """(value offsets rebased to 0, the uint8 view of the values they
+    span) of an Arrow string array."""
+    offsets = value_offsets(arr)
+    lo, hi = int(offsets[0]), int(offsets[-1])
+    data = (np.frombuffer(arr.buffers()[2], np.uint8)[lo:hi] if hi > lo
+            else np.empty(0, np.uint8))
+    return offsets - offsets.dtype.type(lo), data
 
 
 def value_offsets(arr) -> np.ndarray:

@@ -12,9 +12,10 @@ SolrHelper.java:82-96) with a from-scratch index build:
 
 A parquet path of at most ``_SMALL_SOURCE_ROWS`` rows (the one size rule
 of build and delta add, ``read_small_source``) skips Ray Data: the driver
-reads it as one table, writes the doc table, tokenizes it and writes each
-segment in-process — the same segment bytes, without the fixed cost of
-two Ray Data executions and cold segment tasks.
+reads it as one table, writes the doc table, then tokenizes its slices and
+writes its segments on a thread pool of one worker per core of the
+process's affinity mask (``pool_map``) — the same segment bytes, without
+the fixed cost of two Ray Data executions and cold segment tasks.
 
 Scale notes (designed for 10^12 docs / many-node clusters, tested locally):
 
@@ -36,8 +37,9 @@ Scale notes (designed for 10^12 docs / many-node clusters, tested locally):
   WITHOUT tokenizing; pass 2 builds postings, tokenizing exactly once (doc
   lengths ride in the triples; corpus totals come from segment manifest
   counters). Above the size rule both stream concurrently and nothing
-  materializes the corpus; at or below it they run one after the other
-  over the driver's table.
+  materializes the corpus; at or below it the doc table is written first,
+  then the triples pass runs its slices, and then its segments, on
+  ``pool_map``'s threads.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ import contextlib
 import json
 import os
 import uuid
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,6 +97,27 @@ _SMALL_SOURCE_ROWS = 50_000
 def is_small(n_rows: int) -> bool:
     """True if ``n_rows`` rows are few enough to index on the driver."""
     return n_rows <= _SMALL_SOURCE_ROWS
+
+
+def pool_workers() -> int:
+    """Cores this process may run on: its affinity mask. Not ``nproc``,
+    which ``OMP_NUM_THREADS`` overrides: the engine runs no OpenMP, and
+    Arrow sizes its own pool by ``pa.cpu_count()``."""
+    return len(os.sched_getaffinity(0))
+
+
+def pool_map(fn, items: list) -> list:
+    """``[fn(x) for x in items]``, on one thread per core (``pool_workers``,
+    at most one per item) and inline when that is one. The driver build's
+    tokenize slices and segment writes are Arrow kernels, numpy sorts and
+    file writes, which release the GIL. Results come back in ``items``'
+    order; the first error in that order is raised once every call has
+    returned, and the pool's threads are joined before this returns."""
+    n = min(pool_workers(), len(items))
+    if n <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(n) as pool:
+        return list(pool.map(fn, items))
 
 
 def read_small_source(source, columns: list[str]) -> pa.Table | None:
@@ -303,16 +327,17 @@ def make_triples_fn(cfg: BuildConfig, completed_gkeys: frozenset[int]):
 def table_triples(table: pa.Table, cfg: BuildConfig,
                   completed_gkeys: frozenset[int] = frozenset()) -> pa.Table:
     """``make_triples_fn`` over a driver-side table in ``cfg.batch_size``
-    row slices, as the Dataset path feeds it: the tokenizer's transient
-    memory is bounded by a slice, not by the source. Doc ids derive from
-    keys and ``write_segment`` sorts, so the segments do not depend on the
-    slicing."""
+    row slices, as the Dataset path feeds it, on ``pool_map``'s threads:
+    the tokenizer's transient memory is bounded by one slice per worker,
+    not by the source. The slices' triples concatenate in slice order, and
+    doc ids derive from keys and ``write_segment`` sorts, so the segments
+    depend on neither the slicing nor the threads."""
     fn = make_triples_fn(cfg, completed_gkeys)
+    slices = [table.slice(i, cfg.batch_size)
+              for i in range(0, max(table.num_rows, 1), cfg.batch_size)]
     # one chunk: ``write_segments`` gathers each gkey's rows with ``take``,
     # which is far slower across chunks
-    return pa.concat_tables([fn(table.slice(i, cfg.batch_size))
-                             for i in range(0, max(table.num_rows, 1),
-                                            cfg.batch_size)]).combine_chunks()
+    return pa.concat_tables(pool_map(fn, slices)).combine_chunks()
 
 
 def _write_group(index_dir, gkey, part: pa.Table, cfg: BuildConfig, gen) -> dict:
@@ -353,15 +378,16 @@ def write_segments(
 
     ``triples`` carry ``gkey = shard * n_buckets + bucket``. A ``pa.Table``
     already on the driver (a source within the size rule) is split by gkey
-    in memory and each gkey's segment is written in-process, one after
-    another. A ``ray.data.Dataset`` is hash-partitioned to
-    ``<index>/_staging/gkey=*`` parquet — one streaming pass, no sort, no
-    object-store materialization; past the object-store size a sort
-    shuffle would spill raw Arrow at disk speed — and then ONE
-    ``_write_segment_task`` per gkey writes its segment. Either way a base
-    segment goes through ``write_segment`` (``gen=None``; segments already
-    complete are skipped, which is what resume relies on) and delta
-    generation ``gen`` through ``update.write_segment_gen``.
+    in memory and each gkey's segment is written in-process on
+    ``pool_map``'s threads (each writer builds its segment in a scratch dir
+    of its own and publishes it by rename). A ``ray.data.Dataset`` is
+    hash-partitioned to ``<index>/_staging/gkey=*`` parquet — one
+    streaming pass, no sort, no object-store materialization; past the
+    object-store size a sort shuffle would spill raw Arrow at disk speed —
+    and then ONE ``_write_segment_task`` per gkey writes its segment.
+    Either way a base segment goes through ``write_segment`` (``gen=None``;
+    segments already complete are skipped, which is what resume relies on)
+    and delta generation ``gen`` through ``update.write_segment_gen``.
     ``write_segment`` sorts deterministically, so the segment bytes do not
     depend on how the triples arrived.
 
@@ -380,8 +406,13 @@ def write_segments(
             order = np.argsort(gkeys, kind="stable")
             keys, starts = np.unique(gkeys[order], return_index=True)
             ends = np.append(starts[1:], len(order))
-            rows = [_write_group(index_dir, int(k), triples.take(order[a:b]), cfg, gen)
-                    for k, a, b in zip(keys, starts, ends)]
+
+            def write(group):
+                k, a, b = group
+                return _write_group(index_dir, int(k), triples.take(order[a:b]),
+                                    cfg, gen)
+
+            rows = pool_map(write, list(zip(keys, starts, ends)))
         else:
             triples.write_parquet(staging, partition_cols=["gkey"])
             names = os.listdir(staging) if os.path.isdir(staging) else []
@@ -529,7 +560,7 @@ def build_index(
         return {**prev, "n_segments_written": 0,
                 "n_segments_skipped": len(completed)}
     if (table := read_small_source(source, read_cols)) is not None:
-        # ---- small source: both passes on the driver, one after the other
+        # ---- small source: both passes on the driver, the doc table first
         if not docs_done:
             def write_doc_table(tmp):
                 os.makedirs(tmp)

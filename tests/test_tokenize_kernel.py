@@ -119,6 +119,20 @@ def test_arrow_tokenize_kernel_sliced_input():
         assert _canon_tdtf(batch_term_doc_tf(ids, col.slice(start, n))) == want
 
 
+def test_arrow_tokenize_kernel_ascii_batches():
+    """An all-ASCII batch folds case in its byte table and skips the
+    Unicode lowering; one non-ASCII doc sends its whole batch down the
+    Unicode path. Both equal ``tokenize_text``."""
+    every = "".join(map(chr, range(128)))
+    ascii_texts = [every, every[::-1], "Hello WORLD foo_Bar9 Z@a[z`A{", "", " QQ "]
+    _check_all_variants(np.arange(len(ascii_texts)), ascii_texts)
+    mixed = ascii_texts + ["İSTANBUL İx Çağ ÉTÉ"]
+    _check_all_variants(np.arange(len(mixed)), mixed)
+    sl = pa.array(mixed).slice(2, 3)  # an ASCII slice of a mixed buffer
+    want = _canon_tdtf(batch_term_doc_tf_py(np.arange(3), np.asarray(mixed[2:5], object)))
+    assert _canon_tdtf(batch_term_doc_tf(np.arange(3), sl)) == want
+
+
 def test_batch_term_codes_keeps_strings_per_vocabulary_entry():
     """Postings come back as codes into the batch vocabulary, which holds
     each distinct term once."""

@@ -49,12 +49,15 @@ def _corpus(n_docs: int) -> str:
 def smoke_build(n_docs: int, store_gb: float) -> None:
     """Build one corpus twice: as a Dataset (the staged exchange) and as a
     path (read and indexed on the driver when within build_index's size
-    rule, else the same staged exchange). Each line ends with the driver's
-    peak RSS so far; the Dataset build runs first, so the path line's peak
-    covers the driver-side read."""
+    rule, else the same staged exchange). Each line ends with the driver
+    path's thread count (``build.pool_workers``: k workers hold k slices'
+    tokenizer temporaries at once) and the driver's peak RSS so far; the
+    Dataset build runs first, so the path line's peak covers the
+    driver-side read."""
     import resource
 
-    from archivesspace_virgo_ray.index.build import BuildConfig, build_index
+    from archivesspace_virgo_ray.index.build import (
+        BuildConfig, build_index, pool_workers)
 
     _init(store_gb)
     corpus = _corpus(n_docs)
@@ -74,6 +77,7 @@ def smoke_build(n_docs: int, store_gb: float) -> None:
               f"build={dt:.2f}s docs_per_sec={stats['n_docs'] / dt:.0f} "
               f"postings={stats['n_postings']} layout="
               f"{stats['n_shards']}x{stats['n_buckets']} "
+              f"workers={pool_workers()} "
               f"driver_peak_rss_mb={rss_mb:.0f}", flush=True)
     shutil.rmtree(idx, ignore_errors=True)
     ray.shutdown()
