@@ -30,4 +30,4 @@ __version__ = "0.1.0"
 # Stamped into segment manifests; changing index-affecting logic must bump this
 # (the analog of the reference's XSLT md5 transform-hash invalidation,
 # IndexRecordsForV4.java:44-64).
-PIPELINE_VERSION = "avr-index-10"
+PIPELINE_VERSION = "avr-index-11"

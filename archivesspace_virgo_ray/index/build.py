@@ -45,6 +45,7 @@ Scale notes (designed for 10^12 docs / many-node clusters, tested locally):
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 import uuid
@@ -60,12 +61,15 @@ from .. import PIPELINE_VERSION
 from ..functions.hashing import doc_id_from_key, sha256_hex_arrow
 from .locking import locked_on, nonlock_contents, wipe_index_dir
 from ..functions.tokenize import batch_term_codes, stable_hash_strings
+from .postings import TERM_COLUMNS
 from .segments import (
     BUILD_ID,
     DOCS,
+    ENGINE_CODEC,
     GLOBAL,
     PARQUET_CODEC,
     STAGING,
+    TERMSTATS_COLUMNS,
     _docs_columns,
     _committed_markers,
     _parquet_files,
@@ -77,6 +81,7 @@ from .segments import (
     read_build_id,
     read_stats,
     segment_bucket,
+    segment_term_stats,
     termstats_dir,  # noqa: F401  (re-exported beside the term-stats writers)
     write_segment,
     write_table,
@@ -242,6 +247,9 @@ def batch_errors_as_raised(ds: ray.data.Dataset):
 
 
 def _assign_ids(batch: pa.Table, cfg: BuildConfig) -> np.ndarray:
+    """The doc ids of ``batch``'s rows: its id column, else a hash of its
+    key columns (``doc_id_from_key``, a Python loop: a driver-side table
+    hashes once and hands the ids to both passes)."""
     if cfg.id_col is not None:
         return batch[cfg.id_col].to_numpy()
     cols = [batch[c].to_pylist() for c in cfg.key_cols]
@@ -253,15 +261,17 @@ def make_doc_stats_fn(cfg: BuildConfig, gen: int = 0):
 
     Deliberately does NOT tokenize — doc lengths ride inside the posting
     triples (pass 2) and corpus totals come from the segment manifests, so
-    the corpus text is tokenized exactly once.
+    the corpus text is tokenized exactly once. ``ids``: the batch's doc
+    ids when the caller has them (``_assign_ids``), else hashed here.
 
     ``gen``: the generation the rows belong to (0 = base build) — readers
     resolve a doc's CURRENT version as its max-gen row (replace-by-id
     semantics, update.add_documents)."""
 
-    def doc_stats(batch: pa.Table) -> pa.Table:
+    def doc_stats(batch: pa.Table, ids=None) -> pa.Table:
         _check_text(batch, cfg)
-        ids = _assign_ids(batch, cfg)
+        if ids is None:
+            ids = _assign_ids(batch, cfg)
         out = {
             "doc_id": pa.array(np.asarray(ids, dtype=np.int64)),
             "sha256": sha256_hex_arrow(batch[cfg.text_col]),
@@ -279,9 +289,10 @@ def make_doc_stats_fn(cfg: BuildConfig, gen: int = 0):
 
 
 def make_triples_fn(cfg: BuildConfig, completed_gkeys: frozenset[int]):
-    """Pass-2 batch fn: (term, doc_id, tf, dl, gkey) triples; resume-filtered."""
+    """Pass-2 batch fn: (term, doc_id, tf, dl, gkey) triples; resume-filtered.
+    ``ids`` as for ``make_doc_stats_fn``."""
 
-    def triples(batch: pa.Table) -> pa.Table:
+    def triples(batch: pa.Table, ids=None) -> pa.Table:
         # the Arrow column feeds the tokenize kernel directly, and every
         # posting stays a vocabulary code: Python strings are made once per
         # distinct term of the batch, never per posting
@@ -291,7 +302,9 @@ def make_triples_fn(cfg: BuildConfig, completed_gkeys: frozenset[int]):
             from ..functions.tokenize import apply_analyzer_arrow
 
             texts = apply_analyzer_arrow(cfg.analyzer, texts)
-        ids = np.asarray(_assign_ids(batch, cfg), dtype=np.int64)
+        if ids is None:
+            ids = _assign_ids(batch, cfg)
+        ids = np.asarray(ids, dtype=np.int64)
         codes, vocab, doc_ids, tfs, dls, pos = batch_term_codes(
             ids, texts, cfg.store_positions)
         # a term's bucket hashes once per batch vocabulary entry
@@ -325,19 +338,27 @@ def make_triples_fn(cfg: BuildConfig, completed_gkeys: frozenset[int]):
 
 
 def table_triples(table: pa.Table, cfg: BuildConfig,
-                  completed_gkeys: frozenset[int] = frozenset()) -> pa.Table:
+                  completed_gkeys: frozenset[int] = frozenset(),
+                  ids: np.ndarray | None = None) -> pa.Table:
     """``make_triples_fn`` over a driver-side table in ``cfg.batch_size``
     row slices, as the Dataset path feeds it, on ``pool_map``'s threads:
     the tokenizer's transient memory is bounded by one slice per worker,
     not by the source. The slices' triples concatenate in slice order, and
     doc ids derive from keys and ``write_segment`` sorts, so the segments
-    depend on neither the slicing nor the threads."""
+    depend on neither the slicing nor the threads. ``ids``: the table's
+    doc ids (``_assign_ids``), sliced beside it; each slice hashes its own
+    when None."""
     fn = make_triples_fn(cfg, completed_gkeys)
-    slices = [table.slice(i, cfg.batch_size)
-              for i in range(0, max(table.num_rows, 1), cfg.batch_size)]
+    bs = cfg.batch_size
+
+    def run(i):
+        return fn(table.slice(i, bs), None if ids is None else ids[i:i + bs])
+
     # one chunk: ``write_segments`` gathers each gkey's rows with ``take``,
     # which is far slower across chunks
-    return pa.concat_tables(pool_map(fn, slices)).combine_chunks()
+    return pa.concat_tables(
+        pool_map(run, list(range(0, max(table.num_rows, 1), bs)))
+    ).combine_chunks()
 
 
 def _write_group(index_dir, gkey, part: pa.Table, cfg: BuildConfig, gen) -> dict:
@@ -560,16 +581,18 @@ def build_index(
         return {**prev, "n_segments_written": 0,
                 "n_segments_skipped": len(completed)}
     if (table := read_small_source(source, read_cols)) is not None:
-        # ---- small source: both passes on the driver, the doc table first
+        # ---- small source: both passes on the driver, the doc table first;
+        # the doc ids are hashed once for both
+        ids = _assign_ids(table, cfg)
         if not docs_done:
             def write_doc_table(tmp):
                 os.makedirs(tmp)
-                write_table(make_doc_stats_fn(cfg)(table),
+                write_table(make_doc_stats_fn(cfg)(table, ids),
                             os.path.join(tmp, "part-0.parquet"))
 
             publish_docs(write_doc_table)
         seg_rows = [] if prior_complete else write_segments(
-            table_triples(table, cfg, completed_gkeys), index_dir, cfg)
+            table_triples(table, cfg, completed_gkeys, ids), index_dir, cfg)
     else:
         # ---- pass 1 (doc table) + pass 2 (segments) run CONCURRENTLY ------
         # Two independent Dataset pipelines share the cluster; the streaming
@@ -663,36 +686,43 @@ def _all_manifests(index_dir: str) -> list[dict]:
     return out
 
 
-# a seal aggregates on the driver while the term rows it reads decode to
-# fewer bytes than this (``parquet_decoded_bytes``: footer sizes, so the
-# bound is on driver memory whatever the files' codec)
+# a seal aggregates on the driver while the segment columns it reads
+# decode to fewer bytes than this (``_seal_read_bytes``: footer sizes, so
+# the bound is on driver memory whatever the files' codec)
 _SEAL_DRIVER_MAX_BYTES = 256 * 1024 * 1024
 
 
-_TERMSTATS_COLS = ("term", "df", "cf", "max_tf", "min_dl")
+def _seal_read_bytes(seg_dirs: list[str]) -> int:
+    """Decoded bytes of the columns a seal reads of ``seg_dirs``
+    (``segment_term_stats``): the term tables whole, and the block
+    tables' max_tf and min_dl."""
+    return (parquet_decoded_bytes(
+        [os.path.join(d, "terms.parquet") for d in seg_dirs],
+        ("term", *TERM_COLUMNS))
+        + parquet_decoded_bytes(
+            [os.path.join(d, "blocks.parquet") for d in seg_dirs],
+            ("max_tf", "min_dl")))
 
 
-def _term_rows(term_files: list[str]) -> dict[int, pa.Table]:
-    """term bucket -> the termstats columns of its segments' term
-    dictionaries; a file's bucket is read off its segment's dir name (a
-    term dictionary stores no constant columns)."""
-    import pyarrow.parquet as pq
-
+def _term_rows(seg_dirs: list[str]) -> dict[int, pa.Table]:
+    """term bucket -> the term stats of its segments
+    (``segment_term_stats``); a segment's bucket is read off its dir name
+    (a term dictionary stores no constant columns)."""
     parts: dict[int, list[pa.Table]] = {}
-    for f in term_files:
-        parts.setdefault(segment_bucket(f), []).append(
-            pq.ParquetFile(f).read(columns=list(_TERMSTATS_COLS)))
+    for d in seg_dirs:
+        parts.setdefault(segment_bucket(d), []).append(segment_term_stats(d))
     return {b: pa.concat_tables(ts) for b, ts in parts.items()}
 
 
-def _with_bucket(batch: pa.Table) -> pa.Table:
-    """A term-file batch read with ``include_paths``, its ``path`` column
-    replaced by the term ``bucket`` (``_term_rows``' grouping)."""
-    paths = pc.unique(batch["path"])
-    buckets = np.array([segment_bucket(p) for p in paths.to_pylist()], np.int64)
-    at = column_numpy(pc.index_in(batch["path"], value_set=paths))
-    return batch.drop_columns(["path"]).append_column(
-        "bucket", pa.array(buckets[at], pa.int64()))
+def _bucket_term_rows(batch: pa.Table) -> pa.Table:
+    """The Ray seal's map: a batch of segment dirs (``item``) -> their
+    term stats, each row with its term ``bucket``."""
+    parts = []
+    for d in batch["item"].to_pylist():
+        rows = segment_term_stats(d)
+        parts.append(rows.append_column("bucket", pa.array(
+            np.full(rows.num_rows, segment_bucket(d), np.int64))))
+    return pa.concat_tables(parts)
 
 
 def _write_termstats_bucket(rows: pa.Table, bdir: str) -> None:
@@ -706,47 +736,52 @@ def _write_termstats_bucket(rows: pa.Table, bdir: str) -> None:
                     "cf": agg["cf_sum"], "max_tf": agg["max_tf_max"],
                     "min_dl": agg["min_dl_min"]}).sort_by("term")
     os.makedirs(bdir, exist_ok=True)
-    write_table(out, os.path.join(bdir, "part-0.parquet"))
+    write_table(out, os.path.join(bdir, "part-0.parquet"), ENGINE_CODEC)
+
+
+def _write_bucket_group(out_dir: str, rows: pa.Table) -> pa.Table:
+    """The Ray seal's reduce: one term bucket's rows (``bucket`` column
+    constant) written as the driver seal writes them."""
+    bucket = rows["bucket"][0].as_py()
+    _write_termstats_bucket(rows.drop_columns(["bucket"]),
+                            os.path.join(out_dir, f"bucket={bucket}"))
+    return pa.table({"bucket": [bucket]})
 
 
 def _seal_termstats(index_dir: str, markers: dict[int, dict]) -> str:
-    """Aggregate the term dictionaries of the segments live under
-    ``markers`` (the commit's own marker included) into global per-term
-    stats, written as a fresh version ``_global/termstats-<id>/bucket=N``.
+    """Aggregate the term stats of the segments live under ``markers``
+    (the commit's own marker included) into global per-term stats,
+    written as a fresh version ``_global/termstats-<id>/bucket=N``.
     Returns the version's name, which the commit's marker names: no
     reader sees the version before that marker lands.
 
-    Vocab-sized, not corpus-sized. Two paths with identical output layout:
-    - small vocab (term rows decode to < 256 MB): one Arrow ``group_by``
-      per term bucket on the driver — the Ray groupby's fixed cost would
-      dominate;
-    - large vocab (unbounded identifier space at code-corpus scale): Ray
-      Data groupby shuffle.
+    Vocab-sized, not corpus-sized. Two paths with identical output files
+    (``_write_termstats_bucket`` per term bucket):
+    - small vocab (the columns read decode to < 256 MB): one Arrow
+      ``group_by`` per term bucket on the driver — the Ray groupby's fixed
+      cost would dominate;
+    - large vocab (unbounded identifier space at code-corpus scale): a
+      Ray Data map over the segment dirs, then a groupby shuffle on the
+      term bucket, each bucket aggregated and written by one task.
     """
-    term_files = sorted(
-        os.path.join(index_dir, "segments", name, "terms.parquet")
+    seg_dirs = sorted(
+        os.path.join(index_dir, "segments", name)
         for names in live_segments(index_dir, markers).values()
         for name in names
     )
     name = f"termstats-{uuid.uuid4().hex[:8]}"
     tmp = os.path.join(index_dir, GLOBAL, name)
     os.makedirs(tmp)
-    if parquet_decoded_bytes(term_files) < _SEAL_DRIVER_MAX_BYTES:
-        for bucket, rows in _term_rows(term_files).items():
+    if _seal_read_bytes(seg_dirs) < _SEAL_DRIVER_MAX_BYTES:
+        for bucket, rows in _term_rows(seg_dirs).items():
             _write_termstats_bucket(rows, os.path.join(tmp, f"bucket={bucket}"))
     else:
-        from ray.data.aggregate import Max, Min, Sum
-
-        ds = ray.data.read_parquet(
-            term_files, columns=list(_TERMSTATS_COLS), include_paths=True,
-        ).map_batches(_with_bucket, batch_format="pyarrow")
-        g = ds.groupby(["bucket", "term"]).aggregate(
-            Sum("df", alias_name="df"),
-            Sum("cf", alias_name="cf"),
-            Max("max_tf", alias_name="max_tf"),
-            Min("min_dl", alias_name="min_dl"),
-        )
-        g.write_parquet(tmp, partition_cols=["bucket"], **PARQUET_CODEC)
+        (ray.data.from_items(seg_dirs)
+            .map_batches(_bucket_term_rows, batch_format="pyarrow")
+            .groupby("bucket")
+            .map_groups(functools.partial(_write_bucket_group, tmp),
+                        batch_format="pyarrow")
+            .materialize())
     return name
 
 
@@ -776,12 +811,11 @@ def _seal_termstats_incremental(index_dir: str, gen: int,
     if parquet_decoded_bytes(_glob.glob(os.path.join(
             cur, "bucket=*", "*.parquet"))) >= _SEAL_DRIVER_MAX_BYTES:
         return None
-    delta_files = sorted(
-        _glob.glob(os.path.join(index_dir, "segments", f"*_g{gen:04d}",
-                                "terms.parquet")))
-    if not delta_files:  # a generation without terms: df is unchanged
+    delta_dirs = sorted(
+        _glob.glob(os.path.join(index_dir, "segments", f"*_g{gen:04d}")))
+    if not delta_dirs:  # a generation without terms: df is unchanged
         return markers[prev]["termstats"]
-    delta_by_bucket = _term_rows(delta_files)
+    delta_by_bucket = _term_rows(delta_dirs)
     name = f"termstats-{uuid.uuid4().hex[:8]}"
     tmp = os.path.join(index_dir, GLOBAL, name)
     os.makedirs(tmp)
@@ -792,7 +826,7 @@ def _seal_termstats_incremental(index_dir: str, gen: int,
         if sub is None:
             _shutil.copytree(bdir, out_bdir)  # untouched bucket rides along
             continue
-        prev_rows = pq.read_table(bdir, columns=list(_TERMSTATS_COLS))
+        prev_rows = pq.read_table(bdir, columns=list(TERMSTATS_COLUMNS))
         _write_termstats_bucket(
             pa.concat_tables([prev_rows, sub], promote_options="permissive"),
             out_bdir)

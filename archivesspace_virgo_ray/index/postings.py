@@ -27,20 +27,23 @@ Layout per segment:
   ``bit_width(max_tf − 1)`` bits each: a block whose tfs are all 1 takes
   no bytes. Values are packed LSB first, little-endian, and each run is
   padded to a whole byte;
-- ``terms.parquet`` — term, df, cf, max_tf, min_dl, nothing else. A
+- ``terms.parquet`` — term, df, cf, nothing else (``TERM_COLUMNS``; the
+  ``term`` column front-coded, as Lucene's block-tree dictionary does). A
   term's blocks number ceil(df / BLOCK_SIZE) and follow the previous
   term's in the block table, each holds ``BLOCK_SIZE`` postings but its
   last; ``term_layout`` derives every run's byte count ceil(n·width / 8)
   and every offset from them once per segment open, with a few
-  vectorised prefix sums;
+  vectorised prefix sums, and ``term_bounds`` a term's max_tf and min_dl
+  as the max / min over its blocks';
 - ``blocks.parquet`` — the skip list, one row per block in term order:
   ``last_ord`` (the block's last ordinal), ``max_tf``, ``min_dl`` and
-  ``ord_bits`` (uint8; plus ``pos_bytes`` when positional).
+  ``ord_bits`` (uint8; plus ``pos_bytes`` when positional). The block
+  table is the one copy of the impacts, as in Lucene's skip data.
   ``(max_tf, min_dl)`` give an avgdl-free block-max score bound at query
   time:
   ``ub = idf * max_tf*(k1+1) / (max_tf + k1*(1-b+b*min_dl/avgdl))`` —
   monotone up in tf and down in dl, hence a true upper bound for every
-  posting in the block.
+  posting in the block (and over a term's blocks, for the term).
 
 ``encode_segment`` writes a segment in one pass: one ``np.unique`` for the
 ordinals, per-block widths and bounds from ``reduceat`` over the global
@@ -224,7 +227,7 @@ def decode_positions(
     return _rebase(deltas, tfs)
 
 
-TERM_COLUMNS = ("df", "cf", "max_tf", "min_dl")
+TERM_COLUMNS = ("df", "cf")
 BLOCK_COLUMNS = ("last_ord", "max_tf", "min_dl", "ord_bits")
 # the per-block columns ``term_layout`` derives at open
 BLOCK_LAYOUT = ("n", "tf_bits", "ord_off", "tf_off")
@@ -313,6 +316,17 @@ def term_layout(df, max_tf, ord_bits) -> dict[str, np.ndarray]:
             "payload_len": np.diff(payload_off, append=int(run_bytes.sum())),
             "n": n, "tf_bits": tf_bits,
             "ord_off": run_off[ord_seq], "tf_off": run_off[tf_seq]}
+
+
+def term_bounds(df, max_tf, min_dl) -> tuple[np.ndarray, np.ndarray]:
+    """Per term, the largest tf and the smallest dl of its postings, from
+    the term dictionary's dfs and the block table's ``max_tf`` and
+    ``min_dl``: one ``reduceat`` each over the terms' first blocks (a
+    term's blocks are contiguous, and every term has at least one)."""
+    df = np.asarray(df, dtype=np.int64)
+    first = _starts((df + BLOCK_SIZE - 1) // BLOCK_SIZE)
+    return (np.maximum.reduceat(np.asarray(max_tf, np.int64), first),
+            np.minimum.reduceat(np.asarray(min_dl, np.int64), first))
 
 
 def _value_bits(run_off: np.ndarray, n: np.ndarray, bits: np.ndarray):
@@ -449,12 +463,7 @@ def encode_segment(doc_ids, tfs, dls, starts, ends):
     n = lay["n"]
     _pack_runs(words, gaps, lay["ord_off"], n, blocks["ord_bits"])
     _pack_runs(words, tfs - 1, lay["tf_off"], n, lay["tf_bits"])
-    terms = {
-        "df": df,
-        "cf": np.add.reduceat(tfs, starts),
-        "max_tf": np.maximum.reduceat(tfs, starts),
-        "min_dl": np.minimum.reduceat(dls, starts),
-    }
+    terms = {"df": df, "cf": np.add.reduceat(tfs, starts)}
     return (words.view(np.uint8)[:size + TAIL].tobytes(),
             encode_doc_table(doc_map, dl_map), len(doc_map), terms, blocks)
 

@@ -54,6 +54,7 @@ from .segments import (
     _committed_markers,
     _markers_of,
     column_numpy,
+    column_strings,
     committed_gens,
     folded_gens,
     list_segment_generations,
@@ -121,8 +122,7 @@ class TermStatsStore:
             path = os.path.join(self._ts_dir, f"bucket={bucket}")
             d: dict[str, tuple[int, int, int, int]] = {}
             try:
-                t = pq.read_table(
-                    path, columns=["term", "df", "max_tf", "min_dl", "cf"])
+                t = _read_dir(path, ["term", "df", "max_tf", "min_dl", "cf"])
             except (OSError, ValueError):
                 if not os.path.isdir(self._ts_dir):
                     raise _StaleIndexRead(self.index_dir) from None
@@ -130,15 +130,9 @@ class TermStatsStore:
                     raise
                 t = None
             if t is not None:
-                terms = t["term"].to_pylist()
-                dfs = t["df"].to_numpy()
-                mtf = t["max_tf"].to_numpy()
-                mdl = t["min_dl"].to_numpy()
-                cfs = t["cf"].to_numpy()
-                d = {
-                    term: (int(dfs[i]), int(mtf[i]), int(mdl[i]), int(cfs[i]))
-                    for i, term in enumerate(terms)
-                }
+                d = dict(zip(column_strings(t["term"]), zip(*(
+                    column_numpy(t[c]).tolist()
+                    for c in ("df", "max_tf", "min_dl", "cf")))))
             self._buckets[bucket] = d
         return self._buckets[bucket]
 
@@ -194,8 +188,7 @@ class TermStatsStore:
         if self._vocab is None:
             ts = self._ts_dir
             try:
-                parts = [pq.read_table(os.path.join(ts, b),
-                                       columns=["term", "df"])
+                parts = [_read_dir(os.path.join(ts, b), ["term", "df"])
                          for b in sorted(os.listdir(ts))
                          if b.startswith("bucket=")]
             except (OSError, ValueError):
@@ -204,6 +197,16 @@ class TermStatsStore:
                 raise
             self._vocab = Vocabulary(parts)
         return self._vocab
+
+
+def _read_dir(path: str, columns: list[str]) -> pa.Table:
+    """``columns`` of every parquet file in dir ``path`` (a term-stats
+    bucket), through ``ParquetFile``: ``pq.read_table`` imports
+    ``pyarrow.dataset`` and runs its discovery, and a cold read of four
+    buckets took 38 ms that way against 3 ms."""
+    return pa.concat_tables(
+        pq.ParquetFile(os.path.join(path, f)).read(columns=columns)
+        for f in sorted(os.listdir(path)) if f.endswith(".parquet"))
 
 
 class Vocabulary:
@@ -220,11 +223,12 @@ class Vocabulary:
     def __init__(self, parts: list[pa.Table]):
         import pyarrow.compute as pc
 
-        terms = pa.chunked_array([p["term"].cast(pa.string()) for p in parts],
-                                 pa.string())
+        terms = pa.chunked_array(
+            [c for p in parts for c in p["term"].cast(pa.string()).chunks],
+            pa.string())
         order = pc.sort_indices(terms)
         terms = terms.take(order)
-        self.terms = np.array(terms.to_pylist(), dtype=object)
+        self.terms = np.array(column_strings(terms), dtype=object)
         self.df = (np.concatenate([column_numpy(p["df"]) for p in parts])
                    .astype(np.int64)[column_numpy(order)]
                    if parts else np.empty(0, np.int64))

@@ -9,11 +9,13 @@ full-reindex, SolrHelper.java:98-100, IndexRecordsForV4.java:44-69,116-125):
                            # a build writes the base (generation 0); an add
                            #   or a compaction writes generation gen,
                            #   visible once _global/gens/g{gen}.json commits
-        terms.parquet      # term-ordered dictionary: term, df, cf, max_tf,
-                           #   min_dl; nothing a reader can derive
+        terms.parquet      # term-ordered dictionary: term (front-coded),
+                           #   df, cf; nothing a reader can derive
         blocks.parquet     # block-max skip table, concatenated in term order:
                            #   last_ord, max_tf, min_dl, ord_bits (uint8)
-                           #   (+ pos_bytes per block when positional)
+                           #   (+ pos_bytes per block when positional); the
+                           #   one copy of the impacts: a term's max_tf and
+                           #   min_dl are its blocks' max and min
         docs.bin           # doc table: ordinal -> doc_id, ordinal -> dl
                            #   (varbyte; one entry per doc of the segment)
         postings.bin       # per term: its blocks' ordinal gaps, then their
@@ -32,9 +34,10 @@ full-reindex, SolrHelper.java:98-100, IndexRecordsForV4.java:44-69,116-125):
                            #   n_buckets, version, ...), the term-stats
                            #   version it names, and what it changed (folds,
                            #   replaces, a delete's tombstones, ...)
-        termstats-<id>/bucket=N  # global per-term df/cf/max_tf/min_dl; a
-                           #   version is written before the marker naming
-                           #   it, and reaped once neither of the two newest
+        termstats-<id>/bucket=N  # global per-term df/cf/max_tf/min_dl,
+                           #   term-sorted and front-coded; a version is
+                           #   written before the marker naming it, and
+                           #   reaped once neither of the two newest
                            #   markers names it
         build_id           # this build's id (read_build_id)
 
@@ -48,8 +51,17 @@ Posting format v4 (``postings`` module docstring) stores no offsets: a
 ``SegmentReader`` derives each term's blocks, payload and position offsets
 and every block's posting count, tf width and run offsets from the dfs and
 the blocks' ``max_tf`` and ``ord_bits`` with a few prefix sums at open
-(``postings.term_layout``), and refuses a segment whose tables do not fit
-its files (``fsck`` names which check failed).
+(``postings.term_layout``), and each term's max_tf and min_dl with one
+``reduceat`` each over its blocks (``postings.term_bounds``; the seals
+read them the same way, ``segment_term_stats``). It refuses a segment
+whose tables do not fit its files (``fsck`` names which check failed).
+
+Every parquet file is zstd without dictionary pages or column statistics
+(``PARQUET_CODEC``); the engine-owned tables (term, block and term-stats
+tables) also front-code their sorted ``term`` column and embed no Arrow
+schema (``ENGINE_CODEC``), while ``_docs`` keeps its schema for the
+caller's meta column types. Since ``avr-index-11`` nothing a reader can
+derive or never reads is stored.
 
 A segment is visible only once its manifest says ``complete`` and carries the
 current PIPELINE_VERSION — the write is tmp-dir + ``os.replace`` (manifest
@@ -79,12 +91,14 @@ from ..functions.tokenize import value_offsets
 from .postings import (
     BLOCK_LAYOUT,
     TAIL,
+    TERM_COLUMNS,
     _block_sums,
     _starts,
     block_firsts,
     decode_doc_table,
     encode_segment,
     packed_view,
+    term_bounds,
     term_layout,
 )
 
@@ -98,14 +112,29 @@ STAGING = "_staging"  # build.write_segments' exchange (transient)
 # tables, _docs, term stats), on the driver path (``write_table``) and in
 # every Ray Data ``write_parquet(..., **PARQUET_CODEC)``. zstd, and no
 # dictionary pages: term, doc_id and sha256 hold distinct values, where a
-# dictionary only costs bytes. Readers decode any codec, so files written
-# under another one stay readable and decode to equal tables.
-PARQUET_CODEC = {"compression": "zstd", "use_dictionary": False}
+# dictionary only costs bytes. No column statistics: nothing prunes on
+# them (``_docs`` files mix every shard and doc ids are hashes; term,
+# block and term-stats tables are read whole). Readers decode any codec,
+# so files written under another one stay readable and decode to equal
+# tables.
+PARQUET_CODEC = {"compression": "zstd", "use_dictionary": False,
+                 "write_statistics": False}
+# The variant of the tables the engine owns (segment term and block
+# tables, term stats): their ``term`` column is sorted, so it is
+# front-coded (DELTA_BYTE_ARRAY), and they embed no Arrow schema, since
+# every type they hold round-trips from Parquet's own logical types
+# (``ord_bits`` uint8 included). ``_docs`` keeps its schema: its caller
+# meta columns may hold types Parquet alone does not restore (a
+# timestamp's zone, large_string).
+ENGINE_CODEC = {**PARQUET_CODEC, "store_schema": False,
+                "column_encoding": {"term": "DELTA_BYTE_ARRAY"}}
 
 
-def write_table(table: pa.Table, path: str) -> None:
-    """Write ``table`` as the parquet file ``path`` in the index codec."""
-    pq.write_table(table, path, **PARQUET_CODEC)
+def write_table(table: pa.Table, path: str, codec: dict = PARQUET_CODEC
+                ) -> None:
+    """Write ``table`` as the parquet file ``path`` in the index codec
+    (``ENGINE_CODEC`` for an engine-owned table)."""
+    pq.write_table(table, path, **codec)
 
 
 # Arrow type name -> numpy dtype of the fixed-width columns column_numpy reads
@@ -130,6 +159,30 @@ def column_numpy(col) -> np.ndarray:
     if len(parts) == 1:
         return parts[0]
     return np.concatenate(parts) if parts else np.empty(0, dtype)
+
+
+def column_strings(col) -> list[str]:
+    """An Arrow (chunked) string array as Python strs, read from its
+    offsets and data buffers: a third of ``to_pylist``'s time on a
+    segment's term column, and like ``column_numpy`` it loads no pandas.
+    An all-ASCII chunk decodes once and is sliced as a str; a chunk with
+    nulls goes through ``to_pylist``."""
+    chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
+    out: list[str] = []
+    for c in chunks:
+        if c.null_count:
+            out.extend(c.to_pylist())
+            continue
+        offs = value_offsets(c)
+        bounds = (offs - offs[0]).tolist()
+        data = bytes(memoryview(c.buffers()[2] or b"")[offs[0]:offs[-1]])
+        text = data.decode("utf-8")
+        if len(text) == len(data):
+            out.extend(text[a:b] for a, b in zip(bounds, bounds[1:]))
+        else:  # multi-byte characters: slice the bytes
+            out.extend(data[a:b].decode("utf-8")
+                       for a, b in zip(bounds, bounds[1:]))
+    return out
 
 
 def numpy_table(cols: dict[str, np.ndarray]) -> pa.Table:
@@ -250,8 +303,10 @@ def write_segment(
     )
     os.makedirs(tmp_dir, exist_ok=True)
     try:
-        write_table(terms_tbl, os.path.join(tmp_dir, "terms.parquet"))
-        write_table(blocks_tbl, os.path.join(tmp_dir, "blocks.parquet"))
+        write_table(terms_tbl, os.path.join(tmp_dir, "terms.parquet"),
+                    ENGINE_CODEC)
+        write_table(blocks_tbl, os.path.join(tmp_dir, "blocks.parquet"),
+                    ENGINE_CODEC)
         with open(os.path.join(tmp_dir, "docs.bin"), "wb") as f:
             f.write(doc_table)
         with open(os.path.join(tmp_dir, "postings.bin"), "wb") as f:
@@ -351,16 +406,16 @@ class SegmentReader:
             self.has_positions = False
             self.pos_payload = np.empty(0, np.uint8)
         t = self.terms
-        self._lookup = {
-            term: i for i, term in enumerate(t["term"].to_pylist())
-        }
+        self._lookup = dict(zip(column_strings(t["term"]), range(t.num_rows)))
         # per-term numpy columns (row order of ``terms``): the stored ones
-        # plus the layout v4 derives (postings.term_layout); the blocks'
-        # posting counts, tf widths and run offsets join the block columns
-        cols = {name: column_numpy(t[name])
-                for name in ("df", "cf", "max_tf", "min_dl")}
+        # plus what the block table gives (postings.term_layout,
+        # term_bounds); the blocks' posting counts, tf widths and run
+        # offsets join the block columns
+        cols = {name: column_numpy(t[name]) for name in TERM_COLUMNS}
         layout = term_layout(cols["df"], self.blocks["max_tf"],
                              self.blocks["ord_bits"])
+        cols["max_tf"], cols["min_dl"] = term_bounds(
+            cols["df"], self.blocks["max_tf"], self.blocks["min_dl"])
         for name in BLOCK_LAYOUT:
             self.blocks[name] = layout.pop(name)
         last = self.blocks["last_ord"]
@@ -400,6 +455,25 @@ class SegmentReader:
         return e
 
 
+# a segment's per-term stats as the term-stats seals aggregate them
+TERMSTATS_COLUMNS = ("term", *TERM_COLUMNS, "max_tf", "min_dl")
+
+
+def segment_term_stats(seg_dir: str) -> pa.Table:
+    """The ``TERMSTATS_COLUMNS`` of segment dir ``seg_dir``, in term order:
+    term, df and cf from its term table, max_tf and min_dl derived from
+    its block table (``postings.term_bounds``), the one copy of them."""
+    terms = pq.ParquetFile(os.path.join(seg_dir, "terms.parquet")).read(
+        columns=["term", *TERM_COLUMNS])
+    blocks = pq.ParquetFile(os.path.join(seg_dir, "blocks.parquet")).read(
+        columns=["max_tf", "min_dl"])
+    max_tf, min_dl = term_bounds(column_numpy(terms["df"]),
+                                 column_numpy(blocks["max_tf"]),
+                                 column_numpy(blocks["min_dl"]))
+    return terms.append_column("max_tf", pa.array(max_tf)).append_column(
+        "min_dl", pa.array(min_dl))
+
+
 def _mmap_or_empty(f) -> np.ndarray:
     """The open file ``f`` mmapped read-only as uint8 (empty if it is): a
     plain ndarray view of the map, since ``np.memmap`` indexing runs
@@ -425,14 +499,19 @@ def _parquet_rows(path: str) -> int:
     return sum(pq.ParquetFile(f).metadata.num_rows for f in _parquet_files(path))
 
 
-def parquet_decoded_bytes(files: list[str]) -> int:
-    """Uncompressed bytes of the parquet ``files``' row groups, from the
-    footers: what reading them costs in memory, whatever their codec."""
+def parquet_decoded_bytes(files: list[str], columns=None) -> int:
+    """Uncompressed bytes of the parquet ``files``' row groups (of their
+    ``columns`` only, when given), from the footers: what reading them
+    costs in memory, whatever their codec."""
     total = 0
     for f in files:
         meta = pq.read_metadata(f)
-        total += sum(meta.row_group(i).total_byte_size
-                     for i in range(meta.num_row_groups))
+        for i in range(meta.num_row_groups):
+            rg = meta.row_group(i)
+            total += (rg.total_byte_size if columns is None else sum(
+                rg.column(j).total_uncompressed_size
+                for j in range(rg.num_columns)
+                if rg.column(j).path_in_schema in columns))
     return total
 
 
@@ -689,10 +768,10 @@ def segment_gen(name: str) -> int:
     return int(m.group(3) or 0) if m else 0
 
 
-def segment_bucket(path: str) -> int:
-    """Term bucket of the segment a file ``path`` lies in, from its dir
-    name ``s####_b####[_g####]``."""
-    return int(_GEN_RE.match(os.path.basename(os.path.dirname(path))).group(2))
+def segment_bucket(seg_dir: str) -> int:
+    """Term bucket of segment dir ``seg_dir``, from its name
+    ``s####_b####[_g####]``."""
+    return int(_GEN_RE.match(os.path.basename(seg_dir)).group(2))
 
 
 def read_manifest(index_dir: str, name: str) -> dict:

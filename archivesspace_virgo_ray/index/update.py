@@ -249,13 +249,15 @@ def add_documents(
     # deltas stream through the staged exchange. Segments are
     # byte-identical either way.
     gen_dir = os.path.join(docs_dir, f"gen={gen:04d}")
+    # a table read above was hashed once (inc_ids), for both passes
+    delta_ids = inc_ids if delta_tbl is not None else None
     if delta_tbl is None and is_small(len(inc_ids)):
         delta_tbl = pa.Table.from_pandas(docs.to_pandas(), preserve_index=False)
     if delta_tbl is not None:
-        doc_rows = make_doc_stats_fn(cfg, gen=gen)(delta_tbl)
+        doc_rows = make_doc_stats_fn(cfg, gen=gen)(delta_tbl, delta_ids)
         os.makedirs(gen_dir, exist_ok=True)
         write_table(doc_rows, os.path.join(gen_dir, "part-0.parquet"))
-        triples = table_triples(delta_tbl, cfg)
+        triples = table_triples(delta_tbl, cfg, ids=delta_ids)
         seg_rows = write_segments(triples, index_dir, cfg, gen=gen)
     else:
         with batch_errors_as_raised(docs):

@@ -4,6 +4,7 @@ pool as inline, a null text in any slice still fails the build before
 anything is published, and a build leaves no thread behind."""
 
 import os
+import re
 import threading
 
 import numpy as np
@@ -133,9 +134,9 @@ def test_a_build_leaves_no_thread_behind(tmp_path, monkeypatch):
     def spy(*a, **kw):
         fn = real(*a, **kw)
 
-        def triples(batch):
+        def triples(batch, ids=None):
             threads.append(threading.current_thread())
-            return fn(batch)
+            return fn(batch, ids)
 
         return triples
 
@@ -159,3 +160,40 @@ def test_pool_map_keeps_order_and_raises_the_first_error(monkeypatch):
 
     with pytest.raises(ValueError, match="item 4"):
         build.pool_map(fail, list(range(10)))
+
+
+def test_a_driver_build_hashes_each_key_once(ray_session, tmp_path,
+                                             monkeypatch):
+    """A driver build and a small add from key columns hash each doc's key
+    once: the doc table and the tokenize slices share the ids. The
+    null-text error still names the key columns."""
+    from archivesspace_virgo_ray.corpus import generate_corpus
+
+    monkeypatch.setattr(build, "pool_workers", lambda: 4)
+    hashed, real = [], build.doc_id_from_key
+
+    def spy(*cols):
+        hashed.append(len(cols[0]))
+        return real(*cols)
+
+    monkeypatch.setattr(build, "doc_id_from_key", spy)
+    corpus = generate_corpus(150, seed=8, max_tokens=80)
+    base, delta = (str(tmp_path / f) for f in ("base.parquet", "delta.parquet"))
+    pq.write_table(corpus.slice(0, 120), base)
+    pq.write_table(corpus.slice(120), delta)
+    cfg = lambda: build.BuildConfig(n_shards=2, n_buckets=2, batch_size=32)  # noqa: E731
+    idx = str(tmp_path / "idx")
+    build.build_index(base, idx, cfg(), resume=False)
+    assert sum(hashed) == 120
+    add_documents(delta, idx, cfg())
+    assert sum(hashed) == 150
+
+    text = corpus["content"].to_pylist()
+    text[40] = None
+    bad = str(tmp_path / "bad.parquet")
+    pq.write_table(corpus.set_column(corpus.schema.get_field_index("content"),
+                                     "content", pa.array(text, pa.string())), bad)
+    row = corpus.slice(40, 1).to_pylist()[0]
+    key = ", ".join(f"{k}={row[k]!r}" for k in ("repo", "path", "commit"))
+    with pytest.raises(ValueError, match=re.escape(f"null in the row with {key}")):
+        build.build_index(bad, str(tmp_path / "bad_idx"), cfg(), resume=False)

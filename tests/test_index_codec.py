@@ -1,9 +1,13 @@
 """Every parquet file an index keeps is written in one codec
-(``segments.PARQUET_CODEC``: zstd, no dictionary pages), by every writer:
-builds, adds, field updates, merges, vacuums, reshards and both term-stats
-seals. Files in another codec (an index written before) still open and
-answer bit-identically, and a warmed pool answers BM25 without opening a
-parquet file, so the codec's decode cost never reaches the query path."""
+(``segments.PARQUET_CODEC``: zstd, no dictionary pages, no statistics),
+by every writer: builds, adds, field updates, merges, vacuums, reshards
+and both term-stats seals; the engine-owned tables also front-code their
+``term`` column and embed no Arrow schema (``segments.ENGINE_CODEC``),
+while ``_docs`` keeps its schema and with it the caller's meta column
+types. Files in another codec (an index written before) still open and
+answer bit-identically, a warmed pool answers BM25 without opening a
+parquet file, so the codec's decode cost never reaches the query path,
+and an index of the previous layout is refused by name."""
 
 import glob
 import os
@@ -52,27 +56,37 @@ def _cfg() -> BuildConfig:
                        id_col="doc_id", meta_cols=("grp",))
 
 
-def _chunks(idx: str) -> list[tuple[str, str, bool]]:
-    """(file, compression, has a dictionary page) of every column chunk of
-    every parquet file under ``idx``."""
+def _chunks(idx: str) -> list[tuple]:
+    """(file, column, compression, has a dictionary page, has statistics,
+    encodings) of every column chunk of every parquet file under ``idx``."""
     out = []
     for f in glob.glob(os.path.join(idx, "**", "*.parquet"), recursive=True):
         meta = pq.read_metadata(f)
         for r in range(meta.num_row_groups):
             for c in range(meta.num_columns):
                 col = meta.row_group(r).column(c)
-                out.append((os.path.relpath(f, idx), col.compression,
-                            col.has_dictionary_page))
+                out.append((os.path.relpath(f, idx), col.path_in_schema,
+                            col.compression, col.has_dictionary_page,
+                            col.is_stats_set, col.encodings))
     return out
 
 
 def _assert_codec(idx: str, *must_hold: str) -> None:
-    """Every column chunk under ``idx`` is zstd without a dictionary page,
-    and some parquet file's path contains each of ``must_hold``."""
+    """Every column chunk under ``idx`` is zstd without a dictionary page
+    or statistics, every ``term`` column (segment term tables and term
+    stats) is front-coded, only ``_docs`` files embed an Arrow schema, and
+    some parquet file's path contains each of ``must_hold``."""
     chunks = _chunks(idx)
-    bad = [c for c in chunks if c[1:] != ("ZSTD", False)]
+    bad = [c for c in chunks if c[2:5] != ("ZSTD", False, False)]
     assert not bad, bad
-    files = {f for f, _c, _d in chunks}
+    terms = [c for c in chunks if c[1] == "term"]
+    assert terms and all("DELTA_BYTE_ARRAY" in c[5] for c in terms), terms
+    files = {c[0] for c in chunks}
+    assert {f for f in files if f.startswith(("segments", "_global"))} == {
+        c[0] for c in terms} | {f for f in files if f.endswith("blocks.parquet")}
+    for f in files:
+        meta = pq.read_metadata(os.path.join(idx, f)).metadata or {}
+        assert (b"ARROW:schema" in meta) == f.startswith("_docs"), f
     for part in ("terms.parquet", "blocks.parquet", "_docs", "termstats-",
                  *must_hold):
         assert any(part in f for f in files), (part, sorted(files))
@@ -247,4 +261,92 @@ def test_repeated_query_ids_raise(ray_session, tmp_path):
     # distinct ids answer every row
     ok = dup.set_column(0, "query_id", pa.array([4, 0, 5], pa.int64()))
     assert set(Q.bm25_topk(idx, ok)["query_id"].to_pylist()) == {0, 4, 5}
+    Q.shutdown_pools()
+
+
+def test_docs_meta_types_survive_every_docs_writer(ray_session, tmp_path):
+    """``_docs`` keeps its embedded Arrow schema: a tz-aware timestamp
+    meta column and a large_string one keep their types through a build,
+    a small add and the vacuum of ``maintain(dead_ratio=0.0)``."""
+    ts_type = pa.timestamp("us", tz="America/New_York")
+
+    def table(df: pd.DataFrame) -> str:
+        t = pa.Table.from_pandas(df, preserve_index=False)
+        n = t.num_rows
+        t = t.append_column("at", pa.array(
+            1_700_000_000_000_000 + 3_600_000_000 * df["doc_id"].to_numpy(),
+            pa.int64()).cast(ts_type))
+        t = t.append_column("note", pa.array(
+            [f"n{i}" for i in range(n)], pa.large_string()))
+        path = str(tmp_path / f"{int(df['doc_id'].iloc[0])}.parquet")
+        pq.write_table(t, path)
+        return path
+
+    cfg = lambda: BuildConfig(n_shards=2, n_buckets=2, text_col="text",  # noqa: E731
+                              id_col="doc_id", meta_cols=("grp", "at", "note"))
+
+    def assert_types(idx: str, n_files: int) -> None:
+        files = glob.glob(os.path.join(idx, "_docs", "**", "*.parquet"),
+                          recursive=True)
+        assert len(files) >= n_files
+        for f in files:
+            schema = pq.ParquetFile(f).schema_arrow
+            assert schema.field("at").type == ts_type, f
+            assert schema.field("note").type == pa.large_string(), f
+
+    base, add = _docs(40, 0, 7), _docs(8, 500, 8)
+    idx = str(tmp_path / "idx")
+    build_index(table(base), idx, cfg(), resume=False)
+    assert_types(idx, 1)
+    add_documents(table(add), idx, cfg())
+    assert_types(idx, 2)
+    delete_documents(idx, [3, 502])
+    rep = maintain(idx, dead_ratio=0.0)
+    assert rep["vacuum"]["vacuumed"], rep
+    assert_types(idx, 1)
+    live = {**dict(zip(base["doc_id"], base["text"])),
+            **dict(zip(add["doc_id"], add["text"]))}
+    del live[3], live[502]
+    _assert_oracle(idx, live)
+    Q.shutdown_pools()
+
+
+def test_a_v10_index_is_refused_naming_its_version(ray_session, tmp_path):
+    """An ``avr-index-10`` segment (its term table still holding max_tf and
+    min_dl) and an ``avr-index-10`` index refuse to open, each naming the
+    version and saying to rebuild."""
+    import json
+
+    from archivesspace_virgo_ray import PIPELINE_VERSION
+    from archivesspace_virgo_ray.index.segments import (
+        SegmentReader,
+        segment_term_stats,
+    )
+
+    idx, src = str(tmp_path / "idx"), _write(tmp_path, "base.parquet",
+                                             _docs(40, 0, 9))
+    build_index(src, idx, _cfg(), resume=False)
+    Q.shutdown_pools()
+    old = "avr-index-10"
+    assert PIPELINE_VERSION != old
+    seg = sorted(glob.glob(os.path.join(idx, "segments", "s*_b*")))[0]
+    # the v10 layout: term, df, cf, max_tf, min_dl
+    pq.write_table(segment_term_stats(seg), os.path.join(seg, "terms.parquet"))
+    with open(os.path.join(seg, "manifest.json")) as f:
+        manifest = json.load(f)
+    with open(os.path.join(seg, "manifest.json"), "w") as f:
+        json.dump({**manifest, "pipeline_version": old}, f)
+    with pytest.raises(ValueError, match=f"'{old}'.*rebuild the index"):
+        SegmentReader(idx, name=os.path.basename(seg))
+
+    for marker in glob.glob(os.path.join(idx, "_global", "gens", "g*.json")):
+        with open(marker) as f:
+            m = json.load(f)
+        m["stats"]["pipeline_version"] = old
+        with open(marker, "w") as f:
+            json.dump(m, f)
+    for open_index in (lambda: Q.LocalSearcher(idx), lambda: Q.get_pool(idx),
+                       lambda: build_index(src, idx, _cfg())):
+        with pytest.raises(ValueError, match=f"'{old}'.*rebuild the index"):
+            open_index()
     Q.shutdown_pools()

@@ -329,6 +329,33 @@ def test_query_worker_imports_neither_ray_data_nor_pandas(idx, tmp_path):
     assert out.stdout.split() == [str(len(want[1])), "[]"]
 
 
+def test_query_planning_reads_buckets_without_pyarrow_dataset(idx, tmp_path):
+    """Planning a BM25 batch and reading the vocabulary (a cold pool's
+    term-stats buckets) load neither Ray Data nor ``pyarrow.dataset``,
+    whose import and discovery made the first bucket reads cost ~10x a
+    ``ParquetFile`` read. The plan equals the one this process makes."""
+    ls = LocalSearcher(idx)
+    want = _plan_batch(ls.store, _batch())
+    batch_path = str(tmp_path / "batch.pkl")
+    with open(batch_path, "wb") as f:
+        pickle.dump(_batch(), f)
+    script = (
+        "import pickle, sys\n"
+        "from archivesspace_virgo_ray.index.query import TermStatsStore, _plan_batch\n"
+        f"store = TermStatsStore({idx!r})\n"
+        f"plan = _plan_batch(store, pickle.load(open({batch_path!r}, 'rb')))\n"
+        "n = len(store.vocabulary().terms)\n"
+        "sys.stdout.buffer.write(pickle.dumps((plan, n, sorted(m for m in "
+        "('pyarrow.dataset', 'ray.data') if m in sys.modules))))\n")
+    env = dict(os.environ, PYTHONPATH=REPO)
+    out = subprocess.run([sys.executable, "-c", script], env=env, cwd=REPO,
+                         capture_output=True, timeout=120)
+    assert out.returncode == 0, out.stderr.decode()
+    plan, n_terms, imported = pickle.loads(out.stdout)
+    assert imported == [] and n_terms == len(ls.store.vocabulary().terms)
+    assert plan == want
+
+
 def test_query_only_process_starts_no_ray(tmp_path, ray_session, sf_dir):
     """A process that only queries indexes built elsewhere never starts
     Ray: ranked (BM25, LM-Dirichlet, timeAllowed), boolean, phrase,

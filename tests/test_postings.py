@@ -24,6 +24,7 @@ from archivesspace_virgo_ray.index.postings import (
     encode_posting_list,
     encode_segment,
     position_bytes_array,
+    term_bounds,
     term_layout,
     varbyte_decode,
     varbyte_encode,
@@ -160,7 +161,8 @@ def _ref_encode_segment(doc_ids, tfs, dls, starts, ends):
         for o, d in enumerate(docs)
     ) + b"".join(_ref_varbyte(dl_of[d]) for d in docs)
     payload = bytearray()
-    terms = {k: [] for k in TERM_COLUMNS}
+    # the stored term columns, and the bounds a reader derives
+    terms = {k: [] for k in (*TERM_COLUMNS, "max_tf", "min_dl")}
     blocks = {k: [] for k in BLOCK_COLUMNS}
     for s, e in zip(map(int, starts), map(int, ends)):
         terms["df"].append(e - s)
@@ -248,6 +250,10 @@ def _check_against_reference(doc_ids, tfs, dls, starts, ends):
         for k, v in got.items():
             assert v.dtype == (np.uint8 if k == "ord_bits" else np.int64), k
             assert v.tolist() == ref[k], k
+    # a term's max_tf / min_dl are derived from its blocks, never stored
+    max_tf, min_dl = term_bounds(terms["df"], blocks["max_tf"], blocks["min_dl"])
+    assert max_tf.tolist() == ref_terms["max_tf"]
+    assert min_dl.tolist() == ref_terms["min_dl"]
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -49,11 +49,14 @@ def _corpus(n_docs: int) -> str:
 def smoke_build(n_docs: int, store_gb: float) -> None:
     """Build one corpus twice: as a Dataset (the staged exchange) and as a
     path (read and indexed on the driver when within build_index's size
-    rule, else the same staged exchange). Each line ends with the driver
-    path's thread count (``build.pool_workers``: k workers hold k slices'
-    tokenizer temporaries at once) and the driver's peak RSS so far; the
-    Dataset build runs first, so the path line's peak covers the
-    driver-side read."""
+    rule, else the same staged exchange). Each build's line ends with the
+    driver path's thread count (``build.pool_workers``: k workers hold k
+    slices' tokenizer temporaries at once) and the driver's peak RSS so
+    far; the Dataset build runs first, so the path line's peak covers the
+    driver-side read. Then one ``census`` line per parquet column of the
+    index and per class's footer bytes (``column_census``): copy this
+    script into another checkout's ``tools/`` to compare two commits'
+    formats column by column."""
     import resource
 
     from archivesspace_virgo_ray.index.build import (
@@ -79,6 +82,8 @@ def smoke_build(n_docs: int, store_gb: float) -> None:
               f"{stats['n_shards']}x{stats['n_buckets']} "
               f"workers={pool_workers()} "
               f"driver_peak_rss_mb={rss_mb:.0f}", flush=True)
+        for key, n in column_census(idx).items():
+            print(f"census input={name} {key}={n}", flush=True)
     shutil.rmtree(idx, ignore_errors=True)
     ray.shutdown()
 
@@ -221,6 +226,18 @@ _SEGMENT_FILES = {"postings.bin": "postings", "terms.parquet": "term_dict",
                   "blocks.parquet": "block_table", "docs.bin": "docs_bin"}
 
 
+def _file_class(idx: str, d: str, f: str) -> str:
+    """The ``index_census`` class of file ``f`` in dir ``d`` of ``idx``."""
+    top = os.path.relpath(d, idx).split(os.sep)
+    if top[0] == "segments":
+        return _SEGMENT_FILES.get(f, "other")
+    if top[0] == "_docs":
+        return "_docs"
+    if top[0] == "_global" and top[1:2] and top[1].startswith("termstats"):
+        return "termstats"
+    return "other"
+
+
 def index_census(idx: str) -> dict[str, int]:
     """Bytes of index ``idx`` by file class: ``postings.bin``, the term
     dictionary, the block table, ``docs.bin``, the forward doc table
@@ -229,18 +246,35 @@ def index_census(idx: str) -> dict[str, int]:
     out = dict.fromkeys((*_SEGMENT_FILES.values(), "_docs", "termstats",
                          "other"), 0)
     for d, _dirs, files in os.walk(idx):
-        top = os.path.relpath(d, idx).split(os.sep)
         for f in files:
-            if top[0] == "segments":
-                key = _SEGMENT_FILES.get(f, "other")
-            elif top[0] == "_docs":
-                key = "_docs"
-            elif top[0] == "_global" and top[1:2] and top[1].startswith("termstats"):
-                key = "termstats"
-            else:
-                key = "other"
-            out[key] += os.path.getsize(os.path.join(d, f))
+            out[_file_class(idx, d, f)] += os.path.getsize(os.path.join(d, f))
     return out
+
+
+def column_census(idx: str) -> dict[str, int]:
+    """Bytes of index ``idx``'s parquet files by class and column
+    (``term_dict.term``, ``_docs.sha256``, ...): each column's compressed
+    chunks, page headers included. Per class, ``<class>.footer`` holds
+    the rest of its files' bytes: footers (with any embedded Arrow schema
+    and column statistics) and magic."""
+    import pyarrow.parquet as pq
+
+    out: dict[str, int] = {}
+    for d, _dirs, files in os.walk(idx):
+        for f in files:
+            if not f.endswith(".parquet"):
+                continue
+            cls, path = _file_class(idx, d, f), os.path.join(d, f)
+            meta = pq.read_metadata(path)
+            left = os.path.getsize(path)
+            for r in range(meta.num_row_groups):
+                for j in range(meta.num_columns):
+                    col = meta.row_group(r).column(j)
+                    key = f"{cls}.{col.path_in_schema}"
+                    out[key] = out.get(key, 0) + col.total_compressed_size
+                    left -= col.total_compressed_size
+            out[f"{cls}.footer"] = out.get(f"{cls}.footer", 0) + left
+    return dict(sorted(out.items()))
 
 
 def smoke_query(n_docs: int) -> None:
